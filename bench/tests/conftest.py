@@ -1,0 +1,12 @@
+"""Shared set-up for ``python -m pytest bench/tests``."""
+
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+if ROOT not in sys.path:
+    sys.path.insert(0, ROOT)
+
+from bench.paths import add_src  # noqa: E402
+
+add_src()
