@@ -36,6 +36,7 @@ from repro.core.consensus import (
     evaluate_consensus,
     unanimity_fast_consensus,
 )
+from repro.core.latedrop import LateDropWindow
 from repro.core.responses import Response, ResponseKind
 from repro.core.validator import classify_external, digest_progress
 
@@ -71,7 +72,7 @@ class ShardCore:
         self.state_aware = state_aware
         self.taint_classification = taint_classification
         self.records: Dict[Tuple, _CoreRecord] = {}
-        self.recently_decided: Dict[Tuple, float] = {}
+        self.late_drop = LateDropWindow()
         self.deadlines: List[Tuple[float, int, Tuple]] = []
         self._deadline_seq = 0
         # Bounded memos, same bounds as the pipeline's (they repeat heavily).
@@ -87,7 +88,7 @@ class ShardCore:
         if frame.wakeup:
             stats["timer_wakeups"] = 1
         records = self.records
-        recently_decided = self.recently_decided
+        recently_decided = self.late_drop.decided
         deadlines = self.deadlines
         full_count = 2 * self.k + 2
         now = frame.now
@@ -176,13 +177,8 @@ class ShardCore:
             fastpath=fastpath, outcome=outcome,
             responses=tuple(responses))))
         del self.records[tau]
-        self.recently_decided[tau] = now
-        if len(self.recently_decided) > 20_000:
-            horizon = now - 20.0 * self.timeout_ms
-            self.recently_decided = {
-                t_id: decided
-                for t_id, decided in self.recently_decided.items()
-                if decided >= horizon}
+        if self.late_drop.add(tau, now):
+            self.late_drop.expire(now, self.timeout_ms)
 
     # ------------------------------------------------------------------
     # Memoised helpers (bounds mirror ValidationPipeline's)
@@ -221,7 +217,7 @@ class ShardCore:
                 tau: (tuple(r.responses), r.count, r.first_at, r.deadline,
                       r.decided)
                 for tau, r in self.records.items()},
-            "recently_decided": dict(self.recently_decided),
+            "recently_decided": self.late_drop.payload(),
             "deadlines": list(self.deadlines),
             "deadline_seq": self._deadline_seq,
         }, protocol=pickle.HIGHEST_PROTOCOL)
@@ -234,7 +230,7 @@ class ShardCore:
                              first_at=fields[2], deadline=fields[3],
                              decided=fields[4])
             for tau, fields in data["records"].items()}
-        self.recently_decided = dict(data["recently_decided"])
+        self.late_drop.restore(data["recently_decided"])
         self.deadlines = list(data["deadlines"])
         heapq.heapify(self.deadlines)
         self._deadline_seq = data["deadline_seq"]

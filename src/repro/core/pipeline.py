@@ -73,6 +73,7 @@ from repro.core.consensus import (
     _merge_network,
     unanimity_fast_consensus,
 )
+from repro.core.latedrop import LateDropWindow
 from repro.core.responses import Response, ResponseKind
 from repro.core.timeouts import StaticTimeout, TimeoutPolicy
 from repro.core.validator import (
@@ -182,7 +183,7 @@ class _Shard(DecisionCore):
         self.queue: deque = deque()
         self.overflow: deque = deque()
         self.records: Dict[Tuple, _ShardRecord] = {}
-        self._recently_decided: Dict[Tuple, float] = {}
+        self._late_drop = LateDropWindow()
         # Coalesced θτ timers: one heap + one scheduled wakeup per shard
         # instead of a sim event per trigger (the sequential validator's
         # schedule/cancel pair is pure overhead at high trigger rates).
@@ -261,7 +262,7 @@ class _Shard(DecisionCore):
         queue = self.queue
         overflow = self.overflow
         records = self.records
-        recently_decided = self._recently_decided
+        recently_decided = self._late_drop.decided
         deadlines = self._deadlines
         state = self.state
         local_progress = self.local_progress
@@ -565,13 +566,8 @@ class _Shard(DecisionCore):
         if alarms:
             self.stats.alarmed += 1
         del self.records[tau]
-        self._recently_decided[tau] = self.sim.now
-        if len(self._recently_decided) > 20_000:
-            horizon = self.sim.now - 20.0 * self.timeout.current()
-            self._recently_decided = {
-                t_id: decided
-                for t_id, decided in self._recently_decided.items()
-                if decided >= horizon}
+        if self._late_drop.add(tau, self.sim.now):
+            self._late_drop.expire(self.sim.now, self.timeout.current())
         self.pipeline._emit(result, alarms)
 
     def _fast_consensus(self, responses: List[Response],
@@ -607,7 +603,7 @@ class _Shard(DecisionCore):
                 tau: (tuple(r.responses), r.count, r.first_at, r.deadline,
                       r.decided)
                 for tau, r in self.records.items()},
-            "recently_decided": dict(self._recently_decided),
+            "recently_decided": self._late_drop.payload(),
             "deadlines": list(self._deadlines),
             "deadline_seq": seq,
         }
@@ -625,7 +621,7 @@ class _Shard(DecisionCore):
                               first_at=fields[2], deadline=fields[3],
                               decided=fields[4])
             for tau, fields in payload["records"].items()}
-        self._recently_decided = dict(payload["recently_decided"])
+        self._late_drop.restore(payload["recently_decided"])
         self._deadlines = list(payload["deadlines"])
         heapq.heapify(self._deadlines)
         self._deadline_seq = itertools.count(int(payload["deadline_seq"]))

@@ -30,6 +30,7 @@ from repro.controllers.context import restore_trigger_ids, snapshot_trigger_ids
 from repro.core.alarms import Alarm, AlarmReason, ValidationResult
 from repro.core.checkpoint import Checkpoint, observe_checkpoint, observe_restore
 from repro.core.consensus import ConsensusOutcome, evaluate_consensus, sanity_check
+from repro.core.latedrop import LateDropWindow
 from repro.core.responses import Response
 from repro.core.timeouts import StaticTimeout, TimeoutPolicy
 from repro.errors import CheckpointError
@@ -440,8 +441,8 @@ class Validator(DecisionCore):
         # Triggers already decided: late responses (e.g. a promise-held
         # FLOW_MOD emerging after the timer) must be dropped, not allowed to
         # open a fresh record that would be judged alone and alarm
-        # spuriously. Pruned in _decide to bound memory.
-        self._recently_decided: Dict[Tuple, float] = {}
+        # spuriously.
+        self._late_drop = LateDropWindow()
         self.results: List[ValidationResult] = []
         self.alarms: List[Alarm] = []
         self.on_alarm: Optional[Callable[[Alarm], None]] = None
@@ -490,7 +491,7 @@ class Validator(DecisionCore):
                 self.sim.now, response.controller_id,
                 lag_ms=None if received is None
                 else max(0.0, self.sim.now - received))
-        if tau in self._recently_decided:
+        if tau in self._late_drop.decided:
             self.late_responses += 1
             if tracer is not None and sampled:
                 tracer.emit(self.sim.now, tau, obs_trace.LATE_DROP,
@@ -568,12 +569,8 @@ class Validator(DecisionCore):
         if self.keep_results:
             self.results.append(result)
         del self._pending[tau]
-        self._recently_decided[tau] = self.sim.now
-        if len(self._recently_decided) > 20_000:
-            horizon = self.sim.now - 20.0 * self.timeout.current()
-            self._recently_decided = {
-                t_id: decided for t_id, decided in self._recently_decided.items()
-                if decided >= horizon}
+        if self._late_drop.add(tau, self.sim.now):
+            self._late_drop.expire(self.sim.now, self.timeout.current())
         if self.wal is not None:
             self.wal.append_decision(self.sim.now, tau, len(alarms))
         if self.checkpoint_every is not None:
@@ -610,7 +607,7 @@ class Validator(DecisionCore):
                 tau: (tuple(record.responses), record.count, record.first_at,
                       record.timer.time if record.timer is not None else None)
                 for tau, record in self._pending.items()},
-            "recently_decided": dict(self._recently_decided),
+            "recently_decided": self._late_drop.payload(),
             "alarms": list(self.alarms),
             "results": list(self.results),
             "counters": (self.responses_received, self.triggers_decided,
@@ -673,7 +670,7 @@ class Validator(DecisionCore):
                 record.timer = self.sim.schedule_at(
                     deadline, self._on_timer, tau)
             self._pending[tau] = record
-        self._recently_decided = dict(state["recently_decided"])
+        self._late_drop.restore(state["recently_decided"])
         self.alarms = list(state["alarms"])
         self.results = list(state["results"])
         (self.responses_received, self.triggers_decided,
