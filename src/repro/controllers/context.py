@@ -74,6 +74,20 @@ def reset_trigger_ids() -> None:
     _internal_ids = itertools.count(1)
 
 
+def sort_canonicals(items) -> Tuple:
+    """Stable canonical ordering for heterogeneous canonical tuples.
+
+    Canonicals mix ints, strings, and None, so plain tuple comparison can
+    raise; ``repr`` gives a total order that is identical on every replica,
+    which is all consensus comparison needs. Most bundles hold a single
+    write, which is already in order.
+    """
+    items = tuple(items)
+    if len(items) < 2:
+        return items
+    return tuple(sorted(items, key=repr))
+
+
 @dataclass(frozen=True)
 class Taint:
     """The mark carried by a replicated trigger and its responses."""
@@ -169,5 +183,5 @@ class TriggerContext:
 
     def combined_canonical(self) -> Tuple:
         """Canonical (cache, network) bundle for replica-result responses."""
-        return (tuple(sorted(self.captured_cache, key=repr)),
-                tuple(sorted(self.captured_network, key=repr)))
+        return (sort_canonicals(self.captured_cache),
+                sort_canonicals(self.captured_network))

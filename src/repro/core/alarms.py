@@ -87,7 +87,7 @@ def alarm_merge_key(alarm: Alarm) -> Tuple[float, str]:
 
     Trigger ids mix heterogeneous tuples (``("ext", n)`` vs
     ``("int", origin, n)``), so ``repr`` provides the tiebreak total order,
-    mirroring :func:`repro.core.responses.sort_canonicals`.
+    mirroring :func:`repro.controllers.context.sort_canonicals`.
     """
     return (alarm.raised_at, repr(alarm.trigger_id))
 

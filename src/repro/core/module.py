@@ -24,8 +24,8 @@ import math
 from typing import Any, Dict, Tuple
 
 from repro.controllers.base import Controller, NetworkMessageRecord
-from repro.controllers.context import TriggerContext
-from repro.core.responses import Response, ResponseKind, sort_canonicals
+from repro.controllers.context import TriggerContext, sort_canonicals
+from repro.core.responses import Response, ResponseKind
 from repro.core.selection import designated_secondaries
 from repro.datastore.events import CacheEvent
 from repro.net.packet import LldpPayload

@@ -17,16 +17,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 
-def sort_canonicals(items) -> Tuple:
-    """Stable canonical ordering for heterogeneous canonical tuples.
-
-    Canonicals mix ints, strings, and None, so plain tuple comparison can
-    raise; ``repr`` gives a total order that is identical on every replica,
-    which is all consensus comparison needs.
-    """
-    return tuple(sorted(items, key=repr))
-
-
 class ResponseKind(enum.Enum):
     """What a response describes."""
 

@@ -25,7 +25,7 @@ def designated_secondaries(trigger_id: Tuple, candidates: Iterable[str],
     pool = sorted(set(candidates) - set(exclude))
     if k <= 0 or not pool:
         return []
-    rng = random.Random(f"{salt}/{trigger_id!r}")
     if k >= len(pool):
         return pool
+    rng = random.Random(f"{salt}/{trigger_id!r}")
     return sorted(rng.sample(pool, k))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Optional, Tuple
+from typing import Any, ClassVar, Dict, Optional, Tuple
 
 
 class CacheOp(enum.Enum):
@@ -32,6 +32,13 @@ class CacheEvent:
     the action. ``tau`` carries the trigger id of the controller action that
     performed the write (set by the controller's trigger context); for
     purely internal actions it equals the action id.
+
+    The store hands one event object to the origin's listeners and to every
+    peer, so :meth:`canonical` and :meth:`wire_size` are computed on first
+    use and kept on the event. That is sound because a value handed to the
+    store is never mutated afterwards (writers copy before modifying); the
+    memos are not fields, so ``==``, ``hash``, ``repr``, pickling and
+    :func:`dataclasses.replace` never see them.
     """
 
     cache: str
@@ -45,6 +52,18 @@ class CacheEvent:
     #: The writing trigger's processing-start state digest (JURY metadata).
     ctx_digest: Tuple = ()
 
+    # Class-level "not computed yet"; the computed value shadows it in the
+    # instance ``__dict__``.
+    _canonical: ClassVar[Optional[Tuple]] = None
+    _wire_size: ClassVar[Optional[int]] = None
+
+    def __getstate__(self) -> Dict[str, Any]:
+        """Pickle/copy the fields only; memos are recomputed on demand."""
+        state = dict(self.__dict__)
+        state.pop("_canonical", None)
+        state.pop("_wire_size", None)
+        return state
+
     @property
     def action_id(self) -> Tuple[str, int]:
         """Cluster-wide identity of the action that caused this event."""
@@ -57,18 +76,26 @@ class CacheEvent:
 
     def canonical(self) -> Tuple:
         """Canonical body for consensus comparison at the validator."""
-        return cache_canonical(self.cache, self.key, self.op, self.value)
+        canonical = self._canonical
+        if canonical is None:
+            canonical = cache_canonical(self.cache, self.key, self.op, self.value)
+            object.__setattr__(self, "_canonical", canonical)
+        return canonical
 
     def wire_size(self) -> int:
         """Approximate bytes on the inter-controller wire."""
-        value_size = getattr(self.value, "wire_size", None)
-        if callable(value_size):
-            payload = value_size()
-        elif self.value is None:
-            payload = 0
-        else:
-            payload = min(512, 32 + len(repr(self.value)))
-        return 96 + payload
+        size = self._wire_size
+        if size is None:
+            value_size = getattr(self.value, "wire_size", None)
+            if callable(value_size):
+                payload = value_size()
+            elif self.value is None:
+                payload = 0
+            else:
+                payload = min(512, 32 + len(repr(self.value)))
+            size = 96 + payload
+            object.__setattr__(self, "_wire_size", size)
+        return size
 
 
 def cache_canonical(cache: str, key: Any, op: CacheOp, value: Any) -> Tuple:
@@ -81,15 +108,30 @@ def cache_canonical(cache: str, key: Any, op: CacheOp, value: Any) -> Tuple:
     return ("cache", cache, _canonical_value(key), op.value, _canonical_value(value))
 
 
+#: Leaves that are already canonical. Tested by exact ``type()``: a subclass
+#: may carry a ``canonical()`` of its own and takes the general path.
+_ATOMS = frozenset((str, int, float, bool, type(None)))
+
+
 def _canonical_value(value: Any) -> Any:
-    """Reduce a stored value to a hashable, comparable form."""
+    """Reduce a stored value to a hashable, comparable form.
+
+    Stored values are mostly atoms inside small tuples and dicts, so atoms
+    return first and containers test their leaves inline rather than paying
+    one call per leaf.
+    """
+    if type(value) in _ATOMS:
+        return value
     canonical = getattr(value, "canonical", None)
     if callable(canonical):
         return canonical()
     if isinstance(value, dict):
-        return tuple(sorted((k, _canonical_value(v)) for k, v in value.items()))
+        return tuple(sorted([
+            (k, v if type(v) in _ATOMS else _canonical_value(v))
+            for k, v in value.items()]))
     if isinstance(value, (list, tuple)):
-        return tuple(_canonical_value(v) for v in value)
+        return tuple([v if type(v) in _ATOMS else _canonical_value(v)
+                      for v in value])
     return value
 
 

@@ -81,6 +81,10 @@ class DatastoreNode:
         attribution). Raises :class:`CacheLockError` if the (injectable)
         lock manager refuses the write — the ONOS "failed to obtain lock"
         fault.
+
+        ``value`` is stored and shipped to every peer as the object it is,
+        and the event memoises its canonical form: never mutate it after
+        this call — copy (``dict(stored)``), modify the copy, ``put`` that.
         """
         if self.lock_manager is not None and not self.lock_manager(cache, key):
             raise CacheLockError(

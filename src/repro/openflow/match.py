@@ -13,7 +13,7 @@ and :meth:`Match.strip_unsupported_fields` reproduces the switch behaviour.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import Optional, Tuple
+from typing import Any, ClassVar, Dict, Optional, Tuple
 
 from repro.errors import MatchFieldError
 from repro.net.packet import EtherType, IpProto, Packet
@@ -29,7 +29,11 @@ class Match:
     """A wildcard-capable match over the OpenFlow 1.0 12-tuple subset.
 
     ``None`` means "wildcard". Matches are hashable and canonically ordered,
-    so they can serve directly as cache keys and consensus entries.
+    so they can serve directly as cache keys and consensus entries. A match
+    is canonicalised several times per flow (cache key, cache value,
+    FLOW_MOD), so :meth:`canonical` is computed once and kept on the frozen
+    instance — outside the fields, invisible to ``==``, ``hash``, ``repr``,
+    pickling and :func:`dataclasses.replace`.
     """
 
     in_port: Optional[int] = None
@@ -41,6 +45,16 @@ class Match:
     nw_proto: Optional[int] = None
     tp_src: Optional[int] = None
     tp_dst: Optional[int] = None
+
+    # Class-level "not computed yet"; the computed value shadows it in the
+    # instance ``__dict__``.
+    _canonical: ClassVar[Optional[Tuple]] = None
+
+    def __getstate__(self) -> Dict[str, Any]:
+        """Pickle/copy the fields only; the memo is recomputed on demand."""
+        state = dict(self.__dict__)
+        state.pop("_canonical", None)
+        return state
 
     # ------------------------------------------------------------------
     # Prerequisite hierarchy
@@ -100,8 +114,13 @@ class Match:
 
     def canonical(self) -> Tuple:
         """A hashable canonical form used as a consensus/cache entry."""
-        return tuple((f.name, getattr(self, f.name)) for f in fields(self)
-                     if getattr(self, f.name) is not None)
+        canonical = self._canonical
+        if canonical is None:
+            canonical = tuple((f.name, getattr(self, f.name))
+                              for f in fields(self)
+                              if getattr(self, f.name) is not None)
+            object.__setattr__(self, "_canonical", canonical)
+        return canonical
 
     @classmethod
     def from_canonical(cls, canonical: Tuple) -> "Match":

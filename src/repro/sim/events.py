@@ -1,8 +1,8 @@
 """Event records for the discrete-event simulator.
 
-An :class:`Event` is an internal, heap-ordered record. Callers interact with
-an :class:`EventHandle`, which supports cancellation and status queries but
-hides heap bookkeeping.
+An :class:`Event` is the simulator's internal record of one scheduled
+callback. Callers interact with an :class:`EventHandle`, which supports
+cancellation and status queries but hides heap bookkeeping.
 """
 
 from __future__ import annotations
@@ -11,14 +11,15 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Tuple
 
 
-@dataclass(order=True)
+@dataclass
 class Event:
-    """A scheduled callback, ordered by ``(time, seq)``.
+    """A scheduled callback, fired in ``(time, seq)`` order.
 
     ``seq`` is a monotonically increasing tie-breaker so that events scheduled
     for the same instant fire in FIFO order — a property several protocols in
     this library (TCP-ordered cache update delivery, in-order trigger
-    replication) rely on.
+    replication) rely on. The simulator orders its queue on a
+    ``(time, seq, event)`` tuple, so events themselves are never compared.
     """
 
     time: float

@@ -11,6 +11,9 @@ Design notes
   ``random``.
 * Events at equal timestamps fire in scheduling (FIFO) order; the validator's
   in-order processing of cache updates depends on this.
+* The queue holds ``(time, seq, event)`` tuples, so ``heapq`` orders entries
+  with C tuple comparison. ``seq`` is unique per simulator, which settles
+  every comparison before the event itself would be looked at.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from typing import Callable, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.events import Event, EventHandle
@@ -36,7 +39,7 @@ class Simulator:
     """
 
     def __init__(self, seed: int = 0):
-        self._heap: list[Event] = []
+        self._heap: List[Tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self._now = 0.0
         self._running = False
@@ -60,7 +63,7 @@ class Simulator:
     @property
     def pending(self) -> int:
         """Number of not-yet-fired, not-cancelled events in the queue."""
-        return sum(1 for e in self._heap if not e.cancelled)
+        return sum(1 for _, _, event in self._heap if not event.cancelled)
 
     @property
     def events_fired(self) -> int:
@@ -86,12 +89,15 @@ class Simulator:
 
     def schedule_at(self, time: float, callback: Callable[..., None], *args) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute simulated time ``time``."""
-        if time < self._now:
+        # Written as ``not >=`` so that NaN, which compares False both ways
+        # and would sit unordered in the heap, is rejected too.
+        if not time >= self._now:
             raise SimulationError(
                 f"cannot schedule at t={time} ms; current time is {self._now} ms"
             )
-        event = Event(time=time, seq=next(self._seq), callback=callback, args=args)
-        heapq.heappush(self._heap, event)
+        seq = next(self._seq)
+        event = Event(time=time, seq=seq, callback=callback, args=args)
+        heapq.heappush(self._heap, (time, seq, event))
         return EventHandle(event)
 
     # ------------------------------------------------------------------
@@ -103,10 +109,10 @@ class Simulator:
         Returns ``True`` if an event fired, ``False`` if the queue was empty.
         """
         while self._heap:
-            event = heapq.heappop(self._heap)
+            time, _, event = heapq.heappop(self._heap)
             if event.cancelled:
                 continue
-            self._now = event.time
+            self._now = time
             self._events_fired += 1
             event.callback(*event.args)
             return True
@@ -125,16 +131,16 @@ class Simulator:
         fired = 0
         try:
             while self._heap:
-                event = self._heap[0]
+                time, _, event = self._heap[0]
                 if event.cancelled:
                     heapq.heappop(self._heap)
                     continue
-                if until is not None and event.time > until:
+                if until is not None and time > until:
                     break
                 if max_events is not None and fired >= max_events:
                     break
                 heapq.heappop(self._heap)
-                self._now = event.time
+                self._now = time
                 self._events_fired += 1
                 fired += 1
                 event.callback(*event.args)

@@ -156,3 +156,135 @@ def test_events_fired_counter():
         sim.schedule(float(i), lambda: None)
     sim.run()
     assert sim.events_fired == 4
+
+
+# ----------------------------------------------------------------------
+# Kernel contract under (time, seq, event) heap entries
+# ----------------------------------------------------------------------
+
+def test_nan_time_is_rejected_and_queue_order_survives():
+    """NaN compares False both ways: it passed ``time < now`` and sat
+    unordered in the heap (5, NaN, 1, 3 fired as 1, 3, NaN, 5, the clock
+    going to NaN and then backwards)."""
+    sim = Simulator()
+    fired = []
+    sim.schedule_at(5.0, fired.append, 5)
+    with pytest.raises(SimulationError):
+        sim.schedule_at(float("nan"), fired.append, "nan")
+    with pytest.raises(SimulationError):
+        sim.schedule(float("nan"), fired.append, "nan")
+    sim.schedule_at(1.0, fired.append, 1)
+    sim.schedule_at(3.0, fired.append, 3)
+    assert sim.pending == 3
+    sim.run()
+    assert fired == [1, 3, 5]
+    assert sim.now == 5.0
+
+
+def test_ten_thousand_same_instant_events_fire_in_scheduling_order():
+    sim = Simulator()
+    fired = []
+    for i in range(10_000):
+        sim.schedule_at(7.0, fired.append, i)
+    sim.run()
+    assert fired == list(range(10_000))
+    assert sim.events_fired == 10_000
+
+
+class _Incomparable:
+    """A callback (and argument) that refuses every rich comparison."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def __call__(self, arg):
+        self.log.append(arg)
+
+    def _refuse(self, other):
+        raise AssertionError("the heap compared an event's payload")
+
+    __lt__ = __le__ = __gt__ = __ge__ = __eq__ = __ne__ = _refuse
+    __hash__ = object.__hash__
+
+
+def test_callbacks_and_arguments_are_never_compared():
+    sim = Simulator()
+    log = []
+    callbacks = [_Incomparable(log) for _ in range(50)]
+    # Same instant and interleaved instants: ties go to seq, never further.
+    for i, callback in enumerate(callbacks):
+        sim.schedule_at(2.0 if i % 2 else 1.0, callback, callback)
+    sim.run()
+    assert log == callbacks[0::2] + callbacks[1::2]
+
+
+def test_cancel_after_firing_is_a_noop():
+    sim = Simulator()
+    fired = []
+    first = sim.schedule(1.0, fired.append, "a")
+    sim.schedule(2.0, fired.append, "b")
+    assert sim.step()
+    first.cancel()
+    assert sim.pending == 1
+    sim.run()
+    assert fired == ["a", "b"]
+    assert sim.events_fired == 2
+
+
+def test_cancelled_events_are_skipped_by_step_run_and_max_events():
+    sim = Simulator()
+    fired = []
+    handles = [sim.schedule(float(t), fired.append, t) for t in range(1, 7)]
+    handles[0].cancel()
+    handles[2].cancel()
+    assert sim.pending == 4
+    assert sim.step()                    # skips t=1, fires t=2
+    assert fired == [2] and sim.now == 2.0
+    sim.run(max_events=1)                # skips t=3, fires t=4
+    assert fired == [2, 4] and sim.pending == 2
+    handles[4].cancel()
+    handles[5].cancel()
+    assert sim.pending == 0
+    assert not sim.step()                # only cancelled entries were left
+    assert sim.now == 4.0 and sim.events_fired == 2
+
+
+def test_run_until_fires_the_event_at_the_edge_and_parks_the_clock_there():
+    sim = Simulator()
+    fired = []
+    sim.schedule_at(5.0, fired.append, "edge")
+    sim.schedule_at(5.000001, fired.append, "after")
+    sim.run(until=5.0)
+    assert fired == ["edge"] and sim.now == 5.0 and sim.pending == 1
+    sim.run(until=4.0)                   # never moves the clock backwards
+    assert sim.now == 5.0
+    sim.run(until=6.0)
+    assert fired == ["edge", "after"] and sim.now == 6.0
+
+
+def test_event_handle_reports_its_firing_time():
+    sim = Simulator()
+    sim.run(until=10.0)
+    assert sim.schedule(2.5, lambda: None).time == 12.5
+    assert sim.schedule_at(11, lambda: None).time == 11
+
+
+def test_class_level_schedule_at_patch_also_sees_schedule(monkeypatch):
+    """``bench/layers.py`` tags every event by patching ``schedule_at`` on
+    the class; ``schedule`` must keep dispatching through it."""
+    seen = []
+    original = Simulator.schedule_at
+
+    def spy(self, time, callback, *args):
+        seen.append((time, args))
+        return original(self, time, callback, *args)
+
+    monkeypatch.setattr(Simulator, "schedule_at", spy)
+    sim = Simulator()
+    sim.run(until=3.0)
+    fired = []
+    sim.schedule(2.0, fired.append, "relative")
+    sim.schedule_at(4.0, fired.append, "absolute")
+    sim.run()
+    assert seen == [(5.0, ("relative",)), (4.0, ("absolute",))]
+    assert fired == ["absolute", "relative"]
