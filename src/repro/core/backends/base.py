@@ -2,15 +2,16 @@
 
 A backend owns *how* a pipeline shard's work units execute:
 
-* :class:`SerialBackend` — the inline path: ``flush_shard`` simply runs the
-  shard's own ``_process_available`` loop on the parent thread. This is the
-  pipeline's historical behaviour, byte for byte.
+* :class:`SerialBackend` — the inline path: ``flush_shard`` runs the
+  shard's batch through the shard's own
+  :class:`~repro.core.backends.shardcore.ShardCore` on the parent thread,
+  with the shard itself as the core's sink. No frames: at one-response
+  instants every fixed per-frame cost would be paid per response.
 * :class:`FrameBackend` — shared machinery for the real backends
   (``threads``, ``processes``): the parent collects a
   :class:`~repro.core.backends.frames.BatchFrame` from the shard's queue,
-  submits it to a worker hosting the shard's
-  :class:`~repro.core.backends.shardcore.ShardCore`, and merges the
-  resulting verdict deterministically.
+  submits it to a worker hosting the shard's core, and replays the
+  resulting verdict's event log through the shard's sink, deterministically.
 
 Determinism under the simulator: submitting a frame schedules a **merge
 barrier** at delay 0. The simulator runs same-instant events FIFO, so the
@@ -44,8 +45,8 @@ class ExecutionBackend:
 
     #: Registry name (``JuryConfig.backend`` / ``--backend``).
     name: str = "?"
-    #: True when ``flush_shard`` runs the shard inline on the parent
-    #: (no frames, no merge); the pipeline keeps its historical fast path.
+    #: True when ``flush_shard`` runs the shard's own core on the parent
+    #: (no frames, no merge).
     inline: bool = True
     #: Class-level default so ``close()`` is safe on a backend that was
     #: never attached (attach may raise before setting instance state).
@@ -63,17 +64,18 @@ class ExecutionBackend:
         raise NotImplementedError
 
     def shard_state(self, shard) -> dict:
-        """One shard's decision state for a checkpoint.
+        """One shard's :meth:`ShardCore.payload` for a checkpoint.
 
-        Inline backends read the shard directly; frame backends harvest
-        their worker's ShardCore. Both return the same (unpickled) payload
-        shape, so checkpoints are portable across backends.
+        Inline backends read the shard's core; frame backends harvest
+        their worker's. It is the same payload either way, so checkpoints
+        are portable across backends.
         """
-        return shard.core_state()
+        return shard.core.payload()
 
     def restore_shard(self, shard, payload: dict) -> None:
         """Rehydrate one shard from a :meth:`shard_state` payload."""
-        shard.core_restore(payload)
+        shard.core.load(payload)
+        shard._rearm(payload)
 
     def close(self) -> None:
         """Release workers. Idempotent; parent-side results stay readable."""
@@ -94,7 +96,7 @@ class SerialBackend(ExecutionBackend):
     inline = True
 
     def flush_shard(self, shard, wakeup: bool = False) -> None:
-        shard._process_available()
+        shard._process_available(wakeup)
 
     def drain(self) -> None:
         progressing = True
@@ -132,7 +134,7 @@ class FrameBackend(ExecutionBackend):
     def _bootstrap(self) -> dict:
         """ShardCore constructor kwargs for worker bootstrap."""
         pipeline = self.pipeline
-        return {"k": pipeline.k, "timeout_ms": self.timeout_ms,
+        return {"k": pipeline.k, "timeout": self.timeout_ms,
                 "state_aware": pipeline.state_aware,
                 "taint_classification": pipeline.taint_classification}
 
@@ -183,17 +185,8 @@ class FrameBackend(ExecutionBackend):
         self._ensure_open()
         blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         self._restore_worker(shard.index, blob)
-        records = payload["records"]
-        live = {tau for tau, fields in records.items() if not fields[4]}
-        shard._remote_open = len(live)
-        heads = [deadline for deadline, _, tau in payload["deadlines"]
-                 if tau in live]
-        head = min(heads) if heads else None
-        if head is not None:
-            # A head already in the past (backpressured batch at
-            # checkpoint time) fires immediately on restore.
-            head = max(head, self.pipeline.sim.now)
-        shard._remote_arm(head, drained=True)
+        shard._remote_open = len(payload["records"])
+        shard._rearm(payload)
 
     # -- simulator path --------------------------------------------------
     def flush_shard(self, shard, wakeup: bool = False) -> None:
@@ -243,7 +236,7 @@ class FrameBackend(ExecutionBackend):
                 pipeline.sim.now, ("engine", shard.index),
                 obs_trace.ENGINE_EXECUTE, detail=f"seq={frame.seq}",
                 events=len(verdict.events))
-        shard._merge_verdict(frame, verdict)
+        shard._merge_verdict(verdict)
         if pipeline.tracer is not None:
             pipeline.tracer.emit(
                 pipeline.sim.now, ("engine", shard.index),

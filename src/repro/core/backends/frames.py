@@ -5,14 +5,16 @@ parent under the same ``batch_max`` / overflow discipline the serial path
 uses) to wherever the shard's :class:`~repro.core.backends.shardcore.ShardCore`
 lives — an in-process call, a worker thread, or a worker process over a
 pipe. The worker answers with a :class:`VerdictFrame`: an **ordered event
-log** (Ψ observations, late drops, decisions) plus counter deltas.
+log** — one event per call the core made on its sink (Ψ observation, late
+drop, decision) — plus counter deltas.
 
 The event log is the heart of the equivalence argument: the parent replays
-it in order against the shared state and the real observability stack, so a
-decision's staleness/policy checks see exactly the Ψ prefix they would have
-seen had the serial path processed the same responses inline. Everything in
-a frame is picklable by construction — plain tuples, ``Response`` records
-(compact ``__reduce__``), and ``ConsensusOutcome`` dataclasses.
+it in order through the same three sink methods an inline core calls
+directly, so a decision's staleness/policy checks see exactly the Ψ prefix
+they would have seen had the responses been processed in the parent.
+Everything in a frame is picklable by construction — plain tuples,
+``Response`` records (compact ``__reduce__``), and ``ConsensusOutcome``
+dataclasses.
 """
 
 from __future__ import annotations
@@ -22,22 +24,23 @@ from typing import Optional, Tuple
 
 from repro.core.consensus import ConsensusOutcome
 
-# Event-log tags (first element of each event tuple).
-EV_PSI_CACHE = 0     #: ``(tag, controller_id, entry)`` — cache relay seen
-EV_PSI_PROGRESS = 1  #: ``(tag, controller_id, progress)`` — digest progress
-EV_LATE = 2          #: ``(tag, trigger_id, controller_id)`` — late drop
-EV_DECISION = 3      #: ``(tag, DecisionRecord)`` — a trigger decided
+# Event-log tags (first element of each event tuple); the rest of the
+# tuple is the sink method's arguments.
+EV_PSI = 0       #: ``(tag, controller_id, cached, entry, progress)``
+EV_LATE = 1      #: ``(tag, trigger_id, controller_id)`` — late drop
+EV_DECISION = 2  #: ``(tag, DecisionRecord)`` — a trigger decided
 
 
 @dataclass
 class DecisionRecord:
     """One decided trigger, minus everything the parent recomputes.
 
-    The worker runs classification and consensus only; the parent reruns
+    The worker runs classification and consensus only; the parent runs
     the (cheap, pure) sanity check and the Ψ-dependent staleness/policy
-    checks through the unmodified
-    :meth:`~repro.core.validator.DecisionCore._post_consensus_alarms`, so
-    alarm order, spans, and metrics are the serial path's by construction.
+    checks in :meth:`~repro.core.validator.DecisionCore.decision`, the
+    same sink method an inline core calls, so alarm order, spans, and
+    metrics are the serial path's by construction. The fields are that
+    method's arguments.
     """
 
     trigger_id: Tuple
@@ -45,7 +48,6 @@ class DecisionRecord:
     external: bool
     timed_out: bool
     detection_ms: float
-    fastpath: bool
     outcome: ConsensusOutcome
     responses: Tuple
 
@@ -59,9 +61,10 @@ class BatchFrame:
     now: float
     items: Tuple  #: ``((arrived_at, Response), ...)`` in arrival order
     #: Queue and overflow fully drained by this collection — the worker
-    #: fires θτ deadlines up to ``now``, as the serial drain path would.
+    #: fires θτ deadlines up to ``now``.
     drained: bool
-    #: θτ wakeup frame (may carry zero items); counts a timer wakeup.
+    #: θτ wakeup frame (may carry zero items): sent even when empty, so
+    #: the worker fires the deadlines that are due.
     wakeup: bool = False
     #: Parent requests a state snapshot piggybacked on the verdict.
     want_snapshot: bool = False

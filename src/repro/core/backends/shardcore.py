@@ -1,32 +1,53 @@
-"""Worker-side shard state: the portable half of a pipeline shard.
+"""The one implementation of Algorithm 1's collect → θτ → decide loop.
 
-A :class:`ShardCore` owns exactly the per-trigger state a
-:class:`~repro.core.pipeline._Shard` keeps — Vτ/Nτ records, the coalesced
-θτ deadline heap, the recently-decided late-drop window — and processes
-:class:`~repro.core.backends.frames.BatchFrame` work units with the same
-inlined loop semantics as ``_Shard._process_available``. It holds **no**
-shared state: instead of touching the merged Ψid view or the observability
-stack it appends to an ordered event log that the parent replays (see
-``frames.py``), which is what lets the same class run in a worker process,
-a worker thread, or inline on the parent after a degrade.
+A :class:`ShardCore` owns the per-trigger state — Vτ/Nτ records, the
+coalesced θτ deadline heap, the late-drop window — and :meth:`ShardCore.run`
+is the only place responses are collected, deadlines fire and consensus is
+evaluated. It touches nothing shared: every effect goes through a three-method
+*sink* the caller passes in,
 
-Determinism contract: given the same frame sequence, a ShardCore produces
-the same event log as the serial shard produces side effects, in the same
-order — the backend differential suite pins this at N∈{1,2,4,8}.
+``psi(controller_id, cached, entry, progress)``
+    a response moved a controller's Ψid (a cache relay and/or digest progress),
+``late(trigger_id, controller_id)``
+    a response for an already-decided trigger was dropped,
+``decision(trigger_id, count, external, timed_out, detection_ms, outcome, responses)``
+    Vτ closed and consensus was evaluated,
+
+called in processing order. The sequential
+:class:`~repro.core.validator.Validator` and an inline pipeline shard pass
+*themselves* (:class:`~repro.core.validator.DecisionCore` implements the
+sink once), so effects land where and when the response is processed; a
+backend worker passes an :class:`_EventLog` and ships the log home in a
+:class:`~repro.core.backends.frames.VerdictFrame`, where the parent replays
+it through the same three methods.
+
+Determinism contract: given the same items in the same order a core makes
+the same sink calls in the same order, wherever it runs — the backend
+differential suite pins this at N∈{1,2,4,8}, and
+``tests/test_one_engine.py`` holds the loop itself to an independent
+reference.
 """
 
 from __future__ import annotations
 
 import heapq
 import pickle
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from types import SimpleNamespace
+from typing import (
+    Collection,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.core.backends.frames import (
     EV_DECISION,
     EV_LATE,
-    EV_PSI_CACHE,
-    EV_PSI_PROGRESS,
+    EV_PSI,
     BatchFrame,
     DecisionRecord,
     VerdictFrame,
@@ -38,199 +59,302 @@ from repro.core.consensus import (
 )
 from repro.core.latedrop import LateDropWindow
 from repro.core.responses import Response, ResponseKind
-from repro.core.validator import classify_external, digest_progress
+from repro.core.timeouts import StaticTimeout, TimeoutPolicy
 
 _CACHE_UPDATE = ResponseKind.CACHE_UPDATE
 
-#: Counter names shipped back per frame; the parent folds them into the
-#: shard's :class:`~repro.core.pipeline.ShardStats` (``max_batch`` by max,
-#: the rest by sum — ``decided``/``alarmed`` stay parent-side because only
-#: the parent sees alarms).
+#: The counters :meth:`ShardCore.run` maintains on the ``stats`` object it
+#: is handed. A worker ships them back per frame and the parent folds them
+#: into the shard's :class:`~repro.core.pipeline.ShardStats` (``max_batch``
+#: by max, the rest by sum).
 DELTA_KEYS = ("processed", "batches", "batched_responses", "max_batch",
-              "timer_wakeups", "fastpath_decisions", "slowpath_decisions",
-              "late_responses")
+              "fastpath_decisions", "slowpath_decisions", "late_responses")
 
 
-@dataclass
-class _CoreRecord:
-    """Vτ / Nτ / θτ on a worker (mirror of ``_ShardRecord``)."""
-
-    responses: List[Response] = field(default_factory=list)
-    count: int = 0
-    first_at: float = 0.0
-    deadline: float = 0.0
-    decided: bool = False
+def core_counters() -> SimpleNamespace:
+    """A zeroed ``stats`` object for :meth:`ShardCore.run`."""
+    return SimpleNamespace(**dict.fromkeys(DELTA_KEYS, 0))
 
 
-class ShardCore:
-    """Processes batch frames for one shard; emits ordered event logs."""
+def digest_progress(digest: Tuple) -> Optional[int]:
+    """Total applied writes encoded in a (origin, seq) digest, if valid."""
+    if not digest:
+        return None
+    try:
+        return sum(seq for _, seq in digest)
+    except (TypeError, ValueError):
+        return None
 
-    def __init__(self, k: int, timeout_ms: float, state_aware: bool = True,
-                 taint_classification: bool = True):
-        self.k = k
-        self.timeout_ms = timeout_ms
-        self.state_aware = state_aware
-        self.taint_classification = taint_classification
-        self.records: Dict[Tuple, _CoreRecord] = {}
-        self.late_drop = LateDropWindow()
-        self.deadlines: List[Tuple[float, int, Tuple]] = []
-        self._deadline_seq = 0
-        # Bounded memos, same bounds as the pipeline's (they repeat heavily).
-        self._progress_memo: Dict[Tuple, Optional[int]] = {}
-        self._network_memo: Dict[Tuple, Tuple] = {}
 
-    # ------------------------------------------------------------------
-    # Frame processing (the worker hot loop)
-    # ------------------------------------------------------------------
-    def process(self, frame: BatchFrame) -> VerdictFrame:
-        events: List[Tuple] = []
-        stats = {key: 0 for key in DELTA_KEYS}
-        if frame.wakeup:
-            stats["timer_wakeups"] = 1
-        records = self.records
-        recently_decided = self.late_drop.decided
-        deadlines = self.deadlines
-        full_count = 2 * self.k + 2
-        now = frame.now
-        batch = 0
-        for arrived_at, response in frame.items:
-            batch += 1
-            if deadlines and deadlines[0][0] <= arrived_at:
-                self._fire_deadlines(arrived_at, now, events, stats)
-            tau = response.trigger_id
-            if tau in recently_decided:
-                stats["late_responses"] += 1
-                events.append((EV_LATE, tau, response.controller_id))
-                continue
-            record = records.get(tau)
-            if record is None:
-                record = _CoreRecord(first_at=arrived_at)
-                record.deadline = arrived_at + self.timeout_ms
-                self._deadline_seq += 1
-                heapq.heappush(deadlines,
-                               (record.deadline, self._deadline_seq, tau))
-                records[tau] = record
-            record.count += 1
-            record.responses.append(response)
-            cid = response.controller_id
-            if response.kind is _CACHE_UPDATE:
-                events.append((EV_PSI_CACHE, cid, response.entry))
-            digest = response.state_digest
-            if digest:
-                progress = self._progress_of(digest)
-                if progress is not None:
-                    events.append((EV_PSI_PROGRESS, cid, progress))
-            if record.count >= full_count:
-                self._decide(tau, record, False, now, events, stats)
-        stats["processed"] = batch
-        if batch:
-            stats["batches"] = 1
-            stats["batched_responses"] = batch
-            stats["max_batch"] = batch
-        if frame.drained:
-            self._fire_deadlines(now, now, events, stats)
-        return VerdictFrame(
-            shard=frame.shard, seq=frame.seq, events=tuple(events),
-            stats_delta={k: v for k, v in stats.items() if v},
-            next_deadline=self._peek_deadline(),
-            open_records=len(records),
-            snapshot=self.snapshot() if frame.want_snapshot else None)
+def classify_external(count: int, responses: Sequence[Response], k: int,
+                      taint_classification: bool) -> bool:
+    """Algorithm 1's external test: count overflow or a tainted response."""
+    external = count > k + 2
+    if taint_classification:
+        external = external or any(r.tainted for r in responses)
+    return external
 
-    def _fire_deadlines(self, upto: float, now: float, events: List[Tuple],
-                        stats: Dict[str, int]) -> None:
-        while self.deadlines and self.deadlines[0][0] <= upto:
-            _, _, tau = heapq.heappop(self.deadlines)
-            record = self.records.get(tau)
-            if record is None or record.decided:
-                continue  # decided at full count; heap entry is stale
-            self._decide(tau, record, True, now, events, stats)
 
-    def _peek_deadline(self) -> Optional[float]:
-        while self.deadlines and self.deadlines[0][2] not in self.records:
-            heapq.heappop(self.deadlines)
-        return self.deadlines[0][0] if self.deadlines else None
+class _ProgressMemo(dict):
+    """``digest → digest_progress(digest)``, filled on first lookup."""
 
-    def _decide(self, tau: Tuple, record: _CoreRecord, timed_out: bool,
-                now: float, events: List[Tuple],
-                stats: Dict[str, int]) -> None:
-        record.decided = True
-        responses = record.responses
-        external = classify_external(record.count, responses, self.k,
-                                     self.taint_classification)
-        outcome = unanimity_fast_consensus(responses, external,
-                                           self.state_aware,
-                                           self._merged_network)
-        fastpath = outcome is not None
-        if fastpath:
-            stats["fastpath_decisions"] += 1
-        else:
-            stats["slowpath_decisions"] += 1
-            outcome = evaluate_consensus(responses, self.k, external,
-                                         state_aware=self.state_aware)
-        received = [r.trigger_received_at for r in responses
-                    if r.trigger_received_at is not None]
-        baseline = min(received) if received else record.first_at
-        detection_ms = max(0.0, now - baseline)
-        events.append((EV_DECISION, DecisionRecord(
-            trigger_id=tau, count=record.count, external=external,
-            timed_out=timed_out, detection_ms=detection_ms,
-            fastpath=fastpath, outcome=outcome,
-            responses=tuple(responses))))
-        del self.records[tau]
-        if self.late_drop.add(tau, now):
-            self.late_drop.expire(now, self.timeout_ms)
+    def __missing__(self, digest: Tuple) -> Optional[int]:
+        if len(self) > 4096:
+            self.clear()
+        value = self[digest] = digest_progress(digest)
+        return value
 
-    # ------------------------------------------------------------------
-    # Memoised helpers (bounds mirror ValidationPipeline's)
-    # ------------------------------------------------------------------
-    def _progress_of(self, digest: Tuple) -> Optional[int]:
-        memo = self._progress_memo
-        cached = memo.get(digest)
-        if cached is None and digest not in memo:
-            cached = digest_progress(digest)
-            if len(memo) > 4096:
-                memo.clear()
-            memo[digest] = cached
-        return cached
 
-    def _merged_network(self, network: List[Response]) -> Tuple:
+class CoreMemo:
+    """Bounded memos for the two pure lookups of the hot loop.
+
+    Digests and network entries repeat heavily across triggers (state
+    advances slowly relative to the trigger rate). Cores that run in one
+    process share one memo; both dicts are only ever mutated in place.
+    """
+
+    def __init__(self) -> None:
+        self.progress = _ProgressMemo()
+        self._network: Dict[Tuple, Tuple] = {}
+
+    def merged_network(self, network: List[Response]) -> Tuple:
+        """:func:`~repro.core.consensus._merge_network`, memoised for the
+        common single-writer case."""
         if not network:
             return ()
         if len(network) == 1:
             entry = network[0].entry
-            cached = self._network_memo.get(entry)
+            cached = self._network.get(entry)
             if cached is None:
                 cached = _merge_network(network)
-                if len(self._network_memo) > 2048:
-                    self._network_memo.clear()
-                self._network_memo[entry] = cached
+                if len(self._network) > 2048:
+                    self._network.clear()
+                self._network[entry] = cached
             return cached
         return _merge_network(network)
 
+
+class _Record:
+    """Vτ for one in-flight trigger. Nτ is ``len(responses)``; θτ is the
+    trigger's entry in the core's deadline heap."""
+
+    __slots__ = ("responses", "first_at")
+
+    def __init__(self, first_at: float, responses: Iterable[Response] = ()):
+        self.responses: List[Response] = list(responses)
+        self.first_at = first_at
+
+
+class _EventLog:
+    """The sink a worker hands :meth:`ShardCore.run`: effects as picklable
+    events, replayed by the parent in order (see ``frames.py``)."""
+
+    def __init__(self) -> None:
+        self.events: List[Tuple] = []
+
+    def psi(self, controller_id, cached, entry, progress) -> None:
+        self.events.append((EV_PSI, controller_id, cached, entry, progress))
+
+    def late(self, trigger_id, controller_id) -> None:
+        self.events.append((EV_LATE, trigger_id, controller_id))
+
+    def decision(self, trigger_id, count, external, timed_out, detection_ms,
+                 outcome, responses) -> None:
+        self.events.append((EV_DECISION, DecisionRecord(
+            trigger_id=trigger_id, count=count, external=external,
+            timed_out=timed_out, detection_ms=detection_ms, outcome=outcome,
+            responses=tuple(responses))))
+
+
+class ShardCore:
+    """Algorithm 1 for the triggers of one shard (or of a whole validator).
+
+    ``timeout`` is the engine's :class:`~repro.core.timeouts.TimeoutPolicy`
+    — consulted each time a record opens, so an adaptive policy that the
+    sink's ``decision`` feeds is seen between two records of one batch — or
+    a plain number of milliseconds, as workers are bootstrapped.
+    """
+
+    def __init__(self, k: int, timeout: Union[TimeoutPolicy, float],
+                 state_aware: bool = True,
+                 taint_classification: bool = True):
+        self.k = k
+        self.timeout = (timeout if isinstance(timeout, TimeoutPolicy)
+                        else StaticTimeout(timeout))
+        self.state_aware = state_aware
+        self.taint_classification = taint_classification
+        self.records: Dict[Tuple, _Record] = {}
+        # Triggers already decided: a late response (e.g. a promise-held
+        # FLOW_MOD emerging after θτ) must be dropped, not allowed to open
+        # a fresh record that would be judged alone and alarm spuriously.
+        self.late_drop = LateDropWindow()
+        # Coalesced θτ: one heap per core and one wakeup per driver instead
+        # of a simulator event per trigger. Entries of triggers decided at
+        # full count go stale in place and are skipped when they surface.
+        self.deadlines: List[Tuple[float, int, Tuple]] = []
+        self._deadline_seq = 0
+        self.memo = CoreMemo()
+
     # ------------------------------------------------------------------
-    # Snapshot / restore (worker bootstrap after a death)
+    # The loop
     # ------------------------------------------------------------------
-    def snapshot(self) -> bytes:
-        """Pickled decision state — everything but the (pure) memos."""
-        return pickle.dumps({
-            "records": {
-                tau: (tuple(r.responses), r.count, r.first_at, r.deadline,
-                      r.decided)
-                for tau, r in self.records.items()},
+    def run(self, items: Collection[Tuple[float, Response]], now: float,
+            drained: bool, out, stats) -> None:
+        """Collect ``items`` — ``(arrived_at, response)``, oldest first —
+        at simulated time ``now``, reporting every effect to ``out``.
+
+        Before a response that arrived at ``t`` is counted, every θτ
+        deadline ≤ ``t`` fires: the trigger's timer ran out before this
+        response existed, however long it then sat in a queue. With
+        ``drained`` (nothing older is still queued behind these items)
+        deadlines up to ``now`` fire as well.
+
+        Re-entrancy: ``out.decision`` may call back into the engine (an
+        ``on_alarm`` hook that ingests). All state is mutated in place and
+        a decided trigger is moved to the late-drop window *before* the
+        sink hears of it, so a nested ``run`` sees a consistent core.
+        """
+        records = self.records
+        decided = self.late_drop.decided
+        deadlines = self.deadlines
+        progress_memo = self.memo.progress
+        psi = out.psi
+        full_count = 2 * self.k + 2
+        for arrived_at, response in items:
+            if deadlines and deadlines[0][0] <= arrived_at:
+                self._fire_deadlines(arrived_at, now, out, stats)
+            tau = response.trigger_id
+            if tau in decided:
+                stats.late_responses += 1
+                out.late(tau, response.controller_id)
+                continue
+            record = records.get(tau)
+            if record is None:
+                self._deadline_seq += 1
+                heapq.heappush(deadlines,
+                               (arrived_at + self.timeout.current(),
+                                self._deadline_seq, tau))
+                record = records[tau] = _Record(arrived_at)
+            responses = record.responses
+            responses.append(response)
+            cached = response.kind is _CACHE_UPDATE
+            digest = response.state_digest
+            progress = None
+            if digest:
+                try:
+                    progress = progress_memo[digest]
+                except TypeError:
+                    # The digest comes from a controller — the component
+                    # under suspicion — and may hold anything, including
+                    # something unhashable: computed unmemoised, not raised.
+                    progress = digest_progress(digest)
+            if cached or progress is not None:
+                psi(response.controller_id, cached, response.entry, progress)
+            if len(responses) >= full_count:
+                self._decide(tau, record, False, now, out, stats)
+        batch = len(items)
+        if batch:
+            stats.processed += batch
+            stats.batches += 1
+            stats.batched_responses += batch
+            if batch > stats.max_batch:
+                stats.max_batch = batch
+        if drained and deadlines and deadlines[0][0] <= now:
+            self._fire_deadlines(now, now, out, stats)
+
+    def _fire_deadlines(self, upto: float, now: float, out, stats) -> None:
+        deadlines = self.deadlines
+        records = self.records
+        while deadlines and deadlines[0][0] <= upto:
+            tau = heapq.heappop(deadlines)[2]
+            record = records.get(tau)
+            # None: decided at full count, the heap entry is stale.
+            if record is not None:
+                self._decide(tau, record, True, now, out, stats)
+
+    def _decide(self, tau: Tuple, record: _Record, timed_out: bool,
+                now: float, out, stats) -> None:
+        del self.records[tau]
+        over_cap = self.late_drop.add(tau, now)
+        responses = record.responses
+        count = len(responses)
+        external = classify_external(count, responses, self.k,
+                                     self.taint_classification)
+        # The fast path returns an outcome only when it provably equals
+        # what evaluate_consensus would produce; anything murkier is None.
+        outcome = unanimity_fast_consensus(responses, external,
+                                           self.state_aware,
+                                           self.memo.merged_network)
+        if outcome is None:
+            stats.slowpath_decisions += 1
+            outcome = evaluate_consensus(responses, self.k, external,
+                                         state_aware=self.state_aware)
+        else:
+            stats.fastpath_decisions += 1
+        received = [r.trigger_received_at for r in responses
+                    if r.trigger_received_at is not None]
+        baseline = min(received) if received else record.first_at
+        out.decision(tau, count, external, timed_out,
+                     max(0.0, now - baseline), outcome, responses)
+        if over_cap:
+            self.late_drop.expire(now, self.timeout.current())
+
+    def next_deadline(self) -> Optional[float]:
+        """Earliest θτ deadline of an undecided trigger (drops the stale
+        entries above it), or None."""
+        deadlines = self.deadlines
+        while deadlines and deadlines[0][2] not in self.records:
+            heapq.heappop(deadlines)
+        return deadlines[0][0] if deadlines else None
+
+    # ------------------------------------------------------------------
+    # Frames (backend workers, and a degraded shard in the parent)
+    # ------------------------------------------------------------------
+    def process(self, frame: BatchFrame) -> VerdictFrame:
+        """Run one batch frame against an event-log sink."""
+        log = _EventLog()
+        stats = core_counters()
+        self.run(frame.items, frame.now, frame.drained, log, stats)
+        return VerdictFrame(
+            shard=frame.shard, seq=frame.seq, events=tuple(log.events),
+            stats_delta={key: value for key, value in vars(stats).items()
+                         if value},
+            next_deadline=self.next_deadline(),
+            open_records=len(self.records),
+            snapshot=self.snapshot() if frame.want_snapshot else None)
+
+    # ------------------------------------------------------------------
+    # Snapshot / restore (checkpoints, and worker bootstrap after a death)
+    # ------------------------------------------------------------------
+    def payload(self) -> Dict[str, object]:
+        """The decision state as plain data — everything but the (pure)
+        memo. The same shape on every driver and backend, so a checkpoint
+        taken on one restores on any other. Stale heap heads are dropped
+        first, which makes restore → payload a fixed point."""
+        self.next_deadline()
+        return {
+            "records": {tau: (tuple(r.responses), r.first_at)
+                        for tau, r in self.records.items()},
             "recently_decided": self.late_drop.payload(),
             "deadlines": list(self.deadlines),
             "deadline_seq": self._deadline_seq,
-        }, protocol=pickle.HIGHEST_PROTOCOL)
+        }
 
-    def restore(self, payload: bytes) -> None:
-        """Load a :meth:`snapshot` — the replacement worker's bootstrap."""
-        data = pickle.loads(payload)
+    def load(self, payload: Dict[str, object]) -> None:
+        """Replace the decision state with a :meth:`payload`."""
         self.records = {
-            tau: _CoreRecord(responses=list(fields[0]), count=fields[1],
-                             first_at=fields[2], deadline=fields[3],
-                             decided=fields[4])
-            for tau, fields in data["records"].items()}
-        self.late_drop.restore(data["recently_decided"])
-        self.deadlines = list(data["deadlines"])
+            tau: _Record(first_at, responses)
+            for tau, (responses, first_at) in payload["records"].items()}
+        self.late_drop.restore(payload["recently_decided"])
+        self.deadlines = list(payload["deadlines"])
         heapq.heapify(self.deadlines)
-        self._deadline_seq = data["deadline_seq"]
+        self._deadline_seq = int(payload["deadline_seq"])
+
+    def snapshot(self) -> bytes:
+        """:meth:`payload`, pickled once where it is taken (a worker's
+        snapshot crosses the parent as an opaque blob)."""
+        return pickle.dumps(self.payload(), protocol=pickle.HIGHEST_PROTOCOL)
+
+    def restore(self, blob: bytes) -> None:
+        """Load a :meth:`snapshot` — the replacement worker's bootstrap."""
+        self.load(pickle.loads(blob))

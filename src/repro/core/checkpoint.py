@@ -53,7 +53,7 @@ from repro.obs import trace as obs_trace
 
 #: Envelope identity of the JSON export (mirrors ``jury-flight``).
 CHECKPOINT_FORMAT = "jury-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 #: WAL record tags. ``ingest`` records are the replay inputs; ``decision``
 #: records are a cheap cross-check trail (never replayed — decisions are

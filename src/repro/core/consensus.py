@@ -285,10 +285,10 @@ def unanimity_fast_consensus(responses: Sequence[Response], external: bool,
     known primary, every replica sharing the primary's digest and entry,
     and the primary's combined response matching that entry. Anything
     murkier (omissions, deviations, non-determinism, partial state
-    equivalence) must take the sequential slow path so the engines cannot
-    diverge. ``merged_network`` is a (possibly memoised) callable with the
-    contract of :func:`_merge_network`; pipeline shards and backend workers
-    pass their own caches, which is why this lives here as a pure function.
+    equivalence) must take the slow path, so taking the fast one can never
+    change an outcome. ``merged_network`` is a (possibly memoised) callable
+    with the contract of :func:`_merge_network`; the one caller,
+    :class:`~repro.core.backends.shardcore.ShardCore`, passes its memo's.
     """
     replicas: List[Response] = []
     cache_relays: List[Response] = []

@@ -3,11 +3,10 @@ straggling response must be dropped instead of opening a fresh record.
 
 A promise-held FLOW_MOD can leave its controller after θτ has already
 fired. Without this window it would open a new Vτ record, be judged alone at
-the next θτ, and raise a spurious alarm. The sequential
-:class:`~repro.core.validator.Validator`, the pipeline's ``_Shard`` and the
-worker-side :class:`~repro.core.backends.shardcore.ShardCore` all keep one
-:class:`LateDropWindow`; the cap and the horizon are named here and nowhere
-else.
+the next θτ, and raise a spurious alarm. Every
+:class:`~repro.core.backends.shardcore.ShardCore` — the one decision engine,
+whoever drives it — keeps one :class:`LateDropWindow`; the cap and the
+horizon are named here and nowhere else.
 
 Retention rule: while at most :data:`LATE_DROP_CAP` triggers are held
 nothing expires, so low-rate runs remember every decision; above the cap,
@@ -15,7 +14,7 @@ entries decided more than :data:`LATE_DROP_HORIZON_TIMEOUTS` × θτ ago are
 forgotten.
 
 Expiry relies on one invariant: **decision time is non-decreasing** (the
-simulator clock in the validator and the shard, ``frame.now`` in a worker),
+``now`` a core is run with: the simulator clock, ``frame.now`` in a worker),
 so the entries that fall behind the horizon are always a prefix of the
 decision order and can be popped from the head of a deque in O(1) each. The
 dict alone cannot serve as that queue: ``next(iter(d))`` rescans the deleted
@@ -41,7 +40,7 @@ class LateDropWindow:
     place and never rebound, so a hot loop may hoist it into a local for
     membership tests and still see every later :meth:`add` and
     :meth:`expire`. A trigger must not be added again while it is held —
-    the engines cannot: a response for a held trigger is dropped before it
+    the core cannot: a response for a held trigger is dropped before it
     can open a record.
     """
 

@@ -14,23 +14,32 @@ The validator also maintains the per-controller-id state Ψid of Algorithm 1:
 a running count of cache updates per controller plus a copy of the latest,
 relying on the TCP-ordered relay of updates for accuracy (§IV-C).
 
-The decision logic is factored into :class:`DecisionCore` so that the
-sequential :class:`Validator` and the shards of
-:class:`~repro.core.pipeline.ValidationPipeline` run literally the same code
-on a decided trigger — the differential-equivalence suite
-(``tests/test_pipeline_differential.py``) rests on that sharing.
+The collect → θτ → decide loop itself lives in
+:class:`~repro.core.backends.shardcore.ShardCore` and nowhere else; this
+module holds the two halves around it. :class:`DecisionCore` is the *sink*
+the loop reports to — the Ψid update, the late-drop telemetry, and the
+check battery run on a decided trigger — shared by the sequential
+:class:`Validator` and the shards of
+:class:`~repro.core.pipeline.ValidationPipeline`. :class:`Validator` is the
+synchronous driver: one core, no queue, every response run through it
+before ``ingest`` returns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.controllers.context import restore_trigger_ids, snapshot_trigger_ids
-from repro.core.alarms import Alarm, AlarmReason, ValidationResult
+from repro.core.alarms import (
+    Alarm,
+    AlarmReason,
+    ValidationResult,
+    alarm_merge_key,
+)
+from repro.core.backends.shardcore import ShardCore, core_counters
 from repro.core.checkpoint import Checkpoint, observe_checkpoint, observe_restore
-from repro.core.consensus import ConsensusOutcome, evaluate_consensus, sanity_check
-from repro.core.latedrop import LateDropWindow
+from repro.core.consensus import ConsensusOutcome, sanity_check
 from repro.core.responses import Response
 from repro.core.timeouts import StaticTimeout, TimeoutPolicy
 from repro.errors import CheckpointError
@@ -52,33 +61,6 @@ class ControllerState:
     last_stale_alarm_at: float = -1e18
 
 
-def digest_progress(digest: Tuple) -> Optional[int]:
-    """Total applied writes encoded in a (origin, seq) digest, if valid."""
-    if not digest:
-        return None
-    try:
-        return sum(seq for _, seq in digest)
-    except (TypeError, ValueError):
-        return None
-
-
-# Backward-compatible private alias (pre-pipeline name).
-_digest_progress = digest_progress
-
-
-def classify_external(count: int, responses: Sequence[Response], k: int,
-                      taint_classification: bool) -> bool:
-    """Algorithm 1's external test: count overflow or a tainted response.
-
-    Pure so backend worker processes (:mod:`repro.core.backends`) classify
-    triggers with literally the same code as the in-process validators.
-    """
-    external = count > k + 2
-    if taint_classification:
-        external = external or any(r.tainted for r in responses)
-    return external
-
-
 def snapshot_controller_states(
         state: Dict[str, "ControllerState"]) -> Dict[str, Tuple]:
     """Picklable snapshot of a Ψid mapping (worker bootstrap / restore)."""
@@ -97,28 +79,21 @@ def restore_controller_states(
             for cid, fields in payload.items()}
 
 
-@dataclass
-class _TriggerRecord:
-    """Vτ / Nτ / θτ for one in-flight trigger."""
-
-    responses: List[Tuple[Tuple, Response]] = field(default_factory=list)
-    count: int = 0
-    first_at: float = 0.0
-    #: Scheduled θτ event; annotated so it is a per-record dataclass field
-    #: rather than a class attribute shared across records.
-    timer: Optional[object] = None
-    decided: bool = False
-
-
 class DecisionCore:
-    """Classification and the check battery shared by all validator flavours.
+    """The engine-side half of Algorithm 1: the sink a core reports to.
 
-    Hosts exactly the per-trigger decision logic of Algorithm 1 —
-    external/internal classification, CONSENSUS → SANITY_CHECK →
-    POLICY_CHECK, and the staleness monitor — with no opinion about how
-    responses were collected. :class:`Validator` collects them one at a
-    time; a pipeline shard collects them in batches; both defer here so a
-    decided trigger yields identical alarms either way.
+    A :class:`~repro.core.backends.shardcore.ShardCore` collects responses,
+    keeps θτ and evaluates consensus; everything that touches shared state
+    or an observer happens here, in the three sink methods
+    :meth:`psi`, :meth:`late` and :meth:`decision` (SANITY_CHECK →
+    staleness → POLICY_CHECK, then the result and its alarms). The
+    :class:`Validator` and every pipeline shard are DecisionCores and hand
+    *themselves* to the core they drive; a frame backend's parent replays
+    its worker's event log through the same three methods — so a decided
+    trigger yields identical alarms wherever its core ran.
+
+    Also keeps the driver's single coalesced θτ wakeup (:meth:`_arm`); a
+    subclass provides ``timeout``, ``_on_wakeup`` and ``_emit``.
     """
 
     sim: Simulator
@@ -176,16 +151,94 @@ class DecisionCore:
         self.staleness_threshold = 200
         self.staleness_cooldown_ms = 1000.0
         self.state = state if state is not None else {}
+        #: This engine's own contributions to Ψid. A pipeline's shards
+        #: share ``state`` (the merged view) and each keep these, which
+        #: :meth:`ValidationPipeline.merged_view` reconciles against it.
+        self.local_progress: Dict[str, int] = {}
+        self.local_cache_updates: Dict[str, int] = {}
+        self._wakeup = None
+        self._wakeup_at = float("inf")
 
     # ------------------------------------------------------------------
-    # Classification and checks
+    # The sink (see repro.core.backends.shardcore)
     # ------------------------------------------------------------------
-    def _classify_external(self, count: int,
-                           responses: Sequence[Response]) -> bool:
-        """Algorithm 1's external test: count overflow or a tainted response."""
-        return classify_external(count, responses, self.k,
-                                 self.taint_classification)
+    def psi(self, controller_id: str, cached: bool, entry: Tuple,
+            progress: Optional[int]) -> None:
+        """A response moved Ψid: a cache relay and/or digest progress."""
+        state = self.state.get(controller_id)
+        if state is None:
+            state = self.state[controller_id] = ControllerState()
+        if cached:
+            state.cache_updates += 1
+            state.last_entry = entry
+            local = self.local_cache_updates
+            local[controller_id] = local.get(controller_id, 0) + 1
+        if progress is not None:
+            if progress > state.digest_progress:
+                state.digest_progress = progress
+            if progress > self.local_progress.get(controller_id, -1):
+                self.local_progress[controller_id] = progress
 
+    def late(self, tau: Tuple, controller_id: str) -> None:
+        """A response for an already-decided trigger was dropped."""
+        if self.tracer is not None and self._sampled(tau):
+            self.tracer.emit(self.sim.now, tau, obs_trace.LATE_DROP,
+                             controller=controller_id)
+        if self.metrics is not None and self._sampled(tau):
+            self.metrics.counter("validator_late_responses_total").inc()
+
+    def decision(self, tau: Tuple, count: int, external: bool,
+                 timed_out: bool, detection_ms: float,
+                 outcome: ConsensusOutcome,
+                 responses: List[Response]) -> None:
+        """Vτ closed with ``outcome``: run the checks, publish the result."""
+        now = self.sim.now
+        if self.tracer is not None and self._sampled(tau):
+            # Emitted before the checks so the per-trigger stage order
+            # matches causality.
+            self.tracer.emit(now, tau, obs_trace.DECIDE,
+                             verdict="timeout" if timed_out else "full-count",
+                             external=external, n_responses=count)
+        alarms = self._post_consensus_alarms(tau, responses, outcome,
+                                             external)
+        self.timeout.observe(detection_ms)
+        result = ValidationResult(
+            trigger_id=tau, ok=not alarms, external=external,
+            decided_at=now, n_responses=count, detection_ms=detection_ms,
+            timed_out=timed_out, alarms=alarms)
+        if (self.tracer is not None or self.metrics is not None
+                or self.forensics is not None or self.health is not None
+                or self.recorder is not None):
+            self._observe_decision(tau, result, responses, outcome, external)
+        self._emit(result, alarms)
+
+    # ------------------------------------------------------------------
+    # The θτ wakeup
+    # ------------------------------------------------------------------
+    def _arm(self, head: float) -> None:
+        """Have the one wakeup fire no later than ``head``."""
+        if head < self._wakeup_at:
+            if self._wakeup is not None:
+                self._wakeup.cancel()
+            self._wakeup = self.sim.schedule_at(head, self._wakeup_fired)
+            self._wakeup_at = head
+
+    def _wakeup_fired(self) -> None:
+        self._wakeup = None
+        self._wakeup_at = float("inf")
+        self._on_wakeup()
+
+    def _rearm(self, payload: Dict[str, object]) -> None:
+        """Arm the wakeup for a core restored from ``payload``. A deadline
+        already in the past (a backpressured batch at checkpoint time)
+        fires immediately instead of tripping the simulator's
+        no-past-scheduling guard."""
+        if payload["deadlines"]:
+            self._arm(max(min(payload["deadlines"])[0], self.sim.now))
+
+    # ------------------------------------------------------------------
+    # Checks
+    # ------------------------------------------------------------------
     def _sampled(self, tau: Tuple) -> bool:
         """Head-sampling decision for this trigger's telemetry.
 
@@ -203,23 +256,16 @@ class DecisionCore:
         self._sampled_value = value
         return value
 
-    def _run_checks(self, tau: Tuple, responses: List[Response],
-                    external: bool) -> Tuple[ConsensusOutcome, List[Alarm]]:
-        """CONSENSUS plus everything downstream of it, for one trigger."""
-        outcome = evaluate_consensus(responses, self.k, external,
-                                     state_aware=self.state_aware)
-        return outcome, self._post_consensus_alarms(tau, responses, outcome,
-                                                    external)
-
     def _post_consensus_alarms(self, tau: Tuple, responses: List[Response],
                                outcome: ConsensusOutcome,
                                external: bool) -> List[Alarm]:
         """Sanity, staleness, and policy checks after a consensus outcome.
 
-        Both the sequential validator and the pipeline's unanimity fast
-        path converge here, so the per-check spans emitted below describe
-        every decided trigger identically regardless of engine — the
-        trace-determinism contract of :mod:`repro.obs.trace` rests on it.
+        Every decided trigger comes through here whichever driver or
+        backend collected it and whether or not consensus took the
+        unanimity fast path, so the per-check spans emitted below describe
+        it identically — the trace-determinism contract of
+        :mod:`repro.obs.trace` rests on it.
         """
         tracer = self.tracer
         metrics = self.metrics
@@ -307,10 +353,8 @@ class DecisionCore:
         Emits the alarm/accept spans and decision metrics, hands the
         evidence bundle (responses + consensus outcome) to the forensics
         observer, and records the decision event for health scoring. Called
-        by every validator flavour immediately after a trigger's
-        :class:`ValidationResult` is assembled; the DECIDE span itself is
-        emitted earlier (before the checks) by :meth:`_trace_decide` so the
-        per-trigger stage order matches causality.
+        by :meth:`decision` once the trigger's :class:`ValidationResult`
+        is assembled.
         """
         recorder = self.recorder
         if recorder is not None:
@@ -362,13 +406,6 @@ class DecisionCore:
             self.health.record_decision(self.sim.now, responses,
                                         result.alarms, result.timed_out)
 
-    def _trace_decide(self, tau: Tuple, count: int, external: bool,
-                      timed_out: bool) -> None:
-        """DECIDE span: Vτ closed, checks about to run (tracer non-None)."""
-        self.tracer.emit(self.sim.now, tau, obs_trace.DECIDE,
-                         verdict="timeout" if timed_out else "full-count",
-                         external=external, n_responses=count)
-
     def _staleness_alarms(self, tau: Tuple,
                           responses: List[Response]) -> List[Alarm]:
         """Flag responders whose view lags the cluster (out-of-sync nodes).
@@ -412,8 +449,202 @@ class DecisionCore:
             responses=tuple(responses))
 
 
-class Validator(DecisionCore):
-    """Out-of-band response validator (sequential, one response at a time)."""
+class EngineSurface:
+    """What a deployment sees of a validation engine, whichever it is.
+
+    Results, the alarm stream, counters, the write-ahead log and the
+    checkpoint envelope, implemented once for :class:`Validator` and
+    :class:`~repro.core.pipeline.ValidationPipeline` — which is what lets
+    ``JuryConfig(pipeline=N)`` swap one for the other without touching a
+    call site. An engine provides ``ingest`` (and the channel endpoint
+    ``handle_control_message``), its :attr:`kind`, and the three
+    ``_engine_*`` hooks that say what is specific to it in a
+    snapshot; ``sim``, ``k``, ``timeout``, ``state`` and the ablation and
+    staleness switches are read off the engine under those names.
+    """
+
+    #: ``meta["engine"]`` of this engine's checkpoints.
+    kind: str
+
+    def _init_surface(self, keep_results: bool,
+                      checkpoint_every: Optional[int],
+                      on_checkpoint: Optional[Callable], wal) -> None:
+        self.keep_results = keep_results
+        self.results: List[ValidationResult] = []
+        self._alarms: List[Alarm] = []
+        self._alarms_sorted = True
+        self.on_alarm: Optional[Callable[[Alarm], None]] = None
+        self.responses_received = 0
+        self.triggers_decided = 0
+        self.triggers_alarmed = 0
+        #: Crash recovery (repro.core.checkpoint): optional write-ahead log
+        #: of ingests/decisions, plus an automatic snapshot every
+        #: ``checkpoint_every`` decided triggers handed to ``on_checkpoint``.
+        self.wal = wal
+        self.checkpoint_every = checkpoint_every
+        self.on_checkpoint = on_checkpoint
+        self._since_checkpoint = 0
+        self._checkpoint_scheduled = False
+
+    # ------------------------------------------------------------------
+    # Emission (single ordered alarm stream)
+    # ------------------------------------------------------------------
+    def _emit(self, result: ValidationResult, alarms: List[Alarm]) -> None:
+        self.triggers_decided += 1
+        if alarms:
+            self.triggers_alarmed += 1
+            self._alarms.extend(alarms)
+            if self.on_alarm is not None:
+                for alarm in alarms:
+                    self.on_alarm(alarm)
+        if self.keep_results:
+            self.results.append(result)
+        if self.wal is not None:
+            self.wal.append_decision(self.sim.now, result.trigger_id,
+                                     len(alarms))
+        if self.checkpoint_every is not None:
+            self._since_checkpoint += 1
+            if (self._since_checkpoint >= self.checkpoint_every
+                    and not self._checkpoint_scheduled):
+                # Delay 0 lands after every event of the current simulated
+                # instant — including the merge barrier on frame backends —
+                # so the snapshot captures a consistent instant boundary.
+                self._checkpoint_scheduled = True
+                self.sim.schedule(0.0, self._auto_checkpoint)
+
+    @property
+    def alarms(self) -> List[Alarm]:
+        """The alarm stream, a plain list that may be replaced.
+
+        A :class:`Validator`'s is in emission order, which is decision
+        order. A pipeline's shards emit within one instant in shard order
+        and mark the list unsorted; it is then put in the published merge
+        order, ``(raised_at, trigger id)`` — the same at any shard count —
+        on the next read. The sort is stable, so alarms of one trigger
+        keep their check-battery emission order.
+        """
+        if not self._alarms_sorted:
+            self._alarms.sort(key=alarm_merge_key)
+            self._alarms_sorted = True
+        return self._alarms
+
+    @alarms.setter
+    def alarms(self, alarms: List[Alarm]) -> None:
+        self._alarms = alarms
+
+    def detection_times(self, external_only: bool = True) -> List[float]:
+        """Detection latencies of decided triggers (ms)."""
+        return [r.detection_ms for r in self.results
+                if (r.external or not external_only)]
+
+    def false_positive_rate(self) -> float:
+        """Alarmed fraction of decided triggers (meaningful on benign runs)."""
+        if not self.triggers_decided:
+            return 0.0
+        return self.triggers_alarmed / self.triggers_decided
+
+    # ------------------------------------------------------------------
+    # Checkpoint / restore (repro.core.checkpoint, docs/recovery.md)
+    # ------------------------------------------------------------------
+    def _auto_checkpoint(self) -> None:
+        self._checkpoint_scheduled = False
+        self._since_checkpoint = 0
+        checkpoint = self.checkpoint()
+        if self.on_checkpoint is not None:
+            self.on_checkpoint(checkpoint)
+
+    def checkpoint(self) -> Checkpoint:
+        """Full crash-recovery snapshot of this engine.
+
+        Captures Ψid, the alarm and result history, the counters, the
+        process-global trigger-id counter positions, and the engine's own
+        decision state (``_engine_state``: one core payload for a
+        validator; per shard, the core payload — harvested from the worker
+        on a frame backend — plus queues and stats for a pipeline). Appends
+        a marker to the attached WAL so recovery knows which log records
+        the snapshot subsumes.
+        """
+        state, meta = self._engine_state()
+        state.update(
+            psi=snapshot_controller_states(self.state),
+            alarms=list(self.alarms), results=list(self.results),
+            counters=(self.responses_received, self.triggers_decided,
+                      self.triggers_alarmed),
+            trigger_ids=snapshot_trigger_ids(),
+            staleness=(self.staleness_threshold, self.staleness_cooldown_ms))
+        meta.update(
+            self._engine_shape(), engine=self.kind,
+            timeout_ms=self.timeout.current(), sim_now=self.sim.now,
+            keep_results=self.keep_results, state_aware=self.state_aware,
+            taint_classification=self.taint_classification,
+            triggers_decided=self.triggers_decided)
+        checkpoint = Checkpoint.build(meta, state)
+        if self.wal is not None:
+            self.wal.append_checkpoint(checkpoint.sha256)
+        observe_checkpoint(self, checkpoint)
+        return checkpoint
+
+    def restore(self, checkpoint: Checkpoint) -> None:
+        """Rehydrate this *fresh* engine from a :meth:`checkpoint`.
+
+        The engine must have the kind and shape (``k``; shard count) of
+        the one that produced the snapshot and must not have advanced past
+        its simulated time; a pipeline's backend may differ. Advances the
+        simulator to the checkpointed instant, rebuilds Ψid and the
+        decision state, re-arms the θτ wakeups at the original deadlines,
+        and re-seeds the trigger-id counters. After a WAL-tail replay the
+        alarm stream continues byte-identically to the uninterrupted
+        run's (``flush_interval_ms=0`` regime).
+        """
+        meta = checkpoint.meta
+        if meta.get("engine") != self.kind:
+            raise CheckpointError(
+                f"checkpoint was taken by engine {meta.get('engine')!r}, "
+                f"not a {self.kind}")
+        shape = self._engine_shape()
+        theirs = {key: meta.get(key) for key in shape}
+        if theirs != shape:
+            def show(values):
+                return ", ".join(f"{key}={value!r}"
+                                 for key, value in values.items())
+            raise CheckpointError(
+                f"checkpoint shape ({show(theirs)}) does not match this "
+                f"{self.kind} ({show(shape)})")
+        if self.triggers_decided or self.responses_received:
+            raise CheckpointError(
+                f"restore target must be a fresh {self.kind} (this one has "
+                f"already ingested {self.responses_received} responses)")
+        state = checkpoint.state()
+        sim_now = float(meta.get("sim_now", 0.0))
+        if self.sim.now > sim_now:
+            raise CheckpointError(
+                f"simulator is at t={self.sim.now} ms, past the "
+                f"checkpoint's t={sim_now} ms")
+        self.sim.run(until=sim_now)
+        # A pipeline's shards hold a reference to this exact dict (the
+        # shared merged view): mutate in place, never rebind.
+        self.state.clear()
+        self.state.update(restore_controller_states(state["psi"]))
+        self._engine_restore(state)
+        self._alarms = list(state["alarms"])
+        self._alarms_sorted = True
+        self.results = list(state["results"])
+        (self.responses_received, self.triggers_decided,
+         self.triggers_alarmed) = state["counters"]
+        restore_trigger_ids(state["trigger_ids"])
+        self.staleness_threshold, self.staleness_cooldown_ms = \
+            state["staleness"]
+        observe_restore(self, checkpoint)
+
+
+class Validator(DecisionCore, EngineSurface):
+    """Out-of-band response validator: the synchronous driver of one core.
+
+    No queue and no flush event: ``ingest`` runs the response through the
+    core, which decides — and fires ``on_alarm`` — before it returns.
+    """
+
+    kind = "validator"
 
     def __init__(self, sim: Simulator, k: int,
                  timeout: Optional[TimeoutPolicy] = None,
@@ -435,266 +666,79 @@ class Validator(DecisionCore):
                         tracer=tracer, metrics=metrics,
                         forensics=forensics, health=health,
                         sampler=sampler, recorder=recorder)
+        self._init_surface(keep_results, checkpoint_every, on_checkpoint, wal)
         self.timeout = timeout if timeout is not None else StaticTimeout(150.0)
-        self.keep_results = keep_results
-        self._pending: Dict[Tuple, _TriggerRecord] = {}
-        # Triggers already decided: late responses (e.g. a promise-held
-        # FLOW_MOD emerging after the timer) must be dropped, not allowed to
-        # open a fresh record that would be judged alone and alarm
-        # spuriously.
-        self._late_drop = LateDropWindow()
-        self.results: List[ValidationResult] = []
-        self.alarms: List[Alarm] = []
-        self.on_alarm: Optional[Callable[[Alarm], None]] = None
-        # Counters.
-        self.responses_received = 0
-        self.triggers_decided = 0
-        self.triggers_alarmed = 0
-        self.late_responses = 0
-        #: Crash recovery (repro.core.checkpoint): optional write-ahead log
-        #: of ingested responses, and an automatic snapshot every
-        #: ``checkpoint_every`` decided triggers handed to ``on_checkpoint``.
-        self.wal = wal
-        self.checkpoint_every = checkpoint_every
-        self.on_checkpoint = on_checkpoint
-        self._since_checkpoint = 0
-        self._checkpoint_scheduled = False
+        self.core = ShardCore(k, self.timeout, state_aware=state_aware,
+                              taint_classification=taint_classification)
+        self._counters = core_counters()
 
-    # ------------------------------------------------------------------
-    # Ingest
-    # ------------------------------------------------------------------
     def handle_control_message(self, channel, response: Response) -> None:
         """Channel endpoint for controller modules."""
         self.ingest(response)
 
     def ingest(self, response: Response) -> None:
         """Process one incoming (id, τ, entry) response."""
+        now = self.sim.now
         if self.wal is not None:
             # Logged before it can influence any decision: recovery replays
             # exactly the inputs this run saw, in arrival order.
-            self.wal.append_ingest(self.sim.now, response)
+            self.wal.append_ingest(now, response)
         self.responses_received += 1
-        tau = response.trigger_id
-        sampler = self.sampler
-        sampled = sampler is None or sampler.sampled(tau)
-        tracer = self.tracer
-        if tracer is not None and sampled:
-            tracer.emit(self.sim.now, tau, obs_trace.INGEST,
-                        kind=response.kind.value,
-                        controller=response.controller_id)
-        if self.metrics is not None and sampled:
-            self.metrics.counter("validator_responses_total",
-                                 kind=response.kind.value).inc()
-        if self.health is not None and sampled:
-            received = response.trigger_received_at
-            self.health.record_response(
-                self.sim.now, response.controller_id,
-                lag_ms=None if received is None
-                else max(0.0, self.sim.now - received))
-        if tau in self._late_drop.decided:
-            self.late_responses += 1
-            if tracer is not None and sampled:
-                tracer.emit(self.sim.now, tau, obs_trace.LATE_DROP,
-                            controller=response.controller_id)
-            if self.metrics is not None and sampled:
-                self.metrics.counter("validator_late_responses_total").inc()
-            return
-        record = self._pending.get(tau)
-        if record is None:
-            record = _TriggerRecord(first_at=self.sim.now)
-            record.timer = self.sim.schedule(
-                self.timeout.current(), self._on_timer, tau)
-            self._pending[tau] = record
-        if record.decided:
-            return  # late response after decision (counts as slow replica)
-        record.count += 1
-        snapshot = self._snapshot(response.controller_id)
-        record.responses.append((snapshot, response))
-        if response.is_cache:
-            state = self.state.setdefault(response.controller_id, ControllerState())
-            state.cache_updates += 1
-            state.last_entry = response.entry
-        progress = digest_progress(response.state_digest)
-        if progress is not None:
-            state = self.state.setdefault(response.controller_id, ControllerState())
-            state.digest_progress = max(state.digest_progress, progress)
-        if record.count >= 2 * self.k + 2:
-            self._decide(tau, record, timed_out=False)
+        if self.sampler is None or self.sampler.sampled(response.trigger_id):
+            if self.tracer is not None:
+                self.tracer.emit(now, response.trigger_id, obs_trace.INGEST,
+                                 kind=response.kind.value,
+                                 controller=response.controller_id)
+            if self.metrics is not None:
+                self.metrics.counter("validator_responses_total",
+                                     kind=response.kind.value).inc()
+            if self.health is not None:
+                received = response.trigger_received_at
+                self.health.record_response(
+                    now, response.controller_id,
+                    lag_ms=None if received is None
+                    else max(0.0, now - received))
+        core = self.core
+        core.run(((now, response),), now, True, self, self._counters)
+        # Keep the wakeup ahead of the earliest deadline; a new record
+        # almost never moves it.
+        deadlines = core.deadlines
+        if deadlines and deadlines[0][0] < self._wakeup_at:
+            self._arm(deadlines[0][0])
 
-    def _snapshot(self, controller_id: str) -> Tuple:
-        state = self.state.get(controller_id)
-        if state is None:
-            return (0, ())
-        return (state.cache_updates, state.last_entry)
-
-    def _on_timer(self, tau: Tuple) -> None:
-        record = self._pending.get(tau)
-        if record is not None and not record.decided:
-            self._decide(tau, record, timed_out=True)
+    def _on_wakeup(self) -> None:
+        core = self.core
+        core.run((), self.sim.now, True, self, self._counters)
+        # Entries of triggers decided at full count are dropped here, once
+        # per wakeup, not looked for on every response.
+        head = core.next_deadline()
+        if head is not None:
+            self._arm(head)
 
     # ------------------------------------------------------------------
-    # Decision
+    # What is this engine's own in a checkpoint (see EngineSurface)
     # ------------------------------------------------------------------
-    def _decide(self, tau: Tuple, record: _TriggerRecord, timed_out: bool) -> None:
-        record.decided = True
-        if record.timer is not None:
-            record.timer.cancel()
-        responses = [response for _, response in record.responses]
-        external = self._classify_external(record.count, responses)
-        if self.tracer is not None and self._sampled(tau):
-            self._trace_decide(tau, record.count, external, timed_out)
-        outcome, alarms = self._run_checks(tau, responses, external)
+    def _engine_shape(self) -> Dict[str, int]:
+        return {"k": self.k}
 
-        received = [r.trigger_received_at for r in responses
-                    if r.trigger_received_at is not None]
-        baseline = min(received) if received else record.first_at
-        detection_ms = max(0.0, self.sim.now - baseline)
-        self.timeout.observe(detection_ms)
+    def _engine_state(self) -> Tuple[Dict[str, object], Dict[str, object]]:
+        return {"core": self.core.payload(),
+                "late_responses": self.late_responses}, {}
 
-        result = ValidationResult(
-            trigger_id=tau, ok=not alarms, external=external,
-            decided_at=self.sim.now, n_responses=record.count,
-            detection_ms=detection_ms, timed_out=timed_out, alarms=alarms)
-        if (self.tracer is not None or self.metrics is not None
-                or self.forensics is not None or self.health is not None
-                or self.recorder is not None):
-            self._observe_decision(tau, result, responses, outcome, external)
-        self.triggers_decided += 1
-        if alarms:
-            self.triggers_alarmed += 1
-            self.alarms.extend(alarms)
-            if self.on_alarm is not None:
-                for alarm in alarms:
-                    self.on_alarm(alarm)
-        if self.keep_results:
-            self.results.append(result)
-        del self._pending[tau]
-        if self._late_drop.add(tau, self.sim.now):
-            self._late_drop.expire(self.sim.now, self.timeout.current())
-        if self.wal is not None:
-            self.wal.append_decision(self.sim.now, tau, len(alarms))
-        if self.checkpoint_every is not None:
-            self._since_checkpoint += 1
-            if (self._since_checkpoint >= self.checkpoint_every
-                    and not self._checkpoint_scheduled):
-                # Delay-0 so the snapshot lands after every event of this
-                # simulated instant, at a consistent boundary.
-                self._checkpoint_scheduled = True
-                self.sim.schedule(0.0, self._auto_checkpoint)
-
-    # ------------------------------------------------------------------
-    # Checkpoint / restore (repro.core.checkpoint, docs/recovery.md)
-    # ------------------------------------------------------------------
-    def _auto_checkpoint(self) -> None:
-        self._checkpoint_scheduled = False
-        self._since_checkpoint = 0
-        checkpoint = self.checkpoint()
-        if self.on_checkpoint is not None:
-            self.on_checkpoint(checkpoint)
-
-    def checkpoint(self) -> Checkpoint:
-        """Full crash-recovery snapshot of this validator.
-
-        Captures Ψid, every pending Vτ/Nτ record with its θτ deadline
-        (read off the scheduled timer), the late-drop window, the alarm
-        and result history, the counters, and the process-global
-        trigger-id counter positions. Appends a marker to the attached
-        WAL so recovery knows which log records the snapshot subsumes.
-        """
-        state = {
-            "psi": snapshot_controller_states(self.state),
-            "pending": {
-                tau: (tuple(record.responses), record.count, record.first_at,
-                      record.timer.time if record.timer is not None else None)
-                for tau, record in self._pending.items()},
-            "recently_decided": self._late_drop.payload(),
-            "alarms": list(self.alarms),
-            "results": list(self.results),
-            "counters": (self.responses_received, self.triggers_decided,
-                         self.triggers_alarmed, self.late_responses),
-            "trigger_ids": snapshot_trigger_ids(),
-            "staleness": (self.staleness_threshold,
-                          self.staleness_cooldown_ms),
-        }
-        meta = {
-            "engine": "validator", "k": self.k,
-            "timeout_ms": self.timeout.current(), "sim_now": self.sim.now,
-            "keep_results": self.keep_results,
-            "state_aware": self.state_aware,
-            "taint_classification": self.taint_classification,
-            "triggers_decided": self.triggers_decided,
-        }
-        checkpoint = Checkpoint.build(meta, state)
-        if self.wal is not None:
-            self.wal.append_checkpoint(checkpoint.sha256)
-        observe_checkpoint(self, checkpoint)
-        return checkpoint
-
-    def restore(self, checkpoint: Checkpoint) -> None:
-        """Rehydrate a *fresh* validator from a :meth:`checkpoint`.
-
-        Advances the simulator to the checkpointed instant, rebuilds Ψid
-        and the pending records, re-arms every θτ timer at its original
-        deadline, and re-seeds the trigger-id counters. After a WAL-tail
-        replay the alarm stream continues byte-identically to the
-        uninterrupted run's (``flush_interval_ms=0`` regime).
-        """
-        meta = checkpoint.meta
-        if meta.get("engine") != "validator":
-            raise CheckpointError(
-                f"checkpoint is for engine {meta.get('engine')!r}, "
-                f"not a sequential validator")
-        if int(meta.get("k", -1)) != self.k:
-            raise CheckpointError(
-                f"checkpoint k={meta.get('k')!r} does not match "
-                f"this validator's k={self.k}")
-        if self.responses_received or self.triggers_decided or self._pending:
-            raise CheckpointError(
-                "restore target must be a fresh validator (this one has "
-                "already processed responses)")
-        state = checkpoint.state()
-        sim_now = float(meta.get("sim_now", 0.0))
-        if self.sim.now > sim_now:
-            raise CheckpointError(
-                f"simulator is at t={self.sim.now}ms, already past the "
-                f"checkpoint instant t={sim_now}ms")
-        if self.sim.now < sim_now:
-            self.sim.run(until=sim_now)
-        self.state.clear()
-        self.state.update(restore_controller_states(state["psi"]))
-        for tau, fields in state["pending"].items():
-            record = _TriggerRecord(responses=list(fields[0]),
-                                    count=fields[1], first_at=fields[2])
-            deadline = fields[3]
-            if deadline is not None:
-                record.timer = self.sim.schedule_at(
-                    deadline, self._on_timer, tau)
-            self._pending[tau] = record
-        self._late_drop.restore(state["recently_decided"])
-        self.alarms = list(state["alarms"])
-        self.results = list(state["results"])
-        (self.responses_received, self.triggers_decided,
-         self.triggers_alarmed, self.late_responses) = state["counters"]
-        restore_trigger_ids(state["trigger_ids"])
-        self.staleness_threshold, self.staleness_cooldown_ms = \
-            state["staleness"]
-        observe_restore(self, checkpoint)
+    def _engine_restore(self, state: Dict[str, object]) -> None:
+        self.core.load(state["core"])
+        self._rearm(state["core"])
+        self._counters.late_responses = state["late_responses"]
 
     # ------------------------------------------------------------------
     # Introspection for the harness
     # ------------------------------------------------------------------
     @property
+    def late_responses(self) -> int:
+        """Responses dropped because their trigger was already decided."""
+        return self._counters.late_responses
+
+    @property
     def pending_count(self) -> int:
         """Triggers awaiting more responses or their timer."""
-        return len(self._pending)
-
-    def detection_times(self, external_only: bool = True) -> List[float]:
-        """Detection latencies of decided triggers (ms)."""
-        return [r.detection_ms for r in self.results
-                if (r.external or not external_only)]
-
-    def false_positive_rate(self) -> float:
-        """Alarmed fraction of decided triggers (meaningful on benign runs)."""
-        if not self.triggers_decided:
-            return 0.0
-        return self.triggers_alarmed / self.triggers_decided
+        return len(self.core.records)

@@ -3,7 +3,8 @@
 One :class:`DifferentialOracle` run executes a scenario **live** (fresh
 simulator, topology, controller cluster, JURY deployment), records the
 validator's exact input stream, then replays that identical stream through
-the sequential :class:`~repro.core.validator.Validator` and the sharded
+the independent :class:`~repro.fuzz.reference.ReferenceValidator`, the
+sequential :class:`~repro.core.validator.Validator` and the sharded
 :class:`~repro.core.pipeline.ValidationPipeline` at N ∈ {1, 2, 4, 8} —
 optionally across execution backends (``backends=("serial", "threads",
 "processes")``) so the scheduler itself is on the differential axis —
@@ -22,16 +23,19 @@ with observability on and off, checking the invariant catalog:
     Replaying the recorded response stream through a fresh sequential
     validator did not reproduce the live alarm stream byte-for-byte.
 ``ENGINE_DIVERGENCE``
-    The sharded pipeline's canonical alarm stream differs from the
-    sequential validator's at some shard count / execution backend.
+    The canonical alarm stream of the sequential validator, or of the
+    sharded pipeline at some shard count / execution backend, differs
+    from the reference's. Validator and pipeline drive the same
+    ``ShardCore``; the reference is a separate, textbook Algorithm 1, so
+    this checks the decision loop and not only its drivers.
 ``RECOVERY_DIVERGENCE``
     Killing an engine mid-stream, restoring its newest checkpoint, and
     replaying the WAL tail plus the remaining records did not reproduce
     the uninterrupted replay's alarm stream byte-for-byte
     (:func:`repro.core.checkpoint.run_with_recovery`).
 ``COUNTER_MISMATCH``
-    Engines agree on alarms but disagree on accounting (decided /
-    received / late counts).
+    An engine agrees with the reference on alarms but not on accounting
+    (decided / received / late counts).
 ``TRACE_DIVERGENCE``
     The canonical trace encoding differs between engines.
 ``OBSERVER_IMPURITY``
@@ -264,11 +268,13 @@ class DifferentialOracle:
     # ------------------------------------------------------------------
     def _replay(self, live: LiveRun, shards: Optional[int] = None,
                 tracer=None, metrics=None, backend: str = "serial",
-                timeout_ms: Optional[float] = None, recorder=None):
+                timeout_ms: Optional[float] = None, recorder=None,
+                reference: bool = False):
         from repro.core.pipeline import ValidationPipeline
         from repro.core.timeouts import StaticTimeout
         from repro.core.validator import Validator
         from repro.faults.injector import default_policy_engine
+        from repro.fuzz.reference import ReferenceValidator
         from repro.workloads.recorder import replay_validation_stream
 
         spec = live.spec
@@ -277,6 +283,11 @@ class DifferentialOracle:
                              else timeout_ms)
 
         def make(sim):
+            if reference:
+                return ReferenceValidator(
+                    sim, spec.k, effective_timeout,
+                    policy_engine=default_policy_engine(),
+                    mastership_lookup=lookup)
             kwargs = dict(timeout=StaticTimeout(effective_timeout),
                           policy_engine=default_policy_engine(),
                           mastership_lookup=lookup,
@@ -341,47 +352,57 @@ class DifferentialOracle:
                     f"(deadline {outcome.deadline_ms:.0f} ms)"))
 
         # --- Replay / engine-equivalence invariants ------------------
+        # Ground truth is the reference, replayed first: the engines below
+        # all drive one ShardCore, so agreeing with each other would only
+        # say their drivers agree.
+        reference = self._replay(live, reference=True)
+        expected = canonical_alarm_stream(reference.alarms)
+        baseline_counters = self._counters(reference)
         sequential = self._replay(live)
-        expected = canonical_alarm_stream(sequential.alarms)
         # The replay settles past the last record, so triggers still in
         # flight at the live cutoff decide (on their θτ timers) only in
         # the replay. Those tail decisions are correct replay behaviour,
         # not a divergence: compare live-vs-replay inside the live
-        # window only. Engine-vs-engine comparisons below stay on the
+        # window only. Engine-vs-reference comparisons below stay on the
         # full streams — every engine settles identically.
-        expected_window = canonical_alarm_stream(
+        replayed_window = canonical_alarm_stream(
             [alarm for alarm in sequential.alarms
              if alarm.raised_at <= live.ended_at])
-        if expected_window != live.alarm_stream:
+        if replayed_window != live.alarm_stream:
             violations.append(InvariantViolation(
                 "REPLAY_DIVERGENCE",
                 "sequential replay did not reproduce the live alarm "
-                f"stream ({_sha256(expected_window)[:12]} != "
+                f"stream ({_sha256(replayed_window)[:12]} != "
                 f"{report.alarm_digest[:12]})"))
-        baseline_counters = self._counters(sequential)
-        for backend in self.backends:
-            for shards in self.shard_counts:
+        variants = [("sequential validator", None, "serial")] + [
+            (f"pipeline N={shards} backend={backend}", shards, backend)
+            for backend in self.backends for shards in self.shard_counts]
+        for label, shards, backend in variants:
+            timeout_ms = None
+            if shards is None:
+                engine = sequential
+            else:
                 timeout_ms = self._perturbed_timeout(spec, backend, shards)
-                pipeline = self._replay(live, shards=shards, backend=backend,
-                                        timeout_ms=timeout_ms)
-                stream = canonical_alarm_stream(pipeline.alarms)
-                label = f"pipeline N={shards} backend={backend}"
-                if timeout_ms is not None:
-                    label += f" (perturbed timeout {timeout_ms:.1f} ms)"
-                if stream != expected:
-                    detail = (f"{label} alarm stream diverged "
-                              f"({_sha256(stream)[:12]} != "
-                              f"{_sha256(expected)[:12]})")
-                    if "trace_diff" not in report.artifacts:
-                        detail += "; " + self._capture_divergence(
-                            live, report, shards, backend, timeout_ms)
-                    violations.append(InvariantViolation(
-                        "ENGINE_DIVERGENCE", detail))
-                elif self._counters(pipeline) != baseline_counters:
-                    violations.append(InvariantViolation(
-                        "COUNTER_MISMATCH",
-                        f"{label} counters "
-                        f"{self._counters(pipeline)} != {baseline_counters}"))
+                engine = self._replay(live, shards=shards, backend=backend,
+                                      timeout_ms=timeout_ms)
+            if timeout_ms is not None:
+                label += f" (perturbed timeout {timeout_ms:.1f} ms)"
+            stream = canonical_alarm_stream(engine.alarms)
+            if stream != expected:
+                detail = (f"{label} alarm stream diverged from the "
+                          f"reference ({_sha256(stream)[:12]} != "
+                          f"{_sha256(expected)[:12]})")
+                if shards is not None \
+                        and "trace_diff" not in report.artifacts:
+                    detail += "; " + self._capture_divergence(
+                        live, report, shards, backend, timeout_ms)
+                violations.append(InvariantViolation(
+                    "ENGINE_DIVERGENCE", detail))
+            elif self._counters(engine) != baseline_counters:
+                violations.append(InvariantViolation(
+                    "COUNTER_MISMATCH",
+                    f"{label} counters "
+                    f"{self._counters(engine)} != {baseline_counters}"))
 
         # --- Recovery invariants (repro.core.checkpoint) -------------
         if live.records:

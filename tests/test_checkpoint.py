@@ -10,6 +10,7 @@ land anywhere and the remainder is always recomputable.
 
 from __future__ import annotations
 
+import json
 import os
 
 import pytest
@@ -26,6 +27,7 @@ from repro.core.checkpoint import (
     wal_tail,
 )
 from repro.core.pipeline import ValidationPipeline
+from repro.core.responses import ResponseKind
 from repro.core.timeouts import StaticTimeout
 from repro.core.validator import Validator
 from repro.errors import CheckpointError
@@ -110,6 +112,28 @@ def test_envelope_rejects_foreign_payloads():
     bad_body["body"] = "not base64!!!"
     with pytest.raises(CheckpointError, match="unreadable"):
         Checkpoint.from_json(bad_body)
+
+
+def test_version_1_envelope_is_refused(tmp_path):
+    """Version 2 replaced the sequential validator's ``pending`` /
+    ``recently_decided`` sections with the ``core`` payload every shard
+    carries. A version-1 artifact — whatever is inside — is refused at the
+    envelope, from a dict and from a file, not half-loaded."""
+    legacy = Checkpoint.build(
+        {"engine": "validator", "k": 3, "timeout_ms": 250.0, "sim_now": 0.0},
+        {"psi": {}, "pending": {}, "recently_decided": {}, "alarms": [],
+         "results": [], "counters": (0, 0, 0, 0), "trigger_ids": {},
+         "staleness": (200, 1000.0)}).to_json()
+    assert legacy["version"] == 2
+    legacy["version"] = 1
+    with pytest.raises(CheckpointError, match="version 1"):
+        Checkpoint.from_json(legacy)
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps(legacy))
+    with pytest.raises(CheckpointError, match="version 1"):
+        Checkpoint.load(str(path))
+    state = Validator(Simulator(seed=0), 3).checkpoint().state()
+    assert "core" in state and not {"pending", "recently_decided"} & set(state)
 
 
 def test_envelope_save_load_file(tmp_path):
@@ -306,6 +330,110 @@ def test_restore_rejects_mismatched_or_dirty_targets():
     late = Validator(late_sim, K, timeout=StaticTimeout(TIMEOUT_MS))
     with pytest.raises(CheckpointError, match="past"):
         late.restore(checkpoint)
+
+
+@pytest.mark.parametrize("kind", ("validator", "pipeline"))
+def test_restore_refusals_and_clock_rule_are_one_for_both_engines(kind):
+    """``restore`` is implemented once (``EngineSurface``): both engines
+    refuse in the same words and advance the clock by the same rule."""
+    def make(sim, k=K):
+        if kind == "validator":
+            return Validator(sim, k, timeout=StaticTimeout(TIMEOUT_MS))
+        return ValidationPipeline(sim, k, shards=2,
+                                  timeout=StaticTimeout(TIMEOUT_MS))
+
+    engine = _run(make, _stream(triggers=30))
+    checkpoint = engine.checkpoint()
+    at = checkpoint.meta["sim_now"]
+    shape = "k=3" if kind == "validator" else "k=3, shards=2"
+
+    other = "pipeline" if kind == "validator" else "validator"
+    foreign = Checkpoint.build(dict(checkpoint.meta, engine=other),
+                               checkpoint.state())
+    with pytest.raises(CheckpointError) as refusal:
+        make(Simulator(seed=0)).restore(foreign)
+    assert str(refusal.value) == (
+        f"checkpoint was taken by engine {other!r}, not a {kind}")
+
+    with pytest.raises(CheckpointError) as refusal:
+        make(Simulator(seed=0), k=K + 1).restore(checkpoint)
+    assert str(refusal.value) == (
+        f"checkpoint shape ({shape}) does not match this {kind} "
+        f"({shape.replace('k=3', 'k=4')})")
+
+    with pytest.raises(CheckpointError) as refusal:
+        engine.restore(checkpoint)
+    assert str(refusal.value) == (
+        f"restore target must be a fresh {kind} (this one has already "
+        f"ingested {engine.responses_received} responses)")
+
+    late_sim = Simulator(seed=0)
+    late_sim.run(until=at + 1.0)
+    with pytest.raises(CheckpointError) as refusal:
+        make(late_sim).restore(checkpoint)
+    assert str(refusal.value) == (
+        f"simulator is at t={at + 1.0} ms, past the checkpoint's t={at} ms")
+
+    # The clock is run up to the checkpoint instant inclusively, also when
+    # it already stands there: what is due at that instant fires before
+    # the state is replaced, what is due later does not.
+    sim = Simulator(seed=0)
+    sim.run(until=at)
+    fired = []
+    sim.schedule_at(at, fired.append, "due")
+    sim.schedule_at(at + 1.0, fired.append, "later")
+    twin = make(sim)
+    twin.restore(checkpoint)
+    assert fired == ["due"] and sim.now == at
+    assert twin.triggers_decided == engine.triggers_decided
+    _close(engine)
+    _close(twin)
+
+
+def test_checkpoint_between_submit_and_merge_carries_the_merged_psi():
+    """A frame backend's checkpoint first merges the verdicts still in
+    flight; Ψ is snapshotted *after* that, so it agrees with the alarms,
+    results and shard views in the same envelope."""
+    records = _stream(triggers=40)
+    sim = Simulator(seed=0)
+    engine = _make_pipeline(2, backend="threads")(sim)
+    taken = []
+    for record in records:
+        sim.schedule_at(record.time_ms, engine.ingest, record.response)
+    # Scheduled from an event that runs after the first ingest of the
+    # instant (whose flush event is then already queued), a delay-0 event
+    # lands after that flush submitted its frame and before the backend's
+    # merge barrier, which the flush schedules.
+    cut = next(record.time_ms for record in records[len(records) // 2:]
+               if record.response.kind is ResponseKind.CACHE_UPDATE)
+    sim.schedule_at(cut, sim.schedule, 0.0,
+                    lambda: taken.append(engine.checkpoint()))
+    sim.run(until=records[-1].time_ms + SETTLE_MS)
+    engine.drain()
+    state = taken[0].state()
+    relayed = {cid: fields[0] for cid, fields in state["psi"].items()}
+    by_shard = {}
+    for shard in state["shards"]:
+        for cid, count in shard["local_cache_updates"].items():
+            by_shard[cid] = by_shard.get(cid, 0) + count
+    assert relayed == by_shard
+    processed = sum(shard["stats"]["processed"] for shard in state["shards"])
+    queued = sum(len(shard["queue"]) + len(shard["overflow"])
+                 for shard in state["shards"])
+    assert processed + queued == state["counters"][0]
+
+    # And the envelope restores to a run that ends like the original.
+    twin_sim = Simulator(seed=0)
+    twin = _make_pipeline(2)(twin_sim)
+    twin.restore(taken[0])
+    for record in records:
+        if record.time_ms > cut:
+            twin_sim.schedule_at(record.time_ms, twin.ingest, record.response)
+    twin_sim.run(until=records[-1].time_ms + SETTLE_MS)
+    assert canonical_alarm_stream(twin.alarms) == \
+        canonical_alarm_stream(engine.alarms)
+    assert twin.triggers_decided == engine.triggers_decided
+    _close(engine)
 
 
 def test_checkpoint_is_backend_portable():

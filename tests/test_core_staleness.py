@@ -1,9 +1,10 @@
 """Unit tests for the validator's staleness (out-of-sync replica) monitor."""
 
 from repro.core.alarms import AlarmReason
+from repro.core.backends.shardcore import digest_progress
 from repro.core.responses import Response, ResponseKind
 from repro.core.timeouts import StaticTimeout
-from repro.core.validator import Validator, _digest_progress
+from repro.core.validator import Validator
 from repro.sim.simulator import Simulator
 
 
@@ -18,9 +19,9 @@ def replica(cid, progress, tau):
 
 
 def test_digest_progress_parsing():
-    assert _digest_progress((("c1", 3), ("c2", 4))) == 7
-    assert _digest_progress(()) is None
-    assert _digest_progress((1,)) is None  # malformed
+    assert digest_progress((("c1", 3), ("c2", 4))) == 7
+    assert digest_progress(()) is None
+    assert digest_progress((1,)) is None  # malformed
 
 
 def test_stale_replica_flagged():

@@ -202,8 +202,8 @@ def _fingerprint(engine):
 
 def _windows(engine):
     if isinstance(engine, Validator):
-        return [(engine._late_drop, engine.triggers_decided)]
-    return [(shard._late_drop, shard.stats.decided)
+        return [(engine.core.late_drop, engine.triggers_decided)]
+    return [(shard.core.late_drop, shard.stats.decided)
             for shard in engine._shards]
 
 
@@ -280,7 +280,7 @@ def test_same_batch_duplicate_is_dropped_above_the_cap(alias_reference,
 
 def test_shardcore_drops_a_same_frame_duplicate_above_the_cap():
     warm, burst = _alias_stream()
-    core = ShardCore(k=1, timeout_ms=TIMEOUT_MS)
+    core = ShardCore(k=1, timeout=TIMEOUT_MS)
     frames = [
         BatchFrame(shard=0, seq=0, now=0.0, items=tuple(warm), drained=True),
         BatchFrame(shard=0, seq=1, now=10.0, items=tuple(burst),
@@ -388,7 +388,8 @@ def test_restore_of_an_unordered_window_never_changes_the_alarm_stream(
     reference = _run(_make_validator, records)
     checkpoint, _, rest = _checkpoint_at_cut(_make_validator, records)
     state = checkpoint.state()
-    state["recently_decided"] = _reversed_window(state["recently_decided"])
+    state["core"]["recently_decided"] = _reversed_window(
+        state["core"]["recently_decided"])
     twin = _make_validator(Simulator(seed=0))
     twin.restore(Checkpoint.build(checkpoint.meta, state))
     _feed(twin, rest)
@@ -466,9 +467,9 @@ def test_validator_cost_per_decision_above_the_cap():
                 ingest(response)
 
     feed(0, warm)
-    assert abs(len(validator._late_drop.decided) - 25_000) <= 2
+    assert abs(len(validator.core.late_drop.decided) - 25_000) <= 2
     best = min(_timed(feed, warm + n * chunk, warm + (n + 1) * chunk)
                for n in range(chunks))
-    assert abs(len(validator._late_drop.decided) - 25_000) <= 2
+    assert abs(len(validator.core.late_drop.decided) - 25_000) <= 2
     assert validator.triggers_decided == len(sets)
     assert best / chunk * 1e6 < 220.0

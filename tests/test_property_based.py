@@ -260,7 +260,7 @@ def test_pipeline_routes_each_trigger_to_one_shard(trigger_indices, shards):
         pipeline.ingest(response)
     pipeline.drain()
     for index, shard in enumerate(pipeline._shards):
-        for tau in shard.records:
+        for tau in shard.core.records:
             assert shard_of(tau, shards) == index
         for _, queued in list(shard.queue) + list(shard.overflow):
             assert shard_of(queued.trigger_id, shards) == index
@@ -299,8 +299,8 @@ def test_pipeline_conserves_responses_under_backpressure(
     assert sum(len(s.queue) + len(s.overflow)
                for s in pipeline._shards) == 0
     # Processed responses are either held in records or counted late.
-    held = sum(r.count for s in pipeline._shards
-               for r in s.records.values())
+    held = sum(len(r.responses) for s in pipeline._shards
+               for r in s.core.records.values())
     decided = sum(r.n_responses for r in pipeline.results)
     late = pipeline.late_responses
     assert held + decided + late == stats.total("processed")

@@ -12,6 +12,12 @@ moves them. (Recorded with CPython 3.11 on Linux x86-64; the digests cover
 ``repr`` of floats drawn through ``math.exp``, so a platform whose libm
 rounds differently would need them re-recorded on that same parent commit.)
 
+One field has been re-recorded since, and only that one: ``events fired``,
+when the sequential validator's simulator timer per trigger became one
+coalesced θτ wakeup (32 043 → 32 024, 22 790 → 22 774, 14 791 → 14 796).
+Response count, input digest, triggers decided, alarms and the alarm-stream
+digest are the original recording's.
+
 Each case resets the process-global trigger-id counters first, so the
 digests do not depend on which tests ran earlier.
 """
@@ -37,19 +43,19 @@ GOLDEN = {
     ("onos", 4, 15, 1000.0): (
         5801,
         "8f6d190564d01281bda8067a43cc280a6b9ed90f66d3c151fbc7924c5e4745ef",
-        32043, 850, 0,
+        32024, 850, 0,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     # k < n−1: the seeded sample decides who relays.
     ("onos", 2, 15, 1000.0): (
         3463,
         "e61994863e148a191af8ad9fca10034513bdead72478df5b2de9e6de5ca38b2f",
-        22790, 854, 0,
+        22774, 854, 0,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     # Strongly consistent store under load: θτ races raise real alarms.
     ("odl", 4, 4, 600.0): (
         2426,
         "311feb04b59788a9f2e9cafa5266a6190ccdf5a1f28b9b2509da621e458e8644",
-        14791, 296, 19,
+        14796, 296, 19,
         "cad64b3d11ddc39ffb3f45f552ee9624e72e2cbda98eedd5e33f28982c4a968c"),
 }
 
