@@ -169,10 +169,11 @@ class UnusedImportRule(Rule):
         return used
 
 
-#: Observer attribute names wired through the decision path. Binding one
-#: (``self.tracer = ...``) and calling its hook API (``tracer.emit(...)``)
-#: are the contract; reaching *into* one is not.
-_OBSERVER_NAMES = {"tracer", "metrics", "forensics", "health",
+#: Observer attribute names wired through the decision path: the seam
+#: (``observer``) and the subscribers behind it. Binding one
+#: (``self.observer = ...``) and calling its hook API
+#: (``observer.ingest(...)``) are the contract; reaching *into* one is not.
+_OBSERVER_NAMES = {"observer", "tracer", "metrics", "forensics", "health",
                    "snapshot_sink", "recorder", "sampler"}
 
 #: Method names that mutate built-in containers (and the observers built

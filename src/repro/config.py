@@ -61,8 +61,8 @@ class JuryConfig:
     full validation path; ``metrics`` a
     :class:`~repro.obs.MetricsRegistry`; ``diagnose`` attaches alarm
     forensics; ``health`` replica health scoring + SLO monitoring;
-    ``snapshot_interval_ms`` a periodic export sink on the pipeline flush
-    path; ``obs_sample`` head-samples the observer stack 1-in-N;
+    ``snapshot_interval_ms`` a periodic export sink ticked after every
+    engine step; ``obs_sample`` head-samples the observer stack 1-in-N;
     ``flight``/``flight_capacity`` the always-on flight recorder;
     ``wall_profile`` per-stage wall-clock worker profiling. All default
     off (the zero-cost path).
@@ -108,7 +108,7 @@ class JuryConfig:
     diagnose: bool = False
     #: Replica health scoring + SLO monitoring (repro.obs.health).
     health: bool = False
-    #: Periodic metrics/health snapshots on the pipeline flush path, every
+    #: Periodic metrics/health snapshots at engine-step ends, every
     #: this-many simulated ms (repro.obs.export.SnapshotSink). ``None`` off.
     snapshot_interval_ms: Optional[float] = None
     #: Head-sample the observer stack 1-in-N per trigger (repro.obs.sampling).

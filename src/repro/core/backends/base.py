@@ -37,7 +37,6 @@ from repro.core.backends.frames import BatchFrame, VerdictFrame
 from repro.core.timeouts import StaticTimeout
 from repro.errors import CheckpointError
 from repro.obs import trace as obs_trace
-from repro.obs.profile import merge_profile
 
 
 class ExecutionBackend:
@@ -195,30 +194,29 @@ class FrameBackend(ExecutionBackend):
             return
         self._dispatch(shard, frame)
 
+    def _report(self, stage: str, shard=None, detail: str = "",
+                **attrs) -> None:
+        """Hand one plumbing event to the pipeline's observer, if any."""
+        observer = self.pipeline.observer
+        if observer is not None:
+            observer.engine(self.pipeline.sim.now, stage, self.name, shard,
+                            detail, **attrs)
+
     def _dispatch(self, shard, frame: BatchFrame) -> None:
-        pipeline = self.pipeline
-        if pipeline.tracer is not None:
-            pipeline.tracer.emit(
-                pipeline.sim.now, ("engine", shard.index),
-                obs_trace.ENGINE_SUBMIT, detail=f"seq={frame.seq}",
-                n=len(frame.items))
-        if pipeline.metrics is not None:
-            pipeline.metrics.counter("backend_frames_total",
-                                     backend=self.name).inc()
-            pipeline.metrics.counter("backend_frame_responses_total",
-                                     backend=self.name).inc(len(frame.items))
+        self._report(obs_trace.ENGINE_SUBMIT, shard.index,
+                     f"seq={frame.seq}", n=len(frame.items))
         self._submit(shard, frame)
         self._inflight.append((shard, frame))
         if not self._barrier_scheduled:
             self._barrier_scheduled = True
-            pipeline.sim.schedule(0.0, self._merge_barrier)
+            self.pipeline.sim.schedule(0.0, self._merge_barrier)
 
     def _merge_barrier(self) -> None:
         self._barrier_scheduled = False
         self._merge_inflight()
-        sink = self.pipeline.snapshot_sink
-        if sink is not None:
-            sink.observe(self.pipeline.sim.now)
+        observer = self.pipeline.observer
+        if observer is not None:
+            observer.tick(self.pipeline.sim.now)
 
     def _merge_inflight(self) -> None:
         while self._inflight:
@@ -227,21 +225,12 @@ class FrameBackend(ExecutionBackend):
 
     def _merge_one(self, shard, frame: BatchFrame) -> None:
         verdict = self._collect(shard, frame)
-        pipeline = self.pipeline
-        if verdict.profile is not None and pipeline.metrics is not None:
-            merge_profile(pipeline.metrics, self.name, shard.index,
-                          verdict.profile)
-        if pipeline.tracer is not None:
-            pipeline.tracer.emit(
-                pipeline.sim.now, ("engine", shard.index),
-                obs_trace.ENGINE_EXECUTE, detail=f"seq={frame.seq}",
-                events=len(verdict.events))
+        self._report(obs_trace.ENGINE_EXECUTE, shard.index,
+                     f"seq={frame.seq}", profile=verdict.profile,
+                     events=len(verdict.events))
         shard._merge_verdict(verdict)
-        if pipeline.tracer is not None:
-            pipeline.tracer.emit(
-                pipeline.sim.now, ("engine", shard.index),
-                obs_trace.ENGINE_MERGE, detail=f"seq={frame.seq}",
-                open_records=verdict.open_records)
+        self._report(obs_trace.ENGINE_MERGE, shard.index, f"seq={frame.seq}",
+                     open_records=verdict.open_records)
 
     # -- synchronous path ------------------------------------------------
     def drain(self) -> None:

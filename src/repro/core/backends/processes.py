@@ -34,8 +34,14 @@ from typing import List, Optional
 from repro.core.backends.base import FrameBackend
 from repro.core.backends.frames import BatchFrame, VerdictFrame
 from repro.core.backends.shardcore import ShardCore
-from repro.obs import trace as obs_trace
+from repro.obs.observer import (
+    WORKER_DEATH,
+    WORKER_POOL,
+    WORKER_RESTART,
+    WORKER_RESTORE_FAILED,
+)
 from repro.obs.profile import StageProfiler
+from repro.obs.trace import ENGINE_DEGRADE
 
 
 def _worker_main(conn, bootstrap: dict, profile: bool = False) -> None:
@@ -121,9 +127,7 @@ class ProcessesBackend(FrameBackend):
         self._workers = [_Worker(i) for i in range(self.pipeline.shards)]
         for worker in self._workers:
             self._spawn(worker)
-        if self.pipeline.metrics is not None:
-            self.pipeline.metrics.gauge(
-                "backend_workers", backend=self.name).set(len(self._workers))
+        self._report(WORKER_POOL, workers=len(self._workers))
 
     def _spawn(self, worker: _Worker) -> None:
         parent_conn, child_conn = self._ctx.Pipe()
@@ -244,7 +248,7 @@ class ProcessesBackend(FrameBackend):
                 self._spawn(worker)
                 self._roundtrip(worker, ("restore", blob))
             except (EOFError, OSError, _WorkerDied):
-                self._count("backend_degraded_total")
+                self._report(WORKER_RESTORE_FAILED, index)
                 core = ShardCore(**self._boot)
                 core.restore(blob)
                 worker.core = core
@@ -253,14 +257,7 @@ class ProcessesBackend(FrameBackend):
     # Death handling: respawn + replay once, then degrade to inline
     # ------------------------------------------------------------------
     def _recover(self, worker: _Worker) -> None:
-        self._count("backend_worker_deaths_total")
-        recorder = self.pipeline.recorder
-        if recorder is not None:
-            now = self.pipeline.sim.now
-            recorder.record(now, "worker", ("engine", worker.index),
-                            verdict="death", detail=f"shard {worker.index}",
-                            backend=self.name)
-            recorder.trigger("worker-death", now)
+        self._report(WORKER_DEATH, worker.index, f"shard {worker.index}")
         self._reap(worker)
         pending_seqs = {f.seq for f in worker.pending}
         try:
@@ -280,7 +277,7 @@ class ProcessesBackend(FrameBackend):
                 if frame.seq in pending_seqs:
                     worker.ready.append(verdict)
             worker.pending.clear()
-            self._count("backend_worker_restarts_total")
+            self._report(WORKER_RESTART, worker.index)
         except (EOFError, OSError, _WorkerDied):
             self._degrade(worker, pending_seqs)
 
@@ -291,21 +288,8 @@ class ProcessesBackend(FrameBackend):
         return worker.conn.recv()
 
     def _degrade(self, worker: _Worker, pending_seqs) -> None:
-        self._count("backend_degraded_total")
-        pipeline = self.pipeline
-        recorder = pipeline.recorder
-        if recorder is not None:
-            now = pipeline.sim.now
-            recorder.record(now, "worker", ("engine", worker.index),
-                            verdict="degrade",
-                            detail=f"shard {worker.index} runs inline",
-                            backend=self.name)
-            recorder.trigger("worker-degrade", now)
-        if pipeline.tracer is not None:
-            pipeline.tracer.emit(
-                pipeline.sim.now, ("engine", worker.index),
-                obs_trace.ENGINE_DEGRADE,
-                detail=f"shard {worker.index} runs inline")
+        self._report(ENGINE_DEGRADE, worker.index,
+                     f"shard {worker.index} runs inline")
         self._reap(worker)
         core = ShardCore(**self._boot)
         if worker.snapshot is not None:
@@ -326,10 +310,6 @@ class ProcessesBackend(FrameBackend):
         if worker.conn is not None:
             worker.conn.close()
             worker.conn = None
-
-    def _count(self, name: str) -> None:
-        if self.pipeline.metrics is not None:
-            self.pipeline.metrics.counter(name, backend=self.name).inc()
 
     # ------------------------------------------------------------------
     # Test hook and teardown

@@ -49,7 +49,6 @@ import struct
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import CheckpointError
-from repro.obs import trace as obs_trace
 
 #: Envelope identity of the JSON export (mirrors ``jury-flight``).
 CHECKPOINT_FORMAT = "jury-checkpoint"
@@ -286,57 +285,6 @@ def replay_wal(engine, records: List[Tuple]) -> Tuple[int, float]:
             last = time_ms
         count += 1
     return count, last
-
-
-# ----------------------------------------------------------------------
-# Observability hooks (shared by every engine flavour)
-# ----------------------------------------------------------------------
-def observe_checkpoint(engine, checkpoint: Checkpoint) -> None:
-    """Record a taken snapshot: ``engine:checkpoint`` span + counters.
-
-    ``engine:*`` spans are excluded from the canonical trace encoding, so
-    a checkpointing run stays trace-identical to a plain one.
-    """
-    now = engine.sim.now
-    tracer = getattr(engine, "tracer", None)
-    if tracer is not None:
-        tracer.emit(now, ("engine", "checkpoint"), obs_trace.ENGINE_CHECKPOINT,
-                    detail=checkpoint.sha256[:12],
-                    triggers=checkpoint.meta.get("triggers_decided", 0),
-                    body_bytes=len(checkpoint.body))
-    metrics = getattr(engine, "metrics", None)
-    if metrics is not None:
-        metrics.counter("checkpoint_snapshots_total").inc()
-        metrics.gauge("checkpoint_body_bytes").set(len(checkpoint.body))
-    recorder = getattr(engine, "recorder", None)
-    if recorder is not None:
-        recorder.record(now, "checkpoint", ("engine", "checkpoint"),
-                        verdict="taken", detail=checkpoint.sha256[:12],
-                        body_bytes=len(checkpoint.body))
-
-
-def observe_restore(engine, checkpoint: Checkpoint) -> None:
-    """Record a restore: span + counter + a flight-recorder dump.
-
-    Restores are rare, anomalous events by definition (something died),
-    so the flight recorder's ring is dumped — the events preceding the
-    crash are exactly what the post-mortem needs.
-    """
-    now = engine.sim.now
-    tracer = getattr(engine, "tracer", None)
-    if tracer is not None:
-        tracer.emit(now, ("engine", "restore"), obs_trace.ENGINE_RESTORE,
-                    detail=checkpoint.sha256[:12],
-                    triggers=checkpoint.meta.get("triggers_decided", 0))
-    metrics = getattr(engine, "metrics", None)
-    if metrics is not None:
-        metrics.counter("checkpoint_restores_total").inc()
-    recorder = getattr(engine, "recorder", None)
-    if recorder is not None:
-        recorder.record(now, "restore", ("engine", "restore"),
-                        verdict="restored", detail=checkpoint.sha256[:12],
-                        triggers=checkpoint.meta.get("triggers_decided", 0))
-        recorder.trigger("restore", now)
 
 
 # ----------------------------------------------------------------------

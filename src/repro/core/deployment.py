@@ -35,6 +35,7 @@ from repro.core.timeouts import TimeoutPolicy
 from repro.core.validator import Validator
 from repro.errors import ValidationError
 from repro.net.channel import ByteCounter, ControlChannel
+from repro.obs.observer import Observer
 from repro.obs.trace import active_tracer
 from repro.sim.latency import LatencyModel, Uniform
 
@@ -109,6 +110,9 @@ class JuryDeployment:
         self.last_checkpoint = None
         on_checkpoint = (self._keep_checkpoint
                          if config.checkpoint_every is not None else None)
+        observers = dict(tracer=self.tracer, metrics=self.metrics,
+                         forensics=self.forensics, health=self.health,
+                         sampler=self.sampler, recorder=self.recorder)
         if config.pipeline is not None:
             # Sharded validator; same public surface, so modules/harness
             # code is oblivious to the swap.
@@ -123,14 +127,11 @@ class JuryDeployment:
                 queue_capacity=config.queue_capacity,
                 batch_max=config.batch_max,
                 flush_interval_ms=config.flush_interval_ms,
-                tracer=self.tracer, metrics=self.metrics,
-                forensics=self.forensics, health=self.health,
                 snapshot_sink=self.snapshot_sink,
-                sampler=self.sampler, recorder=self.recorder,
                 profile=config.wall_profile,
                 backend=config.backend,
                 checkpoint_every=config.checkpoint_every,
-                on_checkpoint=on_checkpoint)
+                on_checkpoint=on_checkpoint, **observers)
         else:
             self.validator = Validator(
                 self.sim, k,
@@ -140,11 +141,13 @@ class JuryDeployment:
                 state_aware=config.state_aware,
                 taint_classification=config.taint_classification,
                 keep_results=config.keep_results,
-                tracer=self.tracer, metrics=self.metrics,
-                forensics=self.forensics, health=self.health,
-                sampler=self.sampler, recorder=self.recorder,
                 checkpoint_every=config.checkpoint_every,
-                on_checkpoint=on_checkpoint)
+                on_checkpoint=on_checkpoint, **observers)
+            if self.snapshot_sink is not None:
+                # The sequential engine takes no sink keyword: the sink
+                # joins its observer, which ticks it after every step.
+                self.validator.observer = Observer.build(
+                    sink=self.snapshot_sink, **observers)
 
         latency = (config.validator_latency
                    if config.validator_latency is not None

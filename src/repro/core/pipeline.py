@@ -67,9 +67,7 @@ from repro.core.validator import (
     DecisionCore,
     EngineSurface,
 )
-from repro.obs import trace as obs_trace
-from repro.obs.sampling import active_sampler
-from repro.obs.trace import active_tracer
+from repro.obs.observer import Observer
 from repro.sim.simulator import Simulator
 
 
@@ -149,10 +147,7 @@ class _Shard(DecisionCore):
                         mastership_lookup=pipeline.mastership_lookup,
                         state_aware=pipeline.state_aware,
                         taint_classification=pipeline.taint_classification,
-                        state=pipeline.state,
-                        tracer=pipeline.tracer, metrics=pipeline.metrics,
-                        forensics=pipeline.forensics, health=pipeline.health,
-                        sampler=pipeline.sampler, recorder=pipeline.recorder)
+                        state=pipeline.state, observer=pipeline.observer)
         self.pipeline = pipeline
         self.index = index
         self.timeout: TimeoutPolicy = pipeline.timeout
@@ -194,14 +189,10 @@ class _Shard(DecisionCore):
         self._flush_scheduled = False
         backend = self.pipeline.backend
         backend.flush_shard(self)
-        if backend.inline:
-            sink = self.pipeline.snapshot_sink
-            if sink is not None:
-                # Periodic export rides the flush path: the sink snapshots
-                # at most once per interval boundary, never schedules sim
-                # events. (A frame backend drives it from its merge
-                # barrier, once the verdict is in.)
-                sink.observe(self.sim.now)
+        # The end of an inline step; a frame backend's step ends at its
+        # merge barrier, once the verdict is in.
+        if self.observer is not None and backend.inline:
+            self.observer.tick(self.sim.now)
 
     def _on_wakeup(self) -> None:
         self.stats.timer_wakeups += 1
@@ -355,7 +346,14 @@ class ValidationPipeline(EngineSurface):
             raise ValueError(f"queue_capacity must be >= 1: {queue_capacity}")
         if batch_max < 1:
             raise ValueError(f"batch_max must be >= 1: {batch_max}")
-        self._init_surface(keep_results, checkpoint_every, on_checkpoint, wal)
+        # One observer, shared by every shard; the trace carries no shard
+        # indices (queues, batches and overflow are scraped into metrics),
+        # so it is byte-identical at any shard count.
+        self._init_surface(keep_results, checkpoint_every, on_checkpoint, wal,
+                           Observer.build(tracer=tracer, metrics=metrics,
+                                          forensics=forensics, health=health,
+                                          sampler=sampler, recorder=recorder,
+                                          sink=snapshot_sink))
         self.sim = sim
         self.k = k
         self.shards = shards
@@ -367,23 +365,6 @@ class ValidationPipeline(EngineSurface):
         self.queue_capacity = queue_capacity
         self.batch_max = batch_max
         self.flush_interval_ms = flush_interval_ms
-        #: Observability (repro.obs); shards share both objects, and the
-        #: trace they produce carries no shard indices — engine-specific
-        #: detail (queues, batches, overflow) goes to the metrics registry
-        #: so traces stay byte-identical at any shard count.
-        self.tracer = active_tracer(tracer)
-        self.metrics = metrics
-        self.forensics = forensics
-        self.health = health
-        #: Periodic exporter (repro.obs.export.SnapshotSink) driven by the
-        #: shard flush path; like the other observers it is pull-only.
-        self.snapshot_sink = snapshot_sink
-        #: Head sampler and flight recorder (repro.obs.sampling /
-        #: .recorder): the sampler gates observer cost per trigger, the
-        #: recorder is the always-on bounded ring — both shared by every
-        #: shard, like the tracer.
-        self.sampler = active_sampler(sampler)
-        self.recorder = recorder
         #: Wall-clock worker profiling (repro.obs.profile): read by frame
         #: backends at worker start; the serial backend has no workers and
         #: ignores it.
@@ -397,9 +378,9 @@ class ValidationPipeline(EngineSurface):
         self._memo = CoreMemo()
         self._merged_network = self._memo.merged_network
         self._shards = [_Shard(self, i) for i in range(shards)]
-        # tau -> (shard, head-sampling decision): both are pure functions
-        # of the trigger id, resolved once per trigger.
-        self._route: Dict[Tuple, Tuple["_Shard", bool]] = {}
+        # tau -> shard, a pure function of the trigger id resolved once per
+        # trigger.
+        self._route: Dict[Tuple, _Shard] = {}
         #: Execution backend (repro.core.backends): owns how shard work
         #: units are scheduled. ``serial`` runs each shard's core in
         #: place; ``threads``/``processes`` exchange batch/verdict frames
@@ -427,41 +408,26 @@ class ValidationPipeline(EngineSurface):
         self.ingest(response)
 
     def ingest(self, response: Response) -> None:
+        now = self.sim.now
         if self.wal is not None:
             # Logged before it can influence any decision: recovery replays
             # exactly the inputs this run saw, in arrival order.
-            self.wal.append_ingest(self.sim.now, response)
+            self.wal.append_ingest(now, response)
         self.responses_received += 1
         tau = response.trigger_id
         # Route cache: ~2k+2 responses share each trigger id, so the
-        # repr+CRC of shard_of — and the head-sampling decision, which
-        # hashes the same key — amortise to one dict hit per response.
-        entry = self._route.get(tau)
-        if entry is None:
-            sampler = self.sampler
-            entry = (self._shards[shard_of(tau, self.shards)],
-                     sampler is None or sampler.sampled(tau))
+        # repr+CRC of shard_of amortises to one dict hit per response.
+        shard = self._route.get(tau)
+        if shard is None:
+            shard = self._shards[shard_of(tau, self.shards)]
             if len(self._route) > 100_000:
                 self._route.clear()
-            self._route[tau] = entry
-        shard, sampled = entry
-        if sampled:
-            if self.tracer is not None:
-                self.tracer.emit(self.sim.now, tau, obs_trace.INGEST,
-                                 kind=response.kind.value,
-                                 controller=response.controller_id)
-            if self.metrics is not None:
-                self.metrics.counter("validator_responses_total",
-                                     kind=response.kind.value).inc()
-            if self.health is not None:
-                # Engine-level hook (pre-queue) so response events match
-                # the sequential validator's regardless of shard count.
-                received = response.trigger_received_at
-                self.health.record_response(
-                    self.sim.now, response.controller_id,
-                    lag_ms=None if received is None
-                    else max(0.0, self.sim.now - received))
-        shard.enqueue(self.sim.now, response)
+            self._route[tau] = shard
+        if self.observer is not None:
+            # Engine-level (pre-queue), so response events match the
+            # sequential validator's at any shard count.
+            self.observer.ingest(now, response)
+        shard.enqueue(now, response)
 
     def drain(self) -> None:
         """Synchronously process every queued response (benchmark path)."""

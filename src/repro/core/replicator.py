@@ -23,7 +23,6 @@ from typing import Any
 
 from repro.controllers.context import Taint, new_external_trigger_id
 from repro.core.selection import designated_secondaries
-from repro.obs import trace as obs_trace
 from repro.net.ovs import ReplicatingProxy
 from repro.openflow.encap import encapsulate_packet_in
 from repro.openflow.messages import FeaturesReply, PacketIn, RestRequest
@@ -56,17 +55,10 @@ class Replicator:
         proxy.on_switch_to_controller = self._on_switch_trigger
         self.triggers_replicated = 0
         self._connects_seen: set = set()
-        # Observers are shared deployment-wide; None means off (fast path).
-        self.tracer = deployment.tracer
-        self.metrics = deployment.metrics
-        # Head sampler (repro.obs.sampling) shared with the validator: the
-        # same pure per-τ decision gates intercept/replicate telemetry so a
-        # sampled trigger appears in the trace end to end or not at all.
-        self.sampler = getattr(deployment, "sampler", None)
-
-    def _sampled(self, tau) -> bool:
-        sampler = self.sampler
-        return sampler is None or sampler.sampled(tau)
+        #: The validation engine's observer (None when nothing observes):
+        #: one seam and one head sampler, so a sampled trigger appears in
+        #: the trace end to end or not at all.
+        self.observer = deployment.validator.observer
 
     # ------------------------------------------------------------------
     def _on_switch_trigger(self, message: Any) -> None:
@@ -83,13 +75,6 @@ class Replicator:
         tau = new_external_trigger_id()
         # Stamp τ so the primary's own context uses the same trigger id.
         message.jury_tau = tau
-        if self.tracer is not None and self._sampled(tau):
-            self.tracer.emit(self.sim.now, tau, obs_trace.INTERCEPT,
-                             source="switch", primary=primary,
-                             kind=type(message).__name__)
-        if self.metrics is not None and self._sampled(tau):
-            self.metrics.counter("replicator_triggers_total",
-                                 source="switch").inc()
         self._replicate(tau, primary, message,
                         via_proxy=True, intercepted_at=self.sim.now)
 
@@ -97,13 +82,6 @@ class Replicator:
         """Northbound interception: stamp τ and replicate the request."""
         tau = new_external_trigger_id()
         request.jury_tau = tau
-        if self.tracer is not None and self._sampled(tau):
-            self.tracer.emit(self.sim.now, tau, obs_trace.INTERCEPT,
-                             source="rest", primary=controller_id,
-                             kind=type(request).__name__)
-        if self.metrics is not None and self._sampled(tau):
-            self.metrics.counter("replicator_triggers_total",
-                                 source="rest").inc()
         self._replicate(tau, controller_id, request,
                         via_proxy=False, intercepted_at=self.sim.now)
 
@@ -111,12 +89,15 @@ class Replicator:
     def _replicate(self, tau, primary: str, message: Any, via_proxy: bool,
                    intercepted_at: float) -> None:
         deployment = self.deployment
+        observer = self.observer
+        if observer is not None:
+            observer.intercept(self.sim.now, tau,
+                               "switch" if via_proxy else "rest", primary,
+                               type(message).__name__)
         secondaries = designated_secondaries(
             tau, deployment.controller_ids, deployment.k, exclude=(primary,))
         taint = Taint(trigger_id=tau, primary_id=primary)
-        if self.tracer is not None and self._sampled(tau):
-            self.tracer.emit(self.sim.now, tau, obs_trace.REPLICATE,
-                             secondaries=len(secondaries))
+        sent_before = self.triggers_replicated
         for secondary_id in secondaries:
             controller = deployment.cluster.controllers.get(secondary_id)
             if controller is None:
@@ -133,14 +114,17 @@ class Replicator:
                 intercepted_at=intercepted_at)
             deployment.replication_counter.add(trigger.wire_size())
             self.triggers_replicated += 1
-            if self.metrics is not None:
-                self.metrics.counter("replicator_copies_total").inc()
             if via_proxy and self.proxy.send_to_controller(secondary_id, trigger):
                 continue
             # REST triggers (or missing proxy channels) go point-to-point.
             delay = controller.profile.control_latency.sample(
                 deployment.rng)
             self.sim.schedule(delay, self._deliver_direct, controller, trigger)
+        if observer is not None:
+            # Sends only schedule deliveries, so nothing was observed in
+            # between: the span order is intercept, replicate.
+            observer.replicate(self.sim.now, tau, len(secondaries),
+                               self.triggers_replicated - sent_before)
 
     @staticmethod
     def _deliver_direct(controller, trigger: ReplicatedTrigger) -> None:

@@ -28,7 +28,7 @@ before ``ingest`` returns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.controllers.context import restore_trigger_ids, snapshot_trigger_ids
 from repro.core.alarms import (
@@ -38,14 +38,12 @@ from repro.core.alarms import (
     alarm_merge_key,
 )
 from repro.core.backends.shardcore import ShardCore, core_counters
-from repro.core.checkpoint import Checkpoint, observe_checkpoint, observe_restore
+from repro.core.checkpoint import Checkpoint
 from repro.core.consensus import ConsensusOutcome, sanity_check
 from repro.core.responses import Response
 from repro.core.timeouts import StaticTimeout, TimeoutPolicy
 from repro.errors import CheckpointError
-from repro.obs import trace as obs_trace
-from repro.obs.sampling import active_sampler
-from repro.obs.trace import active_tracer
+from repro.obs.observer import Observer
 from repro.sim.simulator import Simulator
 
 
@@ -84,9 +82,10 @@ class DecisionCore:
 
     A :class:`~repro.core.backends.shardcore.ShardCore` collects responses,
     keeps θτ and evaluates consensus; everything that touches shared state
-    or an observer happens here, in the three sink methods
-    :meth:`psi`, :meth:`late` and :meth:`decision` (SANITY_CHECK →
-    staleness → POLICY_CHECK, then the result and its alarms). The
+    happens here, in the three sink methods :meth:`psi`, :meth:`late` and
+    :meth:`decision` (SANITY_CHECK → staleness → POLICY_CHECK, then the
+    result and its alarms), and the last two are what the
+    :class:`~repro.obs.observer.Observer` hears of a trigger. The
     :class:`Validator` and every pipeline shard are DecisionCores and hand
     *themselves* to the core they drive; a frame backend's parent replays
     its worker's event log through the same three methods — so a decided
@@ -112,35 +111,15 @@ class DecisionCore:
                    state_aware: bool = True,
                    taint_classification: bool = True,
                    state: Optional[Dict[str, ControllerState]] = None,
-                   tracer=None, metrics=None,
-                   forensics=None, health=None,
-                   sampler=None, recorder=None) -> None:
+                   observer: Optional[Observer] = None) -> None:
         self.sim = sim
         self.k = k
         self.policy_engine = policy_engine
         self.mastership_lookup = mastership_lookup
-        #: Observability (repro.obs). ``None`` is the no-op fast path: every
-        #: instrumentation site guards with a single ``is not None`` branch,
-        #: and no observer can alter a decision (read-only contract). The
-        #: forensics and health observers (repro.obs.diagnose / .health)
-        #: follow the same rules as the tracer and the metrics registry.
-        self.tracer = active_tracer(tracer)
-        self.metrics = metrics
-        self.forensics = forensics
-        self.health = health
-        #: Head sampler (repro.obs.sampling). ``None`` records everything;
-        #: otherwise observers see only the sampled triggers — a pure
-        #: function of the trigger id, so every engine samples identically.
-        #: Decisions and alarms never consult it, and alarmed decisions
-        #: are always observed in full (see _observe_decision).
-        self.sampler = active_sampler(sampler)
-        # One-slot memo for _sampled (the trigger currently being decided).
-        self._sampled_key: Optional[Tuple] = None
-        self._sampled_value = True
-        #: Flight recorder (repro.obs.recorder). Always on when present —
-        #: one bounded append per decision — and never sampled: its whole
-        #: point is holding the events leading up to an anomaly.
-        self.recorder = recorder
+        #: The observer seam (repro.obs.observer), or None when nothing
+        #: observes: one branch per event, and no observer can alter a
+        #: decision (read-only contract).
+        self.observer = observer
         #: Ablation switches (DESIGN.md §5): snapshot-grouped consensus and
         #: taint-based external/internal classification.
         self.state_aware = state_aware
@@ -181,11 +160,9 @@ class DecisionCore:
 
     def late(self, tau: Tuple, controller_id: str) -> None:
         """A response for an already-decided trigger was dropped."""
-        if self.tracer is not None and self._sampled(tau):
-            self.tracer.emit(self.sim.now, tau, obs_trace.LATE_DROP,
-                             controller=controller_id)
-        if self.metrics is not None and self._sampled(tau):
-            self.metrics.counter("validator_late_responses_total").inc()
+        observer = self.observer
+        if observer is not None:
+            observer.late(self.sim.now, tau, controller_id)
 
     def decision(self, tau: Tuple, count: int, external: bool,
                  timed_out: bool, detection_ms: float,
@@ -193,23 +170,18 @@ class DecisionCore:
                  responses: List[Response]) -> None:
         """Vτ closed with ``outcome``: run the checks, publish the result."""
         now = self.sim.now
-        if self.tracer is not None and self._sampled(tau):
-            # Emitted before the checks so the per-trigger stage order
-            # matches causality.
-            self.tracer.emit(now, tau, obs_trace.DECIDE,
-                             verdict="timeout" if timed_out else "full-count",
-                             external=external, n_responses=count)
-        alarms = self._post_consensus_alarms(tau, responses, outcome,
-                                             external)
+        alarms, checks = self._post_consensus_alarms(tau, responses, outcome,
+                                                     external)
         self.timeout.observe(detection_ms)
         result = ValidationResult(
             trigger_id=tau, ok=not alarms, external=external,
             decided_at=now, n_responses=count, detection_ms=detection_ms,
             timed_out=timed_out, alarms=alarms)
-        if (self.tracer is not None or self.metrics is not None
-                or self.forensics is not None or self.health is not None
-                or self.recorder is not None):
-            self._observe_decision(tau, result, responses, outcome, external)
+        observer = self.observer
+        if observer is not None:
+            # Before the result is published: an on_alarm hook may ingest,
+            # and this trigger's spans must precede whatever that emits.
+            observer.decision(now, result, responses, checks)
         self._emit(result, alarms)
 
     # ------------------------------------------------------------------
@@ -239,57 +211,24 @@ class DecisionCore:
     # ------------------------------------------------------------------
     # Checks
     # ------------------------------------------------------------------
-    def _sampled(self, tau: Tuple) -> bool:
-        """Head-sampling decision for this trigger's telemetry.
-
-        One-slot memo: the decision path asks three times per trigger
-        (DECIDE span gate, check spans, decision observers), always for
-        the trigger currently being decided.
-        """
-        sampler = self.sampler
-        if sampler is None:
-            return True
-        if tau == self._sampled_key:
-            return self._sampled_value
-        value = sampler.sampled(tau)
-        self._sampled_key = tau
-        self._sampled_value = value
-        return value
-
     def _post_consensus_alarms(self, tau: Tuple, responses: List[Response],
-                               outcome: ConsensusOutcome,
-                               external: bool) -> List[Alarm]:
+                               outcome: ConsensusOutcome, external: bool
+                               ) -> Tuple[List[Alarm], tuple]:
         """Sanity, staleness, and policy checks after a consensus outcome.
 
-        Every decided trigger comes through here whichever driver or
-        backend collected it and whether or not consensus took the
-        unanimity fast path, so the per-check spans emitted below describe
-        it identically — the trace-determinism contract of
-        :mod:`repro.obs.trace` rests on it.
+        Returns the alarms and the battery's four raw verdicts: the
+        consensus ``outcome``, the sanity outcome (None when consensus
+        failed and sanity did not run), the staleness alarms (None with
+        the monitor off) and the policy violations (None without a policy
+        engine). Every decided trigger comes through here whichever driver
+        or backend collected it, so the ``check:*`` spans and counters an
+        observer renders from the verdicts describe it identically.
         """
-        tracer = self.tracer
-        metrics = self.metrics
-        # Head sampling gates only the telemetry: the checks below run
-        # identically for every trigger, and _observe_decision re-records
-        # alarmed decisions in full regardless of the head decision.
-        if (tracer is not None or metrics is not None) \
-                and not self._sampled(tau):
-            tracer = None
-            metrics = None
         alarms: List[Alarm] = []
+        sane = None
         if not outcome.ok:
             alarms.append(self._alarm(tau, outcome, responses))
-        consensus_verdict = (obs_trace.VERDICT_OK if outcome.ok
-                             else outcome.reason.value)
-        if tracer is not None:
-            tracer.emit(self.sim.now, tau, obs_trace.CHECK_CONSENSUS,
-                        verdict=consensus_verdict,
-                        detail=outcome.offending or "")
-        if metrics is not None:
-            metrics.counter("validator_checks_total", check="consensus",
-                            verdict=consensus_verdict).inc()
-
-        if outcome.ok:
+        else:
             # Sanity runs for every decided trigger: empty cache and network
             # entries pass trivially, and internal T2 faults (cache write
             # whose FLOW_MOD was dropped) are caught here too.
@@ -298,32 +237,11 @@ class DecisionCore:
                                 outcome.primary_id)
             if not sane.ok:
                 alarms.append(self._alarm(tau, sane, responses))
-            sanity_verdict = (obs_trace.VERDICT_OK if sane.ok
-                              else sane.reason.value)
-            if tracer is not None:
-                tracer.emit(self.sim.now, tau, obs_trace.CHECK_SANITY,
-                            verdict=sanity_verdict,
-                            detail=sane.offending or "")
-            if metrics is not None:
-                metrics.counter("validator_checks_total", check="sanity",
-                                verdict=sanity_verdict).inc()
 
         stale = self._staleness_alarms(tau, responses)
         alarms.extend(stale)
-        if self.staleness_threshold is not None:
-            stale_verdict = (obs_trace.VERDICT_OK if not stale
-                             else f"stale:{len(stale)}")
-            if tracer is not None:
-                tracer.emit(self.sim.now, tau, obs_trace.CHECK_STALENESS,
-                            verdict=stale_verdict,
-                            detail=",".join(sorted(
-                                a.offending_controller or "?"
-                                for a in stale)))
-            if metrics is not None:
-                metrics.counter("validator_checks_total", check="staleness",
-                                verdict=obs_trace.VERDICT_OK if not stale
-                                else "stale").inc()
 
+        violations = None
         if self.policy_engine is not None:
             violations = self.policy_engine.check_decision(
                 outcome, external, mastership_lookup=self.mastership_lookup)
@@ -332,79 +250,9 @@ class DecisionCore:
                     trigger_id=tau, reason=AlarmReason.POLICY_VIOLATION,
                     offending_controller=outcome.primary_id,
                     detail=str(violation), raised_at=self.sim.now))
-            policy_verdict = (obs_trace.VERDICT_OK if not violations
-                              else f"violations:{len(violations)}")
-            if tracer is not None:
-                tracer.emit(self.sim.now, tau, obs_trace.CHECK_POLICY,
-                            verdict=policy_verdict,
-                            detail=str(violations[0]) if violations else "")
-            if metrics is not None:
-                metrics.counter("validator_checks_total", check="policy",
-                                verdict=obs_trace.VERDICT_OK if not violations
-                                else "violation").inc()
-        return alarms
-
-    def _observe_decision(self, tau: Tuple, result: ValidationResult,
-                          responses: Sequence[Response],
-                          outcome: ConsensusOutcome,
-                          external: bool) -> None:
-        """Feed the decision to every enabled observer.
-
-        Emits the alarm/accept spans and decision metrics, hands the
-        evidence bundle (responses + consensus outcome) to the forensics
-        observer, and records the decision event for health scoring. Called
-        by :meth:`decision` once the trigger's :class:`ValidationResult`
-        is assembled.
-        """
-        recorder = self.recorder
-        if recorder is not None:
-            now = self.sim.now
-            recorder.record(now, "decision", tau,
-                            verdict="alarmed" if result.alarms else "ok",
-                            external=external, timed_out=result.timed_out,
-                            n=result.n_responses,
-                            detection_ms=result.detection_ms)
-            for alarm in result.alarms:
-                recorder.record(now, "alarm", tau,
-                                verdict=alarm.reason.value,
-                                detail=alarm.offending_controller or "")
-            if result.alarms:
-                recorder.trigger("alarm", now)
-        # Alarmed decisions are always observed in full — the severity
-        # override of the head sampler (docs/observability.md §sampling).
-        if not result.alarms and not self._sampled(tau):
-            return
-        tracer = self.tracer
-        if tracer is not None:
-            now = self.sim.now
-            if result.alarms:
-                for alarm in result.alarms:
-                    tracer.emit(now, tau, obs_trace.ALARM,
-                                verdict=alarm.reason.value,
-                                detail=alarm.offending_controller or "")
-            else:
-                tracer.emit(now, tau, obs_trace.ACCEPT,
-                            verdict=obs_trace.VERDICT_OK)
-        metrics = self.metrics
-        if metrics is not None:
-            metrics.counter(
-                "validator_decisions_total",
-                outcome="alarmed" if result.alarms else "ok").inc()
-            if result.timed_out:
-                metrics.counter("validator_timeout_decisions_total").inc()
-            metrics.histogram("validator_detection_ms").observe(
-                result.detection_ms)
-            metrics.histogram("validator_responses_per_trigger").observe(
-                result.n_responses)
-            for alarm in result.alarms:
-                metrics.counter("validator_alarms_total",
-                                reason=alarm.reason.value).inc()
-        if self.forensics is not None:
-            self.forensics.observe_decision(tau, responses, outcome,
-                                            result, external)
-        if self.health is not None:
-            self.health.record_decision(self.sim.now, responses,
-                                        result.alarms, result.timed_out)
+        return alarms, (outcome, sane,
+                        None if self.staleness_threshold is None else stale,
+                        violations)
 
     def _staleness_alarms(self, tau: Tuple,
                           responses: List[Response]) -> List[Alarm]:
@@ -468,7 +316,15 @@ class EngineSurface:
 
     def _init_surface(self, keep_results: bool,
                       checkpoint_every: Optional[int],
-                      on_checkpoint: Optional[Callable], wal) -> None:
+                      on_checkpoint: Optional[Callable], wal,
+                      observer: Optional[Observer]) -> None:
+        self.observer = observer
+        #: The subscribers deployments, the CLI and the benchmarks read off
+        #: the engine (None when off); the engine reports only through
+        #: ``observer``.
+        self.tracer, self.metrics, self.forensics, self.health = (
+            (observer.tracer, observer.metrics, observer.forensics,
+             observer.health) if observer is not None else (None,) * 4)
         self.keep_results = keep_results
         self.results: List[ValidationResult] = []
         self._alarms: List[Alarm] = []
@@ -581,7 +437,8 @@ class EngineSurface:
         checkpoint = Checkpoint.build(meta, state)
         if self.wal is not None:
             self.wal.append_checkpoint(checkpoint.sha256)
-        observe_checkpoint(self, checkpoint)
+        if self.observer is not None:
+            self.observer.checkpoint(self.sim.now, checkpoint)
         return checkpoint
 
     def restore(self, checkpoint: Checkpoint) -> None:
@@ -634,7 +491,8 @@ class EngineSurface:
         restore_trigger_ids(state["trigger_ids"])
         self.staleness_threshold, self.staleness_cooldown_ms = \
             state["staleness"]
-        observe_restore(self, checkpoint)
+        if self.observer is not None:
+            self.observer.restore(self.sim.now, checkpoint)
 
 
 class Validator(DecisionCore, EngineSurface):
@@ -659,14 +517,16 @@ class Validator(DecisionCore, EngineSurface):
                  checkpoint_every: Optional[int] = None,
                  on_checkpoint: Optional[Callable] = None,
                  wal=None):
+        observer = Observer.build(tracer=tracer, metrics=metrics,
+                                  forensics=forensics, health=health,
+                                  sampler=sampler, recorder=recorder)
         self._init_core(sim, k, policy_engine=policy_engine,
                         mastership_lookup=mastership_lookup,
                         state_aware=state_aware,
                         taint_classification=taint_classification,
-                        tracer=tracer, metrics=metrics,
-                        forensics=forensics, health=health,
-                        sampler=sampler, recorder=recorder)
-        self._init_surface(keep_results, checkpoint_every, on_checkpoint, wal)
+                        observer=observer)
+        self._init_surface(keep_results, checkpoint_every, on_checkpoint, wal,
+                           observer)
         self.timeout = timeout if timeout is not None else StaticTimeout(150.0)
         self.core = ShardCore(k, self.timeout, state_aware=state_aware,
                               taint_classification=taint_classification)
@@ -684,20 +544,9 @@ class Validator(DecisionCore, EngineSurface):
             # exactly the inputs this run saw, in arrival order.
             self.wal.append_ingest(now, response)
         self.responses_received += 1
-        if self.sampler is None or self.sampler.sampled(response.trigger_id):
-            if self.tracer is not None:
-                self.tracer.emit(now, response.trigger_id, obs_trace.INGEST,
-                                 kind=response.kind.value,
-                                 controller=response.controller_id)
-            if self.metrics is not None:
-                self.metrics.counter("validator_responses_total",
-                                     kind=response.kind.value).inc()
-            if self.health is not None:
-                received = response.trigger_received_at
-                self.health.record_response(
-                    now, response.controller_id,
-                    lag_ms=None if received is None
-                    else max(0.0, now - received))
+        observer = self.observer
+        if observer is not None:
+            observer.ingest(now, response)
         core = self.core
         core.run(((now, response),), now, True, self, self._counters)
         # Keep the wakeup ahead of the earliest deadline; a new record
@@ -705,15 +554,20 @@ class Validator(DecisionCore, EngineSurface):
         deadlines = core.deadlines
         if deadlines and deadlines[0][0] < self._wakeup_at:
             self._arm(deadlines[0][0])
+        if observer is not None:
+            observer.tick(now)
 
     def _on_wakeup(self) -> None:
+        now = self.sim.now
         core = self.core
-        core.run((), self.sim.now, True, self, self._counters)
+        core.run((), now, True, self, self._counters)
         # Entries of triggers decided at full count are dropped here, once
         # per wakeup, not looked for on every response.
         head = core.next_deadline()
         if head is not None:
             self._arm(head)
+        if self.observer is not None:
+            self.observer.tick(now)
 
     # ------------------------------------------------------------------
     # What is this engine's own in a checkpoint (see EngineSurface)

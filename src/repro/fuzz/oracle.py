@@ -267,9 +267,8 @@ class DifferentialOracle:
     # Replay engines
     # ------------------------------------------------------------------
     def _replay(self, live: LiveRun, shards: Optional[int] = None,
-                tracer=None, metrics=None, backend: str = "serial",
-                timeout_ms: Optional[float] = None, recorder=None,
-                reference: bool = False):
+                backend: str = "serial", timeout_ms: Optional[float] = None,
+                reference: bool = False, **observers):
         from repro.core.pipeline import ValidationPipeline
         from repro.core.timeouts import StaticTimeout
         from repro.core.validator import Validator
@@ -290,9 +289,7 @@ class DifferentialOracle:
                     mastership_lookup=lookup)
             kwargs = dict(timeout=StaticTimeout(effective_timeout),
                           policy_engine=default_policy_engine(),
-                          mastership_lookup=lookup,
-                          tracer=tracer, metrics=metrics,
-                          recorder=recorder)
+                          mastership_lookup=lookup, **observers)
             if shards is None:
                 return Validator(sim, spec.k, **kwargs)
             return ValidationPipeline(sim, spec.k, shards=shards,

@@ -24,8 +24,7 @@ class ReferenceValidator(DecisionCore):
         self.pending = {}   # τ → (first arrival, [responses], θτ timer)
         self.decided = {}   # τ → decided at: late responses are dropped
         self.results, self.alarms = [], []
-        self.responses_received = self.late_responses = 0
-        self.triggers_decided = 0
+        self.responses_received = self.late_responses = self.triggers_decided = 0
 
     def ingest(self, response):
         self.responses_received += 1
@@ -64,7 +63,8 @@ class ReferenceValidator(DecisionCore):
         external = len(responses) > self.k + 2 \
             or any(r.tainted for r in responses)
         outcome = evaluate_consensus(responses, self.k, external)
-        alarms = self._post_consensus_alarms(tau, responses, outcome, external)
+        alarms, _ = self._post_consensus_alarms(tau, responses, outcome,
+                                                external)
         received = [r.trigger_received_at for r in responses
                     if r.trigger_received_at is not None]
         self.results.append(ValidationResult(

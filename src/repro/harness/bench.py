@@ -237,14 +237,11 @@ def compare_observability(triggers: int = 20_000, k: int = 6, seed: int = 0,
                                              fault_rate=fault_rate)
     timeout_ms = 10_000.0
 
-    def run(tracer=None, metrics=None, forensics=None, health=None,
-            sampler=None, recorder=None):
+    def run(**observers):
         return _timed_run(
             lambda sim: ValidationPipeline(
                 sim, k, shards=shards, timeout=StaticTimeout(timeout_ms),
-                keep_results=False, tracer=tracer, metrics=metrics,
-                forensics=forensics, health=health,
-                sampler=sampler, recorder=recorder),
+                keep_results=False, **observers),
             workload, chunk=chunk, drain=True)
 
     def full_stack_kwargs():
@@ -343,8 +340,8 @@ def compare_observability(triggers: int = 20_000, k: int = 6, seed: int = 0,
             "ops_per_s": triggers / best["sampled"],
             "obs_sample": obs_sample,
             "spans": len(finals["sampled"].tracer),
-            "flight_events": len(finals["sampled"].recorder),
-            "flight_dumps": len(finals["sampled"].recorder.dumps),
+            "flight_events": len(finals["sampled"].observer.recorder),
+            "flight_dumps": len(finals["sampled"].observer.recorder.dumps),
         },
         "full": {"wall_s": full_wall, "p50_chunk_ms": full_p50,
                  "ops_per_s": triggers / full_wall if full_wall > 0 else 0.0,

@@ -418,11 +418,12 @@ def health_jsonl(reports: Dict[str, object], slo_statuses: Sequence = None,
 class SnapshotSink:
     """Periodic metrics/health snapshots on simulated-time boundaries.
 
-    ``observe(now)`` is called from the pipeline flush path; the first call
-    at or past each ``interval_ms`` boundary records one snapshot (repeat
-    calls within a boundary are no-ops, and idle gaps collapse to a single
-    snapshot — the sink follows the engine's activity, it never schedules
-    simulator events of its own).
+    ``observe(now)`` is called at the end of every engine step (the
+    observer seam's ``tick``); the first call at or past each
+    ``interval_ms`` boundary records one snapshot (repeat calls within a
+    boundary are no-ops, and idle gaps collapse to a single snapshot — the
+    sink follows the engine's activity, it never schedules simulator
+    events of its own).
     """
 
     def __init__(self, interval_ms: float = 500.0, registry=None,

@@ -210,11 +210,6 @@ class MetricsRegistry:
                 for name, entry in self.snapshot().items()]
 
 
-def active_registry(metrics: Optional[MetricsRegistry]) -> Optional[MetricsRegistry]:
-    """Normalise to the internal ``None``-means-off convention."""
-    return metrics
-
-
 # ----------------------------------------------------------------------
 # Engine-side collection (pull, not push: zero hot-path cost)
 # ----------------------------------------------------------------------

@@ -16,17 +16,15 @@ Two properties make this safe for the determinism contracts:
   of the same scenario sample the same triggers; a sequential validator
   and a 8-shard pipeline sample the same triggers; canonical traces stay
   byte-identical across engines.
-* **Severity gating is downstream.** Sampling only gates *observers*
-  (spans, histograms, forensics, health). Decisions, alarms, and the
-  check battery never consult the sampler, so the alarm stream is
-  byte-identical at any rate. Alarmed decisions are always recorded in
-  full at decision time (alarm spans + forensics + alarm counters)
-  regardless of the head decision — see ``DecisionCore._observe_decision``.
+* **Severity gating is downstream.** The sampler is applied inside the
+  observer seam (:class:`~repro.obs.observer.Observer`), once per event,
+  and gates only the subscribers. Decisions, alarms, and the check battery
+  never consult it, so the alarm stream is byte-identical at any rate;
+  alarmed decisions are always recorded in full (alarm spans, forensics,
+  alarm counters) regardless of the head decision.
 
-``None`` means "sampling off" (record everything), mirroring the
-``tracer=None`` fast-path convention; :func:`active_sampler` normalises a
-rate-1 sampler to ``None`` so hot paths keep their single
-``is not None`` branch.
+:func:`active_sampler` normalises a rate-1 sampler to ``None``, "record
+everything".
 """
 
 from __future__ import annotations
@@ -46,15 +44,12 @@ class HeadSampler:
     __slots__ = ("rate", "_memo")
 
     #: Bound on the per-sampler decision memo. A trigger's lifecycle asks
-    #: for the same decision once per response, span, and metric sample
-    #: (~2k+2 times), so memoising the hash is what keeps the sampled
-    #: deployment inside the overhead gate. Overflow evicts the *oldest*
-    #: half of the memo (FIFO over insertion order) rather than clearing
-    #: it wholesale: triggers still in flight are the most recently
-    #: inserted, so they keep their memoised decision across the eviction
-    #: and a trigger never pays the hash twice mid-lifecycle. (The
-    #: decision is a pure function either way — eviction can never change
-    #: an answer, only the cost of producing it.)
+    #: for the same decision once per event (intercept, replicate, each of
+    #: its ~2k+2 responses, the decision), so memoising the hash is what
+    #: keeps the sampled deployment inside the overhead gate. Overflow
+    #: evicts the *oldest* half (FIFO over insertion order): triggers still
+    #: in flight were inserted last and keep their decision. The decision
+    #: is a pure function either way — eviction only changes its cost.
     _MEMO_LIMIT = 8192
 
     def __init__(self, rate: int = 1):
@@ -88,12 +83,7 @@ class HeadSampler:
 
 
 def active_sampler(sampler: Optional[HeadSampler]) -> Optional[HeadSampler]:
-    """Normalise a sampler argument to the internal fast-path convention.
-
-    ``None`` and a rate-1 sampler both mean "record everything"; hot paths
-    store ``None`` for that case so the unsampled deployment pays exactly
-    one ``is not None`` branch per instrumentation site.
-    """
+    """``None`` for "record everything" (no sampler, or rate 1)."""
     if sampler is None or sampler.rate <= 1:
         return None
     return sampler

@@ -24,11 +24,10 @@ Design rules that keep tracing equivalence-safe:
   :func:`repro.core.alarms.canonical_alarm_stream`; equality of canonical
   traces is the trace-determinism contract asserted in the test suite.
 
-The no-op fast path is ``tracer=None``: instrumentation sites guard with a
-single ``is not None`` check, so a deployment built without ``trace=True``
-pays one predictable branch per instrumented event and nothing else.
-:class:`NullTracer` exists for call sites that want an object either way;
-components normalise it to ``None`` internally via :func:`active_tracer`.
+The tracer is one subscriber of the observer seam
+(:class:`~repro.obs.observer.Observer`): engines report events there and
+never call :meth:`Tracer.emit` themselves. A :class:`NullTracer` is
+normalised to "no tracer" by :func:`active_tracer`.
 """
 
 from __future__ import annotations
@@ -289,12 +288,7 @@ class NullTracer(Tracer):
 
 
 def active_tracer(tracer: Optional[Tracer]) -> Optional[Tracer]:
-    """Normalise a tracer argument to the internal fast-path convention.
-
-    Components store ``None`` for "tracing off" so hot paths pay exactly
-    one ``is not None`` branch; a disabled tracer (``NullTracer``) is
-    folded into that same representation here.
-    """
+    """``None`` for "tracing off" (no tracer, or a ``NullTracer``)."""
     if tracer is None or not tracer.enabled:
         return None
     return tracer

@@ -220,6 +220,30 @@ def test_h406_allows_binding_and_hook_calls():
     assert "H406" not in _rules(src)
 
 
+def test_h406_flags_reaching_through_the_observer_seam():
+    src = """
+    class Validator:
+        def _decide(self, x):
+            self.observer.tracer.spans.append(x)
+    """
+    assert _rules(src, path="src/repro/core/validator.py") == ["H406"]
+
+
+def test_h406_allows_binding_the_seam_and_calling_its_events():
+    src = """
+    class Validator:
+        def __init__(self, observer=None):
+            self.observer = observer
+
+        def ingest(self, response, now):
+            observer = self.observer
+            if observer is not None:
+                observer.ingest(now, response)
+                self.observer.tick(now)
+    """
+    assert "H406" not in _rules(src, path="src/repro/core/validator.py")
+
+
 def test_h406_ignores_unrelated_names_and_deep_attributes():
     src = """
     def f(report):

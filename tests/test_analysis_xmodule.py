@@ -2,6 +2,7 @@
 
 import ast
 import textwrap
+from pathlib import Path
 
 from repro.analysis.project_index import (
     build_project_index,
@@ -87,6 +88,28 @@ def test_x501_ignores_pure_observers_and_non_observer_modules():
         """),
     )
     assert run(ObserverPurityRule(), idx) == []
+
+
+def test_x501_holds_the_observer_seam_to_purity():
+    """Every event of the seam is an X501 entry point, the seam as shipped
+    is pure, and a decision event that wrote into the engine's result
+    would be caught."""
+    path = "src/repro/obs/observer.py"
+    source = (Path(__file__).resolve().parents[1] / path).read_text(
+        encoding="utf-8")
+    rule = ObserverPurityRule()
+    idx = index_for((path, source))
+    entries = {name.rsplit(".", 1)[-1]
+               for name, _, _ in rule.entry_points(idx)}
+    assert {"intercept", "replicate", "ingest", "late", "decision",
+            "engine", "checkpoint", "restore", "tick"} <= entries
+    assert run(rule, idx) == []
+
+    hook = "        tau = result.trigger_id\n"
+    assert hook in source
+    impure = source.replace(hook, hook + "        result.alarms.clear()\n")
+    findings = run(rule, index_for((path, impure)))
+    assert [f.symbol for f in findings] == ["Observer.decision"]
 
 
 # ----------------------------------------------------------------------

@@ -112,8 +112,8 @@ def test_flight_and_sampler_wire_through_the_deployment():
                                  obs_sample=8, flight=True, metrics=True))
     assert jury.sampler is not None and jury.sampler.rate == 8
     assert jury.recorder is not None
-    assert jury.validator.recorder is jury.recorder
-    assert jury.validator.sampler is jury.sampler
+    assert jury.validator.observer.recorder is jury.recorder
+    assert jury.validator.observer.sampler is jury.sampler
     payload = jury.flight_payload()
     assert payload["format"] == "jury-flight"
     plain = Jury.build(JuryConfig(k=K, n=N, switches=6, seed=26))
@@ -157,7 +157,8 @@ def test_build_wires_observability_through_the_stack():
     assert isinstance(jury.tracer, Tracer)
     assert jury.validator.tracer is jury.tracer
     for replicator in jury.replicators.values():
-        assert replicator.tracer is jury.tracer
+        assert replicator.observer is jury.validator.observer
+        assert replicator.observer.tracer is jury.tracer
     snapshot = jury.metrics_snapshot()
     assert "pipeline_shards" not in snapshot  # sequential engine
     off = Jury.build(JuryConfig(k=K, n=N, switches=6, seed=24))

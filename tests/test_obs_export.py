@@ -272,3 +272,23 @@ def test_sink_jsonl_round_trip(tmp_path):
         record = json.loads(line)
         assert record["kind"] == "snapshot"
         assert "metrics" in record and "health" in record
+
+
+def test_sequential_deployment_ticks_the_snapshot_sink():
+    """The sink rides the end of every engine step, the sequential
+    validator's included — not only a pipeline shard's flush."""
+    from repro import Jury, JuryConfig
+    from repro.workloads.traffic import TrafficDriver
+
+    experiment = Jury.experiment(JuryConfig(
+        kind="onos", n=5, k=2, switches=6, seed=7, pipeline=None,
+        snapshot_interval_ms=100.0, metrics=True))
+    experiment.warmup()
+    TrafficDriver(experiment.sim, experiment.topology,
+                  packet_in_rate_per_s=300.0, duration_ms=1000.0).start()
+    experiment.run(1000.0)
+    records = experiment.jury.snapshot_sink.records
+    assert records, "pipeline=None must still take periodic snapshots"
+    boundaries = [record["boundary_ms"] for record in records]
+    assert boundaries == sorted(set(boundaries))
+    assert all("metrics" in record for record in records)
