@@ -32,10 +32,6 @@ Gives operators the paper's experiments without writing code:
 * ``list-faults`` — show the fault catalog.
 * ``analyze`` — static determinism/taint-safety analysis of controller and
   app code (the CI gate; see ``docs/static_analysis.md``).
-* ``bench validator`` — sequential-vs-sharded validator benchmark; writes
-  ``BENCH_validator_pipeline.json`` (see ``docs/pipeline.md``).
-* ``bench obs`` — observability overhead benchmark (tracing-off noise
-  floor, tracing-on cost, alarm-stream equivalence); the CI overhead gate.
 
 Every subcommand builds its experiment through one
 :class:`~repro.config.JuryConfig` and returns a
@@ -47,9 +43,7 @@ sharded :class:`~repro.core.pipeline.ValidationPipeline` instead of the
 sequential validator, ``--backend serial|threads|processes`` to pick its
 execution backend (see ``docs/backends.md``), and ``--config file.json``
 to load the whole config from JSON through the validated
-:meth:`~repro.config.JuryConfig.from_dict` path. ``bench validator
---backend X`` switches to the backend sweep, emitting
-``BENCH_backends.json``.
+:meth:`~repro.config.JuryConfig.from_dict` path.
 """
 
 from __future__ import annotations
@@ -685,234 +679,6 @@ def cmd_analyze_policy(args) -> CommandResult:
         data=json.loads(render_json(report, fail_on)))
 
 
-def cmd_bench_analyze(args) -> CommandResult:
-    from repro.harness.bench import compare_analysis, write_payload
-
-    payload = compare_analysis(paths=tuple(args.paths), jobs=args.jobs,
-                               reps=args.reps)
-    write_payload(payload, args.output)
-    errors = []
-    if not payload["reports_identical"]:
-        errors.append("bench analyze: cold/parallel/warm reports diverged")
-    if (args.min_warm_speedup is not None
-            and payload["warm_speedup"] < args.min_warm_speedup):
-        errors.append(
-            f"bench analyze: warm speedup {payload['warm_speedup']:.1f}x "
-            f"below the {args.min_warm_speedup:.1f}x gate")
-    # The parallel gate only binds when parallelism is physically possible:
-    # on a single-CPU runner the pool can't beat the sequential pass.
-    if payload["cpu_count"] > 1 and payload["parallel_speedup"] < 1.0:
-        errors.append(
-            f"bench analyze: --jobs {payload['jobs']} slower than "
-            f"sequential ({payload['parallel_speedup']:.2f}x) on a "
-            f"{payload['cpu_count']}-CPU host")
-    human = "\n".join([
-        format_table(
-            f"analyzer benchmark — {payload['files_scanned']} files, "
-            f"best of {payload['reps']}",
-            ["variant", "wall (s)"],
-            [
-                ["cold, jobs=1", f"{payload['cold_jobs1']['wall_s']:.3f}"],
-                [f"cold, jobs={payload['jobs']}",
-                 f"{payload['cold_jobsN']['wall_s']:.3f}"],
-                ["warm cache", f"{payload['warm']['wall_s']:.3f}"],
-            ]),
-        f"warm speedup: {payload['warm_speedup']:.1f}x   "
-        f"parallel speedup: {payload['parallel_speedup']:.2f}x "
-        f"({payload['cpu_count']} CPU(s))   "
-        f"reports identical: {payload['reports_identical']}",
-        f"wrote {args.output}",
-    ])
-    return CommandResult(command="bench analyze",
-                         exit_code=1 if errors else 0,
-                         human=human, data=payload, errors=errors)
-
-
-def _bench_backends(args, triggers: int) -> CommandResult:
-    """``bench validator --backend X``: the execution-backend sweep."""
-    from repro.harness.bench import compare_backends, write_payload
-
-    payload = compare_backends(triggers=triggers, k=args.k, seed=args.seed,
-                               fault_rate=args.fault_rate,
-                               shards=args.shards)
-    output = args.output
-    if output == "BENCH_validator_pipeline.json":
-        output = "BENCH_backends.json"
-    write_payload(payload, output)
-    errors = []
-    if not payload["alarm_streams_identical"]:
-        errors.append(
-            "bench backends: alarm streams diverged across backends")
-    speedup = payload["speedups"].get(args.backend, 0.0)
-    # The speedup gate only binds where parallelism is physically
-    # possible: worker processes can't beat serial on one CPU.
-    if (args.min_speedup is not None and payload["cpu_count"] > 1
-            and speedup < args.min_speedup):
-        errors.append(
-            f"bench backends: {args.backend} speedup {speedup:.2f}x "
-            f"below the {args.min_speedup:.1f}x gate on a "
-            f"{payload['cpu_count']}-CPU host")
-    rows = [[backend,
-             f"{run['ops_per_s']:,.0f}",
-             f"{run['p50_ms']:.4f}",
-             f"{payload['speedups'][backend]:.2f}x",
-             run["alarmed"]]
-            for backend, run in payload["backends"].items()]
-    human = "\n".join([
-        format_table(
-            f"backend sweep — {triggers} triggers, k={args.k}, "
-            f"{args.shards} shard(s), {payload['cpu_count']} CPU(s)",
-            ["backend", "triggers/s", "p50 chunk (ms)", "speedup",
-             "alarms"], rows),
-        f"alarm streams identical: {payload['alarm_streams_identical']}",
-        f"wrote {output}",
-    ])
-    return CommandResult(command="bench validator",
-                         exit_code=1 if errors else 0,
-                         human=human, data=payload, errors=errors)
-
-
-def cmd_bench_validator(args) -> CommandResult:
-    # Imported lazily: the harness pulls in the perf-measurement code only
-    # when benchmarking is requested.
-    from repro.harness.bench import compare, write_payload
-
-    triggers = 2000 if args.smoke else args.triggers
-    if args.backend is not None:
-        return _bench_backends(args, triggers)
-    payload = compare(triggers=triggers, k=args.k, seed=args.seed,
-                      fault_rate=args.fault_rate, shards=args.shards,
-                      queue_capacity=args.queue_capacity,
-                      batch_max=args.batch_max)
-    write_payload(payload, args.output)
-    sequential = payload["sequential"]
-    pipeline = payload["pipeline"]
-    human = "\n".join([
-        format_table(
-            f"validator benchmark — {triggers} triggers, k={args.k}, "
-            f"{args.shards} shard(s)",
-            ["metric", "sequential", f"pipeline (N={args.shards})"],
-            [
-                ["throughput", f"{sequential['ops_per_s']:,.0f} triggers/s",
-                 f"{pipeline['ops_per_s']:,.0f} triggers/s"],
-                ["p50 decision latency", f"{sequential['p50_ms']:.4f} ms",
-                 f"{pipeline['p50_ms']:.4f} ms"],
-                ["p99 decision latency", f"{sequential['p99_ms']:.4f} ms",
-                 f"{pipeline['p99_ms']:.4f} ms"],
-                ["alarms", sequential["alarmed"], pipeline["alarmed"]],
-            ]),
-        f"speedup: {payload['speedup']:.2f}x   "
-        f"alarm streams identical: {payload['alarm_streams_identical']}",
-        f"wrote {args.output}",
-    ])
-    errors = []
-    if not payload["alarm_streams_identical"]:
-        errors.append("bench: sequential and pipeline alarm streams diverged")
-    return CommandResult(command="bench validator",
-                         exit_code=1 if errors else 0,
-                         human=human, data=payload, errors=errors)
-
-
-def _bench_obs_baseline_errors(args, payload) -> List[str]:
-    """``bench obs --baseline``: gate always-on overhead regressions."""
-    try:
-        with open(args.baseline, encoding="utf-8") as handle:
-            baseline = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        return [f"bench obs: --baseline {args.baseline}: {exc}"]
-    committed = baseline.get("full_overhead_pct")
-    if not isinstance(committed, (int, float)):
-        return [f"bench obs: --baseline {args.baseline} has no "
-                f"full_overhead_pct to compare against"]
-    current = payload["full_overhead_pct"]
-    payload["baseline_full_overhead_pct"] = committed
-    allowed = committed * (1.0 + args.max_full_regression_pct / 100.0)
-    if current > allowed:
-        return [
-            f"bench obs: always-on full-stack overhead {current:.2f}% "
-            f"regressed more than {args.max_full_regression_pct:.0f}% over "
-            f"the committed {committed:.2f}% (allowed {allowed:.2f}%)"]
-    return []
-
-
-def cmd_bench_obs(args) -> CommandResult:
-    from repro.harness.bench import compare_observability, write_payload
-
-    triggers = 2000 if args.smoke else args.triggers
-    payload = compare_observability(
-        triggers=triggers, k=args.k, seed=args.seed,
-        fault_rate=args.fault_rate, shards=args.shards, reps=args.reps,
-        obs_sample=args.obs_sample)
-    errors = []
-    if not payload["alarm_streams_identical"]:
-        errors.append("bench obs: alarm streams diverged with tracing on")
-    if not payload["alarm_streams_identical_full"]:
-        errors.append("bench obs: alarm streams diverged with the full "
-                      "stack (forensics + health) on")
-    if not payload["alarm_streams_identical_sampled"]:
-        errors.append("bench obs: alarm streams diverged with the sampled "
-                      "full stack (sampling must gate telemetry only)")
-    if not payload["span_conservation"]["holds"]:
-        errors.append("bench obs: span conservation violated "
-                      f"({payload['span_conservation']})")
-    if (args.max_off_delta_pct is not None
-            and payload["off_delta_pct"] > args.max_off_delta_pct):
-        errors.append(
-            f"bench obs: tracing-off delta {payload['off_delta_pct']:.2f}% "
-            f"exceeds the {args.max_off_delta_pct:.2f}% gate")
-    if (args.max_trace_overhead_pct is not None
-            and payload["trace_overhead_pct"] > args.max_trace_overhead_pct):
-        errors.append(
-            f"bench obs: tracing-on overhead "
-            f"{payload['trace_overhead_pct']:.2f}% exceeds the "
-            f"{args.max_trace_overhead_pct:.2f}% gate")
-    if (args.max_sampled_overhead_pct is not None
-            and payload["sampled_overhead_pct"]
-            > args.max_sampled_overhead_pct):
-        errors.append(
-            f"bench obs: sampled full-stack overhead "
-            f"{payload['sampled_overhead_pct']:.2f}% exceeds the "
-            f"{args.max_sampled_overhead_pct:.2f}% gate "
-            f"(obs_sample=1/{args.obs_sample})")
-    if args.baseline is not None:
-        errors.extend(_bench_obs_baseline_errors(args, payload))
-    write_payload(payload, args.output)
-    human = "\n".join([
-        format_table(
-            f"observability overhead — {triggers} triggers, k={args.k}, "
-            f"{args.shards} shard(s), best of {args.reps}",
-            ["variant", "wall (s)", "triggers/s"],
-            [
-                ["tracing off", f"{payload['off']['wall_s']:.4f}",
-                 f"{payload['off']['ops_per_s']:,.0f}"],
-                ["tracing off (rerun)", f"{payload['off2']['wall_s']:.4f}",
-                 f"{payload['off2']['ops_per_s']:,.0f}"],
-                ["tracing + metrics on", f"{payload['on']['wall_s']:.4f}",
-                 f"{payload['on']['ops_per_s']:,.0f}"],
-                [f"full stack sampled 1/{args.obs_sample}",
-                 f"{payload['sampled']['wall_s']:.4f}",
-                 f"{payload['sampled']['ops_per_s']:,.0f}"],
-                ["full stack (best of 2)",
-                 f"{payload['full']['wall_s']:.4f}",
-                 f"{payload['full']['ops_per_s']:,.0f}"],
-            ]),
-        f"tracing-off delta (noise floor): {payload['off_delta_pct']:.2f}%   "
-        f"tracing-on overhead: {payload['trace_overhead_pct']:.2f}%",
-        f"sampled full-stack overhead: "
-        f"{payload['sampled_overhead_pct']:.2f}%   "
-        f"always-on full-stack overhead: "
-        f"{payload['full_overhead_pct']:.2f}%",
-        f"alarm streams identical: {payload['alarm_streams_identical']} "
-        f"(full stack: {payload['alarm_streams_identical_full']}, "
-        f"sampled: {payload['alarm_streams_identical_sampled']})   "
-        f"spans: {payload['on']['spans']} "
-        f"(sampled: {payload['sampled']['spans']})",
-        f"wrote {args.output}",
-    ])
-    return CommandResult(command="bench obs", exit_code=1 if errors else 0,
-                         human=human, data=payload, errors=errors)
-
-
 def _fuzz_corpus_result(args) -> CommandResult:
     """``fuzz --replay``: re-run every saved corpus entry."""
     from repro.errors import ValidationError
@@ -1403,101 +1169,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit non-zero at/above this severity (default: warning — "
              "shadowed clauses should block deployment too)")
     analyze_policy.set_defaults(fn=cmd_analyze_policy)
-
-    bench = commands.add_parser(
-        "bench", help="wall-clock performance benchmarks")
-    bench_targets = bench.add_subparsers(dest="target", required=True)
-    bench_validator = bench_targets.add_parser(
-        "validator",
-        help="sequential vs sharded validator throughput/latency")
-    bench_validator.add_argument("--triggers", type=int, default=20_000,
-                                 help="triggers in the synthetic workload")
-    bench_validator.add_argument("--k", type=int, default=6,
-                                 help="secondaries per trigger (2k+2 "
-                                      "responses each)")
-    bench_validator.add_argument("--shards", type=int, default=4)
-    bench_validator.add_argument("--seed", type=int, default=0)
-    bench_validator.add_argument("--fault-rate", type=float, default=0.02,
-                                 help="fraction of triggers with a "
-                                      "corrupted cache relay")
-    bench_validator.add_argument("--queue-capacity", type=int, default=1024)
-    bench_validator.add_argument("--batch-max", type=int, default=512)
-    bench_validator.add_argument("--smoke", action="store_true",
-                                 help="small CI-sized workload "
-                                      "(2000 triggers)")
-    bench_validator.add_argument(
-        "--backend", choices=("serial", "threads", "processes"),
-        default=None,
-        help="sweep execution backends instead of sequential-vs-pipeline; "
-             "gates and the default output switch to BENCH_backends.json")
-    bench_validator.add_argument(
-        "--min-speedup", type=float, default=None, metavar="X",
-        help="with --backend: fail unless that backend is at least X "
-             "times faster than serial (skipped on single-CPU hosts)")
-    bench_validator.add_argument("--output", default="BENCH_validator_pipeline.json",
-                                 help="path for the JSON payload")
-    _add_format(bench_validator)
-    bench_validator.set_defaults(fn=cmd_bench_validator)
-
-    bench_obs = bench_targets.add_parser(
-        "obs",
-        help="observability overhead: no-op path noise floor vs tracing on")
-    bench_obs.add_argument("--triggers", type=int, default=20_000)
-    bench_obs.add_argument("--k", type=int, default=6)
-    bench_obs.add_argument("--shards", type=int, default=4)
-    bench_obs.add_argument("--seed", type=int, default=0)
-    bench_obs.add_argument("--fault-rate", type=float, default=0.02)
-    bench_obs.add_argument("--reps", type=int, default=3,
-                           help="interleaved repetitions (best wall kept)")
-    bench_obs.add_argument("--smoke", action="store_true",
-                           help="small CI-sized workload (2000 triggers)")
-    bench_obs.add_argument("--max-off-delta-pct", type=float, default=15.0,
-                           help="fail if the off-vs-off rerun delta "
-                                "(tracing-off overhead bound) exceeds this; "
-                                "a real off-path regression measures in the "
-                                "hundreds of percent, the default only needs "
-                                "to clear shared-runner timing noise")
-    bench_obs.add_argument("--max-trace-overhead-pct", type=float,
-                           default=None,
-                           help="fail if tracing-on overhead exceeds this")
-    bench_obs.add_argument("--obs-sample", type=int, default=64, metavar="N",
-                           help="head-sampling rate (1-in-N) for the "
-                                "sampled full-stack variant")
-    bench_obs.add_argument("--max-sampled-overhead-pct", type=float,
-                           default=25.0,
-                           help="fail if the sampled full-stack overhead "
-                                "exceeds this (the production-shaped gate)")
-    bench_obs.add_argument("--baseline", default=None,
-                           metavar="BENCH_observability.json",
-                           help="committed payload to regression-gate the "
-                                "always-on full-stack overhead against")
-    bench_obs.add_argument("--max-full-regression-pct", type=float,
-                           default=10.0,
-                           help="with --baseline: allowed relative growth "
-                                "of full_overhead_pct over the committed "
-                                "number")
-    bench_obs.add_argument("--output", default="BENCH_observability.json",
-                           help="path for the JSON payload")
-    _add_format(bench_obs)
-    bench_obs.set_defaults(fn=cmd_bench_obs)
-
-    bench_analyze = bench_targets.add_parser(
-        "analyze",
-        help="static-analyzer performance: cold vs warm cache vs --jobs")
-    bench_analyze.add_argument("paths", nargs="*", default=["src/repro"],
-                               metavar="PATH",
-                               help="tree(s) to analyze (default: src/repro)")
-    bench_analyze.add_argument("--jobs", type=int, default=4,
-                               help="worker processes for the parallel run")
-    bench_analyze.add_argument("--reps", type=int, default=3,
-                               help="repetitions per variant (best kept)")
-    bench_analyze.add_argument("--min-warm-speedup", type=float, default=5.0,
-                               help="fail if the warm-cache run is not at "
-                                    "least this much faster than cold")
-    bench_analyze.add_argument("--output", default="BENCH_analysis.json",
-                               help="path for the JSON payload")
-    _add_format(bench_analyze)
-    bench_analyze.set_defaults(fn=cmd_bench_analyze)
     return parser
 
 

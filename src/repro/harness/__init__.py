@@ -1,12 +1,5 @@
 """Experiment harness: builds clusters, drives workloads, reports figures."""
 
-from repro.harness.bench import (
-    compare as bench_validator_compare,
-    compare_backends as bench_backends_compare,
-    compare_observability as bench_observability_compare,
-    synthetic_validation_workload,
-    write_payload,
-)
 from repro.harness.experiment import (
     DetectionStats,
     Experiment,
@@ -27,9 +20,6 @@ __all__ = [
     "DetectionStats",
     "ascii_cdf",
     "ascii_series",
-    "bench_backends_compare",
-    "bench_observability_compare",
-    "bench_validator_compare",
     "Experiment",
     "ThroughputPoint",
     "build_experiment",
@@ -39,6 +29,4 @@ __all__ = [
     "mbps",
     "percentile",
     "render_result",
-    "synthetic_validation_workload",
-    "write_payload",
 ]

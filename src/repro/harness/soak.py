@@ -53,13 +53,13 @@ from repro.core.responses import Response, ResponseKind
 from repro.core.timeouts import StaticTimeout
 from repro.core.validator import Validator
 from repro.errors import CheckpointError
-# The soak reuses the bench workload's entry shapes so its triggers are
-# indistinguishable from the benchmarked ones — only the draw changes
-# (indexed CRC-32 instead of a sequential PRNG) to make any suffix
-# recomputable from its first index.
-from repro.harness.bench import _DIGEST_STRIDE, _FLOW_VARIANTS, _entries
 from repro.sim.simulator import Simulator
 from repro.workloads.recorder import RecordedResponse
+# The soak reuses the synthetic workload's entry shapes so its triggers are
+# indistinguishable from that workload's — only the draw changes
+# (indexed CRC-32 instead of a sequential PRNG) to make any suffix
+# recomputable from its first index.
+from repro.workloads.synthetic import DIGEST_STRIDE, FLOW_VARIANTS, entries
 
 #: One trigger in ``FAULT_STRIDE`` carries a corrupted cache relay.
 FAULT_STRIDE = 50
@@ -86,11 +86,11 @@ def soak_trigger(index: int, k: int, seed: int,
     exact resume boundary — no same-instant tie to mis-replay.
     """
     tau = ("ext", index)
-    flow = crc32(f"flow:{seed}:{index}".encode()) % _FLOW_VARIANTS
+    flow = crc32(f"flow:{seed}:{index}".encode()) % FLOW_VARIANTS
     faulty = crc32(f"fault:{seed}:{index}".encode()) % FAULT_STRIDE == 0
-    cache, net = _entries(flow)
+    cache, net = entries(flow)
     combined = (cache, tuple(sorted(set(net), key=repr)))
-    digest = (("c1", index // _DIGEST_STRIDE),)
+    digest = (("c1", index // DIGEST_STRIDE),)
     responses = [
         Response("c1", tau, ResponseKind.NETWORK_WRITE, net,
                  state_digest=digest),
@@ -101,7 +101,7 @@ def soak_trigger(index: int, k: int, seed: int,
         sid = f"s{s}"
         relayed = cache
         if faulty and s == 0:
-            corrupted_cache, _ = _entries(_FLOW_VARIANTS + index)
+            corrupted_cache, _ = entries(FLOW_VARIANTS + index)
             relayed = corrupted_cache
         responses.append(Response(sid, tau, ResponseKind.CACHE_UPDATE,
                                   relayed, state_digest=digest, origin="c1"))

@@ -1,7 +1,8 @@
 """Head sampling for the observability stack.
 
-The full diagnose+health stack costs ~3x the bare validator
-(``BENCH_observability.json``); production deployments need telemetry that
+The full diagnose+health stack costs ~3x the bare validator (the
+``stream-obs-full`` workload of ``python -m bench``); production
+deployments need telemetry that
 is *bounded*, not exhaustive. This module implements **head sampling**: the
 keep/skip decision is made once per trigger, up front, as a pure function
 of the trigger id — so every response, span, and metric sample of one

@@ -10,6 +10,8 @@
   PACKET_IN bursts that overwhelm the controller (Fig 4e).
 * :mod:`~repro.workloads.traces` — synthetic stand-ins for the LBNL, UNIV,
   and SMIA benign traces (Fig 4d).
+* :mod:`~repro.workloads.synthetic` — seeded ``2k+2`` response sets fed
+  straight to a validator, no deployment underneath.
 """
 
 from repro.workloads.cbench import CbenchDriver

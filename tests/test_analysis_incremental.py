@@ -6,10 +6,13 @@ import textwrap
 
 import pytest
 
-from repro.analysis import AnalysisCache, Analyzer
+from repro.analysis import AnalysisCache, Analyzer, engine
 from repro.analysis.cache import analyzer_fingerprint, content_hash
 from repro.analysis.engine import discover_files
 from repro.cli import main
+
+SRC_REPRO = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src", "repro")
 
 DIRTY = textwrap.dedent("""
     import time
@@ -41,15 +44,31 @@ def report_json(report):
 # Cache correctness
 # ----------------------------------------------------------------------
 
-def test_warm_run_serves_hits_and_identical_findings(tree):
-    cache = AnalysisCache(str(tree / "cache.json"))
-    cold = Analyzer().analyze_paths(["."], cache=cache)
-    cache.write()
+def test_warm_run_serves_hits_and_identical_findings(tree, monkeypatch):
+    # The fixture tree, then the analyzer's own source: a warm run serves
+    # every file from the cache and never enters the module phase.
+    analyzed = []
+    real = engine._analyze_module
 
-    warm_cache = AnalysisCache.load(str(tree / "cache.json"))
-    warm = Analyzer().analyze_paths(["."], cache=warm_cache)
-    assert warm.cache_hits == 2
-    assert report_json(warm) == report_json(cold)
+    def counting(source, display, *args, **kwargs):
+        analyzed.append(display)
+        return real(source, display, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "_analyze_module", counting)
+    for index, root in enumerate((".", SRC_REPRO)):
+        path = str(tree / f"cache-{index}.json")
+        cache = AnalysisCache(path)
+        cold = Analyzer().analyze_paths([root], cache=cache)
+        cache.write()
+        assert len(analyzed) == cold.files_scanned > 0
+
+        analyzed.clear()
+        warm = Analyzer().analyze_paths([root],
+                                        cache=AnalysisCache.load(path))
+        assert warm.files_scanned == cold.files_scanned
+        assert warm.cache_hits == warm.files_scanned
+        assert analyzed == []
+        assert report_json(warm) == report_json(cold)
 
 
 def test_edited_file_misses_while_others_hit(tree):

@@ -165,32 +165,6 @@ def test_diagnose_flight_output_then_attach(tmp_path, capsys):
     assert "flight recorder:" in capsys.readouterr().out
 
 
-def test_bench_obs_baseline_gate(tmp_path):
-    import argparse
-    import json
-
-    from repro.cli import _bench_obs_baseline_errors
-
-    baseline = tmp_path / "BENCH_observability.json"
-    baseline.write_text(json.dumps({"full_overhead_pct": 300.0}))
-    args = argparse.Namespace(baseline=str(baseline),
-                              max_full_regression_pct=10.0)
-    ok_payload = {"full_overhead_pct": 320.0}
-    assert _bench_obs_baseline_errors(args, ok_payload) == []
-    assert ok_payload["baseline_full_overhead_pct"] == 300.0
-    bad_payload = {"full_overhead_pct": 345.0}
-    errors = _bench_obs_baseline_errors(args, bad_payload)
-    assert len(errors) == 1 and "regressed more than 10%" in errors[0]
-    # Unreadable / shapeless baselines fail loudly, not silently.
-    args.baseline = str(tmp_path / "missing.json")
-    assert _bench_obs_baseline_errors(args, {"full_overhead_pct": 1.0})
-    empty = tmp_path / "empty.json"
-    empty.write_text("{}")
-    args.baseline = str(empty)
-    assert any("no full_overhead_pct" in error for error in
-               _bench_obs_baseline_errors(args, {"full_overhead_pct": 1.0}))
-
-
 def test_diagnose_flight_flag_misuse_is_usage_error(tmp_path, capsys):
     code = main(["diagnose", "--flight", str(tmp_path / "missing.json")])
     assert code == 2

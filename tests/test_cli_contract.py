@@ -53,7 +53,6 @@ def _commands(tmp_path: Path):
     """Every subcommand with a small, deterministic invocation."""
     clean = tmp_path / "clean.py"
     clean.write_text(CLEAN_PY)
-    out = lambda name: str(tmp_path / name)  # noqa: E731
     return {
         "validate": ["validate"] + _SMALL,
         "faults": ["faults", "crash", "--nodes", "5", "-k", "4",
@@ -71,21 +70,6 @@ def _commands(tmp_path: Path):
         "list-faults": ["list-faults"],
         "analyze": ["analyze", str(clean)],
         "analyze-policy": ["analyze-policy", POLICY_CLEAN],
-        "bench validator": ["bench", "validator", "--triggers", "1500",
-                            "--output", out("bench_validator.json")],
-        "bench validator --backend": [
-            "bench", "validator", "--backend", "processes",
-            "--triggers", "1500", "--output", out("bench_backends.json")],
-        # Timing gates are load-sensitive; the contract cares about CLI
-        # plumbing, so only the deterministic gates (alarm streams, span
-        # conservation) stay armed here. CI arms the real thresholds.
-        "bench obs": ["bench", "obs", "--triggers", "1500", "--reps", "1",
-                      "--max-off-delta-pct", "1e9",
-                      "--max-sampled-overhead-pct", "1e9",
-                      "--output", out("bench_obs.json")],
-        "bench analyze": ["bench", "analyze", str(clean), "--jobs", "2",
-                          "--reps", "1", "--min-warm-speedup", "0",
-                          "--output", out("bench_analysis.json")],
     }
 
 
@@ -190,3 +174,11 @@ def test_usage_errors_exit_2_with_stderr_message(tmp_path, capsys,
     assert code == 2
     assert needle in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_removed_bench_command_exits_2(capsys):
+    # The perf harness is `python -m bench`; the CLI has no bench command.
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "validator"])
+    assert exc.value.code == 2
+    assert "bench" in capsys.readouterr().err

@@ -29,10 +29,10 @@ from repro.core.latedrop import (
 from repro.core.pipeline import ValidationPipeline
 from repro.core.timeouts import StaticTimeout
 from repro.core.validator import Validator
-from repro.harness.bench import synthetic_validation_workload
 from repro.harness.soak import soak_stream
 from repro.sim.simulator import Simulator
 from repro.workloads.recorder import RecordedResponse
+from repro.workloads.synthetic import synthetic_validation_workload
 
 K = 3
 TIMEOUT_MS = 250.0

@@ -11,7 +11,6 @@ from __future__ import annotations
 from repro.core.pipeline import ValidationPipeline
 from repro.core.timeouts import StaticTimeout
 from repro.core.validator import Validator
-from repro.harness.bench import synthetic_validation_workload
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -22,6 +21,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.trace import ACCEPT, ALARM, DECIDE, INGEST, LATE_DROP, Tracer
 from repro.sim.simulator import Simulator
+from repro.workloads.synthetic import synthetic_validation_workload
 
 K = 2
 TIMEOUT_MS = 100.0

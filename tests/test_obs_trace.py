@@ -17,7 +17,6 @@ import pytest
 from repro.core.timeouts import StaticTimeout
 from repro.core.pipeline import ValidationPipeline
 from repro.core.validator import Validator
-from repro.harness.bench import synthetic_validation_workload
 from repro.obs.trace import (
     ACCEPT,
     ALARM,
@@ -34,6 +33,7 @@ from repro.obs.trace import (
     span_sort_key,
 )
 from repro.sim.simulator import Simulator
+from repro.workloads.synthetic import synthetic_validation_workload
 
 K = 2
 TIMEOUT_MS = 100.0

@@ -14,6 +14,9 @@ Two setups:
   threads N=2 pipeline, each with the full observer stack at head-sampling
   rates 1 and 8, fed ``tests/test_one_engine.py``'s soak stream with
   corrupted relays, silent secondaries and stragglers either side of θτ;
+  the serial N=4 pipeline also at rate 64, the production-shaped sampling
+  rate (that digest was recorded later, on the commit that introduced the
+  one observer);
   plus a processes N=2 pipeline whose shard-0 worker dies twice (restart,
   then degrade), for the backend lifecycle events;
 * **deployments** — an ONOS n=5 k=2 deployment with trace, metrics,
@@ -141,6 +144,26 @@ GOLDEN = {
             "c7463242c85679a6764c26e0bd02b6d4f9f56396384c72fa65010a98cb36d8af",
         "sink":
             "3d47380b32710cefe4b4a221eb79528c90d2a6ac5c4c9c86c5acbe0b9bef61a5",
+    },
+    "serial N=4/64": {
+        "canonical":
+            "86daae46823a0b27132884ecdf16af8185a61450f3307104c68e82306465b37d",
+        "payload":
+            "6e6e31d6f34b95b80b6fdeca72463393c40dbe8ec1a2030cc5a1635b61116a81",
+        "spans_for":
+            "4b5d940fdf5ad701a3f6744a4ee1afc8d636de215e7dc5935af2cf0a1951ce25",
+        "metrics":
+            "4b91c508833b4bfb1b2f9a3591552b15158c126d7d78e6ff31c5afe827db961d",
+        "prometheus":
+            "dc99e755989aeb5529858f25c3af6b612d8613c1e3a8777085eb159876c74b70",
+        "explanations":
+            "22c0a27d5331b7495f3c4226a0e27aa227951d1367d748f45e54219474ed76c8",
+        "health":
+            "4b9460d9eb711487467bc5f54673add9828ddae24b123d7aaa4304a2e9b6f5d1",
+        "flight":
+            "43cc2c3e65338db77d956d7a8afd8d9a646535b93a923b6bad17d4d316714b7d",
+        "sink":
+            "b54cde2da68b54b7dff1af23a68241a2ef07dd50dbbb8ddd3823a205f5ac492d",
     },
     "threads N=2/1": {
         "canonical":
@@ -343,7 +366,7 @@ def _stream_run(tmp_path, engine_label, rate):
 
 
 STREAM_CASES = [("validator", 1), ("validator", 8),
-                ("serial N=4", 1), ("serial N=4", 8),
+                ("serial N=4", 1), ("serial N=4", 8), ("serial N=4", 64),
                 ("threads N=2", 1), ("threads N=2", 8),
                 ("processes N=2 crash", 1)]
 

@@ -34,7 +34,6 @@ from repro.core.timeouts import AdaptiveTimeout, StaticTimeout
 from repro.core.validator import Validator
 from repro.faults.injector import default_policy_engine
 from repro.fuzz.reference import ReferenceValidator
-from repro.harness.bench import _entries
 from repro.harness.soak import soak_stream
 from repro.sim.simulator import Simulator
 from repro.workloads.recorder import (
@@ -42,6 +41,7 @@ from repro.workloads.recorder import (
     ValidatorStreamRecorder,
     replay_validation_stream,
 )
+from repro.workloads.synthetic import entries
 from repro.workloads.traffic import TrafficDriver
 
 TIMEOUT_MS = 250.0
@@ -206,11 +206,11 @@ _SECONDARIES = ("s0", "s1")
 
 
 def _response_set(index, k, corrupted=(), secondary_digest=None):
-    """Trigger ``index``'s clean ``2k+2`` responses (the bench workload's
+    """Trigger ``index``'s clean ``2k+2`` responses (the synthetic workload's
     entry shapes, which pass the sanity check); secondaries named in
     ``corrupted`` relay a different cache entry."""
     tau = ("ext", index)
-    cache, net = _entries(index)
+    cache, net = entries(index)
     digest = (("c1", index),)
     if secondary_digest is None:
         secondary_digest = digest
@@ -221,7 +221,7 @@ def _response_set(index, k, corrupted=(), secondary_digest=None):
                  state_digest=digest, origin="c1"),
     ]
     for sid in _SECONDARIES[:k]:
-        relayed = _entries(1_000 + index)[0] if sid in corrupted else cache
+        relayed = entries(1_000 + index)[0] if sid in corrupted else cache
         responses.append(Response(sid, tau, ResponseKind.CACHE_UPDATE,
                                   relayed, state_digest=secondary_digest,
                                   origin="c1"))

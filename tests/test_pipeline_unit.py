@@ -12,10 +12,10 @@ from repro.core.alarms import (
 )
 from repro.core.pipeline import ValidationPipeline, shard_of
 from repro.core.timeouts import StaticTimeout
-from repro.harness.bench import compare, synthetic_validation_workload
 from repro.api import Jury
 from repro.config import JuryConfig
 from repro.sim.simulator import Simulator
+from repro.workloads.synthetic import synthetic_validation_workload
 from repro.workloads.traffic import TrafficDriver
 
 
@@ -198,17 +198,3 @@ def test_pipeline_on_alarm_callback_fires():
     pipeline.drain()
     assert len(seen) == len(pipeline.alarms) > 0
 
-
-# ----------------------------------------------------------------------
-# Bench harness smoke
-# ----------------------------------------------------------------------
-
-def test_bench_compare_smoke():
-    payload = compare(triggers=400, k=4, seed=1, shards=2, chunk=32)
-    assert payload["benchmark"] == "validator_pipeline"
-    assert payload["alarm_streams_identical"] is True
-    assert payload["sequential"]["decided"] == 400
-    assert payload["pipeline"]["decided"] == 400
-    assert payload["sequential"]["ops_per_s"] > 0
-    assert payload["pipeline"]["ops_per_s"] > 0
-    assert payload["speedup"] > 0
