@@ -24,6 +24,14 @@ Design rules that keep tracing equivalence-safe:
   :func:`repro.core.alarms.canonical_alarm_stream`; equality of canonical
   traces is the trace-determinism contract asserted in the test suite.
 
+Every span is kept, as one plain row tuple ``(at, trigger_id, stage,
+verdict, detail, attrs)`` in a single list. A row holds only atoms, the
+trigger id's tuple of atoms, and an attrs tuple shared by every span with
+the same attribute set, so CPython's cyclic garbage collector untracks it
+and never scans it again; a :class:`Span` is built only when a span is
+read. The per-trigger index is built on first read, not by
+:meth:`Tracer.emit`.
+
 The tracer is one subscriber of the observer seam
 (:class:`~repro.obs.observer.Observer`): engines report events there and
 never call :meth:`Tracer.emit` themselves. A :class:`NullTracer` is
@@ -33,6 +41,8 @@ normalised to "no tracer" by :func:`active_tracer`.
 from __future__ import annotations
 
 import json
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -114,10 +124,29 @@ class Span:
 
     def canonical_line(self) -> str:
         """One-line canonical rendering, stable across runs and engines."""
-        attrs = ";".join(f"{k}={v!r}" for k, v in self.attrs)
-        verdict = self.verdict if self.verdict is not None else "-"
-        return (f"{self.at:.9f}|{self.trigger_id!r}|{self.stage}|"
-                f"{verdict}|{self.detail}|{attrs}")
+        return _line((self.at, self.trigger_id, self.stage, self.verdict,
+                      self.detail, self.attrs))
+
+
+#: How a :class:`Tracer` stores one span: :class:`Span`'s fields, in order.
+Row = Tuple[float, Tuple, str, Optional[str], str,
+            Tuple[Tuple[str, object], ...]]
+
+#: Attr value types whose equal values (of one type) always have the same
+#: ``repr``, so one interned attrs tuple can stand for all of them. Floats
+#: are left out: ``0.0 == -0.0``.
+_INTERNABLE = frozenset((str, int, bool, type(None)))
+
+
+def _line(row: Row) -> str:
+    at, trigger_id, stage, verdict, detail, attrs = row
+    rendered = ";".join(f"{k}={v!r}" for k, v in attrs)
+    verdict = verdict if verdict is not None else "-"
+    return f"{at:.9f}|{trigger_id!r}|{stage}|{verdict}|{detail}|{rendered}"
+
+
+def _row_key(row: Row) -> Tuple[float, str, int]:
+    return (row[0], repr(row[1]), STAGE_RANK.get(row[2], len(STAGE_RANK)))
 
 
 def span_sort_key(span: Span) -> Tuple[float, str, int]:
@@ -128,20 +157,45 @@ def span_sort_key(span: Span) -> Tuple[float, str, int]:
     arrival order on whichever shard owns it — identical at any shard
     count, because all of a trigger's responses route to one shard.
     """
-    return (span.at, repr(span.trigger_id),
-            STAGE_RANK.get(span.stage, len(STAGE_RANK)))
+    return _row_key((span.at, span.trigger_id, span.stage))
 
 
-def _freeze_attrs(attrs: Dict[str, object]) -> Tuple[Tuple[str, object], ...]:
-    return tuple(sorted(attrs.items()))
+class _SpanView(Sequence):
+    """Read-only :class:`Span` sequence over a tracer's rows; each span is
+    built when it is read."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: List[Row]) -> None:
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [Span(*row) for row in self._rows[index]]
+        return Span(*self._rows[index])
+
+    def __iter__(self):
+        for row in self._rows:
+            yield Span(*row)
 
 
 class Tracer:
-    """Collects lifecycle spans for every trigger that crosses the system.
+    """Keeps every lifecycle span of every trigger that crosses the system.
 
     One tracer is shared by the whole deployment (replicators, validator or
-    pipeline shards, alarm emission); the single append-only list keeps
-    memory accounting simple and the export deterministic.
+    pipeline shards, alarm emission). It stores spans as rows the garbage
+    collector does not scan (see the module docstring):
+
+    * ``_rows`` — one :data:`Row` per span, in emission order;
+    * ``_interned`` — one sorted attrs tuple per distinct attribute set.
+      The key carries each value's type: ``1``, ``True`` and ``1.0`` are
+      equal, but :meth:`Span.canonical_line` prints them differently;
+    * ``_by_trigger`` — rows per trigger ``repr`` in first-seen order,
+      built on first read and caught up from row ``_indexed`` on each
+      later read.
     """
 
     #: Instrumentation sites check this once at construction; a subclass
@@ -149,32 +203,58 @@ class Tracer:
     enabled = True
 
     def __init__(self) -> None:
-        self.spans: List[Span] = []
-        self._by_trigger: Dict[str, List[Span]] = {}
+        self._rows: List[Row] = []
+        self._interned: Dict[tuple, Tuple[Tuple[str, object], ...]] = {}
+        self._by_trigger: Dict[str, List[Row]] = {}
+        self._indexed = 0
 
     # ------------------------------------------------------------------
     # Emission (the validator-side hot path when tracing is on)
     # ------------------------------------------------------------------
     def emit(self, at: float, trigger_id: Tuple, stage: str,
              verdict: Optional[str] = None, detail: str = "",
-             **attrs: object) -> Span:
-        """Record one span. Returns it (handy in tests)."""
-        span = Span(at=at, trigger_id=trigger_id, stage=stage,
-                    verdict=verdict, detail=detail,
-                    attrs=_freeze_attrs(attrs) if attrs else ())
-        self.spans.append(span)
-        self._by_trigger.setdefault(repr(trigger_id), []).append(span)
-        return span
+             **attrs: object) -> None:
+        """Record one span."""
+        self._rows.append((at, trigger_id, stage, verdict, detail,
+                           self._freeze(attrs) if attrs else ()))
+
+    def _freeze(self, attrs: Dict[str, object]
+                ) -> Tuple[Tuple[str, object], ...]:
+        """The sorted ``(key, value)`` tuple for ``attrs``, shared with
+        every earlier span that had the same attribute set."""
+        key = (tuple(attrs.items()), tuple(map(type, attrs.values())))
+        try:
+            return self._interned[key]
+        except (KeyError, TypeError):  # a new set, or an unhashable value
+            frozen = tuple(sorted(key[0]))
+            if _INTERNABLE.issuperset(key[1]):
+                self._interned[key] = frozen
+            return frozen
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+    @property
+    def spans(self) -> Sequence:
+        """Every span, in emission order (a read-only sequence)."""
+        return _SpanView(self._rows)
+
     def __len__(self) -> int:
-        return len(self.spans)
+        return len(self._rows)
+
+    def _index(self) -> Dict[str, List[Row]]:
+        """The per-trigger index, caught up with every emitted row."""
+        rows = self._rows
+        if self._indexed < len(rows):
+            by_trigger = self._by_trigger
+            for row in rows[self._indexed:]:
+                by_trigger.setdefault(repr(row[1]), []).append(row)
+            self._indexed = len(rows)
+        return self._by_trigger
 
     def trigger_keys(self) -> List[str]:
         """``repr`` keys of every traced trigger, in first-seen order."""
-        return list(self._by_trigger)
+        return list(self._index())
 
     def spans_for(self, trigger_id) -> List[Span]:
         """All spans of one trigger, in emission order.
@@ -183,7 +263,7 @@ class Tracer:
         CLI and JSON export use).
         """
         key = trigger_id if isinstance(trigger_id, str) else repr(trigger_id)
-        return list(self._by_trigger.get(key, []))
+        return [Span(*row) for row in self._index().get(key, ())]
 
     def timeline(self, trigger_id) -> "TriggerTimeline":
         """The reconstructed lifecycle of one trigger."""
@@ -194,10 +274,7 @@ class Tracer:
 
     def stage_counts(self) -> Dict[str, int]:
         """Span count per stage — the conservation ledger."""
-        counts: Dict[str, int] = {}
-        for span in self.spans:
-            counts[span.stage] = counts.get(span.stage, 0) + 1
-        return counts
+        return dict(Counter(row[2] for row in self._rows))
 
     # ------------------------------------------------------------------
     # Canonical encoding and JSON export
@@ -211,29 +288,29 @@ class Tracer:
         engine-*specific* by construction and are filtered out here, the
         same way shard indices are kept out of spans entirely.
         """
-        ordered = sorted((s for s in self.spans
-                          if not s.stage.startswith("engine:")),
-                         key=span_sort_key)
-        return "\n".join(s.canonical_line() for s in ordered).encode("utf-8")
+        ordered = sorted((row for row in self._rows
+                          if not row[2].startswith("engine:")),
+                         key=_row_key)
+        return "\n".join(map(_line, ordered)).encode("utf-8")
 
     def to_payload(self) -> Dict[str, object]:
         """JSON-able export (``jury-repro trace --output``)."""
-        ordered = sorted(self.spans, key=span_sort_key)
+        ordered = sorted(self._rows, key=_row_key)
         return {
             "format": "jury-trace",
             "version": 1,
             "span_count": len(ordered),
-            "trigger_count": len(self._by_trigger),
+            "trigger_count": len(self._index()),
             "spans": [
                 {
-                    "t": span.at,
-                    "trigger": repr(span.trigger_id),
-                    "stage": span.stage,
-                    "verdict": span.verdict,
-                    "detail": span.detail,
-                    "attrs": {k: v for k, v in span.attrs},
+                    "t": at,
+                    "trigger": repr(trigger_id),
+                    "stage": stage,
+                    "verdict": verdict,
+                    "detail": detail,
+                    "attrs": dict(attrs),
                 }
-                for span in ordered
+                for at, trigger_id, stage, verdict, detail, attrs in ordered
             ],
         }
 
@@ -250,19 +327,19 @@ class Tracer:
         if payload.get("format") != "jury-trace":
             raise ValueError("not a jury-trace payload")
         tracer = Tracer()
+        append, freeze = tracer._rows.append, tracer._freeze
         for entry in payload.get("spans", []):
-            span = Span(
-                at=float(entry["t"]),
+            attrs = entry.get("attrs")
+            append((
+                float(entry["t"]),
                 # Stored pre-repr'd: mark with a string trigger id whose
                 # repr round-trips to itself for grouping purposes.
-                trigger_id=_ReprKey(entry["trigger"]),
-                stage=str(entry["stage"]),
-                verdict=entry.get("verdict"),
-                detail=str(entry.get("detail", "")),
-                attrs=_freeze_attrs(dict(entry.get("attrs", {}))),
-            )
-            tracer.spans.append(span)
-            tracer._by_trigger.setdefault(entry["trigger"], []).append(span)
+                _ReprKey(entry["trigger"]),
+                str(entry["stage"]),
+                entry.get("verdict"),
+                str(entry.get("detail", "")),
+                freeze(dict(attrs)) if attrs else (),
+            ))
         return tracer
 
 

@@ -10,13 +10,22 @@ live-stream variant lives in test_pipeline_differential.py.
 
 from __future__ import annotations
 
+import gc
 import json
+import random
+from collections import Counter
 
 import pytest
 
+from repro.core.alarms import ValidationResult
 from repro.core.timeouts import StaticTimeout
 from repro.core.pipeline import ValidationPipeline
 from repro.core.validator import Validator
+from repro.obs.diagnose import AlarmForensics
+from repro.obs.health import ReplicaHealthTracker
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.observer import Observer
+from repro.obs.recorder import FlightRecorder
 from repro.obs.trace import (
     ACCEPT,
     ALARM,
@@ -61,8 +70,8 @@ def test_span_attrs_are_sorted_and_hashable():
                 attrs=(("b", 2), ("a", 1)))
     hash(span)  # frozen dataclass with tuple attrs
     tracer = Tracer()
-    emitted = tracer.emit(0.0, ("ext", 1), INGEST, b=2, a=1)
-    assert emitted.attrs == (("a", 1), ("b", 2))
+    assert tracer.emit(0.0, ("ext", 1), INGEST, b=2, a=1) is None
+    assert tracer.spans[-1].attrs == (("a", 1), ("b", 2))
 
 
 def test_canonical_sort_orders_time_trigger_stage():
@@ -190,3 +199,136 @@ def test_payload_roundtrip_preserves_canonical_encoding(tmp_path):
 def test_from_payload_rejects_foreign_json():
     with pytest.raises(ValueError):
         Tracer.from_payload({"format": "not-a-trace"})
+
+
+# ----------------------------------------------------------------------
+# Storage: collector-invisible rows, interned attrs, lazy index
+# ----------------------------------------------------------------------
+
+def test_spans_add_no_collector_tracked_objects():
+    """Every span is kept, yet none is an object the cyclic collector has
+    to scan: one tracked object per retained span is what made the
+    unsampled observer stack spend a third of its time in the collector."""
+    workload = synthetic_validation_workload(2600, k=K, seed=5)
+    decisions = [(float(index), responses, ValidationResult(
+        trigger_id=responses[0].trigger_id, ok=True, external=True,
+        decided_at=float(index), n_responses=len(responses)))
+        for index, responses in enumerate(workload)]
+    no_checks = (None, None, None, None)
+    tracer = Tracer()
+    observer = Observer(tracer=tracer)
+    gc.collect()
+    before = len(gc.get_objects())
+    for now, responses, result in decisions:
+        for response in responses:
+            observer.ingest(now, response)
+        observer.decision(now, result, responses, no_checks)
+    gc.collect()
+    growth = len(gc.get_objects()) - before
+    assert len(tracer) >= 20_000
+    assert growth < 500, f"{growth} tracked objects for {len(tracer)} spans"
+
+
+def test_attr_interning_keeps_each_value_type():
+    tracer = Tracer()
+    for value in (1, True, 1.0):
+        tracer.emit(0.0, ("ext", 1), INGEST, x=value)
+    spans = list(tracer.spans)
+    assert len({span.canonical_line() for span in spans}) == 3
+    assert [type(span.attr("x")) for span in spans] == [int, bool, float]
+
+
+def _full_stack_run(triggers: int) -> Tracer:
+    """The synthetic stream through a 4-shard pipeline with every observer
+    attached; every seventh trigger is starved so it decides by timeout."""
+    sim = Simulator(seed=0)
+    tracer = Tracer()
+    engine = ValidationPipeline(
+        sim, K, shards=4, timeout=StaticTimeout(TIMEOUT_MS),
+        keep_results=False, tracer=tracer, metrics=MetricsRegistry(),
+        forensics=AlarmForensics(), health=ReplicaHealthTracker(),
+        recorder=FlightRecorder())
+    workload = synthetic_validation_workload(triggers, k=K, seed=9,
+                                             fault_rate=0.05)
+    for index, responses in enumerate(workload):
+        sim.run(until=float(index))
+        for response in (responses[: K + 1] if index % 7 == 0
+                         else responses):
+            engine.ingest(response)
+    engine.drain()
+    sim.run(until=triggers + 10 * TIMEOUT_MS)
+    return tracer
+
+
+def test_intern_table_follows_attribute_sets_not_triggers():
+    tracer = _full_stack_run(2000)
+    assert len(tracer) > 10 * 2000
+    assert len(tracer._interned) <= 36
+    copies = list(tracer._interned.values())
+    assert all(any(attrs is copy for copy in copies)
+               for *_, attrs in tracer._rows if attrs)
+
+
+def _eager_index(tracer: Tracer):
+    index = {}
+    for span in tracer.spans:
+        index.setdefault(repr(span.trigger_id), []).append(span)
+    return index
+
+
+def _interleaved_spans(triggers: int):
+    """``(at, τ, stage, verdict, attrs)`` for ``triggers`` triggers opened
+    in a shuffled order, each deciding two openings later: their spans
+    interleave, and first-seen order is neither id nor ``repr`` order."""
+    workload = synthetic_validation_workload(triggers, k=K, seed=3)
+    random.Random(3).shuffle(workload)
+    events = []
+    for opened, responses in enumerate(workload):
+        tau = responses[0].trigger_id
+        for offset, response in enumerate(responses):
+            events.append((opened + 2.0 * offset / len(responses), tau,
+                           INGEST, None, {"kind": response.kind.value,
+                                          "controller": response.controller_id}))
+        events.append((opened + 2.0, tau, DECIDE, "full-count",
+                       {"external": True, "n_responses": len(responses)}))
+        events.append((opened + 2.0, tau, ACCEPT, "ok", {}))
+    events.sort(key=lambda event: event[0])
+    return events
+
+
+def test_lazy_index_matches_an_eager_one():
+    tracer = Tracer()
+    for step, (at, tau, stage, verdict, attrs) in enumerate(
+            _interleaved_spans(12)):
+        tracer.emit(at, tau, stage, verdict=verdict, **attrs)
+        if step % 3:
+            continue  # the index falls behind between reads
+        reference = _eager_index(tracer)
+        assert tracer.trigger_keys() == list(reference)
+        assert len(tracer) == sum(map(len, reference.values()))
+        assert tracer.stage_counts() == dict(
+            Counter(span.stage for span in tracer.spans))
+        for key, spans in reference.items():
+            assert tracer.spans_for(key) == spans
+            assert tracer.timeline(key).spans == sorted(spans,
+                                                        key=span_sort_key)
+    keys = tracer.trigger_keys()
+    assert keys != sorted(keys)
+    assert tracer.spans_for(("ext", 99)) == []
+
+    reloaded = Tracer.from_payload(tracer.to_payload())
+    assert reloaded.canonical() == tracer.canonical()
+    assert reloaded.trigger_keys() == tracer.trigger_keys()
+
+
+def test_spans_are_read_only_and_null_tracer_records_nothing():
+    tracer = Tracer()
+    tracer.emit(0.0, ("ext", 1), INGEST)
+    with pytest.raises(AttributeError):
+        tracer.spans.append(tracer.spans[0])
+    assert len(tracer) == 1
+
+    null = NullTracer()
+    assert null.emit(0.0, ("ext", 1), INGEST, kind="cache") is None
+    assert len(null) == 0
+    assert list(null.spans) == [] and null.trigger_keys() == []
