@@ -33,8 +33,6 @@ _EXPORTS = {
     "JuryDeployment": ("repro.core.deployment", "JuryDeployment"),
     "Validator": ("repro.core.validator", "Validator"),
     "ValidationPipeline": ("repro.core.pipeline", "ValidationPipeline"),
-    "ExecutionBackend": ("repro.core.backends", "ExecutionBackend"),
-    "resolve_backend": ("repro.core.backends", "resolve_backend"),
     "Response": ("repro.core.responses", "Response"),
     "Alarm": ("repro.core.alarms", "Alarm"),
     "AlarmReason": ("repro.core.alarms", "AlarmReason"),

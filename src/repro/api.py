@@ -24,13 +24,6 @@ Everything the legacy seams offered — ``build_experiment(...)`` keyword
 soup, ``JuryDeployment(cluster, k=..., ...)`` — routes through here now;
 the shims were removed (PR 7) and raise immediately with the replacement
 spelled out.
-
-``config.backend`` selects the execution backend for the sharded pipeline
-(``serial``, ``threads``, or ``processes`` — see
-:mod:`repro.core.backends`); the deployment threads it through to the
-:class:`~repro.core.pipeline.ValidationPipeline`, and ``processes``-backed
-deployments should be closed (``deployment.close()``) to release the
-worker processes.
 """
 
 from __future__ import annotations

@@ -40,10 +40,9 @@ the structured payload instead of the human tables, and the exit-code
 contract is uniform: 0 ok, 1 findings-or-failure, 2 usage/config error.
 Simulation commands accept ``--pipeline N`` to validate through the
 sharded :class:`~repro.core.pipeline.ValidationPipeline` instead of the
-sequential validator, ``--backend serial|threads|processes`` to pick its
-execution backend (see ``docs/backends.md``), and ``--config file.json``
-to load the whole config from JSON through the validated
-:meth:`~repro.config.JuryConfig.from_dict` path.
+sequential validator, and ``--config file.json`` to load the whole config
+from JSON through the validated :meth:`~repro.config.JuryConfig.from_dict`
+path.
 """
 
 from __future__ import annotations
@@ -152,7 +151,6 @@ def _config_from_args(args, kind: Optional[str] = None,
         policies=("default",),
         with_northbound=True,
         pipeline=getattr(args, "pipeline", None),
-        backend=getattr(args, "backend", None) or "serial",
         trace=trace,
         metrics=metrics,
         diagnose=diagnose,
@@ -682,12 +680,7 @@ def cmd_analyze_policy(args) -> CommandResult:
 def _fuzz_corpus_result(args) -> CommandResult:
     """``fuzz --replay``: re-run every saved corpus entry."""
     from repro.errors import ValidationError
-    from repro.fuzz import (
-        DifferentialOracle,
-        default_corpus_dir,
-        load_corpus,
-        replay_entry,
-    )
+    from repro.fuzz import default_corpus_dir, load_corpus, replay_entry
 
     directory = args.corpus if args.corpus else default_corpus_dir()
     try:
@@ -697,13 +690,9 @@ def _fuzz_corpus_result(args) -> CommandResult:
     if not entries:
         return CommandResult.usage_error(
             "fuzz", f"fuzz: no corpus entries under {directory}")
-    backends = ("serial",)
-    if args.backend:
-        backends = tuple(dict.fromkeys(("serial",) + tuple(args.backend)))
-    oracle = DifferentialOracle(backends=backends)
     rows, outcomes, mismatches = [], [], 0
     for entry in entries:
-        outcome = replay_entry(entry, oracle=oracle)
+        outcome = replay_entry(entry)
         if not outcome.matched:
             mismatches += 1
         rows.append([entry.name,
@@ -746,16 +735,8 @@ def cmd_fuzz(args) -> CommandResult:
             f"seed {report.spec.seed}: {status}  "
             f"[{report.spec.describe()}]")
 
-    oracle = None
-    if args.backend:
-        from repro.fuzz import DifferentialOracle
-        # Serial stays in the matrix as the reference; the requested
-        # backend joins the ENGINE_DIVERGENCE axis.
-        backends = tuple(dict.fromkeys(("serial",) + tuple(args.backend)))
-        oracle = DifferentialOracle(backends=backends)
-
     result = run_campaign(
-        base_seed=args.seed, runs=args.runs, oracle=oracle,
+        base_seed=args.seed, runs=args.runs,
         shrink=args.shrink, shrink_budget=args.shrink_budget,
         time_budget_s=args.time_budget,
         clock=time.monotonic if args.time_budget is not None else None,
@@ -812,9 +793,6 @@ def cmd_soak(args) -> CommandResult:
     from repro.errors import CheckpointError
     from repro.harness.soak import CHECKPOINT_FILE, run_soak
 
-    if args.backend is not None and args.pipeline is None:
-        return CommandResult.usage_error(
-            "soak", "soak: --backend requires --pipeline N")
     kill_at = args.kill_at
     if kill_at is None:
         kill_at = args.duration / 2.0
@@ -831,7 +809,6 @@ def cmd_soak(args) -> CommandResult:
             rate_per_s=args.rate,
             k=args.replicas,
             shards=args.pipeline,
-            backend=args.backend,
             timeout_ms=args.timeout,
             seed=args.seed,
             max_rss_mb=args.max_rss_mb,
@@ -850,7 +827,7 @@ def cmd_soak(args) -> CommandResult:
     lines = [
         f"soak: {payload['triggers']} triggers over {args.duration:g}s "
         f"simulated at {args.rate:g}/s "
-        f"({'pipeline N=%d %s' % (args.pipeline, args.backend or 'serial') if args.pipeline else 'sequential validator'})",
+        f"({f'pipeline N={args.pipeline}' if args.pipeline else 'sequential validator'})",
         f"  kill     : "
         + (f"SIGKILL at t={kill_at:g}s (worker exit "
            f"{payload['worker_exitcode']})" if kill_at else "disabled"),
@@ -910,11 +887,6 @@ def _add_common(parser: argparse.ArgumentParser, format_extra=()) -> None:
     parser.add_argument("--pipeline", type=int, default=None, metavar="N",
                         help="validate through the sharded pipeline with "
                              "N shards (default: sequential validator)")
-    parser.add_argument("--backend",
-                        choices=("serial", "threads", "processes"),
-                        default=None,
-                        help="execution backend for the sharded pipeline "
-                             "(requires --pipeline; default: serial)")
     parser.add_argument("--config", default=None, metavar="CONFIG.json",
                         help="build the JuryConfig from this JSON file "
                              "instead of the flags above")
@@ -1057,11 +1029,6 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--save-failing", default=None, metavar="DIR",
                       help="save shrunk counterexamples as corpus entries "
                            "into DIR")
-    fuzz.add_argument("--backend", action="append", default=None,
-                      choices=("serial", "threads", "processes"),
-                      metavar="BACKEND",
-                      help="add an execution backend to the differential "
-                           "matrix (repeatable; serial always included)")
     fuzz.add_argument("--verbose", action="store_true",
                       help="print one line per scenario")
     _add_format(fuzz)
@@ -1097,11 +1064,6 @@ def build_parser() -> argparse.ArgumentParser:
     soak.add_argument("--pipeline", type=int, default=None, metavar="N",
                       help="soak the sharded pipeline with N shards "
                            "(default: sequential validator)")
-    soak.add_argument("--backend",
-                      choices=("serial", "threads", "processes"),
-                      default=None,
-                      help="execution backend for the worker's pipeline "
-                           "(requires --pipeline)")
     soak.add_argument("--workdir", default=None, metavar="DIR",
                       help="directory for the WAL and checkpoint artifacts "
                            "(default: a fresh temp dir)")
@@ -1179,8 +1141,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         result = args.fn(args)
     except ValidationError as exc:
-        # Config mistakes (bad --config file, backend without --pipeline,
-        # removed-API calls) are usage errors: exit 2, like argparse's own.
+        # Config mistakes (bad --config file, removed-API calls) are usage errors: exit 2, like argparse's own.
         result = CommandResult.usage_error(
             getattr(args, "command", None) or "repro", str(exc))
     fmt = getattr(args, "format", "human")

@@ -63,9 +63,8 @@ class JuryConfig:
     forensics; ``health`` replica health scoring + SLO monitoring;
     ``snapshot_interval_ms`` a periodic export sink ticked after every
     engine step; ``obs_sample`` head-samples the observer stack 1-in-N;
-    ``flight``/``flight_capacity`` the always-on flight recorder;
-    ``wall_profile`` per-stage wall-clock worker profiling. All default
-    off (the zero-cost path).
+    ``flight``/``flight_capacity`` the always-on flight recorder. All
+    default off (the zero-cost path).
 
     Hosting shape (used when :meth:`repro.api.Jury.build` must assemble
     the testbed too): ``kind``, ``n``, ``switches``, ``topology``,
@@ -78,11 +77,6 @@ class JuryConfig:
     timeout_ms: Optional[float] = None
     timeout: Optional[object] = None
     pipeline: Optional[int] = None
-    #: Execution backend for the sharded pipeline (repro.core.backends):
-    #: ``serial`` (inline, the default), ``threads``, or ``processes``
-    #: (real CPU parallelism via long-lived worker processes). Requires
-    #: ``pipeline`` — the sequential validator has no shards to schedule.
-    backend: str = "serial"
     seed: int = 0
     policies: Tuple[str, ...] = ()
     policy_engine: Optional[object] = None
@@ -117,15 +111,10 @@ class JuryConfig:
     #: id, so sampled traces stay deterministic across engines and replays.
     obs_sample: int = 1
     #: Always-on flight recorder: fixed-size ring of recent decision/alarm/
-    #: worker events, dumped on anomaly triggers (repro.obs.recorder).
+    #: checkpoint events, dumped on anomaly triggers (repro.obs.recorder).
     flight: bool = False
     #: Ring capacity (events retained) when ``flight`` is on.
     flight_capacity: int = 256
-    #: Wall-clock per-stage worker profiling inside thread/process backend
-    #: workers (repro.obs.profile). Distinct from the simulated-time
-    #: tracer; requires ``metrics`` to land anywhere. No-op under
-    #: ``serial`` (there is no worker to measure).
-    wall_profile: bool = False
 
     # Hosting shape.
     kind: str = "onos"
@@ -163,23 +152,6 @@ class JuryConfig:
             raise ValidationError(
                 f"checkpoint_every must be an integer >= 1 or None: "
                 f"{self.checkpoint_every!r}")
-        from repro.core.backends import BACKEND_NAMES
-        if self.backend not in BACKEND_NAMES:
-            raise ValidationError(
-                f"unknown backend {self.backend!r} "
-                f"(expected one of: {', '.join(BACKEND_NAMES)})")
-        if self.backend != "serial":
-            if self.pipeline is None:
-                raise ValidationError(
-                    f"backend {self.backend!r} requires pipeline=N: the "
-                    f"sequential validator has no shards to schedule")
-            if self.timeout is not None:
-                from repro.core.timeouts import StaticTimeout
-                if not isinstance(self.timeout, StaticTimeout):
-                    raise ValidationError(
-                        f"backend {self.backend!r} requires a static "
-                        f"timeout (adaptive policies couple shards "
-                        f"through observe())")
         unknown = [name for name in self.policies if name not in POLICY_SETS]
         if unknown:
             raise ValidationError(
@@ -334,7 +306,6 @@ class JuryConfig:
             "k": self.k,
             "timeout_ms": self.effective_timeout_ms,
             "pipeline": self.pipeline,
-            "backend": self.backend,
             "seed": self.seed,
             "policies": list(self.policies)
             + (["<explicit>"] if self.policy_engine is not None else []),
@@ -348,7 +319,6 @@ class JuryConfig:
             "checkpoint_every": self.checkpoint_every,
             "obs_sample": self.obs_sample,
             "flight": self.flight,
-            "wall_profile": self.wall_profile,
             "kind": self.kind,
             "n": self.n,
             "switches": self.switches,

@@ -1,57 +1,7 @@
-"""Execution backends: how pipeline shard work units are scheduled.
+"""The decision engine every validation driver runs.
 
-``resolve_backend`` is the single construction point — the pipeline, the
-config layer, the CLI, and the bench all go through it, so ``"serial"``,
-``"threads"`` and ``"processes"`` mean the same thing everywhere. Passing
-an :class:`ExecutionBackend` instance through is allowed for tests that
-need a pre-configured backend (e.g. a ``ProcessesBackend`` with a short
-worker timeout or armed crash injection).
+:mod:`~repro.core.backends.shardcore` holds Algorithm 1's collect → θτ →
+decide loop (:class:`ShardCore`), driven in process by the sequential
+validator and by each pipeline shard; :mod:`~repro.core.backends.frames`
+holds the batch/verdict records of :meth:`ShardCore.process`.
 """
-
-from __future__ import annotations
-
-from repro.core.backends.base import ExecutionBackend, FrameBackend, SerialBackend
-from repro.core.backends.frames import BatchFrame, DecisionRecord, VerdictFrame
-from repro.core.backends.processes import ProcessesBackend
-from repro.core.backends.shardcore import ShardCore
-from repro.core.backends.threads import ThreadsBackend
-
-#: Name → zero-argument constructor for every built-in backend.
-BACKENDS = {
-    "serial": SerialBackend,
-    "threads": ThreadsBackend,
-    "processes": ProcessesBackend,
-}
-
-BACKEND_NAMES = tuple(BACKENDS)
-
-
-def resolve_backend(backend) -> ExecutionBackend:
-    """Normalise a backend name or instance to an (unattached) instance."""
-    if isinstance(backend, ExecutionBackend):
-        return backend
-    if backend is None:
-        return SerialBackend()
-    try:
-        factory = BACKENDS[backend]
-    except (KeyError, TypeError):
-        raise ValueError(
-            f"unknown execution backend {backend!r}; "
-            f"expected one of {', '.join(BACKENDS)}") from None
-    return factory()
-
-
-__all__ = [
-    "BACKENDS",
-    "BACKEND_NAMES",
-    "BatchFrame",
-    "DecisionRecord",
-    "ExecutionBackend",
-    "FrameBackend",
-    "ProcessesBackend",
-    "SerialBackend",
-    "ShardCore",
-    "ThreadsBackend",
-    "VerdictFrame",
-    "resolve_backend",
-]

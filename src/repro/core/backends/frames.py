@@ -1,20 +1,18 @@
-"""Batch / verdict frames exchanged between the pipeline and its workers.
+"""Batch / verdict frames around one :meth:`ShardCore.process` call.
 
-A :class:`BatchFrame` carries one shard's pending arrivals (collected by the
-parent under the same ``batch_max`` / overflow discipline the serial path
-uses) to wherever the shard's :class:`~repro.core.backends.shardcore.ShardCore`
-lives — an in-process call, a worker thread, or a worker process over a
-pipe. The worker answers with a :class:`VerdictFrame`: an **ordered event
-log** — one event per call the core made on its sink (Ψ observation, late
-drop, decision) — plus counter deltas.
+A :class:`BatchFrame` carries one shard's arrivals at a simulated instant;
+:meth:`~repro.core.backends.shardcore.ShardCore.process` runs it and answers
+with a :class:`VerdictFrame`: an **ordered event log** — one event per call
+the core made on its sink (Ψ observation, late drop, decision) — plus
+counter deltas. Replaying the log in order through the same three sink
+methods an engine's core calls directly reproduces the engine's effects.
 
-The event log is the heart of the equivalence argument: the parent replays
-it in order through the same three sink methods an inline core calls
-directly, so a decision's staleness/policy checks see exactly the Ψ prefix
-they would have seen had the responses been processed in the parent.
-Everything in a frame is picklable by construction — plain tuples,
-``Response`` records (compact ``__reduce__``), and ``ConsensusOutcome``
-dataclasses.
+The validation engines no longer use frames: every shard runs its core in
+process. The last user is the benchmark's frame kernel (``bench/kernels.py``,
+traced ``stream-pipe4-faulty``), which times pickling these records and
+:meth:`ShardCore.process`. Everything in a frame is picklable by
+construction — plain tuples, ``Response`` records (compact
+``__reduce__``), and ``ConsensusOutcome`` dataclasses.
 """
 
 from __future__ import annotations
@@ -33,15 +31,9 @@ EV_DECISION = 2  #: ``(tag, DecisionRecord)`` — a trigger decided
 
 @dataclass
 class DecisionRecord:
-    """One decided trigger, minus everything the parent recomputes.
-
-    The worker runs classification and consensus only; the parent runs
-    the (cheap, pure) sanity check and the Ψ-dependent staleness/policy
-    checks in :meth:`~repro.core.validator.DecisionCore.decision`, the
-    same sink method an inline core calls, so alarm order, spans, and
-    metrics are the serial path's by construction. The fields are that
-    method's arguments.
-    """
+    """One decided trigger: the arguments of the sink's
+    :meth:`~repro.core.validator.DecisionCore.decision` call, which runs
+    the sanity, staleness and policy checks on replay."""
 
     trigger_id: Tuple
     count: int
@@ -60,19 +52,16 @@ class BatchFrame:
     seq: int
     now: float
     items: Tuple  #: ``((arrived_at, Response), ...)`` in arrival order
-    #: Queue and overflow fully drained by this collection — the worker
-    #: fires θτ deadlines up to ``now``.
+    #: Nothing older is still queued behind these items — the core fires
+    #: θτ deadlines up to ``now``.
     drained: bool
-    #: θτ wakeup frame (may carry zero items): sent even when empty, so
-    #: the worker fires the deadlines that are due.
+    #: θτ wakeup frame (may carry zero items).
     wakeup: bool = False
-    #: Parent requests a state snapshot piggybacked on the verdict.
-    want_snapshot: bool = False
 
 
 @dataclass
 class VerdictFrame:
-    """The worker's answer to one :class:`BatchFrame`."""
+    """The answer to one :class:`BatchFrame`."""
 
     shard: int
     seq: int
@@ -80,12 +69,5 @@ class VerdictFrame:
     stats_delta: dict = field(default_factory=dict)
     #: Earliest armed θτ deadline after this frame (None: heap empty).
     next_deadline: Optional[float] = None
-    #: Undecided triggers still held by the worker (pending_count mirror).
+    #: Undecided triggers still held by the core.
     open_records: int = 0
-    #: Pickled ShardCore state, present iff the frame asked for one.
-    snapshot: Optional[bytes] = None
-    #: Wall-clock profile delta (repro.obs.profile) accumulated by the
-    #: worker since its last shipment: ``{stage: (count, total_s, min_s,
-    #: max_s)}``. Rides the verdict exactly like the snapshot does; None
-    #: when profiling is off or nothing was measured.
-    profile: Optional[dict] = None

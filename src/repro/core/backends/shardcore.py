@@ -14,24 +14,23 @@ evaluated. It touches nothing shared: every effect goes through a three-method
     Vτ closed and consensus was evaluated,
 
 called in processing order. The sequential
-:class:`~repro.core.validator.Validator` and an inline pipeline shard pass
+:class:`~repro.core.validator.Validator` and every pipeline shard pass
 *themselves* (:class:`~repro.core.validator.DecisionCore` implements the
-sink once), so effects land where and when the response is processed; a
-backend worker passes an :class:`_EventLog` and ships the log home in a
-:class:`~repro.core.backends.frames.VerdictFrame`, where the parent replays
-it through the same three methods.
+sink once), so effects land where and when the response is processed.
+:meth:`ShardCore.process` runs one
+:class:`~repro.core.backends.frames.BatchFrame` against an
+:class:`_EventLog` sink instead; the benchmark's frame kernel is its last
+caller.
 
 Determinism contract: given the same items in the same order a core makes
-the same sink calls in the same order, wherever it runs — the backend
-differential suite pins this at N∈{1,2,4,8}, and
-``tests/test_one_engine.py`` holds the loop itself to an independent
-reference.
+the same sink calls in the same order — the differential suite pins this
+at N∈{1,2,4,8}, and ``tests/test_one_engine.py`` holds the loop itself to
+an independent reference.
 """
 
 from __future__ import annotations
 
 import heapq
-import pickle
 from types import SimpleNamespace
 from typing import (
     Collection,
@@ -64,9 +63,7 @@ from repro.core.timeouts import StaticTimeout, TimeoutPolicy
 _CACHE_UPDATE = ResponseKind.CACHE_UPDATE
 
 #: The counters :meth:`ShardCore.run` maintains on the ``stats`` object it
-#: is handed. A worker ships them back per frame and the parent folds them
-#: into the shard's :class:`~repro.core.pipeline.ShardStats` (``max_batch``
-#: by max, the rest by sum).
+#: is handed (a subset of :class:`~repro.core.pipeline.ShardStats`).
 DELTA_KEYS = ("processed", "batches", "batched_responses", "max_batch",
               "fastpath_decisions", "slowpath_decisions", "late_responses")
 
@@ -146,8 +143,8 @@ class _Record:
 
 
 class _EventLog:
-    """The sink a worker hands :meth:`ShardCore.run`: effects as picklable
-    events, replayed by the parent in order (see ``frames.py``)."""
+    """The sink :meth:`ShardCore.process` hands :meth:`ShardCore.run`:
+    effects as picklable events, in call order (see ``frames.py``)."""
 
     def __init__(self) -> None:
         self.events: List[Tuple] = []
@@ -172,7 +169,7 @@ class ShardCore:
     ``timeout`` is the engine's :class:`~repro.core.timeouts.TimeoutPolicy`
     — consulted each time a record opens, so an adaptive policy that the
     sink's ``decision`` feeds is seen between two records of one batch — or
-    a plain number of milliseconds, as workers are bootstrapped.
+    a plain number of milliseconds.
     """
 
     def __init__(self, k: int, timeout: Union[TimeoutPolicy, float],
@@ -308,7 +305,7 @@ class ShardCore:
         return deadlines[0][0] if deadlines else None
 
     # ------------------------------------------------------------------
-    # Frames (backend workers, and a degraded shard in the parent)
+    # Frames (the benchmark's frame kernel)
     # ------------------------------------------------------------------
     def process(self, frame: BatchFrame) -> VerdictFrame:
         """Run one batch frame against an event-log sink."""
@@ -320,17 +317,16 @@ class ShardCore:
             stats_delta={key: value for key, value in vars(stats).items()
                          if value},
             next_deadline=self.next_deadline(),
-            open_records=len(self.records),
-            snapshot=self.snapshot() if frame.want_snapshot else None)
+            open_records=len(self.records))
 
     # ------------------------------------------------------------------
-    # Snapshot / restore (checkpoints, and worker bootstrap after a death)
+    # Checkpoint / restore
     # ------------------------------------------------------------------
     def payload(self) -> Dict[str, object]:
         """The decision state as plain data — everything but the (pure)
-        memo. The same shape on every driver and backend, so a checkpoint
-        taken on one restores on any other. Stale heap heads are dropped
-        first, which makes restore → payload a fixed point."""
+        memo; the same shape for a validator's core and a pipeline
+        shard's. Stale heap heads are dropped first, which makes restore →
+        payload a fixed point."""
         self.next_deadline()
         return {
             "records": {tau: (tuple(r.responses), r.first_at)
@@ -349,12 +345,3 @@ class ShardCore:
         self.deadlines = list(payload["deadlines"])
         heapq.heapify(self.deadlines)
         self._deadline_seq = int(payload["deadline_seq"])
-
-    def snapshot(self) -> bytes:
-        """:meth:`payload`, pickled once where it is taken (a worker's
-        snapshot crosses the parent as an opaque blob)."""
-        return pickle.dumps(self.payload(), protocol=pickle.HIGHEST_PROTOCOL)
-
-    def restore(self, blob: bytes) -> None:
-        """Load a :meth:`snapshot` — the replacement worker's bootstrap."""
-        self.load(pickle.loads(blob))

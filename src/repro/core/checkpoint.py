@@ -6,8 +6,8 @@ view, and the alarm history, and replaying a production stream from frame
 0 is exactly the unbounded cost JURY's out-of-band design avoids. This
 module gives every engine flavour (sequential
 :class:`~repro.core.validator.Validator`, sharded
-:class:`~repro.core.pipeline.ValidationPipeline`, any execution backend)
-a common recovery currency:
+:class:`~repro.core.pipeline.ValidationPipeline`) a common recovery
+currency:
 
 * :class:`Checkpoint` — a versioned, sha-256-stamped snapshot envelope.
   The body is a pickled state dict produced by the engine's
@@ -30,8 +30,7 @@ Determinism contract: with ``flush_interval_ms=0`` (the byte-identical
 regime of ``docs/pipeline.md``), ``restore(checkpoint) + WAL replay +
 remaining input`` yields a canonical alarm stream byte-identical to the
 uninterrupted run's. Adaptive timeout policies are re-seeded from the
-timeout value captured at checkpoint time (frame backends already require
-a static policy).
+timeout value captured at checkpoint time.
 
 This module is dependency-light by design — engines are imported lazily
 inside the restore helpers so ``validator.py`` and ``pipeline.py`` can
@@ -290,14 +289,14 @@ def replay_wal(engine, records: List[Tuple]) -> Tuple[int, float]:
 # ----------------------------------------------------------------------
 # Restore helpers (engines imported lazily; see module docstring)
 # ----------------------------------------------------------------------
-def restore_engine(checkpoint: Checkpoint, backend: Optional[str] = None,
-                   **overrides):
+def restore_engine(checkpoint: Checkpoint, **overrides):
     """Build a fresh simulator + engine from a checkpoint and restore it.
 
     The engine shape (kind, k, shards, timeout, batching knobs) comes from
-    the checkpoint's meta; ``backend`` and keyword overrides (observers,
-    ``wal=``, ``checkpoint_every=`` …) layer on top. The new simulator is
-    advanced to the checkpointed instant by ``restore()`` itself.
+    the checkpoint's meta; keyword overrides (observers, ``wal=``,
+    ``checkpoint_every=`` …) layer on top. The new simulator is advanced to
+    the checkpointed instant by ``restore()`` itself. A ``meta["backend"]``
+    written by older builds is ignored: every shard runs in process.
     """
     from repro.core.timeouts import StaticTimeout
     from repro.sim.simulator import Simulator
@@ -324,8 +323,6 @@ def restore_engine(checkpoint: Checkpoint, backend: Optional[str] = None,
             queue_capacity=int(meta.get("queue_capacity", 1024)),
             batch_max=int(meta.get("batch_max", 512)),
             flush_interval_ms=float(meta.get("flush_interval_ms", 0.0)),
-            backend=backend if backend is not None
-            else str(meta.get("backend", "serial")),
             **overrides)
     else:
         raise CheckpointError(f"unknown engine kind in checkpoint: {kind!r}")
@@ -366,9 +363,6 @@ def run_with_recovery(records, make_engine: Callable,
         sim1.schedule_at(record.time_ms, engine1.ingest, record.response)
     if kill_index:
         sim1.run(until=records[kill_index - 1].time_ms)
-    close = getattr(engine1, "close", None)
-    if close is not None:
-        close()  # reap backend workers; parent-side state is abandoned
 
     checkpoint = newest["cp"]
     sim2 = Simulator(seed=0)

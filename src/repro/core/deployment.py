@@ -128,8 +128,6 @@ class JuryDeployment:
                 batch_max=config.batch_max,
                 flush_interval_ms=config.flush_interval_ms,
                 snapshot_sink=self.snapshot_sink,
-                profile=config.wall_profile,
-                backend=config.backend,
                 checkpoint_every=config.checkpoint_every,
                 on_checkpoint=on_checkpoint, **observers)
         else:
@@ -196,16 +194,6 @@ class JuryDeployment:
             original_deliver(controller_id, request)
 
         api.deliver = intercepting_deliver
-
-    def close(self) -> None:
-        """Release validator resources (backend worker processes/threads).
-
-        A no-op for the sequential validator and the serial backend;
-        results and alarms stay readable after closing.
-        """
-        close = getattr(self.validator, "close", None)
-        if close is not None:
-            close()
 
     # ------------------------------------------------------------------
     # Validation facade (uniform across sequential/sharded engines)

@@ -45,20 +45,12 @@ equivalence (classification, alarm reasons, response counts) is guaranteed.
 
 from __future__ import annotations
 
-import itertools
 import zlib
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.alarms import Alarm, ValidationResult
-from repro.core.backends import resolve_backend
-from repro.core.backends.frames import (
-    EV_LATE,
-    EV_PSI,
-    BatchFrame,
-    VerdictFrame,
-)
 from repro.core.backends.shardcore import CoreMemo, ShardCore
 from repro.core.responses import Response
 from repro.core.timeouts import StaticTimeout, TimeoutPolicy
@@ -131,14 +123,12 @@ class PipelineStats:
 
 
 class _Shard(DecisionCore):
-    """One validator worker: bounded queue, batched flushes, one θτ wakeup.
+    """One validator shard: bounded queue, batched flushes, one θτ wakeup.
 
-    Owns the arrival side only. The decisions are made by a
-    :class:`~repro.core.backends.shardcore.ShardCore` — ``core`` on an
-    inline backend, the worker's on a frame backend — and reach this
-    object through the :class:`~repro.core.validator.DecisionCore` sink
-    either way: called by the core directly, or replayed from the worker's
-    event log by :meth:`_merge_verdict`.
+    Owns the arrival side only. The decisions are made by the shard's
+    :class:`~repro.core.backends.shardcore.ShardCore` (``core``), which
+    reports them to this object through the
+    :class:`~repro.core.validator.DecisionCore` sink.
     """
 
     def __init__(self, pipeline: "ValidationPipeline", index: int):
@@ -159,10 +149,6 @@ class _Shard(DecisionCore):
         self.core.memo = pipeline._memo
         self._flush_scheduled = False
         self.stats = ShardStats()
-        # Frame backends (``core`` stays empty: the worker has the live
-        # one): monotone frame sequence, the worker's open-record count.
-        self._frame_seq = itertools.count()
-        self._remote_open = 0
 
     # ------------------------------------------------------------------
     # Arrival side (called by the router)
@@ -187,11 +173,9 @@ class _Shard(DecisionCore):
 
     def _flush(self) -> None:
         self._flush_scheduled = False
-        backend = self.pipeline.backend
-        backend.flush_shard(self)
-        # The end of an inline step; a frame backend's step ends at its
-        # merge barrier, once the verdict is in.
-        if self.observer is not None and backend.inline:
+        self._process_available()
+        # The end of an engine step.
+        if self.observer is not None:
             self.observer.tick(self.sim.now)
 
     def _on_wakeup(self) -> None:
@@ -199,7 +183,7 @@ class _Shard(DecisionCore):
         # Not just "fire what is due": responses still queued arrived
         # before (or at) this deadline, and the core must count them
         # before θτ classifies their trigger.
-        self.pipeline.backend.flush_shard(self, wakeup=True)
+        self._process_available(wakeup=True)
 
     def _take_batch(self) -> Tuple[object, bool]:
         """Up to ``batch_max`` queued responses, oldest first, and whether
@@ -237,7 +221,7 @@ class _Shard(DecisionCore):
         return items, drained
 
     # ------------------------------------------------------------------
-    # Inline backends: this shard's own core, this object as its sink
+    # Decision side: this shard's own core, this object as its sink
     # ------------------------------------------------------------------
     def _process_available(self, wakeup: bool = False) -> None:
         """Run the next batch through the core (see :meth:`ShardCore.run`
@@ -261,52 +245,6 @@ class _Shard(DecisionCore):
             self.stats.alarmed += 1
             self.pipeline._alarms_sorted = False
         self.pipeline._emit(result, alarms)
-
-    # ------------------------------------------------------------------
-    # Frame backends (repro.core.backends): the parent keeps queue and
-    # overflow accounting plus everything that touches shared state; the
-    # worker's core makes the sink calls into an event log that this side
-    # replays.
-    # ------------------------------------------------------------------
-    def _collect_frame(self, wakeup: bool = False) -> Optional[BatchFrame]:
-        """The next batch as a frame, or None when there is nothing to do
-        — except for θτ wakeups, which always produce a frame so the
-        worker fires due deadlines."""
-        items, drained = self._take_batch()
-        if not items and not wakeup:
-            return None
-        return BatchFrame(shard=self.index, seq=next(self._frame_seq),
-                          now=self.sim.now, items=tuple(items),
-                          drained=drained, wakeup=wakeup)
-
-    def _merge_verdict(self, verdict: VerdictFrame) -> None:
-        """Replay a worker's ordered event log through the sink.
-
-        Event order is the worker core's call order, which is an inline
-        core's call order for the same responses — so each decision's
-        staleness/policy checks observe exactly the Ψ prefix they would
-        have inline, and alarm/span emission order matches.
-        """
-        stats = self.stats
-        for key, value in verdict.stats_delta.items():
-            if key == "max_batch":
-                if value > stats.max_batch:
-                    stats.max_batch = value
-            else:
-                setattr(stats, key, getattr(stats, key) + value)
-        for event in verdict.events:
-            tag = event[0]
-            if tag == EV_PSI:
-                self.psi(event[1], event[2], event[3], event[4])
-            elif tag == EV_LATE:
-                self.late(event[1], event[2])
-            else:  # EV_DECISION
-                d = event[1]
-                self.decision(d.trigger_id, d.count, d.external, d.timed_out,
-                              d.detection_ms, d.outcome, list(d.responses))
-        self._remote_open = verdict.open_records
-        if verdict.next_deadline is not None:
-            self._arm(verdict.next_deadline)
 
 
 class ValidationPipeline(EngineSurface):
@@ -335,7 +273,7 @@ class ValidationPipeline(EngineSurface):
                  flush_interval_ms: float = 0.0,
                  tracer=None, metrics=None,
                  forensics=None, health=None, snapshot_sink=None,
-                 sampler=None, recorder=None, profile=False,
+                 sampler=None, recorder=None,
                  backend="serial",
                  checkpoint_every: Optional[int] = None,
                  on_checkpoint: Optional[Callable] = None,
@@ -346,6 +284,11 @@ class ValidationPipeline(EngineSurface):
             raise ValueError(f"queue_capacity must be >= 1: {queue_capacity}")
         if batch_max < 1:
             raise ValueError(f"batch_max must be >= 1: {batch_max}")
+        if backend != "serial":
+            # Shards always run in process; "serial" is still accepted for
+            # callers that name it explicitly.
+            raise ValueError(f"unknown execution backend {backend!r}; "
+                             f"only 'serial' remains")
         # One observer, shared by every shard; the trace carries no shard
         # indices (queues, batches and overflow are scraped into metrics),
         # so it is byte-identical at any shard count.
@@ -365,10 +308,6 @@ class ValidationPipeline(EngineSurface):
         self.queue_capacity = queue_capacity
         self.batch_max = batch_max
         self.flush_interval_ms = flush_interval_ms
-        #: Wall-clock worker profiling (repro.obs.profile): read by frame
-        #: backends at worker start; the serial backend has no workers and
-        #: ignores it.
-        self.profile = bool(profile)
         #: Merged Ψid view shared by all shards (see module docstring).
         self.state: Dict[str, ControllerState] = {}
         # One digest/network-entry memo for every core in this process.
@@ -381,24 +320,6 @@ class ValidationPipeline(EngineSurface):
         # tau -> shard, a pure function of the trigger id resolved once per
         # trigger.
         self._route: Dict[Tuple, _Shard] = {}
-        #: Execution backend (repro.core.backends): owns how shard work
-        #: units are scheduled. ``serial`` runs each shard's core in
-        #: place; ``threads``/``processes`` exchange batch/verdict frames
-        #: with long-lived workers. Attached last — a frame backend
-        #: validates the timeout policy and spawns its workers here.
-        self.backend = resolve_backend(backend)
-        self.backend_name = self.backend.name
-        self.backend.attach(self)
-
-    def close(self) -> None:
-        """Shut down backend workers. Results/alarms stay readable."""
-        self.backend.close()
-
-    def __enter__(self) -> "ValidationPipeline":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     # Ingest / routing
@@ -430,8 +351,16 @@ class ValidationPipeline(EngineSurface):
         shard.enqueue(now, response)
 
     def drain(self) -> None:
-        """Synchronously process every queued response (benchmark path)."""
-        self.backend.drain()
+        """Synchronously process every queued response (benchmark path):
+        one batch per non-empty shard per round, until every queue is
+        empty."""
+        progressing = True
+        while progressing:
+            progressing = False
+            for shard in self._shards:
+                if shard.queue or shard.overflow:
+                    shard._process_available()
+                    progressing = True
 
     def ordered_results(self) -> List[ValidationResult]:
         """Decided-trigger results in the deterministic merge order."""
@@ -447,19 +376,9 @@ class ValidationPipeline(EngineSurface):
 
     @property
     def pending_count(self) -> int:
-        """Undecided triggers plus responses still queued on any shard.
-
-        On a frame backend the per-shard records live in the workers; the
-        parent mirrors each worker's open-record count from its latest
-        verdict (exact at instant boundaries, where the merge barrier has
-        already drained every in-flight frame).
-        """
-        if self.backend.inline:
-            open_records = sum(len(s.core.records) for s in self._shards)
-        else:
-            open_records = sum(s._remote_open for s in self._shards)
-        return open_records + sum(
-            len(s.queue) + len(s.overflow) for s in self._shards)
+        """Undecided triggers plus responses still queued on any shard."""
+        return sum(len(s.core.records) + len(s.queue) + len(s.overflow)
+                   for s in self._shards)
 
     @property
     def staleness_threshold(self) -> Optional[int]:
@@ -520,32 +439,25 @@ class ValidationPipeline(EngineSurface):
         return {"k": self.k, "shards": self.shards}
 
     def _engine_state(self) -> Tuple[Dict[str, object], Dict[str, object]]:
-        """Per shard: the core payload (via the backend, so a frame
-        backend harvests its worker's core, merging any in-flight verdicts
-        first), arrival queue and overflow ring, stats, and the Ψid local
-        views. The backend is recorded but is not part of the shape: a
-        serial checkpoint restores onto a processes backend and back."""
+        """Per shard: the core payload, arrival queue and overflow ring,
+        stats, and the Ψid local views."""
         state = {"shards": [
-            {"core": self.backend.shard_state(shard),
+            {"core": shard.core.payload(),
              "queue": list(shard.queue),
              "overflow": list(shard.overflow),
              "stats": shard.stats.snapshot(),
              "local_progress": dict(shard.local_progress),
              "local_cache_updates": dict(shard.local_cache_updates)}
             for shard in self._shards]}
-        meta = {"backend": self.backend_name,
-                "queue_capacity": self.queue_capacity,
+        meta = {"queue_capacity": self.queue_capacity,
                 "batch_max": self.batch_max,
                 "flush_interval_ms": self.flush_interval_ms}
         return state, meta
 
     def _engine_restore(self, state: Dict[str, object]) -> None:
-        """On a frame backend the core payload is pushed down to the
-        workers, which also resets the crash-recovery piggyback basis: a
-        worker killed after this point rehydrates from this snapshot
-        instead of frame 0."""
         for shard, payload in zip(self._shards, state["shards"]):
-            self.backend.restore_shard(shard, payload["core"])
+            shard.core.load(payload["core"])
+            shard._rearm(payload["core"])
             shard.queue = deque(payload["queue"])
             shard.overflow = deque(payload["overflow"])
             for key, value in payload["stats"].items():

@@ -67,9 +67,9 @@ class Response:
                 f"{self.kind.value}{taint})")
 
     def __reduce__(self):
-        # Positional-tuple pickling: responses dominate the batch/verdict
-        # frames the process backend ships, and the generic dataclass
-        # reduce (per-instance __dict__) roughly doubles the frame size.
+        # Positional-tuple pickling: responses dominate checkpoints, WAL
+        # records and batch/verdict frames, and the generic dataclass
+        # reduce (per-instance __dict__) roughly doubles their size.
         return (Response, (self.controller_id, self.trigger_id, self.kind,
                            self.entry, self.tainted, self.state_digest,
                            self.sent_at, self.trigger_received_at,

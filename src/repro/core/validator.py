@@ -61,7 +61,7 @@ class ControllerState:
 
 def snapshot_controller_states(
         state: Dict[str, "ControllerState"]) -> Dict[str, Tuple]:
-    """Picklable snapshot of a Ψid mapping (worker bootstrap / restore)."""
+    """Picklable snapshot of a Ψid mapping (checkpoint / restore)."""
     return {cid: (entry.cache_updates, entry.last_entry,
                   entry.digest_progress, entry.last_stale_alarm_at)
             for cid, entry in state.items()}
@@ -87,9 +87,8 @@ class DecisionCore:
     result and its alarms), and the last two are what the
     :class:`~repro.obs.observer.Observer` hears of a trigger. The
     :class:`Validator` and every pipeline shard are DecisionCores and hand
-    *themselves* to the core they drive; a frame backend's parent replays
-    its worker's event log through the same three methods — so a decided
-    trigger yields identical alarms wherever its core ran.
+    *themselves* to the core they drive, so a decided trigger yields
+    identical alarms whichever driver collected it.
 
     Also keeps the driver's single coalesced θτ wakeup (:meth:`_arm`); a
     subclass provides ``timeout``, ``_on_wakeup`` and ``_emit``.
@@ -221,7 +220,7 @@ class DecisionCore:
         failed and sanity did not run), the staleness alarms (None with
         the monitor off) and the policy violations (None without a policy
         engine). Every decided trigger comes through here whichever driver
-        or backend collected it, so the ``check:*`` spans and counters an
+        collected it, so the ``check:*`` spans and counters an
         observer renders from the verdicts describe it identically.
         """
         alarms: List[Alarm] = []
@@ -363,8 +362,8 @@ class EngineSurface:
             if (self._since_checkpoint >= self.checkpoint_every
                     and not self._checkpoint_scheduled):
                 # Delay 0 lands after every event of the current simulated
-                # instant — including the merge barrier on frame backends —
-                # so the snapshot captures a consistent instant boundary.
+                # instant, so the snapshot captures a consistent instant
+                # boundary.
                 self._checkpoint_scheduled = True
                 self.sim.schedule(0.0, self._auto_checkpoint)
 
@@ -415,8 +414,8 @@ class EngineSurface:
         Captures Ψid, the alarm and result history, the counters, the
         process-global trigger-id counter positions, and the engine's own
         decision state (``_engine_state``: one core payload for a
-        validator; per shard, the core payload — harvested from the worker
-        on a frame backend — plus queues and stats for a pipeline). Appends
+        validator; per shard, the core payload plus queues and stats for a
+        pipeline). Appends
         a marker to the attached WAL so recovery knows which log records
         the snapshot subsumes.
         """
@@ -446,7 +445,7 @@ class EngineSurface:
 
         The engine must have the kind and shape (``k``; shard count) of
         the one that produced the snapshot and must not have advanced past
-        its simulated time; a pipeline's backend may differ. Advances the
+        its simulated time. Advances the
         simulator to the checkpointed instant, rebuilds Ψid and the
         decision state, re-arms the θτ wakeups at the original deadlines,
         and re-seeds the trigger-id counters. After a WAL-tail replay the

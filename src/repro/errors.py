@@ -66,7 +66,8 @@ class CheckpointError(ValidationError):
 
     Raised on format/version mismatches, sha-256 digest failures, restoring
     into an engine whose shape (k, shards, timeout) differs from the one
-    that produced the snapshot, or restoring through a closed backend.
+    that produced the snapshot, or restoring into an engine that has
+    already ingested.
     """
 
 

@@ -43,8 +43,8 @@ class CorpusEntry:
     spec: ScenarioSpec
     expect: Tuple[str, ...]
     notes: str = ""
-    #: Optional oracle configuration, e.g. ``{"perturb": {"backend":
-    #: "serial", "shards": 4, "timeout_delta_ms": 40.0}}`` — the planted
+    #: Optional oracle configuration, e.g. ``{"perturb": {"shards": 4,
+    #: "timeout_delta_ms": 40.0}}`` — the planted
     #: fire-drill knob (see DifferentialOracle.perturb). ``None`` replays
     #: with whatever oracle the caller supplies, unmodified.
     oracle: Optional[dict] = None
@@ -133,7 +133,6 @@ def replay_entry(entry: CorpusEntry,
             shard_counts=oracle.shard_counts,
             traced_shards=oracle.traced_shards,
             settle_ms=oracle.settle_ms,
-            backends=oracle.backends,
             perturb=perturb)
     report = oracle.run(entry.spec)
     actual = report.codes()

@@ -5,9 +5,7 @@ simulator, topology, controller cluster, JURY deployment), records the
 validator's exact input stream, then replays that identical stream through
 the independent :class:`~repro.fuzz.reference.ReferenceValidator`, the
 sequential :class:`~repro.core.validator.Validator` and the sharded
-:class:`~repro.core.pipeline.ValidationPipeline` at N ∈ {1, 2, 4, 8} —
-optionally across execution backends (``backends=("serial", "threads",
-"processes")``) so the scheduler itself is on the differential axis —
+:class:`~repro.core.pipeline.ValidationPipeline` at N ∈ {1, 2, 4, 8},
 with observability on and off, checking the invariant catalog:
 
 ``CLEAN_RUN_ALARMED``
@@ -24,7 +22,7 @@ with observability on and off, checking the invariant catalog:
     validator did not reproduce the live alarm stream byte-for-byte.
 ``ENGINE_DIVERGENCE``
     The canonical alarm stream of the sequential validator, or of the
-    sharded pipeline at some shard count / execution backend, differs
+    sharded pipeline at some shard count, differs
     from the reference's. Validator and pipeline drive the same
     ``ShardCore``; the reference is a separate, textbook Algorithm 1, so
     this checks the decision loop and not only its drivers.
@@ -53,9 +51,9 @@ plus a flight-recorder dump of the diverging replay, so every surviving
 counterexample is triageable offline (``jury-repro trace-diff``,
 ``jury-repro diagnose --flight``).
 
-A ``perturb`` knob applies a deterministic timeout delta to exactly one
-named ``(backend, shards)`` replay variant — a planted fire drill that
-must produce exactly ``ENGINE_DIVERGENCE``, exercising the divergence →
+A ``perturb`` knob applies a deterministic timeout delta to the pipeline
+replay at exactly one named shard count — a planted fire drill that must
+produce exactly ``ENGINE_DIVERGENCE``, exercising the divergence →
 diff → artifact path end to end (the committed
 ``tests/corpus/planted-engine-divergence.json`` entry).
 """
@@ -72,10 +70,6 @@ from repro.fuzz.scenario import ScenarioSpec, build_fault_scenario
 DEFAULT_SHARD_COUNTS = (1, 2, 4, 8)
 #: Shard counts additionally replayed with tracing + metrics attached.
 DEFAULT_TRACED_SHARDS = (2, 4)
-#: Execution backends in the differential matrix. ``("serial",)`` keeps
-#: the default campaign cheap; the fuzz CLI's ``--backend`` widens it so
-#: ``ENGINE_DIVERGENCE`` covers the threads/processes schedulers too.
-DEFAULT_BACKENDS = ("serial",)
 
 
 @dataclass(frozen=True)
@@ -182,14 +176,12 @@ class DifferentialOracle:
                  shard_counts: Tuple[int, ...] = DEFAULT_SHARD_COUNTS,
                  traced_shards: Tuple[int, ...] = DEFAULT_TRACED_SHARDS,
                  settle_ms: float = 10_000.0,
-                 backends: Tuple[str, ...] = DEFAULT_BACKENDS,
                  perturb: Optional[Dict[str, object]] = None):
         self.shard_counts = shard_counts
         self.traced_shards = traced_shards
         self.settle_ms = settle_ms
-        self.backends = backends
-        #: Planted fire drill: ``{"backend": ..., "shards": ...,
-        #: "timeout_delta_ms": ...}`` perturbs exactly one replay variant's
+        #: Planted fire drill: ``{"shards": ..., "timeout_delta_ms": ...}``
+        #: perturbs exactly one replay variant's
         #: static timeout, deterministically forcing ENGINE_DIVERGENCE.
         self.perturb = perturb
 
@@ -267,7 +259,7 @@ class DifferentialOracle:
     # Replay engines
     # ------------------------------------------------------------------
     def _replay(self, live: LiveRun, shards: Optional[int] = None,
-                backend: str = "serial", timeout_ms: Optional[float] = None,
+                timeout_ms: Optional[float] = None,
                 reference: bool = False, **observers):
         from repro.core.pipeline import ValidationPipeline
         from repro.core.timeouts import StaticTimeout
@@ -292,17 +284,10 @@ class DifferentialOracle:
                           mastership_lookup=lookup, **observers)
             if shards is None:
                 return Validator(sim, spec.k, **kwargs)
-            return ValidationPipeline(sim, spec.k, shards=shards,
-                                      backend=backend, **kwargs)
+            return ValidationPipeline(sim, spec.k, shards=shards, **kwargs)
 
-        engine = replay_validation_stream(live.records, make,
-                                          settle_ms=self.settle_ms)
-        # Worker-hosting backends hold OS resources; alarms and counters
-        # stay readable after close, so release them eagerly.
-        close = getattr(engine, "close", None)
-        if close is not None:
-            close()
-        return engine
+        return replay_validation_stream(live.records, make,
+                                        settle_ms=self.settle_ms)
 
     # ------------------------------------------------------------------
     # The oracle proper
@@ -371,16 +356,15 @@ class DifferentialOracle:
                 "sequential replay did not reproduce the live alarm "
                 f"stream ({_sha256(replayed_window)[:12]} != "
                 f"{report.alarm_digest[:12]})"))
-        variants = [("sequential validator", None, "serial")] + [
-            (f"pipeline N={shards} backend={backend}", shards, backend)
-            for backend in self.backends for shards in self.shard_counts]
-        for label, shards, backend in variants:
+        variants = [("sequential validator", None)] + [
+            (f"pipeline N={shards}", shards) for shards in self.shard_counts]
+        for label, shards in variants:
             timeout_ms = None
             if shards is None:
                 engine = sequential
             else:
-                timeout_ms = self._perturbed_timeout(spec, backend, shards)
-                engine = self._replay(live, shards=shards, backend=backend,
+                timeout_ms = self._perturbed_timeout(spec, shards)
+                engine = self._replay(live, shards=shards,
                                       timeout_ms=timeout_ms)
             if timeout_ms is not None:
                 label += f" (perturbed timeout {timeout_ms:.1f} ms)"
@@ -392,7 +376,7 @@ class DifferentialOracle:
                 if shards is not None \
                         and "trace_diff" not in report.artifacts:
                     detail += "; " + self._capture_divergence(
-                        live, report, shards, backend, timeout_ms)
+                        live, report, shards, timeout_ms)
                 violations.append(InvariantViolation(
                     "ENGINE_DIVERGENCE", detail))
             elif self._counters(engine) != baseline_counters:
@@ -404,10 +388,8 @@ class DifferentialOracle:
         # --- Recovery invariants (repro.core.checkpoint) -------------
         if live.records:
             kill_index = len(live.records) // 2
-            for label, shards, backend in (("validator", None, "serial"),
-                                           ("pipeline N=2", 2, "serial")):
-                recovered = self._recover_replay(live, shards, backend,
-                                                 kill_index)
+            for label, shards in (("validator", None), ("pipeline N=2", 2)):
+                recovered = self._recover_replay(live, shards, kill_index)
                 stream = canonical_alarm_stream(recovered.alarms)
                 if stream != expected:
                     violations.append(InvariantViolation(
@@ -449,7 +431,7 @@ class DifferentialOracle:
         return report
 
     def _recover_replay(self, live: LiveRun, shards: Optional[int],
-                        backend: str, kill_index: int,
+                        kill_index: int,
                         checkpoint_every: int = 8):
         """Replay through a kill → restore → WAL-replay cycle.
 
@@ -474,27 +456,20 @@ class DifferentialOracle:
                           mastership_lookup=lookup)
             if shards is None:
                 return Validator(sim, spec.k, **kwargs)
-            return ValidationPipeline(sim, spec.k, shards=shards,
-                                      backend=backend, **kwargs)
+            return ValidationPipeline(sim, spec.k, shards=shards, **kwargs)
 
-        engine = run_with_recovery(live.records, make, kill_index,
-                                   checkpoint_every=checkpoint_every,
-                                   settle_ms=self.settle_ms)
-        close = getattr(engine, "close", None)
-        if close is not None:
-            close()
-        return engine
+        return run_with_recovery(live.records, make, kill_index,
+                                 checkpoint_every=checkpoint_every,
+                                 settle_ms=self.settle_ms)
 
     # ------------------------------------------------------------------
     # Divergence triage
     # ------------------------------------------------------------------
-    def _perturbed_timeout(self, spec: ScenarioSpec, backend: str,
+    def _perturbed_timeout(self, spec: ScenarioSpec,
                            shards: int) -> Optional[float]:
         """The perturbed absolute θτ (ms) for this variant, or ``None``."""
         perturb = self.perturb
         if not perturb:
-            return None
-        if perturb.get("backend", "serial") != backend:
             return None
         if perturb.get("shards") != shards:
             return None
@@ -502,7 +477,7 @@ class DifferentialOracle:
         return None if delta == 0.0 else spec.timeout_ms + delta
 
     def _capture_divergence(self, live: LiveRun, report: OracleReport,
-                            shards: int, backend: str,
+                            shards: int,
                             timeout_ms: Optional[float]) -> str:
         """Re-run the diverging pair traced; attach diff + flight artifacts.
 
@@ -520,14 +495,14 @@ class DifferentialOracle:
         self._replay(live, tracer=left, metrics=MetricsRegistry())
         right = Tracer()
         recorder = FlightRecorder()
-        engine = self._replay(live, shards=shards, backend=backend,
-                              tracer=right, metrics=MetricsRegistry(),
-                              recorder=recorder, timeout_ms=timeout_ms)
+        engine = self._replay(live, shards=shards, tracer=right,
+                              metrics=MetricsRegistry(), recorder=recorder,
+                              timeout_ms=timeout_ms)
         diff = diff_tracers(left, right)
         recorder.trigger("engine-divergence", engine.sim.now)
         report.artifacts["trace_diff"] = {
             "left": "sequential replay",
-            "right": f"pipeline N={shards} backend={backend}",
+            "right": f"pipeline N={shards}",
             **diff.to_dict()}
         report.artifacts["flight"] = recorder.payload(now=engine.sim.now)
         return first_divergence_detail(diff)

@@ -126,8 +126,7 @@ def soak_stream(triggers: int, k: int, seed: int,
 # ----------------------------------------------------------------------
 # Engine construction (one shape for worker, reference, and twin)
 # ----------------------------------------------------------------------
-def _build_engine(sim: Simulator, params: Dict[str, object],
-                  backend: Optional[str] = None):
+def _build_engine(sim: Simulator, params: Dict[str, object]):
     """The soak's engine: ``keep_results=False`` keeps RSS honest."""
     timeout = StaticTimeout(float(params["timeout_ms"]))
     shards = params.get("shards")
@@ -136,9 +135,7 @@ def _build_engine(sim: Simulator, params: Dict[str, object],
                          keep_results=False)
     return ValidationPipeline(
         sim, int(params["k"]), shards=int(shards), timeout=timeout,
-        keep_results=False, flush_interval_ms=0.0,
-        backend=backend if backend is not None
-        else str(params.get("backend") or "serial"))
+        keep_results=False, flush_interval_ms=0.0)
 
 
 # ----------------------------------------------------------------------
@@ -148,7 +145,7 @@ def _hard_kill() -> None:
     """``kill -9`` ourselves from inside a simulation event.
 
     SIGKILL is not catchable: no finally blocks, no WAL flush beyond the
-    per-append one, no backend worker reaping — the honest crash.
+    per-append one — the honest crash.
     """
     os.kill(os.getpid(), signal.SIGKILL)  # jury: ignore[D101]
 
@@ -201,9 +198,6 @@ def _soak_worker(params: Dict[str, object], workdir: str) -> None:
     drain = getattr(engine, "drain", None)
     if drain is not None:
         drain()
-    close = getattr(engine, "close", None)
-    if close is not None:
-        close()
     wal.close()
 
 
@@ -216,7 +210,6 @@ def run_soak(duration_s: float = 60.0,
              rate_per_s: float = 200.0,
              k: int = 3,
              shards: Optional[int] = None,
-             backend: Optional[str] = None,
              timeout_ms: float = 250.0,
              seed: int = 0,
              max_rss_mb: float = 512.0,
@@ -243,7 +236,6 @@ def run_soak(duration_s: float = 60.0,
         "k": k,
         "seed": seed,
         "shards": shards,
-        "backend": backend,
         "timeout_ms": timeout_ms,
         "spacing_ms": 1000.0 / rate_per_s,
         "duration_ms": duration_s * 1000.0,
@@ -288,7 +280,6 @@ def run_soak(duration_s: float = 60.0,
         "rate_per_s": rate_per_s,
         "k": k,
         "shards": shards,
-        "backend": backend if shards is not None else None,
         "checkpoint_every": checkpoint_every,
         "worker_exitcode": worker.exitcode,
         "worker_peak_rss_kb": rss_kb,
@@ -306,7 +297,7 @@ def run_soak(duration_s: float = 60.0,
     # Recovery twin: restore the on-disk artifact, replay the WAL tail,
     # then resume the workload strictly after the newest logged ingest —
     # recomputed from the trigger index, never received from the corpse.
-    recovered = restore_engine(checkpoint, backend="serial")
+    recovered = restore_engine(checkpoint)
     tail = wal_tail(wal_records, checkpoint.sha256)
     replayed, last = replay_wal(recovered, tail)
     boundary = wal_last_ingest_time(wal_records)
@@ -329,7 +320,7 @@ def run_soak(duration_s: float = 60.0,
 
     # Uninterrupted reference: same engine shape, same stream, no kill.
     reference_sim = Simulator(seed=0)
-    reference = _build_engine(reference_sim, params, backend="serial")
+    reference = _build_engine(reference_sim, params)
     for record in stream:
         reference_sim.schedule_at(record.time_ms, reference.ingest,
                                   record.response)
@@ -360,9 +351,6 @@ def run_soak(duration_s: float = 60.0,
         failures.append(
             f"recovered engine decided {recovered.triggers_decided} "
             f"triggers, reference decided {reference.triggers_decided}")
-    close = getattr(recovered, "close", None)
-    if close is not None:
-        close()
 
     payload["failures"] = failures
     payload["ok"] = not failures

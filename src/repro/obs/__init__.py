@@ -23,11 +23,10 @@ Built on top of them, three diagnosis/health layers:
 Production-shaped telemetry bounding (PR 8):
 
 * :class:`~repro.obs.recorder.FlightRecorder` — always-on fixed-size ring
-  of recent decision/alarm/worker/SLO events, dumped on anomaly triggers.
+  of recent decision/alarm/checkpoint/SLO events, dumped on anomaly
+  triggers.
 * :class:`~repro.obs.sampling.HeadSampler` — deterministic 1-in-N head
   sampling of the observer stack, keyed on the trigger id.
-* :mod:`repro.obs.profile` — wall-clock per-stage/per-shard worker
-  profiling, distinct from the simulated-time tracer.
 * :mod:`repro.obs.diff` — canonical trace diffing with first-divergence
   attribution (``jury-repro trace-diff``).
 
@@ -82,11 +81,6 @@ from repro.obs.metrics import (
     collect_deployment,
     collect_pipeline,
     dump_metrics,
-)
-from repro.obs.profile import (
-    StageProfiler,
-    merge_profile,
-    profile_summary,
 )
 from repro.obs.recorder import (
     FlightRecorder,
@@ -156,7 +150,6 @@ __all__ = [
     "SloStatus",
     "SnapshotSink",
     "Span",
-    "StageProfiler",
     "TraceDiff",
     "Tracer",
     "TriggerTimeline",
@@ -183,9 +176,7 @@ __all__ = [
     "load_flight",
     "load_trace",
     "match_trigger_key",
-    "merge_profile",
     "metrics_jsonl",
-    "profile_summary",
     "prometheus_text",
     "render_explanations",
     "render_flight",

@@ -14,7 +14,7 @@ and reports:
 * summary counts (spans per side, spans common, spans divergent).
 
 Alignment walks the two sorted canonical span lists with a merge join on
-``(time, trigger repr, stage rank)`` — engine plumbing spans
+``(time, trigger repr, stage rank)`` — engine recovery spans
 (``engine:*``) are excluded exactly as :meth:`Tracer.canonical` excludes
 them, so the diff of two traces is empty iff their canonical encodings
 are byte-identical.

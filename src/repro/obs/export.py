@@ -26,35 +26,9 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 _QUANTILES = (("0.5", 50.0), ("0.95", 95.0), ("0.99", 99.0))
 
-#: Histogram families rendered with real cumulative ``le`` buckets (plus
-#: ``_sum``/``_count``) instead of the default summary-with-quantiles
-#: rendering. Wall-clock profiling data is bucketed: scrapers aggregate it
-#: across workers, which quantiles cannot do.
-_BUCKETED_FAMILIES: Dict[str, Tuple[float, ...]] = {
-    "backend_stage_wall_ms": (
-        0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0,
-        250.0, 500.0, 1000.0),
-}
-
 #: ``# HELP`` text per family. Families absent here fall back to a
 #: prefix-derived generic line so every exposition family carries HELP.
 _HELP_TEXT: Dict[str, str] = {
-    "backend_frames_total": "Batch frames dispatched to backend workers.",
-    "backend_frame_responses_total":
-        "Responses carried by dispatched batch frames.",
-    "backend_workers": "Worker processes/threads currently attached.",
-    "backend_worker_deaths_total":
-        "Worker deaths observed (timeout or dead pipe).",
-    "backend_worker_restarts_total":
-        "Workers recovered via respawn + snapshot replay.",
-    "backend_degraded_total":
-        "Shards degraded to in-parent inline execution.",
-    "backend_stage_wall_ms":
-        "Wall-clock stage duration measured inside backend workers (ms).",
-    "backend_stage_wall_ms_max":
-        "Largest single wall-clock stage duration shipped by a worker (ms).",
-    "backend_stage_operations_total":
-        "Worker stage executions aggregated into the wall-clock profile.",
     "validator_detection_ms": "Per-trigger detection latency (ms).",
     "validator_responses_total": "Responses ingested by the validator.",
 }
@@ -62,7 +36,6 @@ _HELP_TEXT: Dict[str, str] = {
 _HELP_PREFIXES: Tuple[Tuple[str, str], ...] = (
     ("validator_", "Validation-core instrumentation (repro.core)."),
     ("pipeline_", "Sharded-pipeline instrumentation (repro.core.pipeline)."),
-    ("backend_", "Execution-backend instrumentation (repro.core.backends)."),
     ("replicator_", "Trigger replication instrumentation."),
     ("jury_", "Deployment-level health/SLO export."),
 )
@@ -137,9 +110,6 @@ def prometheus_metrics_lines(registry) -> List[str]:
         elif kind == "gauge":
             header(name, "gauge")
             lines.append(_render_series(name, labels, instrument.value))
-        elif name in _BUCKETED_FAMILIES:
-            header(name, "histogram")
-            lines.extend(_histogram_lines(name, labels, instrument))
         else:
             header(name, "summary")
             for quantile, q in _QUANTILES:
@@ -152,25 +122,6 @@ def prometheus_metrics_lines(registry) -> List[str]:
                 f"{name}_sum", labels, math.fsum(instrument.samples)))
             lines.append(_render_series(
                 f"{name}_count", labels, instrument.count))
-    return lines
-
-
-def _histogram_lines(name: str, labels, instrument) -> List[str]:
-    """Cumulative ``_bucket{le=...}`` + ``_sum``/``_count`` for one series."""
-    lines: List[str] = []
-    samples = instrument.samples
-    cumulative = 0
-    for bound in _BUCKETED_FAMILIES[name]:
-        cumulative = sum(1 for sample in samples if sample <= bound)
-        lines.append(_render_series(
-            f"{name}_bucket",
-            tuple(labels) + (("le", _format_value(bound)),), cumulative))
-    lines.append(_render_series(
-        f"{name}_bucket", tuple(labels) + (("le", "+Inf"),),
-        instrument.count))
-    lines.append(_render_series(
-        f"{name}_sum", labels, math.fsum(samples)))
-    lines.append(_render_series(f"{name}_count", labels, instrument.count))
     return lines
 
 

@@ -1,12 +1,12 @@
 """The observer seam: the one object every engine reports to.
 
-Engines, the replicator, checkpoints and execution backends hold one
-:class:`Observer` — or ``None`` when nothing observes, so a hot-path call
-site pays one branch — and report lifecycle events to it: ``intercept``,
-``replicate``, ``ingest``, ``late``, ``decision``, ``engine``,
-``checkpoint``, ``restore`` and ``tick``. The tracer, metrics registry,
-alarm forensics, replica health tracker, flight recorder, snapshot sink and
-the wall-profile merge are its subscribers; which event feeds which, and
+Engines, the replicator and checkpoints hold one :class:`Observer` — or
+``None`` when nothing observes, so a hot-path call site pays one branch —
+and report lifecycle events to it: ``intercept``, ``replicate``,
+``ingest``, ``late``, ``decision``, ``checkpoint``, ``restore`` and
+``tick``. The tracer, metrics registry, alarm forensics, replica health
+tracker, flight recorder and snapshot sink are its subscribers; which
+event feeds which, and
 which are head-sampled, is tabled in docs/observability.md ("The observer
 seam"). The sampler is applied here, once per event.
 
@@ -22,30 +22,8 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from repro.obs import trace as obs_trace
-from repro.obs.profile import merge_profile
 from repro.obs.sampling import active_sampler
 from repro.obs.trace import VERDICT_OK, active_tracer
-
-#: Frame-backend worker lifecycle events without a span of their own (a
-#: degrade is the ``engine:degrade`` stage): a death, a restart, a worker
-#: and its replacement lost during a checkpoint restore, the pool started.
-WORKER_DEATH = "worker:death"
-WORKER_RESTART = "worker:restart"
-WORKER_RESTORE_FAILED = "worker:restore-failed"
-WORKER_POOL = "worker:pool"
-
-#: Engine event → (counter it bumps, flight-recorder verdict). Events that
-#: are trace stages also emit their ``engine:*`` span.
-_ENGINE_EVENTS = {
-    obs_trace.ENGINE_SUBMIT: ("backend_frames_total", None),
-    obs_trace.ENGINE_EXECUTE: (None, None),
-    obs_trace.ENGINE_MERGE: (None, None),
-    obs_trace.ENGINE_DEGRADE: ("backend_degraded_total", "degrade"),
-    WORKER_DEATH: ("backend_worker_deaths_total", "death"),
-    WORKER_RESTART: ("backend_worker_restarts_total", None),
-    WORKER_RESTORE_FAILED: ("backend_degraded_total", None),
-    WORKER_POOL: (None, None),
-}
 
 
 def _check_rows(checks):
@@ -231,35 +209,8 @@ class Observer:
             self.sink.observe(now)
 
     # ------------------------------------------------------------------
-    # Backends and recovery
+    # Recovery
     # ------------------------------------------------------------------
-    def engine(self, now: float, stage: str, backend: str,
-               shard: Optional[int] = None, detail: str = "",
-               profile=None, **attrs) -> None:
-        """Backend plumbing on ``shard``: an ``engine:*`` stage or a worker
-        lifecycle event; an executed frame may carry its worker's
-        wall-clock ``profile``."""
-        counter, flight = _ENGINE_EVENTS[stage]
-        metrics = self.metrics
-        if metrics is not None:
-            if counter is not None:
-                metrics.counter(counter, backend=backend).inc()
-            if stage == obs_trace.ENGINE_SUBMIT:
-                metrics.counter("backend_frame_responses_total",
-                                backend=backend).inc(attrs["n"])
-            elif stage == WORKER_POOL:
-                metrics.gauge("backend_workers",
-                              backend=backend).set(attrs["workers"])
-            if profile is not None:
-                merge_profile(metrics, backend, shard, profile)
-        key = ("engine", shard)
-        if flight is not None and self.recorder is not None:
-            self.recorder.record(now, "worker", key, verdict=flight,
-                                 detail=detail, backend=backend)
-            self.recorder.trigger(f"worker-{flight}", now)
-        if self.tracer is not None and stage in obs_trace.STAGE_RANK:
-            self.tracer.emit(now, key, stage, detail=detail, **attrs)
-
     def checkpoint(self, now: float, checkpoint) -> None:
         """An engine snapshot was taken (its span is outside the canonical
         trace: a checkpointing run stays trace-identical to a plain one)."""

@@ -8,12 +8,12 @@ on**, it costs one bounded-deque append per decision (near zero), and it
 only materialises output when something goes wrong.
 
 * The ring holds the last ``capacity`` events: decision events (span-
-  shaped: stage, verdict, detail, attrs), alarms, worker lifecycle
-  transitions (death / restart / degrade), SLO breaches, and metric
-  deltas. Old events fall off the back; memory is O(capacity) forever.
-* On an anomaly trigger — alarm raised, worker death or degrade, SLO
-  breach, fuzz invariant failure — :meth:`trigger` freezes a copy of the
-  ring into a **dump**: a JSON-able payload stamped with the simulated
+  shaped: stage, verdict, detail, attrs), alarms, checkpoints and
+  restores, SLO breaches, and metric deltas. Old events fall off the
+  back; memory is O(capacity) forever.
+* On an anomaly trigger — alarm raised, engine restore, SLO breach, fuzz
+  invariant failure — :meth:`trigger` freezes a copy of the ring into a
+  **dump**: a JSON-able payload stamped with the simulated
   time and the reason. Dumps are kept in a bounded list (oldest evicted)
   and written to disk with :func:`dump_flight` /
   :meth:`FlightRecorder.payload`.
@@ -63,8 +63,8 @@ class FlightRecorder:
                detail: str = "", **attrs: object) -> None:
         """Append one event to the ring. Near-zero cost, never fails.
 
-        ``key`` is the trigger id (or an ``("engine", shard)`` tuple for
-        worker lifecycle events); it is serialised as its ``repr`` at
+        ``key`` is the trigger id (or an ``("engine", stage)`` tuple for
+        checkpoint/restore events); it is serialised as its ``repr`` at
         export time so dumps read identically whether the event came from
         a live tuple or a reloaded string key. Serialisation work (repr,
         canonical attr order) is deferred to export on purpose: this

@@ -6,8 +6,8 @@ deployments need telemetry that
 is *bounded*, not exhaustive. This module implements **head sampling**: the
 keep/skip decision is made once per trigger, up front, as a pure function
 of the trigger id — so every response, span, and metric sample of one
-trigger is either fully recorded or fully skipped, on every shard, on
-every backend, in every replay.
+trigger is either fully recorded or fully skipped, on every shard, in
+every replay.
 
 Two properties make this safe for the determinism contracts:
 

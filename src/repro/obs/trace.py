@@ -64,14 +64,10 @@ CHECK_POLICY = "check:policy"
 ALARM = "alarm"                  #: one alarm raised for this trigger
 ACCEPT = "accept"                #: decided clean — no alarms
 
-# Execution-backend plumbing stages (repro.core.backends). These describe
-# *how* a batch moved between the pipeline and a worker, not what happened
-# to a trigger — they are excluded from the canonical encoding so traces
-# stay byte-identical across serial/threads/processes backends.
-ENGINE_SUBMIT = "engine:submit"    #: batch frame handed to a backend worker
-ENGINE_EXECUTE = "engine:execute"  #: worker finished processing the frame
-ENGINE_MERGE = "engine:merge"      #: verdict frame merged into shared state
-ENGINE_DEGRADE = "engine:degrade"  #: worker lost twice; shard now runs inline
+# Engine recovery stages (repro.core.checkpoint). These describe what
+# happened to the engine, not to a trigger — they are excluded from the
+# canonical encoding so a checkpointing run stays trace-identical to a
+# plain one.
 ENGINE_CHECKPOINT = "engine:checkpoint"  #: recovery snapshot taken
 ENGINE_RESTORE = "engine:restore"        #: engine rehydrated from a snapshot
 
@@ -87,12 +83,8 @@ STAGE_RANK: Dict[str, int] = {
     CHECK_POLICY: 8,
     ALARM: 9,
     ACCEPT: 10,
-    ENGINE_SUBMIT: 11,
-    ENGINE_EXECUTE: 12,
-    ENGINE_MERGE: 13,
-    ENGINE_DEGRADE: 14,
-    ENGINE_CHECKPOINT: 15,
-    ENGINE_RESTORE: 16,
+    ENGINE_CHECKPOINT: 11,
+    ENGINE_RESTORE: 12,
 }
 
 #: Verdict value for a passing check.
@@ -284,9 +276,9 @@ class Tracer:
 
         Two runs are trace-equivalent iff their canonical encodings compare
         equal; see the module docstring for why this is engine-independent.
-        ``engine:*`` spans (backend submit/execute/merge plumbing) are
-        engine-*specific* by construction and are filtered out here, the
-        same way shard indices are kept out of spans entirely.
+        ``engine:*`` spans (checkpoint/restore) are engine-*specific* by
+        construction and are filtered out here, the same way shard indices
+        are kept out of spans entirely.
         """
         ordered = sorted((row for row in self._rows
                           if not row[2].startswith("engine:")),

@@ -102,7 +102,7 @@ def test_x501_holds_the_observer_seam_to_purity():
     entries = {name.rsplit(".", 1)[-1]
                for name, _, _ in rule.entry_points(idx)}
     assert {"intercept", "replicate", "ingest", "late", "decision",
-            "engine", "checkpoint", "restore", "tick"} <= entries
+            "checkpoint", "restore", "tick"} <= entries
     assert run(rule, idx) == []
 
     hook = "        tau = result.trigger_id\n"

@@ -48,11 +48,10 @@ def _make_validator(sim):
     return Validator(sim, K, timeout=StaticTimeout(TIMEOUT_MS))
 
 
-def _make_pipeline(shards, backend="serial"):
+def _make_pipeline(shards):
     def make(sim):
         return ValidationPipeline(sim, K, shards=shards,
-                                  timeout=StaticTimeout(TIMEOUT_MS),
-                                  backend=backend)
+                                  timeout=StaticTimeout(TIMEOUT_MS))
     return make
 
 
@@ -67,12 +66,6 @@ def _run(make, records, until=None):
     if drain is not None:
         drain()
     return engine
-
-
-def _close(engine):
-    close = getattr(engine, "close", None)
-    if close is not None:
-        close()
 
 
 # ----------------------------------------------------------------------
@@ -231,7 +224,6 @@ def test_replay_wal_schedules_only_ingests():
 @pytest.mark.parametrize("label,make", [
     ("validator", _make_validator),
     ("pipeline-N2", _make_pipeline(2)),
-    ("pipeline-N4-threads", _make_pipeline(4, backend="threads")),
 ])
 @pytest.mark.parametrize("cut", (0.25, 0.5, 0.75))
 def test_restore_resumes_byte_identical(label, make, cut):
@@ -241,7 +233,6 @@ def test_restore_resumes_byte_identical(label, make, cut):
     reference = _run(make, records)
     expected = canonical_alarm_stream(reference.alarms)
     assert expected, "workload must alarm for the comparison to bite"
-    _close(reference)
 
     cut_index = int(len(records) * cut)
     cut_time = records[cut_index].time_ms
@@ -251,7 +242,6 @@ def test_restore_resumes_byte_identical(label, make, cut):
         sim.schedule_at(record.time_ms, engine.ingest, record.response)
     sim.run(until=cut_time)
     checkpoint = engine.checkpoint()
-    _close(engine)
 
     sim2 = Simulator(seed=0)
     twin = make(sim2)
@@ -267,7 +257,6 @@ def test_restore_resumes_byte_identical(label, make, cut):
         f"{label} diverged after a restore at {cut:.0%}"
     assert twin.triggers_decided == reference.triggers_decided
     assert twin.responses_received == reference.responses_received
-    _close(twin)
 
 
 def test_immediate_restore_re_checkpoints_to_the_same_state():
@@ -291,7 +280,6 @@ def test_immediate_restore_re_checkpoints_to_the_same_state():
                                 record.response)
         sim.run(until=cut)
         checkpoint = engine.checkpoint()
-        _close(engine)
         sim2 = Simulator(seed=0)
         twin = make(sim2)
         twin.restore(checkpoint)
@@ -302,7 +290,6 @@ def test_immediate_restore_re_checkpoints_to_the_same_state():
         for key in state:
             assert pickle.dumps(state[key], 5) == \
                 pickle.dumps(twin_state[key], 5), f"{key} drifted"
-        _close(twin)
 
 
 def test_restore_rejects_mismatched_or_dirty_targets():
@@ -386,24 +373,21 @@ def test_restore_refusals_and_clock_rule_are_one_for_both_engines(kind):
     twin.restore(checkpoint)
     assert fired == ["due"] and sim.now == at
     assert twin.triggers_decided == engine.triggers_decided
-    _close(engine)
-    _close(twin)
 
 
 def test_checkpoint_between_submit_and_merge_carries_the_merged_psi():
-    """A frame backend's checkpoint first merges the verdicts still in
-    flight; Ψ is snapshotted *after* that, so it agrees with the alarms,
-    results and shard views in the same envelope."""
+    """A checkpoint taken inside a simulated instant, after that instant's
+    flush: Ψ agrees with the alarms, results and shard views in the same
+    envelope, and every routed response is either processed or queued."""
     records = _stream(triggers=40)
     sim = Simulator(seed=0)
-    engine = _make_pipeline(2, backend="threads")(sim)
+    engine = _make_pipeline(2)(sim)
     taken = []
     for record in records:
         sim.schedule_at(record.time_ms, engine.ingest, record.response)
     # Scheduled from an event that runs after the first ingest of the
     # instant (whose flush event is then already queued), a delay-0 event
-    # lands after that flush submitted its frame and before the backend's
-    # merge barrier, which the flush schedules.
+    # lands after that flush.
     cut = next(record.time_ms for record in records[len(records) // 2:]
                if record.response.kind is ResponseKind.CACHE_UPDATE)
     sim.schedule_at(cut, sim.schedule, 0.0,
@@ -433,12 +417,13 @@ def test_checkpoint_between_submit_and_merge_carries_the_merged_psi():
     assert canonical_alarm_stream(twin.alarms) == \
         canonical_alarm_stream(engine.alarms)
     assert twin.triggers_decided == engine.triggers_decided
-    _close(engine)
 
 
-def test_checkpoint_is_backend_portable():
-    """A snapshot harvested from process workers restores into a serial
-    twin (and vice versa): shard payloads are plain dicts, not frames."""
+def test_checkpoint_with_a_legacy_backend_meta_restores():
+    """Older builds recorded the execution backend in a pipeline
+    checkpoint's meta. New checkpoints leave it out, and an old envelope
+    whose meta says ``"backend": "processes"`` restores onto the
+    in-process pipeline and replays byte-identically."""
     records = _stream(triggers=80)
     reference = _run(_make_pipeline(2), records)
     expected = canonical_alarm_stream(reference.alarms)
@@ -446,20 +431,24 @@ def test_checkpoint_is_backend_portable():
     cut_index = len(records) // 2
     cut_time = records[cut_index].time_ms
     sim = Simulator(seed=0)
-    engine = _make_pipeline(2, backend="processes")(sim)
+    engine = _make_pipeline(2)(sim)
     for record in records[:cut_index + 1]:
         sim.schedule_at(record.time_ms, engine.ingest, record.response)
     sim.run(until=cut_time)
     checkpoint = engine.checkpoint()
-    _close(engine)
+    assert "backend" not in checkpoint.meta
 
-    twin = restore_engine(checkpoint, backend="serial")
+    payload = checkpoint.to_json()
+    payload["meta"]["backend"] = "processes"
+    legacy = Checkpoint.from_json(json.loads(json.dumps(payload)))
+    twin = restore_engine(legacy)
     assert isinstance(twin, ValidationPipeline)
     for record in records[cut_index + 1:]:
         twin.sim.schedule_at(record.time_ms, twin.ingest, record.response)
     twin.sim.run(until=records[-1].time_ms + SETTLE_MS)
     twin.drain()
     assert canonical_alarm_stream(twin.alarms) == expected
+    assert twin.triggers_decided == reference.triggers_decided
 
 
 # ----------------------------------------------------------------------
@@ -539,7 +528,6 @@ def test_run_with_recovery_matches_uninterrupted(shards):
         label = f"N={shards} kill@{kill_fraction:.0%}"
         assert canonical_alarm_stream(recovered.alarms) == expected, \
             f"{label}: recovery diverged"
-        _close(recovered)
 
 
 def test_run_with_recovery_kill_before_first_checkpoint():
@@ -667,4 +655,3 @@ def test_fuzz_corpus_replays_through_restored_pipeline(small_fuzz_corpus):
                 checkpoint_every=8)
             assert canonical_alarm_stream(recovered.alarms) == expected, \
                 f"seed {spec.seed} diverged through recovery at N={shards}"
-            _close(recovered)

@@ -182,3 +182,16 @@ def test_removed_bench_command_exits_2(capsys):
         main(["bench", "validator"])
     assert exc.value.code == 2
     assert "bench" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--pipeline", "2", "--backend", "processes"],
+    ["fuzz", "--runs", "1", "--backend", "processes"],
+    ["soak", "--pipeline", "2", "--backend", "processes"],
+], ids=["experiment", "fuzz", "soak"])
+def test_removed_backend_option_exits_2(capsys, argv):
+    # Shards always run in process; no command selects a backend.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--backend" in capsys.readouterr().err

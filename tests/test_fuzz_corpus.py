@@ -46,8 +46,7 @@ def test_planted_divergence_entry_is_a_fire_drill():
     entry = next(e for e in CORPUS if e.name == "planted-engine-divergence")
     assert entry.expect == ("ENGINE_DIVERGENCE",)
     perturb = entry.oracle["perturb"]
-    assert perturb == {"backend": "serial", "shards": 4,
-                       "timeout_delta_ms": 60.0}
+    assert perturb == {"shards": 4, "timeout_delta_ms": 60.0}
     assert "fire drill" in entry.notes
     outcome = replay_entry(entry, oracle=DifferentialOracle())
     assert outcome.matched, outcome.detail
@@ -99,8 +98,7 @@ def test_save_load_roundtrip(tmp_path):
 
 
 def test_oracle_knob_roundtrips_and_validates(tmp_path):
-    perturb = {"perturb": {"backend": "serial", "shards": 2,
-                           "timeout_delta_ms": 10.0}}
+    perturb = {"perturb": {"shards": 2, "timeout_delta_ms": 10.0}}
     entry = CorpusEntry(name="knob", spec=_spec(),
                         expect=("ENGINE_DIVERGENCE",), oracle=perturb)
     path = save_entry(entry, tmp_path)

@@ -84,8 +84,7 @@ def test_sampling_and_flight_config():
     assert off.build_sampler() is None, "obs_sample=1 means record all"
     assert off.build_flight_recorder() is None
 
-    on = JuryConfig(obs_sample=16, flight=True, flight_capacity=32,
-                    wall_profile=True)
+    on = JuryConfig(obs_sample=16, flight=True, flight_capacity=32)
     sampler = on.build_sampler()
     assert isinstance(sampler, HeadSampler) and sampler.rate == 16
     recorder = on.build_flight_recorder()
@@ -93,7 +92,7 @@ def test_sampling_and_flight_config():
     assert recorder.capacity == 32
     description = on.describe()
     assert description["obs_sample"] == 16
-    assert description["flight"] and description["wall_profile"]
+    assert description["flight"]
 
     for bad in ({"obs_sample": 0}, {"obs_sample": True},
                 {"obs_sample": 2.5}, {"flight_capacity": 0},
@@ -175,8 +174,7 @@ def test_build_wires_observability_through_the_stack():
 
 def test_config_dict_round_trip():
     config = JuryConfig(k=4, n=5, switches=6, seed=9, timeout_ms=250.0,
-                        pipeline=2, backend="threads",
-                        policies=("default",), trace=True,
+                        pipeline=2, policies=("default",), trace=True,
                         profile_overrides=(("collapse_threshold", 500),))
     payload = config.to_dict()
     assert payload["policies"] == ["default"]  # JSON-able lists
@@ -205,16 +203,27 @@ def test_dict_paths_reject_live_object_fields():
     assert JuryConfig.from_dict({"timeout": None}).timeout is None
 
 
-def test_backend_field_is_validated():
-    assert JuryConfig(pipeline=2, backend="processes").backend == "processes"
-    with pytest.raises(ValidationError, match="unknown backend"):
-        JuryConfig(pipeline=2, backend="gpu")
-    with pytest.raises(ValidationError, match="requires pipeline"):
-        JuryConfig(backend="threads")
-    from repro.core.timeouts import AdaptiveTimeout
-    with pytest.raises(ValidationError, match="static"):
-        JuryConfig(pipeline=2, backend="threads",
-                   timeout=AdaptiveTimeout(initial_ms=100.0))
+def test_backend_and_wall_profile_are_refused():
+    """The frame backends and their worker profiling are gone: the fields
+    are unknown to the constructor and to the dict path alike."""
+    with pytest.raises(TypeError, match="backend"):
+        JuryConfig(pipeline=2, backend="processes")
+    with pytest.raises(TypeError, match="wall_profile"):
+        JuryConfig(pipeline=2, wall_profile=True)
+    with pytest.raises(ValidationError, match="unknown config key 'backend'"):
+        JuryConfig.from_dict({"pipeline": 2, "backend": "processes"})
+    with pytest.raises(ValidationError,
+                       match="unknown config key 'wall_profile'"):
+        JuryConfig.from_dict({"wall_profile": True})
+    assert "backend" not in JuryConfig(pipeline=2).to_dict()
+
+
+def test_pipeline_accepts_only_the_serial_backend_name():
+    from repro.core.pipeline import ValidationPipeline
+    from repro.sim.simulator import Simulator
+    assert ValidationPipeline(Simulator(seed=0), 6, backend="serial").shards
+    with pytest.raises(ValueError, match="threads"):
+        ValidationPipeline(Simulator(seed=0), 6, backend="threads")
 
 
 # ----------------------------------------------------------------------

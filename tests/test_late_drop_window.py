@@ -3,8 +3,8 @@
 No recorded scenario retains 20 000 triggers, so every other suite runs
 below the cap and never expires anything. This module covers the regime
 above it: the window against the dict-comprehension it replaced, the three
-engines and a frame backend staying byte-identical while entries expire,
-the same-batch alias case the rebuild used to get wrong, recovery from a
+engines staying byte-identical while entries expire, the same-batch alias
+case the rebuild used to get wrong, recovery from a
 checkpoint taken over the cap, and a coarse cost budget per decision.
 """
 
@@ -18,7 +18,12 @@ import pytest
 
 from repro.core import latedrop
 from repro.core.alarms import canonical_alarm_stream
-from repro.core.backends.frames import EV_DECISION, EV_LATE, BatchFrame
+from repro.core.backends.frames import (
+    EV_DECISION,
+    EV_LATE,
+    BatchFrame,
+    VerdictFrame,
+)
 from repro.core.backends.shardcore import ShardCore
 from repro.core.checkpoint import Checkpoint, restore_engine, run_with_recovery
 from repro.core.latedrop import (
@@ -27,6 +32,7 @@ from repro.core.latedrop import (
     LateDropWindow,
 )
 from repro.core.pipeline import ValidationPipeline
+from repro.core.responses import Response, ResponseKind
 from repro.core.timeouts import StaticTimeout
 from repro.core.validator import Validator
 from repro.harness.soak import soak_stream
@@ -165,11 +171,10 @@ def _make_validator(sim):
     return Validator(sim, K, timeout=StaticTimeout(TIMEOUT_MS))
 
 
-def _make_pipeline(shards, backend="serial"):
+def _make_pipeline(shards):
     def make(sim):
         return ValidationPipeline(sim, K, shards=shards,
-                                  timeout=StaticTimeout(TIMEOUT_MS),
-                                  backend=backend)
+                                  timeout=StaticTimeout(TIMEOUT_MS))
     return make
 
 
@@ -187,12 +192,6 @@ def _feed(engine, records):
 
 def _run(make, records):
     return _feed(make(Simulator(seed=0)), records)
-
-
-def _close(engine):
-    close = getattr(engine, "close", None)
-    if close is not None:
-        close()
 
 
 def _fingerprint(engine):
@@ -224,10 +223,6 @@ def test_engines_agree_while_the_window_expires(small_cap):
         for window, decided in _windows(engine):
             assert small_cap < len(window.decided) < decided, \
                 f"{label}: a window never expired"
-    for backend in ("threads", "processes"):
-        framed = _run(_make_pipeline(2, backend=backend), records)
-        _close(framed)
-        assert _fingerprint(framed) == expected, backend
 
 
 # ----------------------------------------------------------------------
@@ -267,14 +262,10 @@ def alias_reference():
     return _fingerprint(sequential)
 
 
-@pytest.mark.parametrize("backend", ("serial", "threads"))
-def test_same_batch_duplicate_is_dropped_above_the_cap(alias_reference,
-                                                       backend):
+def test_same_batch_duplicate_is_dropped_above_the_cap(alias_reference):
     pipeline = _ingest_alias_stream(ValidationPipeline(
-        Simulator(seed=0), 1, shards=1, timeout=StaticTimeout(TIMEOUT_MS),
-        backend=backend))
+        Simulator(seed=0), 1, shards=1, timeout=StaticTimeout(TIMEOUT_MS)))
     pipeline.drain()
-    _close(pipeline)
     assert _fingerprint(pipeline) == alias_reference
 
 
@@ -298,6 +289,34 @@ def test_shardcore_drops_a_same_frame_duplicate_above_the_cap():
     assert not core.records
 
 
+def test_batch_frame_pickle_round_trip():
+    response = Response(
+        controller_id="c1", trigger_id=("pkt", 7),
+        kind=ResponseKind.NETWORK_WRITE, entry=("flow_mod", 3, ("out", 2)),
+        tainted=True, state_digest=(11, 22, 33), sent_at=120.5,
+        trigger_received_at=119.0, origin="c2", primary_hint="c1",
+        declared_non_deterministic=True)
+    frame = BatchFrame(shard=1, seq=9, now=123.25,
+                       items=((120.5, response),), drained=True)
+    clone = pickle.loads(pickle.dumps(frame))
+    assert clone == frame
+    # Response's compact positional __reduce__ preserves every field.
+    restored = clone.items[0][1]
+    assert restored == response
+    assert restored.state_digest == (11, 22, 33)
+    assert restored.declared_non_deterministic
+
+
+def test_verdict_frame_pickle_round_trip():
+    verdict = VerdictFrame(
+        shard=1, seq=9,
+        events=((EV_LATE, ("pkt", 7), "c3"),),
+        stats_delta={"processed": 4, "decided": 2},
+        next_deadline=370.5, open_records=3)
+    clone = pickle.loads(pickle.dumps(verdict))
+    assert clone == verdict
+
+
 # ----------------------------------------------------------------------
 # Recovery from a checkpoint taken above the cap
 # ----------------------------------------------------------------------
@@ -317,7 +336,6 @@ def _checkpoint_at_cut(make, records):
     checkpoint = engine.checkpoint()
     retained = [list(window.decided.items())
                 for window, _ in _windows(engine)]
-    _close(engine)
     return checkpoint, retained, records[index + 1:]
 
 
@@ -339,38 +357,17 @@ def test_checkpoint_over_the_cap_restores_the_same_window(small_cap, label,
     assert _fingerprint(twin) == _fingerprint(reference), label
 
 
-@pytest.mark.parametrize("source,target", [("serial", "processes"),
-                                           ("processes", "serial")])
-def test_checkpoint_over_the_cap_is_backend_portable(small_cap, source,
-                                                     target):
-    records, _, _ = _straggler_stream()
-    reference = _run(_make_pipeline(2), records)
-    checkpoint, _, rest = _checkpoint_at_cut(
-        _make_pipeline(2, backend=source), records)
-    shard_windows = [shard["core"]["recently_decided"]
-                     for shard in checkpoint.state()["shards"]]
-    assert all(type(window) is dict and len(window) > small_cap
-               for window in shard_windows)
-    twin = restore_engine(checkpoint, backend=target)
-    _feed(twin, rest)
-    _close(twin)
-    assert _fingerprint(twin) == _fingerprint(reference)
-
-
 @pytest.mark.parametrize("label,make", [
     ("validator", _make_validator),
     ("pipeline-N2", _make_pipeline(2)),
-    ("pipeline-N2-processes", _make_pipeline(2, backend="processes")),
 ])
 def test_kill_and_wal_replay_over_the_cap(small_cap, label, make):
     records, _, _ = _straggler_stream()
     reference = _run(make, records)
-    _close(reference)
     kill_index, _ = _cut(records)
     recovered = run_with_recovery(records, make, kill_index=kill_index + 3,
                                   checkpoint_every=64,
                                   settle_ms=SETTLE_MS)
-    _close(recovered)
     assert _fingerprint(recovered) == _fingerprint(reference), label
 
 
@@ -401,12 +398,9 @@ def test_restore_of_an_unordered_window_never_changes_the_alarm_stream(
     for shard in state["shards"]:
         shard["core"]["recently_decided"] = _reversed_window(
             shard["core"]["recently_decided"])
-    edited = Checkpoint.build(checkpoint.meta, state)
-    for backend in ("serial", "threads"):
-        twin = restore_engine(edited, backend=backend)
-        _feed(twin, rest)
-        _close(twin)
-        assert _fingerprint(twin) == _fingerprint(reference), backend
+    twin = restore_engine(Checkpoint.build(checkpoint.meta, state))
+    _feed(twin, rest)
+    assert _fingerprint(twin) == _fingerprint(reference)
 
 
 # ----------------------------------------------------------------------

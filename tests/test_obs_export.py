@@ -101,34 +101,6 @@ def test_every_family_gets_a_help_line_before_its_type():
             in prometheus_text(registry=registry))
 
 
-def _profiled_registry():
-    from repro.obs.profile import merge_profile
-    registry = MetricsRegistry()
-    merge_profile(registry, "threads", 0, {"batch": (3, 0.0004, 0.0001,
-                                                     0.0002)})
-    merge_profile(registry, "threads", 0, {"batch": (2, 0.3, 0.1, 0.2)})
-    return registry
-
-
-def test_backend_stage_wall_ms_renders_as_a_real_histogram():
-    text = prometheus_text(registry=_profiled_registry())
-    assert "# TYPE backend_stage_wall_ms histogram" in text
-    # Cumulative buckets: the 0.4 ms delta is <= 0.5, the 300 ms one only
-    # <= 500; +Inf mirrors _count.
-    assert ('backend_stage_wall_ms_bucket{backend="threads",le="0.5",'
-            'shard="0",stage="batch"} 1') in text
-    assert ('backend_stage_wall_ms_bucket{backend="threads",le="500",'
-            'shard="0",stage="batch"} 2') in text
-    assert ('backend_stage_wall_ms_bucket{backend="threads",le="+Inf",'
-            'shard="0",stage="batch"} 2') in text
-    assert ('backend_stage_wall_ms_count{backend="threads",shard="0",'
-            'stage="batch"} 2') in text
-    assert "backend_stage_wall_ms_sum" in text
-    assert ("# HELP backend_stage_operations_total"
-            in text)
-    assert lint_prometheus_text(text) == []
-
-
 # ----------------------------------------------------------------------
 # The line-format linter itself
 # ----------------------------------------------------------------------

@@ -1,18 +1,14 @@
-"""Flight recorder, head sampling, wall-clock profiling, trace diffing.
+"""Flight recorder, head sampling, trace diffing.
 
-The PR-8 observability layer has four determinism contracts, all pinned
+The PR-8 observability layer has three determinism contracts, all pinned
 here:
 
 * **Recorder determinism** — the flight recorder sees only simulated time
   and decision facts, so two replays of the same recorded stream produce
-  byte-identical ``to_json`` dumps; dumps from a killed process worker
-  survive the respawn→degrade ladder.
+  byte-identical ``to_json`` dumps.
 * **Sampling purity** — the head sampler gates observers only: alarm
   streams are byte-identical at any rate, and alarmed decisions always
   appear in the trace (the severity override).
-* **Profiling purity** — wall-clock profiling lives in backend workers;
-  the canonical simulated-time trace is byte-identical with profiling on
-  or off, while ``backend_stage_wall_ms`` gains per-shard families.
 * **Diff alignment** — ``diff_tracers`` is empty iff the canonical
   encodings are byte-identical, and pinpoints the first divergence
   otherwise (the ``jury-repro trace-diff`` contract, exit 0/1/2).
@@ -25,7 +21,6 @@ import json
 import pytest
 
 from repro.core.alarms import canonical_alarm_stream
-from repro.core.backends import ProcessesBackend
 from repro.core.pipeline import ValidationPipeline
 from repro.core.timeouts import StaticTimeout
 from repro.core.validator import Validator
@@ -39,13 +34,6 @@ from repro.obs.diff import (
     first_divergence_detail,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import (
-    STAGE_OPS,
-    STAGE_WALL_MS,
-    StageProfiler,
-    merge_profile,
-    profile_summary,
-)
 from repro.obs.recorder import (
     FLIGHT_FORMAT,
     FlightRecorder,
@@ -191,39 +179,6 @@ def test_load_flight_rejects_non_flight_json(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Stage profiler: worker-side aggregates, parent-side merge
-# ----------------------------------------------------------------------
-
-def test_profiler_aggregates_and_drains():
-    profiler = StageProfiler()
-    assert profiler.take() is None
-    profiler.observe("batch", 0.002)
-    profiler.observe("batch", 0.004)
-    profiler.observe("wakeup", 0.001)
-    delta = profiler.take()
-    assert delta["batch"] == (2, pytest.approx(0.006), 0.002, 0.004)
-    assert delta["wakeup"] == (1, 0.001, 0.001, 0.001)
-    assert profiler.take() is None, "take drains"
-
-
-def test_merge_profile_lands_in_labelled_families():
-    metrics = MetricsRegistry()
-    merge_profile(metrics, "threads", 2,
-                  {"batch": (3, 0.006, 0.001, 0.003)})
-    merge_profile(metrics, "threads", 2,
-                  {"batch": (1, 0.002, 0.002, 0.002)})
-    assert metrics.value(STAGE_OPS, backend="threads", shard=2,
-                         stage="batch") == 4
-    summary = profile_summary(metrics)
-    key = "backend=threads,shard=2,stage=batch"
-    assert summary[key]["count"] == 2  # one histogram sample per delta
-    assert summary[key]["total_ms"] == pytest.approx(8.0)
-    # None/empty profiles and a None registry are silent no-ops.
-    merge_profile(metrics, "threads", 2, None)
-    merge_profile(None, "threads", 2, {"batch": (1, 1.0, 1.0, 1.0)})
-
-
-# ----------------------------------------------------------------------
 # Integration: one recorded faulted scenario, replayed many ways
 # ----------------------------------------------------------------------
 
@@ -234,8 +189,8 @@ def faulted_live(small_fuzz_corpus):
     return DifferentialOracle().record(spec)
 
 
-def _replay(live, shards=None, backend="serial", tracer=None, metrics=None,
-            sampler=None, recorder=None, profile=False, arm=None):
+def _replay(live, shards=None, tracer=None, metrics=None, sampler=None,
+            recorder=None):
     lookup = live.mastership.get
 
     def factory(sim):
@@ -245,18 +200,9 @@ def _replay(live, shards=None, backend="serial", tracer=None, metrics=None,
                       metrics=metrics, sampler=sampler, recorder=recorder)
         if shards is None:
             return Validator(sim, live.spec.k, **kwargs)
-        engine = ValidationPipeline(sim, live.spec.k, shards=shards,
-                                    backend=backend, profile=profile,
-                                    **kwargs)
-        if arm is not None:
-            arm(engine.backend)
-        return engine
+        return ValidationPipeline(sim, live.spec.k, shards=shards, **kwargs)
 
-    engine = replay_validation_stream(live.records, factory)
-    close = getattr(engine, "close", None)
-    if close is not None:
-        close()
-    return engine
+    return replay_validation_stream(live.records, factory)
 
 
 def test_recorder_dumps_are_byte_identical_across_runs(faulted_live):
@@ -283,34 +229,14 @@ def test_recorder_sees_decisions_and_alarms(faulted_live):
     assert alarmed, "alarmed decisions are recorded with their verdict"
 
 
-def test_recorder_survives_worker_death_and_degrade(faulted_live):
-    expected = canonical_alarm_stream(_replay(faulted_live).alarms)
-    recorder = FlightRecorder()
-    backend = ProcessesBackend(worker_timeout_s=30.0)
-    engine = _replay(faulted_live, shards=2, backend=backend,
-                     recorder=recorder, arm=lambda b: b.inject_crashes(0, 2))
-    assert canonical_alarm_stream(engine.alarms) == expected
-    assert backend.degraded_shards == [0]
-    reasons = [dump["reason"] for dump in recorder.dumps]
-    assert "worker-death" in reasons
-    assert "worker-degrade" in reasons
-    lifecycle = [(event["verdict"], event["key"])
-                 for dump in recorder.dumps for event in dump["events"]
-                 if event["kind"] == "worker"]
-    assert ("death", repr(("engine", 0))) in lifecycle
-    assert ("degrade", repr(("engine", 0))) in lifecycle, \
-        "the degrade dump must still hold the earlier death event"
-
-
 def test_sampling_never_moves_the_alarm_stream(faulted_live):
     expected = canonical_alarm_stream(_replay(faulted_live).alarms)
-    for shards, backend in ((None, "serial"), (2, "serial"), (4, "threads")):
-        engine = _replay(faulted_live, shards=shards, backend=backend,
+    for shards in (None, 2, 4):
+        engine = _replay(faulted_live, shards=shards,
                          sampler=HeadSampler(16), metrics=MetricsRegistry(),
                          tracer=Tracer())
-        label = f"shards={shards} backend={backend}"
         assert canonical_alarm_stream(engine.alarms) == expected, \
-            f"{label}: sampling changed the alarm stream"
+            f"shards={shards}: sampling changed the alarm stream"
 
 
 def test_sampled_traces_shrink_but_keep_every_alarm(faulted_live):
@@ -330,41 +256,13 @@ def test_sampled_traces_shrink_but_keep_every_alarm(faulted_live):
 
 def test_sampled_traces_are_identical_across_engines(faulted_live):
     canonicals = set()
-    for shards, backend in ((None, "serial"), (2, "serial"), (2, "threads")):
+    for shards in (None, 2, 4):
         tracer = Tracer()
-        _replay(faulted_live, shards=shards, backend=backend,
-                tracer=tracer, sampler=HeadSampler(4))
+        _replay(faulted_live, shards=shards, tracer=tracer,
+                sampler=HeadSampler(4))
         canonicals.add(tracer.canonical())
     assert len(canonicals) == 1, \
         "the head decision is pure per-τ: sampled traces stay byte-identical"
-
-
-@pytest.mark.parametrize("backend", ["threads", "processes"])
-def test_profiling_populates_wall_metrics_without_touching_the_trace(
-        faulted_live, backend):
-    plain_tracer = Tracer()
-    _replay(faulted_live, shards=2, backend=backend, tracer=plain_tracer)
-    tracer = Tracer()
-    metrics = MetricsRegistry()
-    _replay(faulted_live, shards=2, backend=backend, tracer=tracer,
-            metrics=metrics, profile=True)
-    assert tracer.canonical() == plain_tracer.canonical(), \
-        "wall-clock profiling must not move the simulated-time trace"
-    summary = profile_summary(metrics)
-    batch_keys = [key for key in summary
-                  if f"backend={backend}" in key and "stage=batch" in key]
-    assert batch_keys, f"no {STAGE_WALL_MS} families for {backend}"
-    assert all(summary[key]["total_ms"] >= 0.0 for key in batch_keys)
-    ops = metrics.value(STAGE_OPS, backend=backend, shard=0, stage="batch")
-    assert ops >= 1, "shard 0 must report batch operations"
-
-
-def test_serial_backend_ignores_profile_flag(faulted_live):
-    metrics = MetricsRegistry()
-    _replay(faulted_live, shards=2, backend="serial", metrics=metrics,
-            profile=True)
-    assert profile_summary(metrics) == {}, \
-        "inline execution has no workers, so no wall-clock families"
 
 
 # ----------------------------------------------------------------------
@@ -417,7 +315,8 @@ def test_diff_pinpoints_changed_and_one_sided_spans():
 def test_diff_ignores_engine_plumbing_spans():
     left = _tracer_with([(1.0, ("ext", 1), "ingest", {})])
     right = _tracer_with([(1.0, ("ext", 1), "ingest", {}),
-                          (2.0, ("engine", 0), "engine:degrade", {})])
+                          (2.0, ("engine", "checkpoint"), "engine:checkpoint",
+                           {})])
     assert diff_tracers(left, right).identical, \
         "canonical comparisons exclude engine:* spans; so must the diff"
 

@@ -5,20 +5,18 @@ trace payload, per-trigger span emission order, the metrics dump and the
 Prometheus text, alarm explanations, the replica-health snapshot, the
 flight-recorder payload and the periodic snapshot-sink records — is hashed
 with sha-256 and compared with digests recorded on the commit *before*
-engines, replicator, checkpoints and backends started reporting through the
-one :class:`~repro.obs.observer.Observer` (CPython 3.11, Linux x86-64).
+engines, replicator, checkpoints and (since deleted) execution backends
+started reporting through the one :class:`~repro.obs.observer.Observer`
+(CPython 3.11, Linux x86-64).
 
 Two setups:
 
-* **streams** — the sequential ``Validator``, a serial N=4 pipeline and a
-  threads N=2 pipeline, each with the full observer stack at head-sampling
-  rates 1 and 8, fed ``tests/test_one_engine.py``'s soak stream with
-  corrupted relays, silent secondaries and stragglers either side of θτ;
-  the serial N=4 pipeline also at rate 64, the production-shaped sampling
-  rate (that digest was recorded later, on the commit that introduced the
-  one observer);
-  plus a processes N=2 pipeline whose shard-0 worker dies twice (restart,
-  then degrade), for the backend lifecycle events;
+* **streams** — the sequential ``Validator`` and a serial N=4 pipeline,
+  each with the full observer stack at head-sampling rates 1 and 8, fed
+  ``tests/test_one_engine.py``'s soak stream with corrupted relays, silent
+  secondaries and stragglers either side of θτ; the serial N=4 pipeline
+  also at rate 64, the production-shaped sampling rate (that digest was
+  recorded later, on the commit that introduced the one observer);
 * **deployments** — an ONOS n=5 k=2 deployment with trace, metrics,
   diagnose, health, flight, a 100 ms snapshot sink and automatic
   checkpoints, at ``pipeline`` None and 2 (and None at head-sampling
@@ -42,7 +40,6 @@ import pytest
 
 from repro import Jury, JuryConfig
 from repro.controllers.context import reset_trigger_ids
-from repro.core.backends import ProcessesBackend
 from repro.core.pipeline import ValidationPipeline
 from repro.core.timeouts import StaticTimeout
 from repro.core.validator import Validator
@@ -165,66 +162,6 @@ GOLDEN = {
         "sink":
             "b54cde2da68b54b7dff1af23a68241a2ef07dd50dbbb8ddd3823a205f5ac492d",
     },
-    "threads N=2/1": {
-        "canonical":
-            "03261ac4c96a98b6cb7c2fd9f175461ad07e88c0eb76d7266c0fd525935698b5",
-        "payload":
-            "2be08cb581f34b2329fa2506f08e1695232b8b5cc7c4f97fd590f5d75aa23375",
-        "spans_for":
-            "b57f50f2412394d787a1c44ab76f4b26565c5d2c1317663e318bf5e2d4968a8b",
-        "metrics":
-            "11b28ba342eaf284bed868ee072dc6363924ddf3f4d4cf1fd31f68b01e6ac23b",
-        "prometheus":
-            "34a9a91c732a2692e76865178aa203a1bd2c0e7e5f4c823d0833336e22590ee6",
-        "explanations":
-            "22c0a27d5331b7495f3c4226a0e27aa227951d1367d748f45e54219474ed76c8",
-        "health":
-            "d05285ce3232b3d28a0a9f0d2fb615f78dc919a5e73e163f5d5acfbe174c12fb",
-        "flight":
-            "0a5d6038a3b559163deb38f7431fc3b0cb9c0f4108f1e07e302d699f58cab7c9",
-        "sink":
-            "f78118c98fa5d06958735fe2c998ca85f63a173624636b0052ddca0fd1e4de7a",
-    },
-    "threads N=2/8": {
-        "canonical":
-            "3a508d94c93313ab10fcdc125514f797b6486241ba6d9548926b39484ba83208",
-        "payload":
-            "263de749a2916b265334303f0282c9caad5e35fbc3ebde303c0a5c09dff11fad",
-        "spans_for":
-            "07023f8c4a538f7c42e548d5a3ac3288ac6d3a0e83136e9fdf2829c9cdf44504",
-        "metrics":
-            "077cc32b5ee0e330d95c3666d2714a1fd52816e2b1ff273c9f462c26ae39ce38",
-        "prometheus":
-            "3dda9f3de2746cb20fac0102a34a43d667e196bc35e9392d031574f435ae47f0",
-        "explanations":
-            "22c0a27d5331b7495f3c4226a0e27aa227951d1367d748f45e54219474ed76c8",
-        "health":
-            "282b00ad163a0128c2e6bf18d85dce088084a368cecf35067e4e8472d7283742",
-        "flight":
-            "5b493d81280a9ecd259dea79c92810faa56d3a8648901337ac9504aef8009255",
-        "sink":
-            "84daf36003f64d03719aeb3d6cf3fc11e2e3836bf661ec65c770cf9a48325f31",
-    },
-    "processes N=2 crash/1": {
-        "canonical":
-            "03261ac4c96a98b6cb7c2fd9f175461ad07e88c0eb76d7266c0fd525935698b5",
-        "payload":
-            "f8053a8d7c4b90ba48110fd8c15a19924c6814b7e449a6d52528f884ce309793",
-        "spans_for":
-            "b1982a4a77597f9ec9a838184d208211ef7af9292c7c646b9c44ac8f9c91d33c",
-        "metrics":
-            "6cd87b60f8b6f73dc2bcc5718d418c5e39b4ff0b2a32c3bc894fc8d16177ba4f",
-        "prometheus":
-            "c4ae7555dfbd5c908e8d13e2ce6ba63124b9302497ff29a4db16ae2b172eedda",
-        "explanations":
-            "22c0a27d5331b7495f3c4226a0e27aa227951d1367d748f45e54219474ed76c8",
-        "health":
-            "d05285ce3232b3d28a0a9f0d2fb615f78dc919a5e73e163f5d5acfbe174c12fb",
-        "flight":
-            "4a719457f2a2fff952615b0a67a7865d44513c40fa0b8e2c8e054913fcf9747f",
-        "sink":
-            "b8e5f83542d6e95cb78aebdc6c5c3743f89c984fd2b79f7d9326db8d4e95f9a2",
-    },
     "deploy-seq/1": {
         "canonical":
             "d658286c6983405f298702642b9ec87afcb2cdb7d1498b8b70b9042c948fd87d",
@@ -333,10 +270,9 @@ def _stream_run(tmp_path, engine_label, rate):
                  forensics=AlarmForensics(), health=ReplicaHealthTracker(),
                  recorder=FlightRecorder(capacity=4096))
     sink = None
-    backend = None
 
     def make(sim):
-        nonlocal sink, backend
+        nonlocal sink
         common = dict(timeout=StaticTimeout(TIMEOUT_MS),
                       policy_engine=default_policy_engine(),
                       sampler=HeadSampler(rate), checkpoint_every=40, **stack)
@@ -344,31 +280,18 @@ def _stream_run(tmp_path, engine_label, rate):
             return Validator(sim, SOAK_K, **common)
         sink = SnapshotSink(100.0, registry=stack["metrics"],
                             health=stack["health"])
-        shards, backend = {"serial N=4": (4, "serial"),
-                           "threads N=2": (2, "threads"),
-                           "processes N=2 crash": (
-                               2, ProcessesBackend(worker_timeout_s=30.0))
-                           }[engine_label]
-        engine = ValidationPipeline(sim, SOAK_K, shards=shards,
-                                    backend=backend, snapshot_sink=sink,
-                                    **common)
-        if isinstance(backend, ProcessesBackend):
-            backend.inject_crashes(0, 2)
-        return engine
+        assert engine_label == "serial N=4"
+        return ValidationPipeline(sim, SOAK_K, shards=4, snapshot_sink=sink,
+                                  **common)
 
     engine = replay_validation_stream(_faulty_soak_stream(), make,
                                       settle_ms=4 * TIMEOUT_MS)
-    close = getattr(engine, "close", None)
-    if close is not None:
-        close()
     assert engine.alarms and engine.triggers_decided
     return _digests(tmp_path, engine.sim.now, sink=sink, **stack)
 
 
 STREAM_CASES = [("validator", 1), ("validator", 8),
-                ("serial N=4", 1), ("serial N=4", 8), ("serial N=4", 64),
-                ("threads N=2", 1), ("threads N=2", 8),
-                ("processes N=2 crash", 1)]
+                ("serial N=4", 1), ("serial N=4", 8), ("serial N=4", 64)]
 
 
 @pytest.mark.parametrize("engine_label,rate", STREAM_CASES)
@@ -399,7 +322,6 @@ def _deployment_run(tmp_path, pipeline, rate):
     observed = _digests(tmp_path, experiment.sim.now, jury.tracer,
                         jury.metrics, jury.forensics, jury.health,
                         jury.recorder, jury.snapshot_sink)
-    jury.close()
     return observed
 
 

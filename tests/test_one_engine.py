@@ -1,7 +1,7 @@
 """One Algorithm-1 engine, checked against an independent reference.
 
-The sequential :class:`Validator`, every serial pipeline shard and every
-backend worker drive the same :class:`ShardCore`, so comparing them with
+The sequential :class:`Validator` and every pipeline shard drive the same
+:class:`ShardCore`, so comparing them with
 each other compares drivers, not decision loops. The loop itself is held
 to :class:`repro.fuzz.reference.ReferenceValidator` — a textbook Algorithm 1
 that shares no collection, deadline or consensus-shortcut code with the
@@ -70,10 +70,10 @@ def _engines(k, timeout_ms=TIMEOUT_MS, policy=False, lookup=None):
         return dict(policy_engine=default_policy_engine() if policy else None,
                     mastership_lookup=lookup)
 
-    def pipeline(shards, backend="serial"):
+    def pipeline(shards):
         return lambda sim: ValidationPipeline(
             sim, k, shards=shards, timeout=StaticTimeout(timeout_ms),
-            backend=backend, **shared())
+            **shared())
 
     return {
         "reference": lambda sim: ReferenceValidator(
@@ -82,7 +82,6 @@ def _engines(k, timeout_ms=TIMEOUT_MS, policy=False, lookup=None):
             sim, k, timeout=StaticTimeout(timeout_ms), **shared()),
         "serial N=1": pipeline(1),
         "serial N=4": pipeline(4),
-        "threads N=2": pipeline(2, backend="threads"),
     }
 
 
@@ -91,9 +90,6 @@ def _fingerprint(engine):
     drain = getattr(engine, "drain", None)
     if drain is not None:
         drain()
-    close = getattr(engine, "close", None)
-    if close is not None:
-        close()
     decided = sorted(
         ((r.decided_at, repr(r.trigger_id), r.external, r.n_responses,
           r.timed_out) for r in engine.results))

@@ -36,7 +36,6 @@ from repro.workloads.traffic import TrafficDriver
 K = 4
 TIMEOUT_MS = 250.0
 SHARD_COUNTS = (1, 2, 4, 8)
-BACKENDS = ("serial", "threads", "processes")
 BENIGN_SEEDS = (11, 23, 47)
 
 
@@ -102,13 +101,10 @@ def _sequential(records, mastership):
         policy_engine=default_policy_engine(), mastership_lookup=lookup))
 
 
-def _pipeline(records, mastership, shards, backend="serial"):
-    engine = _replay(records, mastership, lambda sim, lookup: ValidationPipeline(
+def _pipeline(records, mastership, shards):
+    return _replay(records, mastership, lambda sim, lookup: ValidationPipeline(
         sim, K, shards=shards, timeout=StaticTimeout(TIMEOUT_MS),
-        policy_engine=default_policy_engine(), mastership_lookup=lookup,
-        backend=backend))
-    engine.close()
-    return engine
+        policy_engine=default_policy_engine(), mastership_lookup=lookup))
 
 
 def _result_fingerprint(validator):
@@ -181,6 +177,9 @@ def test_fault_streams_byte_identical(workloads, name, reason):
         assert canonical_alarm_stream(pipeline.alarms) == expected, \
             f"alarm stream diverged at N={shards} on {name}"
         assert _result_fingerprint(pipeline) == _result_fingerprint(sequential)
+        assert pipeline.triggers_decided == sequential.triggers_decided
+        assert pipeline.responses_received == sequential.responses_received
+        assert pipeline.late_responses == sequential.late_responses
 
 
 def _sequential_traced(records, mastership, tracer):
@@ -190,13 +189,11 @@ def _sequential_traced(records, mastership, tracer):
         tracer=tracer))
 
 
-def _pipeline_traced(records, mastership, shards, tracer, backend="serial"):
-    engine = _replay(records, mastership, lambda sim, lookup: ValidationPipeline(
+def _pipeline_traced(records, mastership, shards, tracer):
+    return _replay(records, mastership, lambda sim, lookup: ValidationPipeline(
         sim, K, shards=shards, timeout=StaticTimeout(TIMEOUT_MS),
         policy_engine=default_policy_engine(), mastership_lookup=lookup,
-        tracer=tracer, backend=backend))
-    engine.close()
-    return engine
+        tracer=tracer))
 
 
 def test_tracing_on_keeps_alarm_streams_byte_identical(workloads):
@@ -220,7 +217,9 @@ def test_tracing_on_keeps_alarm_streams_byte_identical(workloads):
 
 def test_traces_are_engine_and_shard_count_independent(workloads):
     """Same recorded stream → byte-identical canonical trace, whether it
-    runs through the sequential validator or the pipeline at any N."""
+    runs through the sequential validator or the pipeline at any N; engine
+    recovery spans (``engine:*``) are excluded from ``canonical()`` by
+    design, so the validation story reads the same everywhere."""
     for name in ("benign-11", "fault-t2"):
         records, mastership = workloads[name]
         seq_tracer = Tracer()
@@ -232,51 +231,6 @@ def test_traces_are_engine_and_shard_count_independent(workloads):
             _pipeline_traced(records, mastership, shards, tracer)
             assert tracer.canonical() == expected, \
                 f"trace diverged at N={shards} on {name}"
-
-
-# ----------------------------------------------------------------------
-# Execution backends (repro.core.backends): the same contract, per backend
-# ----------------------------------------------------------------------
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_backend_alarm_streams_byte_identical(workloads, backend):
-    """Every execution backend preserves the differential contract: the
-    pipeline stays byte-identical to the sequential validator at every
-    shard count, whether shards run inline, on threads, or in worker
-    processes."""
-    for name in ("benign-11", "fault-t1", "fault-t2", "fault-t3"):
-        records, mastership = workloads[name]
-        sequential = _sequential(records, mastership)
-        expected = canonical_alarm_stream(sequential.alarms)
-        for shards in SHARD_COUNTS:
-            pipeline = _pipeline(records, mastership, shards, backend=backend)
-            assert canonical_alarm_stream(pipeline.alarms) == expected, \
-                f"{backend} diverged at N={shards} on {name}"
-            assert _result_fingerprint(pipeline) == \
-                _result_fingerprint(sequential)
-            assert pipeline.triggers_decided == sequential.triggers_decided
-            assert pipeline.responses_received == \
-                sequential.responses_received
-            assert pipeline.late_responses == sequential.late_responses
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_backend_traces_byte_identical(workloads, backend):
-    """Canonical traces are backend- and shard-count-independent: engine
-    plumbing spans (``engine:*``) are excluded from ``canonical()`` by
-    design, so the validation story reads the same everywhere."""
-    for name in ("benign-11", "fault-t2"):
-        records, mastership = workloads[name]
-        seq_tracer = Tracer()
-        _sequential_traced(records, mastership, seq_tracer)
-        expected = seq_tracer.canonical()
-        assert expected, "traced replay must produce spans"
-        for shards in SHARD_COUNTS:
-            tracer = Tracer()
-            _pipeline_traced(records, mastership, shards, tracer,
-                             backend=backend)
-            assert tracer.canonical() == expected, \
-                f"{backend} trace diverged at N={shards} on {name}"
 
 
 def _full_stack(records, mastership, shards=None):
@@ -471,5 +425,3 @@ def test_kill_and_recover_at_every_interval(workloads, name, shards):
         assert got == expected, \
             f"{name} N={shards}: recovery diverged at kill={kill_index}"
         assert recovered.triggers_decided == expected_engine.triggers_decided
-        if hasattr(recovered, "close"):
-            recovered.close()
