@@ -2,7 +2,8 @@
 
 A :class:`MetricsRegistry` holds named metric *families*; a family plus a
 sorted label set identifies one child instrument (the Prometheus data
-model, minus the wire format). Families the instrumentation emits:
+model, minus the wire format). An instrument handle is stable for the
+registry's lifetime. Families the instrumentation emits:
 
 * validator-side — ``validator_responses_total{kind}``,
   ``validator_decisions_total{outcome}``, ``validator_checks_total{check,

@@ -6,15 +6,17 @@ and report lifecycle events to it: ``intercept``, ``replicate``,
 ``ingest``, ``late``, ``decision``, ``checkpoint``, ``restore`` and
 ``tick``. The tracer, metrics registry, alarm forensics, replica health
 tracker, flight recorder and snapshot sink are its subscribers; which
-event feeds which, and
-which are head-sampled, is tabled in docs/observability.md ("The observer
-seam"). The sampler is applied here, once per event.
+event feeds which, and which are head-sampled, is tabled in
+docs/observability.md ("The observer seam"). The sampler is applied here,
+once per event.
 
-Subscribers are looked up at call time (``tracer.emit``,
-``metrics.counter``, ``health.record_*``, ``forensics.observe_decision``),
-so an instance-level wrapper on one sees every call. Nothing here schedules
-events, reads a clock or touches engine state, so the alarm stream is
-byte-identical whichever subscribers are attached.
+Metric instruments are asked of the registry on first update (not before:
+an unused one would export as a zero) and kept, so a later update is one
+dict hit. Everything else is looked up per call (``tracer.emit``,
+``health.record_*``, ``forensics.observe_decision``): an instance-level
+wrapper on one sees every call. Nothing here schedules events, reads a
+clock or touches engine state, so the alarm stream is byte-identical
+whichever subscribers are attached.
 """
 
 from __future__ import annotations
@@ -54,11 +56,32 @@ def _check_rows(checks):
     return rows
 
 
+class _Instruments(dict):
+    """Instrument handles by ``name`` or ``(name, label, value, ...)``."""
+
+    #: Families bound as histograms; every other one is a counter.
+    HISTOGRAMS = {"validator_detection_ms", "validator_responses_per_trigger"}
+    __slots__ = ("registry",)
+
+    def __init__(self, registry) -> None:
+        super().__init__()
+        self.registry = registry
+
+    def __missing__(self, key):
+        name, *pairs = (key,) if isinstance(key, str) else key
+        labels = dict(zip(pairs[::2], pairs[1::2]))
+        make = (self.registry.histogram if name in self.HISTOGRAMS
+                else self.registry.counter)
+        instrument = self[key] = make(name, **labels)
+        return instrument
+
+
 class Observer:
     """The subscribers behind one event API (see the module docstring)."""
 
-    __slots__ = ("tracer", "metrics", "forensics", "health", "sampler",
-                 "recorder", "sink")
+    _SUBSCRIBERS = ("tracer", "metrics", "forensics", "health", "recorder",
+                    "sink")
+    __slots__ = _SUBSCRIBERS + ("sampler", "_instruments")
 
     def __init__(self, tracer=None, metrics=None, forensics=None, health=None,
                  sampler=None, recorder=None, sink=None):
@@ -69,19 +92,16 @@ class Observer:
         self.sampler = active_sampler(sampler)
         self.recorder = recorder
         self.sink = sink
+        self._instruments = None if metrics is None else _Instruments(metrics)
 
     @classmethod
     def build(cls, **subscribers) -> Optional["Observer"]:
         """The seam for these subscribers (:meth:`__init__`'s keywords), or
         None when none is attached — a sampler alone observes nothing."""
         observer = cls(**subscribers)
-        if all(getattr(observer, name) is None
-               for name in cls.__slots__ if name != "sampler"):
+        if all(getattr(observer, name) is None for name in cls._SUBSCRIBERS):
             return None
         return observer
-
-    def _sampled(self, tau: Tuple) -> bool:
-        return self.sampler is None or self.sampler.sampled(tau)
 
     # ------------------------------------------------------------------
     # Replicator
@@ -89,53 +109,54 @@ class Observer:
     def intercept(self, now: float, tau: Tuple, source: str, primary: str,
                   kind: str) -> None:
         """An external trigger was intercepted (``source``: switch/rest)."""
-        if not self._sampled(tau):
+        if self.sampler is not None and not self.sampler.sampled(tau):
             return
         if self.tracer is not None:
             self.tracer.emit(now, tau, obs_trace.INTERCEPT, source=source,
                              primary=primary, kind=kind)
-        if self.metrics is not None:
-            self.metrics.counter("replicator_triggers_total",
-                                 source=source).inc()
+        if self._instruments is not None:
+            self._instruments["replicator_triggers_total", "source",
+                              source].inc()
 
     def replicate(self, now: float, tau: Tuple, secondaries: int,
                   copies: int) -> None:
         """``copies`` of ``tau`` went to its ``secondaries``."""
-        if self.tracer is not None and self._sampled(tau):
+        if self.tracer is not None and (self.sampler is None
+                                        or self.sampler.sampled(tau)):
             self.tracer.emit(now, tau, obs_trace.REPLICATE,
                              secondaries=secondaries)
-        if copies and self.metrics is not None:
-            self.metrics.counter("replicator_copies_total").inc(copies)
+        if copies and self._instruments is not None:
+            self._instruments["replicator_copies_total"].inc(copies)
 
     # ------------------------------------------------------------------
     # Validation engines
     # ------------------------------------------------------------------
     def ingest(self, now: float, response) -> None:
         """One response reached the engine (before any queue)."""
-        if not self._sampled(response.trigger_id):
+        tau = response.trigger_id
+        if self.sampler is not None and not self.sampler.sampled(tau):
             return
+        kind = response.kind._value_  # not the slower ``value`` property
         if self.tracer is not None:
-            self.tracer.emit(now, response.trigger_id, obs_trace.INGEST,
-                             kind=response.kind.value,
+            self.tracer.emit(now, tau, obs_trace.INGEST, kind=kind,
                              controller=response.controller_id)
-        if self.metrics is not None:
-            self.metrics.counter("validator_responses_total",
-                                 kind=response.kind.value).inc()
+        if self._instruments is not None:
+            self._instruments["validator_responses_total", "kind", kind].inc()
         if self.health is not None:
             received = response.trigger_received_at
             self.health.record_response(
-                now, response.controller_id,
-                lag_ms=None if received is None else max(0.0, now - received))
+                now, response.controller_id, None if received is None
+                else now - received if now > received else 0.0)
 
     def late(self, now: float, tau: Tuple, controller_id: str) -> None:
         """A response for an already-decided trigger was dropped."""
-        if not self._sampled(tau):
+        if self.sampler is not None and not self.sampler.sampled(tau):
             return
         if self.tracer is not None:
             self.tracer.emit(now, tau, obs_trace.LATE_DROP,
                              controller=controller_id)
-        if self.metrics is not None:
-            self.metrics.counter("validator_late_responses_total").inc()
+        if self._instruments is not None:
+            self._instruments["validator_late_responses_total"].inc()
 
     def decision(self, now: float, result, responses, checks) -> None:
         """A trigger was decided: its ``result``, the ``responses`` it was
@@ -158,13 +179,13 @@ class Observer:
                                 detail=alarm.offending_controller or "")
             if alarms:
                 recorder.trigger("alarm", now)
-        sampled = self._sampled(tau)
+        sampled = self.sampler is None or self.sampler.sampled(tau)
         if not sampled and not alarms:
             return
         tracer = self.tracer
-        metrics = self.metrics
+        instruments = self._instruments
         rows = (_check_rows(checks)
-                if sampled and (tracer is not None or metrics is not None)
+                if sampled and (tracer is not None or instruments is not None)
                 else ())
         if tracer is not None:
             if sampled:
@@ -181,21 +202,20 @@ class Observer:
                             detail=alarm.offending_controller or "")
             if not alarms:
                 tracer.emit(now, tau, obs_trace.ACCEPT, verdict=VERDICT_OK)
-        if metrics is not None:
+        if instruments is not None:
             for _, check, _, _, counted in rows:
-                metrics.counter("validator_checks_total", check=check,
-                                verdict=counted).inc()
-            metrics.counter("validator_decisions_total",
-                            outcome="alarmed" if alarms else "ok").inc()
+                instruments["validator_checks_total", "check", check,
+                            "verdict", counted].inc()
+            instruments["validator_decisions_total", "outcome",
+                        "alarmed" if alarms else "ok"].inc()
             if result.timed_out:
-                metrics.counter("validator_timeout_decisions_total").inc()
-            metrics.histogram("validator_detection_ms").observe(
-                result.detection_ms)
-            metrics.histogram("validator_responses_per_trigger").observe(
+                instruments["validator_timeout_decisions_total"].inc()
+            instruments["validator_detection_ms"].observe(result.detection_ms)
+            instruments["validator_responses_per_trigger"].observe(
                 result.n_responses)
             for alarm in alarms:
-                metrics.counter("validator_alarms_total",
-                                reason=alarm.reason.value).inc()
+                instruments["validator_alarms_total", "reason",
+                            alarm.reason.value].inc()
         if self.forensics is not None:
             self.forensics.observe_decision(tau, responses, checks[0], result,
                                             result.external)

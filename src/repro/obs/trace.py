@@ -214,12 +214,12 @@ class Tracer:
                 ) -> Tuple[Tuple[str, object], ...]:
         """The sorted ``(key, value)`` tuple for ``attrs``, shared with
         every earlier span that had the same attribute set."""
-        key = (tuple(attrs.items()), tuple(map(type, attrs.values())))
+        key = (*attrs.items(), *map(type, attrs.values()))
         try:
             return self._interned[key]
         except (KeyError, TypeError):  # a new set, or an unhashable value
-            frozen = tuple(sorted(key[0]))
-            if _INTERNABLE.issuperset(key[1]):
+            frozen = tuple(sorted(attrs.items()))
+            if _INTERNABLE.issuperset(key[len(attrs):]):
                 self._interned[key] = frozen
             return frozen
 

@@ -16,6 +16,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.alarms import ValidationResult
 from repro.core.timeouts import StaticTimeout
@@ -236,6 +238,42 @@ def test_attr_interning_keeps_each_value_type():
     spans = list(tracer.spans)
     assert len({span.canonical_line() for span in spans}) == 3
     assert [type(span.attr("x")) for span in spans] == [int, bool, float]
+
+
+_ATTR_VALUES = st.one_of(
+    st.text(max_size=2), st.integers(-2, 2), st.booleans(), st.floats(),
+    st.none(), st.tuples(st.integers(0, 1), st.text(max_size=1)),
+    st.lists(st.integers(0, 1), max_size=2))
+
+
+@st.composite
+def _attr_dicts(draw):
+    """1–4 attributes, inserted in a random order."""
+    keys = draw(st.lists(st.sampled_from("abcd"), min_size=1, max_size=4,
+                         unique=True))
+    return {key: draw(_ATTR_VALUES) for key in keys}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_attr_dicts(), min_size=1, max_size=12))
+def test_frozen_attrs_are_sorted_typed_and_shared_per_attribute_set(dicts):
+    tracer = Tracer()
+    for index, attrs in enumerate(dicts):
+        tracer.emit(float(index), ("ext", index), INGEST, **attrs)
+    shared = {}
+    for attrs, span, row in zip(dicts, tracer.spans, tracer._rows):
+        expected = tuple(sorted(attrs.items()))
+        assert span.attrs == expected
+        assert ([type(value) for _, value in span.attrs]
+                == [type(value) for _, value in expected])
+        if all(type(value) in (str, int, bool, type(None))
+               for value in attrs.values()):
+            # One interned tuple per insertion-ordered (key, value, type)
+            # set: 1 and True stay apart, equal sets share one object.
+            identity = tuple((key, value, type(value))
+                             for key, value in attrs.items())
+            assert shared.setdefault(identity, row[5]) is row[5]
+    assert len(tracer._interned) == len(shared)
 
 
 def _full_stack_run(triggers: int) -> Tracer:
