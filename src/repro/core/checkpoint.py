@@ -26,6 +26,10 @@ currency:
   — the recovery path itself, shared by the differential suite, the
   fuzz oracle's ``RECOVERY_DIVERGENCE`` invariant, and the soak harness.
 
+The WAL is also the one *recorded stream*: attach a ``WriteAheadLog`` to
+a live engine, and :func:`replay_stream` replays its :func:`wal_ingests`
+into a fresh one (the differential suites, goldens and fuzz oracle).
+
 Determinism contract: with ``flush_interval_ms=0`` (the byte-identical
 regime of ``docs/pipeline.md``), ``restore(checkpoint) + WAL replay +
 remaining input`` yields a canonical alarm stream byte-identical to the
@@ -85,14 +89,17 @@ class Checkpoint:
         body = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
         return cls(dict(meta), body, hashlib.sha256(body).hexdigest())
 
-    def state(self) -> Dict[str, object]:
-        """Verify the digest and unpickle the state dict."""
+    def _verify(self) -> "Checkpoint":
         digest = hashlib.sha256(self.body).hexdigest()
         if digest != self.sha256:
             raise CheckpointError(
                 f"checkpoint digest mismatch: body hashes to {digest[:12]}…, "
                 f"envelope claims {self.sha256[:12]}…")
-        return pickle.loads(self.body)
+        return self
+
+    def state(self) -> Dict[str, object]:
+        """Verify the digest and unpickle the state dict."""
+        return pickle.loads(self._verify().body)
 
     # ------------------------------------------------------------------
     # JSON envelope (the on-disk / CI-artifact shape)
@@ -123,14 +130,11 @@ class Checkpoint:
             body = base64.b64decode(payload["body"], validate=True)
         except (KeyError, ValueError, TypeError) as exc:
             raise CheckpointError(f"unreadable checkpoint body: {exc}")
-        checkpoint = cls(dict(payload.get("meta") or {}), body,
-                         str(payload.get("sha256")))
-        digest = hashlib.sha256(body).hexdigest()
-        if digest != checkpoint.sha256:
-            raise CheckpointError(
-                f"checkpoint digest mismatch: body hashes to {digest[:12]}…, "
-                f"envelope claims {checkpoint.sha256[:12]}…")
-        return checkpoint
+        meta = payload.get("meta", {})
+        if not isinstance(meta, dict):
+            raise CheckpointError(f"checkpoint meta is a "
+                                  f"{type(meta).__name__}, not a mapping")
+        return cls(dict(meta), body, str(payload.get("sha256")))._verify()
 
     def save(self, path: str) -> None:
         """Atomically write the JSON envelope (write temp + rename)."""
@@ -254,36 +258,59 @@ def wal_tail(records: List[Tuple], sha256: str) -> List[Tuple]:
     return records[marker + 1:]
 
 
+def wal_ingests(records: List[Tuple]) -> List[Tuple]:
+    """A log's ``(WAL_INGEST, time_ms, response)`` records, in log order:
+    every response the engine saw, at the instant it saw it."""
+    return [record for record in records if record[0] == WAL_INGEST]
+
+
 def wal_last_ingest_time(records: List[Tuple]) -> Optional[float]:
     """Timestamp of the newest ingest record, or None for an empty log."""
-    last = None
-    for record in records:
-        if record[0] == WAL_INGEST:
-            last = record[1] if last is None else max(last, record[1])
-    return last
+    return max((record[1] for record in wal_ingests(records)), default=None)
 
 
 def replay_wal(engine, records: List[Tuple]) -> Tuple[int, float]:
-    """Schedule a WAL tail's ingest records into a restored engine.
+    """Schedule a log's ingest records into ``engine``, in list order.
 
-    Schedules only — the caller runs the simulator (typically after also
-    scheduling the resumed live input, so same-instant FIFO order across
-    the WAL/live boundary matches the uninterrupted run). Returns
-    ``(scheduled_count, last_time)`` where ``last_time`` falls back to the
-    engine's current simulated time for an ingest-free tail.
+    The one place recorded responses enter an engine. Schedules only; the
+    caller runs the simulator (usually via :func:`settle`), so a WAL tail
+    followed by the resumed input keeps same-instant FIFO order. Returns
+    ``(scheduled_count, last_time)``; ``last_time`` falls back to the
+    engine's current simulated time.
     """
     sim = engine.sim
-    count = 0
-    last = sim.now
+    count, last = 0, sim.now
     for record in records:
-        if record[0] != WAL_INGEST:
-            continue
-        time_ms, response = record[1], record[2]
-        sim.schedule_at(time_ms, engine.ingest, response)
-        if time_ms > last:
-            last = time_ms
-        count += 1
+        if record[0] == WAL_INGEST:
+            sim.schedule_at(record[1], engine.ingest, record[2])
+            last = max(last, record[1])
+            count += 1
     return count, last
+
+
+def settle(engine, until: float):
+    """Run ``engine``'s simulator to ``until``, then drain what it still
+    buffers (a pipeline's shard queues). Returns the engine."""
+    engine.sim.run(until=until)
+    drain = getattr(engine, "drain", None)
+    if drain is not None:
+        drain()
+    return engine
+
+
+def replay_stream(records: List[Tuple], make_engine: Callable,
+                  settle_ms: float = 10_000.0):
+    """Replay a recorded stream into ``make_engine(fresh simulator)``.
+
+    Responses arrive at their recorded times, so θτ timers behave as they
+    did live; ``settle_ms`` past the last arrival lets trailing deadlines
+    fire. Returns the engine.
+    """
+    from repro.sim.simulator import Simulator
+
+    engine = make_engine(Simulator(seed=0))
+    _, last = replay_wal(engine, records)
+    return settle(engine, last + settle_ms)
 
 
 # ----------------------------------------------------------------------
@@ -293,57 +320,67 @@ def restore_engine(checkpoint: Checkpoint, **overrides):
     """Build a fresh simulator + engine from a checkpoint and restore it.
 
     The engine shape (kind, k, shards, timeout, batching knobs) comes from
-    the checkpoint's meta; keyword overrides (observers, ``wal=``,
-    ``checkpoint_every=`` …) layer on top. The new simulator is advanced to
-    the checkpointed instant by ``restore()`` itself. A ``meta["backend"]``
+    the checkpoint's meta (a missing or ill-typed field is a
+    :class:`CheckpointError` naming it); keyword overrides (observers,
+    ``wal=``, ``checkpoint_every=`` …) layer on top. ``restore()`` advances
+    the new simulator to the checkpointed instant. A ``meta["backend"]``
     written by older builds is ignored: every shard runs in process.
     """
     from repro.core.timeouts import StaticTimeout
     from repro.sim.simulator import Simulator
 
     meta = checkpoint.meta
+
+    def shape(name: str, cast: Callable, default=None):
+        value = meta.get(name, default)
+        if value is None:
+            raise CheckpointError(f"checkpoint meta has no {name!r}")
+        try:
+            return cast(value)
+        except (TypeError, ValueError, OverflowError):
+            raise CheckpointError(f"checkpoint meta {name!r} must be "
+                                  f"{cast.__name__}, got {value!r}") from None
+
     kind = meta.get("engine")
+    if kind not in ("validator", "pipeline"):
+        raise CheckpointError(f"unknown engine kind in checkpoint: {kind!r}")
     sim = Simulator(seed=0)
-    timeout = StaticTimeout(float(meta["timeout_ms"]))
+    common = dict(
+        timeout=StaticTimeout(shape("timeout_ms", float)),
+        keep_results=shape("keep_results", bool, True),
+        state_aware=shape("state_aware", bool, True),
+        taint_classification=shape("taint_classification", bool, True),
+        **overrides)
     if kind == "validator":
         from repro.core.validator import Validator
-        engine = Validator(
-            sim, int(meta["k"]), timeout=timeout,
-            keep_results=bool(meta.get("keep_results", True)),
-            state_aware=bool(meta.get("state_aware", True)),
-            taint_classification=bool(meta.get("taint_classification", True)),
-            **overrides)
-    elif kind == "pipeline":
+        engine = Validator(sim, shape("k", int), **common)
+    else:
         from repro.core.pipeline import ValidationPipeline
         engine = ValidationPipeline(
-            sim, int(meta["k"]), shards=int(meta["shards"]), timeout=timeout,
-            keep_results=bool(meta.get("keep_results", True)),
-            state_aware=bool(meta.get("state_aware", True)),
-            taint_classification=bool(meta.get("taint_classification", True)),
-            queue_capacity=int(meta.get("queue_capacity", 1024)),
-            batch_max=int(meta.get("batch_max", 512)),
-            flush_interval_ms=float(meta.get("flush_interval_ms", 0.0)),
-            **overrides)
-    else:
-        raise CheckpointError(f"unknown engine kind in checkpoint: {kind!r}")
+            sim, shape("k", int), shards=shape("shards", int),
+            queue_capacity=shape("queue_capacity", int, 1024),
+            batch_max=shape("batch_max", int, 512),
+            flush_interval_ms=shape("flush_interval_ms", float, 0.0),
+            **common)
     engine.restore(checkpoint)
     return engine
 
 
-def run_with_recovery(records, make_engine: Callable,
+def run_with_recovery(records: List[Tuple], make_engine: Callable,
                       kill_index: int, checkpoint_every: int = 8,
                       settle_ms: float = 10_000.0):
     """Crash an engine mid-stream, recover a twin, finish the stream.
 
-    Drives ``records`` (``RecordedResponse``-shaped: ``.time_ms`` /
-    ``.response``) into a checkpointing engine built by
-    ``make_engine(sim)``, abandons it after ingesting ``records[:kill_index]``
-    (the in-memory analog of ``kill -9``: pending timers and parent state
-    are simply dropped; only the WAL and the checkpoints survive), then
-    builds a second engine, restores the newest checkpoint, replays the
-    WAL tail plus ``records[kill_index:]``, settles, and returns the
-    recovered engine. Its canonical alarm stream — checkpoint-carried
-    alarms included — is directly comparable to an uninterrupted run's.
+    Drives ``records`` (WAL ingest records ``(WAL_INGEST, time_ms,
+    response)``, e.g. :func:`wal_ingests` of a live run's log) into a
+    checkpointing engine built by ``make_engine(sim)``, abandons it after
+    ingesting ``records[:kill_index]`` (the in-memory analog of
+    ``kill -9``: pending timers and parent state are simply dropped; only
+    the WAL and the checkpoints survive), then builds a second engine,
+    restores the newest checkpoint, replays the WAL tail plus
+    ``records[kill_index:]``, settles, and returns the recovered engine.
+    Its canonical alarm stream — checkpoint-carried alarms included — is
+    directly comparable to an uninterrupted run's.
     """
     from repro.sim.simulator import Simulator
 
@@ -351,30 +388,20 @@ def run_with_recovery(records, make_engine: Callable,
     wal = WriteAheadLog()
     newest: Dict[str, Checkpoint] = {}
 
-    sim1 = Simulator(seed=0)
-    engine1 = make_engine(sim1)
+    engine1 = make_engine(Simulator(seed=0))
     engine1.wal = wal
     engine1.checkpoint_every = checkpoint_every
     engine1.on_checkpoint = lambda cp: newest.__setitem__("cp", cp)
     # Baseline snapshot at t=0 so a kill inside the first interval still
     # has a restore point (production would checkpoint at deploy time).
     newest["cp"] = engine1.checkpoint()
-    for record in records[:kill_index]:
-        sim1.schedule_at(record.time_ms, engine1.ingest, record.response)
-    if kill_index:
-        sim1.run(until=records[kill_index - 1].time_ms)
+    count, last = replay_wal(engine1, records[:kill_index])
+    if count:
+        engine1.sim.run(until=last)
 
     checkpoint = newest["cp"]
-    sim2 = Simulator(seed=0)
-    engine2 = make_engine(sim2)
+    engine2 = make_engine(Simulator(seed=0))
     engine2.restore(checkpoint)
-    _, last = replay_wal(engine2, wal_tail(wal.records(), checkpoint.sha256))
-    for record in records[kill_index:]:
-        sim2.schedule_at(record.time_ms, engine2.ingest, record.response)
-        if record.time_ms > last:
-            last = record.time_ms
-    sim2.run(until=last + settle_ms)
-    drain = getattr(engine2, "drain", None)
-    if drain is not None:
-        drain()
-    return engine2
+    _, last = replay_wal(engine2, wal_tail(wal.records(), checkpoint.sha256)
+                         + records[kill_index:])
+    return settle(engine2, last + settle_ms)

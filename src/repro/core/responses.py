@@ -61,7 +61,9 @@ class Response:
     def is_cache(self) -> bool:
         return self.kind == ResponseKind.CACHE_UPDATE
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
+        # Terse on purpose, and pinned: the "input sha-256" column of
+        # tests/test_validator_input_golden.py hashes this repr.
         taint = " tainted" if self.tainted else ""
         return (f"Response({self.controller_id}, {self.trigger_id}, "
                 f"{self.kind.value}{taint})")

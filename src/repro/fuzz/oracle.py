@@ -99,6 +99,8 @@ class LiveRun:
     """Everything recorded from one live execution of a scenario."""
 
     spec: ScenarioSpec
+    #: The validator's WAL ingest records ``(WAL_INGEST, time_ms,
+    #: response)`` from warm-up's end on: the stream every replay is fed.
     records: list
     mastership: Dict[int, str]
     #: Canonical stream of the alarms raised *inside the recorded window*
@@ -108,7 +110,7 @@ class LiveRun:
     fault_outcomes: List[FaultOutcome] = field(default_factory=list)
     first_injection_at: Optional[float] = None
     alarms_before_injection: int = 0
-    #: Alarms raised during warmup, before the recorder attached.
+    #: Alarms raised during warmup, before the WAL attached.
     warmup_alarms: int = 0
     #: Simulated time at which the live run stopped. Replays settle past
     #: the last record, so a trigger still in flight at the live cutoff
@@ -194,8 +196,8 @@ class DifferentialOracle:
         from repro.config import JuryConfig
         from repro.controllers.context import reset_trigger_ids
         from repro.core.alarms import canonical_alarm_stream
+        from repro.core.checkpoint import WriteAheadLog, wal_ingests
         from repro.faults.base import run_scenario
-        from repro.workloads.recorder import ValidatorStreamRecorder
         from repro.workloads.traffic import TrafficDriver
 
         reset_trigger_ids()
@@ -204,7 +206,8 @@ class DifferentialOracle:
             seed=spec.seed, timeout_ms=spec.timeout_ms,
             policies=("default",)))
         experiment.warmup()
-        recorder = ValidatorStreamRecorder(experiment.jury)
+        wal = WriteAheadLog()
+        experiment.validator.wal = wal
         warmup_alarms = len(experiment.validator.alarms)
 
         if spec.traffic is not None:
@@ -243,7 +246,7 @@ class DifferentialOracle:
                       for dpid in experiment.cluster.proxies}
         return LiveRun(
             spec=spec,
-            records=recorder.records,
+            records=wal_ingests(wal.records()),
             mastership=mastership,
             alarm_stream=canonical_alarm_stream(
                 validator.alarms[warmup_alarms:]),
@@ -258,15 +261,16 @@ class DifferentialOracle:
     # ------------------------------------------------------------------
     # Replay engines
     # ------------------------------------------------------------------
-    def _replay(self, live: LiveRun, shards: Optional[int] = None,
-                timeout_ms: Optional[float] = None,
-                reference: bool = False, **observers):
+    @staticmethod
+    def _engine_factory(live: LiveRun, shards: Optional[int] = None,
+                        timeout_ms: Optional[float] = None,
+                        reference: bool = False, **observers):
+        """``make(sim)`` for one replay variant of ``live``'s deployment."""
         from repro.core.pipeline import ValidationPipeline
         from repro.core.timeouts import StaticTimeout
         from repro.core.validator import Validator
         from repro.faults.injector import default_policy_engine
         from repro.fuzz.reference import ReferenceValidator
-        from repro.workloads.recorder import replay_validation_stream
 
         spec = live.spec
         lookup = live.mastership.get
@@ -286,8 +290,16 @@ class DifferentialOracle:
                 return Validator(sim, spec.k, **kwargs)
             return ValidationPipeline(sim, spec.k, shards=shards, **kwargs)
 
-        return replay_validation_stream(live.records, make,
-                                        settle_ms=self.settle_ms)
+        return make
+
+    def _replay(self, live: LiveRun, shards: Optional[int] = None,
+                timeout_ms: Optional[float] = None,
+                reference: bool = False, **observers):
+        from repro.core.checkpoint import replay_stream
+
+        make = self._engine_factory(live, shards, timeout_ms, reference,
+                                    **observers)
+        return replay_stream(live.records, make, settle_ms=self.settle_ms)
 
     # ------------------------------------------------------------------
     # The oracle proper
@@ -442,23 +454,10 @@ class DifferentialOracle:
         plus the remaining records finish the stream.
         """
         from repro.core.checkpoint import run_with_recovery
-        from repro.core.pipeline import ValidationPipeline
-        from repro.core.timeouts import StaticTimeout
-        from repro.core.validator import Validator
-        from repro.faults.injector import default_policy_engine
 
-        spec = live.spec
-        lookup = live.mastership.get
-
-        def make(sim):
-            kwargs = dict(timeout=StaticTimeout(spec.timeout_ms),
-                          policy_engine=default_policy_engine(),
-                          mastership_lookup=lookup)
-            if shards is None:
-                return Validator(sim, spec.k, **kwargs)
-            return ValidationPipeline(sim, spec.k, shards=shards, **kwargs)
-
-        return run_with_recovery(live.records, make, kill_index,
+        return run_with_recovery(live.records,
+                                 self._engine_factory(live, shards),
+                                 kill_index,
                                  checkpoint_every=checkpoint_every,
                                  settle_ms=self.settle_ms)
 

@@ -32,19 +32,24 @@ Wall-clock and process APIs are confined to this harness module
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
 import resource
 import signal
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 from zlib import crc32
 
 from repro.core.alarms import canonical_alarm_stream
 from repro.core.checkpoint import (
+    WAL_INGEST,
     Checkpoint,
     WriteAheadLog,
+    replay_stream,
     replay_wal,
     restore_engine,
+    settle,
+    wal_ingests,
     wal_last_ingest_time,
     wal_tail,
 )
@@ -54,7 +59,6 @@ from repro.core.timeouts import StaticTimeout
 from repro.core.validator import Validator
 from repro.errors import CheckpointError
 from repro.sim.simulator import Simulator
-from repro.workloads.recorder import RecordedResponse
 # The soak reuses the synthetic workload's entry shapes so its triggers are
 # indistinguishable from that workload's — only the draw changes
 # (indexed CRC-32 instead of a sequential PRNG) to make any suffix
@@ -77,8 +81,9 @@ def trigger_time_ms(index: int, spacing_ms: float) -> float:
 
 
 def soak_trigger(index: int, k: int, seed: int,
-                 spacing_ms: float) -> List[RecordedResponse]:
-    """Trigger ``index``'s full ``2k+2`` response set, timestamped.
+                 spacing_ms: float) -> List[Tuple]:
+    """Trigger ``index``'s full ``2k+2`` response set, as WAL ingest records
+    ``(WAL_INGEST, time_ms, response)``.
 
     Response ``j`` arrives at ``index*spacing + j*delta`` with
     ``delta = spacing/(2k+4)``: every response in the whole soak has a
@@ -110,17 +115,15 @@ def soak_trigger(index: int, k: int, seed: int,
                                   primary_hint="c1"))
     base = trigger_time_ms(index, spacing_ms)
     delta = spacing_ms / (2 * k + 4)
-    return [RecordedResponse(time_ms=base + j * delta, response=response)
+    return [(WAL_INGEST, base + j * delta, response)
             for j, response in enumerate(responses)]
 
 
 def soak_stream(triggers: int, k: int, seed: int,
-                spacing_ms: float) -> List[RecordedResponse]:
+                spacing_ms: float) -> List[Tuple]:
     """The whole soak workload, flat, in arrival order."""
-    records: List[RecordedResponse] = []
-    for index in range(triggers):
-        records.extend(soak_trigger(index, k, seed, spacing_ms))
-    return records
+    return [record for index in range(triggers)
+            for record in soak_trigger(index, k, seed, spacing_ms)]
 
 
 # ----------------------------------------------------------------------
@@ -161,9 +164,8 @@ def _pump(sim: Simulator, engine, params: Dict[str, object],
     if index >= triggers:
         return
     spacing = float(params["spacing_ms"])
-    for record in soak_trigger(index, int(params["k"]),
-                               int(params["seed"]), spacing):
-        sim.schedule_at(record.time_ms, engine.ingest, record.response)
+    replay_wal(engine, soak_trigger(index, int(params["k"]),
+                                    int(params["seed"]), spacing))
     if index + 1 < triggers:
         sim.schedule_at(trigger_time_ms(index + 1, spacing),
                         _pump, sim, engine, params, index + 1)
@@ -194,10 +196,7 @@ def _soak_worker(params: Dict[str, object], workdir: str) -> None:
         # strictly earlier than the kill instant.
         sim.schedule_at(float(kill_at_ms), _hard_kill)
     sim.schedule_at(0.0, _pump, sim, engine, params, 0)
-    sim.run(until=float(params["duration_ms"]) + float(params["settle_ms"]))
-    drain = getattr(engine, "drain", None)
-    if drain is not None:
-        drain()
+    settle(engine, float(params["duration_ms"]) + float(params["settle_ms"]))
     wal.close()
 
 
@@ -243,6 +242,12 @@ def run_soak(duration_s: float = 60.0,
         "checkpoint_every": checkpoint_every,
         "kill_at_ms": None if kill_at_s is None else kill_at_s * 1000.0,
     }
+
+    # A previous soak in the same workdir must not leak into this one: the
+    # WAL opens for append, and a stale tail would move the resume boundary.
+    for name in (WAL_FILE, CHECKPOINT_FILE):
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(workdir, name))
 
     # The real OS process is the test subject: its SIGKILL death is the
     # failure the harness exists to recover from. Inside the worker the
@@ -299,35 +304,18 @@ def run_soak(duration_s: float = 60.0,
     # recomputed from the trigger index, never received from the corpse.
     recovered = restore_engine(checkpoint)
     tail = wal_tail(wal_records, checkpoint.sha256)
-    replayed, last = replay_wal(recovered, tail)
     boundary = wal_last_ingest_time(wal_records)
     stream = soak_stream(triggers, k, seed, float(params["spacing_ms"]))
-    resumed = 0
-    for record in stream:
-        if boundary is not None and record.time_ms <= boundary:
-            continue
-        recovered.sim.schedule_at(record.time_ms, recovered.ingest,
-                                  record.response)
-        resumed += 1
-        if record.time_ms > last:
-            last = record.time_ms
-    recovered.sim.run(until=last + settle_ms)
-    drain = getattr(recovered, "drain", None)
-    if drain is not None:
-        drain()
-    payload["wal_tail_replayed"] = replayed
-    payload["resumed_records"] = resumed
+    resumed = [record for record in stream
+               if boundary is None or record[1] > boundary]
+    _, last = replay_wal(recovered, tail + resumed)
+    settle(recovered, last + settle_ms)
+    payload["wal_tail_replayed"] = len(wal_ingests(tail))
+    payload["resumed_records"] = len(resumed)
 
     # Uninterrupted reference: same engine shape, same stream, no kill.
-    reference_sim = Simulator(seed=0)
-    reference = _build_engine(reference_sim, params)
-    for record in stream:
-        reference_sim.schedule_at(record.time_ms, reference.ingest,
-                                  record.response)
-    reference_sim.run(until=stream[-1].time_ms + settle_ms)
-    drain = getattr(reference, "drain", None)
-    if drain is not None:
-        drain()
+    reference = replay_stream(
+        stream, lambda sim: _build_engine(sim, params), settle_ms)
 
     recovered_stream = canonical_alarm_stream(recovered.alarms)
     reference_stream = canonical_alarm_stream(reference.alarms)

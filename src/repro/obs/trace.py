@@ -5,9 +5,9 @@ Algorithm-1 check failed, what the validator had seen by then, where the
 trigger spent its time — is what an operator debugging a cross-plane
 divergence actually needs. This module records that decision path as a
 stream of :class:`Span` records keyed on **simulated time**, so traces are
-deterministic: replaying the same recorded response stream (see
-:class:`~repro.workloads.recorder.ValidatorStreamRecorder`) reproduces the
-trace byte for byte, at any pipeline shard count.
+deterministic: replaying the same recorded response stream (an engine's
+WAL ingest records, see :func:`~repro.core.checkpoint.replay_stream`)
+reproduces the trace byte for byte, at any pipeline shard count.
 
 Design rules that keep tracing equivalence-safe:
 

@@ -10,16 +10,19 @@ it against a fault-injected cluster for a like-for-like comparison.
 
 Recordings serialize through :mod:`repro.openflow.wire`, so they can be
 written to disk and reloaded.
+
+This records what the *switches* send. What the *validator* receives is
+recorded by attaching a :class:`~repro.core.checkpoint.WriteAheadLog` to
+it; :func:`~repro.core.checkpoint.replay_stream` replays that stream.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import List
 
 from repro.controllers.cluster import ControllerCluster
-from repro.core.responses import Response
 from repro.errors import WorkloadError
 from repro.openflow import wire
 from repro.openflow.messages import OpenFlowMessage, PacketIn
@@ -147,65 +150,3 @@ class TraceReplayer:
         # Enter through the proxy exactly as the switch's message would:
         # the primary receives it and JURY's replicator (if deployed) sees it.
         proxy._from_switch(record.message)
-
-
-# ----------------------------------------------------------------------
-# Validator-stream record and replay (the differential-equivalence rig)
-# ----------------------------------------------------------------------
-
-@dataclass
-class RecordedResponse:
-    """One response as it reached the validator, with its arrival time."""
-
-    time_ms: float
-    response: Response
-
-
-class ValidatorStreamRecorder:
-    """Taps a deployment's validator and records its inbound responses.
-
-    Trigger ids come from process-global counters
-    (:mod:`repro.controllers.context`), so two *separate* experiment runs
-    can never produce comparable absolute ids. The differential suite
-    therefore records the response stream *once* from a live run and
-    replays the identical stream into fresh validators — sequential and
-    pipelined — on fresh simulators.
-    """
-
-    def __init__(self, deployment):
-        self.records: List[RecordedResponse] = []
-        self._validator = deployment.validator
-        self._sim = deployment.sim
-        original = self._validator.handle_control_message
-
-        def tap(channel, response: Response) -> None:
-            self.records.append(RecordedResponse(
-                time_ms=self._sim.now, response=response))
-            original(channel, response)
-
-        # Instance-attribute override; ControlChannel._deliver looks the
-        # handler up per delivery, so the tap sees every response.
-        self._validator.handle_control_message = tap
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-
-def replay_validation_stream(records: List[RecordedResponse],
-                             make_validator: Callable[[Simulator], object],
-                             settle_ms: float = 10_000.0):
-    """Replay a recorded response stream into a fresh validator.
-
-    ``make_validator`` receives a fresh :class:`Simulator` and returns any
-    object with ``ingest`` (the sequential validator or a pipeline). Every
-    response is scheduled at its recorded arrival time, so timers θτ and
-    batching behave exactly as they did (or would have) live; ``settle_ms``
-    of extra simulated time lets trailing timers fire.
-    """
-    sim = Simulator(seed=0)
-    validator = make_validator(sim)
-    for record in records:
-        sim.schedule_at(record.time_ms, validator.ingest, record.response)
-    last = records[-1].time_ms if records else 0.0
-    sim.run(until=last + settle_ms)
-    return validator

@@ -20,9 +20,11 @@ from repro.core.alarms import canonical_alarm_stream
 from repro.core.checkpoint import (
     Checkpoint,
     WriteAheadLog,
+    replay_stream,
     replay_wal,
     restore_engine,
     run_with_recovery,
+    settle,
     wal_last_ingest_time,
     wal_tail,
 )
@@ -55,17 +57,9 @@ def _make_pipeline(shards):
     return make
 
 
-def _run(make, records, until=None):
+def _run(make, records):
     """Uninterrupted reference run over ``records``."""
-    sim = Simulator(seed=0)
-    engine = make(sim)
-    for record in records:
-        sim.schedule_at(record.time_ms, engine.ingest, record.response)
-    sim.run(until=(records[-1].time_ms + SETTLE_MS if until is None else until))
-    drain = getattr(engine, "drain", None)
-    if drain is not None:
-        drain()
-    return engine
+    return replay_stream(records, make, SETTLE_MS)
 
 
 # ----------------------------------------------------------------------
@@ -105,6 +99,32 @@ def test_envelope_rejects_foreign_payloads():
     bad_body["body"] = "not base64!!!"
     with pytest.raises(CheckpointError, match="unreadable"):
         Checkpoint.from_json(bad_body)
+
+
+def _meta_without(field):
+    meta = {"engine": "validator", "k": 3, "timeout_ms": 250.0}
+    del meta[field]
+    return meta
+
+
+@pytest.mark.parametrize("meta,field", [
+    ("abc", "mapping"),
+    (5, "mapping"),
+    ([1, 2], "mapping"),
+    (_meta_without("timeout_ms"), "timeout_ms"),
+    (_meta_without("k"), "'k'"),
+    ({"engine": "validator", "k": "x", "timeout_ms": 250.0}, "'k'"),
+    ({"engine": "validator", "k": 3, "timeout_ms": [1]}, "timeout_ms"),
+    ({"engine": "pipeline", "k": 3, "timeout_ms": 250.0}, "shards"),
+], ids=["str", "int", "list", "no-timeout", "no-k", "str-k", "list-timeout",
+        "no-shards"])
+def test_hostile_meta_is_refused_as_checkpoint_error(meta, field):
+    """A malformed meta never escapes as ValueError/TypeError/KeyError:
+    ``from_json`` refuses a meta that is not a mapping, and
+    ``restore_engine`` names the missing or ill-typed shape field."""
+    payload = {**Checkpoint.build({}, {}).to_json(), "meta": meta}
+    with pytest.raises(CheckpointError, match=field):
+        restore_engine(Checkpoint.from_json(payload))
 
 
 def test_version_1_envelope_is_refused(tmp_path):
@@ -235,24 +255,18 @@ def test_restore_resumes_byte_identical(label, make, cut):
     assert expected, "workload must alarm for the comparison to bite"
 
     cut_index = int(len(records) * cut)
-    cut_time = records[cut_index].time_ms
+    cut_time = records[cut_index][1]
     sim = Simulator(seed=0)
     engine = make(sim)
-    for record in records[:cut_index + 1]:
-        sim.schedule_at(record.time_ms, engine.ingest, record.response)
+    replay_wal(engine, records[:cut_index + 1])
     sim.run(until=cut_time)
     checkpoint = engine.checkpoint()
 
-    sim2 = Simulator(seed=0)
-    twin = make(sim2)
+    twin = make(Simulator(seed=0))
     twin.restore(checkpoint)
     assert twin.sim.now == cut_time
-    for record in records[cut_index + 1:]:
-        sim2.schedule_at(record.time_ms, twin.ingest, record.response)
-    sim2.run(until=records[-1].time_ms + SETTLE_MS)
-    drain = getattr(twin, "drain", None)
-    if drain is not None:
-        drain()
+    _, last = replay_wal(twin, records[cut_index + 1:])
+    settle(twin, last + SETTLE_MS)
     assert canonical_alarm_stream(twin.alarms) == expected, \
         f"{label} diverged after a restore at {cut:.0%}"
     assert twin.triggers_decided == reference.triggers_decided
@@ -271,13 +285,10 @@ def test_immediate_restore_re_checkpoints_to_the_same_state():
 
     records = _stream(triggers=60)
     for make in (_make_validator, _make_pipeline(2)):
-        cut = records[len(records) // 2].time_ms
+        cut = records[len(records) // 2][1]
         sim = Simulator(seed=0)
         engine = make(sim)
-        for record in records:
-            if record.time_ms <= cut:
-                sim.schedule_at(record.time_ms, engine.ingest,
-                                record.response)
+        replay_wal(engine, [record for record in records if record[1] <= cut])
         sim.run(until=cut)
         checkpoint = engine.checkpoint()
         sim2 = Simulator(seed=0)
@@ -383,17 +394,15 @@ def test_checkpoint_between_submit_and_merge_carries_the_merged_psi():
     sim = Simulator(seed=0)
     engine = _make_pipeline(2)(sim)
     taken = []
-    for record in records:
-        sim.schedule_at(record.time_ms, engine.ingest, record.response)
+    replay_wal(engine, records)
     # Scheduled from an event that runs after the first ingest of the
     # instant (whose flush event is then already queued), a delay-0 event
     # lands after that flush.
-    cut = next(record.time_ms for record in records[len(records) // 2:]
-               if record.response.kind is ResponseKind.CACHE_UPDATE)
+    cut = next(time_ms for _, time_ms, response in records[len(records) // 2:]
+               if response.kind is ResponseKind.CACHE_UPDATE)
     sim.schedule_at(cut, sim.schedule, 0.0,
                     lambda: taken.append(engine.checkpoint()))
-    sim.run(until=records[-1].time_ms + SETTLE_MS)
-    engine.drain()
+    settle(engine, records[-1][1] + SETTLE_MS)
     state = taken[0].state()
     relayed = {cid: fields[0] for cid, fields in state["psi"].items()}
     by_shard = {}
@@ -410,10 +419,8 @@ def test_checkpoint_between_submit_and_merge_carries_the_merged_psi():
     twin_sim = Simulator(seed=0)
     twin = _make_pipeline(2)(twin_sim)
     twin.restore(taken[0])
-    for record in records:
-        if record.time_ms > cut:
-            twin_sim.schedule_at(record.time_ms, twin.ingest, record.response)
-    twin_sim.run(until=records[-1].time_ms + SETTLE_MS)
+    replay_wal(twin, [record for record in records if record[1] > cut])
+    twin_sim.run(until=records[-1][1] + SETTLE_MS)
     assert canonical_alarm_stream(twin.alarms) == \
         canonical_alarm_stream(engine.alarms)
     assert twin.triggers_decided == engine.triggers_decided
@@ -429,11 +436,10 @@ def test_checkpoint_with_a_legacy_backend_meta_restores():
     expected = canonical_alarm_stream(reference.alarms)
 
     cut_index = len(records) // 2
-    cut_time = records[cut_index].time_ms
+    cut_time = records[cut_index][1]
     sim = Simulator(seed=0)
     engine = _make_pipeline(2)(sim)
-    for record in records[:cut_index + 1]:
-        sim.schedule_at(record.time_ms, engine.ingest, record.response)
+    replay_wal(engine, records[:cut_index + 1])
     sim.run(until=cut_time)
     checkpoint = engine.checkpoint()
     assert "backend" not in checkpoint.meta
@@ -443,10 +449,8 @@ def test_checkpoint_with_a_legacy_backend_meta_restores():
     legacy = Checkpoint.from_json(json.loads(json.dumps(payload)))
     twin = restore_engine(legacy)
     assert isinstance(twin, ValidationPipeline)
-    for record in records[cut_index + 1:]:
-        twin.sim.schedule_at(record.time_ms, twin.ingest, record.response)
-    twin.sim.run(until=records[-1].time_ms + SETTLE_MS)
-    twin.drain()
+    _, last = replay_wal(twin, records[cut_index + 1:])
+    settle(twin, last + SETTLE_MS)
     assert canonical_alarm_stream(twin.alarms) == expected
     assert twin.triggers_decided == reference.triggers_decided
 
@@ -465,10 +469,8 @@ def test_auto_checkpoint_fires_and_newest_snapshot_restores():
                                 on_checkpoint=taken.append)
     wal = WriteAheadLog()
     engine.wal = wal
-    for record in records:
-        sim.schedule_at(record.time_ms, engine.ingest, record.response)
-    sim.run(until=records[-1].time_ms + SETTLE_MS)
-    engine.drain()
+    replay_wal(engine, records)
+    settle(engine, records[-1][1] + SETTLE_MS)
     expected = canonical_alarm_stream(engine.alarms)
     assert len(taken) >= 3, "100 decided triggers at every-25 must snapshot"
     decided = [cp.meta["triggers_decided"] for cp in taken]
@@ -548,22 +550,20 @@ def test_run_with_recovery_kill_before_first_checkpoint():
 def test_soak_workload_is_a_pure_function_of_the_index():
     a = soak_trigger(17, K, seed=0, spacing_ms=SPACING_MS)
     b = soak_trigger(17, K, seed=0, spacing_ms=SPACING_MS)
-    assert [(r.time_ms, r.response) for r in a] == \
-        [(r.time_ms, r.response) for r in b]
+    assert a == b
     # A different seed redraws flows/faults.
     c = soak_trigger(17, K, seed=99, spacing_ms=SPACING_MS)
-    assert [r.response for r in c] != [r.response for r in a]
+    assert [r[2] for r in c] != [r[2] for r in a]
     # The flat stream is the concatenation of the per-index triggers.
     stream = soak_stream(5, K, 0, SPACING_MS)
     flat = [r for i in range(5)
             for r in soak_trigger(i, K, 0, SPACING_MS)]
-    assert [(r.time_ms, r.response) for r in stream] == \
-        [(r.time_ms, r.response) for r in flat]
+    assert stream == flat
 
 
 def test_soak_timestamps_are_globally_distinct_and_ordered():
     stream = soak_stream(30, K, 0, SPACING_MS)
-    times = [r.time_ms for r in stream]
+    times = [r[1] for r in stream]
     assert times == sorted(times)
     assert len(set(times)) == len(times), \
         "distinct timestamps are what make the resume boundary exact"
@@ -594,6 +594,19 @@ def test_run_soak_kill_and_recover(tmp_path):
     # The artifacts a post-mortem needs are on disk.
     assert (tmp_path / "CHECKPOINT_sample.json").exists()
     assert (tmp_path / "soak-wal.bin").exists()
+
+
+def test_run_soak_twice_in_one_workdir(tmp_path):
+    """The WAL opens for append, so a second soak in the same workdir
+    must start from empty files, not resume past the first run's tail."""
+    from repro.harness.soak import run_soak
+
+    first = run_soak(duration_s=4, kill_at_s=3, checkpoint_every=50,
+                     workdir=str(tmp_path))
+    assert first["ok"], first["failures"]
+    second = run_soak(duration_s=4, kill_at_s=1, checkpoint_every=50,
+                      workdir=str(tmp_path))
+    assert second["ok"], second["failures"]
 
 
 def test_run_soak_rejects_out_of_range_kill(tmp_path):
@@ -627,7 +640,6 @@ def test_fuzz_corpus_replays_through_restored_pipeline(small_fuzz_corpus):
     N ∈ {2, 4}: the recovered stream matches the sequential replay."""
     from repro.faults.injector import default_policy_engine
     from repro.fuzz import DifferentialOracle
-    from repro.workloads.recorder import replay_validation_stream
 
     oracle = DifferentialOracle()
     faulted = next(s for s in small_fuzz_corpus if s.faults)
@@ -636,7 +648,7 @@ def test_fuzz_corpus_replays_through_restored_pipeline(small_fuzz_corpus):
         live = oracle.record(spec)
         assert live.records, f"seed {spec.seed} recorded nothing"
         lookup = live.mastership.get
-        sequential = replay_validation_stream(
+        sequential = replay_stream(
             live.records, lambda sim: Validator(
                 sim, spec.k, timeout=StaticTimeout(spec.timeout_ms),
                 policy_engine=default_policy_engine(),

@@ -25,7 +25,15 @@ from repro.core.backends.frames import (
     VerdictFrame,
 )
 from repro.core.backends.shardcore import ShardCore
-from repro.core.checkpoint import Checkpoint, restore_engine, run_with_recovery
+from repro.core.checkpoint import (
+    WAL_INGEST,
+    Checkpoint,
+    replay_stream,
+    replay_wal,
+    restore_engine,
+    run_with_recovery,
+    settle,
+)
 from repro.core.latedrop import (
     LATE_DROP_CAP,
     LATE_DROP_HORIZON_TIMEOUTS,
@@ -37,7 +45,6 @@ from repro.core.timeouts import StaticTimeout
 from repro.core.validator import Validator
 from repro.harness.soak import soak_stream
 from repro.sim.simulator import Simulator
-from repro.workloads.recorder import RecordedResponse
 from repro.workloads.synthetic import synthetic_validation_workload
 
 K = 3
@@ -158,12 +165,11 @@ def _straggler_stream(triggers=TRIGGERS, seed=1):
     stragglers = []
     for n, index in enumerate(range(0, triggers // 2, 7)):
         relay = records[index * per_trigger + 2]
-        decided_at = records[(index + 1) * per_trigger - 1].time_ms
+        decided_at = records[(index + 1) * per_trigger - 1][1]
         lag = HORIZON_MS - 1.0 if n % 2 == 0 else HORIZON_MS + 1_000.0
-        stragglers.append(RecordedResponse(time_ms=decided_at + lag,
-                                           response=relay.response))
+        stragglers.append((WAL_INGEST, decided_at + lag, relay[2]))
     inside = (len(stragglers) + 1) // 2
-    merged = sorted(records + stragglers, key=lambda r: r.time_ms)
+    merged = sorted(records + stragglers, key=lambda r: r[1])
     return merged, inside, len(stragglers) - inside
 
 
@@ -180,18 +186,12 @@ def _make_pipeline(shards):
 
 def _feed(engine, records):
     """Schedule ``records`` into ``engine`` and settle."""
-    sim = engine.sim
-    for record in records:
-        sim.schedule_at(record.time_ms, engine.ingest, record.response)
-    sim.run(until=records[-1].time_ms + SETTLE_MS)
-    drain = getattr(engine, "drain", None)
-    if drain is not None:
-        drain()
-    return engine
+    _, last = replay_wal(engine, records)
+    return settle(engine, last + SETTLE_MS)
 
 
 def _run(make, records):
-    return _feed(make(Simulator(seed=0)), records)
+    return replay_stream(records, make, SETTLE_MS)
 
 
 def _fingerprint(engine):
@@ -323,15 +323,14 @@ def test_verdict_frame_pickle_round_trip():
 
 def _cut(records, fraction=0.7):
     index = int(len(records) * fraction)
-    return index, records[index].time_ms
+    return index, records[index][1]
 
 
 def _checkpoint_at_cut(make, records):
     index, cut_time = _cut(records)
     sim = Simulator(seed=0)
     engine = make(sim)
-    for record in records[:index + 1]:
-        sim.schedule_at(record.time_ms, engine.ingest, record.response)
+    replay_wal(engine, records[:index + 1])
     sim.run(until=cut_time)
     checkpoint = engine.checkpoint()
     retained = [list(window.decided.items())

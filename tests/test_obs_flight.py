@@ -21,6 +21,7 @@ import json
 import pytest
 
 from repro.core.alarms import canonical_alarm_stream
+from repro.core.checkpoint import replay_stream
 from repro.core.pipeline import ValidationPipeline
 from repro.core.timeouts import StaticTimeout
 from repro.core.validator import Validator
@@ -43,7 +44,6 @@ from repro.obs.recorder import (
 )
 from repro.obs.sampling import HeadSampler, active_sampler
 from repro.obs.trace import Tracer, dump_trace
-from repro.workloads.recorder import replay_validation_stream
 
 
 # ----------------------------------------------------------------------
@@ -202,7 +202,7 @@ def _replay(live, shards=None, tracer=None, metrics=None, sampler=None,
             return Validator(sim, live.spec.k, **kwargs)
         return ValidationPipeline(sim, live.spec.k, shards=shards, **kwargs)
 
-    return replay_validation_stream(live.records, factory)
+    return replay_stream(live.records, factory)
 
 
 def test_recorder_dumps_are_byte_identical_across_runs(faulted_live):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.checkpoint import replay_stream
 from repro.core.pipeline import ValidationPipeline
 from repro.core.timeouts import StaticTimeout
 from repro.core.validator import Validator
@@ -25,7 +26,6 @@ from repro.obs.recorder import FlightRecorder
 from repro.obs.sampling import HeadSampler
 from repro.obs.trace import Tracer
 from repro.sim.simulator import Simulator
-from repro.workloads.recorder import replay_validation_stream
 from tests.test_one_engine import (
     SOAK_K,
     SOAK_TRIGGERS,
@@ -106,8 +106,8 @@ def test_registry_is_asked_once_per_instrument(engine_label, rate):
             return Validator(sim, SOAK_K, **common)
         return ValidationPipeline(sim, SOAK_K, shards=4, **common)
 
-    engine = replay_validation_stream(_faulty_soak_stream(), make,
-                                      settle_ms=4 * TIMEOUT_MS)
+    engine = replay_stream(_faulty_soak_stream(), make,
+                           settle_ms=4 * TIMEOUT_MS)
     assert engine.triggers_decided == SOAK_TRIGGERS
     assert engine.alarms and engine.late_responses
     decided = registry.family_total("validator_decisions_total")

@@ -40,6 +40,7 @@ import pytest
 
 from repro import Jury, JuryConfig
 from repro.controllers.context import reset_trigger_ids
+from repro.core.checkpoint import replay_stream
 from repro.core.pipeline import ValidationPipeline
 from repro.core.timeouts import StaticTimeout
 from repro.core.validator import Validator
@@ -53,7 +54,6 @@ from repro.obs.metrics import MetricsRegistry, dump_metrics
 from repro.obs.recorder import FlightRecorder
 from repro.obs.sampling import HeadSampler
 from repro.obs.trace import Tracer
-from repro.workloads.recorder import replay_validation_stream
 from repro.workloads.traffic import TrafficDriver
 from tests.test_one_engine import SOAK_K, TIMEOUT_MS, _faulty_soak_stream
 
@@ -284,8 +284,8 @@ def _stream_run(tmp_path, engine_label, rate):
         return ValidationPipeline(sim, SOAK_K, shards=4, snapshot_sink=sink,
                                   **common)
 
-    engine = replay_validation_stream(_faulty_soak_stream(), make,
-                                      settle_ms=4 * TIMEOUT_MS)
+    engine = replay_stream(_faulty_soak_stream(), make,
+                           settle_ms=4 * TIMEOUT_MS)
     assert engine.alarms and engine.triggers_decided
     return _digests(tmp_path, engine.sim.now, sink=sink, **stack)
 

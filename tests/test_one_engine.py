@@ -28,6 +28,12 @@ from hypothesis import strategies as st
 from repro import Jury, JuryConfig
 from repro.controllers.context import reset_trigger_ids
 from repro.core.alarms import canonical_alarm_stream
+from repro.core.checkpoint import (
+    WAL_INGEST,
+    WriteAheadLog,
+    replay_stream,
+    wal_ingests,
+)
 from repro.core.pipeline import ValidationPipeline
 from repro.core.responses import Response, ResponseKind
 from repro.core.timeouts import AdaptiveTimeout, StaticTimeout
@@ -36,11 +42,6 @@ from repro.faults.injector import default_policy_engine
 from repro.fuzz.reference import ReferenceValidator
 from repro.harness.soak import soak_stream
 from repro.sim.simulator import Simulator
-from repro.workloads.recorder import (
-    RecordedResponse,
-    ValidatorStreamRecorder,
-    replay_validation_stream,
-)
 from repro.workloads.synthetic import entries
 from repro.workloads.traffic import TrafficDriver
 
@@ -104,7 +105,7 @@ def _digest(fingerprint):
 
 def _assert_all_agree(records, engines):
     """Replay ``records`` through every engine; return the shared print."""
-    prints = {label: _fingerprint(replay_validation_stream(
+    prints = {label: _fingerprint(replay_stream(
         records, make, settle_ms=4 * TIMEOUT_MS))
         for label, make in engines.items()}
     expected = prints["reference"]
@@ -135,15 +136,12 @@ def _faulty_soak_stream():
     for index in range(SOAK_TRIGGERS):
         trigger = records[index * per_trigger:(index + 1) * per_trigger]
         if index % 11 == 3:
-            trigger = [r for r in trigger
-                       if r.response.controller_id != "s1"]
+            trigger = [r for r in trigger if r[2].controller_id != "s1"]
         elif index % 11 == 7:
             lag = TIMEOUT_MS + (0.5 if index % 2 else -0.5)
-            trigger[-1] = RecordedResponse(
-                time_ms=trigger[0].time_ms + lag,
-                response=trigger[-1].response)
+            trigger[-1] = (WAL_INGEST, trigger[0][1] + lag, trigger[-1][2])
         shaped.extend(trigger)
-    return sorted(shaped, key=lambda r: r.time_ms)
+    return sorted(shaped, key=lambda r: r[1])
 
 
 def test_soak_stream_matches_reference_and_golden():
@@ -166,13 +164,14 @@ def _record_deployment(kind, k, seed, rate):
         kind=kind, n=5, k=k, switches=8, topology="linear",
         timeout_ms=TIMEOUT_MS, seed=seed, policies=("default",)))
     experiment.warmup()
-    recorder = ValidatorStreamRecorder(experiment.jury)
+    wal = WriteAheadLog()
+    experiment.jury.validator.wal = wal
     TrafficDriver(experiment.sim, experiment.topology,
                   packet_in_rate_per_s=rate, duration_ms=300.0).start()
     experiment.run(300.0 + 2 * TIMEOUT_MS)
     cluster = experiment.cluster
     mastership = {dpid: cluster.master_of(dpid) for dpid in cluster.proxies}
-    return recorder.records, mastership
+    return wal_ingests(wal.records()), mastership
 
 
 @pytest.mark.parametrize("name,kind,k,seed,rate,alarming", [
@@ -250,7 +249,7 @@ def _drive(make, arrivals, scheduled=False):
     By default the clock is advanced to each arrival before it is ingested
     (the bench stream loops), so a θτ event due at that instant has fired
     already. ``scheduled`` puts every ingest on the simulator up front
-    (``replay_validation_stream``, the fuzz oracle): an ingest event is then
+    (``replay_stream``, the fuzz oracle): an ingest event is then
     always older than the θτ event it ties with and runs first. The rule is
     the same either way — a deadline ≤ the arrival fires before the
     response is counted — and the reference implements it on its own."""
@@ -288,14 +287,11 @@ def test_a_response_landing_exactly_on_its_deadline_is_late():
     θτ and is dropped as late in every engine; trigger 1's first response
     shares that instant and is counted after trigger 0 is decided."""
     first, second = _response_set(0, 1), _response_set(1, 1)
-    records = [RecordedResponse(time_ms=0.0, response=r) for r in first[:3]]
-    records += [RecordedResponse(time_ms=TIMEOUT_MS, response=r)
-                for r in (second[0], first[3])]
-    records += [RecordedResponse(time_ms=TIMEOUT_MS + 1.0, response=r)
-                for r in second[1:]]
+    records = [(WAL_INGEST, 0.0, r) for r in first[:3]]
+    records += [(WAL_INGEST, TIMEOUT_MS, r) for r in (second[0], first[3])]
+    records += [(WAL_INGEST, TIMEOUT_MS + 1.0, r) for r in second[1:]]
     for label, make in _engines(1).items():
-        engine = replay_validation_stream(records, make,
-                                          settle_ms=4 * TIMEOUT_MS)
+        engine = replay_stream(records, make, settle_ms=4 * TIMEOUT_MS)
         _, decided = _fingerprint(engine)
         assert decided == [
             (TIMEOUT_MS, "('ext', 0)", False, 3, True),

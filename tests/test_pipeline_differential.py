@@ -11,7 +11,9 @@ alarm streams compare equal byte for byte.
 
 Recording (not re-running) is load-bearing: trigger ids come from
 process-global counters, so two live runs never produce comparable ids —
-only replays of one recorded stream do.
+only replays of one recorded stream do. A live run is recorded by attaching
+a :class:`WriteAheadLog` to its validator after warm-up; the stream is the
+log's ingest records.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.alarms import canonical_alarm_stream
+from repro.core.checkpoint import WriteAheadLog, replay_stream, wal_ingests
 from repro.core.pipeline import ValidationPipeline
 from repro.core.timeouts import StaticTimeout
 from repro.core.validator import Validator
@@ -30,7 +33,6 @@ from repro.faults.synthetic import (
     UndesirableFlowModFault,
 )
 from repro import Jury, JuryConfig, Tracer
-from repro.workloads.recorder import ValidatorStreamRecorder, replay_validation_stream
 from repro.workloads.traffic import TrafficDriver
 
 K = 4
@@ -45,30 +47,31 @@ def _build(seed: int):
         timeout_ms=TIMEOUT_MS, policies=("default",),
         with_northbound=True))
     experiment.warmup()
+    experiment.jury.validator.wal = WriteAheadLog()
     return experiment
 
 
-def _mastership_snapshot(experiment):
+def _recorded(experiment):
+    """The recorded stream and the mastership map it replays against."""
     cluster = experiment.cluster
-    return {dpid: cluster.master_of(dpid) for dpid in cluster.proxies}
+    return (wal_ingests(experiment.jury.validator.wal.records()),
+            {dpid: cluster.master_of(dpid) for dpid in cluster.proxies})
 
 
 def _record_benign(seed: int):
     experiment = _build(seed)
-    recorder = ValidatorStreamRecorder(experiment.jury)
     driver = TrafficDriver(experiment.sim, experiment.topology,
                            packet_in_rate_per_s=400.0, duration_ms=400.0)
     driver.start()
     experiment.run(400.0 + 4 * TIMEOUT_MS)
-    return recorder.records, _mastership_snapshot(experiment)
+    return _recorded(experiment)
 
 
 def _record_fault(seed: int, scenario):
     experiment = _build(seed)
-    recorder = ValidatorStreamRecorder(experiment.jury)
     result = run_scenario(experiment, scenario)
     assert result.detected, f"{scenario.name} must be detected live"
-    return recorder.records, _mastership_snapshot(experiment)
+    return _recorded(experiment)
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +95,7 @@ def _replay(records, mastership, make):
     def factory(sim):
         return make(sim, lookup)
 
-    return replay_validation_stream(records, factory)
+    return replay_stream(records, factory)
 
 
 def _sequential(records, mastership):
@@ -125,7 +128,7 @@ def _names(workloads):
 def test_recordings_are_non_trivial(workloads):
     for name, (records, _) in workloads.items():
         assert len(records) > 0, f"{name} recorded nothing"
-        times = [r.time_ms for r in records]
+        times = [r[1] for r in records]
         assert times == sorted(times), f"{name} timestamps must be ordered"
 
 
@@ -301,7 +304,7 @@ def test_health_and_exports_are_shard_count_independent(workloads):
 
     for name in ("benign-11", "fault-t1"):
         records, mastership = workloads[name]
-        horizon = max(r.time_ms for r in records) + 4 * TIMEOUT_MS
+        horizon = max(r[1] for r in records) + 4 * TIMEOUT_MS
 
         def render(engine_tuple):
             _, _, health, registry = engine_tuple
@@ -361,8 +364,7 @@ def test_fuzz_generated_workloads_byte_identical(small_fuzz_corpus):
                 policy_engine=default_policy_engine(),
                 mastership_lookup=lookup)
 
-        sequential = replay_validation_stream(live.records,
-                                              sequential_factory)
+        sequential = replay_stream(live.records, sequential_factory)
         expected = canonical_alarm_stream(sequential.alarms)
         assert expected == live.alarm_stream, \
             f"replay lost the live alarm stream on seed {spec.seed}"
@@ -374,8 +376,7 @@ def test_fuzz_generated_workloads_byte_identical(small_fuzz_corpus):
                     policy_engine=default_policy_engine(),
                     mastership_lookup=lookup)
 
-            pipeline = replay_validation_stream(live.records,
-                                                pipeline_factory)
+            pipeline = replay_stream(live.records, pipeline_factory)
             assert canonical_alarm_stream(pipeline.alarms) == expected, \
                 f"seed {spec.seed} diverged at N={shards}"
             assert pipeline.triggers_decided == sequential.triggers_decided
