@@ -20,10 +20,9 @@ deployment also exposes the forensics facades — ``diagnose_payload()``
 (per-alarm explanations), ``health_snapshot()`` (replica scores plus SLO
 status), and ``prometheus_text()`` (the full exposition document).
 
-Everything the legacy seams offered — ``build_experiment(...)`` keyword
-soup, ``JuryDeployment(cluster, k=..., ...)`` — routes through here now;
-the shims were removed (PR 7) and raise immediately with the replacement
-spelled out.
+Everything the legacy ``build_experiment(...)`` keyword seam offered
+routes through here now; that shim raises immediately with the
+replacement spelled out.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ class Jury:
                 f"Jury.build takes a JuryConfig, not {type(config).__name__}")
         if cluster is not None:
             from repro.core.deployment import JuryDeployment
-            return JuryDeployment(cluster, config=config)
+            return JuryDeployment(cluster, config)
         if config.k is None:
             raise ValidationError(
                 "config.k=None builds a vanilla cluster — use "

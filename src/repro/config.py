@@ -5,8 +5,7 @@ different seams — ``JuryDeployment(...)``, ``build_experiment(...)``, and
 the CLI's argparse plumbing — each forwarding a growing subset to the
 next. :class:`JuryConfig` replaces that sprawl with a single frozen
 dataclass; :meth:`repro.api.Jury.build` is the one entry point that
-consumes it, and the legacy seams are thin deprecated shims that construct
-a config and delegate.
+consumes it, and the keyword seams are gone.
 
 The config is *declarative*: policy sets are named (resolved through
 :data:`POLICY_SETS` only at build time), the timeout is a number unless an
@@ -82,9 +81,7 @@ class JuryConfig:
     policy_engine: Optional[object] = None
     state_aware: bool = True
     taint_classification: bool = True
-    replicate_handshakes: bool = True
     keep_results: bool = True
-    validator_latency: Optional[object] = None
     queue_capacity: int = 1024
     batch_max: int = 512
     flush_interval_ms: float = 0.0
@@ -167,7 +164,7 @@ class JuryConfig:
     # ------------------------------------------------------------------
     #: Fields that hold live objects rather than declarative values; they
     #: cannot round-trip through JSON and are rejected by to_dict/from_dict.
-    _OBJECT_FIELDS = ("timeout", "policy_engine", "validator_latency")
+    _OBJECT_FIELDS = ("timeout", "policy_engine")
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "JuryConfig":
@@ -209,8 +206,8 @@ class JuryConfig:
         """Declarative JSON-able dict; exact inverse of :meth:`from_dict`.
 
         Raises :class:`~repro.errors.ValidationError` when the config
-        carries live objects (explicit timeout policy, policy engine,
-        latency model) — those have no serial form by design.
+        carries live objects (explicit timeout policy, policy engine) —
+        those have no serial form by design.
         """
         carried = [name for name in self._OBJECT_FIELDS
                    if getattr(self, name) is not None]

@@ -11,12 +11,13 @@ evaluated. It touches nothing shared: every effect goes through a three-method
 ``late(trigger_id, controller_id)``
     a response for an already-decided trigger was dropped,
 ``decision(trigger_id, count, external, timed_out, detection_ms, outcome, responses)``
-    Vτ closed and consensus was evaluated,
+    Vτ closed and consensus was evaluated; returns whether it alarmed,
 
-called in processing order. The sequential
-:class:`~repro.core.validator.Validator` and every pipeline shard pass
-*themselves* (:class:`~repro.core.validator.DecisionCore` implements the
-sink once), so effects land where and when the response is processed.
+called in processing order. The sink is the engine:
+:class:`~repro.core.validator.DecisionCore` implements it once, the
+sequential :class:`~repro.core.validator.Validator` passes itself and
+every pipeline shard passes its pipeline, so effects land where and when
+the response is processed.
 :meth:`ShardCore.process` runs one
 :class:`~repro.core.backends.frames.BatchFrame` against an
 :class:`_EventLog` sink instead; the benchmark's frame kernel is its last
@@ -65,7 +66,8 @@ _CACHE_UPDATE = ResponseKind.CACHE_UPDATE
 #: The counters :meth:`ShardCore.run` maintains on the ``stats`` object it
 #: is handed (a subset of :class:`~repro.core.pipeline.ShardStats`).
 DELTA_KEYS = ("processed", "batches", "batched_responses", "max_batch",
-              "fastpath_decisions", "slowpath_decisions", "late_responses")
+              "fastpath_decisions", "slowpath_decisions", "late_responses",
+              "decided", "alarmed")
 
 
 def core_counters() -> SimpleNamespace:
@@ -144,7 +146,9 @@ class _Record:
 
 class _EventLog:
     """The sink :meth:`ShardCore.process` hands :meth:`ShardCore.run`:
-    effects as picklable events, in call order (see ``frames.py``)."""
+    effects as picklable events, in call order (see ``frames.py``). The
+    checks that tell whether a trigger alarms run on replay, so a frame's
+    ``alarmed`` delta stays zero."""
 
     def __init__(self) -> None:
         self.events: List[Tuple] = []
@@ -291,8 +295,10 @@ class ShardCore:
         received = [r.trigger_received_at for r in responses
                     if r.trigger_received_at is not None]
         baseline = min(received) if received else record.first_at
-        out.decision(tau, count, external, timed_out,
-                     max(0.0, now - baseline), outcome, responses)
+        stats.decided += 1
+        if out.decision(tau, count, external, timed_out,
+                        max(0.0, now - baseline), outcome, responses):
+            stats.alarmed += 1
         if over_cap:
             self.late_drop.expire(now, self.timeout.current())
 

@@ -15,15 +15,13 @@ the store's inter-controller counter.
 
 Construction is config-driven: one :class:`~repro.config.JuryConfig`
 describes the validation core plus observability, and
-:meth:`repro.api.Jury.build` is the public entry point. Direct
-``JuryDeployment(cluster, k=..., ...)`` keyword construction was removed
-(PR 7) — passing kwargs without ``config=`` raises immediately with the
-replacement spelled out.
+:meth:`repro.api.Jury.build` is the public entry point;
+``JuryDeployment(cluster, config)`` is all it calls.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.config import JuryConfig
 from repro.controllers.cluster import ControllerCluster
@@ -31,37 +29,18 @@ from repro.controllers.northbound import NorthboundApi
 from repro.core.module import JuryModule
 from repro.core.pipeline import ValidationPipeline
 from repro.core.replicator import Replicator
-from repro.core.timeouts import TimeoutPolicy
 from repro.core.validator import Validator
 from repro.errors import ValidationError
 from repro.net.channel import ByteCounter, ControlChannel
 from repro.obs.observer import Observer
 from repro.obs.trace import active_tracer
-from repro.sim.latency import LatencyModel, Uniform
+from repro.sim.latency import Uniform
 
 
 class JuryDeployment:
     """Everything JURY adds to an HA cluster."""
 
-    def __init__(
-        self,
-        cluster: ControllerCluster,
-        k: Optional[int] = None,
-        timeout_ms: float = 150.0,
-        timeout: Optional[TimeoutPolicy] = None,
-        policy_engine=None,
-        validator_latency: Optional[LatencyModel] = None,
-        replicate_handshakes: bool = True,
-        state_aware: bool = True,
-        taint_classification: bool = True,
-        pipeline: Optional[int] = None,
-        config: Optional[JuryConfig] = None,
-    ):
-        if config is None:
-            raise ValidationError(
-                "JuryDeployment(cluster, k=..., ...) keyword construction "
-                "was removed; build a JuryConfig and call "
-                "Jury.build(config, cluster=cluster)")
+    def __init__(self, cluster: ControllerCluster, config: JuryConfig):
         k = config.k
         if k is None:
             raise ValidationError(
@@ -78,7 +57,6 @@ class JuryDeployment:
         self.cluster = cluster
         self.sim = cluster.sim
         self.k = k
-        self.replicate_handshakes = config.replicate_handshakes
         self.rng = self.sim.fork_rng("jury-deployment")
         self.controller_ids: List[str] = cluster.controller_ids()
         self.replication_counter = ByteCounter("jury-replication")
@@ -147,9 +125,8 @@ class JuryDeployment:
                 self.validator.observer = Observer.build(
                     sink=self.snapshot_sink, **observers)
 
-        latency = (config.validator_latency
-                   if config.validator_latency is not None
-                   else Uniform(0.2, 0.8))
+        # Module → validator channel delay (ms).
+        latency = Uniform(0.2, 0.8)
         self.modules: Dict[str, JuryModule] = {}
         for controller in cluster.controllers.values():
             module = JuryModule(self, controller)

@@ -15,15 +15,13 @@ shards Algorithm 1 across ``N`` validator workers:
   to an explicit overflow ring; nothing is dropped, and the accounting
   (``enqueued == processed + still-queued``) is an asserted invariant of the
   property-based suite.
-* **Ψid partitioning** — shards keep per-shard views of the per-controller
-  state Ψid (their local digest-progress/cache-update contributions) and
-  decide against the *merged* view, which the in-process pipeline realises
-  as a shared mapping updated at ingest time; :meth:`ValidationPipeline.merged_view`
-  reconciles the per-shard views against the merged view (a distributed
-  deployment would ship the local views to the merge point instead).
+* **One Ψid** — the pipeline is the one
+  :class:`~repro.core.validator.DecisionCore` its shards report to, so
+  every shard updates and decides against the same per-controller state
+  Ψid as it processes responses.
   :meth:`ValidationPipeline.checkpoint` / :meth:`ValidationPipeline.restore`
-  extend that to full crash recovery (``repro.core.checkpoint``,
-  ``docs/recovery.md``).
+  snapshot it with the shards' queues and cores for crash recovery
+  (``repro.core.checkpoint``, ``docs/recovery.md``).
 * **Deterministic merge** — per-shard alarm streams drain into a single
   ordered stream: ``(decision time, trigger id)`` via
   :func:`repro.core.alarms.alarm_merge_key`. The differential suite
@@ -31,10 +29,10 @@ shards Algorithm 1 across ``N`` validator workers:
   byte-identical to the sequential validator's on replayed workloads.
 
 Decision logic is *shared*, not forked: a shard keeps only its queue,
-overflow ring, flush event and θτ wakeup, and drives the same
+overflow ring, flush event, θτ wakeup and counters, and drives the same
 :class:`~repro.core.backends.shardcore.ShardCore` the sequential validator
-drives, reporting into the same :class:`~repro.core.validator.DecisionCore`
-sink.
+drives, handing every batch's effects to the pipeline, which is the
+:class:`~repro.core.validator.DecisionCore` sink.
 
 Equivalence contract: with ``flush_interval_ms=0`` micro-batches coincide
 with same-timestamp arrivals and the pipeline is *byte-identical* to the
@@ -54,11 +52,8 @@ from repro.core.alarms import Alarm, ValidationResult
 from repro.core.backends.shardcore import CoreMemo, ShardCore
 from repro.core.responses import Response
 from repro.core.timeouts import StaticTimeout, TimeoutPolicy
-from repro.core.validator import (
-    ControllerState,
-    DecisionCore,
-    EngineSurface,
-)
+from repro.core.validator import DecisionCore, EngineSurface, ThetaWakeup
+from repro.errors import CheckpointError
 from repro.obs.observer import Observer
 from repro.sim.simulator import Simulator
 
@@ -75,7 +70,8 @@ def shard_of(trigger_id: Tuple, shards: int) -> int:
 
 @dataclass
 class ShardStats:
-    """Queue/batch/decision counters for one shard."""
+    """Queue/batch/decision counters for one shard: the arrival-side ones
+    kept by the shard, the rest (``DELTA_KEYS``) by its core."""
 
     enqueued: int = 0
     processed: int = 0
@@ -122,25 +118,18 @@ class PipelineStats:
                 "per_shard": self.per_shard}
 
 
-class _Shard(DecisionCore):
+class _Shard(ThetaWakeup):
     """One validator shard: bounded queue, batched flushes, one θτ wakeup.
 
     Owns the arrival side only. The decisions are made by the shard's
     :class:`~repro.core.backends.shardcore.ShardCore` (``core``), which
-    reports them to this object through the
+    reports them to the pipeline, the engine's one
     :class:`~repro.core.validator.DecisionCore` sink.
     """
 
-    def __init__(self, pipeline: "ValidationPipeline", index: int):
-        self._init_core(pipeline.sim, pipeline.k,
-                        policy_engine=pipeline.policy_engine,
-                        mastership_lookup=pipeline.mastership_lookup,
-                        state_aware=pipeline.state_aware,
-                        taint_classification=pipeline.taint_classification,
-                        state=pipeline.state, observer=pipeline.observer)
+    def __init__(self, pipeline: "ValidationPipeline"):
         self.pipeline = pipeline
-        self.index = index
-        self.timeout: TimeoutPolicy = pipeline.timeout
+        self.sim = pipeline.sim
         self.queue: deque = deque()
         self.overflow: deque = deque()
         self.core = ShardCore(pipeline.k, pipeline.timeout,
@@ -175,8 +164,9 @@ class _Shard(DecisionCore):
         self._flush_scheduled = False
         self._process_available()
         # The end of an engine step.
-        if self.observer is not None:
-            self.observer.tick(self.sim.now)
+        observer = self.pipeline.observer
+        if observer is not None:
+            observer.tick(self.sim.now)
 
     def _on_wakeup(self) -> None:
         self.stats.timer_wakeups += 1
@@ -221,33 +211,18 @@ class _Shard(DecisionCore):
         return items, drained
 
     # ------------------------------------------------------------------
-    # Decision side: this shard's own core, this object as its sink
+    # Decision side: this shard's own core, the pipeline as its sink
     # ------------------------------------------------------------------
     def _process_available(self, wakeup: bool = False) -> None:
         """Run the next batch through the core (see :meth:`ShardCore.run`
         for the deadline-before-arrival rule)."""
         items, drained = self._take_batch()
-        core = self.core
-        core.run(items, self.sim.now, drained, self, self.stats)
+        self.core.run(items, self.sim.now, drained, self.pipeline, self.stats)
         if drained:
-            if wakeup:
-                # Entries of triggers decided at full count are dropped
-                # here, once per wakeup; a flush only looks at whether a
-                # new record moved the head.
-                core.next_deadline()
-            deadlines = core.deadlines
-            if deadlines and deadlines[0][0] < self._wakeup_at:
-                self._arm(deadlines[0][0])
-
-    def _emit(self, result: ValidationResult, alarms: List[Alarm]) -> None:
-        self.stats.decided += 1
-        if alarms:
-            self.stats.alarmed += 1
-            self.pipeline._alarms_sorted = False
-        self.pipeline._emit(result, alarms)
+            self._arm(prune=wakeup)
 
 
-class ValidationPipeline(EngineSurface):
+class ValidationPipeline(DecisionCore, EngineSurface):
     """Drop-in sharded replacement for :class:`~repro.core.validator.Validator`.
 
     Exposes the validator's public surface — ``ingest`` /
@@ -260,6 +235,7 @@ class ValidationPipeline(EngineSurface):
     """
 
     kind = "pipeline"
+    _engine_keys = ("shards",)
 
     def __init__(self, sim: Simulator, k: int, shards: int = 4,
                  timeout: Optional[TimeoutPolicy] = None,
@@ -289,34 +265,32 @@ class ValidationPipeline(EngineSurface):
             # callers that name it explicitly.
             raise ValueError(f"unknown execution backend {backend!r}; "
                              f"only 'serial' remains")
-        # One observer, shared by every shard; the trace carries no shard
+        # One observer for every shard; the trace carries no shard
         # indices (queues, batches and overflow are scraped into metrics),
         # so it is byte-identical at any shard count.
+        observer = Observer.build(tracer=tracer, metrics=metrics,
+                                  forensics=forensics, health=health,
+                                  sampler=sampler, recorder=recorder,
+                                  sink=snapshot_sink)
+        self._init_core(sim, k, policy_engine=policy_engine,
+                        mastership_lookup=mastership_lookup,
+                        state_aware=state_aware,
+                        taint_classification=taint_classification,
+                        observer=observer)
         self._init_surface(keep_results, checkpoint_every, on_checkpoint, wal,
-                           Observer.build(tracer=tracer, metrics=metrics,
-                                          forensics=forensics, health=health,
-                                          sampler=sampler, recorder=recorder,
-                                          sink=snapshot_sink))
-        self.sim = sim
-        self.k = k
+                           observer)
         self.shards = shards
         self.timeout = timeout if timeout is not None else StaticTimeout(150.0)
-        self.policy_engine = policy_engine
-        self.mastership_lookup = mastership_lookup
-        self.state_aware = state_aware
-        self.taint_classification = taint_classification
         self.queue_capacity = queue_capacity
         self.batch_max = batch_max
         self.flush_interval_ms = flush_interval_ms
-        #: Merged Ψid view shared by all shards (see module docstring).
-        self.state: Dict[str, ControllerState] = {}
         # One digest/network-entry memo for every core in this process.
         # ``_merged_network`` only names its merge for bench/workloads.py's
         # kernel replay to call; the cores go to the memo itself, so
         # rebinding this attribute intercepts nothing.
         self._memo = CoreMemo()
         self._merged_network = self._memo.merged_network
-        self._shards = [_Shard(self, i) for i in range(shards)]
+        self._shards = [_Shard(self) for _ in range(shards)]
         # tau -> shard, a pure function of the trigger id resolved once per
         # trigger.
         self._route: Dict[Tuple, _Shard] = {}
@@ -362,6 +336,12 @@ class ValidationPipeline(EngineSurface):
                     shard._process_available()
                     progressing = True
 
+    def _emit(self, result: ValidationResult, alarms: List[Alarm]) -> None:
+        if alarms:
+            # Shards emit within one instant in shard order (see alarms).
+            self._alarms_sorted = False
+        super()._emit(result, alarms)
+
     def ordered_results(self) -> List[ValidationResult]:
         """Decided-trigger results in the deterministic merge order."""
         return sorted(self.results,
@@ -380,24 +360,6 @@ class ValidationPipeline(EngineSurface):
         return sum(len(s.core.records) + len(s.queue) + len(s.overflow)
                    for s in self._shards)
 
-    @property
-    def staleness_threshold(self) -> Optional[int]:
-        return self._shards[0].staleness_threshold
-
-    @staleness_threshold.setter
-    def staleness_threshold(self, value: Optional[int]) -> None:
-        for shard in self._shards:
-            shard.staleness_threshold = value
-
-    @property
-    def staleness_cooldown_ms(self) -> float:
-        return self._shards[0].staleness_cooldown_ms
-
-    @staleness_cooldown_ms.setter
-    def staleness_cooldown_ms(self, value: float) -> None:
-        for shard in self._shards:
-            shard.staleness_cooldown_ms = value
-
     # ------------------------------------------------------------------
     # Stats and checkpointing
     # ------------------------------------------------------------------
@@ -408,30 +370,6 @@ class ValidationPipeline(EngineSurface):
             responses_routed=self.responses_received,
             per_shard=[s.stats.snapshot() for s in self._shards])
 
-    def merged_view(self) -> Dict[str, ControllerState]:
-        """Merge the per-shard Ψid views into one consistent snapshot.
-
-        The merge is ``max`` over digest progress and ``sum`` over cache
-        update counts — both order-independent, which is why the in-process
-        pipeline can maintain the merged view incrementally. The result
-        matches ``self.state`` by construction (asserted in the unit suite).
-        """
-        merged: Dict[str, ControllerState] = {}
-        for shard in self._shards:
-            for cid, progress in shard.local_progress.items():
-                entry = merged.setdefault(cid, ControllerState())
-                if progress > entry.digest_progress:
-                    entry.digest_progress = progress
-            for cid, count in shard.local_cache_updates.items():
-                entry = merged.setdefault(cid, ControllerState())
-                entry.cache_updates += count
-        for cid, entry in merged.items():
-            shared = self.state.get(cid)
-            if shared is not None:
-                entry.last_entry = shared.last_entry
-                entry.last_stale_alarm_at = shared.last_stale_alarm_at
-        return merged
-
     # ------------------------------------------------------------------
     # What is this engine's own in a checkpoint (see EngineSurface)
     # ------------------------------------------------------------------
@@ -440,14 +378,12 @@ class ValidationPipeline(EngineSurface):
 
     def _engine_state(self) -> Tuple[Dict[str, object], Dict[str, object]]:
         """Per shard: the core payload, arrival queue and overflow ring,
-        stats, and the Ψid local views."""
+        and stats."""
         state = {"shards": [
             {"core": shard.core.payload(),
              "queue": list(shard.queue),
              "overflow": list(shard.overflow),
-             "stats": shard.stats.snapshot(),
-             "local_progress": dict(shard.local_progress),
-             "local_cache_updates": dict(shard.local_cache_updates)}
+             "stats": shard.stats.snapshot()}
             for shard in self._shards]}
         meta = {"queue_capacity": self.queue_capacity,
                 "batch_max": self.batch_max,
@@ -455,15 +391,20 @@ class ValidationPipeline(EngineSurface):
         return state, meta
 
     def _engine_restore(self, state: Dict[str, object]) -> None:
-        for shard, payload in zip(self._shards, state["shards"]):
+        """Older bodies also carry two per-shard Ψ views in every shard
+        payload; nothing reads them."""
+        payloads = state["shards"]
+        if len(payloads) != self.shards:
+            raise CheckpointError(
+                f"checkpoint body holds {len(payloads)} shard payloads for "
+                f"{self.shards} shards")
+        for shard, payload in zip(self._shards, payloads):
             shard.core.load(payload["core"])
-            shard._rearm(payload["core"])
+            shard._arm()
             shard.queue = deque(payload["queue"])
             shard.overflow = deque(payload["overflow"])
             for key, value in payload["stats"].items():
                 setattr(shard.stats, key, value)
-            shard.local_progress = dict(payload["local_progress"])
-            shard.local_cache_updates = dict(payload["local_cache_updates"])
             if ((shard.queue or shard.overflow)
                     and not shard._flush_scheduled):
                 shard._flush_scheduled = True

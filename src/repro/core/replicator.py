@@ -65,8 +65,6 @@ class Replicator:
         if not isinstance(message, (PacketIn, FeaturesReply)):
             return
         if isinstance(message, FeaturesReply):
-            if not self.deployment.replicate_handshakes:
-                return
             if message.dpid in self._connects_seen:
                 return  # one connect event per switch session; the rest are
                         # duplicate replies to per-controller FEATURES_REQUESTs

@@ -18,11 +18,13 @@ The collect → θτ → decide loop itself lives in
 :class:`~repro.core.backends.shardcore.ShardCore` and nowhere else; this
 module holds the two halves around it. :class:`DecisionCore` is the *sink*
 the loop reports to — the Ψid update, the late-drop telemetry, and the
-check battery run on a decided trigger — shared by the sequential
-:class:`Validator` and the shards of
-:class:`~repro.core.pipeline.ValidationPipeline`. :class:`Validator` is the
-synchronous driver: one core, no queue, every response run through it
-before ``ingest`` returns.
+check battery run on a decided trigger — and each engine is exactly one:
+the sequential :class:`Validator` and
+:class:`~repro.core.pipeline.ValidationPipeline`, whose shards hand their
+batches to it. :class:`Validator` is the synchronous driver: one core, no
+queue, every response run through it before ``ingest`` returns.
+:class:`ThetaWakeup` is the one coalesced θτ wakeup a driver (the
+validator, or a pipeline shard) keeps for its core.
 """
 
 from __future__ import annotations
@@ -85,13 +87,10 @@ class DecisionCore:
     happens here, in the three sink methods :meth:`psi`, :meth:`late` and
     :meth:`decision` (SANITY_CHECK → staleness → POLICY_CHECK, then the
     result and its alarms), and the last two are what the
-    :class:`~repro.obs.observer.Observer` hears of a trigger. The
-    :class:`Validator` and every pipeline shard are DecisionCores and hand
-    *themselves* to the core they drive, so a decided trigger yields
-    identical alarms whichever driver collected it.
-
-    Also keeps the driver's single coalesced θτ wakeup (:meth:`_arm`); a
-    subclass provides ``timeout``, ``_on_wakeup`` and ``_emit``.
+    :class:`~repro.obs.observer.Observer` hears of a trigger. Each engine
+    is one DecisionCore, the sink of every core it drives, so a decided
+    trigger yields identical alarms whichever driver collected it. A
+    subclass provides ``timeout`` and ``_emit``.
     """
 
     sim: Simulator
@@ -109,7 +108,6 @@ class DecisionCore:
                    mastership_lookup: Optional[Callable[[int], Optional[str]]] = None,
                    state_aware: bool = True,
                    taint_classification: bool = True,
-                   state: Optional[Dict[str, ControllerState]] = None,
                    observer: Optional[Observer] = None) -> None:
         self.sim = sim
         self.k = k
@@ -128,14 +126,7 @@ class DecisionCore:
         #: more than this many writes. None disables the monitor.
         self.staleness_threshold = 200
         self.staleness_cooldown_ms = 1000.0
-        self.state = state if state is not None else {}
-        #: This engine's own contributions to Ψid. A pipeline's shards
-        #: share ``state`` (the merged view) and each keep these, which
-        #: :meth:`ValidationPipeline.merged_view` reconciles against it.
-        self.local_progress: Dict[str, int] = {}
-        self.local_cache_updates: Dict[str, int] = {}
-        self._wakeup = None
-        self._wakeup_at = float("inf")
+        self.state = {}
 
     # ------------------------------------------------------------------
     # The sink (see repro.core.backends.shardcore)
@@ -149,13 +140,8 @@ class DecisionCore:
         if cached:
             state.cache_updates += 1
             state.last_entry = entry
-            local = self.local_cache_updates
-            local[controller_id] = local.get(controller_id, 0) + 1
-        if progress is not None:
-            if progress > state.digest_progress:
-                state.digest_progress = progress
-            if progress > self.local_progress.get(controller_id, -1):
-                self.local_progress[controller_id] = progress
+        if progress is not None and progress > state.digest_progress:
+            state.digest_progress = progress
 
     def late(self, tau: Tuple, controller_id: str) -> None:
         """A response for an already-decided trigger was dropped."""
@@ -166,8 +152,9 @@ class DecisionCore:
     def decision(self, tau: Tuple, count: int, external: bool,
                  timed_out: bool, detection_ms: float,
                  outcome: ConsensusOutcome,
-                 responses: List[Response]) -> None:
-        """Vτ closed with ``outcome``: run the checks, publish the result."""
+                 responses: List[Response]) -> bool:
+        """Vτ closed with ``outcome``: run the checks, publish the result.
+        Returns whether the trigger alarmed."""
         now = self.sim.now
         alarms, checks = self._post_consensus_alarms(tau, responses, outcome,
                                                      external)
@@ -182,30 +169,7 @@ class DecisionCore:
             # and this trigger's spans must precede whatever that emits.
             observer.decision(now, result, responses, checks)
         self._emit(result, alarms)
-
-    # ------------------------------------------------------------------
-    # The θτ wakeup
-    # ------------------------------------------------------------------
-    def _arm(self, head: float) -> None:
-        """Have the one wakeup fire no later than ``head``."""
-        if head < self._wakeup_at:
-            if self._wakeup is not None:
-                self._wakeup.cancel()
-            self._wakeup = self.sim.schedule_at(head, self._wakeup_fired)
-            self._wakeup_at = head
-
-    def _wakeup_fired(self) -> None:
-        self._wakeup = None
-        self._wakeup_at = float("inf")
-        self._on_wakeup()
-
-    def _rearm(self, payload: Dict[str, object]) -> None:
-        """Arm the wakeup for a core restored from ``payload``. A deadline
-        already in the past (a backpressured batch at checkpoint time)
-        fires immediately instead of tripping the simulator's
-        no-past-scheduling guard."""
-        if payload["deadlines"]:
-            self._arm(max(min(payload["deadlines"])[0], self.sim.now))
+        return bool(alarms)
 
     # ------------------------------------------------------------------
     # Checks
@@ -296,6 +260,44 @@ class DecisionCore:
             responses=tuple(responses))
 
 
+class ThetaWakeup:
+    """A driver's one coalesced θτ wakeup: a single simulator event due at
+    its core's earliest deadline instead of one per trigger. A subclass
+    provides ``sim``, ``core`` and ``_on_wakeup``."""
+
+    _wakeup = None
+    _wakeup_at = float("inf")
+
+    def _arm(self, prune: bool = False) -> None:
+        """Keep the wakeup no later than the core's earliest deadline; a
+        new record almost never moves it. With ``prune``, heap entries of
+        triggers decided at full count are dropped first: once per wakeup,
+        not looked for on every response. A deadline already in the past
+        (a core restored with a backpressured batch) fires at once instead
+        of tripping the simulator's no-past-scheduling guard."""
+        core = self.core
+        if prune:
+            core.next_deadline()
+        deadlines = core.deadlines
+        if deadlines and deadlines[0][0] < self._wakeup_at:
+            head = max(deadlines[0][0], self.sim.now)
+            if self._wakeup is not None:
+                self._wakeup.cancel()
+            self._wakeup = self.sim.schedule_at(head, self._wakeup_fired)
+            self._wakeup_at = head
+
+    def _wakeup_fired(self) -> None:
+        self._wakeup = None
+        self._wakeup_at = float("inf")
+        self._on_wakeup()
+
+
+#: The top-level keys of every checkpoint body; an engine's
+#: ``_engine_keys`` name the ones its ``_engine_state`` adds.
+BODY_KEYS = ("psi", "alarms", "results", "counters", "trigger_ids",
+             "staleness")
+
+
 class EngineSurface:
     """What a deployment sees of a validation engine, whichever it is.
 
@@ -305,13 +307,15 @@ class EngineSurface:
     ``JuryConfig(pipeline=N)`` swap one for the other without touching a
     call site. An engine provides ``ingest`` (and the channel endpoint
     ``handle_control_message``), its :attr:`kind`, and the three
-    ``_engine_*`` hooks that say what is specific to it in a
-    snapshot; ``sim``, ``k``, ``timeout``, ``state`` and the ablation and
-    staleness switches are read off the engine under those names.
+    ``_engine_*`` hooks and ``_engine_keys`` that say what is specific to
+    it in a snapshot; ``sim``, ``k``, ``timeout``, ``state`` and the
+    ablation and staleness switches are read off the engine under those
+    names.
     """
 
     #: ``meta["engine"]`` of this engine's checkpoints.
     kind: str
+    _engine_keys: Tuple[str, ...]
 
     def _init_surface(self, keep_results: bool,
                       checkpoint_every: Optional[int],
@@ -471,17 +475,17 @@ class EngineSurface:
                 f"restore target must be a fresh {self.kind} (this one has "
                 f"already ingested {self.responses_received} responses)")
         state = checkpoint.state()
+        for key in BODY_KEYS + self._engine_keys:
+            if key not in state:
+                raise CheckpointError(f"checkpoint body has no {key!r}")
         sim_now = float(meta.get("sim_now", 0.0))
         if self.sim.now > sim_now:
             raise CheckpointError(
                 f"simulator is at t={self.sim.now} ms, past the "
                 f"checkpoint's t={sim_now} ms")
         self.sim.run(until=sim_now)
-        # A pipeline's shards hold a reference to this exact dict (the
-        # shared merged view): mutate in place, never rebind.
-        self.state.clear()
-        self.state.update(restore_controller_states(state["psi"]))
         self._engine_restore(state)
+        self.state = restore_controller_states(state["psi"])
         self._alarms = list(state["alarms"])
         self._alarms_sorted = True
         self.results = list(state["results"])
@@ -494,7 +498,7 @@ class EngineSurface:
             self.observer.restore(self.sim.now, checkpoint)
 
 
-class Validator(DecisionCore, EngineSurface):
+class Validator(ThetaWakeup, DecisionCore, EngineSurface):
     """Out-of-band response validator: the synchronous driver of one core.
 
     No queue and no flush event: ``ingest`` runs the response through the
@@ -502,6 +506,7 @@ class Validator(DecisionCore, EngineSurface):
     """
 
     kind = "validator"
+    _engine_keys = ("core", "late_responses")
 
     def __init__(self, sim: Simulator, k: int,
                  timeout: Optional[TimeoutPolicy] = None,
@@ -546,25 +551,15 @@ class Validator(DecisionCore, EngineSurface):
         observer = self.observer
         if observer is not None:
             observer.ingest(now, response)
-        core = self.core
-        core.run(((now, response),), now, True, self, self._counters)
-        # Keep the wakeup ahead of the earliest deadline; a new record
-        # almost never moves it.
-        deadlines = core.deadlines
-        if deadlines and deadlines[0][0] < self._wakeup_at:
-            self._arm(deadlines[0][0])
+        self.core.run(((now, response),), now, True, self, self._counters)
+        self._arm()
         if observer is not None:
             observer.tick(now)
 
     def _on_wakeup(self) -> None:
         now = self.sim.now
-        core = self.core
-        core.run((), now, True, self, self._counters)
-        # Entries of triggers decided at full count are dropped here, once
-        # per wakeup, not looked for on every response.
-        head = core.next_deadline()
-        if head is not None:
-            self._arm(head)
+        self.core.run((), now, True, self, self._counters)
+        self._arm(prune=True)
         if self.observer is not None:
             self.observer.tick(now)
 
@@ -580,7 +575,7 @@ class Validator(DecisionCore, EngineSurface):
 
     def _engine_restore(self, state: Dict[str, object]) -> None:
         self.core.load(state["core"])
-        self._rearm(state["core"])
+        self._arm()
         self._counters.late_responses = state["late_responses"]
 
     # ------------------------------------------------------------------

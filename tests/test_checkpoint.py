@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 
 import pytest
 
@@ -388,8 +389,9 @@ def test_restore_refusals_and_clock_rule_are_one_for_both_engines(kind):
 
 def test_checkpoint_between_submit_and_merge_carries_the_merged_psi():
     """A checkpoint taken inside a simulated instant, after that instant's
-    flush: Ψ agrees with the alarms, results and shard views in the same
-    envelope, and every routed response is either processed or queued."""
+    flush: Ψ counts exactly the cache updates the shards have processed
+    (those routed, less those still queued), and every routed response is
+    either processed or queued."""
     records = _stream(triggers=40)
     sim = Simulator(seed=0)
     engine = _make_pipeline(2)(sim)
@@ -404,16 +406,21 @@ def test_checkpoint_between_submit_and_merge_carries_the_merged_psi():
                     lambda: taken.append(engine.checkpoint()))
     settle(engine, records[-1][1] + SETTLE_MS)
     state = taken[0].state()
-    relayed = {cid: fields[0] for cid, fields in state["psi"].items()}
-    by_shard = {}
-    for shard in state["shards"]:
-        for cid, count in shard["local_cache_updates"].items():
-            by_shard[cid] = by_shard.get(cid, 0) + count
-    assert relayed == by_shard
+    relayed = {cid: fields[0] for cid, fields in state["psi"].items()
+               if fields[0]}
+    routed = state["counters"][0]
+    queued = [response for shard in state["shards"]
+              for _, response in shard["queue"] + shard["overflow"]]
+    processed_updates = Counter(
+        response.controller_id for _, _, response in records[:routed]
+        if response.kind is ResponseKind.CACHE_UPDATE)
+    processed_updates.subtract(
+        response.controller_id for response in queued
+        if response.kind is ResponseKind.CACHE_UPDATE)
+    assert relayed == {cid: count for cid, count in processed_updates.items()
+                       if count}
     processed = sum(shard["stats"]["processed"] for shard in state["shards"])
-    queued = sum(len(shard["queue"]) + len(shard["overflow"])
-                 for shard in state["shards"])
-    assert processed + queued == state["counters"][0]
+    assert processed + len(queued) == routed
 
     # And the envelope restores to a run that ends like the original.
     twin_sim = Simulator(seed=0)
@@ -453,6 +460,73 @@ def test_checkpoint_with_a_legacy_backend_meta_restores():
     settle(twin, last + SETTLE_MS)
     assert canonical_alarm_stream(twin.alarms) == expected
     assert twin.triggers_decided == reference.triggers_decided
+
+
+def test_checkpoint_with_legacy_shard_views_restores():
+    """Older builds also wrote per-shard Ψ views (``local_progress``,
+    ``local_cache_updates``) into each shard payload of a version-2
+    pipeline body. Restore ignores them and replays byte-identically."""
+    records = _stream(triggers=80)
+    reference = _run(_make_pipeline(4), records)
+    expected = canonical_alarm_stream(reference.alarms)
+
+    cut_index = len(records) // 2
+    sim = Simulator(seed=0)
+    engine = _make_pipeline(4)(sim)
+    replay_wal(engine, records[:cut_index + 1])
+    sim.run(until=records[cut_index][1])
+    checkpoint = engine.checkpoint()
+    state = checkpoint.state()
+    views = {cid: fields[0] for cid, fields in state["psi"].items()}
+    state["shards"] = [dict(payload, local_progress=dict(views),
+                            local_cache_updates=dict(views))
+                       for payload in state["shards"]]
+    legacy = Checkpoint.build(checkpoint.meta, state)
+    twin = restore_engine(legacy)
+    _, last = replay_wal(twin, records[cut_index + 1:])
+    settle(twin, last + SETTLE_MS)
+    assert canonical_alarm_stream(twin.alarms) == expected
+    assert twin.triggers_decided == reference.triggers_decided
+
+
+def _pending_checkpoint(make):
+    """A checkpoint with 50 triggers pending: ``s1`` never responds, and
+    the clock stops before the first θτ runs out."""
+    records = [record for record in _stream(triggers=50)
+               if record[2].controller_id != "s1"]
+    sim = Simulator(seed=0)
+    engine = make(sim)
+    replay_wal(engine, records)
+    sim.run(until=records[-1][1])
+    assert engine.pending_count == 50
+    return engine.checkpoint()
+
+
+def _without(key):
+    def edit(state):
+        del state[key]
+    return edit
+
+
+@pytest.mark.parametrize("make,edit,message", [
+    (_make_pipeline(4), lambda state: state.update(shards=state["shards"][:2]),
+     "2 shard payloads for 4 shards"),
+    (_make_pipeline(4), _without("psi"), "checkpoint body has no 'psi'"),
+    (_make_pipeline(4), _without("shards"), "checkpoint body has no 'shards'"),
+    (_make_validator, _without("counters"),
+     "checkpoint body has no 'counters'"),
+    (_make_validator, _without("core"), "checkpoint body has no 'core'"),
+], ids=["pipeline-shard-subset", "pipeline-no-psi", "pipeline-no-shards",
+        "validator-no-counters", "validator-no-core"])
+def test_malformed_body_is_refused_as_checkpoint_error(make, edit, message):
+    """A digest-valid body that lacks a key, or carries fewer shard
+    payloads than its meta's shard count, is refused by name instead of
+    raising ``KeyError`` or restoring a subset of the pending triggers."""
+    checkpoint = _pending_checkpoint(make)
+    state = checkpoint.state()
+    edit(state)
+    with pytest.raises(CheckpointError, match=message):
+        restore_engine(Checkpoint.build(checkpoint.meta, state))
 
 
 # ----------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Covers config immutability/validation, the declarative from_dict/to_dict
 round-trip, the single build entry point (with and without a
 caller-supplied cluster), the deployment facade methods, and the removed
-legacy seams — ``build_experiment`` / ``JuryDeployment(cluster, k=...)``
-keywords must fail immediately with the replacement spelled out.
+legacy seams — ``build_experiment`` keywords must fail immediately with the
+replacement spelled out, and ``JuryDeployment`` takes only a cluster and a
+config.
 """
 
 from __future__ import annotations
@@ -238,7 +239,7 @@ def test_build_experiment_raises_naming_replacement():
 
 def test_deployment_kwargs_raise_naming_replacement():
     exp = Jury.experiment(JuryConfig(k=None, n=N, switches=6, seed=32))
-    with pytest.raises(ValidationError, match="Jury.build"):
+    with pytest.raises(TypeError, match="'k'"):
         JuryDeployment(exp.cluster, k=K, timeout_ms=250.0)
-    with pytest.raises(ValidationError, match="Jury.build"):
+    with pytest.raises(TypeError, match="'config'"):
         JuryDeployment(exp.cluster)

@@ -27,8 +27,13 @@ snapshot-sink records of the sequential deployment (``deploy-seq/*``
 ``sink``). On the recording commit the sink was driven only by the
 pipeline's flush path, so with ``pipeline=None`` it never took a snapshot
 and its digest was :data:`EMPTY`; the sequential validator now ticks it
-after every engine step. A change that means to keep what observers record
-must leave every digest here alone.
+after every engine step. The ``payload``, ``spans_for``, ``metrics``,
+``prometheus``, ``flight`` and ``sink`` digests of ``serial N=4/{1,8,64}``
+and ``deploy-pipe2/1`` (24 in all) were re-recorded when the pipeline
+checkpoint body stopped carrying per-shard Ψ views: those exports hold the
+checkpoint's ``body_bytes`` and 12-hex sha tag, and with both masked they
+were byte-equal before and after. A change that means to keep what
+observers record must leave every digest here alone.
 """
 
 from __future__ import annotations
@@ -106,61 +111,61 @@ GOLDEN = {
         "canonical":
             "03261ac4c96a98b6cb7c2fd9f175461ad07e88c0eb76d7266c0fd525935698b5",
         "payload":
-            "7959949592fee75f484caf919d2ce616d300487523956052c5d31d3169880dc7",
+            "7c239c4f08e509f6983b31879931db02617a599a64d3d05e8b289558bddc559a",
         "spans_for":
-            "eb31b66753a76e3fa3f0877eaeb3ff2639ee85ed22754e527425660e94133113",
+            "c0d8698be01e85fbfa6e592f33426d533e4fc8cdd615a39cc06863b4723322c3",
         "metrics":
-            "7beb973726444684c8c7b4ff8c4b4d8b097db832aae03dcd70980d84982f3fc7",
+            "19376b57ff7807c89c10f45cf9f5751d794cf65b53d9488110e7f2646ef74215",
         "prometheus":
-            "f539e37274e90690924c4a00eba430ef6ef23a387aa25aa0887974a1ae10eec2",
+            "c664fad6929467b0ac6fdf3006655747b005a8130e2c1fd55f0876787bacf527",
         "explanations":
             "22c0a27d5331b7495f3c4226a0e27aa227951d1367d748f45e54219474ed76c8",
         "health":
             "d05285ce3232b3d28a0a9f0d2fb615f78dc919a5e73e163f5d5acfbe174c12fb",
         "flight":
-            "f5e13f404180c3d44b02198d1efe99f7ffd8e0a4d2ffc43bd19b2744ff3c5a23",
+            "a5879970f601467c87e40c243c8383ea7da9304a8e9a2e30e40b8c57bb02123c",
         "sink":
-            "07e8cd0259bbc96f448aeef01f45eeb07260642df063bc18a5d0e47be05de58f",
+            "106552433957e714c753acc999b72f0aaf5fc48a0ed3fa0ad7a68b5cd5facb75",
     },
     "serial N=4/8": {
         "canonical":
             "3a508d94c93313ab10fcdc125514f797b6486241ba6d9548926b39484ba83208",
         "payload":
-            "542e7b08cb1f0efefa6f6ef7c33eb0e4ed736d090fee85730690708538ef8270",
+            "9fa579f148886aaa8be925763b38495dd6d60962b521722813ffaacf157cf56e",
         "spans_for":
-            "10fc8aae9cd89fea024b104459b38cfa81caf934b04981acc4388de440a95d62",
+            "b7848cb2e7ad9a046bb470c1d157e036939c26c4cbccefa6a7feedcf46266a86",
         "metrics":
-            "106380c5cfab2d1e398fdf58abfa0ae855819548fb43bdd6d9ac79bcde7239ee",
+            "e58cf2e5fe99a25d41851f11c7f3dc687ef5d8e329d8d502cd8c64519c868bb3",
         "prometheus":
-            "f16a69cc10cd018a5367054bf35146dda03d313dd62e21f17254d8bab23f737b",
+            "d894745b80132b326b678c5ceacd0a0bc0cae10d5b5ce73703fc1628e4c896eb",
         "explanations":
             "22c0a27d5331b7495f3c4226a0e27aa227951d1367d748f45e54219474ed76c8",
         "health":
             "282b00ad163a0128c2e6bf18d85dce088084a368cecf35067e4e8472d7283742",
         "flight":
-            "c7463242c85679a6764c26e0bd02b6d4f9f56396384c72fa65010a98cb36d8af",
+            "3114e972bdc04d21785e081ea3b1c9f1478ce1d86b484318622ebe7889636400",
         "sink":
-            "3d47380b32710cefe4b4a221eb79528c90d2a6ac5c4c9c86c5acbe0b9bef61a5",
+            "f166707963530fa581b9612b188e417b86f3611fe60637f7428b4d2b47a69b26",
     },
     "serial N=4/64": {
         "canonical":
             "86daae46823a0b27132884ecdf16af8185a61450f3307104c68e82306465b37d",
         "payload":
-            "6e6e31d6f34b95b80b6fdeca72463393c40dbe8ec1a2030cc5a1635b61116a81",
+            "94839fa523459a96140b21868397219772892d7c6c1731cb3da81ca613023f07",
         "spans_for":
-            "4b5d940fdf5ad701a3f6744a4ee1afc8d636de215e7dc5935af2cf0a1951ce25",
+            "a0e9afc19504a7b05a65a8ec28daaad36407281c202a8598cbf0634c9243bd55",
         "metrics":
-            "4b91c508833b4bfb1b2f9a3591552b15158c126d7d78e6ff31c5afe827db961d",
+            "3f564a78d3a57e9761c34b05c1ecaa0bae4dbad946743ef0327407f64603e4bb",
         "prometheus":
-            "dc99e755989aeb5529858f25c3af6b612d8613c1e3a8777085eb159876c74b70",
+            "41d9cb026559a10e1399d2a7eb7989586e5e9d964ec6c4d7b1283e0c83a05127",
         "explanations":
             "22c0a27d5331b7495f3c4226a0e27aa227951d1367d748f45e54219474ed76c8",
         "health":
             "4b9460d9eb711487467bc5f54673add9828ddae24b123d7aaa4304a2e9b6f5d1",
         "flight":
-            "43cc2c3e65338db77d956d7a8afd8d9a646535b93a923b6bad17d4d316714b7d",
+            "373b49f878c89f767f847d182c8d1c7033a9422bbb6bde5dd958830b22a02baa",
         "sink":
-            "b54cde2da68b54b7dff1af23a68241a2ef07dd50dbbb8ddd3823a205f5ac492d",
+            "f8fd0b0da2f3bf87bbb8a1e690a5407577358f328d30f7fe52d26f097b7ed60d",
     },
     "deploy-seq/1": {
         "canonical":
@@ -206,21 +211,21 @@ GOLDEN = {
         "canonical":
             "d658286c6983405f298702642b9ec87afcb2cdb7d1498b8b70b9042c948fd87d",
         "payload":
-            "64720cb4594fc0cb85f64369b73700248da2c153023a1cea47ddb61f5f34cbb6",
+            "69c4c8122bca400efa69ea675efd4d150df63bf254242d4713a9cc7f991c4893",
         "spans_for":
-            "7f590f54b4c0c3f6d38f7d3f35df88d64da9008a4808fef60c3ec76254df2370",
+            "62bea555d3d61f87b864a01d321ab9280d64ab06c2aa558a14021e0d6a7153ad",
         "metrics":
-            "95657da9a84b6dba129c221388743af766ad37e49da3a5116877d7b1e252c152",
+            "fe183f6a29a9ba50652620b1a536c3fced53d2bd3632e727d0b8a344f313135c",
         "prometheus":
-            "3407b43aa345a687572dfa1bddfa91f42183e938989bdcd6a0e9b4143571138b",
+            "36c3957dbc510ffe7ff0cdeb82cf01adbd4ddf8216afd6568c3f366cff95d228",
         "explanations":
             "7febc258cb027d046f75325f4663f79a5e57f561182525331a344c1b4cb50f7a",
         "health":
             "5e7d483e9503c07c570f4b8cc200c31f6cb7dd40cdcd2e13bc593f771ec98ac2",
         "flight":
-            "6857cf8f24f3cd7baae581d2dedb9dcecfdc2e564aca6120a424c7d11b302bd5",
+            "bd2668a492f37860c964d4a7ae5216a813c6cf6a8c39a8fe16c4ba224a594cff",
         "sink":
-            "881ac429bc7dcaf303acbcd1f40c35a9b69698df3598baeb327495feeee30489",
+            "6345f6b88b4d25501751ed1ae01fe398d1ee85c5dee6b9ff673e2a57e92ae258",
     },
 }
 

@@ -17,6 +17,7 @@ building blocks reappears under ``src/repro/core``.
 from __future__ import annotations
 
 import hashlib
+import json
 import re
 import tokenize
 from pathlib import Path
@@ -152,6 +153,33 @@ def test_soak_stream_matches_reference_and_golden():
     assert any(n == 2 * SOAK_K + 1 for _, _, _, n, _ in decided), \
         "a straggler outside θτ must be missing from its decision"
     assert _digest(observed) == GOLDEN["soak"]
+
+
+#: sha-256 of ``json.dumps(pipeline.stats.snapshot(), sort_keys=True)``
+#: after the faulty soak stream, no policy engine, recorded on the commit
+#: before per-shard ``decided``/``alarmed`` moved into the core's counters.
+#: The benchmark reads ``decided``, ``batches``, ``batched_responses``,
+#: ``overflow_enqueued`` and ``timer_wakeups`` off this snapshot.
+STATS_GOLDEN = {
+    1: "28bf1ebfd8e003fafecd20c9d5bfef16f0bfef37fcef1caa7dcc5d99d62543b3",
+    2: "8a9c3c5fa686284c3adf9c1dc254b360f4a46304866854d3100eb0c1a79f5a3b",
+    4: "61c6ff62d2462c29dcb7aede2d116604578456b7ed7c28efc1d014eddd22af18",
+    8: "b5590dde3535bc5f39de5d2c67b23f9dd13b04403091218864189cb42f1d8ecd",
+}
+
+
+@pytest.mark.parametrize("shards", sorted(STATS_GOLDEN))
+def test_pipeline_stats_snapshot_is_pinned(shards):
+    engine = replay_stream(
+        _faulty_soak_stream(),
+        lambda sim: ValidationPipeline(sim, SOAK_K, shards=shards,
+                                       timeout=StaticTimeout(TIMEOUT_MS)),
+        settle_ms=4 * TIMEOUT_MS)
+    snapshot = engine.stats.snapshot()
+    assert (snapshot["aggregate"]["decided"],
+            snapshot["aggregate"]["alarmed"]) == (330, 5)
+    assert hashlib.sha256(json.dumps(snapshot, sort_keys=True).encode()
+                          ).hexdigest() == STATS_GOLDEN[shards]
 
 
 # ----------------------------------------------------------------------

@@ -142,26 +142,6 @@ def test_pipeline_alarms_property_is_merge_ordered():
 
 
 # ----------------------------------------------------------------------
-# Ψid merged view
-# ----------------------------------------------------------------------
-
-def test_merged_view_matches_shared_view():
-    workload = synthetic_validation_workload(triggers=300, k=4, seed=6)
-    sim = Simulator(seed=0)
-    pipeline = make_pipeline(sim, k=4, shards=4)
-    for responses in workload:
-        for response in responses:
-            pipeline.ingest(response)
-    pipeline.drain()
-    merged = pipeline.merged_view()
-    assert set(merged) == set(pipeline.state)
-    for cid, entry in merged.items():
-        shared = pipeline.state[cid]
-        assert entry.digest_progress == shared.digest_progress
-        assert entry.cache_updates == shared.cache_updates
-
-
-# ----------------------------------------------------------------------
 # Validator API parity behind the deployment
 # ----------------------------------------------------------------------
 
