@@ -828,7 +828,7 @@ def cmd_soak(args) -> CommandResult:
         f"soak: {payload['triggers']} triggers over {args.duration:g}s "
         f"simulated at {args.rate:g}/s "
         f"({f'pipeline N={args.pipeline}' if args.pipeline else 'sequential validator'})",
-        f"  kill     : "
+        "  kill     : "
         + (f"SIGKILL at t={kill_at:g}s (worker exit "
            f"{payload['worker_exitcode']})" if kill_at else "disabled"),
         f"  snapshot : {checkpoint['sha256'][:12]}… "

@@ -81,10 +81,28 @@ def sort_canonicals(items) -> Tuple:
     raise; ``repr`` gives a total order that is identical on every replica,
     which is all consensus comparison needs. Most bundles hold a single
     write, which is already in order.
+
+    Most of the rest are a FLOW_MOD and a PACKET_OUT: plain tuples led by
+    distinct tags that are ASCII identifiers. Such a tag's ``repr`` is the
+    tag in quotes, and every identifier character sorts after the quote, so
+    ``repr`` order is tag order (``"flow"`` before ``"flow_mod"`` included)
+    and those bundles are sorted by tag without building a ``repr``. Tied
+    or other tags take ``repr``.
     """
     items = tuple(items)
     if len(items) < 2:
         return items
+    by_tag = {}
+    for item in items:
+        if type(item) is not tuple or not item:
+            break
+        tag = item[0]
+        if (type(tag) is not str or tag in by_tag
+                or not (tag.isascii() and tag.isidentifier())):
+            break
+        by_tag[tag] = item
+    else:
+        return tuple([by_tag[tag] for tag in sorted(by_tag)])
     return tuple(sorted(items, key=repr))
 
 

@@ -24,6 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+from repro.controllers.context import sort_canonicals
 from repro.core.alarms import AlarmReason
 from repro.core.responses import Response, ResponseKind
 from repro.datastore.caches import FLOWSDB
@@ -272,7 +273,7 @@ def _merge_network(network: List[Response]) -> Tuple:
     merged: List[Tuple] = []
     for response in network:
         merged.extend(response.entry)
-    return tuple(sorted(set(merged), key=repr))
+    return sort_canonicals(set(merged))
 
 
 def unanimity_fast_consensus(responses: Sequence[Response], external: bool,

@@ -111,28 +111,45 @@ def cache_canonical(cache: str, key: Any, op: CacheOp, value: Any) -> Tuple:
 #: Leaves that are already canonical. Tested by exact ``type()``: a subclass
 #: may carry a ``canonical()`` of its own and takes the general path.
 _ATOMS = frozenset((str, int, float, bool, type(None)))
+#: Containers that cannot carry a ``canonical()``, by exact ``type()`` too.
+_CONTAINERS = frozenset((tuple, list, dict))
 
 
 def _canonical_value(value: Any) -> Any:
     """Reduce a stored value to a hashable, comparable form.
 
-    Stored values are mostly atoms inside small tuples and dicts, so atoms
-    return first and containers test their leaves inline rather than paying
-    one call per leaf.
+    Stored values are mostly atoms and ``(name, value)`` pairs inside small
+    tuples and dicts. Atoms return first, then pairs of atoms; plain
+    containers are recognised by exact ``type()`` before the ``canonical``
+    attribute lookup, which always misses on them; and containers test their
+    leaves inline rather than paying one call per leaf.
+
+    Every container level comes back as a freshly built tuple, even one
+    that holds only atoms: returning the stored tuple itself would let one
+    object appear twice in a checkpoint, which pickle writes as a
+    back-reference and so changes the checkpoint's bytes.
     """
-    if type(value) in _ATOMS:
+    kind = type(value)
+    if kind in _ATOMS:
         return value
-    canonical = getattr(value, "canonical", None)
-    if callable(canonical):
-        return canonical()
+    if kind is tuple and len(value) == 2:
+        # A (name, value) pair: the items of every Match and action form.
+        first, second = value
+        if type(first) in _ATOMS and type(second) in _ATOMS:
+            return (first, second)
+    if kind not in _CONTAINERS:
+        canonical = getattr(value, "canonical", None)
+        if callable(canonical):
+            return canonical()
+        if not isinstance(value, (dict, list, tuple)):
+            return value
     if isinstance(value, dict):
-        return tuple(sorted([
-            (k, v if type(v) in _ATOMS else _canonical_value(v))
-            for k, v in value.items()]))
-    if isinstance(value, (list, tuple)):
-        return tuple([v if type(v) in _ATOMS else _canonical_value(v)
-                      for v in value])
-    return value
+        items = [(k, v if type(v) in _ATOMS else _canonical_value(v))
+                 for k, v in value.items()]
+        items.sort()
+        return tuple(items)
+    return tuple([v if type(v) in _ATOMS else _canonical_value(v)
+                  for v in value])
 
 
 CacheListener = "Callable[[DatastoreNode, CacheEvent], None]"

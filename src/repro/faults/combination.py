@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.faults.base import FaultClass, FaultScenario, ScenarioResult, run_scenario
+from repro.faults.base import FaultClass, FaultScenario, ScenarioResult
 from repro.harness.experiment import Experiment
 
 

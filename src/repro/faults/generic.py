@@ -8,8 +8,6 @@ These scenarios inject each class in controller-agnostic form.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.alarms import AlarmReason
 from repro.datastore.caches import HOSTSDB
 from repro.faults.base import FaultClass, FaultScenario

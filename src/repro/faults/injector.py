@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
-from repro.faults.base import FaultScenario, ScenarioResult, run_scenario
+from repro.faults.base import FaultScenario, run_scenario
 from repro.harness.experiment import Experiment
 from repro.policy import (
     PolicyEngine,

@@ -7,7 +7,7 @@ terminal or a CI log.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.harness.metrics import cdf_points
 

@@ -40,6 +40,7 @@ import signal
 from typing import Dict, List, Optional, Tuple
 from zlib import crc32
 
+from repro.controllers.context import sort_canonicals
 from repro.core.alarms import canonical_alarm_stream
 from repro.core.checkpoint import (
     WAL_INGEST,
@@ -94,7 +95,7 @@ def soak_trigger(index: int, k: int, seed: int,
     flow = crc32(f"flow:{seed}:{index}".encode()) % FLOW_VARIANTS
     faulty = crc32(f"fault:{seed}:{index}".encode()) % FAULT_STRIDE == 0
     cache, net = entries(flow)
-    combined = (cache, tuple(sorted(set(net), key=repr)))
+    combined = (cache, sort_canonicals(set(net)))
     digest = (("c1", index // DIGEST_STRIDE),)
     responses = [
         Response("c1", tau, ResponseKind.NETWORK_WRITE, net,

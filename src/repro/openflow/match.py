@@ -116,9 +116,8 @@ class Match:
         """A hashable canonical form used as a consensus/cache entry."""
         canonical = self._canonical
         if canonical is None:
-            canonical = tuple((f.name, getattr(self, f.name))
-                              for f in fields(self)
-                              if getattr(self, f.name) is not None)
+            canonical = tuple([(name, value) for name in _FIELD_NAMES
+                               if (value := getattr(self, name)) is not None])
             object.__setattr__(self, "_canonical", canonical)
         return canonical
 
@@ -147,3 +146,8 @@ class Match:
     def for_destination(cls, dst_mac: str) -> "Match":
         """Destination-only match (ODL proactive style)."""
         return cls(dl_dst=dst_mac)
+
+
+#: :class:`Match`'s field names in declaration order, the order of its
+#: canonical form.
+_FIELD_NAMES = tuple(f.name for f in fields(Match))

@@ -14,7 +14,7 @@ Public API::
     sim.run(until=1000.0)
 """
 
-from repro.sim.events import Event, EventHandle
+from repro.sim.events import Event
 from repro.sim.latency import (
     Exponential,
     Fixed,
@@ -28,7 +28,6 @@ from repro.sim.station import ServiceStation, StationStats
 
 __all__ = [
     "Event",
-    "EventHandle",
     "Exponential",
     "Fixed",
     "LatencyModel",

@@ -14,17 +14,21 @@ Design notes
 * The queue holds ``(time, seq, event)`` tuples, so ``heapq`` orders entries
   with C tuple comparison. ``seq`` is unique per simulator, which settles
   every comparison before the event itself would be looked at.
+* Every experiment's wall time runs through this loop, so the kernel is
+  kept lean: the scheduled :class:`~repro.sim.events.Event` is its own
+  handle, and ``now`` is a plain attribute.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import random
+from heapq import heappop, heappush
+from math import inf
 from typing import Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
-from repro.sim.events import Event, EventHandle
+from repro.sim.events import Event
 
 
 class Simulator:
@@ -41,7 +45,8 @@ class Simulator:
     def __init__(self, seed: int = 0):
         self._heap: List[Tuple[float, int, Event]] = []
         self._seq = itertools.count()
-        self._now = 0.0
+        #: Current simulated time in milliseconds (read-only by convention).
+        self.now = 0.0
         self._running = False
         self._events_fired = 0
         self.rng = random.Random(seed)
@@ -50,11 +55,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulated time in milliseconds."""
-        return self._now
-
     @property
     def seed(self) -> int:
         """The seed this simulator was constructed with."""
@@ -81,24 +81,23 @@ class Simulator:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def schedule(self, delay: float, callback: Callable[..., None], *args) -> EventHandle:
+    def schedule(self, delay: float, callback: Callable[..., None], *args) -> Event:
         """Schedule ``callback(*args)`` to run ``delay`` ms from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay} ms in the past")
-        return self.schedule_at(self._now + delay, callback, *args)
+        return self.schedule_at(self.now + delay, callback, *args)
 
-    def schedule_at(self, time: float, callback: Callable[..., None], *args) -> EventHandle:
+    def schedule_at(self, time: float, callback: Callable[..., None], *args) -> Event:
         """Schedule ``callback(*args)`` at absolute simulated time ``time``."""
         # Written as ``not >=`` so that NaN, which compares False both ways
         # and would sit unordered in the heap, is rejected too.
-        if not time >= self._now:
+        if not time >= self.now:
             raise SimulationError(
-                f"cannot schedule at t={time} ms; current time is {self._now} ms"
+                f"cannot schedule at t={time} ms; current time is {self.now} ms"
             )
-        seq = next(self._seq)
-        event = Event(time=time, seq=seq, callback=callback, args=args)
-        heapq.heappush(self._heap, (time, seq, event))
-        return EventHandle(event)
+        event = Event(time, callback, args)
+        heappush(self._heap, (time, next(self._seq), event))
+        return event
 
     # ------------------------------------------------------------------
     # Execution
@@ -109,10 +108,10 @@ class Simulator:
         Returns ``True`` if an event fired, ``False`` if the queue was empty.
         """
         while self._heap:
-            time, _, event = heapq.heappop(self._heap)
+            time, _, event = heappop(self._heap)
             if event.cancelled:
                 continue
-            self._now = time
+            self.now = time
             self._events_fired += 1
             event.callback(*event.args)
             return True
@@ -128,26 +127,27 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
-        fired = 0
+        heap = self._heap
+        horizon = inf if until is None else until
+        budget = inf if max_events is None else max_events
         try:
-            while self._heap:
-                time, _, event = self._heap[0]
+            while heap:
+                entry = heappop(heap)
+                event = entry[2]
                 if event.cancelled:
-                    heapq.heappop(self._heap)
                     continue
-                if until is not None and time > until:
+                time = entry[0]
+                if time > horizon or budget <= 0:
+                    heappush(heap, entry)  # not this run's to fire
                     break
-                if max_events is not None and fired >= max_events:
-                    break
-                heapq.heappop(self._heap)
-                self._now = time
+                self.now = time
                 self._events_fired += 1
-                fired += 1
+                budget -= 1
                 event.callback(*event.args)
-            if until is not None and self._now < until:
-                self._now = until
+            if until is not None and self.now < until:
+                self.now = until
         finally:
             self._running = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Simulator(now={self._now:.3f} ms, pending={self.pending})"
+        return f"Simulator(now={self.now:.3f} ms, pending={self.pending})"

@@ -15,7 +15,7 @@ can reproduce the burst/collapse time series.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.controllers.base import Controller

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from typing import List, Tuple
 
+from repro.controllers.context import sort_canonicals
 from repro.core.responses import Response, ResponseKind
 
 #: Distinct flows to cycle through — entries repeat, as production flow
@@ -49,7 +50,7 @@ def synthetic_validation_workload(
     for index in range(triggers):
         tau = ("ext", index)
         cache, net = entries(rng.randrange(FLOW_VARIANTS))
-        combined = (cache, tuple(sorted(set(net), key=repr)))
+        combined = (cache, sort_canonicals(set(net)))
         digest = (("c1", index // DIGEST_STRIDE),)
         faulty = rng.random() < fault_rate
         responses = [

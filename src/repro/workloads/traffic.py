@@ -17,7 +17,6 @@ from typing import List, Optional
 import networkx as nx
 
 from repro.errors import WorkloadError
-from repro.net.hosts import Host
 from repro.net.topology import Topology
 from repro.sim.simulator import Simulator
 

@@ -19,7 +19,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import Jury, JuryConfig
@@ -95,6 +95,15 @@ _values = st.recursive(
     max_leaves=20)
 
 
+def _same_bytes(source, got, want) -> bool:
+    """Pickled next to their source, ``got`` and ``want`` write the same
+    bytes. Pickle writes an object it has already written as a
+    back-reference, so a level handed back unchanged instead of rebuilt
+    (shared with the source, or with another level) changes the bytes —
+    and with them every checkpoint digest."""
+    return pickle.dumps((source, got)) == pickle.dumps((source, want))
+
+
 @settings(max_examples=300, deadline=None)
 @given(_values)
 def test_canonical_value_equals_the_recursive_reference(value):
@@ -102,6 +111,7 @@ def test_canonical_value_equals_the_recursive_reference(value):
     assert got == want
     # ``1 == True == 1.0``: equality alone would let an atom change type.
     assert repr(got) == repr(want)
+    assert _same_bytes(value, got, want)
 
 
 @settings(max_examples=100, deadline=None)
@@ -111,12 +121,98 @@ def test_cache_canonical_equals_the_reference(key, value):
     want = ("cache", FLOWSDB, _reference_canonical_value(key), "update",
             _reference_canonical_value(value))
     assert got == want and repr(got) == repr(want)
+    assert _same_bytes((key, value), got, want)
+
+
+def test_every_canonical_level_is_freshly_built():
+    pair = ("in_port", 1)
+    atoms = (pair, ("dl_type", 0x800))
+    value = {"match": atoms, "again": atoms, "list": [pair, pair],
+             "nested": (atoms, [atoms])}
+    for source in (value, atoms, [pair, pair], (pair, [pair])):
+        got = _canonical_value(source)
+        assert _same_bytes(source, got, _reference_canonical_value(source))
+    match = _flow_match()
+    key, stored = flow_key(3, match), flow_value(3, match, (ActionOutput(2),))
+    got = cache_canonical(FLOWSDB, key, CacheOp.CREATE, stored)
+    want = ("cache", FLOWSDB, _reference_canonical_value(key), "create",
+            _reference_canonical_value(stored))
+    assert got == want and _same_bytes((key, stored), got, want)
 
 
 _canonicals = st.lists(
     st.tuples(st.sampled_from(["flow_mod", "packet_out", "cache"]),
               st.integers(0, 3), st.none() | st.integers(0, 3)),
     max_size=4)
+
+
+class _LoudStr(str):
+    """A tag whose ``repr`` does not follow its text."""
+
+    def __repr__(self):
+        return "~" + str.__repr__(self)[::-1]
+
+
+class _Tagged(tuple):
+    """A tuple subclass whose ``repr`` reverses the plain order."""
+
+    def __repr__(self):
+        return "".join(chr(0x10FFFF - ord(c)) for c in tuple.__repr__(self))
+
+
+#: Tags the tag order may use: ASCII identifiers, prefixes included.
+_IDENTIFIER_TAGS = ["flow", "flow_mod", "flow_mod2", "packet_out", "cache",
+                    "Flow", "_flow", "f"]
+#: Tags it may not: each sorts differently by ``repr`` next to some
+#: identifier tag (a character below the quote, another quote style, an
+#: escape) or is simply not an ASCII identifier.
+_OTHER_TAGS = ["flow mod", "flow#", "flow!", "a b", "a'b", 'a"b', "a\\b",
+               "", "flöw", "é", "flow\n", "flow-mod", "1flow"]
+_tags = st.one_of(
+    st.sampled_from(_IDENTIFIER_TAGS), st.sampled_from(_OTHER_TAGS),
+    st.sampled_from(_IDENTIFIER_TAGS).map(_LoudStr), st.text(max_size=3))
+_tagged = st.tuples(st.sampled_from(_IDENTIFIER_TAGS), st.integers(0, 3))
+#: One item that must send the whole bundle to ``repr``.
+_odd_items = st.one_of(
+    st.tuples(st.sampled_from(_OTHER_TAGS), st.integers(0, 3)),
+    st.tuples(_tags, st.integers(0, 3)),
+    _tagged.map(_Tagged),
+    st.tuples(st.integers(0, 3), _tags),
+    st.just(()),
+    _atoms,
+    st.lists(_tags, max_size=2))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_tagged, max_size=5), st.lists(_odd_items, max_size=2),
+       st.randoms(use_true_random=False))
+@example([("flow", 1)], [("flow mod", 0)], random.Random(0))
+@example([("flow", 1)], [("flöw", 0)], random.Random(0))
+@example([("flow", 1)], [("a'b", 0), ("a b", 0)], random.Random(0))
+@example([("packet_out", 1)], [(_LoudStr("flow"), 0)], random.Random(0))
+@example([("packet_out", 1)], [_Tagged(("flow", 0))], random.Random(0))
+@example([("flow", 1), ("flow", 0)], [], random.Random(0))
+def test_sort_canonicals_equals_sorting_by_repr_for_any_items(
+        tagged, odd, rng):
+    items = tagged + odd
+    rng.shuffle(items)
+    got, want = sort_canonicals(items), tuple(sorted(items, key=repr))
+    # Identity, not ==: equal duplicates must keep ``sorted``'s stable order.
+    assert len(got) == len(want)
+    assert all(mine is theirs for mine, theirs in zip(got, want))
+
+
+def test_sort_canonicals_orders_identifier_tags_without_repr():
+    class _Unrepresentable:
+        def __repr__(self):
+            raise AssertionError("repr was built for a distinct-tag bundle")
+
+    flow_mod = ("flow_mod", 1, _Unrepresentable())
+    packet_out = ("packet_out", 1, _Unrepresentable())
+    flow = ("flow", _Unrepresentable())
+    assert sort_canonicals([packet_out, flow_mod, flow]) == (
+        flow, flow_mod, packet_out)
+    assert sort_canonicals({packet_out, flow_mod}) == (flow_mod, packet_out)
 
 
 @given(_canonicals, _canonicals)

@@ -1,8 +1,6 @@
 """Tests for controller applications: topology discovery, host tracking,
 reactive and proactive forwarding."""
 
-import pytest
-
 from repro.controllers.odl import build_odl_cluster
 from repro.controllers.onos import build_onos_cluster
 from repro.controllers.profile import odl_profile
@@ -116,7 +114,6 @@ def test_rearp_does_not_rewrite_cache():
     sim, topo, cluster = settled_onos()
     learn_hosts(sim, topo)
     c1 = cluster.controller("c1")
-    writes_before = c1.store.writes
     topo.hosts["h1"].send_arp_request(topo.hosts["h2"].ip)
     sim.run(until=sim.now + 300.0)
     # Host locations unchanged: no HostsDB writes (LLDP edges may still

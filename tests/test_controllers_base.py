@@ -4,8 +4,7 @@ import pytest
 
 from repro.controllers.context import Taint, TriggerContext
 from repro.controllers.onos import OnosController
-from repro.controllers.profile import onos_profile
-from repro.datastore.caches import FLOWSDB, SWITCHESDB
+from repro.datastore.caches import SWITCHESDB
 from repro.datastore.hazelcast import HazelcastCluster
 from repro.openflow.actions import ActionOutput
 from repro.openflow.match import Match

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.controllers.cluster import ControllerCluster, HaMode
+from repro.controllers.cluster import ControllerCluster
 from repro.controllers.odl import build_odl_cluster
 from repro.controllers.onos import build_onos_cluster
 from repro.errors import ClusterError

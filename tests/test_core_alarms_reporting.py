@@ -1,7 +1,5 @@
 """Tests for alarm records, validation results, and miscellaneous plumbing."""
 
-import pytest
-
 from repro.core.alarms import Alarm, AlarmReason, ValidationResult
 from repro.errors import (
     CacheLockError,

@@ -42,7 +42,6 @@ def test_selection_uniformish_coverage():
 
 
 def test_selection_salt_changes_choice():
-    a = designated_secondaries(("ext", 1), IDS, 3, salt="a")
     b_differs = any(
         designated_secondaries(("ext", i), IDS, 3, salt="a")
         != designated_secondaries(("ext", i), IDS, 3, salt="b")

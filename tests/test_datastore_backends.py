@@ -1,7 +1,6 @@
 """Tests for the Hazelcast-like and Infinispan-like consistency backends."""
 
 from repro.datastore.caches import (
-    FLOWSDB,
     edge_key,
     edge_value,
     flow_key,

@@ -6,7 +6,6 @@ clean exit is the contract.
 """
 
 import runpy
-import sys
 from pathlib import Path
 
 import pytest

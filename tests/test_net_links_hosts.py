@@ -2,7 +2,7 @@
 
 from repro.net.hosts import Host
 from repro.net.links import Link
-from repro.net.packet import arp_request, lldp_probe, tcp_packet
+from repro.net.packet import arp_request, tcp_packet
 from repro.sim.latency import Fixed
 from repro.sim.simulator import Simulator
 

@@ -28,7 +28,6 @@ from repro.core.validator import Validator
 from repro.faults.injector import default_policy_engine
 from repro.fuzz import DifferentialOracle
 from repro.obs.diff import (
-    TraceDiff,
     diff_payloads,
     diff_trace_files,
     diff_tracers,

@@ -3,7 +3,6 @@
 from repro.controllers.odl import build_odl_cluster
 from repro.controllers.onos import build_onos_cluster
 from repro.controllers.profile import (
-    ODL_PROFILE,
     ONOS_PROFILE,
     odl_profile,
     onos_profile,

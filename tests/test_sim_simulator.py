@@ -2,7 +2,9 @@
 
 import pytest
 
+import repro.sim
 from repro.errors import SimulationError
+from repro.sim.events import Event
 from repro.sim.simulator import Simulator
 
 
@@ -288,3 +290,36 @@ def test_class_level_schedule_at_patch_also_sees_schedule(monkeypatch):
     sim.run()
     assert seen == [(5.0, ("relative",)), (4.0, ("absolute",))]
     assert fired == ["absolute", "relative"]
+
+
+def test_schedule_returns_the_slotted_event_as_its_own_handle():
+    sim = Simulator()
+    fired = []
+    event = sim.schedule(2.0, fired.append, "a")
+    assert type(event) is Event and not hasattr(event, "__dict__")
+    assert not hasattr(repro.sim, "EventHandle")
+    assert (event.time, event.cancelled) == (2.0, False)
+    # The handle is the record the kernel fires: cancelling it is enough.
+    event.cancel()
+    assert event.cancelled and sim.pending == 0
+    assert sim.schedule_at(3.0, fired.append, "b").time == 3.0
+    sim.run()
+    assert fired == ["b"] and sim.events_fired == 1
+
+
+def test_events_fired_is_exact_when_a_callback_raises_mid_run():
+    sim = Simulator()
+    fired = []
+
+    def boom():
+        raise RuntimeError("callback failed")
+
+    sim.schedule_at(1.0, fired.append, 1)
+    sim.schedule_at(2.0, boom)
+    sim.schedule_at(3.0, fired.append, 3)
+    with pytest.raises(RuntimeError):
+        sim.run(until=10.0)
+    # The raising event counts as fired; the clock stays at it.
+    assert sim.events_fired == 2 and sim.now == 2.0 and sim.pending == 1
+    sim.run()
+    assert fired == [1, 3] and sim.events_fired == 3 and sim.now == 3.0
