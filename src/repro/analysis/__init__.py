@@ -24,18 +24,13 @@ the validator. Six paper-grounded rule families:
   (P603), and trigger kinds no controller code emits (P604).
 
 Entry points: :func:`analyze_paths` (library), ``jury-repro analyze`` and
-``jury-repro analyze-policy`` (CLI). Suppress a finding inline with
+``jury-repro analyze-policy`` (CLI). Suppressions are inline only:
 ``# jury: ignore[D101]`` (comma-separated ids, or bare ``# jury: ignore``
-for all rules on that line); freeze legacy findings with a baseline file
-(``--write-baseline``). Interprocedural findings are anchored at the entry
-point that owns the violated contract, so that is where a suppression
-belongs. Repeat runs are incremental (content-hash cache,
-``.jury-analysis-cache.json``) and the per-file phase parallelizes with
-``--jobs``.
+for all rules on that line). Interprocedural findings are anchored at the
+entry point that owns the violated contract, so that is where a suppression
+belongs. Every run is cold and serial; nothing is written to disk.
 """
 
-from repro.analysis.baseline import DEFAULT_BASELINE_PATH, Baseline
-from repro.analysis.cache import DEFAULT_CACHE_PATH, AnalysisCache
 from repro.analysis.engine import Analyzer, analyze_paths, discover_files
 from repro.analysis.findings import AnalysisReport, Finding, Severity
 from repro.analysis.project_index import (
@@ -56,12 +51,8 @@ from repro.analysis.registry import (
 from repro.analysis.reporters import render_human, render_json, render_rule_list
 
 __all__ = [
-    "AnalysisCache",
     "AnalysisReport",
     "Analyzer",
-    "Baseline",
-    "DEFAULT_BASELINE_PATH",
-    "DEFAULT_CACHE_PATH",
     "Finding",
     "ModuleContext",
     "ModuleFacts",

@@ -1,34 +1,29 @@
-"""The analysis engine: discovery, rule dispatch, caching, parallelism.
+"""The analysis engine: discovery and rule dispatch.
 
 ``analyze_paths`` is the one-call API used by the CLI, the CI gate, and the
-self-application test: give it files/directories and (optionally) a baseline,
-get back an :class:`AnalysisReport` with per-``file:line`` findings.
+self-application test: give it files/directories, get back an
+:class:`AnalysisReport` with per-``file:line`` findings.
 
-The run has two phases. The **module phase** parses each file and runs the
-per-file rule families (D/T/S/H), simultaneously extracting the
-:class:`~repro.analysis.project_index.ModuleFacts` the cross-module rules
-need; it is embarrassingly parallel (``jobs``) and memoized per file in the
-:class:`~repro.analysis.cache.AnalysisCache` keyed by content hash. The
-**project phase** assembles the facts into a
+Every run is cold and serial. The **module phase** is one loop over the
+discovered files: read, parse, run the per-file rule families (D/T/S/H),
+and extract the :class:`~repro.analysis.project_index.ModuleFacts` the
+cross-module rules need. The **project phase** assembles the facts into a
 :class:`~repro.analysis.project_index.ProjectIndex` and runs the
-interprocedural X-rules over the whole graph — cheap enough that it always
-runs fresh, so a warm cache still yields exact results. Policy XML files
-passed explicitly are linted with the P-rules against the same index.
+interprocedural X-rules over the whole graph. Policy XML files passed
+explicitly are linted with the P-rules against the same index.
 """
 
 from __future__ import annotations
 
 import ast
 import os
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.baseline import Baseline
-from repro.analysis.cache import AnalysisCache, content_hash
 from repro.analysis.findings import AnalysisReport, Finding, Severity
 from repro.analysis.project_index import (
     ModuleFacts,
+    ProjectIndex,
     build_project_index,
     extract_module_facts,
 )
@@ -85,8 +80,7 @@ def _display_path(path: Path) -> str:
         return str(path)
 
 
-def _analyze_module(source: str, display: str,
-                    rules: Optional[Sequence[Rule]] = None,
+def _analyze_module(source: str, display: str, rules: Sequence[Rule],
                     ) -> Tuple[List[Finding], Optional[ModuleFacts]]:
     """Module phase for one file: per-file findings + extracted facts."""
     try:
@@ -99,150 +93,80 @@ def _analyze_module(source: str, display: str,
         return [finding], None
     module = ModuleContext(path=display, source=source, tree=tree)
     findings: List[Finding] = []
-    for rule in (rules if rules is not None else all_rules()):
+    for rule in rules:
         findings.extend(rule.run(module))
     findings.sort(key=Finding.sort_key)
     return findings, extract_module_facts(module)
 
 
-def _module_worker(item: Tuple[str, str]
-                   ) -> Tuple[str, List[Finding], Optional[ModuleFacts]]:
-    """Top-level (picklable) worker for the ``--jobs`` process pool."""
-    display, source = item
-    findings, facts = _analyze_module(source, display)
-    return display, findings, facts
-
-
 class Analyzer:
-    """Runs rule sets over modules and applies baseline/suppressions."""
+    """Runs the per-module and cross-module rule sets over a tree."""
 
     def __init__(self, rules: Optional[Iterable[Rule]] = None,
                  cross_rules: Optional[Iterable[Rule]] = None):
-        #: A custom per-module rule set disables the cache and the process
-        #: pool (both assume the builtin catalog) — tests inject tiny rule
-        #: sets and must get exactly those rules, nothing memoized.
-        self.custom_rules = rules is not None
+        #: A custom per-module rule set runs no X-rules unless asked to:
+        #: tests inject tiny rule sets and must get exactly those rules.
         self.rules: List[Rule] = (list(rules) if rules is not None
                                   else all_rules())
         if cross_rules is not None:
             self.cross_rules: List[Rule] = list(cross_rules)
         else:
-            self.cross_rules = [] if self.custom_rules else project_rules()
+            self.cross_rules = [] if rules is not None else project_rules()
 
     # ------------------------------------------------------------------
     def analyze_source(self, source: str, path: str = "<memory>") -> List[Finding]:
         """Analyze one in-memory module (test fixtures, editors)."""
-        findings, _ = _analyze_module(source, path, rules=self.rules)
+        findings, _ = _analyze_module(source, path, self.rules)
         return findings
 
     # ------------------------------------------------------------------
-    def analyze_paths(self, paths: Sequence[str],
-                      baseline: Optional[Baseline] = None,
-                      jobs: int = 1,
-                      cache: Optional[AnalysisCache] = None) -> AnalysisReport:
-        """Analyze files/directories; baseline-matched findings split out.
-
-        ``jobs`` > 1 fans the module phase out over a process pool;
-        ``cache`` serves unchanged files from their content-hash entry.
-        Both are exact optimizations: the report is byte-identical across
-        cold, warm, serial, and parallel runs.
-        """
-        if self.custom_rules:
-            cache = None
+    def analyze_paths(self, paths: Sequence[str]) -> AnalysisReport:
+        """Analyze files/directories: module phase, then project phase."""
         report = AnalysisReport()
-        all_findings: List[Finding] = []
         xml_paths = [raw for raw in paths
                      if str(raw).endswith(".xml") and Path(raw).is_file()]
-        py_paths = [raw for raw in paths if raw not in xml_paths]
+        facts = self._module_phase(
+            [raw for raw in paths if raw not in xml_paths], report)
+        index = None
+        if self.cross_rules or xml_paths:
+            index = build_project_index(facts)
+        for rule in self.cross_rules:
+            report.findings.extend(rule.run_project(index))
+        if xml_paths:
+            from repro.policy.lint import lint_policy_file
+            for raw in sorted(xml_paths):
+                report.files_scanned += 1
+                report.findings.extend(lint_policy_file(str(raw), index=index))
+        report.findings.sort(key=Finding.sort_key)
+        return report
 
-        pending: List[Tuple[str, str, str]] = []  # display, source, hash
+    def index_paths(self, paths: Sequence[str]) -> ProjectIndex:
+        """The project index over files/directories, without the X-rules."""
+        return build_project_index(self._module_phase(paths, AnalysisReport()))
+
+    def _module_phase(self, paths: Sequence[str],
+                      report: AnalysisReport) -> List[ModuleFacts]:
+        """Read → parse → per-file rules → facts, one file at a time."""
         facts: List[ModuleFacts] = []
-        for path in discover_files(py_paths):
+        for path in discover_files(paths):
             display = _display_path(path)
             try:
                 source = path.read_text(encoding="utf-8")
             except (OSError, UnicodeDecodeError) as exc:
-                all_findings.append(Finding(
+                report.findings.append(Finding(
                     rule_id=PARSE_ERROR_RULE, severity=Severity.ERROR,
                     path=display, line=1, column=1,
                     message=f"file is unreadable: {exc}"))
                 continue
             report.files_scanned += 1
-            if cache is not None:
-                file_hash = content_hash(source)
-                hit = cache.get(display, file_hash)
-                if hit is not None:
-                    cached_findings, cached_facts = hit
-                    all_findings.extend(cached_findings)
-                    if cached_facts is not None:
-                        facts.append(cached_facts)
-                    report.cache_hits += 1
-                    continue
-                pending.append((display, source, file_hash))
-            else:
-                pending.append((display, source, ""))
-
-        hashes = {display: file_hash for display, _, file_hash in pending}
-        for display, found, mod_facts in self._run_module_phase(pending, jobs):
-            all_findings.extend(found)
+            found, mod_facts = _analyze_module(source, display, self.rules)
+            report.findings.extend(found)
             if mod_facts is not None:
                 facts.append(mod_facts)
-            if cache is not None:
-                cache.put(display, hashes[display], found, mod_facts)
-
-        index = None
-        if self.cross_rules or xml_paths:
-            index = build_project_index(facts)
-        for rule in self.cross_rules:
-            all_findings.extend(rule.run_project(index))
-        if xml_paths:
-            from repro.policy.lint import lint_policy_file
-            for raw in sorted(xml_paths):
-                report.files_scanned += 1
-                all_findings.extend(lint_policy_file(str(raw), index=index))
-        if cache is not None:
-            cache.write()
-
-        all_findings.sort(key=Finding.sort_key)
-        if baseline is None:
-            report.findings = all_findings
-            return report
-        matched_fps = set()
-        for finding in all_findings:
-            fingerprint = finding.fingerprint()
-            if baseline.contains(fingerprint):
-                matched_fps.add(fingerprint)
-                report.baselined.append(finding)
-            else:
-                report.findings.append(finding)
-        report.stale_baseline = sorted(baseline.fingerprints() - matched_fps)
-        return report
-
-    # ------------------------------------------------------------------
-    def _run_module_phase(self, pending: Sequence[Tuple[str, str, str]],
-                          jobs: int) -> Iterator[
-                              Tuple[str, List[Finding],
-                                    Optional[ModuleFacts]]]:
-        items = [(display, source) for display, source, _ in pending]
-        if jobs <= 1 or len(items) < 2 or self.custom_rules:
-            for display, source in items:
-                findings, facts = _analyze_module(source, display,
-                                                  rules=self.rules)
-                yield display, findings, facts
-            return
-        chunk = max(1, len(items) // (jobs * 4))
-        # Dev-tool parallelism, not simulation code: per-file analysis is
-        # pure and pool.map preserves input order, so results stay
-        # deterministic.
-        with ProcessPoolExecutor(max_workers=jobs) as pool:  # jury: ignore[D105]
-            yield from pool.map(_module_worker, items, chunksize=chunk)
+        return facts
 
 
 def analyze_paths(paths: Sequence[str],
-                  baseline: Optional[Baseline] = None,
-                  rules: Optional[Iterable[Rule]] = None,
-                  jobs: int = 1,
-                  cache: Optional[AnalysisCache] = None) -> AnalysisReport:
+                  rules: Optional[Iterable[Rule]] = None) -> AnalysisReport:
     """Module-level convenience wrapper around :class:`Analyzer`."""
-    return Analyzer(rules=rules).analyze_paths(paths, baseline=baseline,
-                                               jobs=jobs, cache=cache)
+    return Analyzer(rules=rules).analyze_paths(paths)

@@ -1,9 +1,10 @@
 """Findings and severities for the static-analysis subsystem.
 
 A :class:`Finding` is one rule violation anchored to ``file:line``. Its
-*fingerprint* deliberately excludes the line number so that unrelated edits
-above a legacy finding do not invalidate the checked-in baseline — the
-anchor for baselining is (rule, file, enclosing symbol, message, ordinal).
+*fingerprint* deliberately excludes the line number, so a consumer of the
+JSON report (CI annotations, dashboards) can follow one finding across
+unrelated edits above it: the identity is (rule, file, enclosing symbol,
+message, ordinal).
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ class Finding:
         return f"{self.path}:{self.line}"
 
     def fingerprint(self) -> str:
-        """Stable identity for baselining (line-shift tolerant)."""
+        """Stable identity across runs (line-shift tolerant)."""
         raw = "\x1f".join((self.rule_id, self.path, self.symbol,
                            self.message, str(self.ordinal)))
         return hashlib.sha1(raw.encode("utf-8")).hexdigest()[:16]
@@ -85,27 +86,13 @@ class Finding:
             "fingerprint": self.fingerprint(),
         }
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "Finding":
-        """Inverse of :meth:`to_dict` (the result cache round-trips findings)."""
-        return cls(rule_id=raw["rule"], severity=Severity.parse(raw["severity"]),
-                   path=raw["path"], line=raw["line"], column=raw["column"],
-                   symbol=raw.get("symbol", ""), ordinal=raw.get("ordinal", 0),
-                   message=raw["message"])
-
 
 @dataclass
 class AnalysisReport:
     """Everything one analyzer run produced."""
 
     findings: list = field(default_factory=list)
-    #: Findings matched (and silenced) by the baseline.
-    baselined: list = field(default_factory=list)
-    #: Baseline fingerprints that no longer match anything (stale entries).
-    stale_baseline: list = field(default_factory=list)
     files_scanned: int = 0
-    #: Files served from the incremental result cache (no re-parse).
-    cache_hits: int = 0
 
     def count_at_least(self, severity: Severity) -> int:
         return sum(1 for f in self.findings if f.severity >= severity)

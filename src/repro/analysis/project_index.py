@@ -4,22 +4,18 @@ Per-file AST rules see one module at a time; the interprocedural X-rule
 family needs to know *who calls whom across modules* — an observer entry
 point in ``obs/`` may only mutate validator state two calls deep, through a
 helper defined in another file. This module extracts, per analyzed module,
-a serializable :class:`ModuleFacts` record (functions, raw call sites,
+a plain :class:`ModuleFacts` record (functions, raw call sites,
 imports, class bases, effect sites, suppressions) and assembles the records
 into a :class:`ProjectIndex` that resolves calls into a qualified-name call
-graph and answers reachability queries.
-
-Facts deliberately contain no AST nodes: they are plain dataclasses, safe
-to pickle across ``--jobs`` worker processes and to round-trip through the
-content-hash result cache, so a warm incremental run can rebuild the whole
-index without re-parsing a single unchanged file.
+graph and answers reachability queries. Facts hold no AST nodes, so a
+module's tree can be dropped as soon as its facts are extracted.
 """
 
 from __future__ import annotations
 
 import ast
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.registry import ModuleContext, dotted_name
@@ -100,7 +96,7 @@ class FunctionFacts:
 
 @dataclass
 class ModuleFacts:
-    """Serializable per-module extract feeding the ProjectIndex."""
+    """Per-module extract feeding the ProjectIndex."""
 
     path: str  #: display path, as findings report it
     module_name: str  #: best-effort dotted name (``repro.obs.diagnose``)
@@ -108,28 +104,6 @@ class ModuleFacts:
     imports: Dict[str, str] = field(default_factory=dict)
     classes: Dict[str, List[str]] = field(default_factory=dict)
     suppressions: Dict[int, List[str]] = field(default_factory=dict)
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ModuleFacts":
-        facts = cls(path=raw["path"], module_name=raw["module_name"],
-                    imports=dict(raw.get("imports", {})),
-                    classes={k: list(v)
-                             for k, v in raw.get("classes", {}).items()},
-                    suppressions={int(k): list(v)
-                                  for k, v in raw.get("suppressions",
-                                                      {}).items()})
-        for fn in raw.get("functions", []):
-            facts.functions.append(FunctionFacts(
-                qualname=fn["qualname"], name=fn["name"],
-                lineno=fn["lineno"], column=fn["column"],
-                class_name=fn.get("class_name", ""),
-                calls=[CallSite(**c) for c in fn.get("calls", [])],
-                effects=[Effect(**e) for e in fn.get("effects", [])]))
-        return facts
 
 
 def module_name_for(path: str) -> str:
@@ -509,5 +483,5 @@ class ProjectIndex:
 
 def build_project_index(
         facts: Iterable[ModuleFacts]) -> ProjectIndex:
-    """Assemble module facts (fresh or cache-thawed) into an index."""
+    """Assemble module facts into an index."""
     return ProjectIndex(sorted(facts, key=lambda m: m.path))

@@ -40,20 +40,11 @@ def render_human(report: AnalysisReport, fail_on: Severity) -> str:
         f"{family}/{_FAMILY_TITLES.get(family, '?')}: "
         f"{counts.get(family, 0)}"
         for family in sorted(set(_families_in_catalog()) | set(counts)))
-    cached = (f" ({report.cache_hits} cached)"
-              if report.cache_hits else "")
     lines.append(f"jury-repro analyze — {report.files_scanned} file(s) "
-                 f"scanned{cached}, {len(report.findings)} finding(s)")
+                 f"scanned, {len(report.findings)} finding(s)")
     lines.append(f"  {summary}")
     for finding in report.findings:
         lines.append(finding.render())
-    if report.baselined:
-        lines.append(f"  {len(report.baselined)} legacy finding(s) "
-                     "suppressed by the baseline")
-    if report.stale_baseline:
-        lines.append(f"  {len(report.stale_baseline)} stale baseline "
-                     "entr(ies) no longer match; re-run with "
-                     "--write-baseline to prune")
     failing = report.count_at_least(fail_on)
     if failing:
         lines.append(f"FAILED: {failing} finding(s) at or above "
@@ -82,8 +73,6 @@ def render_json(report: AnalysisReport, fail_on: Severity) -> str:
             for rule in rule_catalog()
         ],
         "findings": [f.to_dict() for f in report.findings],
-        "baselined": [f.to_dict() for f in report.baselined],
-        "stale_baseline": list(report.stale_baseline),
     }
     return json.dumps(payload, indent=2)
 

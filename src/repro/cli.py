@@ -561,15 +561,12 @@ def cmd_analyze(args) -> CommandResult:
     # Imported lazily: the analyzer is stdlib-only and must stay usable in
     # minimal environments, but the other commands shouldn't pay for it.
     from repro.analysis import (
-        AnalysisCache,
-        Baseline,
         Severity,
         analyze_paths,
         render_human,
         render_json,
         render_rule_list,
     )
-    from repro.analysis.baseline import DEFAULT_BASELINE_PATH
 
     if args.list_rules:
         return CommandResult.ok("analyze", human=render_rule_list(),
@@ -579,34 +576,10 @@ def cmd_analyze(args) -> CommandResult:
         return CommandResult.usage_error(
             "analyze", "analyze: at least one PATH is required")
     fail_on = Severity.parse(args.fail_on)
-
-    baseline_path = args.baseline
-    if baseline_path is None and args.write_baseline:
-        baseline_path = DEFAULT_BASELINE_PATH
-    baseline = None
-    if baseline_path is not None and not args.write_baseline:
-        try:
-            baseline = Baseline.load(baseline_path)
-        except FileNotFoundError:
-            return CommandResult.usage_error(
-                "analyze", f"analyze: baseline file not found: {baseline_path}")
-        except ValueError as exc:
-            return CommandResult.usage_error("analyze", f"analyze: {exc}")
-
-    cache = None if args.no_cache else AnalysisCache.load(args.cache)
     try:
-        report = analyze_paths(args.paths, baseline=baseline,
-                               jobs=args.jobs, cache=cache)
+        report = analyze_paths(args.paths)
     except FileNotFoundError as exc:
         return CommandResult.usage_error("analyze", f"analyze: {exc}")
-
-    if args.write_baseline:
-        Baseline.from_findings(report.findings).write(baseline_path)
-        return CommandResult.ok(
-            "analyze",
-            human=f"wrote {len(report.findings)} finding(s) to {baseline_path}",
-            data={"command": "analyze", "wrote": len(report.findings),
-                  "baseline": str(baseline_path)})
 
     failed = bool(report.count_at_least(fail_on))
     return CommandResult(
@@ -617,7 +590,13 @@ def cmd_analyze(args) -> CommandResult:
 
 def cmd_analyze_policy(args) -> CommandResult:
     """Statically verify policy XML (P-rules) before deployment."""
-    from repro.analysis import AnalysisReport, Severity, render_human, render_json
+    from repro.analysis import (
+        AnalysisReport,
+        Analyzer,
+        Severity,
+        render_human,
+        render_json,
+    )
     from repro.policy.lint import lint_builtin_policies, lint_policy_file
 
     if not args.paths and not args.builtin:
@@ -631,28 +610,13 @@ def cmd_analyze_policy(args) -> CommandResult:
     if project is None and os.path.isdir("src/repro"):
         project = "src/repro"
     if project and project != "none":
-        from repro.analysis import (
-            build_project_index,
-            discover_files,
-            extract_module_facts,
-        )
-        from repro.analysis.registry import ModuleContext
-        import ast as ast_mod
-        facts = []
+        # The engine's own module loop with no per-file rules: P604 only
+        # needs the call graph, not the D/T/S/H findings.
         try:
-            files = discover_files([project])
+            index = Analyzer(rules=[]).index_paths([project])
         except FileNotFoundError as exc:
             return CommandResult.usage_error(
                 "analyze-policy", f"analyze-policy: {exc}")
-        for path in files:
-            try:
-                source = path.read_text(encoding="utf-8")
-                tree = ast_mod.parse(source, filename=str(path))
-            except (OSError, UnicodeDecodeError, SyntaxError):
-                continue  # unparseable project files just shrink the index
-            facts.append(extract_module_facts(
-                ModuleContext(path=str(path), source=source, tree=tree)))
-        index = build_project_index(facts)
 
     paths = []
     for raw in args.paths:
@@ -1088,26 +1052,10 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--format", choices=("human", "json"),
                          default="human", help="report format")
     analyze.add_argument(
-        "--baseline", nargs="?", const="analysis-baseline.json",
-        default=None, metavar="PATH",
-        help="suppress findings recorded in this baseline file "
-             "(default path when the flag is given bare: "
-             "analysis-baseline.json)")
-    analyze.add_argument(
-        "--write-baseline", action="store_true",
-        help="write current findings to the baseline file and exit 0")
-    analyze.add_argument(
         "--fail-on", choices=("warning", "error"), default="error",
         help="exit non-zero when findings at/above this severity exist")
     analyze.add_argument("--list-rules", action="store_true",
                          help="print the rule catalog and exit")
-    analyze.add_argument("--jobs", type=int, default=1, metavar="N",
-                         help="analyze files with N worker processes")
-    analyze.add_argument("--cache", default=".jury-analysis-cache.json",
-                         metavar="PATH",
-                         help="incremental result cache file")
-    analyze.add_argument("--no-cache", action="store_true",
-                         help="disable the incremental result cache")
     analyze.set_defaults(fn=cmd_analyze)
 
     analyze_policy = commands.add_parser(

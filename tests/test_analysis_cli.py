@@ -1,11 +1,13 @@
-"""The ``jury-repro analyze`` CLI: formats, exit codes, baseline round-trip."""
+"""The ``jury-repro analyze`` CLI: formats, exit codes, deterministic runs."""
 
 import json
+import os
 import textwrap
 from pathlib import Path
 
 import pytest
 
+from repro.analysis import discover_files
 from repro.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -72,22 +74,6 @@ def test_fail_on_warning_tightens_the_gate(tree, capsys):
     assert main(["analyze", "--fail-on", "warning", "warn.py"]) == 1
 
 
-def test_write_baseline_then_gate_passes(tree, capsys):
-    assert main(["analyze", "--write-baseline", "--fail-on", "warning",
-                 "dirty.py"]) == 0
-    assert Path("analysis-baseline.json").exists()
-    capsys.readouterr()
-    # Same findings are now suppressed; even --fail-on warning passes.
-    assert main(["analyze", "--baseline", "--fail-on", "warning",
-                 "dirty.py"]) == 0
-    out = capsys.readouterr().out
-    assert "suppressed by the baseline" in out
-
-
-def test_missing_baseline_is_a_usage_error(tree, capsys):
-    assert main(["analyze", "--baseline", "nope.json", "dirty.py"]) == 2
-
-
 def test_missing_path_is_a_usage_error(tree, capsys):
     assert main(["analyze", "no_such_dir"]) == 2
 
@@ -105,15 +91,51 @@ def test_list_rules(tree, capsys):
         assert rule_id in out
 
 
-def test_gate_command_on_shipped_tree():
-    # The exact invocation CI runs, executed from the repo root.
-    import os
+def test_discover_files_is_sorted_and_unique(tree):
+    (tree / "sub").mkdir()
+    (tree / "sub" / "b.py").write_text("\n")
+    (tree / "sub" / "a.py").write_text("\n")
+    found = discover_files([".", "."])
+    assert found == sorted(found)
+    assert len(found) == len(set(found))
 
-    cwd = os.getcwd()
-    os.chdir(REPO_ROOT)
+
+def test_discover_files_survives_symlink_cycles(tree):
+    (tree / "sub").mkdir()
+    (tree / "sub" / "mod.py").write_text("\n")
     try:
-        assert main(["analyze", "--fail-on", "error",
-                     "--baseline", "analysis-baseline.json",
-                     "src/repro"]) == 0
-    finally:
-        os.chdir(cwd)
+        os.symlink(tree, tree / "sub" / "loop")
+    except OSError:
+        pytest.skip("symlinks unavailable")
+    found = discover_files(["."])
+    names = [os.path.basename(p) for p in found]
+    assert names.count("mod.py") == 1
+
+
+def test_two_runs_emit_byte_identical_json_reports(tree, capsys):
+    # The full CLI JSON report (findings, summary, ordering) must be
+    # reproducible run-to-run.
+    main(["analyze", "--format", "json", "."])
+    first = capsys.readouterr().out
+    main(["analyze", "--format", "json", "."])
+    second = capsys.readouterr().out
+    assert first == second
+
+
+def test_analyze_leaves_the_working_directory_untouched(tree, capsys):
+    # Every run is cold: nothing is written next to the analyzed tree.
+    def listing():
+        return sorted((dirpath, tuple(sorted(dirnames)), tuple(sorted(files)))
+                      for dirpath, dirnames, files in os.walk(tree))
+
+    before = listing()
+    assert main(["analyze", "--format", "json", "."]) == 1
+    assert main(["analyze", "clean.py"]) == 0
+    capsys.readouterr()
+    assert listing() == before
+
+
+def test_gate_command_on_shipped_tree(monkeypatch):
+    # The exact invocation CI runs, executed from the repo root.
+    monkeypatch.chdir(REPO_ROOT)
+    assert main(["analyze", "--fail-on", "warning", "src/"]) == 0

@@ -1,4 +1,4 @@
-"""ProjectIndex: fact extraction, call resolution, reachability, thawing."""
+"""ProjectIndex: fact extraction, call resolution, reachability, suppressions."""
 
 import ast
 import textwrap
@@ -8,7 +8,6 @@ from repro.analysis.project_index import (
     SET_ITERATION,
     STATE_MUTATION,
     WALL_CLOCK,
-    ModuleFacts,
     build_project_index,
     extract_module_facts,
     module_name_for,
@@ -152,21 +151,8 @@ def test_self_method_calls_resolve_within_class():
 
 
 # ----------------------------------------------------------------------
-# Serialization (cache thaw path) and suppressions
+# Suppressions
 # ----------------------------------------------------------------------
-
-def test_module_facts_round_trip_through_dict():
-    facts = facts_for("src/pkg/mod.py", """
-        import time
-
-        def f(engine):  # jury: ignore[X501]
-            engine.log.append(time.time())
-    """)
-    thawed = ModuleFacts.from_dict(facts.to_dict())
-    assert thawed.to_dict() == facts.to_dict()
-    idx = build_project_index([thawed])
-    assert idx.function("pkg.mod.f") is not None
-
 
 def test_is_suppressed_honours_rule_id_and_wildcard():
     facts = facts_for("src/pkg/mod.py", """

@@ -1,54 +1,45 @@
 """Self-application: ``src/repro`` must stay clean under its own analyzer.
 
 This is the tier-1 gate the CI workflow enforces with
-``jury-repro analyze --fail-on error src/``: zero error-severity findings
-anywhere, and zero findings of any severity beyond the checked-in baseline.
+``jury-repro analyze --fail-on warning src/``: zero findings of any
+severity. ``src/repro`` is analyzed once for the whole module.
 """
 
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import Analyzer, Baseline, Severity
-from repro.analysis.baseline import DEFAULT_BASELINE_PATH
+from repro.analysis import Analyzer, Severity
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.fixture()
-def repo_cwd(monkeypatch):
-    # Finding paths (and therefore baseline fingerprints) are cwd-relative;
-    # the checked-in baseline was written from the repo root.
-    monkeypatch.chdir(REPO_ROOT)
+def analyze_from_repo_root(path):
+    # Finding paths are cwd-relative; anchor them at the repo root.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(REPO_ROOT)
+        return Analyzer().analyze_paths([path])
 
 
-def test_src_repro_has_no_error_findings(repo_cwd):
-    report = Analyzer().analyze_paths(["src/repro"])
-    errors = [f for f in report.findings if f.severity >= Severity.ERROR]
+@pytest.fixture(scope="module")
+def src_report():
+    return analyze_from_repo_root("src/repro")
+
+
+def test_src_repro_is_clean_modulo_checked_in_baseline(src_report):
+    # No baseline is checked in any more, so "clean modulo the baseline"
+    # means zero findings at any severity.
+    assert src_report.files_scanned > 0
+    assert src_report.findings == [], "\n".join(
+        f.render() for f in src_report.findings)
+
+
+def test_src_repro_has_no_error_findings(src_report):
+    errors = [f for f in src_report.findings if f.severity >= Severity.ERROR]
     assert errors == [], "\n".join(f.render() for f in errors)
 
 
-def test_src_repro_is_clean_modulo_checked_in_baseline(repo_cwd):
-    baseline = Baseline.load(REPO_ROOT / DEFAULT_BASELINE_PATH)
-    report = Analyzer().analyze_paths(["src/repro"], baseline=baseline)
-    assert report.findings == [], "\n".join(
-        f.render() for f in report.findings)
-
-
-def test_checked_in_baseline_has_no_stale_entries(repo_cwd):
-    baseline = Baseline.load(REPO_ROOT / DEFAULT_BASELINE_PATH)
-    report = Analyzer().analyze_paths(["src/repro"], baseline=baseline)
-    assert report.stale_baseline == []
-
-
-def test_baseline_contains_only_warnings(repo_cwd):
-    # Errors may never be baselined away — the gate fails them outright.
-    baseline = Baseline.load(REPO_ROOT / DEFAULT_BASELINE_PATH)
-    report = Analyzer().analyze_paths(["src/repro"], baseline=baseline)
-    assert all(f.severity < Severity.ERROR for f in report.baselined)
-
-
-def test_all_six_rule_families_are_wired(repo_cwd):
+def test_all_six_rule_families_are_wired():
     from repro.analysis.registry import rule_catalog
     families = {rule.rule_id[0] for rule in Analyzer().rules}
     assert {"D", "T", "S", "H"} <= families  # per-module phase
@@ -56,18 +47,17 @@ def test_all_six_rule_families_are_wired(repo_cwd):
     assert {"D", "T", "S", "H", "X", "P"} <= catalog
 
 
-def test_src_repro_is_x_rule_clean(repo_cwd):
+def test_src_repro_is_x_rule_clean(src_report):
     # The interprocedural rules hold for the engine's own tree: observers
     # stay pure, hot paths stay on simulated time, pipeline output stays
-    # ordered. These are never baselined.
-    report = Analyzer().analyze_paths(["src/repro"])
-    cross = [f for f in report.findings if f.rule_id.startswith("X")]
+    # ordered.
+    cross = [f for f in src_report.findings if f.rule_id.startswith("X")]
     assert cross == [], "\n".join(f.render() for f in cross)
 
 
-def test_tests_directory_parses_clean_of_errors(repo_cwd):
+def test_tests_directory_parses_clean_of_errors():
     # The test tree is held to error-level hygiene too (no bare excepts,
     # no mutable defaults); warnings are fine there.
-    report = Analyzer().analyze_paths(["tests"])
+    report = analyze_from_repo_root("tests")
     errors = [f for f in report.findings if f.severity >= Severity.ERROR]
     assert errors == [], "\n".join(f.render() for f in errors)
