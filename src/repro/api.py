@@ -4,7 +4,7 @@
 
     from repro import Jury, JuryConfig
 
-    config = JuryConfig(k=4, timeout_ms=250.0, pipeline=4, trace=True)
+    config = JuryConfig(k=4, timeout_ms=250.0, trace=True)
 
     # Attach to a cluster you already assembled:
     jury = Jury.build(config, cluster=cluster)

@@ -38,11 +38,10 @@ Every subcommand builds its experiment through one
 :class:`~repro.harness.reporting.CommandResult`; ``--format json`` prints
 the structured payload instead of the human tables, and the exit-code
 contract is uniform: 0 ok, 1 findings-or-failure, 2 usage/config error.
-Simulation commands accept ``--pipeline N`` to validate through the
-sharded :class:`~repro.core.pipeline.ValidationPipeline` instead of the
-sequential validator, and ``--config file.json`` to load the whole config
-from JSON through the validated :meth:`~repro.config.JuryConfig.from_dict`
-path.
+Every deployment validates through the sequential
+:class:`~repro.core.validator.Validator`. Simulation commands accept
+``--config file.json`` to load the whole config from JSON through the
+validated :meth:`~repro.config.JuryConfig.from_dict` path.
 """
 
 from __future__ import annotations
@@ -150,7 +149,6 @@ def _config_from_args(args, kind: Optional[str] = None,
         timeout_ms=args.timeout,  # None → the paper default for the kind
         policies=("default",),
         with_northbound=True,
-        pipeline=getattr(args, "pipeline", None),
         trace=trace,
         metrics=metrics,
         diagnose=diagnose,
@@ -772,7 +770,6 @@ def cmd_soak(args) -> CommandResult:
             checkpoint_every=args.checkpoint_every,
             rate_per_s=args.rate,
             k=args.replicas,
-            shards=args.pipeline,
             timeout_ms=args.timeout,
             seed=args.seed,
             max_rss_mb=args.max_rss_mb,
@@ -790,8 +787,7 @@ def cmd_soak(args) -> CommandResult:
     checkpoint = payload["checkpoint"]
     lines = [
         f"soak: {payload['triggers']} triggers over {args.duration:g}s "
-        f"simulated at {args.rate:g}/s "
-        f"({f'pipeline N={args.pipeline}' if args.pipeline else 'sequential validator'})",
+        f"simulated at {args.rate:g}/s",
         "  kill     : "
         + (f"SIGKILL at t={kill_at:g}s (worker exit "
            f"{payload['worker_exitcode']})" if kill_at else "disabled"),
@@ -848,9 +844,6 @@ def _add_common(parser: argparse.ArgumentParser, format_extra=()) -> None:
                         help="target PACKET_IN rate per second")
     parser.add_argument("--duration", type=float, default=1000.0,
                         help="traffic window in simulated ms")
-    parser.add_argument("--pipeline", type=int, default=None, metavar="N",
-                        help="validate through the sharded pipeline with "
-                             "N shards (default: sequential validator)")
     parser.add_argument("--config", default=None, metavar="CONFIG.json",
                         help="build the JuryConfig from this JSON file "
                              "instead of the flags above")
@@ -1025,9 +1018,6 @@ def build_parser() -> argparse.ArgumentParser:
     soak.add_argument("--timeout", type=float, default=250.0,
                       help="validation timeout in ms")
     soak.add_argument("--seed", type=int, default=0)
-    soak.add_argument("--pipeline", type=int, default=None, metavar="N",
-                      help="soak the sharded pipeline with N shards "
-                           "(default: sequential validator)")
     soak.add_argument("--workdir", default=None, metavar="DIR",
                       help="directory for the WAL and checkpoint artifacts "
                            "(default: a fresh temp dir)")

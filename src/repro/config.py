@@ -45,13 +45,13 @@ register_policy_set("default", _default_policy_set)
 class JuryConfig:
     """Everything needed to deploy (and optionally host) a JURY instance.
 
-    Validation core:
+    Validation core (always the sequential
+    :class:`~repro.core.validator.Validator`, the one engine a deployment
+    builds):
 
     * ``k`` — secondaries per trigger (``2k + 2`` expected responses).
     * ``timeout_ms`` / ``timeout`` — θτ as a number, or an explicit
       :class:`~repro.core.timeouts.TimeoutPolicy` overriding it.
-    * ``pipeline`` — ``None`` for the sequential validator, else the shard
-      count of the :class:`~repro.core.pipeline.ValidationPipeline`.
     * ``policies`` — named policy sets (see :data:`POLICY_SETS`);
       ``policy_engine`` is the explicit-object escape hatch.
     * ``state_aware`` / ``taint_classification`` — the ablation switches.
@@ -75,18 +75,14 @@ class JuryConfig:
     k: Optional[int] = 6
     timeout_ms: Optional[float] = None
     timeout: Optional[object] = None
-    pipeline: Optional[int] = None
     seed: int = 0
     policies: Tuple[str, ...] = ()
     policy_engine: Optional[object] = None
     state_aware: bool = True
     taint_classification: bool = True
     keep_results: bool = True
-    queue_capacity: int = 1024
-    batch_max: int = 512
-    flush_interval_ms: float = 0.0
     #: Crash recovery (repro.core.checkpoint): automatically snapshot the
-    #: validator/pipeline every this-many decided triggers. ``None`` off.
+    #: validator every this-many decided triggers. ``None`` off.
     #: The deployment hands snapshots to its ``on_checkpoint`` callback
     #: (or just keeps the newest one) for restore after a crash.
     checkpoint_every: Optional[int] = None
@@ -125,9 +121,6 @@ class JuryConfig:
     def __post_init__(self):
         if self.k is not None and self.k < 0:
             raise ValidationError(f"k must be >= 0: {self.k}")
-        if self.pipeline is not None and self.pipeline < 1:
-            raise ValidationError(
-                f"pipeline shard count must be >= 1: {self.pipeline}")
         if (self.snapshot_interval_ms is not None
                 and self.snapshot_interval_ms <= 0):
             raise ValidationError(
@@ -302,7 +295,6 @@ class JuryConfig:
         return {
             "k": self.k,
             "timeout_ms": self.effective_timeout_ms,
-            "pipeline": self.pipeline,
             "seed": self.seed,
             "policies": list(self.policies)
             + (["<explicit>"] if self.policy_engine is not None else []),

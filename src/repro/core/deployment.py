@@ -27,7 +27,6 @@ from repro.config import JuryConfig
 from repro.controllers.cluster import ControllerCluster
 from repro.controllers.northbound import NorthboundApi
 from repro.core.module import JuryModule
-from repro.core.pipeline import ValidationPipeline
 from repro.core.replicator import Replicator
 from repro.core.validator import Validator
 from repro.errors import ValidationError
@@ -61,7 +60,7 @@ class JuryDeployment:
         self.controller_ids: List[str] = cluster.controller_ids()
         self.replication_counter = ByteCounter("jury-replication")
         self.validator_counter = ByteCounter("jury-validator")
-        #: Observability, shared by replicators and the validation engine.
+        #: Observability, shared by replicators and the validator.
         #: ``None`` (config.trace/metrics off) is the zero-cost path.
         self.tracer = active_tracer(config.build_tracer())
         self.metrics = config.build_metrics()
@@ -91,39 +90,21 @@ class JuryDeployment:
         observers = dict(tracer=self.tracer, metrics=self.metrics,
                          forensics=self.forensics, health=self.health,
                          sampler=self.sampler, recorder=self.recorder)
-        if config.pipeline is not None:
-            # Sharded validator; same public surface, so modules/harness
-            # code is oblivious to the swap.
-            self.validator = ValidationPipeline(
-                self.sim, k, shards=config.pipeline,
-                timeout=timeout_policy,
-                policy_engine=engine,
-                mastership_lookup=cluster.master_of,
-                state_aware=config.state_aware,
-                taint_classification=config.taint_classification,
-                keep_results=config.keep_results,
-                queue_capacity=config.queue_capacity,
-                batch_max=config.batch_max,
-                flush_interval_ms=config.flush_interval_ms,
-                snapshot_sink=self.snapshot_sink,
-                checkpoint_every=config.checkpoint_every,
-                on_checkpoint=on_checkpoint, **observers)
-        else:
-            self.validator = Validator(
-                self.sim, k,
-                timeout=timeout_policy,
-                policy_engine=engine,
-                mastership_lookup=cluster.master_of,
-                state_aware=config.state_aware,
-                taint_classification=config.taint_classification,
-                keep_results=config.keep_results,
-                checkpoint_every=config.checkpoint_every,
-                on_checkpoint=on_checkpoint, **observers)
-            if self.snapshot_sink is not None:
-                # The sequential engine takes no sink keyword: the sink
-                # joins its observer, which ticks it after every step.
-                self.validator.observer = Observer.build(
-                    sink=self.snapshot_sink, **observers)
+        self.validator = Validator(
+            self.sim, k,
+            timeout=timeout_policy,
+            policy_engine=engine,
+            mastership_lookup=cluster.master_of,
+            state_aware=config.state_aware,
+            taint_classification=config.taint_classification,
+            keep_results=config.keep_results,
+            checkpoint_every=config.checkpoint_every,
+            on_checkpoint=on_checkpoint, **observers)
+        if self.snapshot_sink is not None:
+            # The validator takes no sink keyword: the sink joins its
+            # observer, which ticks it after every step.
+            self.validator.observer = Observer.build(
+                sink=self.snapshot_sink, **observers)
 
         # Module → validator channel delay (ms).
         latency = Uniform(0.2, 0.8)
@@ -173,7 +154,7 @@ class JuryDeployment:
         api.deliver = intercepting_deliver
 
     # ------------------------------------------------------------------
-    # Validation facade (uniform across sequential/sharded engines)
+    # Validation facade
     # ------------------------------------------------------------------
     def detection_times(self, external_only: bool = True) -> List[float]:
         """Per-trigger detection latencies (ms) from the validation engine."""

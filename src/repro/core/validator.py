@@ -299,18 +299,18 @@ BODY_KEYS = ("psi", "alarms", "results", "counters", "trigger_ids",
 
 
 class EngineSurface:
-    """What a deployment sees of a validation engine, whichever it is.
+    """What a deployment, a checkpoint and a replay see of an engine.
 
     Results, the alarm stream, counters, the write-ahead log and the
-    checkpoint envelope, implemented once for :class:`Validator` and
-    :class:`~repro.core.pipeline.ValidationPipeline` — which is what lets
-    ``JuryConfig(pipeline=N)`` swap one for the other without touching a
-    call site. An engine provides ``ingest`` (and the channel endpoint
-    ``handle_control_message``), its :attr:`kind`, and the three
-    ``_engine_*`` hooks and ``_engine_keys`` that say what is specific to
-    it in a snapshot; ``sim``, ``k``, ``timeout``, ``state`` and the
-    ablation and staleness switches are read off the engine under those
-    names.
+    checkpoint envelope, implemented once for :class:`Validator` (the
+    engine every deployment builds) and
+    :class:`~repro.core.pipeline.ValidationPipeline`, so recovery and
+    replay drive either through the same calls. An engine provides
+    ``ingest`` (and the channel endpoint ``handle_control_message``), its
+    :attr:`kind`, and the three ``_engine_*`` hooks and ``_engine_keys``
+    that say what is specific to it in a snapshot; ``sim``, ``k``,
+    ``timeout``, ``state`` and the ablation and staleness switches are read
+    off the engine under those names.
     """
 
     #: ``meta["engine"]`` of this engine's checkpoints.

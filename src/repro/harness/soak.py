@@ -40,7 +40,6 @@ import signal
 from typing import Dict, List, Optional, Tuple
 from zlib import crc32
 
-from repro.controllers.context import sort_canonicals
 from repro.core.alarms import canonical_alarm_stream
 from repro.core.checkpoint import (
     WAL_INGEST,
@@ -54,17 +53,11 @@ from repro.core.checkpoint import (
     wal_last_ingest_time,
     wal_tail,
 )
-from repro.core.pipeline import ValidationPipeline
-from repro.core.responses import Response, ResponseKind
 from repro.core.timeouts import StaticTimeout
 from repro.core.validator import Validator
 from repro.errors import CheckpointError
 from repro.sim.simulator import Simulator
-# The soak reuses the synthetic workload's entry shapes so its triggers are
-# indistinguishable from that workload's — only the draw changes
-# (indexed CRC-32 instead of a sequential PRNG) to make any suffix
-# recomputable from its first index.
-from repro.workloads.synthetic import DIGEST_STRIDE, FLOW_VARIANTS, entries
+from repro.workloads.synthetic import FLOW_VARIANTS, trigger_responses
 
 #: One trigger in ``FAULT_STRIDE`` carries a corrupted cache relay.
 FAULT_STRIDE = 50
@@ -91,29 +84,9 @@ def soak_trigger(index: int, k: int, seed: int,
     distinct timestamp, so "strictly after the WAL's newest ingest" is an
     exact resume boundary — no same-instant tie to mis-replay.
     """
-    tau = ("ext", index)
     flow = crc32(f"flow:{seed}:{index}".encode()) % FLOW_VARIANTS
     faulty = crc32(f"fault:{seed}:{index}".encode()) % FAULT_STRIDE == 0
-    cache, net = entries(flow)
-    combined = (cache, sort_canonicals(set(net)))
-    digest = (("c1", index // DIGEST_STRIDE),)
-    responses = [
-        Response("c1", tau, ResponseKind.NETWORK_WRITE, net,
-                 state_digest=digest),
-        Response("c1", tau, ResponseKind.CACHE_UPDATE, cache,
-                 state_digest=digest, origin="c1"),
-    ]
-    for s in range(k):
-        sid = f"s{s}"
-        relayed = cache
-        if faulty and s == 0:
-            corrupted_cache, _ = entries(FLOW_VARIANTS + index)
-            relayed = corrupted_cache
-        responses.append(Response(sid, tau, ResponseKind.CACHE_UPDATE,
-                                  relayed, state_digest=digest, origin="c1"))
-        responses.append(Response(sid, tau, ResponseKind.REPLICA_RESULT,
-                                  combined, tainted=True, state_digest=digest,
-                                  primary_hint="c1"))
+    responses = trigger_responses(index, k, flow, faulty)
     base = trigger_time_ms(index, spacing_ms)
     delta = spacing_ms / (2 * k + 4)
     return [(WAL_INGEST, base + j * delta, response)
@@ -130,16 +103,11 @@ def soak_stream(triggers: int, k: int, seed: int,
 # ----------------------------------------------------------------------
 # Engine construction (one shape for worker, reference, and twin)
 # ----------------------------------------------------------------------
-def _build_engine(sim: Simulator, params: Dict[str, object]):
+def _build_engine(sim: Simulator, params: Dict[str, object]) -> Validator:
     """The soak's engine: ``keep_results=False`` keeps RSS honest."""
-    timeout = StaticTimeout(float(params["timeout_ms"]))
-    shards = params.get("shards")
-    if shards is None:
-        return Validator(sim, int(params["k"]), timeout=timeout,
-                         keep_results=False)
-    return ValidationPipeline(
-        sim, int(params["k"]), shards=int(shards), timeout=timeout,
-        keep_results=False, flush_interval_ms=0.0)
+    return Validator(sim, int(params["k"]),
+                     timeout=StaticTimeout(float(params["timeout_ms"])),
+                     keep_results=False)
 
 
 # ----------------------------------------------------------------------
@@ -209,7 +177,6 @@ def run_soak(duration_s: float = 60.0,
              checkpoint_every: int = 200,
              rate_per_s: float = 200.0,
              k: int = 3,
-             shards: Optional[int] = None,
              timeout_ms: float = 250.0,
              seed: int = 0,
              max_rss_mb: float = 512.0,
@@ -235,7 +202,6 @@ def run_soak(duration_s: float = 60.0,
         "triggers": triggers,
         "k": k,
         "seed": seed,
-        "shards": shards,
         "timeout_ms": timeout_ms,
         "spacing_ms": 1000.0 / rate_per_s,
         "duration_ms": duration_s * 1000.0,
@@ -285,7 +251,6 @@ def run_soak(duration_s: float = 60.0,
         "kill_at_s": kill_at_s,
         "rate_per_s": rate_per_s,
         "k": k,
-        "shards": shards,
         "checkpoint_every": checkpoint_every,
         "worker_exitcode": worker.exitcode,
         "worker_peak_rss_kb": rss_kb,

@@ -79,7 +79,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     collect_deployment,
-    collect_pipeline,
     dump_metrics,
 )
 from repro.obs.recorder import (
@@ -157,7 +156,6 @@ __all__ = [
     "active_sampler",
     "active_tracer",
     "collect_deployment",
-    "collect_pipeline",
     "default_slo_rules",
     "diff_entries",
     "diff_payloads",

@@ -12,9 +12,9 @@ cross-engine equivalence the differential suite asserts).
 observability job — it validates the exposition without any external
 Prometheus tooling.
 
-:class:`SnapshotSink` is the periodic export hook for the pipeline flush
-path: it snapshots metrics/health on simulated-time boundary crossings and
-renders the collected records as JSONL.
+:class:`SnapshotSink` is the periodic export hook an engine's observer
+ticks after every step: it snapshots metrics/health on simulated-time
+boundary crossings and renders the collected records as JSONL.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ _HELP_TEXT: Dict[str, str] = {
 
 _HELP_PREFIXES: Tuple[Tuple[str, str], ...] = (
     ("validator_", "Validation-core instrumentation (repro.core)."),
-    ("pipeline_", "Sharded-pipeline instrumentation (repro.core.pipeline)."),
     ("replicator_", "Trigger replication instrumentation."),
     ("jury_", "Deployment-level health/SLO export."),
 )

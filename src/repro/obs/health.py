@@ -20,7 +20,7 @@ perturb decisions.
 
 :class:`SloMonitor` evaluates a small catalog of threshold rules over a
 :class:`~repro.obs.metrics.MetricsRegistry` snapshot — detection-latency
-p95, ingest-queue overflow rate, late-drop rate — on simulated time.
+p95 and late-drop rate — on simulated time.
 """
 
 from __future__ import annotations
@@ -316,12 +316,6 @@ def default_slo_rules() -> Tuple[SloRule, ...]:
                             "2x the paper's sub-250ms envelope",
                 kind="histogram_p95", threshold=500.0,
                 metric="validator_detection_ms"),
-        SloRule(name="ingest-overflow-rate",
-                description="fraction of routed responses diverted to a "
-                            "shard overflow ring",
-                kind="ratio", threshold=0.05,
-                numerator="pipeline_shard_overflow_enqueued_total",
-                denominator="pipeline_responses_routed_total"),
         SloRule(name="late-drop-rate",
                 description="fraction of responses arriving after their "
                             "trigger was decided",

@@ -11,9 +11,8 @@ registry's lifetime. Families the instrumentation emits:
   ``validator_detection_ms`` histogram;
 * replication-side — ``replicator_triggers_total{source}``,
   ``replicator_copies_total``;
-* engine-side (collected, not inlined — zero hot-path cost) —
-  ``pipeline_shard_*{shard}`` families scraped from each shard's
-  :class:`~repro.core.pipeline.ShardStats` by :func:`collect_pipeline`.
+* deployment-side (collected, not inlined — zero hot-path cost) — the
+  fan-out, relay and byte counters :func:`collect_deployment` scrapes.
 
 Histograms keep raw samples and defer quantiles to
 :func:`repro.harness.metrics.percentile` (imported lazily: the harness
@@ -212,35 +211,12 @@ class MetricsRegistry:
 
 
 # ----------------------------------------------------------------------
-# Engine-side collection (pull, not push: zero hot-path cost)
+# Deployment-side collection (pull, not push: zero hot-path cost)
 # ----------------------------------------------------------------------
-
-def collect_pipeline(registry: MetricsRegistry, pipeline) -> None:
-    """Scrape a :class:`~repro.core.pipeline.ValidationPipeline`'s per-shard
-    counters into the registry's ``pipeline_shard_*`` families."""
-    stats = pipeline.stats
-    registry.gauge("pipeline_shards").set(stats.shards)
-    registry.counter("pipeline_responses_routed_total").inc(
-        stats.responses_routed
-        - registry.value("pipeline_responses_routed_total"))
-    for index, shard in enumerate(stats.per_shard):
-        for counter_name in ("enqueued", "processed", "batches",
-                             "overflow_enqueued", "overflow_drained",
-                             "backpressure_events", "timer_wakeups",
-                             "fastpath_decisions", "slowpath_decisions",
-                             "late_responses", "decided", "alarmed"):
-            name = f"pipeline_shard_{counter_name}_total"
-            instrument = registry.counter(name, shard=index)
-            instrument.inc(shard[counter_name] - instrument.value)
-        registry.gauge("pipeline_shard_queue_high_water",
-                       shard=index).max(shard["queue_high_water"])
-        registry.gauge("pipeline_shard_max_batch",
-                       shard=index).max(shard["max_batch"])
-
 
 def collect_deployment(registry: MetricsRegistry, deployment) -> None:
     """Scrape deployment-level counters: replication fan-out, module relay
-    volume, byte counters, and (when sharded) the per-shard families."""
+    volume and byte counters."""
     registry.counter("replicator_triggers_replicated_total").inc(
         sum(r.triggers_replicated for r in deployment.replicators.values())
         - registry.value("replicator_triggers_replicated_total"))
@@ -253,9 +229,6 @@ def collect_deployment(registry: MetricsRegistry, deployment) -> None:
     registry.gauge("replication_bytes").set(
         deployment.replication_counter.bytes)
     registry.gauge("validator_bytes").set(deployment.validator_counter.bytes)
-    validator = deployment.validator
-    if hasattr(validator, "stats"):
-        collect_pipeline(registry, validator)
 
 
 def dump_metrics(registry: MetricsRegistry, path: str) -> None:

@@ -7,7 +7,7 @@ divergence actually needs. This module records that decision path as a
 stream of :class:`Span` records keyed on **simulated time**, so traces are
 deterministic: replaying the same recorded response stream (an engine's
 WAL ingest records, see :func:`~repro.core.checkpoint.replay_stream`)
-reproduces the trace byte for byte, at any pipeline shard count.
+reproduces the trace byte for byte, whichever engine replays it.
 
 Design rules that keep tracing equivalence-safe:
 
@@ -15,10 +15,10 @@ Design rules that keep tracing equivalence-safe:
   mutates validator state — it only appends records. Tracing on/off cannot
   change a single decision, which is what lets the differential suite run
   byte-identical with tracing enabled.
-* Spans carry only *engine-independent* facts (stage, verdict, counts).
-  Shard indices, batch sizes, and queue depths live in the
-  :class:`~repro.obs.metrics.MetricsRegistry` instead — a trace produced at
-  ``pipeline=1`` and ``pipeline=4`` from the same stream is identical.
+* Spans carry only *engine-independent* facts (stage, verdict, counts),
+  never shard indices, batch sizes or queue depths — a trace of the same
+  stream is identical from the sequential validator and from a
+  :class:`~repro.core.pipeline.ValidationPipeline` at 1 or 4 shards.
 * The canonical encoding (:meth:`Tracer.canonical`) sorts spans by
   ``(time, trigger id, stage rank)`` with a stable sort, mirroring
   :func:`repro.core.alarms.canonical_alarm_stream`; equality of canonical
@@ -177,8 +177,8 @@ class _SpanView(Sequence):
 class Tracer:
     """Keeps every lifecycle span of every trigger that crosses the system.
 
-    One tracer is shared by the whole deployment (replicators, validator or
-    pipeline shards, alarm emission). It stores spans as rows the garbage
+    One tracer is shared by the whole deployment (replicators, validator,
+    alarm emission). It stores spans as rows the garbage
     collector does not scan (see the module docstring):
 
     * ``_rows`` — one :data:`Row` per span, in emission order;

@@ -16,7 +16,6 @@ import pytest
 
 from repro import Jury, JuryConfig, JuryDeployment, MetricsRegistry, Tracer
 from repro.config import POLICY_SETS, register_policy_set
-from repro.core.pipeline import ValidationPipeline
 from repro.core.validator import Validator
 from repro.errors import ValidationError
 from repro.harness.experiment import Experiment, build_experiment
@@ -41,8 +40,6 @@ def test_config_is_frozen():
 def test_config_validation():
     with pytest.raises(ValidationError):
         JuryConfig(k=-1)
-    with pytest.raises(ValidationError):
-        JuryConfig(pipeline=0)
     with pytest.raises(ValidationError):
         JuryConfig(policies=("no-such-set",))
     JuryConfig(k=None)  # vanilla-cluster configs are valid
@@ -136,14 +133,6 @@ def test_build_hosts_a_full_testbed():
     assert jury.false_positive_rate() == 0.0
 
 
-def test_build_onto_an_existing_cluster_selects_engine():
-    exp = Jury.experiment(JuryConfig(k=None, n=N, switches=6, seed=22))
-    jury = Jury.build(JuryConfig(k=K, pipeline=4), cluster=exp.cluster)
-    assert isinstance(jury.validator, ValidationPipeline)
-    assert jury.validator.shards == 4
-    assert jury.config.pipeline == 4
-
-
 def test_build_rejects_non_config_and_vanilla():
     with pytest.raises(ValidationError):
         Jury.build({"k": 2})
@@ -160,7 +149,8 @@ def test_build_wires_observability_through_the_stack():
         assert replicator.observer is jury.validator.observer
         assert replicator.observer.tracer is jury.tracer
     snapshot = jury.metrics_snapshot()
-    assert "pipeline_shards" not in snapshot  # sequential engine
+    assert snapshot and not any(name.startswith("pipeline_")
+                                for name in snapshot)
     off = Jury.build(JuryConfig(k=K, n=N, switches=6, seed=24))
     assert off.tracer is None and off.metrics is None
     with pytest.raises(ValidationError):
@@ -175,7 +165,7 @@ def test_build_wires_observability_through_the_stack():
 
 def test_config_dict_round_trip():
     config = JuryConfig(k=4, n=5, switches=6, seed=9, timeout_ms=250.0,
-                        pipeline=2, policies=("default",), trace=True,
+                        policies=("default",), trace=True,
                         profile_overrides=(("collapse_threshold", 500),))
     payload = config.to_dict()
     assert payload["policies"] == ["default"]  # JSON-able lists
@@ -186,8 +176,8 @@ def test_config_dict_round_trip():
 
 
 def test_from_dict_rejects_unknown_keys_with_did_you_mean():
-    with pytest.raises(ValidationError, match="did you mean 'pipeline'"):
-        JuryConfig.from_dict({"k": 2, "pipline": 4})
+    with pytest.raises(ValidationError, match="did you mean 'switches'"):
+        JuryConfig.from_dict({"k": 2, "swiches": 4})
     with pytest.raises(ValidationError, match="unknown config key"):
         JuryConfig.from_dict({"k": 2, "zzzzqq": 1})
     with pytest.raises(ValidationError, match="mapping"):
@@ -205,18 +195,19 @@ def test_dict_paths_reject_live_object_fields():
 
 
 def test_backend_and_wall_profile_are_refused():
-    """The frame backends and their worker profiling are gone: the fields
-    are unknown to the constructor and to the dict path alike."""
-    with pytest.raises(TypeError, match="backend"):
-        JuryConfig(pipeline=2, backend="processes")
-    with pytest.raises(TypeError, match="wall_profile"):
-        JuryConfig(pipeline=2, wall_profile=True)
-    with pytest.raises(ValidationError, match="unknown config key 'backend'"):
-        JuryConfig.from_dict({"pipeline": 2, "backend": "processes"})
-    with pytest.raises(ValidationError,
-                       match="unknown config key 'wall_profile'"):
-        JuryConfig.from_dict({"wall_profile": True})
-    assert "backend" not in JuryConfig(pipeline=2).to_dict()
+    """The frame backends, their worker profiling and the sharded-pipeline
+    options are gone: the fields are unknown to the constructor and to the
+    dict path alike."""
+    for key, value in (("backend", "processes"), ("wall_profile", True),
+                       ("pipeline", 2), ("queue_capacity", 1024),
+                       ("batch_max", 512), ("flush_interval_ms", 0.0)):
+        with pytest.raises(TypeError, match=key):
+            JuryConfig(**{key: value})
+        with pytest.raises(ValidationError,
+                           match=f"unknown config key '{key}'"):
+            JuryConfig.from_dict({key: value})
+        assert key not in JuryConfig().to_dict()
+        assert key not in JuryConfig().describe()
 
 
 def test_pipeline_accepts_only_the_serial_backend_name():

@@ -208,7 +208,7 @@ def test_health_jsonl_carries_reports_and_slo():
     assert record["kind"] == "health"
     assert list(record["replicas"]) == ["c1"]
     assert {s["name"] for s in record["slo"]} \
-        == {"detection-latency-p95", "ingest-overflow-rate", "late-drop-rate"}
+        == {"detection-latency-p95", "late-drop-rate"}
     # SLO statuses are optional (standalone health tracker, no registry).
     bare = json.loads(health_jsonl(tracker.evaluate(100.0), now=100.0))
     assert bare["slo"] == []
@@ -247,20 +247,20 @@ def test_sink_jsonl_round_trip(tmp_path):
 
 
 def test_sequential_deployment_ticks_the_snapshot_sink():
-    """The sink rides the end of every engine step, the sequential
-    validator's included — not only a pipeline shard's flush."""
+    """The sink rides the end of every step of the deployment's sequential
+    validator."""
     from repro import Jury, JuryConfig
     from repro.workloads.traffic import TrafficDriver
 
     experiment = Jury.experiment(JuryConfig(
-        kind="onos", n=5, k=2, switches=6, seed=7, pipeline=None,
+        kind="onos", n=5, k=2, switches=6, seed=7,
         snapshot_interval_ms=100.0, metrics=True))
     experiment.warmup()
     TrafficDriver(experiment.sim, experiment.topology,
                   packet_in_rate_per_s=300.0, duration_ms=1000.0).start()
     experiment.run(1000.0)
     records = experiment.jury.snapshot_sink.records
-    assert records, "pipeline=None must still take periodic snapshots"
+    assert records, "a sequential deployment must take periodic snapshots"
     boundaries = [record["boundary_ms"] for record in records]
     assert boundaries == sorted(set(boundaries))
     assert all("metrics" in record for record in records)

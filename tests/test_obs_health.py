@@ -174,8 +174,7 @@ def test_snapshot_shape():
 
 def test_default_rule_catalog_names():
     names = [rule.name for rule in default_slo_rules()]
-    assert names == ["detection-latency-p95", "ingest-overflow-rate",
-                     "late-drop-rate"]
+    assert names == ["detection-latency-p95", "late-drop-rate"]
 
 
 def test_slo_histogram_p95_rule():

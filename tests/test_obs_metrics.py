@@ -16,7 +16,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    collect_pipeline,
     dump_metrics,
 )
 from repro.obs.trace import ACCEPT, ALARM, DECIDE, INGEST, LATE_DROP, Tracer
@@ -148,22 +147,6 @@ def test_pipeline_conservation_through_overflow():
     _check_ledger(engine, tracer, registry, fed)
     assert engine.stats.total("overflow_enqueued") > 0, \
         "queue_capacity=2 must exercise the overflow path"
-
-
-def test_collect_pipeline_is_idempotent():
-    engine, tracer, registry, fed = _run(
-        lambda sim, tracer, registry: ValidationPipeline(
-            sim, K, shards=2, timeout=StaticTimeout(TIMEOUT_MS),
-            tracer=tracer, metrics=registry))
-    collect_pipeline(registry, engine)
-    first = registry.snapshot()
-    collect_pipeline(registry, engine)  # scraping again must not double
-    assert registry.snapshot() == first
-    assert registry.value("pipeline_responses_routed_total") == fed
-    decided = sum(
-        registry.value("pipeline_shard_decided_total", shard=i)
-        for i in range(2))
-    assert decided == engine.triggers_decided
 
 
 def test_detection_histogram_counts_decisions():

@@ -19,18 +19,18 @@ Two setups:
   recorded later, on the commit that introduced the one observer);
 * **deployments** — an ONOS n=5 k=2 deployment with trace, metrics,
   diagnose, health, flight, a 100 ms snapshot sink and automatic
-  checkpoints, at ``pipeline`` None and 2 (and None at head-sampling
-  rate 8), running traffic and a planted link-failure fault.
+  checkpoints, at head-sampling rates 1 and 8, running traffic and a
+  planted link-failure fault.
 
 Exactly one digest differs from the recording, on purpose: the
 snapshot-sink records of the sequential deployment (``deploy-seq/*``
 ``sink``). On the recording commit the sink was driven only by the
-pipeline's flush path, so with ``pipeline=None`` it never took a snapshot
+pipeline's flush path, so a sequential deployment never took a snapshot
 and its digest was :data:`EMPTY`; the sequential validator now ticks it
 after every engine step. The ``payload``, ``spans_for``, ``metrics``,
 ``prometheus``, ``flight`` and ``sink`` digests of ``serial N=4/{1,8,64}``
-and ``deploy-pipe2/1`` (24 in all) were re-recorded when the pipeline
-checkpoint body stopped carrying per-shard Ψ views: those exports hold the
+(18 in all) were re-recorded when the pipeline checkpoint body stopped
+carrying per-shard Ψ views: those exports hold the
 checkpoint's ``body_bytes`` and 12-hex sha tag, and with both masked they
 were byte-equal before and after. A change that means to keep what
 observers record must leave every digest here alone.
@@ -207,26 +207,6 @@ GOLDEN = {
         "sink":
             "baa53eea7e4d0473c02d7bd00bcc103340e8d83feb93d22d16337c371142c672",
     },
-    "deploy-pipe2/1": {
-        "canonical":
-            "d658286c6983405f298702642b9ec87afcb2cdb7d1498b8b70b9042c948fd87d",
-        "payload":
-            "69c4c8122bca400efa69ea675efd4d150df63bf254242d4713a9cc7f991c4893",
-        "spans_for":
-            "62bea555d3d61f87b864a01d321ab9280d64ab06c2aa558a14021e0d6a7153ad",
-        "metrics":
-            "fe183f6a29a9ba50652620b1a536c3fced53d2bd3632e727d0b8a344f313135c",
-        "prometheus":
-            "36c3957dbc510ffe7ff0cdeb82cf01adbd4ddf8216afd6568c3f366cff95d228",
-        "explanations":
-            "7febc258cb027d046f75325f4663f79a5e57f561182525331a344c1b4cb50f7a",
-        "health":
-            "5e7d483e9503c07c570f4b8cc200c31f6cb7dd40cdcd2e13bc593f771ec98ac2",
-        "flight":
-            "bd2668a492f37860c964d4a7ae5216a813c6cf6a8c39a8fe16c4ba224a594cff",
-        "sink":
-            "6345f6b88b4d25501751ed1ae01fe398d1ee85c5dee6b9ff673e2a57e92ae258",
-    },
 }
 
 
@@ -309,12 +289,12 @@ def test_stream_observer_exports_match_golden(tmp_path, engine_label, rate):
 # (b) ONOS deployment, traffic plus a planted fault
 # ----------------------------------------------------------------------
 
-def _deployment_run(tmp_path, pipeline, rate):
+def _deployment_run(tmp_path, rate):
     reset_trigger_ids()
     experiment = Jury.experiment(JuryConfig(
         kind="onos", n=5, k=2, switches=6, topology="linear", seed=7,
         timeout_ms=250.0, policies=("default",), with_northbound=True,
-        pipeline=pipeline, trace=True, metrics=True, diagnose=True,
+        trace=True, metrics=True, diagnose=True,
         health=True, flight=True, obs_sample=rate,
         snapshot_interval_ms=100.0, checkpoint_every=16))
     experiment.warmup()
@@ -330,12 +310,13 @@ def _deployment_run(tmp_path, pipeline, rate):
     return observed
 
 
-DEPLOY_CASES = [("deploy-seq", None, 1), ("deploy-seq", None, 8),
-                ("deploy-pipe2", 2, 1)]
+#: The ids keep the engine column ("None": the sequential validator) the
+#: cases were recorded under, when a deployment could build a pipeline too.
+DEPLOY_CASES = [pytest.param("deploy-seq", 1, id="deploy-seq-None-1"),
+                pytest.param("deploy-seq", 8, id="deploy-seq-None-8")]
 
 
-@pytest.mark.parametrize("label,pipeline,rate", DEPLOY_CASES)
-def test_deployment_observer_exports_match_golden(tmp_path, label, pipeline,
-                                                  rate):
-    observed = _deployment_run(tmp_path, pipeline, rate)
+@pytest.mark.parametrize("label,rate", DEPLOY_CASES)
+def test_deployment_observer_exports_match_golden(tmp_path, label, rate):
+    observed = _deployment_run(tmp_path, rate)
     assert observed == GOLDEN[f"{label}/{rate}"]

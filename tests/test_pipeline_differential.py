@@ -310,8 +310,8 @@ def test_health_and_exports_are_shard_count_independent(workloads):
             _, _, health, registry = engine_tuple
             reports = health.evaluate(horizon)
             statuses = SloMonitor().evaluate(registry, horizon)
-            # No collect_pipeline scrape: per-shard queue series are the
-            # one legitimately engine-shaped family.
+            # Pushed families only: nothing scrapes the per-shard queue
+            # series, the one legitimately engine-shaped family.
             return reports, prometheus_text(registry=registry,
                                             health_reports=reports,
                                             slo_statuses=statuses)
