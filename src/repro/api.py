@@ -15,10 +15,12 @@
     exp.warmup(); exp.begin_window(); exp.run(10_000)
     exp.jury.detection_times()
 
-With ``diagnose=True`` / ``health=True`` in the config, the returned
-deployment also exposes the forensics facades — ``diagnose_payload()``
-(per-alarm explanations), ``health_snapshot()`` (replica scores plus SLO
-status), and ``prometheus_text()`` (the full exposition document).
+The returned deployment exports its observers through one method,
+``report()``: a dict with one section per observer the config turned on
+(``alarms`` for ``diagnose=True``, ``health`` with SLO status for
+``health=True``, ``metrics``, ``flight``, ``trace``). ``prometheus_text()``
+renders the metrics/health/SLO state as the Prometheus exposition
+document instead. ``jury-repro report`` saves the sections as one file.
 
 Everything the legacy ``build_experiment(...)`` keyword seam offered
 routes through here now; that shim raises immediately with the

@@ -8,19 +8,19 @@ Gives operators the paper's experiments without writing code:
   detection/attribution.
 * ``throughput`` — the Fig 4f/4g cluster-throughput sweep.
 * ``detection`` — the Fig 4a/4c detection-time distribution.
-* ``trace`` — reconstruct one trigger's lifecycle (intercept → replicate →
-  ingest → Algorithm-1 checks → alarm/accept) from a live run or a trace
-  JSON file (see ``docs/observability.md``).
-* ``trace-diff`` — align two canonical trace files by (time, trigger,
-  stage) and pinpoint the first divergence (exit 0 identical, 1 diverged).
-* ``metrics`` — run under traffic and dump the metrics registry
-  (``--format prom`` for the Prometheus text exposition).
-* ``diagnose`` — per-alarm forensics: the failed Algorithm-1 check,
-  dissenting replicas, field-level cache/network diffs, and the inferred
-  T1/T2/T3 fault class, live or offline from recorded
-  alarm-log/trace files.
-* ``health`` — rolling-window replica health scores (with hysteresis on
-  the suspected-faulty flag) and SLO rule status.
+* ``report`` — the operator artifact: one run with every observer on
+  (``--fault NAME`` injects a catalog fault), saved as one
+  ``jury-report`` JSON file (``--output``) and rendered for humans —
+  cluster state, per-alarm forensics (failed Algorithm-1 check,
+  dissenting replicas, field-level diffs, T1/T2/T3 fault class), replica
+  health and SLOs, the flight ring, the metrics registry, and the traced
+  triggers. A QUERY (``ext:42`` or ``A0001``) shows one trigger's
+  lifecycle with every explanation for it; ``--input`` renders a saved
+  report the same way; ``--format prom`` prints the Prometheus text
+  exposition (see ``docs/observability.md``).
+* ``trace-diff`` — align the traces of two report files by (time,
+  trigger, stage) and pinpoint the first divergence (exit 0 identical,
+  1 diverged).
 * ``fuzz`` — seeded scenario fuzzing: generate scenarios, check the
   differential-oracle invariants, shrink counterexamples, and replay the
   regression corpus (see ``docs/fuzzing.md``).
@@ -119,51 +119,37 @@ def _load_config_file(path: str) -> JuryConfig:
     return JuryConfig.from_dict(payload)
 
 
+#: The five observers ``report`` turns on (``JuryConfig`` flags).
+OBSERVERS = ("trace", "metrics", "diagnose", "health", "flight")
+
+
 def _config_from_args(args, kind: Optional[str] = None,
-                      k: Optional[int] = None,
-                      trace: bool = False,
-                      metrics: bool = False,
-                      diagnose: bool = False,
-                      health: bool = False,
-                      flight: bool = False) -> JuryConfig:
+                      observe: bool = False) -> JuryConfig:
     """One place where argparse namespaces become a :class:`JuryConfig`."""
     if getattr(args, "config", None) is not None:
         # The file defines the experiment; only the subcommand's own
         # observability needs are OR-merged on top of it.
         base = _load_config_file(args.config)
-        overlay = {name: True
-                   for name, wanted in (("trace", trace),
-                                        ("metrics", metrics),
-                                        ("diagnose", diagnose),
-                                        ("health", health),
-                                        ("flight", flight))
-                   if wanted and not getattr(base, name)}
+        overlay = {name: True for name in OBSERVERS
+                   if observe and not getattr(base, name)}
         return base.replace(**overlay) if overlay else base
     kind = kind or args.controller
     return JuryConfig(
         kind=kind,
         n=args.nodes,
-        k=args.replicas if k is None else k,
+        k=args.replicas,
         switches=args.switches,
         seed=args.seed,
         timeout_ms=args.timeout,  # None → the paper default for the kind
         policies=("default",),
         with_northbound=True,
-        trace=trace,
-        metrics=metrics,
-        diagnose=diagnose,
-        health=health,
-        flight=flight,
+        **{name: observe for name in OBSERVERS},
     )
 
 
-def _build(args, kind: Optional[str] = None, k: Optional[int] = None,
-           trace: bool = False, metrics: bool = False,
-           diagnose: bool = False, health: bool = False,
-           flight: bool = False):
+def _build(args, kind: Optional[str] = None, observe: bool = False):
     experiment = Jury.experiment(
-        _config_from_args(args, kind=kind, k=k, trace=trace, metrics=metrics,
-                          diagnose=diagnose, health=health, flight=flight))
+        _config_from_args(args, kind=kind, observe=observe))
     experiment.warmup()
     return experiment
 
@@ -257,12 +243,7 @@ def cmd_throughput(args) -> CommandResult:
             kind=args.controller, n=n, k=None, switches=args.switches,
             seed=args.seed))
         experiment.warmup()
-        driver = TrafficDriver(experiment.sim, experiment.topology,
-                               packet_in_rate_per_s=args.rate,
-                               duration_ms=args.duration)
-        driver.start()
-        experiment.begin_window()
-        experiment.run(args.duration)
+        _drive_traffic(experiment, args, settle_ms=0.0)
         point = experiment.throughput()
         points.append({"n": n,
                        "packet_in_rate_per_s": point.packet_in_rate_per_s,
@@ -281,11 +262,7 @@ def cmd_throughput(args) -> CommandResult:
 
 def cmd_detection(args) -> CommandResult:
     experiment = _build(args)
-    driver = TrafficDriver(experiment.sim, experiment.topology,
-                           packet_in_rate_per_s=args.rate,
-                           duration_ms=args.duration)
-    driver.start()
-    experiment.run(args.duration + 600.0)
+    _drive_traffic(experiment, args)
     stats = experiment.detection_stats()
     human = (f"{stats.count} detections  median={stats.median:.1f} ms  "
              f"p95={stats.p95:.1f} ms  p99={stats.p99:.1f} ms\n\n"
@@ -301,73 +278,66 @@ def cmd_detection(args) -> CommandResult:
     return CommandResult.ok("detection", human=human, data=data)
 
 
-def _live_tracer(args):
-    """Run a traced experiment and return its tracer (the live path)."""
-    experiment = _build(args, trace=True)
-    _drive_traffic(experiment, args)
-    return experiment.jury.tracer
+def cmd_report(args) -> CommandResult:
+    from repro.harness.inspect import (
+        build_report,
+        dump_report,
+        load_report,
+        report_text,
+    )
 
-
-def cmd_trace(args) -> CommandResult:
-    from repro.obs.trace import dump_trace, load_trace, match_trigger_key
-
+    experiment = None
     if args.input is not None:
+        if args.fault is not None:
+            return CommandResult.usage_error(
+                "report", "report: --input renders a saved report and "
+                          "cannot be combined with --fault")
+        if args.format == "prom":
+            return CommandResult.usage_error(
+                "report", "report: --format prom needs a live run, "
+                          "not --input")
         try:
-            tracer = load_trace(args.input)
+            payload = load_report(args.input)
         except (OSError, ValueError) as exc:
-            return CommandResult.usage_error("trace", f"trace: {exc}")
+            return CommandResult.usage_error("report", f"report: {exc}")
     else:
-        tracer = _live_tracer(args)
-        if args.output:
-            dump_trace(tracer, args.output)
-
-    keys = tracer.trigger_keys()
-    if args.trigger is None:
-        # No query: list what the trace holds.
-        shown = keys[:args.limit]
-        rows = [[key, tracer.timeline(key).verdict,
-                 len(tracer.spans_for(key))] for key in shown]
-        human = format_table(
-            f"traced triggers ({len(keys)} total, showing {len(shown)})",
-            ["trigger", "verdict", "spans"], rows)
-        data = {"command": "trace", "trigger_count": len(keys),
-                "span_count": len(tracer),
-                "stage_counts": tracer.stage_counts(),
-                "triggers": [{"trigger": key,
-                              "verdict": tracer.timeline(key).verdict}
-                             for key in shown]}
-        return CommandResult.ok("trace", human=human, data=data)
-
-    key = match_trigger_key(tracer, args.trigger)
-    if key is None:
-        preview = ", ".join(keys[:5]) or "<trace is empty>"
-        return CommandResult.usage_error(
-            "trace", f"trace: no traced trigger matches {args.trigger!r} "
-                     f"(first keys: {preview})")
-    timeline = tracer.timeline(key)
-    human = "\n".join([
-        format_table(f"trigger {key} — lifecycle",
-                     ["t", "stage", "verdict", "detail"], timeline.rows()),
-        f"verdict: {timeline.verdict}",
-    ])
-    data = {
-        "command": "trace",
-        "trigger": key,
-        "verdict": timeline.verdict,
-        "started_at": timeline.started_at,
-        "decided_at": timeline.decided_at,
-        "spans": [{"t": s.at, "stage": s.stage, "verdict": s.verdict,
-                   "detail": s.detail, "attrs": dict(s.attrs)}
-                  for s in timeline.spans],
-    }
-    return CommandResult.ok("trace", human=human, data=data)
+        if args.fault is not None and args.fault not in FAULTS:
+            return CommandResult.usage_error(
+                "report", f"report: unknown fault {args.fault!r} "
+                          f"(see list-faults)")
+        kind = "odl" if args.fault in ODL_FAULTS else None
+        experiment = _build(args, kind=kind, observe=True)
+        if args.fault is not None:
+            run_scenario(experiment, FAULTS[args.fault]())
+        else:
+            _drive_traffic(experiment, args)
+        payload = build_report(experiment)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(dump_report(payload) + "\n")
+    if args.format == "prom":
+        # Prometheus text is its own exposition format, not a table: render
+        # it verbatim through the "human" channel.
+        text = experiment.jury.prometheus_text()
+        return CommandResult.ok("report", human=text.rstrip("\n"),
+                                data=payload)
+    try:
+        human = report_text(payload, args.query)
+    except (LookupError, TypeError, ValueError) as exc:
+        return CommandResult.usage_error("report", f"report: {exc}")
+    return CommandResult.ok("report", human=human, data=payload)
 
 
 def cmd_trace_diff(args) -> CommandResult:
-    from repro.obs.diff import diff_trace_files, first_divergence_detail
+    from repro.harness.inspect import load_report
+    from repro.obs.diff import diff_payloads, first_divergence_detail
 
     try:
-        diff = diff_trace_files(args.left, args.right)
+        left, right = load_report(args.left), load_report(args.right)
+        for path, report in ((args.left, left), (args.right, right)):
+            if "trace" not in report:
+                raise ValueError(f"{path}: report has no trace section")
+        diff = diff_payloads(left["trace"], right["trace"])
     except (OSError, ValueError) as exc:
         return CommandResult.usage_error("trace-diff", f"trace-diff: {exc}")
 
@@ -387,172 +357,6 @@ def cmd_trace_diff(args) -> CommandResult:
     return CommandResult(command="trace-diff", exit_code=1, human=human,
                          data=data,
                          errors=[f"trace-diff: {first_divergence_detail(diff)}"])
-
-
-def cmd_metrics(args) -> CommandResult:
-    experiment = _build(args, metrics=True)
-    _drive_traffic(experiment, args)
-    snapshot = experiment.jury.metrics_snapshot()
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(snapshot, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    if args.format == "prom":
-        # Prometheus text is its own exposition format, not a table: render
-        # it verbatim through the "human" channel.
-        text = experiment.jury.prometheus_text()
-        return CommandResult.ok("metrics", human=text.rstrip("\n"),
-                                data={"command": "metrics",
-                                      "metrics": snapshot})
-    registry = experiment.jury.metrics
-    human = format_table(
-        f"JURY metrics — {args.controller} n={args.nodes} k={args.replicas}",
-        ["metric", "type", "value"], registry.rows())
-    return CommandResult.ok("metrics", human=human,
-                            data={"command": "metrics", "metrics": snapshot})
-
-
-def _diagnosis_payload_from_files(args):
-    """Offline diagnosis: reconstruct explanations from recorded files."""
-    from repro.obs.diagnose import explanations_from_files
-
-    try:
-        return explanations_from_files(args.alarm_log, trace_path=args.trace)
-    except (OSError, ValueError) as exc:
-        return CommandResult.usage_error("diagnose", f"diagnose: {exc}")
-
-
-def cmd_diagnose(args) -> CommandResult:
-    from repro.obs.diagnose import (
-        dump_diagnosis,
-        export_explanations,
-        find_explanation,
-        render_explanations,
-    )
-
-    if args.trace is not None and args.alarm_log is None:
-        return CommandResult.usage_error(
-            "diagnose", "diagnose: --trace needs --alarm-log (the trace "
-                        "alone does not carry alarm records)")
-    if args.flight_output is not None and args.alarm_log is not None:
-        return CommandResult.usage_error(
-            "diagnose", "diagnose: --flight-output records a live run and "
-                        "cannot be combined with --alarm-log")
-
-    flight_attachment = None
-    if args.flight is not None:
-        from repro.obs.recorder import load_flight
-        try:
-            flight_attachment = load_flight(args.flight)
-        except (OSError, ValueError) as exc:
-            return CommandResult.usage_error("diagnose",
-                                             f"diagnose: {exc}")
-
-    if args.alarm_log is not None:
-        explanations = _diagnosis_payload_from_files(args)
-        if isinstance(explanations, CommandResult):
-            return explanations
-    else:
-        fault = None
-        if args.fault is not None:
-            if args.fault not in FAULTS:
-                return CommandResult.usage_error(
-                    "diagnose", f"diagnose: unknown fault {args.fault!r} "
-                                f"(see list-faults)")
-            fault = FAULTS[args.fault]()
-        kind = "odl" if args.fault in ODL_FAULTS else None
-        experiment = _build(args, kind=kind, diagnose=True,
-                            flight=args.flight_output is not None)
-        alarm_log = None
-        if args.record_alarm_log:
-            from repro.core.alarm_log import AlarmLog
-            alarm_log = AlarmLog(experiment.validator)
-        if fault is not None:
-            run_scenario(experiment, fault)
-        else:
-            _drive_traffic(experiment, args)
-        if alarm_log is not None:
-            from repro.core.alarm_log import dump_alarm_log
-            dump_alarm_log(alarm_log, args.record_alarm_log)
-        if args.flight_output is not None:
-            from repro.obs.recorder import dump_flight
-            jury = experiment.jury
-            dump_flight(jury.recorder, args.flight_output,
-                        now=experiment.sim.now, metrics=jury.metrics)
-        explanations = experiment.jury.forensics.explanations()
-
-    payload = export_explanations(explanations)
-    if flight_attachment is not None:
-        payload["flight"] = flight_attachment
-    if args.output:
-        dump_diagnosis(payload, args.output)
-
-    if args.alarm is not None:
-        match = find_explanation(explanations, args.alarm)
-        if match is None:
-            known = ", ".join(
-                entry["id"] for entry in payload["alarms"][:5]) or "<none>"
-            return CommandResult.usage_error(
-                "diagnose", f"diagnose: no alarm matches {args.alarm!r} "
-                            f"(first ids: {known})")
-        explanation_id, explanation = match
-        human = explanation.render(explanation_id)
-        data = {"command": "diagnose", "alarm": explanation_id,
-                "explanation": explanation.to_dict()}
-        return CommandResult.ok("diagnose", human=human, data=data)
-
-    human = render_explanations(explanations)
-    if flight_attachment is not None:
-        from repro.obs.recorder import render_flight
-        human = "\n".join([human, render_flight(flight_attachment)])
-    data = {"command": "diagnose", **payload}
-    return CommandResult.ok("diagnose", human=human, data=data)
-
-
-def cmd_health(args) -> CommandResult:
-    experiment = _build(args, metrics=True, health=True)
-    _drive_traffic(experiment, args)
-    jury = experiment.jury
-
-    if args.output:
-        from repro.obs.export import health_jsonl
-        reports = jury.health.evaluate(experiment.sim.now)
-        statuses = None
-        if jury.slo is not None and jury.metrics is not None:
-            from repro.obs.metrics import collect_deployment
-            collect_deployment(jury.metrics, jury)
-            statuses = jury.slo.evaluate(jury.metrics, experiment.sim.now)
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(health_jsonl(reports, slo_statuses=statuses,
-                                      now=experiment.sim.now))
-
-    if args.format == "prom":
-        text = jury.prometheus_text()
-        snapshot = jury.health_snapshot()
-        return CommandResult.ok("health", human=text.rstrip("\n"),
-                                data={"command": "health", **snapshot})
-
-    snapshot = jury.health_snapshot()
-    replica_rows = [
-        [r["controller_id"], f"{r['score']:.3f}",
-         f"{r['disagreement_rate']:.3f}", f"{r['timeout_miss_rate']:.3f}",
-         f"{r['lag_p95_ms']:.1f}", "YES" if r["suspected"] else "no"]
-        for r in snapshot["replicas"].values()]
-    tables = [format_table(
-        f"replica health — {args.controller} n={args.nodes} "
-        f"k={args.replicas} @ t={snapshot['time_ms']:.0f} ms",
-        ["replica", "score", "disagree", "timeout-miss", "lag p95 (ms)",
-         "suspected"], replica_rows)]
-    if snapshot.get("slo"):
-        slo_rows = [[s["name"], f"{s['value']:.4f}", f"{s['threshold']:.4f}",
-                     "ok" if s["ok"] else "BREACH"]
-                    for s in snapshot["slo"]]
-        tables.append(format_table("SLO rules",
-                                   ["rule", "value", "threshold", "status"],
-                                   slo_rows))
-    human = "\n".join(tables)
-    return CommandResult.ok("health", human=human,
-                            data={"command": "health", **snapshot})
 
 
 def cmd_analyze(args) -> CommandResult:
@@ -879,81 +683,37 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(detection)
     detection.set_defaults(fn=cmd_detection)
 
-    trace = commands.add_parser(
-        "trace", help="reconstruct one trigger's validation lifecycle")
-    _add_common(trace)
-    trace.add_argument("trigger", nargs="?", default=None,
-                       help="trigger id: repr form ('ext', 42), ext:42 "
-                            "shorthand, or a substring (omit to list)")
-    trace.add_argument("--input", default=None, metavar="TRACE.json",
-                       help="read a recorded trace instead of running")
-    trace.add_argument("--output", default=None, metavar="TRACE.json",
-                       help="also dump the full trace (live runs only)")
-    trace.add_argument("--limit", type=int, default=20,
-                       help="triggers shown when listing (no query)")
-    trace.set_defaults(fn=cmd_trace)
+    report = commands.add_parser(
+        "report",
+        help="one run, one artifact: cluster, alarms explained, replica "
+             "health and SLOs, flight ring, metrics and trace")
+    _add_common(report, format_extra=("prom",))
+    report.add_argument("query", nargs="?", default=None, metavar="QUERY",
+                        help="a trigger (ext:42, ('ext', 42), a substring) "
+                             "or alarm id (A0001): show its lifecycle and "
+                             "every explanation for it")
+    report.add_argument("--fault", default=None, metavar="NAME",
+                        help="inject this catalog fault instead of "
+                             "driving plain traffic")
+    report.add_argument("--input", default=None, metavar="REPORT.json",
+                        help="render a saved report instead of running")
+    report.add_argument("--output", default=None, metavar="REPORT.json",
+                        help="also write the report as sorted-key JSON")
+    report.set_defaults(fn=cmd_report)
 
     trace_diff = commands.add_parser(
         "trace-diff",
-        help="align two canonical traces by (time, trigger, stage) and "
-             "pinpoint the first divergence (exit 0 identical, 1 diverged)")
+        help="align the traces of two report files by (time, trigger, "
+             "stage) and pinpoint the first divergence (exit 0 identical, "
+             "1 diverged)")
     trace_diff.add_argument("left", metavar="A.json",
-                            help="left trace file (the reference)")
+                            help="left report file (the reference)")
     trace_diff.add_argument("right", metavar="B.json",
-                            help="right trace file (the candidate)")
+                            help="right report file (the candidate)")
     trace_diff.add_argument("--limit", type=int, default=10,
                             help="differing slots shown/embedded")
     _add_format(trace_diff)
     trace_diff.set_defaults(fn=cmd_trace_diff)
-
-    metrics = commands.add_parser(
-        "metrics", help="run under traffic and dump the metrics registry")
-    _add_common(metrics, format_extra=("prom",))
-    metrics.add_argument("--output", default=None, metavar="METRICS.json",
-                         help="also write the snapshot as JSON")
-    metrics.set_defaults(fn=cmd_metrics)
-
-    diagnose = commands.add_parser(
-        "diagnose",
-        help="explain alarms: failed check, dissenting replicas, "
-             "field-level diffs, T1/T2/T3 fault class")
-    _add_common(diagnose)
-    diagnose.add_argument("alarm", nargs="?", default=None,
-                          help="alarm to explain: id (A0001), trigger "
-                               "shorthand (ext:42), or a substring "
-                               "(omit for all alarms)")
-    diagnose.add_argument("--fault", default=None, metavar="NAME",
-                          help="inject this catalog fault instead of "
-                               "driving plain traffic")
-    diagnose.add_argument("--alarm-log", default=None, metavar="ALARMS.jsonl",
-                          help="reconstruct offline from a recorded alarm "
-                               "log instead of running")
-    diagnose.add_argument("--trace", default=None, metavar="TRACE.json",
-                          help="recorded trace enriching the offline "
-                               "reconstruction (with --alarm-log)")
-    diagnose.add_argument("--output", default=None, metavar="DIAG.json",
-                          help="also write the diagnosis payload as JSON")
-    diagnose.add_argument("--record-alarm-log", default=None,
-                          metavar="ALARMS.jsonl",
-                          help="record the run's alarm log for later "
-                               "offline diagnosis (live runs only)")
-    diagnose.add_argument("--flight", default=None, metavar="FLIGHT.json",
-                          help="attach a recorded flight-recorder dump to "
-                               "the diagnosis (offline, any mode)")
-    diagnose.add_argument("--flight-output", default=None,
-                          metavar="FLIGHT.json",
-                          help="run with the flight recorder on and write "
-                               "its ring + dumps (live runs only)")
-    diagnose.set_defaults(fn=cmd_diagnose)
-
-    health = commands.add_parser(
-        "health",
-        help="replica health scores (rolling-window, with hysteresis) "
-             "and SLO rule status")
-    _add_common(health, format_extra=("prom",))
-    health.add_argument("--output", default=None, metavar="HEALTH.jsonl",
-                        help="also write health/SLO records as JSONL")
-    health.set_defaults(fn=cmd_health)
 
     fuzz = commands.add_parser(
         "fuzz",

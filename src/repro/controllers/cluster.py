@@ -53,7 +53,6 @@ class ControllerCluster:
         self.topology: Optional[Topology] = None
         self.proxies: Dict[int, ReplicatingProxy] = {}
         self._started = False
-        self._beacons_enabled = True
 
     # ------------------------------------------------------------------
     # Membership
@@ -192,12 +191,8 @@ class ControllerCluster:
             for app in controller.apps:
                 app.start()
         if (self.ha_mode == HaMode.ANY_CONTROLLER_ONE_MASTER
-                and self._beacons_enabled and self.size > 1):
+                and self.size > 1):
             self.sim.schedule(self.MASTERSHIP_BEACON_PERIOD_MS, self._mastership_beacons)
-
-    def disable_mastership_beacons(self) -> None:
-        """Turn off beacon chatter (microbenchmarks that isolate other traffic)."""
-        self._beacons_enabled = False
 
     def _mastership_beacons(self) -> None:
         """Periodic mastership request/notify chatter on the store channel."""

@@ -95,49 +95,3 @@ class AlarmLog:
         return [f"[{r.time_ms:9.1f} ms] {r.reason:<20} "
                 f"controller={r.offending_controller or '?':<4} {r.detail}"
                 for r in recent]
-
-
-# ----------------------------------------------------------------------
-# File round-trip (offline diagnosis: repro.obs.diagnose)
-# ----------------------------------------------------------------------
-
-def dump_alarm_log(log: AlarmLog, path: str) -> None:
-    """Write an alarm log as JSON lines (the ``to_jsonl`` encoding)."""
-    with open(path, "w", encoding="utf-8") as handle:
-        text = log.to_jsonl()
-        if text:
-            handle.write(text)
-            handle.write("\n")
-
-
-def load_alarm_records(path: str) -> List[AlarmRecord]:
-    """Read alarm records back from a JSONL file written by ``dump_alarm_log``.
-
-    Raises ``ValueError`` on malformed lines or missing fields, so CLI
-    callers can surface a usage error instead of a traceback.
-    """
-    records: List[AlarmRecord] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(
-                    f"{path}:{lineno}: not a JSON alarm record: {exc}") from exc
-            if not isinstance(payload, dict):
-                raise ValueError(
-                    f"{path}:{lineno}: alarm record must be an object")
-            try:
-                records.append(AlarmRecord(
-                    time_ms=float(payload["time_ms"]),
-                    reason=str(payload["reason"]),
-                    offending_controller=payload.get("offending_controller"),
-                    trigger_id=str(payload["trigger_id"]),
-                    detail=str(payload.get("detail", "")),
-                    n_responses=int(payload.get("n_responses", 0))))
-            except KeyError as exc:
-                raise ValueError(
-                    f"{path}:{lineno}: alarm record missing {exc}") from exc
-    return records

@@ -171,43 +171,38 @@ class JuryDeployment:
     # ------------------------------------------------------------------
     # Observability exports
     # ------------------------------------------------------------------
-    def trace_payload(self) -> Dict[str, object]:
-        """The recorded trace as a JSON-able payload (requires trace=True)."""
-        if self.tracer is None:
-            raise ValidationError(
-                "tracing is off — build with JuryConfig(trace=True)")
-        return self.tracer.to_payload()
+    def report(self) -> Dict[str, object]:
+        """The observability sections of a report, one per attached observer.
 
-    def metrics_snapshot(self) -> Dict[str, object]:
-        """Push metrics plus a fresh scrape of engine/deployment counters."""
-        if self.metrics is None:
-            raise ValidationError(
-                "metrics are off — build with JuryConfig(metrics=True)")
-        from repro.obs.metrics import collect_deployment
-        collect_deployment(self.metrics, self)
-        return self.metrics.snapshot()
-
-    def diagnose_payload(self) -> Dict[str, object]:
-        """All alarm explanations as a JSON-able diagnosis payload."""
-        if self.forensics is None:
-            raise ValidationError(
-                "diagnosis is off — build with JuryConfig(diagnose=True)")
-        from repro.obs.diagnose import export_explanations
-        return export_explanations(self.forensics.explanations())
-
-    def health_snapshot(self) -> Dict[str, object]:
-        """Replica health reports plus SLO statuses at the current time."""
-        if self.health is None:
-            raise ValidationError(
-                "health scoring is off — build with JuryConfig(health=True)")
-        payload = self.health.snapshot(self.sim.now)
-        if self.slo is not None and self.metrics is not None:
+        ``alarms`` (diagnose), ``health`` (replicas plus ``slo``),
+        ``metrics``, ``flight`` and ``trace``; a section whose observer is
+        off is absent. SLOs are evaluated once, before the flight section
+        is taken, so the ring records any breach they find.
+        """
+        now = self.sim.now
+        sections: Dict[str, object] = {}
+        if self.metrics is not None:
             from repro.obs.metrics import collect_deployment
             collect_deployment(self.metrics, self)
-            statuses = self.slo.evaluate(self.metrics, self.sim.now)
-            self._record_slo(statuses)
-            payload["slo"] = [status.to_dict() for status in statuses]
-        return payload
+        if self.forensics is not None:
+            from repro.obs.diagnose import export_explanations
+            sections["alarms"] = export_explanations(
+                self.forensics.explanations())
+        if self.health is not None:
+            replicas = self.health.snapshot(now)
+            if self.slo is not None and self.metrics is not None:
+                statuses = self.slo.evaluate(self.metrics, now)
+                self._record_slo(statuses)
+                replicas["slo"] = [status.to_dict() for status in statuses]
+            sections["health"] = replicas
+        if self.metrics is not None:
+            sections["metrics"] = self.metrics.snapshot()
+        if self.recorder is not None:
+            sections["flight"] = self.recorder.payload(now=now,
+                                                       metrics=self.metrics)
+        if self.tracer is not None:
+            sections["trace"] = self.tracer.to_payload()
+        return sections
 
     def _record_slo(self, statuses) -> None:
         """Feed SLO evaluations to the flight recorder; dump on breach."""
@@ -225,13 +220,6 @@ class JuryDeployment:
                                        f"threshold={status.threshold:.6g}")
         if breached:
             recorder.trigger("slo-breach", now)
-
-    def flight_payload(self) -> Dict[str, object]:
-        """Flight-recorder ring + dumps as a JSON-able payload."""
-        if self.recorder is None:
-            raise ValidationError(
-                "flight recording is off — build with JuryConfig(flight=True)")
-        return self.recorder.payload(now=self.sim.now, metrics=self.metrics)
 
     def prometheus_text(self) -> str:
         """Metrics/health/SLO state in the Prometheus text format."""

@@ -47,9 +47,9 @@ Engine/trace divergences additionally ship **artifacts** (PR 8): the
 diverging pair is re-run traced, the canonical traces are aligned with
 :func:`repro.obs.diff.diff_tracers`, and the violation detail names the
 first-divergence point; ``report.artifacts`` carries the full trace diff
-plus a flight-recorder dump of the diverging replay, so every surviving
-counterexample is triageable offline (``jury-repro trace-diff``,
-``jury-repro diagnose --flight``).
+plus a flight-recorder dump of the diverging replay (saved next to the
+corpus entry by ``jury-repro fuzz --save-failing``), so every surviving
+counterexample is triageable offline.
 
 A ``perturb`` knob applies a deterministic timeout delta to the pipeline
 replay at exactly one named shard count — a planted fire drill that must

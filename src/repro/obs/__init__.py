@@ -6,8 +6,8 @@ Two complementary views of the same pipeline:
   (intercept → replicate → ingest → Algorithm-1 checks with verdicts →
   alarm/accept), keyed on simulated time and deterministic under replay.
 * :class:`~repro.obs.metrics.MetricsRegistry` — counter/gauge/histogram
-  families (per-check verdicts, detection latency, per-shard queue and
-  batch behaviour) for aggregate health.
+  families (per-check verdicts, detection latency, replication fan-out
+  and byte counters) for aggregate health.
 
 Built on top of them, three diagnosis/health layers:
 
@@ -32,9 +32,12 @@ Production-shaped telemetry bounding (PR 8):
 
 All are strictly read-only observers of the validation path: enabling
 them cannot change a decision, and disabling them (``None``, the default)
-costs one branch per instrumented event. See ``docs/observability.md``
-for the span model, metric catalog, explanation schema, and health/SLO
-formulas.
+costs one branch per instrumented event. A deployment exports them
+together through :meth:`JuryDeployment.report
+<repro.core.deployment.JuryDeployment.report>`, one section per attached
+observer, and ``jury-repro report`` saves and renders that one artifact.
+See ``docs/observability.md`` for the span model, metric catalog,
+explanation schema, and health/SLO formulas.
 """
 
 from repro.obs.diagnose import (
@@ -45,7 +48,6 @@ from repro.obs.diagnose import (
     FieldDiff,
     diff_entries,
     explain_alarm,
-    explanations_from_files,
     export_explanations,
     find_explanation,
     render_explanations,
@@ -54,7 +56,6 @@ from repro.obs.diff import (
     DiffEntry,
     TraceDiff,
     diff_payloads,
-    diff_trace_files,
     diff_tracers,
     first_divergence_detail,
 )
@@ -83,8 +84,6 @@ from repro.obs.metrics import (
 )
 from repro.obs.recorder import (
     FlightRecorder,
-    dump_flight,
-    load_flight,
     render_flight,
 )
 from repro.obs.sampling import (
@@ -110,8 +109,6 @@ from repro.obs.trace import (
     Tracer,
     TriggerTimeline,
     active_tracer,
-    dump_trace,
-    load_trace,
     match_trigger_key,
     span_sort_key,
 )
@@ -159,20 +156,14 @@ __all__ = [
     "default_slo_rules",
     "diff_entries",
     "diff_payloads",
-    "diff_trace_files",
     "diff_tracers",
-    "dump_flight",
     "dump_metrics",
-    "dump_trace",
     "explain_alarm",
-    "explanations_from_files",
     "export_explanations",
     "find_explanation",
     "first_divergence_detail",
     "health_jsonl",
     "lint_prometheus_text",
-    "load_flight",
-    "load_trace",
     "match_trigger_key",
     "metrics_jsonl",
     "prometheus_text",

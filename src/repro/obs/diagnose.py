@@ -23,14 +23,14 @@ state, even one attribute deep). The forensics object is a pure observer
 behind the same ``None`` fast path as the tracer and the metrics registry;
 it never schedules events, draws randomness, or mutates validator state.
 
-``explanations_from_files`` rebuilds (degraded) explanations offline from a
-recorded trace + alarm-log pair, for post-mortem use when the live run did
-not have forensics enabled.
+Offline, explanations come back from the ``alarms`` section of a saved
+``jury-repro report`` file through :meth:`AlarmExplanation.from_dict`, so
+the same :meth:`~AlarmExplanation.render`, :func:`render_explanations` and
+:func:`find_explanation` serve a live run and a post-mortem alike.
 """
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -170,8 +170,7 @@ class AlarmExplanation:
     detail: str = ""
     external: Optional[bool] = None
     n_responses: int = 0
-    #: ``live`` when built from DecisionCore evidence at decision time,
-    #: ``offline`` when reconstructed from trace + alarm-log files.
+    #: ``live`` when built from DecisionCore evidence at decision time.
     source: str = "live"
 
     def to_dict(self) -> Dict[str, object]:
@@ -184,6 +183,19 @@ class AlarmExplanation:
                 value = list(value)
             payload[spec.name] = value
         return payload
+
+    @classmethod
+    def from_dict(cls, payload: Dict[str, object]) -> "AlarmExplanation":
+        """Inverse of :meth:`to_dict`; other keys (the export ``id``) are
+        ignored."""
+        values = {spec.name: payload[spec.name] for spec in fields(cls)
+                  if spec.name in payload}
+        for name in ("cache_diffs", "network_diffs"):
+            values[name] = tuple(FieldDiff(**diff)
+                                 for diff in values.get(name, ()))
+        for name in ("dissenting_replicas", "agreeing_replicas"):
+            values[name] = tuple(values.get(name, ()))
+        return cls(**values)
 
     def render(self, explanation_id: str = "") -> str:
         """Human-readable report block (deterministic)."""
@@ -443,66 +455,3 @@ def render_explanations(
     blocks = [explanation.render(explanation_id(index))
               for index, explanation in enumerate(explanations)]
     return "\n\n".join(blocks)
-
-
-# ----------------------------------------------------------------------
-# Offline reconstruction from recorded trace + alarm-log files
-# ----------------------------------------------------------------------
-
-def explanations_from_files(alarm_log_path: str,
-                            trace_path: Optional[str] = None
-                            ) -> List[AlarmExplanation]:
-    """Rebuild (degraded) explanations from recorded run artifacts.
-
-    The alarm log carries reason/offender/detail per alarm; the optional
-    trace adds the external/internal classification and response count from
-    the trigger's DECIDE span. Response vectors are not recorded, so the
-    offline path cannot reproduce per-field diffs — records carry
-    ``source="offline"`` to make the degradation explicit.
-    """
-    from repro.core.alarm_log import load_alarm_records
-    from repro.obs.trace import load_trace
-
-    records = load_alarm_records(alarm_log_path)
-    decide_attrs: Dict[str, Dict[str, str]] = {}
-    if trace_path is not None:
-        tracer = load_trace(trace_path)
-        for span in tracer.spans:
-            if span.stage == "decide":
-                decide_attrs[repr(span.trigger_id)] = dict(span.attrs)
-    explanations: List[AlarmExplanation] = []
-    for record in records:
-        reason = AlarmReason(record.reason)
-        trigger = record.trigger_id
-        attrs = decide_attrs.get(trigger, {})
-        external: Optional[bool] = None
-        if "external" in attrs:
-            value = attrs["external"]  # bool live, may round-trip via JSON
-            external = value if isinstance(value, bool) \
-                else str(value) == "True"
-        offender = record.offending_controller or ""
-        explanations.append(AlarmExplanation(
-            trigger_id=trigger,
-            raised_at=record.time_ms,
-            reason=reason.value,
-            failed_check=CHECK_BY_REASON[reason],
-            fault_class=FAULT_CLASS_BY_REASON[reason],
-            offending_controller=offender,
-            dissenting_replicas=(offender,) if offender else (),
-            policy_rule=(record.detail
-                         if reason is AlarmReason.POLICY_VIOLATION else ""),
-            detail=record.detail,
-            external=external,
-            n_responses=record.n_responses,
-            source="offline"))
-    keyed = sorted(
-        ((explanation.raised_at, explanation.trigger_id, index), explanation)
-        for index, explanation in enumerate(explanations))
-    return [explanation for _, explanation in keyed]
-
-
-def dump_diagnosis(payload: Dict[str, object], path: str) -> None:
-    """Write a diagnosis payload (stable JSON) to ``path``."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")

@@ -170,12 +170,6 @@ def diff_payloads(left: Dict[str, object],
     return diff_tracers(Tracer.from_payload(left), Tracer.from_payload(right))
 
 
-def diff_trace_files(left_path: str, right_path: str) -> TraceDiff:
-    """Diff two trace JSON files written by ``jury-repro trace --output``."""
-    from repro.obs.trace import load_trace
-    return diff_tracers(load_trace(left_path), load_trace(right_path))
-
-
 def first_divergence_detail(diff: TraceDiff) -> str:
     """One-line first-divergence summary for violation details."""
     first = diff.first_divergence

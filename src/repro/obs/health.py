@@ -115,14 +115,6 @@ class ReplicaHealthTracker:
                                   if a.offending_controller}))
         self._decisions.append((now, responders, offenders, timed_out))
 
-    @property
-    def response_events(self) -> int:
-        return len(self._responses)
-
-    @property
-    def decision_events(self) -> int:
-        return len(self._decisions)
-
     # ------------------------------------------------------------------
     # Pure evaluation
     # ------------------------------------------------------------------

@@ -203,11 +203,13 @@ class MetricsRegistry:
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
 
-    def rows(self) -> List[List[str]]:
-        """``[metric, type, value]`` rows for the human reporter."""
-        return [[name, entry["type"], json.dumps(entry["value"], sort_keys=True)
-                 if isinstance(entry["value"], dict) else str(entry["value"])]
-                for name, entry in self.snapshot().items()]
+
+
+def snapshot_rows(snapshot: Dict[str, Dict]) -> List[List[str]]:
+    """``[metric, type, value]`` rows of a :meth:`MetricsRegistry.snapshot`."""
+    return [[name, entry["type"], json.dumps(entry["value"], sort_keys=True)
+             if isinstance(entry["value"], dict) else str(entry["value"])]
+            for name, entry in snapshot.items()]
 
 
 # ----------------------------------------------------------------------

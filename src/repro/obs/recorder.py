@@ -15,8 +15,8 @@ only materialises output when something goes wrong.
   invariant failure — :meth:`trigger` freezes a copy of the ring into a
   **dump**: a JSON-able payload stamped with the simulated
   time and the reason. Dumps are kept in a bounded list (oldest evicted)
-  and written to disk with :func:`dump_flight` /
-  :meth:`FlightRecorder.payload`.
+  and exported with :meth:`FlightRecorder.payload` (the ``flight``
+  section of ``jury-repro report``).
 * Determinism: events carry only simulated time and decision facts (no
   wall clock, no object ids), and the JSON rendering sorts keys — two
   runs of the same scenario produce byte-identical dumps, which the test
@@ -25,9 +25,9 @@ only materialises output when something goes wrong.
   randomness; decision code feeds it only through :meth:`record` and
   :meth:`trigger`.
 
-Offline, a dump attaches to ``jury-repro diagnose --flight`` and to the
-fuzz oracle's counterexample artifacts, so a surviving counterexample
-ships with the event window around its violation.
+A report carries the payload, and the fuzz oracle attaches it to its
+counterexample artifacts, so a surviving counterexample ships with the
+event window around its violation.
 """
 
 from __future__ import annotations
@@ -154,25 +154,8 @@ class FlightRecorder:
                           indent=indent, sort_keys=True)
 
 
-def dump_flight(recorder: FlightRecorder, path: str, now: float = 0.0,
-                metrics=None) -> None:
-    """Write a flight payload as JSON (stable key order, trailing newline)."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(recorder.to_json(now, metrics=metrics))
-        handle.write("\n")
-
-
-def load_flight(path: str) -> Dict[str, object]:
-    """Read a flight payload written by :func:`dump_flight`."""
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if payload.get("format") != FLIGHT_FORMAT:
-        raise ValueError("not a jury-flight payload")
-    return payload
-
-
 def render_flight(payload: Dict[str, object], limit: int = 20) -> str:
-    """Human rendering of a flight payload's tail (CLI / diagnose attach)."""
+    """Human rendering of a flight payload's tail (``jury-repro report``)."""
     lines = [f"flight recorder: {payload.get('events_recorded', 0)} events "
              f"recorded, {payload.get('dumps_triggered', 0)} dumps, "
              f"ring {len(payload.get('ring', []))}/"

@@ -40,7 +40,6 @@ normalised to "no tracer" by :func:`active_tracer`.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -286,7 +285,7 @@ class Tracer:
         return "\n".join(map(_line, ordered)).encode("utf-8")
 
     def to_payload(self) -> Dict[str, object]:
-        """JSON-able export (``jury-repro trace --output``)."""
+        """JSON-able export (the ``trace`` section of ``jury-repro report``)."""
         ordered = sorted(self._rows, key=_row_key)
         return {
             "format": "jury-trace",
@@ -305,9 +304,6 @@ class Tracer:
                 for at, trigger_id, stage, verdict, detail, attrs in ordered
             ],
         }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_payload(), indent=indent, sort_keys=True)
 
     @staticmethod
     def from_payload(payload: Dict[str, object]) -> "Tracer":
@@ -416,19 +412,6 @@ class TriggerTimeline:
                          span.verdict if span.verdict is not None else "-",
                          detail])
         return rows
-
-
-def load_trace(path: str) -> Tracer:
-    """Read a trace JSON file written by ``jury-repro trace --output``."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return Tracer.from_payload(json.load(handle))
-
-
-def dump_trace(tracer: Tracer, path: str) -> None:
-    """Write a trace JSON file (stable key order, trailing newline)."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(tracer.to_json())
-        handle.write("\n")
 
 
 def match_trigger_key(tracer: Tracer, query: str) -> Optional[str]:

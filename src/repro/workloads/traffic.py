@@ -95,13 +95,6 @@ class TrafficDriver:
             self.sim.schedule(self._churn_gap(self.link_churn_rate_per_s),
                               self._link_churn)
 
-    def warmup_arp(self) -> None:
-        """Each host ARPs its neighbour so controllers learn every location."""
-        hosts = self._hosts
-        for index, host in enumerate(hosts):
-            target = hosts[(index + 1) % len(hosts)]
-            self.sim.schedule(index * 2.0, host.send_arp_request, target.ip)
-
     # ------------------------------------------------------------------
     def _next_gap(self) -> float:
         rate = self.connection_rate_per_ms

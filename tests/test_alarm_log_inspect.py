@@ -11,6 +11,7 @@ from repro.faults.base import run_scenario
 from repro.api import Jury
 from repro.config import JuryConfig
 from repro.harness.inspect import (
+    cluster_section,
     controller_summary,
     jury_summary,
     render_report,
@@ -122,7 +123,7 @@ def test_jury_summary_vanilla():
 
 def test_render_report(alarmed_experiment):
     experiment, log, stream = alarmed_experiment
-    report = render_report(experiment)
+    report = render_report(cluster_section(experiment))
     assert "Controllers" in report
     assert "JURY: k=4" in report
     assert "Store:" in report

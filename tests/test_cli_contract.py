@@ -61,11 +61,9 @@ def _commands(tmp_path: Path):
                        "--switches", "4", "--rate", "500",
                        "--duration", "300", "--seed", "5"],
         "detection": ["detection"] + _SMALL,
-        "trace": ["trace"] + _SMALL,
-        "metrics": ["metrics"] + _SMALL,
-        "diagnose": ["diagnose", "--fault", "link-failure", "--nodes", "5",
-                     "-k", "4", "--switches", "6", "--seed", "4"],
-        "health": ["health"] + _SMALL,
+        "report": ["report"] + _SMALL,
+        "report-fault": ["report", "--fault", "link-failure", "--nodes", "5",
+                         "-k", "4", "--switches", "6", "--seed", "4"],
         "fuzz": ["fuzz", "--seed", "8", "--runs", "1", "--no-shrink"],
         "list-faults": ["list-faults"],
         "analyze": ["analyze", str(clean)],
@@ -158,16 +156,33 @@ def _bad_config_invalid_json(tmp_path):
     return ["validate", "--config", str(path)]
 
 
+def _report_input_not_a_report(tmp_path):
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps({"format": "jury-trace", "spans": []}))
+    return ["report", "--input", str(path)]
+
+
+def _report_input_with_fault(tmp_path):
+    return ["report", "--input", str(tmp_path / "R.json"),
+            "--fault", "link-failure"]
+
+
 @pytest.mark.parametrize("make_argv,needle", [
     (lambda _: ["faults", "no-such-fault"], "unknown fault"),
-    (lambda _: ["diagnose", "--fault", "no-such-fault"], "unknown fault"),
+    (lambda _: ["report", "--fault", "no-such-fault"], "unknown fault"),
+    (lambda tmp: ["report", "--input", str(tmp / "missing.json")],
+     "report:"),
+    (_report_input_not_a_report, "not a jury-report file"),
+    (_report_input_with_fault, "cannot be combined with --fault"),
     (lambda _: ["analyze", "no_such_dir_zzz"], ""),
     (_bad_config_missing, "--config"),
     (_bad_config_unknown_key, "did you mean 'switches'"),
     (_bad_config_invalid_json, "invalid JSON"),
     (lambda _: ["validate", "--pipeline", "2"], "--pipeline"),
     (lambda _: ["soak", "--pipeline", "2"], "--pipeline"),
-], ids=["unknown-fault", "unknown-diagnose-fault", "missing-analyze-path",
+], ids=["unknown-fault", "unknown-report-fault", "report-missing-input",
+        "report-non-report-input", "report-input-with-fault",
+        "missing-analyze-path",
         "config-missing-file", "config-unknown-key", "config-invalid-json",
         "removed-validate-pipeline", "removed-soak-pipeline"])
 def test_usage_errors_exit_2_with_stderr_message(tmp_path, capsys,
@@ -188,6 +203,16 @@ def test_removed_bench_command_exits_2(capsys):
         main(["bench", "validator"])
     assert exc.value.code == 2
     assert "bench" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["trace", "metrics", "diagnose",
+                                     "health"])
+def test_removed_observability_commands_exit_2(capsys, command):
+    # `report` replaced all four; there is no alias.
+    with pytest.raises(SystemExit) as exc:
+        main([command])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

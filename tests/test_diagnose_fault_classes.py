@@ -77,7 +77,7 @@ def test_explanation_names_the_faulty_replica():
 def test_diagnose_payload_covers_every_alarm():
     scenario = LinkFailureFault(1, 2)
     alarm, _, experiment = _run(scenario)
-    payload = experiment.jury.diagnose_payload()
+    payload = experiment.jury.report()["alarms"]
     assert payload["alarm_count"] == len(experiment.jury.alarms)
     ids = [entry["id"] for entry in payload["alarms"]]
     assert ids == sorted(ids) and len(set(ids)) == len(ids)

@@ -111,12 +111,12 @@ def test_flight_and_sampler_wire_through_the_deployment():
     assert jury.recorder is not None
     assert jury.validator.observer.recorder is jury.recorder
     assert jury.validator.observer.sampler is jury.sampler
-    payload = jury.flight_payload()
-    assert payload["format"] == "jury-flight"
+    payload = jury.report()
+    assert sorted(payload) == ["flight", "metrics"]
+    assert payload["flight"]["format"] == "jury-flight"
     plain = Jury.build(JuryConfig(k=K, n=N, switches=6, seed=26))
     assert plain.recorder is None and plain.sampler is None
-    with pytest.raises(ValidationError):
-        plain.flight_payload()
+    assert plain.report() == {}
 
 
 # ----------------------------------------------------------------------
@@ -148,15 +148,15 @@ def test_build_wires_observability_through_the_stack():
     for replicator in jury.replicators.values():
         assert replicator.observer is jury.validator.observer
         assert replicator.observer.tracer is jury.tracer
-    snapshot = jury.metrics_snapshot()
+    payload = jury.report()
+    assert sorted(payload) == ["metrics", "trace"]
+    snapshot = payload["metrics"]
     assert snapshot and not any(name.startswith("pipeline_")
                                 for name in snapshot)
+    assert payload["trace"]["format"] == "jury-trace"
     off = Jury.build(JuryConfig(k=K, n=N, switches=6, seed=24))
     assert off.tracer is None and off.metrics is None
-    with pytest.raises(ValidationError):
-        off.trace_payload()
-    with pytest.raises(ValidationError):
-        off.metrics_snapshot()
+    assert off.report() == {}
 
 
 # ----------------------------------------------------------------------

@@ -4,22 +4,21 @@ import json
 
 import pytest
 
-from repro.core.alarm_log import AlarmLog, dump_alarm_log
 from repro.core.alarms import AlarmReason, canonical_alarm_stream
 from repro.faults.base import run_scenario
 from repro.faults.synthetic import LinkFailureFault
 from repro.obs.diagnose import (
     CHECK_BY_REASON,
     FAULT_CLASS_BY_REASON,
+    AlarmExplanation,
     FieldDiff,
     diff_entries,
     explanation_id,
-    explanations_from_files,
     export_explanations,
     find_explanation,
     render_explanations,
 )
-from repro.obs.trace import dump_trace
+from repro.harness.inspect import load_report
 from repro import Jury, JuryConfig
 
 
@@ -84,14 +83,13 @@ def fault_run():
         kind="onos", n=5, k=4, switches=8, seed=5, timeout_ms=250.0,
         policies=("default",), with_northbound=True, diagnose=True))
     experiment.warmup()
-    log = AlarmLog(experiment.validator)
     result = run_scenario(experiment, LinkFailureFault(1, 2))
     assert result.detected
-    return experiment, log
+    return experiment
 
 
 def test_every_alarm_gets_an_explanation(fault_run):
-    experiment, _ = fault_run
+    experiment = fault_run
     alarms = experiment.jury.alarms
     forensics = experiment.jury.forensics
     assert alarms
@@ -106,7 +104,7 @@ def test_every_alarm_gets_an_explanation(fault_run):
 
 
 def test_consensus_explanations_carry_field_diffs(fault_run):
-    experiment, _ = fault_run
+    experiment = fault_run
     forensics = experiment.jury.forensics
     consensus = [forensics.explanation_for(a) for a in experiment.jury.alarms
                  if a.reason is AlarmReason.CONSENSUS_MISMATCH]
@@ -127,7 +125,7 @@ def test_forensics_never_mutates_alarm_objects(fault_run):
     """
     import dataclasses
 
-    experiment, _ = fault_run
+    experiment = fault_run
     field_names = {f.name for f in dataclasses.fields(
         type(experiment.jury.alarms[0]))}
     assert "explanation" not in field_names
@@ -139,7 +137,7 @@ def test_forensics_never_mutates_alarm_objects(fault_run):
 
 
 def test_export_ids_and_json_round_trip(fault_run):
-    experiment, _ = fault_run
+    experiment = fault_run
     explanations = experiment.jury.forensics.explanations()
     payload = export_explanations(explanations)
     assert payload["format"] == "jury-diagnose"
@@ -152,7 +150,7 @@ def test_export_ids_and_json_round_trip(fault_run):
 
 
 def test_find_explanation_by_id_shorthand_and_substring(fault_run):
-    experiment, _ = fault_run
+    experiment = fault_run
     explanations = experiment.jury.forensics.explanations()
     assert find_explanation(explanations, "a0001")[0] == "A0001"
     trigger = explanations[0].trigger_id
@@ -162,7 +160,7 @@ def test_find_explanation_by_id_shorthand_and_substring(fault_run):
 
 
 def test_render_explanations_is_deterministic(fault_run):
-    experiment, _ = fault_run
+    experiment = fault_run
     explanations = experiment.jury.forensics.explanations()
     text = render_explanations(explanations)
     assert text == render_explanations(explanations)
@@ -174,46 +172,25 @@ def test_render_explanations_is_deterministic(fault_run):
 # Offline reconstruction
 # ----------------------------------------------------------------------
 
-def test_offline_reconstruction_matches_live_verdicts(fault_run, tmp_path):
-    experiment, log = fault_run
-    alarm_path = tmp_path / "alarms.jsonl"
-    dump_alarm_log(log, str(alarm_path))
-    offline = explanations_from_files(str(alarm_path))
-    live = experiment.jury.forensics.explanations()
-    assert len(offline) == len(live)
-    for off, lv in zip(offline, live):
-        assert off.source == "offline"
-        assert (off.trigger_id, off.reason, off.failed_check,
-                off.fault_class, off.offending_controller) \
-            == (lv.trigger_id, lv.reason, lv.failed_check,
-                lv.fault_class, lv.offending_controller)
+def test_offline_reconstruction_matches_live_verdicts(fault_run):
+    # A saved report's alarms section rebuilds the live explanations
+    # exactly: same records, same rendering, same lookups.
+    live = fault_run.jury.forensics.explanations()
+    saved = json.loads(json.dumps(export_explanations(live)))
+    offline = [AlarmExplanation.from_dict(entry) for entry in saved["alarms"]]
+    assert offline == live
+    assert render_explanations(offline) == render_explanations(live)
+    assert find_explanation(offline, "A0001") == ("A0001", offline[0])
 
 
-def test_offline_with_trace_recovers_externality(tmp_path):
-    experiment = Jury.experiment(JuryConfig(
-        kind="onos", n=5, k=4, switches=8, seed=6, timeout_ms=250.0,
-        policies=("default",), with_northbound=True,
-        diagnose=True, trace=True))
-    experiment.warmup()
-    log = AlarmLog(experiment.validator)
-    result = run_scenario(experiment, LinkFailureFault(1, 2))
-    assert result.detected
-    alarm_path = tmp_path / "alarms.jsonl"
-    trace_path = tmp_path / "trace.json"
-    dump_alarm_log(log, str(alarm_path))
-    dump_trace(experiment.jury.tracer, str(trace_path))
-    offline = explanations_from_files(str(alarm_path),
-                                      trace_path=str(trace_path))
-    live = experiment.jury.forensics.explanations()
-    assert [o.external for o in offline] == [l.external for l in live]
-
-
-def test_offline_rejects_malformed_alarm_log(tmp_path):
-    bad = tmp_path / "alarms.jsonl"
-    bad.write_text('{"time_ms": 1.0}\n', encoding="utf-8")
-    with pytest.raises(ValueError):
-        explanations_from_files(str(bad))
-    garbage = tmp_path / "garbage.jsonl"
+def test_offline_rejects_malformed_report(tmp_path):
+    garbage = tmp_path / "garbage.json"
     garbage.write_text("not json\n", encoding="utf-8")
-    with pytest.raises(ValueError):
-        explanations_from_files(str(garbage))
+    with pytest.raises(ValueError, match="not JSON"):
+        load_report(str(garbage))
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps({"format": "jury-trace"}), encoding="utf-8")
+    with pytest.raises(ValueError, match="not a jury-report file"):
+        load_report(str(trace))
+    with pytest.raises(TypeError):
+        AlarmExplanation.from_dict({"raised_at": 1.0})

@@ -27,9 +27,9 @@ from repro.core.timeouts import StaticTimeout
 from repro.core.validator import Validator
 from repro.faults.injector import default_policy_engine
 from repro.fuzz import DifferentialOracle
+from repro.harness.inspect import REPORT_FORMAT, REPORT_VERSION, load_report
 from repro.obs.diff import (
     diff_payloads,
-    diff_trace_files,
     diff_tracers,
     first_divergence_detail,
 )
@@ -37,12 +37,10 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import (
     FLIGHT_FORMAT,
     FlightRecorder,
-    dump_flight,
-    load_flight,
     render_flight,
 )
 from repro.obs.sampling import HeadSampler, active_sampler
-from repro.obs.trace import Tracer, dump_trace
+from repro.obs.trace import Tracer
 
 
 # ----------------------------------------------------------------------
@@ -150,16 +148,14 @@ def test_recorder_rejects_degenerate_capacity():
         FlightRecorder(max_dumps=0)
 
 
-def test_flight_payload_roundtrip_and_render(tmp_path):
+def test_flight_payload_roundtrip_and_render():
     recorder = FlightRecorder(capacity=8)
     recorder.record(1.5, "decision", ("ext", 1), verdict="ok", n=3)
     recorder.record(2.5, "alarm", ("ext", 2), verdict="primary_omission")
     recorder.trigger("alarm", 2.5)
     metrics = MetricsRegistry()
     metrics.counter("validator_alarms_total").inc()
-    path = tmp_path / "FLIGHT.json"
-    dump_flight(recorder, str(path), now=3.0, metrics=metrics)
-    payload = load_flight(str(path))
+    payload = json.loads(recorder.to_json(now=3.0, metrics=metrics))
     assert payload["format"] == FLIGHT_FORMAT
     assert payload["exported_at"] == 3.0
     assert payload["events_recorded"] == 2
@@ -168,13 +164,6 @@ def test_flight_payload_roundtrip_and_render(tmp_path):
     human = render_flight(payload)
     assert "reason=alarm" in human
     assert "primary_omission" in human
-
-
-def test_load_flight_rejects_non_flight_json(tmp_path):
-    path = tmp_path / "not-flight.json"
-    path.write_text(json.dumps({"format": "jury-trace"}))
-    with pytest.raises(ValueError, match="jury-flight"):
-        load_flight(str(path))
 
 
 # ----------------------------------------------------------------------
@@ -320,13 +309,22 @@ def test_diff_ignores_engine_plumbing_spans():
         "canonical comparisons exclude engine:* spans; so must the diff"
 
 
+def _write_report(path, tracer=None):
+    """A minimal report file: the header plus, optionally, a trace."""
+    payload = {"format": REPORT_FORMAT, "version": REPORT_VERSION}
+    if tracer is not None:
+        payload["trace"] = tracer.to_payload()
+    path.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+    return str(path)
+
+
 def test_diff_trace_files_roundtrip(tmp_path, faulted_live):
     tracer = Tracer()
     _replay(faulted_live, tracer=tracer)
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    dump_trace(tracer, str(a))
-    dump_trace(tracer, str(b))
-    assert diff_trace_files(str(a), str(b)).identical
+    a = _write_report(tmp_path / "a.json", tracer)
+    b = _write_report(tmp_path / "b.json", tracer)
+    assert diff_payloads(load_report(a)["trace"],
+                         load_report(b)["trace"]).identical
     assert diff_payloads(tracer.to_payload(), tracer.to_payload()).identical
 
 
@@ -340,11 +338,8 @@ def trace_files(tmp_path, faulted_live):
     _replay(faulted_live, tracer=left)
     _replay(faulted_live, tracer=right,
             sampler=HeadSampler(16))  # sampled => genuinely different trace
-    a = tmp_path / "left.json"
-    b = tmp_path / "right.json"
-    dump_trace(left, str(a))
-    dump_trace(right, str(b))
-    return str(a), str(b)
+    return (_write_report(tmp_path / "left.json", left),
+            _write_report(tmp_path / "right.json", right))
 
 
 def test_cli_trace_diff_self_is_empty_and_exits_zero(trace_files, capsys):
@@ -370,3 +365,10 @@ def test_cli_trace_diff_unreadable_file_is_usage_error(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert main(["trace-diff", missing, missing]) == 2
     assert "trace-diff" in capsys.readouterr().err
+
+
+def test_cli_trace_diff_needs_a_trace_section(tmp_path, capsys):
+    from repro.cli import main
+    bare = _write_report(tmp_path / "bare.json")
+    assert main(["trace-diff", bare, bare]) == 2
+    assert "no trace section" in capsys.readouterr().err

@@ -17,6 +17,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     dump_metrics,
+    snapshot_rows,
 )
 from repro.obs.trace import ACCEPT, ALARM, DECIDE, INGEST, LATE_DROP, Tracer
 from repro.sim.simulator import Simulator
@@ -77,7 +78,7 @@ def test_snapshot_is_deterministic_across_feed_order():
     assert first.snapshot() == second.snapshot()
     assert first.to_json() == second.to_json()
     assert "a_total{x=1}" in first.snapshot()
-    assert len(first.rows()) == 2
+    assert len(snapshot_rows(first.snapshot())) == 2
 
 
 # ----------------------------------------------------------------------
