@@ -9,7 +9,9 @@ single bad window cannot flap the flag.
 
 The tracker is an order-independent pure function of its event log. The
 hooks called from the hot path (:meth:`record_response`,
-:meth:`record_decision`) only append raw time-stamped events; every derived
+:meth:`record_decision`) only append raw time-stamped events, as machine
+words in :mod:`array` columns so the log never feeds the garbage
+collector; every derived
 number comes out of :meth:`evaluate`, which sorts the events and replays
 fixed window boundaries from t=0. Because sorting erases arrival-order
 differences, the sequential validator and the sharded pipeline produce
@@ -25,7 +27,9 @@ p95 and late-drop rate — on simulated time.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -92,12 +96,15 @@ class ReplicaHealthTracker:
         self.clear_after = max(1, clear_after)
         self.lag_budget_ms = lag_budget_ms
         self.weights = weights
-        #: Raw event logs: appended from the hot path, never read there.
-        #: (time, controller, lag or None)
-        self._responses: List[Tuple[float, str, Optional[float]]] = []
-        #: (time, responders, offenders, timed_out)
-        self._decisions: List[
-            Tuple[float, Tuple[str, ...], Tuple[str, ...], bool]] = []
+        #: Raw event logs as columns, appended from the hot path: a response
+        #: is time, controller ordinal and lag (NaN for none); a decision is
+        #: time and the ordinal of (responders, offenders, timed_out). The
+        #: ordinals key on values plus types (a plain ``str`` on itself).
+        self._response_at, self._response_lag = array("d"), array("d")
+        self._response_controller = array("q")
+        self._controllers = _Ordinals()
+        self._decision_at, self._decision_shape = array("d"), array("q")
+        self._decision_shapes = _Ordinals()
 
     # ------------------------------------------------------------------
     # Hot-path hooks (append-only)
@@ -105,7 +112,11 @@ class ReplicaHealthTracker:
     def record_response(self, now: float, controller_id: str,
                         lag_ms: Optional[float] = None) -> None:
         """One response ingested by the validator (engine-level, pre-queue)."""
-        self._responses.append((now, controller_id, lag_ms))
+        self._response_at.append(now)
+        self._response_controller.append(self._controllers[
+            controller_id if type(controller_id) is str
+            else (controller_id, type(controller_id))])
+        self._response_lag.append(_NO_LAG if lag_ms is None else lag_ms)
 
     def record_decision(self, now: float, responses: Sequence,
                         alarms: Sequence, timed_out: bool) -> None:
@@ -113,7 +124,10 @@ class ReplicaHealthTracker:
         responders = tuple(sorted({r.controller_id for r in responses}))
         offenders = tuple(sorted({a.offending_controller for a in alarms
                                   if a.offending_controller}))
-        self._decisions.append((now, responders, offenders, timed_out))
+        self._decision_at.append(now)
+        self._decision_shape.append(self._decision_shapes[
+            responders, offenders, timed_out, *map(type, responders),
+            *map(type, offenders), type(timed_out)])
 
     # ------------------------------------------------------------------
     # Pure evaluation
@@ -127,10 +141,10 @@ class ReplicaHealthTracker:
         """
         from repro.harness.metrics import percentile
 
-        responses = sorted(
-            self._responses,
-            key=lambda e: (e[0], e[1], -1.0 if e[2] is None else e[2]))
-        decisions = sorted(self._decisions)
+        responses, decisions = self._events()
+        responses = sorted(responses, key=lambda e: (
+            e[0], e[1], -1.0 if e[2] is None else e[2]))
+        decisions = sorted(decisions)
         response_times = [event[0] for event in responses]
         decision_times = [event[0] for event in decisions]
 
@@ -141,13 +155,10 @@ class ReplicaHealthTracker:
         replicas = sorted(set(first_seen)
                           | {cid for _, responders, offenders, _ in decisions
                              for cid in responders + offenders})
-        totals_responses = {cid: 0 for cid in replicas}
-        for _, cid, _ in responses:
-            totals_responses[cid] = totals_responses.get(cid, 0) + 1
-        totals_decisions = {cid: 0 for cid in replicas}
-        for _, responders, offenders, _ in decisions:
-            for cid in set(responders) | set(offenders):
-                totals_decisions[cid] = totals_decisions.get(cid, 0) + 1
+        totals_responses = Counter(cid for _, cid, _ in responses)
+        totals_decisions = Counter(
+            cid for _, responders, offenders, _ in decisions
+            for cid in set(responders) | set(offenders))
 
         hysteresis = {cid: _HysteresisState() for cid in replicas}
         last_window: Dict[str, _ReplicaWindow] = {
@@ -198,6 +209,19 @@ class ReplicaHealthTracker:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _events(self) -> Tuple[list, list]:
+        """The logs in arrival order, as ``(time, controller, lag or None)``
+        and ``(time, responders, offenders, timed_out)`` rows."""
+        controllers = [key if type(key) is str else key[0]
+                       for key in self._controllers]
+        shapes = [key[:3] for key in self._decision_shapes]
+        return ([*zip(self._response_at,
+                      map(controllers.__getitem__, self._response_controller),
+                      (None if lag != lag else lag
+                       for lag in self._response_lag))],
+                [(at, *shapes[shape]) for at, shape in
+                 zip(self._decision_at, self._decision_shape)])
+
     def _window_stats(self, boundary, responses, decisions,
                       response_times, decision_times, first_seen, replicas):
         lo = bisect_left(response_times, boundary - self.window_ms)
@@ -257,6 +281,19 @@ class ReplicaHealthTracker:
             # Dead band: neither streak advances — that is the hysteresis.
             state.suspect_streak = 0
             state.clear_streak = 0
+
+
+_NO_LAG = float("nan")  #: the response log's "no lag" (a lag is never NaN)
+
+
+class _Ordinals(dict):
+    """Ordinal of each distinct key, numbered in first-seen order."""
+
+    __slots__ = ()
+
+    def __missing__(self, key) -> int:
+        ordinal = self[key] = len(self)
+        return ordinal
 
 
 def _ratio(numerator: float, denominator: float) -> float:

@@ -12,10 +12,11 @@ once per event.
 
 Metric instruments are asked of the registry on first update (not before:
 an unused one would export as a zero) and kept, so a later update is one
-dict hit. Everything else is looked up per call (``tracer.emit``,
-``health.record_*``, ``forensics.observe_decision``): an instance-level
-wrapper on one sees every call. Nothing here schedules events, reads a
-clock or touches engine state, so the alarm stream is byte-identical
+dict hit; so are the span shapes of ``ingest``, ``decide``, ``check:*``
+and ``accept``, recorded with ``tracer.record`` (rarer stages call
+``tracer.emit``). Hooks are looked up per call, so an instance-level
+wrapper sees every call to its hook. Nothing here schedules events, reads
+a clock or touches engine state, so the alarm stream is byte-identical
 whichever subscribers are attached.
 """
 
@@ -76,12 +77,37 @@ class _Instruments(dict):
         return instrument
 
 
+_ACCEPT = (obs_trace.ACCEPT, VERDICT_OK, "", str, str)  #: its _Shapes key
+
+
+class _Shapes(dict):
+    """Tracer shape ordinals of the hot stages, by ``(stage, verdict,
+    detail, *attr values, *types of those that vary)``."""
+
+    #: Attr names per stage, in key order; other stages carry none.
+    ATTRS = {obs_trace.INGEST: ("kind", "controller"),
+             obs_trace.DECIDE: ("external", "n_responses")}
+    __slots__ = ("tracer",)
+
+    def __init__(self, tracer) -> None:
+        super().__init__()
+        self.tracer = tracer
+
+    def __missing__(self, key):
+        stage, verdict, detail = key[:3]
+        attrs = dict(zip(self.ATTRS.get(stage, ()), key[3:]))
+        shape = self.tracer.shape(stage, verdict, detail, attrs)
+        if obs_trace.internable(stage, verdict, detail, *attrs.values()):
+            self[key] = shape
+        return shape
+
+
 class Observer:
     """The subscribers behind one event API (see the module docstring)."""
 
     _SUBSCRIBERS = ("tracer", "metrics", "forensics", "health", "recorder",
                     "sink")
-    __slots__ = _SUBSCRIBERS + ("sampler", "_instruments")
+    __slots__ = _SUBSCRIBERS + ("sampler", "_instruments", "_shapes")
 
     def __init__(self, tracer=None, metrics=None, forensics=None, health=None,
                  sampler=None, recorder=None, sink=None):
@@ -93,6 +119,8 @@ class Observer:
         self.recorder = recorder
         self.sink = sink
         self._instruments = None if metrics is None else _Instruments(metrics)
+        self._shapes = (None if self.tracer is None
+                        else _Shapes(self.tracer))
 
     @classmethod
     def build(cls, **subscribers) -> Optional["Observer"]:
@@ -138,8 +166,10 @@ class Observer:
             return
         kind = response.kind._value_  # not the slower ``value`` property
         if self.tracer is not None:
-            self.tracer.emit(now, tau, obs_trace.INGEST, kind=kind,
-                             controller=response.controller_id)
+            controller = response.controller_id
+            self.tracer.record(now, tau, self._shapes[
+                obs_trace.INGEST, None, "", kind, controller,
+                type(controller)])
         if self._instruments is not None:
             self._instruments["validator_responses_total", "kind", kind].inc()
         if self.health is not None:
@@ -188,20 +218,22 @@ class Observer:
                 if sampled and (tracer is not None or instruments is not None)
                 else ())
         if tracer is not None:
+            shapes = self._shapes
             if sampled:
-                tracer.emit(now, tau, obs_trace.DECIDE,
-                            verdict="timeout" if result.timed_out
-                            else "full-count",
-                            external=result.external,
-                            n_responses=result.n_responses)
+                external, n = result.external, result.n_responses
+                tracer.record(now, tau, shapes[
+                    obs_trace.DECIDE,
+                    "timeout" if result.timed_out else "full-count", "",
+                    external, n, type(external), type(n)])
             for stage, _, verdict, detail, _ in rows:
-                tracer.emit(now, tau, stage, verdict=verdict, detail=detail)
+                tracer.record(now, tau, shapes[stage, verdict, detail,
+                                               type(verdict), type(detail)])
             for alarm in alarms:
                 tracer.emit(now, tau, obs_trace.ALARM,
                             verdict=alarm.reason.value,
                             detail=alarm.offending_controller or "")
             if not alarms:
-                tracer.emit(now, tau, obs_trace.ACCEPT, verdict=VERDICT_OK)
+                tracer.record(now, tau, shapes[_ACCEPT])
         if instruments is not None:
             for _, check, _, _, counted in rows:
                 instruments["validator_checks_total", "check", check,

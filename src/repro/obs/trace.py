@@ -24,13 +24,13 @@ Design rules that keep tracing equivalence-safe:
   :func:`repro.core.alarms.canonical_alarm_stream`; equality of canonical
   traces is the trace-determinism contract asserted in the test suite.
 
-Every span is kept, as one plain row tuple ``(at, trigger_id, stage,
-verdict, detail, attrs)`` in a single list. A row holds only atoms, the
-trigger id's tuple of atoms, and an attrs tuple shared by every span with
-the same attribute set, so CPython's cyclic garbage collector untracks it
-and never scans it again; a :class:`Span` is built only when a span is
-read. The per-trigger index is built on first read, not by
-:meth:`Tracer.emit`.
+Every span is kept as three machine words in :mod:`array` columns: its
+simulated time, an ordinal into the distinct trigger ids, and an ordinal
+into the interned span shapes ``(stage, verdict, detail, attrs)``. So a
+kept span is no Python object and never advances CPython's garbage
+collector; a :class:`Span` is built only when read. Interning is
+type-exact: ``1``, ``True`` and ``1.0`` (or a ``str`` and a ``str``
+subclass) are equal but print differently, so they never share an entry.
 
 The tracer is one subscriber of the observer seam
 (:class:`~repro.obs.observer.Observer`): engines report events there and
@@ -40,8 +40,9 @@ normalised to "no tracer" by :func:`active_tracer`.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -70,21 +71,10 @@ ACCEPT = "accept"                #: decided clean — no alarms
 ENGINE_CHECKPOINT = "engine:checkpoint"  #: recovery snapshot taken
 ENGINE_RESTORE = "engine:restore"        #: engine rehydrated from a snapshot
 
-STAGE_RANK: Dict[str, int] = {
-    INTERCEPT: 0,
-    REPLICATE: 1,
-    INGEST: 2,
-    LATE_DROP: 3,
-    DECIDE: 4,
-    CHECK_CONSENSUS: 5,
-    CHECK_SANITY: 6,
-    CHECK_STALENESS: 7,
-    CHECK_POLICY: 8,
-    ALARM: 9,
-    ACCEPT: 10,
-    ENGINE_CHECKPOINT: 11,
-    ENGINE_RESTORE: 12,
-}
+STAGE_RANK: Dict[str, int] = {stage: rank for rank, stage in enumerate((
+    INTERCEPT, REPLICATE, INGEST, LATE_DROP, DECIDE, CHECK_CONSENSUS,
+    CHECK_SANITY, CHECK_STALENESS, CHECK_POLICY, ALARM, ACCEPT,
+    ENGINE_CHECKPOINT, ENGINE_RESTORE))}
 
 #: Verdict value for a passing check.
 VERDICT_OK = "ok"
@@ -115,29 +105,42 @@ class Span:
 
     def canonical_line(self) -> str:
         """One-line canonical rendering, stable across runs and engines."""
-        return _line((self.at, self.trigger_id, self.stage, self.verdict,
-                      self.detail, self.attrs))
+        return (f"{self.at:.9f}|{self.trigger_id!r}|"
+                f"{_tail(self.stage, self.verdict, self.detail, self.attrs)}")
 
 
-#: How a :class:`Tracer` stores one span: :class:`Span`'s fields, in order.
-Row = Tuple[float, Tuple, str, Optional[str], str,
-            Tuple[Tuple[str, object], ...]]
+class _ReprKey(str):
+    """A string whose ``repr`` is itself — lets reloaded spans (which only
+    kept the repr of their trigger id, see :meth:`Tracer.from_payload`)
+    group and sort exactly like live spans do."""
 
-#: Attr value types whose equal values (of one type) always have the same
-#: ``repr``, so one interned attrs tuple can stand for all of them. Floats
-#: are left out: ``0.0 == -0.0``.
-_INTERNABLE = frozenset((str, int, bool, type(None)))
+    __slots__ = ()
+
+    def __repr__(self) -> str:  # noqa: D105 - identity repr by design
+        return str.__str__(self)
 
 
-def _line(row: Row) -> str:
-    at, trigger_id, stage, verdict, detail, attrs = row
+#: Value types whose equal values (of one type) always print the same, so
+#: one interned trigger id or shape can stand for all of them. Floats are
+#: left out: ``0.0 == -0.0``.
+_INTERNABLE = frozenset((str, int, bool, type(None), _ReprKey))
+
+
+def internable(*values: object) -> bool:
+    """Whether one interned entry may stand for every value equal to these."""
+    return _INTERNABLE.issuperset(map(type, values))
+
+
+def _types(value) -> tuple:
+    """The types a trigger id prints with: its elements' if a tuple."""
+    return (*map(type, value),) if type(value) is tuple else (type(value),)
+
+
+def _tail(stage, verdict, detail, attrs) -> str:
+    """A canonical line after its time and trigger id (one per shape)."""
     rendered = ";".join(f"{k}={v!r}" for k, v in attrs)
     verdict = verdict if verdict is not None else "-"
-    return f"{at:.9f}|{trigger_id!r}|{stage}|{verdict}|{detail}|{rendered}"
-
-
-def _row_key(row: Row) -> Tuple[float, str, int]:
-    return (row[0], repr(row[1]), STAGE_RANK.get(row[2], len(STAGE_RANK)))
+    return f"{stage}|{verdict}|{detail}|{rendered}"
 
 
 def span_sort_key(span: Span) -> Tuple[float, str, int]:
@@ -148,45 +151,25 @@ def span_sort_key(span: Span) -> Tuple[float, str, int]:
     arrival order on whichever shard owns it — identical at any shard
     count, because all of a trigger's responses route to one shard.
     """
-    return _row_key((span.at, span.trigger_id, span.stage))
-
-
-class _SpanView(Sequence):
-    """Read-only :class:`Span` sequence over a tracer's rows; each span is
-    built when it is read."""
-
-    __slots__ = ("_rows",)
-
-    def __init__(self, rows: List[Row]) -> None:
-        self._rows = rows
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [Span(*row) for row in self._rows[index]]
-        return Span(*self._rows[index])
-
-    def __iter__(self):
-        for row in self._rows:
-            yield Span(*row)
+    return (span.at, repr(span.trigger_id),
+            STAGE_RANK.get(span.stage, len(STAGE_RANK)))
 
 
 class Tracer:
     """Keeps every lifecycle span of every trigger that crosses the system.
 
     One tracer is shared by the whole deployment (replicators, validator,
-    alarm emission). It stores spans as rows the garbage
-    collector does not scan (see the module docstring):
+    alarm emission). It keeps (see the module docstring):
 
-    * ``_rows`` — one :data:`Row` per span, in emission order;
-    * ``_interned`` — one sorted attrs tuple per distinct attribute set.
-      The key carries each value's type: ``1``, ``True`` and ``1.0`` are
-      equal, but :meth:`Span.canonical_line` prints them differently;
-    * ``_by_trigger`` — rows per trigger ``repr`` in first-seen order,
-      built on first read and caught up from row ``_indexed`` on each
-      later read.
+    * ``_at``, ``_trigger``, ``_shape`` — one column entry each per span;
+    * ``_triggers``, ``_shapes`` — distinct trigger ids and shapes by
+      ordinal, keyed on values plus types; a value outside ``_INTERNABLE``
+      (a float, a nested tuple, an unhashable) gets an entry of its own;
+    * ``_by_trigger`` — span positions per trigger ``repr``, first-seen
+      order, built on first read and caught up from ``_indexed`` later.
+
+    :meth:`emit` records any span; a hot caller asks :meth:`shape` once
+    per distinct shape and passes the ordinal to :meth:`record`.
     """
 
     #: Instrumentation sites check this once at construction; a subclass
@@ -194,9 +177,16 @@ class Tracer:
     enabled = True
 
     def __init__(self) -> None:
-        self._rows: List[Row] = []
-        self._interned: Dict[tuple, Tuple[Tuple[str, object], ...]] = {}
-        self._by_trigger: Dict[str, List[Row]] = {}
+        self._at, self._trigger, self._shape = (array("d"), array("q"),
+                                                array("q"))
+        self._triggers: List[object] = []
+        self._trigger_ordinals: Dict[object, int] = {}
+        self._variants: Dict[tuple, int] = {}
+        self._trigger_reprs: List[str] = []
+        self._shapes: List[tuple] = []
+        self._shape_ordinals: Dict[tuple, int] = {}
+        self._last = (object(), -1)  #: last recorded (trigger id, ordinal)
+        self._by_trigger: Dict[str, array] = {}
         self._indexed = 0
 
     # ------------------------------------------------------------------
@@ -206,42 +196,88 @@ class Tracer:
              verdict: Optional[str] = None, detail: str = "",
              **attrs: object) -> None:
         """Record one span."""
-        self._rows.append((at, trigger_id, stage, verdict, detail,
-                           self._freeze(attrs) if attrs else ()))
+        self.record(at, trigger_id, self.shape(stage, verdict, detail, attrs))
 
-    def _freeze(self, attrs: Dict[str, object]
-                ) -> Tuple[Tuple[str, object], ...]:
-        """The sorted ``(key, value)`` tuple for ``attrs``, shared with
-        every earlier span that had the same attribute set."""
-        key = (*attrs.items(), *map(type, attrs.values()))
+    def shape(self, stage: str, verdict: Optional[str], detail: str,
+              attrs: Mapping[str, object]) -> int:
+        """The ordinal of a span shape, shared with every earlier span whose
+        shape has equal values of the same types."""
+        key = (stage, verdict, detail, *attrs.items(), type(stage),
+               type(verdict), type(detail), *map(type, attrs.values()))
         try:
-            return self._interned[key]
-        except (KeyError, TypeError):  # a new set, or an unhashable value
-            frozen = tuple(sorted(attrs.items()))
-            if _INTERNABLE.issuperset(key[len(attrs):]):
-                self._interned[key] = frozen
-            return frozen
+            return self._shape_ordinals[key]
+        except (KeyError, TypeError):  # a new shape, or an unhashable value
+            shape = (stage, verdict, detail, tuple(sorted(attrs.items())))
+        types, ordinal = key[3 + len(attrs):], len(self._shapes)
+        if _INTERNABLE.issuperset(types):
+            # Every insertion order of one attribute set shares its entry.
+            ordinal = self._shape_ordinals.setdefault(
+                (*shape[:3], *shape[3], *types[:3],
+                 *(type(value) for _, value in shape[3])), ordinal)
+            self._shape_ordinals[key] = ordinal
+        if ordinal == len(self._shapes):
+            self._shapes.append(shape)
+        return ordinal
+
+    def record(self, at: float, trigger_id, shape: int) -> None:
+        """Record one span of shape ordinal ``shape`` (see :meth:`shape`)."""
+        if trigger_id is not self._last[0]:
+            self._last = (trigger_id, self._trigger_ordinal(trigger_id))
+        self._at.append(at)
+        self._trigger.append(self._last[1])
+        self._shape.append(shape)
+
+    def _trigger_ordinal(self, trigger_id) -> int:
+        triggers = self._triggers
+        try:
+            ordinal = self._trigger_ordinals.setdefault(trigger_id,
+                                                        len(triggers))
+        except TypeError:  # unhashable: an entry of its own
+            ordinal = len(triggers)
+        if ordinal < len(triggers) and triggers[ordinal] is not trigger_id:
+            # Equal to an earlier id but another object: its entry only if
+            # both print alike (internable, same types).
+            types = _types(trigger_id)
+            if not _INTERNABLE.issuperset(types):
+                ordinal = len(triggers)
+            elif types != _types(triggers[ordinal]):
+                ordinal = self._variants.setdefault((trigger_id, *types),
+                                                    len(triggers))
+        if ordinal == len(triggers):
+            triggers.append(trigger_id)
+        return ordinal
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+    def _span(self, position: int) -> Span:
+        return Span(self._at[position],
+                    self._triggers[self._trigger[position]],
+                    *self._shapes[self._shape[position]])
+
     @property
-    def spans(self) -> Sequence:
-        """Every span, in emission order (a read-only sequence)."""
-        return _SpanView(self._rows)
+    def spans(self) -> Tuple[Span, ...]:
+        """Every span, in emission order (built on read)."""
+        return tuple(map(self._span, range(len(self._at))))
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._at)
 
-    def _index(self) -> Dict[str, List[Row]]:
-        """The per-trigger index, caught up with every emitted row."""
-        rows = self._rows
-        if self._indexed < len(rows):
-            by_trigger = self._by_trigger
-            for row in rows[self._indexed:]:
-                by_trigger.setdefault(repr(row[1]), []).append(row)
-            self._indexed = len(rows)
-        return self._by_trigger
+    def _reprs(self) -> List[str]:
+        """``repr`` of each distinct trigger id, by ordinal."""
+        reprs = self._trigger_reprs
+        reprs.extend(map(repr, self._triggers[len(reprs):]))
+        return reprs
+
+    def _index(self) -> Dict[str, array]:
+        """The per-trigger index, caught up with every recorded span."""
+        by_trigger, reprs, column = (self._by_trigger, self._reprs(),
+                                     self._trigger)
+        for position in range(self._indexed, len(column)):
+            by_trigger.setdefault(reprs[column[position]],
+                                  array("q")).append(position)
+        self._indexed = len(column)
+        return by_trigger
 
     def trigger_keys(self) -> List[str]:
         """``repr`` keys of every traced trigger, in first-seen order."""
@@ -254,7 +290,7 @@ class Tracer:
         CLI and JSON export use).
         """
         key = trigger_id if isinstance(trigger_id, str) else repr(trigger_id)
-        return [Span(*row) for row in self._index().get(key, ())]
+        return list(map(self._span, self._index().get(key, ())))
 
     def timeline(self, trigger_id) -> "TriggerTimeline":
         """The reconstructed lifecycle of one trigger."""
@@ -265,11 +301,28 @@ class Tracer:
 
     def stage_counts(self) -> Dict[str, int]:
         """Span count per stage — the conservation ledger."""
-        return dict(Counter(row[2] for row in self._rows))
+        counts: Dict[str, int] = {}
+        for shape, count in Counter(self._shape).items():
+            stage = self._shapes[shape][0]
+            counts[stage] = counts.get(stage, 0) + count
+        return counts
 
     # ------------------------------------------------------------------
     # Canonical encoding and JSON export
     # ------------------------------------------------------------------
+    def _ordered(self, engine: bool) -> List[int]:
+        """Span positions in canonical order (``engine:*`` ones if asked)."""
+        at, column, shape = self._at, self._trigger, self._shape
+        reprs, ranks = self._reprs(), [STAGE_RANK.get(s[0], len(STAGE_RANK))
+                                       for s in self._shapes]
+        positions = range(len(at))
+        if not engine:
+            kept = [not stage.startswith("engine:")
+                    for stage, *_ in self._shapes]
+            positions = [p for p in positions if kept[shape[p]]]
+        return sorted(positions, key=lambda p: (at[p], reprs[column[p]],
+                                                ranks[shape[p]]))
+
     def canonical(self) -> bytes:
         """Byte-exact canonical encoding of the whole trace.
 
@@ -279,30 +332,28 @@ class Tracer:
         construction and are filtered out here, the same way shard indices
         are kept out of spans entirely.
         """
-        ordered = sorted((row for row in self._rows
-                          if not row[2].startswith("engine:")),
-                         key=_row_key)
-        return "\n".join(map(_line, ordered)).encode("utf-8")
+        at, column, shape = self._at, self._trigger, self._shape
+        reprs, tails = self._reprs(), [_tail(*s) for s in self._shapes]
+        return "\n".join(
+            f"{at[p]:.9f}|{reprs[column[p]]}|{tails[shape[p]]}"
+            for p in self._ordered(engine=False)).encode("utf-8")
 
     def to_payload(self) -> Dict[str, object]:
         """JSON-able export (the ``trace`` section of ``jury-repro report``)."""
-        ordered = sorted(self._rows, key=_row_key)
+        at, column, shape = self._at, self._trigger, self._shape
+        reprs, shapes = self._reprs(), self._shapes
+        spans = []
+        for p in self._ordered(engine=True):
+            stage, verdict, detail, attrs = shapes[shape[p]]
+            spans.append({"t": at[p], "trigger": reprs[column[p]],
+                          "stage": stage, "verdict": verdict,
+                          "detail": detail, "attrs": dict(attrs)})
         return {
             "format": "jury-trace",
             "version": 1,
-            "span_count": len(ordered),
+            "span_count": len(spans),
             "trigger_count": len(self._index()),
-            "spans": [
-                {
-                    "t": at,
-                    "trigger": repr(trigger_id),
-                    "stage": stage,
-                    "verdict": verdict,
-                    "detail": detail,
-                    "attrs": dict(attrs),
-                }
-                for at, trigger_id, stage, verdict, detail, attrs in ordered
-            ],
+            "spans": spans,
         }
 
     @staticmethod
@@ -315,31 +366,13 @@ class Tracer:
         if payload.get("format") != "jury-trace":
             raise ValueError("not a jury-trace payload")
         tracer = Tracer()
-        append, freeze = tracer._rows.append, tracer._freeze
         for entry in payload.get("spans", []):
-            attrs = entry.get("attrs")
-            append((
-                float(entry["t"]),
-                # Stored pre-repr'd: mark with a string trigger id whose
-                # repr round-trips to itself for grouping purposes.
-                _ReprKey(entry["trigger"]),
-                str(entry["stage"]),
-                entry.get("verdict"),
-                str(entry.get("detail", "")),
-                freeze(dict(attrs)) if attrs else (),
-            ))
+            tracer.record(float(entry["t"]), _ReprKey(entry["trigger"]),
+                          tracer.shape(str(entry["stage"]),
+                                       entry.get("verdict"),
+                                       str(entry.get("detail", "")),
+                                       dict(entry.get("attrs") or {})))
         return tracer
-
-
-class _ReprKey(str):
-    """A string whose ``repr`` is itself — lets reloaded spans (which only
-    kept the repr of their trigger id) group and sort exactly like live
-    spans do."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # noqa: D105 - identity repr by design
-        return str.__str__(self)
 
 
 class NullTracer(Tracer):
@@ -349,6 +382,9 @@ class NullTracer(Tracer):
 
     def emit(self, at, trigger_id, stage, verdict=None, detail="",
              **attrs) -> None:  # type: ignore[override]
+        return None
+
+    def record(self, at, trigger_id, shape) -> None:
         return None
 
 

@@ -14,9 +14,10 @@ import gc
 import json
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.alarms import ValidationResult
@@ -33,10 +34,13 @@ from repro.obs.trace import (
     ALARM,
     CHECK_CONSENSUS,
     DECIDE,
+    ENGINE_CHECKPOINT,
     INGEST,
+    STAGE_RANK,
     NullTracer,
     Span,
     Tracer,
+    _ReprKey,
     active_tracer,
     match_trigger_key,
     span_sort_key,
@@ -200,7 +204,7 @@ def test_from_payload_rejects_foreign_json():
 
 
 # ----------------------------------------------------------------------
-# Storage: collector-invisible rows, interned attrs, lazy index
+# Storage: columns of machine words, interned shapes, lazy index
 # ----------------------------------------------------------------------
 
 def test_spans_add_no_collector_tracked_objects():
@@ -236,6 +240,243 @@ def test_attr_interning_keeps_each_value_type():
     assert [type(span.attr("x")) for span in spans] == [int, bool, float]
 
 
+def test_retained_spans_and_health_events_add_no_tracked_objects():
+    """Once its triggers and shapes are warm, a span or a health response
+    leaves no object for the collector: none retained, and none born
+    tracked either (with the collector off, a retained tuple per span would
+    count here until a collection untracked it)."""
+    triggers = [("ext", index) for index in range(64)]
+    controllers = [f"c{index}" for index in range(7)]
+    tracer, health = Tracer(), ReplicaHealthTracker()
+
+    def feed(count):
+        for index in range(count):
+            tau, cid = triggers[index % 64], controllers[index % 7]
+            tracer.emit(float(index), tau, INGEST, kind="cache_update",
+                        controller=cid)
+            health.record_response(float(index), cid,
+                                   0.5 if index % 3 else None)
+
+    feed(64 * 7)
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        feed(50_000)
+        born = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    gc.collect()
+    kept = len(gc.get_objects()) - before
+    assert len(tracer) == 64 * 7 + 50_000
+    assert born <= 16 and kept <= 16, (born, kept)
+
+
+class _Formatted(str):
+    """A ``str`` that prints differently from the ``str`` it equals."""
+
+    __slots__ = ()
+
+    def __format__(self, spec: str) -> str:
+        return f"<{str(self)}>"
+
+
+class _RowTracer:
+    """The reference tracer: every span a plain row in one list."""
+
+    def __init__(self, rows=()) -> None:
+        self.rows = list(rows)
+
+    def emit(self, at, trigger_id, stage, verdict=None, detail="", **attrs):
+        self.rows.append((at, trigger_id, stage, verdict, detail,
+                          tuple(sorted(attrs.items()))))
+
+    def ordered(self, engine: bool):
+        return sorted((row for row in self.rows
+                       if engine or not row[2].startswith("engine:")),
+                      key=lambda row: (row[0], repr(row[1]), STAGE_RANK.get(
+                          row[2], len(STAGE_RANK))))
+
+    def canonical(self) -> bytes:
+        return "\n".join(
+            f"{at:.9f}|{tau!r}|{stage}|{'-' if verdict is None else verdict}"
+            f"|{detail}|{';'.join(f'{k}={v!r}' for k, v in attrs)}"
+            for at, tau, stage, verdict, detail, attrs in self.ordered(False)
+        ).encode("utf-8")
+
+    def to_payload(self):
+        spans = [{"t": at, "trigger": repr(tau), "stage": stage,
+                  "verdict": verdict, "detail": detail, "attrs": dict(attrs)}
+                 for at, tau, stage, verdict, detail, attrs
+                 in self.ordered(True)]
+        return {"format": "jury-trace", "version": 1,
+                "span_count": len(spans),
+                "trigger_count": len(self.trigger_keys()), "spans": spans}
+
+    @staticmethod
+    def from_payload(payload) -> "_RowTracer":
+        return _RowTracer(
+            (float(entry["t"]), _ReprKey(entry["trigger"]),
+             str(entry["stage"]), entry.get("verdict"),
+             str(entry.get("detail", "")),
+             tuple(sorted(dict(entry.get("attrs") or {}).items())))
+            for entry in payload["spans"])
+
+    def trigger_keys(self):
+        return list(dict.fromkeys(repr(row[1]) for row in self.rows))
+
+    def stage_counts(self):
+        return dict(Counter(row[2] for row in self.rows))
+
+    def spans_for(self, key):
+        return [Span(*row) for row in self.rows if repr(row[1]) == key]
+
+
+class _RowHealth(ReplicaHealthTracker):
+    """The reference health log: plain row lists, same evaluation."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.responses, self.decisions = [], []
+
+    def record_response(self, now, controller_id, lag_ms=None):
+        self.responses.append((now, controller_id, lag_ms))
+
+    def record_decision(self, now, responses, alarms, timed_out):
+        self.decisions.append((
+            now, tuple(sorted({r.controller_id for r in responses})),
+            tuple(sorted({a.offending_controller for a in alarms
+                          if a.offending_controller})), timed_out))
+
+    def _events(self):
+        return list(self.responses), list(self.decisions)
+
+
+def _typed(value):
+    """``value`` with each part's type, ``repr`` and format beside it: equal
+    only if every part is equal, of the same type, and prints the same."""
+    if isinstance(value, Span):
+        value = (value.at, value.trigger_id, value.stage, value.verdict,
+                 value.detail, value.attrs)
+    if isinstance(value, dict):
+        return [(_typed(k), _typed(v)) for k, v in value.items()]
+    if isinstance(value, (list, tuple)):
+        return (type(value), [_typed(v) for v in value])
+    return (type(value), repr(value), f"{value}")
+
+
+_TRIGGERS = st.sampled_from([
+    ("ext", 1), ("ext", True), ("ext", 1.0), ("ext", -0.0), ("ext", 0.0),
+    ("int", "c1", 3), ("int", _Formatted("c1"), 3), ("ext", (1, 2)),
+    ("engine", "checkpoint")])
+_VALUES = st.one_of(
+    st.sampled_from([1, True, 1.0, -0.0, 0.0, None, "x", _Formatted("x")]),
+    st.lists(st.integers(0, 1), max_size=2))
+_SPANS = st.tuples(
+    st.sampled_from([0.0, -0.0, 1.0, 2.5]), _TRIGGERS,
+    st.sampled_from([INGEST, DECIDE, ALARM, ACCEPT, ENGINE_CHECKPOINT,
+                     "custom", _Formatted(INGEST)]),
+    st.sampled_from([None, "ok", "", _Formatted("ok")]),
+    st.sampled_from(["", "c1", _Formatted("c1")]),
+    st.dictionaries(st.sampled_from("abc"), _VALUES, max_size=3))
+_CONTROLLERS = st.sampled_from(["c1", "c2", _Formatted("c1")])
+_RESPONSES = st.tuples(st.sampled_from([0.0, 120.0, 260.0, 900.0]),
+                       _CONTROLLERS, st.sampled_from([None, 0.0, 1.5, 300.0]))
+_DECISIONS = st.tuples(st.sampled_from([100.0, 300.0, 800.0]),
+                       st.lists(_CONTROLLERS, max_size=3),
+                       st.lists(_CONTROLLERS, max_size=2),
+                       st.sampled_from([True, False, 1, 0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_SPANS, max_size=30), st.lists(_RESPONSES, max_size=12),
+       st.lists(_DECISIONS, max_size=6))
+@example(  # every equal-but-unlike pair, each first recorded out of order
+    spans=[(1.0, ("ext", value), INGEST, "ok", "c1", {"a": value})
+           for value in (1, True, 1.0, -0.0, 0.0)] + [
+        (2.5, ("int", _Formatted("c1"), 3), _Formatted(INGEST),
+         _Formatted("ok"), _Formatted("c1"), {"a": _Formatted("x")}),
+        (2.5, ("int", "c1", 3), INGEST, "ok", "c1", {"a": "x"}),
+        (0.0, ("ext", 1), ENGINE_CHECKPOINT, None, "", {"b": [1]})],
+    responses=[(260.0, _Formatted("c2"), 1.5), (120.0, "c2", None)],
+    decisions=[(800.0, [_Formatted("c1")], [_Formatted("c1")], 1),
+               (100.0, ["c1"], ["c1"], True)])
+def test_columnar_storage_matches_a_row_list_reference(spans, responses,
+                                                       decisions):
+    tracer, reference = Tracer(), _RowTracer()
+    for at, tau, stage, verdict, detail, attrs in spans:
+        for sink in (tracer, reference):
+            sink.emit(at, tau, stage, verdict, detail, **attrs)
+    assert tracer.canonical() == reference.canonical()
+    assert _typed(tracer.to_payload()) == _typed(reference.to_payload())
+    reloaded = Tracer.from_payload(tracer.to_payload())
+    expected = _RowTracer.from_payload(reference.to_payload())
+    assert reloaded.canonical() == expected.canonical()
+    assert _typed(reloaded.to_payload()) == _typed(expected.to_payload())
+    for left, right in ((tracer, reference), (reloaded, expected)):
+        assert _typed(left.stage_counts()) == _typed(right.stage_counts())
+        assert left.trigger_keys() == right.trigger_keys()
+        for key in right.trigger_keys():
+            assert _typed(left.spans_for(key)) == _typed(right.spans_for(key))
+    for tau in {repr(tau): tau for _, tau, *_ in spans}.values():
+        assert (_typed(tracer.spans_for(tau))
+                == _typed(reference.spans_for(repr(tau))))
+
+    health, rows = ReplicaHealthTracker(), _RowHealth()
+    for sink in (health, rows):
+        for at, cid, lag in responses:
+            sink.record_response(at, cid, lag)
+        for at, responders, offenders, timed_out in decisions:
+            sink.record_decision(
+                at, [SimpleNamespace(controller_id=c) for c in responders],
+                [SimpleNamespace(offending_controller=c) for c in offenders],
+                timed_out)
+    for now in (0.0, 250.0, 1000.0, 2500.0):
+        assert _typed({cid: report.to_dict() for cid, report
+                       in health.evaluate(now).items()}) == _typed(
+            {cid: report.to_dict() for cid, report
+             in rows.evaluate(now).items()})
+
+
+def test_observer_hot_stages_keep_value_types():
+    """The seam's shape cache keys on types too: an ingest, decide or check
+    span reads back exactly as ``Tracer.emit`` would have stored it."""
+    tracer, reference = Tracer(), Tracer()
+    observer = Observer(tracer=tracer)
+    kind = SimpleNamespace(_value_="cache_update")
+    for at, controller in enumerate(("c1", _Formatted("c1"), "c1")):
+        observer.ingest(float(at), SimpleNamespace(
+            trigger_id=("ext", 1), kind=kind, controller_id=controller,
+            trigger_received_at=None))
+        reference.emit(float(at), ("ext", 1), INGEST, kind="cache_update",
+                       controller=controller)
+    for at, (external, n, offending) in enumerate((
+            (True, 3, "c2"), (1, 3, _Formatted("c2")), (True, True, "c2"))):
+        tau = ("ext", 2 + at)
+        observer.decision(float(at), SimpleNamespace(
+            trigger_id=tau, alarms=(), external=external, timed_out=False,
+            n_responses=n, detection_ms=0.0), (), (SimpleNamespace(
+                ok=False, reason=SimpleNamespace(value="mismatch"),
+                offending=offending), None, None, None))
+        reference.emit(float(at), tau, DECIDE, verdict="full-count",
+                       external=external, n_responses=n)
+        reference.emit(float(at), tau, CHECK_CONSENSUS, verdict="mismatch",
+                       detail=offending)
+        reference.emit(float(at), tau, ACCEPT, verdict="ok")
+    assert _typed(tracer.spans) == _typed(reference.spans)
+
+
+def test_from_payload_accepts_attrs_named_like_span_fields():
+    entry = {"t": 1.0, "trigger": "('ext', 1)", "stage": INGEST,
+             "verdict": None, "detail": "c1",
+             "attrs": {"stage": "x", "verdict": 1, "detail": True}}
+    tracer = Tracer.from_payload({"format": "jury-trace", "spans": [entry]})
+    (span,) = tracer.spans
+    assert (span.stage, span.verdict, span.detail) == (INGEST, None, "c1")
+    assert span.attrs == (("detail", True), ("stage", "x"), ("verdict", 1))
+    assert tracer.to_payload()["spans"] == [entry]
+
+
 _ATTR_VALUES = st.one_of(
     st.text(max_size=2), st.integers(-2, 2), st.booleans(), st.floats(),
     st.none(), st.tuples(st.integers(0, 1), st.text(max_size=1)),
@@ -257,19 +498,22 @@ def test_frozen_attrs_are_sorted_typed_and_shared_per_attribute_set(dicts):
     for index, attrs in enumerate(dicts):
         tracer.emit(float(index), ("ext", index), INGEST, **attrs)
     shared = {}
-    for attrs, span, row in zip(dicts, tracer.spans, tracer._rows):
+    unshared = 0
+    for attrs, span in zip(dicts, tracer.spans):
         expected = tuple(sorted(attrs.items()))
         assert span.attrs == expected
         assert ([type(value) for _, value in span.attrs]
                 == [type(value) for _, value in expected])
         if all(type(value) in (str, int, bool, type(None))
                for value in attrs.values()):
-            # One interned tuple per insertion-ordered (key, value, type)
-            # set: 1 and True stay apart, equal sets share one object.
-            identity = tuple((key, value, type(value))
-                             for key, value in attrs.items())
-            assert shared.setdefault(identity, row[5]) is row[5]
-    assert len(tracer._interned) == len(shared)
+            # One shape per (key, value, type) set, whatever the insertion
+            # order: 1 and True stay apart, equal sets share one entry.
+            identity = tuple(sorted((key, value, type(value))
+                                    for key, value in attrs.items()))
+            assert shared.setdefault(identity, span.attrs) is span.attrs
+        else:
+            unshared += 1
+    assert len(tracer._shapes) == len(shared) + unshared
 
 
 def _full_stack_run(triggers: int) -> Tracer:
@@ -297,10 +541,12 @@ def _full_stack_run(triggers: int) -> Tracer:
 def test_intern_table_follows_attribute_sets_not_triggers():
     tracer = _full_stack_run(2000)
     assert len(tracer) > 10 * 2000
-    assert len(tracer._interned) <= 36
-    copies = list(tracer._interned.values())
-    assert all(any(attrs is copy for copy in copies)
-               for *_, attrs in tracer._rows if attrs)
+    assert len(tracer._shapes) <= 36
+    assert len(set(tracer._shapes)) == len(tracer._shapes)
+    assert len(tracer._triggers) == len(tracer.trigger_keys())
+    copies = [attrs for *_, attrs in tracer._shapes]
+    assert all(any(span.attrs is copy for copy in copies)
+               for span in tracer.spans if span.attrs)
 
 
 def _eager_index(tracer: Tracer):
