@@ -8,10 +8,16 @@ plot — detection-time distributions, cluster FLOW_MOD/PACKET_IN/PACKET_OUT
 rates, and byte-counter based network overheads. The old keyword seam
 ``build_experiment(...)`` was removed (PR 7) and now raises with the
 replacement spelled out.
+
+Every phase advances the simulator through :func:`_advance`, which raises
+CPython's young-generation collector threshold to :data:`YOUNG` for the
+duration of ``sim.run`` and restores the caller's thresholds afterwards
+(docs/architecture.md, "The run loop and the collector").
 """
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -22,6 +28,31 @@ from repro.errors import WorkloadError
 from repro.harness.metrics import percentile
 from repro.net.topology import Topology
 from repro.sim.simulator import Simulator
+
+#: Young-generation collector threshold while an experiment's simulator
+#: runs. In-flight simulation state (events, bound methods, responses) is
+#: short-lived and cycle-free, so at CPython's default of 700 the collector
+#: rescans it hundreds of times per simulated second and finds nothing.
+YOUNG = 100_000
+
+
+def _advance(sim: Simulator, until: float) -> None:
+    """``sim.run(until=until)`` under the young threshold :data:`YOUNG`.
+
+    Only the young threshold moves, and only upwards: a caller's higher
+    threshold or 0 (automatic collection off) is kept, older generations'
+    thresholds and ``gc.isenabled()`` are never touched, and the caller's
+    exact thresholds come back even when a scheduled callback raises.
+    """
+    saved = gc.get_threshold()
+    raise_young = 0 < saved[0] < YOUNG
+    if raise_young:
+        gc.set_threshold(YOUNG, *saved[1:])
+    try:
+        sim.run(until=until)
+    finally:
+        if raise_young:
+            gc.set_threshold(*saved)
 
 
 @dataclass
@@ -92,13 +123,13 @@ class Experiment:
     def warmup(self, discovery_ms: float = 2500.0, arp: bool = True) -> None:
         """Let topology discovery settle, then teach hosts to the cluster."""
         self.cluster.start()
-        self.sim.run(until=self.sim.now + discovery_ms)
+        _advance(self.sim, self.sim.now + discovery_ms)
         if arp:
             hosts = self.topology.host_list()
             for index, host in enumerate(hosts):
                 target = hosts[(index + 1) % len(hosts)]
                 self.sim.schedule(index * 2.0, host.send_arp_request, target.ip)
-            self.sim.run(until=self.sim.now + 2 * len(hosts) + 500.0)
+            _advance(self.sim, self.sim.now + 2 * len(hosts) + 500.0)
 
     def begin_window(self) -> None:
         """Mark the start of a measurement window (snapshots counters)."""
@@ -116,7 +147,7 @@ class Experiment:
 
     def run(self, duration_ms: float) -> None:
         """Advance the simulation by ``duration_ms``."""
-        self.sim.run(until=self.sim.now + duration_ms)
+        _advance(self.sim, self.sim.now + duration_ms)
 
     # ------------------------------------------------------------------
     # Measurements
@@ -126,6 +157,11 @@ class Experiment:
         if not self._snapshot:
             raise WorkloadError("call begin_window() before throughput()")
         window = self.sim.now - self._window_start
+        if window <= 0:
+            raise WorkloadError(
+                f"throughput() over an empty window (begin_window() at "
+                f"{self._window_start:g} ms, now {self.sim.now:g} ms): run "
+                f"the simulation before measuring")
         switches = self.topology.switches.values()
         return ThroughputPoint(
             window_ms=window,
@@ -165,6 +201,10 @@ class Experiment:
         """
         if self.jury is None:
             raise WorkloadError("detection stats need a JURY deployment")
+        if not self.jury.validator.keep_results:
+            raise WorkloadError(
+                "detection stats need the validator's results, and this "
+                "deployment was built with keep_results=False")
         results = self.jury.validator.results
         if since_ms is not None:
             results = [r for r in results if r.decided_at >= since_ms]
