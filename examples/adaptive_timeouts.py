@@ -9,12 +9,14 @@ determination of adaptive timeouts for future work."
 
 This example runs the same churny workload three times — generous static
 timeout, too-tight static timeout, and the adaptive policy — and prints the
-false-alarm/detection-latency trade-off, plus an alarm-log breakdown.
+false-alarm/detection-latency trade-off, plus a breakdown of the
+too-tight timeout's alarms.
 
 Run:  python examples/adaptive_timeouts.py
 """
 
-from repro.core.alarm_log import AlarmLog
+from collections import Counter
+
 from repro.core.timeouts import AdaptiveTimeout
 from repro.api import Jury
 from repro.config import JuryConfig
@@ -27,7 +29,6 @@ def run(label, seed=150, timeout=None, timeout_ms=250.0):
                                   seed=seed, timeout_ms=timeout_ms))
     if timeout is not None:
         experiment.validator.timeout = timeout
-    log = AlarmLog(experiment.validator)
     experiment.warmup()
     driver = TrafficDriver(experiment.sim, experiment.topology,
                            packet_in_rate_per_s=4000.0, duration_ms=1200.0,
@@ -43,7 +44,7 @@ def run(label, seed=150, timeout=None, timeout_ms=250.0):
         "median": stats.median,
         "p95": stats.p95,
         "final_timeout": validator.timeout.current(),
-        "log": log,
+        "alarms": validator.alarms,
     }
 
 
@@ -63,14 +64,17 @@ def main() -> None:
           f"{r['p95']:.0f}", f"{r['final_timeout']:.0f} ms"]
          for r in results]))
 
-    tight = results[1]
-    if tight["log"].records:
+    alarms = results[1]["alarms"]
+    if alarms:
         print("\nAlarm breakdown for the too-tight timeout:")
-        for reason, count in sorted(tight["log"].by_reason().items()):
+        reasons = Counter(alarm.reason.value for alarm in alarms)
+        for reason, count in sorted(reasons.items()):
             print(f"  {reason}: {count}")
         print("\nLast alarms:")
-        for line in tight["log"].tail(3):
-            print(" ", line)
+        for alarm in alarms[-3:]:
+            print(f"  [{alarm.raised_at:9.1f} ms] {alarm.reason.value:<20} "
+                  f"controller={alarm.offending_controller or '?':<4} "
+                  f"{alarm.detail}")
 
     assert results[1]["fp"] > results[0]["fp"]
     assert results[2]["fp"] < results[1]["fp"] / 3

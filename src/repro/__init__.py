@@ -10,7 +10,7 @@ Most users start from the config-driven facade::
 
     from repro import Jury, JuryConfig
 
-    exp = Jury.experiment(JuryConfig(k=6, timeout_ms=250.0, trace=True))
+    exp = Jury.experiment(JuryConfig(k=6, timeout_ms=250.0, observe=True))
     exp.warmup()
     ...
     exp.jury.detection_times()
@@ -43,7 +43,6 @@ _EXPORTS = {
     "AlarmForensics": ("repro.obs.diagnose", "AlarmForensics"),
     "ReplicaHealthTracker": ("repro.obs.health", "ReplicaHealthTracker"),
     "SloMonitor": ("repro.obs.health", "SloMonitor"),
-    "SnapshotSink": ("repro.obs.export", "SnapshotSink"),
     "ScenarioGen": ("repro.fuzz.scenario", "ScenarioGen"),
     "ScenarioSpec": ("repro.fuzz.scenario", "ScenarioSpec"),
     "DifferentialOracle": ("repro.fuzz.oracle", "DifferentialOracle"),

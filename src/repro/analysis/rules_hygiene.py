@@ -174,7 +174,7 @@ class UnusedImportRule(Rule):
 #: (``self.observer = ...``) and calling its hook API
 #: (``observer.ingest(...)``) are the contract; reaching *into* one is not.
 _OBSERVER_NAMES = {"observer", "tracer", "metrics", "forensics", "health",
-                   "snapshot_sink", "recorder", "sampler"}
+                   "recorder", "sampler"}
 
 #: Method names that mutate built-in containers (and the observers built
 #: from them).

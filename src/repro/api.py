@@ -4,7 +4,7 @@
 
     from repro import Jury, JuryConfig
 
-    config = JuryConfig(k=4, timeout_ms=250.0, trace=True)
+    config = JuryConfig(k=4, timeout_ms=250.0, observe=True)
 
     # Attach to a cluster you already assembled:
     jury = Jury.build(config, cluster=cluster)
@@ -16,11 +16,11 @@
     exp.jury.detection_times()
 
 The returned deployment exports its observers through one method,
-``report()``: a dict with one section per observer the config turned on
-(``alarms`` for ``diagnose=True``, ``health`` with SLO status for
-``health=True``, ``metrics``, ``flight``, ``trace``). ``prometheus_text()``
-renders the metrics/health/SLO state as the Prometheus exposition
-document instead. ``jury-repro report`` saves the sections as one file.
+``report()``: with ``observe=True``, a dict of five sections (``alarms``
+explained, ``health`` with SLO status, ``metrics``, ``flight``,
+``trace``), else ``{}``. ``prometheus_text()`` renders the
+metrics/health/SLO state as the Prometheus exposition document instead.
+``jury-repro report`` saves the sections as one file.
 
 Everything the legacy ``build_experiment(...)`` keyword seam offered
 routes through here now; that shim raises immediately with the

@@ -119,20 +119,14 @@ def _load_config_file(path: str) -> JuryConfig:
     return JuryConfig.from_dict(payload)
 
 
-#: The five observers ``report`` turns on (``JuryConfig`` flags).
-OBSERVERS = ("trace", "metrics", "diagnose", "health", "flight")
-
-
 def _config_from_args(args, kind: Optional[str] = None,
                       observe: bool = False) -> JuryConfig:
     """One place where argparse namespaces become a :class:`JuryConfig`."""
     if getattr(args, "config", None) is not None:
-        # The file defines the experiment; only the subcommand's own
-        # observability needs are OR-merged on top of it.
+        # The file defines the experiment; a subcommand that reads the
+        # observers (``report``) turns them on over it.
         base = _load_config_file(args.config)
-        overlay = {name: True for name in OBSERVERS
-                   if observe and not getattr(base, name)}
-        return base.replace(**overlay) if overlay else base
+        return base.replace(observe=True) if observe else base
     kind = kind or args.controller
     return JuryConfig(
         kind=kind,
@@ -143,7 +137,7 @@ def _config_from_args(args, kind: Optional[str] = None,
         timeout_ms=args.timeout,  # None → the paper default for the kind
         policies=("default",),
         with_northbound=True,
-        **{name: observe for name in OBSERVERS},
+        observe=observe,
     )
 
 

@@ -10,13 +10,14 @@ consumes it, and the keyword seams are gone.
 The config is *declarative*: policy sets are named (resolved through
 :data:`POLICY_SETS` only at build time), the timeout is a number unless an
 explicit :class:`~repro.core.timeouts.TimeoutPolicy` object is supplied,
-and observability is a pair of booleans. That keeps configs printable,
+and observability is one switch. That keeps configs printable,
 comparable, and safe to share between an experiment and its report.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
@@ -56,14 +57,12 @@ class JuryConfig:
       ``policy_engine`` is the explicit-object escape hatch.
     * ``state_aware`` / ``taint_classification`` — the ablation switches.
 
-    Observability: ``trace`` wires a :class:`~repro.obs.Tracer` through the
-    full validation path; ``metrics`` a
-    :class:`~repro.obs.MetricsRegistry`; ``diagnose`` attaches alarm
-    forensics; ``health`` replica health scoring + SLO monitoring;
-    ``snapshot_interval_ms`` a periodic export sink ticked after every
-    engine step; ``obs_sample`` head-samples the observer stack 1-in-N;
-    ``flight``/``flight_capacity`` the always-on flight recorder. All
-    default off (the zero-cost path).
+    Observability: ``observe`` attaches all five observers together — the
+    :class:`~repro.obs.Tracer`, the :class:`~repro.obs.MetricsRegistry`,
+    alarm forensics, replica health scoring with SLO monitoring, and the
+    flight recorder — which is what ``report()`` and ``jury-repro report``
+    read; ``obs_sample`` head-samples them 1-in-N. Off by default (the
+    zero-cost path).
 
     Hosting shape (used when :meth:`repro.api.Jury.build` must assemble
     the testbed too): ``kind``, ``n``, ``switches``, ``topology``,
@@ -88,26 +87,14 @@ class JuryConfig:
     checkpoint_every: Optional[int] = None
 
     # Observability.
-    trace: bool = False
-    metrics: bool = False
-    #: Alarm forensics: attach an AlarmExplanation to every alarm
-    #: (repro.obs.diagnose).
-    diagnose: bool = False
-    #: Replica health scoring + SLO monitoring (repro.obs.health).
-    health: bool = False
-    #: Periodic metrics/health snapshots at engine-step ends, every
-    #: this-many simulated ms (repro.obs.export.SnapshotSink). ``None`` off.
-    snapshot_interval_ms: Optional[float] = None
-    #: Head-sample the observer stack 1-in-N per trigger (repro.obs.sampling).
+    #: Tracer, metrics, alarm forensics, replica health + SLOs and the
+    #: flight recorder, all on (see :meth:`build_observers`) or all off.
+    observe: bool = False
+    #: Head-sample the observers 1-in-N per trigger (repro.obs.sampling).
     #: ``1`` observes everything; alarmed decisions are always recorded in
     #: full regardless of the head decision. Pure function of the trigger
     #: id, so sampled traces stay deterministic across engines and replays.
     obs_sample: int = 1
-    #: Always-on flight recorder: fixed-size ring of recent decision/alarm/
-    #: checkpoint events, dumped on anomaly triggers (repro.obs.recorder).
-    flight: bool = False
-    #: Ring capacity (events retained) when ``flight`` is on.
-    flight_capacity: int = 256
 
     # Hosting shape.
     kind: str = "onos"
@@ -121,20 +108,22 @@ class JuryConfig:
     def __post_init__(self):
         if self.k is not None and self.k < 0:
             raise ValidationError(f"k must be >= 0: {self.k}")
-        if (self.snapshot_interval_ms is not None
-                and self.snapshot_interval_ms <= 0):
+        if self.timeout_ms is not None and (
+                isinstance(self.timeout_ms, bool)
+                or not isinstance(self.timeout_ms, (int, float))
+                or not math.isfinite(self.timeout_ms)
+                or self.timeout_ms <= 0):
             raise ValidationError(
-                f"snapshot_interval_ms must be positive: "
-                f"{self.snapshot_interval_ms}")
+                f"timeout_ms must be a finite number > 0: "
+                f"{self.timeout_ms!r}")
         if isinstance(self.obs_sample, bool) or not isinstance(
                 self.obs_sample, int) or self.obs_sample < 1:
             raise ValidationError(
                 f"obs_sample must be an integer >= 1: {self.obs_sample!r}")
-        if isinstance(self.flight_capacity, bool) or not isinstance(
-                self.flight_capacity, int) or self.flight_capacity < 1:
+        if self.obs_sample > 1 and not self.observe:
             raise ValidationError(
-                f"flight_capacity must be an integer >= 1: "
-                f"{self.flight_capacity!r}")
+                f"obs_sample={self.obs_sample} samples nothing without "
+                f"observe=True")
         if self.checkpoint_every is not None and (
                 isinstance(self.checkpoint_every, bool)
                 or not isinstance(self.checkpoint_every, int)
@@ -251,41 +240,27 @@ class JuryConfig:
             merged.extend(engine.policies)
         return PolicyEngine(merged)
 
-    def build_tracer(self):
-        if not self.trace:
-            return None
-        from repro.obs.trace import Tracer
-        return Tracer()
+    def build_observers(self) -> Dict[str, object]:
+        """The engine keywords that attach the observers, or ``{}``.
 
-    def build_metrics(self):
-        if not self.metrics:
-            return None
-        from repro.obs.metrics import MetricsRegistry
-        return MetricsRegistry()
-
-    def build_forensics(self):
-        if not self.diagnose:
-            return None
+        With ``observe`` on: a fresh tracer, metrics registry, alarm
+        forensics, replica health tracker and 256-event flight recorder,
+        plus a 1-in-``obs_sample`` head sampler (``None`` at 1).
+        """
+        if not self.observe:
+            return {}
         from repro.obs.diagnose import AlarmForensics
-        return AlarmForensics()
-
-    def build_health(self):
-        if not self.health:
-            return None
         from repro.obs.health import ReplicaHealthTracker
-        return ReplicaHealthTracker()
-
-    def build_sampler(self):
-        if self.obs_sample <= 1:
-            return None
-        from repro.obs.sampling import HeadSampler
-        return HeadSampler(self.obs_sample)
-
-    def build_flight_recorder(self):
-        if not self.flight:
-            return None
+        from repro.obs.metrics import MetricsRegistry
         from repro.obs.recorder import FlightRecorder
-        return FlightRecorder(capacity=self.flight_capacity)
+        from repro.obs.sampling import HeadSampler
+        from repro.obs.trace import Tracer
+        return {"tracer": Tracer(), "metrics": MetricsRegistry(),
+                "forensics": AlarmForensics(),
+                "health": ReplicaHealthTracker(),
+                "recorder": FlightRecorder(),
+                "sampler": (HeadSampler(self.obs_sample)
+                            if self.obs_sample > 1 else None)}
 
     def profile_overrides_dict(self) -> dict:
         return dict(self.profile_overrides or ())
@@ -300,14 +275,9 @@ class JuryConfig:
             + (["<explicit>"] if self.policy_engine is not None else []),
             "state_aware": self.state_aware,
             "taint_classification": self.taint_classification,
-            "trace": self.trace,
-            "metrics": self.metrics,
-            "diagnose": self.diagnose,
-            "health": self.health,
-            "snapshot_interval_ms": self.snapshot_interval_ms,
+            "observe": self.observe,
             "checkpoint_every": self.checkpoint_every,
             "obs_sample": self.obs_sample,
-            "flight": self.flight,
             "kind": self.kind,
             "n": self.n,
             "switches": self.switches,

@@ -14,7 +14,7 @@ The deployment owns the byte counters for JURY's network overhead accounting
 the store's inter-controller counter.
 
 Construction is config-driven: one :class:`~repro.config.JuryConfig`
-describes the validation core plus observability, and
+describes the validation core plus whether it is observed, and
 :meth:`repro.api.Jury.build` is the public entry point;
 ``JuryDeployment(cluster, config)`` is all it calls.
 """
@@ -31,8 +31,6 @@ from repro.core.replicator import Replicator
 from repro.core.validator import Validator
 from repro.errors import ValidationError
 from repro.net.channel import ByteCounter, ControlChannel
-from repro.obs.observer import Observer
-from repro.obs.trace import active_tracer
 from repro.sim.latency import Uniform
 
 
@@ -60,24 +58,6 @@ class JuryDeployment:
         self.controller_ids: List[str] = cluster.controller_ids()
         self.replication_counter = ByteCounter("jury-replication")
         self.validator_counter = ByteCounter("jury-validator")
-        #: Observability, shared by replicators and the validator.
-        #: ``None`` (config.trace/metrics off) is the zero-cost path.
-        self.tracer = active_tracer(config.build_tracer())
-        self.metrics = config.build_metrics()
-        self.forensics = config.build_forensics()
-        self.health = config.build_health()
-        self.sampler = config.build_sampler()
-        self.recorder = config.build_flight_recorder()
-        self.slo = None
-        if self.health is not None:
-            from repro.obs.health import SloMonitor
-            self.slo = SloMonitor()
-        self.snapshot_sink = None
-        if config.snapshot_interval_ms is not None:
-            from repro.obs.export import SnapshotSink
-            self.snapshot_sink = SnapshotSink(
-                config.snapshot_interval_ms,
-                registry=self.metrics, health=self.health)
 
         timeout_policy = config.build_timeout()
         engine = config.build_policy_engine()
@@ -87,9 +67,6 @@ class JuryDeployment:
         self.last_checkpoint = None
         on_checkpoint = (self._keep_checkpoint
                          if config.checkpoint_every is not None else None)
-        observers = dict(tracer=self.tracer, metrics=self.metrics,
-                         forensics=self.forensics, health=self.health,
-                         sampler=self.sampler, recorder=self.recorder)
         self.validator = Validator(
             self.sim, k,
             timeout=timeout_policy,
@@ -99,12 +76,14 @@ class JuryDeployment:
             taint_classification=config.taint_classification,
             keep_results=config.keep_results,
             checkpoint_every=config.checkpoint_every,
-            on_checkpoint=on_checkpoint, **observers)
-        if self.snapshot_sink is not None:
-            # The validator takes no sink keyword: the sink joins its
-            # observer, which ticks it after every step.
-            self.validator.observer = Observer.build(
-                sink=self.snapshot_sink, **observers)
+            on_checkpoint=on_checkpoint, **config.build_observers())
+        #: The validator's observer seam, shared by the replicators: every
+        #: observer ``config.observe`` attached, or None when it is off.
+        self.observer = self.validator.observer
+        self.slo = None
+        if self.observer is not None:
+            from repro.obs.health import SloMonitor
+            self.slo = SloMonitor()
 
         # Module → validator channel delay (ms).
         latency = Uniform(0.2, 0.8)
@@ -172,43 +151,35 @@ class JuryDeployment:
     # Observability exports
     # ------------------------------------------------------------------
     def report(self) -> Dict[str, object]:
-        """The observability sections of a report, one per attached observer.
+        """The observability sections of a report, or ``{}`` when
+        ``config.observe`` is off.
 
-        ``alarms`` (diagnose), ``health`` (replicas plus ``slo``),
-        ``metrics``, ``flight`` and ``trace``; a section whose observer is
-        off is absent. SLOs are evaluated once, before the flight section
-        is taken, so the ring records any breach they find.
+        ``alarms`` (explanations), ``health`` (replicas plus ``slo``),
+        ``metrics``, ``flight`` and ``trace``. SLOs are evaluated once,
+        before the flight section is taken, so the ring records any breach
+        they find.
         """
+        observer = self.observer
+        if observer is None:
+            return {}
+        from repro.obs.diagnose import export_explanations
+        from repro.obs.metrics import collect_deployment
         now = self.sim.now
-        sections: Dict[str, object] = {}
-        if self.metrics is not None:
-            from repro.obs.metrics import collect_deployment
-            collect_deployment(self.metrics, self)
-        if self.forensics is not None:
-            from repro.obs.diagnose import export_explanations
-            sections["alarms"] = export_explanations(
-                self.forensics.explanations())
-        if self.health is not None:
-            replicas = self.health.snapshot(now)
-            if self.slo is not None and self.metrics is not None:
-                statuses = self.slo.evaluate(self.metrics, now)
-                self._record_slo(statuses)
-                replicas["slo"] = [status.to_dict() for status in statuses]
-            sections["health"] = replicas
-        if self.metrics is not None:
-            sections["metrics"] = self.metrics.snapshot()
-        if self.recorder is not None:
-            sections["flight"] = self.recorder.payload(now=now,
-                                                       metrics=self.metrics)
-        if self.tracer is not None:
-            sections["trace"] = self.tracer.to_payload()
-        return sections
+        metrics = observer.metrics
+        collect_deployment(metrics, self)
+        alarms = export_explanations(observer.forensics.explanations())
+        replicas = observer.health.snapshot(now)
+        statuses = self.slo.evaluate(metrics, now)
+        self._record_slo(statuses)
+        replicas["slo"] = [status.to_dict() for status in statuses]
+        return {"alarms": alarms, "health": replicas,
+                "metrics": metrics.snapshot(),
+                "flight": observer.recorder.payload(now=now, metrics=metrics),
+                "trace": observer.tracer.to_payload()}
 
     def _record_slo(self, statuses) -> None:
         """Feed SLO evaluations to the flight recorder; dump on breach."""
-        recorder = self.recorder
-        if recorder is None:
-            return
+        recorder = self.observer.recorder
         now = self.sim.now
         breached = False
         for status in statuses:
@@ -223,22 +194,18 @@ class JuryDeployment:
 
     def prometheus_text(self) -> str:
         """Metrics/health/SLO state in the Prometheus text format."""
-        if self.metrics is None and self.health is None:
+        observer = self.observer
+        if observer is None:
             raise ValidationError(
-                "nothing to export — build with JuryConfig(metrics=True) "
-                "and/or JuryConfig(health=True)")
+                "nothing to export — build with JuryConfig(observe=True)")
         from repro.obs.export import prometheus_text
-        reports = None
-        statuses = None
-        if self.metrics is not None:
-            from repro.obs.metrics import collect_deployment
-            collect_deployment(self.metrics, self)
-        if self.health is not None:
-            reports = self.health.evaluate(self.sim.now)
-            if self.slo is not None and self.metrics is not None:
-                statuses = self.slo.evaluate(self.metrics, self.sim.now)
-                self._record_slo(statuses)
-        return prometheus_text(registry=self.metrics,
+        from repro.obs.metrics import collect_deployment
+        now = self.sim.now
+        collect_deployment(observer.metrics, self)
+        reports = observer.health.evaluate(now)
+        statuses = self.slo.evaluate(observer.metrics, now)
+        self._record_slo(statuses)
+        return prometheus_text(registry=observer.metrics,
                                health_reports=reports,
                                slo_statuses=statuses)
 

@@ -163,10 +163,6 @@ class _Shard(ThetaWakeup):
     def _flush(self) -> None:
         self._flush_scheduled = False
         self._process_available()
-        # The end of an engine step.
-        observer = self.pipeline.observer
-        if observer is not None:
-            observer.tick(self.sim.now)
 
     def _on_wakeup(self) -> None:
         self.stats.timer_wakeups += 1
@@ -248,7 +244,7 @@ class ValidationPipeline(DecisionCore, EngineSurface):
                  batch_max: int = 512,
                  flush_interval_ms: float = 0.0,
                  tracer=None, metrics=None,
-                 forensics=None, health=None, snapshot_sink=None,
+                 forensics=None, health=None,
                  sampler=None, recorder=None,
                  backend="serial",
                  checkpoint_every: Optional[int] = None,
@@ -270,8 +266,7 @@ class ValidationPipeline(DecisionCore, EngineSurface):
         # so it is byte-identical at any shard count.
         observer = Observer.build(tracer=tracer, metrics=metrics,
                                   forensics=forensics, health=health,
-                                  sampler=sampler, recorder=recorder,
-                                  sink=snapshot_sink)
+                                  sampler=sampler, recorder=recorder)
         self._init_core(sim, k, policy_engine=policy_engine,
                         mastership_lookup=mastership_lookup,
                         state_aware=state_aware,

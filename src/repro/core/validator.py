@@ -553,15 +553,11 @@ class Validator(ThetaWakeup, DecisionCore, EngineSurface):
             observer.ingest(now, response)
         self.core.run(((now, response),), now, True, self, self._counters)
         self._arm()
-        if observer is not None:
-            observer.tick(now)
 
     def _on_wakeup(self) -> None:
         now = self.sim.now
         self.core.run((), now, True, self, self._counters)
         self._arm(prune=True)
-        if self.observer is not None:
-            self.observer.tick(now)
 
     # ------------------------------------------------------------------
     # What is this engine's own in a checkpoint (see EngineSurface)

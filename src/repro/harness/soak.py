@@ -33,6 +33,7 @@ Wall-clock and process APIs are confined to this harness module
 from __future__ import annotations
 
 import contextlib
+import math
 import multiprocessing
 import os
 import resource
@@ -194,6 +195,9 @@ def run_soak(duration_s: float = 60.0,
             f"--kill-at {kill_at_s} must fall inside (0, {duration_s}) "
             f"— killing before the first trigger or after the stream ends "
             f"soaks nothing")
+    if not (math.isfinite(timeout_ms) and timeout_ms > 0):
+        raise CheckpointError(
+            f"--timeout {timeout_ms} must be a finite number of ms > 0")
     triggers = int(duration_s * rate_per_s)
     if triggers < 1:
         raise CheckpointError(

@@ -17,8 +17,8 @@ Built on top of them, three diagnosis/health layers:
 * :class:`~repro.obs.health.ReplicaHealthTracker` /
   :class:`~repro.obs.health.SloMonitor` — rolling-window replica health
   scores with hysteresis, plus SLO threshold rules over the registry.
-* :mod:`repro.obs.export` — zero-dependency Prometheus-text and JSONL
-  exporters and the periodic :class:`~repro.obs.export.SnapshotSink`.
+* :mod:`repro.obs.export` — the zero-dependency Prometheus-text exporter
+  and its linter.
 
 Production-shaped telemetry bounding (PR 8):
 
@@ -60,10 +60,7 @@ from repro.obs.diff import (
     first_divergence_detail,
 )
 from repro.obs.export import (
-    SnapshotSink,
-    health_jsonl,
     lint_prometheus_text,
-    metrics_jsonl,
     prometheus_text,
 )
 from repro.obs.health import (
@@ -144,7 +141,6 @@ __all__ = [
     "SloMonitor",
     "SloRule",
     "SloStatus",
-    "SnapshotSink",
     "Span",
     "TraceDiff",
     "Tracer",
@@ -162,10 +158,8 @@ __all__ = [
     "export_explanations",
     "find_explanation",
     "first_divergence_detail",
-    "health_jsonl",
     "lint_prometheus_text",
     "match_trigger_key",
-    "metrics_jsonl",
     "prometheus_text",
     "render_explanations",
     "render_flight",

@@ -1,4 +1,4 @@
-"""Zero-dependency exporters: Prometheus text, JSONL, and a snapshot sink.
+"""Zero-dependency exporter: Prometheus text and its linter.
 
 ``prometheus_text`` renders a :class:`~repro.obs.metrics.MetricsRegistry`
 (plus optional health reports and SLO statuses) in the Prometheus text
@@ -11,15 +11,10 @@ cross-engine equivalence the differential suite asserts).
 ``lint_prometheus_text`` is a strict line-format checker used by the CI
 observability job — it validates the exposition without any external
 Prometheus tooling.
-
-:class:`SnapshotSink` is the periodic export hook an engine's observer
-ticks after every step: it snapshots metrics/health on simulated-time
-boundary crossings and renders the collected records as JSONL.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from typing import Dict, Iterable, List, Sequence, Tuple
@@ -339,77 +334,3 @@ def _split_label_pairs(body: str) -> Iterable[str]:
     if current:
         pairs.append("".join(current))
     return pairs
-
-
-# ----------------------------------------------------------------------
-# JSONL exports and the periodic snapshot sink
-# ----------------------------------------------------------------------
-
-def jsonl_line(record: Dict[str, object]) -> str:
-    """One stable JSONL line (sorted keys, no trailing whitespace)."""
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
-
-
-def metrics_jsonl(registry, now: float) -> str:
-    """The registry snapshot as one JSONL record."""
-    return jsonl_line({"kind": "metrics", "time_ms": now,
-                       "metrics": registry.snapshot()})
-
-
-def health_jsonl(reports: Dict[str, object], slo_statuses: Sequence = None,
-                 now: float = 0.0) -> str:
-    """Health reports plus SLO statuses as one JSONL record."""
-    return jsonl_line({
-        "kind": "health", "time_ms": now,
-        "replicas": {cid: reports[cid].to_dict() for cid in sorted(reports)},
-        "slo": [status.to_dict() for status in (slo_statuses or ())]})
-
-
-class SnapshotSink:
-    """Periodic metrics/health snapshots on simulated-time boundaries.
-
-    ``observe(now)`` is called at the end of every engine step (the
-    observer seam's ``tick``); the first call at or past each
-    ``interval_ms`` boundary records one snapshot (repeat calls within a
-    boundary are no-ops, and idle gaps collapse to a single snapshot — the
-    sink follows the engine's activity, it never schedules simulator
-    events of its own).
-    """
-
-    def __init__(self, interval_ms: float = 500.0, registry=None,
-                 health=None):
-        if interval_ms <= 0:
-            raise ValueError(f"interval_ms must be positive: {interval_ms}")
-        self.interval_ms = interval_ms
-        self.registry = registry
-        self.health = health
-        self.records: List[Dict[str, object]] = []
-        self._next_boundary = interval_ms
-
-    def observe(self, now: float) -> None:
-        """Record one snapshot if ``now`` crossed the next boundary."""
-        if now < self._next_boundary:
-            return
-        boundary = self._next_boundary
-        while self._next_boundary <= now:
-            self._next_boundary += self.interval_ms
-        record: Dict[str, object] = {"kind": "snapshot", "time_ms": now,
-                                     "boundary_ms": boundary}
-        if self.registry is not None:
-            record["metrics"] = self.registry.snapshot()
-        if self.health is not None:
-            reports = self.health.evaluate(boundary)
-            record["health"] = {cid: reports[cid].to_dict()
-                                for cid in sorted(reports)}
-        self.records.append(record)
-
-    def to_jsonl(self) -> str:
-        """All recorded snapshots, one JSON object per line."""
-        return "\n".join(jsonl_line(record) for record in self.records)
-
-    def dump(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            text = self.to_jsonl()
-            if text:
-                handle.write(text)
-                handle.write("\n")

@@ -3,10 +3,10 @@
 Engines, the replicator and checkpoints hold one :class:`Observer` — or
 ``None`` when nothing observes, so a hot-path call site pays one branch —
 and report lifecycle events to it: ``intercept``, ``replicate``,
-``ingest``, ``late``, ``decision``, ``checkpoint``, ``restore`` and
-``tick``. The tracer, metrics registry, alarm forensics, replica health
-tracker, flight recorder and snapshot sink are its subscribers; which
-event feeds which, and which are head-sampled, is tabled in
+``ingest``, ``late``, ``decision``, ``checkpoint`` and ``restore``. The
+tracer, metrics registry, alarm forensics, replica health tracker and
+flight recorder are its subscribers; which event feeds which, and which
+are head-sampled, is tabled in
 docs/observability.md ("The observer seam"). The sampler is applied here,
 once per event.
 
@@ -105,19 +105,17 @@ class _Shapes(dict):
 class Observer:
     """The subscribers behind one event API (see the module docstring)."""
 
-    _SUBSCRIBERS = ("tracer", "metrics", "forensics", "health", "recorder",
-                    "sink")
+    _SUBSCRIBERS = ("tracer", "metrics", "forensics", "health", "recorder")
     __slots__ = _SUBSCRIBERS + ("sampler", "_instruments", "_shapes")
 
     def __init__(self, tracer=None, metrics=None, forensics=None, health=None,
-                 sampler=None, recorder=None, sink=None):
+                 sampler=None, recorder=None):
         self.tracer = active_tracer(tracer)
         self.metrics = metrics
         self.forensics = forensics
         self.health = health
         self.sampler = active_sampler(sampler)
         self.recorder = recorder
-        self.sink = sink
         self._instruments = None if metrics is None else _Instruments(metrics)
         self._shapes = (None if self.tracer is None
                         else _Shapes(self.tracer))
@@ -254,11 +252,6 @@ class Observer:
         if self.health is not None:
             self.health.record_decision(now, responses, alarms,
                                         result.timed_out)
-
-    def tick(self, now: float) -> None:
-        """An engine step ended: the periodic snapshot sink may fire."""
-        if self.sink is not None:
-            self.sink.observe(now)
 
     # ------------------------------------------------------------------
     # Recovery

@@ -239,7 +239,7 @@ def test_h406_allows_binding_the_seam_and_calling_its_events():
             observer = self.observer
             if observer is not None:
                 observer.ingest(now, response)
-                self.observer.tick(now)
+                self.observer.late(now, response.trigger_id, "c1")
     """
     assert "H406" not in _rules(src, path="src/repro/core/validator.py")
 

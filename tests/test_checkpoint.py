@@ -690,6 +690,24 @@ def test_run_soak_rejects_out_of_range_kill(tmp_path):
         run_soak(duration_s=2.0, kill_at_s=5.0, workdir=str(tmp_path))
 
 
+@pytest.mark.parametrize("timeout_ms", [-5.0, 0.0, float("nan")])
+def test_run_soak_rejects_a_timeout_that_is_not_positive(tmp_path,
+                                                         timeout_ms):
+    from repro.harness.soak import run_soak
+
+    with pytest.raises(CheckpointError, match="--timeout"):
+        run_soak(duration_s=2.0, kill_at_s=1.0, timeout_ms=timeout_ms,
+                 workdir=str(tmp_path))
+    assert not list(tmp_path.iterdir()), "refused before any worker ran"
+
+
+def test_soak_cli_refuses_a_negative_timeout(tmp_path):
+    from repro.cli import main
+
+    assert main(["soak", "--duration", "2", "--kill-at", "1",
+                 "--timeout", "-5", "--workdir", str(tmp_path)]) == 2
+
+
 def test_soak_cli_round_trip(tmp_path):
     from repro.cli import main
 

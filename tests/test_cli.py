@@ -23,6 +23,13 @@ def test_validate_command(capsys):
     assert "false-positive rate" in out
 
 
+@pytest.mark.parametrize("timeout", ["-5", "0", "nan"])
+def test_validate_refuses_a_timeout_that_is_not_positive(timeout, capsys):
+    code = main(["validate", "--timeout", timeout, "--duration", "200"])
+    assert code == 2
+    assert "timeout_ms" in capsys.readouterr().err
+
+
 def test_faults_command_detects(capsys):
     code = main(["faults", "crash", "--nodes", "5", "-k", "4",
                  "--switches", "6", "--seed", "4"])

@@ -26,12 +26,12 @@ from repro.faults.base import run_scenario
 def _run(scenario, kind="onos"):
     experiment = Jury.experiment(JuryConfig(
         kind=kind, n=5, k=4, switches=8, seed=7, timeout_ms=250.0,
-        policies=("default",), with_northbound=True, diagnose=True))
+        policies=("default",), with_northbound=True, observe=True))
     experiment.warmup()
     result = run_scenario(experiment, scenario)
     assert result.detected, f"{scenario.name} must be detected"
     alarm = result.matching_alarms[0]
-    explanation = experiment.jury.forensics.explanation_for(alarm)
+    explanation = experiment.jury.observer.forensics.explanation_for(alarm)
     assert explanation is not None, \
         "forensics must record an explanation for every alarm"
     return alarm, explanation, experiment

@@ -32,9 +32,9 @@ def test_config_is_frozen():
     config = JuryConfig(k=2)
     with pytest.raises(dataclasses.FrozenInstanceError):
         config.k = 3
-    changed = config.replace(k=3, trace=True)
-    assert (changed.k, changed.trace) == (3, True)
-    assert (config.k, config.trace) == (2, False)
+    changed = config.replace(k=3, observe=True)
+    assert (changed.k, changed.observe) == (3, True)
+    assert (config.k, config.observe) == (2, False)
 
 
 def test_config_validation():
@@ -43,6 +43,15 @@ def test_config_validation():
     with pytest.raises(ValidationError):
         JuryConfig(policies=("no-such-set",))
     JuryConfig(k=None)  # vanilla-cluster configs are valid
+
+
+@pytest.mark.parametrize("timeout_ms", [-5.0, 0, 0.0, float("nan"),
+                                        float("inf"), True, "250"])
+def test_timeout_ms_must_be_a_finite_positive_number(timeout_ms):
+    with pytest.raises(ValidationError, match="timeout_ms"):
+        JuryConfig(timeout_ms=timeout_ms)
+    with pytest.raises(ValidationError, match="timeout_ms"):
+        JuryConfig.from_dict({"timeout_ms": timeout_ms})
 
 
 def test_effective_timeout_follows_controller_kind():
@@ -65,38 +74,36 @@ def test_named_policy_sets_resolve_lazily():
 
 
 def test_observability_builders_follow_flags():
-    off = JuryConfig()
-    assert off.build_tracer() is None and off.build_metrics() is None
-    on = JuryConfig(trace=True, metrics=True)
-    assert isinstance(on.build_tracer(), Tracer)
-    assert isinstance(on.build_metrics(), MetricsRegistry)
+    assert JuryConfig().build_observers() == {}
+    on = JuryConfig(observe=True)
+    observers = on.build_observers()
+    assert sorted(observers) == ["forensics", "health", "metrics",
+                                 "recorder", "sampler", "tracer"]
+    assert observers["sampler"] is None, "obs_sample=1 means record all"
+    assert on.build_observers()["tracer"] is not observers["tracer"], \
+        "every build gets fresh observers"
     description = on.describe()
-    assert description["trace"] and description["metrics"]
+    assert description["observe"] is True
+    assert JuryConfig().describe()["observe"] is False
 
 
 def test_sampling_and_flight_config():
-    from repro.obs.recorder import FlightRecorder
     from repro.obs.sampling import HeadSampler
 
-    off = JuryConfig()
-    assert off.build_sampler() is None, "obs_sample=1 means record all"
-    assert off.build_flight_recorder() is None
-
-    on = JuryConfig(obs_sample=16, flight=True, flight_capacity=32)
-    sampler = on.build_sampler()
+    on = JuryConfig(observe=True, obs_sample=16)
+    sampler = on.build_observers()["sampler"]
     assert isinstance(sampler, HeadSampler) and sampler.rate == 16
-    recorder = on.build_flight_recorder()
-    assert isinstance(recorder, FlightRecorder)
-    assert recorder.capacity == 32
-    description = on.describe()
-    assert description["obs_sample"] == 16
-    assert description["flight"]
+    assert on.describe()["obs_sample"] == 16
 
     for bad in ({"obs_sample": 0}, {"obs_sample": True},
-                {"obs_sample": 2.5}, {"flight_capacity": 0},
-                {"flight_capacity": False}):
-        with pytest.raises(ValidationError):
-            JuryConfig(**bad)
+                {"obs_sample": 2.5}):
+        with pytest.raises(ValidationError, match="obs_sample"):
+            JuryConfig(observe=True, **bad)
+    # A sampler with nothing to sample is refused, not dropped.
+    with pytest.raises(ValidationError, match="obs_sample.*observe"):
+        JuryConfig(obs_sample=16)
+    with pytest.raises(ValidationError, match="obs_sample.*observe"):
+        JuryConfig.from_dict({"obs_sample": 16})
 
     payload = on.replace(k=2).to_dict()
     import json
@@ -106,17 +113,60 @@ def test_sampling_and_flight_config():
 
 def test_flight_and_sampler_wire_through_the_deployment():
     jury = Jury.build(JuryConfig(k=K, n=N, switches=6, seed=25,
-                                 obs_sample=8, flight=True, metrics=True))
-    assert jury.sampler is not None and jury.sampler.rate == 8
-    assert jury.recorder is not None
-    assert jury.validator.observer.recorder is jury.recorder
-    assert jury.validator.observer.sampler is jury.sampler
+                                 observe=True, obs_sample=8))
+    observer = jury.validator.observer
+    assert jury.observer is observer
+    assert observer.sampler is not None and observer.sampler.rate == 8
+    assert observer.recorder is not None
     payload = jury.report()
-    assert sorted(payload) == ["flight", "metrics"]
+    assert sorted(payload) == ["alarms", "flight", "health", "metrics",
+                               "trace"]
     assert payload["flight"]["format"] == "jury-flight"
     plain = Jury.build(JuryConfig(k=K, n=N, switches=6, seed=26))
-    assert plain.recorder is None and plain.sampler is None
+    assert plain.observer is None and plain.slo is None
     assert plain.report() == {}
+    with pytest.raises(ValidationError, match="observe=True"):
+        plain.prometheus_text()
+
+
+#: The observability fields ``observe`` replaced, with a value each.
+RETIRED_OBSERVABILITY_KEYS = [
+    ("trace", True), ("metrics", True), ("diagnose", True),
+    ("health", True), ("flight", True), ("flight_capacity", 32),
+    ("snapshot_interval_ms", 100.0)]
+
+
+@pytest.mark.parametrize("key,value", RETIRED_OBSERVABILITY_KEYS)
+def test_retired_observability_keys_are_refused(key, value):
+    with pytest.raises(ValidationError,
+                       match=f"unknown config key '{key}'"):
+        JuryConfig.from_dict({key: value})
+    with pytest.raises(TypeError, match=key):
+        JuryConfig(**{key: value})
+    assert key not in JuryConfig().to_dict()
+    assert key not in JuryConfig().describe()
+
+
+def test_observe_builds_exactly_the_five_subscribers_with_defaults():
+    from repro.obs.diagnose import AlarmForensics
+    from repro.obs.health import ReplicaHealthTracker, default_slo_rules
+    from repro.obs.observer import Observer
+    from repro.obs.recorder import FlightRecorder
+
+    assert len(dataclasses.fields(JuryConfig)) == 18
+    jury = Jury.build(JuryConfig(k=K, n=N, switches=6, seed=27,
+                                 observe=True))
+    observer = jury.observer
+    kinds = {"tracer": Tracer, "metrics": MetricsRegistry,
+             "forensics": AlarmForensics, "health": ReplicaHealthTracker,
+             "recorder": FlightRecorder}
+    assert Observer._SUBSCRIBERS == tuple(kinds)
+    for name, kind in kinds.items():
+        assert type(getattr(observer, name)) is kind
+    assert observer.sampler is None
+    assert observer.recorder.capacity == FlightRecorder().capacity == 256
+    assert [rule.name for rule in jury.slo.rules] == [
+        rule.name for rule in default_slo_rules()]
 
 
 # ----------------------------------------------------------------------
@@ -142,20 +192,22 @@ def test_build_rejects_non_config_and_vanilla():
 
 def test_build_wires_observability_through_the_stack():
     jury = Jury.build(JuryConfig(k=K, n=N, switches=6, seed=23,
-                                 trace=True, metrics=True))
-    assert isinstance(jury.tracer, Tracer)
-    assert jury.validator.tracer is jury.tracer
+                                 observe=True))
+    observer = jury.observer
+    assert isinstance(observer.tracer, Tracer)
+    assert jury.validator.tracer is observer.tracer
+    assert jury.validator.metrics is observer.metrics
     for replicator in jury.replicators.values():
-        assert replicator.observer is jury.validator.observer
-        assert replicator.observer.tracer is jury.tracer
+        assert replicator.observer is observer
     payload = jury.report()
-    assert sorted(payload) == ["metrics", "trace"]
     snapshot = payload["metrics"]
     assert snapshot and not any(name.startswith("pipeline_")
                                 for name in snapshot)
     assert payload["trace"]["format"] == "jury-trace"
     off = Jury.build(JuryConfig(k=K, n=N, switches=6, seed=24))
-    assert off.tracer is None and off.metrics is None
+    assert off.observer is None and off.validator.tracer is None
+    assert all(replicator.observer is None
+               for replicator in off.replicators.values())
     assert off.report() == {}
 
 
@@ -165,7 +217,7 @@ def test_build_wires_observability_through_the_stack():
 
 def test_config_dict_round_trip():
     config = JuryConfig(k=4, n=5, switches=6, seed=9, timeout_ms=250.0,
-                        policies=("default",), trace=True,
+                        policies=("default",), observe=True,
                         profile_overrides=(("collapse_threshold", 500),))
     payload = config.to_dict()
     assert payload["policies"] == ["default"]  # JSON-able lists

@@ -81,7 +81,7 @@ def test_field_diff_render_forms():
 def fault_run():
     experiment = Jury.experiment(JuryConfig(
         kind="onos", n=5, k=4, switches=8, seed=5, timeout_ms=250.0,
-        policies=("default",), with_northbound=True, diagnose=True))
+        policies=("default",), with_northbound=True, observe=True))
     experiment.warmup()
     result = run_scenario(experiment, LinkFailureFault(1, 2))
     assert result.detected
@@ -91,7 +91,7 @@ def fault_run():
 def test_every_alarm_gets_an_explanation(fault_run):
     experiment = fault_run
     alarms = experiment.jury.alarms
-    forensics = experiment.jury.forensics
+    forensics = experiment.jury.observer.forensics
     assert alarms
     for alarm in alarms:
         explanation = forensics.explanation_for(alarm)
@@ -105,7 +105,7 @@ def test_every_alarm_gets_an_explanation(fault_run):
 
 def test_consensus_explanations_carry_field_diffs(fault_run):
     experiment = fault_run
-    forensics = experiment.jury.forensics
+    forensics = experiment.jury.observer.forensics
     consensus = [forensics.explanation_for(a) for a in experiment.jury.alarms
                  if a.reason is AlarmReason.CONSENSUS_MISMATCH]
     assert consensus, "link failure must raise consensus alarms"
@@ -138,7 +138,7 @@ def test_forensics_never_mutates_alarm_objects(fault_run):
 
 def test_export_ids_and_json_round_trip(fault_run):
     experiment = fault_run
-    explanations = experiment.jury.forensics.explanations()
+    explanations = experiment.jury.observer.forensics.explanations()
     payload = export_explanations(explanations)
     assert payload["format"] == "jury-diagnose"
     assert payload["alarm_count"] == len(explanations)
@@ -151,7 +151,7 @@ def test_export_ids_and_json_round_trip(fault_run):
 
 def test_find_explanation_by_id_shorthand_and_substring(fault_run):
     experiment = fault_run
-    explanations = experiment.jury.forensics.explanations()
+    explanations = experiment.jury.observer.forensics.explanations()
     assert find_explanation(explanations, "a0001")[0] == "A0001"
     trigger = explanations[0].trigger_id
     assert find_explanation(explanations, trigger)[1] is explanations[0]
@@ -161,7 +161,7 @@ def test_find_explanation_by_id_shorthand_and_substring(fault_run):
 
 def test_render_explanations_is_deterministic(fault_run):
     experiment = fault_run
-    explanations = experiment.jury.forensics.explanations()
+    explanations = experiment.jury.observer.forensics.explanations()
     text = render_explanations(explanations)
     assert text == render_explanations(explanations)
     assert "A0001" in text and "fault class" in text
@@ -175,7 +175,7 @@ def test_render_explanations_is_deterministic(fault_run):
 def test_offline_reconstruction_matches_live_verdicts(fault_run):
     # A saved report's alarms section rebuilds the live explanations
     # exactly: same records, same rendering, same lookups.
-    live = fault_run.jury.forensics.explanations()
+    live = fault_run.jury.observer.forensics.explanations()
     saved = json.loads(json.dumps(export_explanations(live)))
     offline = [AlarmExplanation.from_dict(entry) for entry in saved["alarms"]]
     assert offline == live

@@ -1,13 +1,8 @@
-"""Unit tests for the Prometheus/JSONL exporters and the snapshot sink."""
-
-import json
+"""Unit tests for the Prometheus exporter and its linter."""
 
 from repro.obs.export import (
-    SnapshotSink,
     escape_label_value,
-    health_jsonl,
     lint_prometheus_text,
-    metrics_jsonl,
     prometheus_text,
 )
 from repro.obs.health import ReplicaHealthTracker, SloMonitor
@@ -182,85 +177,3 @@ def test_lint_enforces_histogram_bucket_discipline():
         errors = lint_prometheus_text(_histogram_doc(samples))
         assert any(expected in error for error in errors), \
             f"{samples}: expected {expected!r}, got {errors}"
-
-
-# ----------------------------------------------------------------------
-# JSONL exporters
-# ----------------------------------------------------------------------
-
-def test_metrics_jsonl_record_parses_and_is_stable():
-    first = metrics_jsonl(_registry(), 250.0)
-    record = json.loads(first)
-    assert record["kind"] == "metrics" and record["time_ms"] == 250.0
-    assert any("validator_responses_total" in key
-               for key in record["metrics"])
-    assert metrics_jsonl(_registry(), 250.0) == first
-
-
-def test_health_jsonl_carries_reports_and_slo():
-    tracker = ReplicaHealthTracker()
-    tracker.record_response(1.0, "c1", lag_ms=1.0)
-    monitor = SloMonitor()
-    registry = _registry()
-    record = json.loads(health_jsonl(
-        tracker.evaluate(100.0),
-        slo_statuses=monitor.evaluate(registry, 100.0), now=100.0))
-    assert record["kind"] == "health"
-    assert list(record["replicas"]) == ["c1"]
-    assert {s["name"] for s in record["slo"]} \
-        == {"detection-latency-p95", "late-drop-rate"}
-    # SLO statuses are optional (standalone health tracker, no registry).
-    bare = json.loads(health_jsonl(tracker.evaluate(100.0), now=100.0))
-    assert bare["slo"] == []
-
-
-# ----------------------------------------------------------------------
-# SnapshotSink
-# ----------------------------------------------------------------------
-
-def test_sink_records_once_per_boundary():
-    sink = SnapshotSink(100.0, registry=_registry())
-    sink.observe(10.0)      # below the first boundary: nothing
-    assert sink.records == []
-    sink.observe(105.0)     # crosses 100
-    sink.observe(107.0)     # same interval: no new record
-    sink.observe(350.0)     # idle gap: one record at the first uncrossed
-    assert [r["boundary_ms"] for r in sink.records] == [100.0, 200.0]
-    sink.observe(360.0)     # 400 not yet crossed
-    assert len(sink.records) == 2
-
-
-def test_sink_jsonl_round_trip(tmp_path):
-    tracker = ReplicaHealthTracker()
-    tracker.record_response(5.0, "c1", lag_ms=1.0)
-    sink = SnapshotSink(50.0, registry=_registry(), health=tracker)
-    sink.observe(60.0)
-    sink.observe(120.0)
-    path = tmp_path / "snapshots.jsonl"
-    sink.dump(str(path))
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert len(lines) == 2
-    for line in lines:
-        record = json.loads(line)
-        assert record["kind"] == "snapshot"
-        assert "metrics" in record and "health" in record
-
-
-def test_sequential_deployment_ticks_the_snapshot_sink():
-    """The sink rides the end of every step of the deployment's sequential
-    validator."""
-    from repro import Jury, JuryConfig
-    from repro.workloads.traffic import TrafficDriver
-
-    experiment = Jury.experiment(JuryConfig(
-        kind="onos", n=5, k=2, switches=6, seed=7,
-        snapshot_interval_ms=100.0, metrics=True))
-    experiment.warmup()
-    TrafficDriver(experiment.sim, experiment.topology,
-                  packet_in_rate_per_s=300.0, duration_ms=1000.0).start()
-    experiment.run(1000.0)
-    records = experiment.jury.snapshot_sink.records
-    assert records, "a sequential deployment must take periodic snapshots"
-    boundaries = [record["boundary_ms"] for record in records]
-    assert boundaries == sorted(set(boundaries))
-    assert all("metrics" in record for record in records)

@@ -18,7 +18,6 @@ from repro.core.pipeline import ValidationPipeline
 from repro.core.timeouts import StaticTimeout
 from repro.core.validator import Validator
 from repro.obs.diagnose import AlarmForensics
-from repro.obs.export import SnapshotSink
 from repro.obs.health import ReplicaHealthTracker
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.observer import Observer
@@ -40,7 +39,6 @@ SUBSCRIBERS = {
     "forensics": AlarmForensics,
     "health": ReplicaHealthTracker,
     "recorder": FlightRecorder,
-    "sink": SnapshotSink,
 }
 
 

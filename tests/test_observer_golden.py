@@ -2,9 +2,8 @@
 
 Every export an operator reads off a run — the canonical trace, the JSON
 trace payload, per-trigger span emission order, the metrics dump and the
-Prometheus text, alarm explanations, the replica-health snapshot, the
-flight-recorder payload and the periodic snapshot-sink records — is hashed
-with sha-256 and compared with digests recorded on the commit *before*
+Prometheus text, alarm explanations, the replica-health snapshot and the
+flight-recorder payload — is hashed with sha-256 and compared with digests recorded on the commit *before*
 engines, replicator, checkpoints and (since deleted) execution backends
 started reporting through the one :class:`~repro.obs.observer.Observer`
 (CPython 3.11, Linux x86-64).
@@ -17,19 +16,16 @@ Two setups:
   secondaries and stragglers either side of θτ; the serial N=4 pipeline
   also at rate 64, the production-shaped sampling rate (that digest was
   recorded later, on the commit that introduced the one observer);
-* **deployments** — an ONOS n=5 k=2 deployment with trace, metrics,
-  diagnose, health, flight, a 100 ms snapshot sink and automatic
+* **deployments** — an ONOS n=5 k=2 deployment with ``observe=True``
+  (trace, metrics, forensics, health, flight recorder) and automatic
   checkpoints, at head-sampling rates 1 and 8, running traffic and a
   planted link-failure fault.
 
-Exactly one digest differs from the recording, on purpose: the
-snapshot-sink records of the sequential deployment (``deploy-seq/*``
-``sink``). On the recording commit the sink was driven only by the
-pipeline's flush path, so a sequential deployment never took a snapshot
-and its digest was :data:`EMPTY`; the sequential validator now ticks it
-after every engine step. The ``payload``, ``spans_for``, ``metrics``,
-``prometheus``, ``flight`` and ``sink`` digests of ``serial N=4/{1,8,64}``
-(18 in all) were re-recorded when the pipeline checkpoint body stopped
+A ``sink`` digest (the records of a periodic snapshot sink) was pinned
+per case too, until the sink was deleted; it only read the registry and
+the health tracker, and no other digest moved when it went. The
+``payload``, ``spans_for``, ``metrics``, ``prometheus`` and ``flight``
+digests of ``serial N=4/{1,8,64}`` (15 in all) were re-recorded when the pipeline checkpoint body stopped
 carrying per-shard Ψ views: those exports hold the
 checkpoint's ``body_bytes`` and 12-hex sha tag, and with both masked they
 were byte-equal before and after. A change that means to keep what
@@ -53,7 +49,7 @@ from repro.faults.base import run_scenario
 from repro.faults.injector import default_policy_engine
 from repro.faults.synthetic import LinkFailureFault
 from repro.obs.diagnose import AlarmForensics, export_explanations
-from repro.obs.export import SnapshotSink, prometheus_text
+from repro.obs.export import prometheus_text
 from repro.obs.health import ReplicaHealthTracker
 from repro.obs.metrics import MetricsRegistry, dump_metrics
 from repro.obs.recorder import FlightRecorder
@@ -64,9 +60,6 @@ from tests.test_one_engine import SOAK_K, TIMEOUT_MS, _faulty_soak_stream
 
 #: Every how-many spans_for() keys (sorted) the emission-order pin samples.
 SPANS_STRIDE = 23
-
-#: sha-256 of the empty string: what a sink that never fired exports.
-EMPTY = hashlib.sha256(b"").hexdigest()
 
 GOLDEN = {
     "validator/1": {
@@ -86,7 +79,6 @@ GOLDEN = {
             "d05285ce3232b3d28a0a9f0d2fb615f78dc919a5e73e163f5d5acfbe174c12fb",
         "flight":
             "e61288f68be9c05cba77fec623abde659ad7b3530bfca3da674e85ae773253fc",
-        "sink": EMPTY,
     },
     "validator/8": {
         "canonical":
@@ -105,7 +97,6 @@ GOLDEN = {
             "282b00ad163a0128c2e6bf18d85dce088084a368cecf35067e4e8472d7283742",
         "flight":
             "b8e381a324981c055ced75f07759499ef8aa94c1515e3e2a376b8b9340f92994",
-        "sink": EMPTY,
     },
     "serial N=4/1": {
         "canonical":
@@ -124,8 +115,6 @@ GOLDEN = {
             "d05285ce3232b3d28a0a9f0d2fb615f78dc919a5e73e163f5d5acfbe174c12fb",
         "flight":
             "a5879970f601467c87e40c243c8383ea7da9304a8e9a2e30e40b8c57bb02123c",
-        "sink":
-            "106552433957e714c753acc999b72f0aaf5fc48a0ed3fa0ad7a68b5cd5facb75",
     },
     "serial N=4/8": {
         "canonical":
@@ -144,8 +133,6 @@ GOLDEN = {
             "282b00ad163a0128c2e6bf18d85dce088084a368cecf35067e4e8472d7283742",
         "flight":
             "3114e972bdc04d21785e081ea3b1c9f1478ce1d86b484318622ebe7889636400",
-        "sink":
-            "f166707963530fa581b9612b188e417b86f3611fe60637f7428b4d2b47a69b26",
     },
     "serial N=4/64": {
         "canonical":
@@ -164,8 +151,6 @@ GOLDEN = {
             "4b9460d9eb711487467bc5f54673add9828ddae24b123d7aaa4304a2e9b6f5d1",
         "flight":
             "373b49f878c89f767f847d182c8d1c7033a9422bbb6bde5dd958830b22a02baa",
-        "sink":
-            "f8fd0b0da2f3bf87bbb8a1e690a5407577358f328d30f7fe52d26f097b7ed60d",
     },
     "deploy-seq/1": {
         "canonical":
@@ -184,8 +169,6 @@ GOLDEN = {
             "5e7d483e9503c07c570f4b8cc200c31f6cb7dd40cdcd2e13bc593f771ec98ac2",
         "flight":
             "8b324d9ddf2efd221352779aa1f8936029b1b5fe9b6a7ebd76ace99e4c68bace",
-        "sink":
-            "c23b96ab373d61c10f6cdfc6cf87d14ab99a2bc7e5eb1752ee8877c082e65c4f",
     },
     "deploy-seq/8": {
         "canonical":
@@ -204,8 +187,6 @@ GOLDEN = {
             "219f04d72da5098fbecc9bb80c2ce689bf277071f4f71187a260aee6974faebd",
         "flight":
             "233f290132e7f1ad9aa9a10f6a74a94c8cd59eaf2cf853eb01ee34abd0c4cacf",
-        "sink":
-            "baa53eea7e4d0473c02d7bd00bcc103340e8d83feb93d22d16337c371142c672",
     },
 }
 
@@ -220,8 +201,7 @@ def _json(payload) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-def _digests(tmp_path, now, tracer, metrics, forensics, health, recorder,
-             sink):
+def _digests(tmp_path, now, tracer, metrics, forensics, health, recorder):
     """One sha-256 per export, in an order that reads without mutating."""
     keys = sorted(tracer.trigger_keys())[::SPANS_STRIDE]
     keys += [key for key in tracer.trigger_keys() if "engine" in key]
@@ -241,7 +221,6 @@ def _digests(tmp_path, now, tracer, metrics, forensics, health, recorder,
             forensics.explanations()))),
         "health": _sha(_json(health.snapshot(now))),
         "flight": _sha(recorder.to_json(now, metrics=metrics)),
-        "sink": _sha(sink.to_jsonl()) if sink is not None else EMPTY,
     }
 
 
@@ -254,25 +233,20 @@ def _stream_run(tmp_path, engine_label, rate):
     stack = dict(tracer=Tracer(), metrics=MetricsRegistry(),
                  forensics=AlarmForensics(), health=ReplicaHealthTracker(),
                  recorder=FlightRecorder(capacity=4096))
-    sink = None
 
     def make(sim):
-        nonlocal sink
         common = dict(timeout=StaticTimeout(TIMEOUT_MS),
                       policy_engine=default_policy_engine(),
                       sampler=HeadSampler(rate), checkpoint_every=40, **stack)
         if engine_label == "validator":
             return Validator(sim, SOAK_K, **common)
-        sink = SnapshotSink(100.0, registry=stack["metrics"],
-                            health=stack["health"])
         assert engine_label == "serial N=4"
-        return ValidationPipeline(sim, SOAK_K, shards=4, snapshot_sink=sink,
-                                  **common)
+        return ValidationPipeline(sim, SOAK_K, shards=4, **common)
 
     engine = replay_stream(_faulty_soak_stream(), make,
                            settle_ms=4 * TIMEOUT_MS)
     assert engine.alarms and engine.triggers_decided
-    return _digests(tmp_path, engine.sim.now, sink=sink, **stack)
+    return _digests(tmp_path, engine.sim.now, **stack)
 
 
 STREAM_CASES = [("validator", 1), ("validator", 8),
@@ -294,9 +268,7 @@ def _deployment_run(tmp_path, rate):
     experiment = Jury.experiment(JuryConfig(
         kind="onos", n=5, k=2, switches=6, topology="linear", seed=7,
         timeout_ms=250.0, policies=("default",), with_northbound=True,
-        trace=True, metrics=True, diagnose=True,
-        health=True, flight=True, obs_sample=rate,
-        snapshot_interval_ms=100.0, checkpoint_every=16))
+        observe=True, obs_sample=rate, checkpoint_every=16))
     experiment.warmup()
     TrafficDriver(experiment.sim, experiment.topology,
                   packet_in_rate_per_s=300.0, duration_ms=400.0).start()
@@ -304,10 +276,10 @@ def _deployment_run(tmp_path, rate):
     assert run_scenario(experiment, LinkFailureFault(1, 2)).detected
     jury = experiment.jury
     assert jury.last_checkpoint is not None
-    observed = _digests(tmp_path, experiment.sim.now, jury.tracer,
-                        jury.metrics, jury.forensics, jury.health,
-                        jury.recorder, jury.snapshot_sink)
-    return observed
+    observer = jury.observer
+    return _digests(tmp_path, experiment.sim.now, observer.tracer,
+                    observer.metrics, observer.forensics, observer.health,
+                    observer.recorder)
 
 
 #: The ids keep the engine column ("None": the sequential validator) the

@@ -16,8 +16,8 @@ What is pinned:
 * **The Prometheus exposition lints clean** (``report --format prom``:
   ``tests/test_cli.py::test_metrics_prom_format_lints_clean`` and
   ``test_health_prom_format_lints_clean``).
-* **A ``--config`` file keeps its experiment** and gets every observer
-  OR-merged on top; its checkpoints fill the ``checkpoint`` section.
+* **A ``--config`` file keeps its experiment** and gets ``observe``
+  turned on over it; its checkpoints fill the ``checkpoint`` section.
 """
 
 from __future__ import annotations
@@ -109,8 +109,8 @@ def test_two_live_json_runs_are_byte_identical(saved):
 
 
 def test_config_file_gets_every_observer_and_its_checkpoint(tmp_path):
-    # --config keeps the file's experiment and OR-merges the five
-    # observers on top; the deployment's last checkpoint is a section.
+    # --config keeps the file's experiment and turns ``observe`` on over
+    # it; the deployment's last checkpoint is a section.
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"n": 3, "k": 2, "switches": 4, "seed": 3,
                                   "checkpoint_every": 50}))
@@ -121,8 +121,7 @@ def test_config_file_gets_every_observer_and_its_checkpoint(tmp_path):
     payload = json.loads(path.read_text(encoding="utf-8"))
     described = payload["config"]
     assert described["checkpoint_every"] == 50
-    assert all(described[name] for name in
-               ("trace", "metrics", "diagnose", "health", "flight"))
+    assert described["observe"] is True
     checkpoint = payload["checkpoint"]
     assert len(checkpoint["sha256"]) == 64
     assert checkpoint["meta"]["triggers_decided"] > 0
