@@ -58,7 +58,8 @@ class JuryConfig:
     * ``state_aware`` / ``taint_classification`` — the ablation switches.
 
     Observability: ``observe`` attaches all five observers together — the
-    :class:`~repro.obs.Tracer`, the :class:`~repro.obs.MetricsRegistry`,
+    :class:`~repro.obs.trace.Tracer`, the
+    :class:`~repro.obs.metrics.MetricsRegistry`,
     alarm forensics, replica health scoring with SLO monitoring, and the
     flight recorder — which is what ``report()`` and ``jury-repro report``
     read; ``obs_sample`` head-samples them 1-in-N. Off by default (the

@@ -81,6 +81,8 @@ class JuryDeployment:
         #: observer ``config.observe`` attached, or None when it is off.
         self.observer = self.validator.observer
         self.slo = None
+        #: ``(rule, time)`` of every SLO breach fed to the flight recorder.
+        self._slo_breaches: set = set()
         if self.observer is not None:
             from repro.obs.health import SloMonitor
             self.slo = SloMonitor()
@@ -178,18 +180,20 @@ class JuryDeployment:
                 "trace": observer.tracer.to_payload()}
 
     def _record_slo(self, statuses) -> None:
-        """Feed SLO evaluations to the flight recorder; dump on breach."""
+        """Feed each SLO breach to the flight recorder once per rule and
+        evaluation time, and dump if one is new: reading a report twice
+        at one instant must not change it."""
         recorder = self.observer.recorder
         now = self.sim.now
-        breached = False
-        for status in statuses:
-            if not status.ok:
-                breached = True
-                recorder.record(now, "slo", ("slo", status.name),
-                                verdict="breached",
-                                detail=f"value={status.value:.6g} "
-                                       f"threshold={status.threshold:.6g}")
-        if breached:
+        fresh = [status for status in statuses if not status.ok
+                 and (status.name, now) not in self._slo_breaches]
+        for status in fresh:
+            self._slo_breaches.add((status.name, now))
+            recorder.record(now, "slo", ("slo", status.name),
+                            verdict="breached",
+                            detail=f"value={status.value:.6g} "
+                                   f"threshold={status.threshold:.6g}")
+        if fresh:
             recorder.trigger("slo-breach", now)
 
     def prometheus_text(self) -> str:

@@ -7,12 +7,14 @@ a trigger that timed out (timeout-miss rate), and its response-lag
 percentiles — and flags a *suspected-faulty* replica with hysteresis so a
 single bad window cannot flap the flag.
 
-The tracker is an order-independent pure function of its event log. The
-hooks called from the hot path (:meth:`record_response`,
-:meth:`record_decision`) only append raw time-stamped events, as machine
-words in :mod:`array` columns so the log never feeds the garbage
-collector; every derived
-number comes out of :meth:`evaluate`, which sorts the events and replays
+The tracker is an order-independent pure function of its events, which
+are rows of an event log (:mod:`repro.obs.trace`): a response is an
+``ingest`` row (time, controller, lag) and a decision a ``decide`` row
+that carries facts (time, responders, offenders, timed out). Attached to
+the observer seam it reads the seam's log when it is evaluated; on its
+own, its hooks (:meth:`record_response`, :meth:`record_decision`) write
+those rows to a private log. Every derived number comes out of
+:meth:`evaluate`, which sorts the events and replays
 fixed window boundaries from t=0. Because sorting erases arrival-order
 differences, the sequential validator and the sharded pipeline produce
 identical health reports at any shard count — the same determinism contract
@@ -27,11 +29,12 @@ p95 and late-drop rate — on simulated time.
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
+
+from repro.obs import trace as obs_trace
 
 #: Health-score weights: disagreement, timeout-miss, lag (sum to 1).
 DEFAULT_WEIGHTS = (0.5, 0.3, 0.2)
@@ -96,38 +99,33 @@ class ReplicaHealthTracker:
         self.clear_after = max(1, clear_after)
         self.lag_budget_ms = lag_budget_ms
         self.weights = weights
-        #: Raw event logs as columns, appended from the hot path: a response
-        #: is time, controller ordinal and lag (NaN for none); a decision is
-        #: time and the ordinal of (responders, offenders, timed_out). The
-        #: ordinals key on values plus types (a plain ``str`` on itself).
-        self._response_at, self._response_lag = array("d"), array("d")
-        self._response_controller = array("q")
-        self._controllers = _Ordinals()
-        self._decision_at, self._decision_shape = array("d"), array("q")
-        self._decision_shapes = _Ordinals()
+        #: The event log, read from position ``_start`` on: the seam's, or
+        #: a private one the hooks below write to.
+        self._log, self._start = None, 0
 
     # ------------------------------------------------------------------
-    # Hot-path hooks (append-only)
+    # Hooks for a tracker used on its own (rows of a private log)
     # ------------------------------------------------------------------
+    def _own_log(self) -> obs_trace.Tracer:
+        if self._log is None:
+            self._log = obs_trace.Tracer()
+        return self._log
+
     def record_response(self, now: float, controller_id: str,
                         lag_ms: Optional[float] = None) -> None:
         """One response ingested by the validator (engine-level, pre-queue)."""
-        self._response_at.append(now)
-        self._response_controller.append(self._controllers[
-            controller_id if type(controller_id) is str
-            else (controller_id, type(controller_id))])
-        self._response_lag.append(_NO_LAG if lag_ms is None else lag_ms)
+        log = self._own_log()
+        log.record(now, _KEY, log.shape(obs_trace.INGEST, None, "",
+                                        {"controller": controller_id}),
+                   obs_trace.NO_VALUE if lag_ms is None else lag_ms)
 
     def record_decision(self, now: float, responses: Sequence,
                         alarms: Sequence, timed_out: bool) -> None:
         """One trigger decided; extracts responders and alarm offenders."""
-        responders = tuple(sorted({r.controller_id for r in responses}))
-        offenders = tuple(sorted({a.offending_controller for a in alarms
-                                  if a.offending_controller}))
-        self._decision_at.append(now)
-        self._decision_shape.append(self._decision_shapes[
-            responders, offenders, timed_out, *map(type, responders),
-            *map(type, offenders), type(timed_out)])
+        log = self._own_log()
+        log.record(now, _KEY, log.shape(
+            obs_trace.DECIDE, "timeout" if timed_out else "full-count", "",
+            {}) | log.facts(responses, alarms) << obs_trace.FACTS_SHIFT)
 
     # ------------------------------------------------------------------
     # Pure evaluation
@@ -210,17 +208,19 @@ class ReplicaHealthTracker:
     # Internals
     # ------------------------------------------------------------------
     def _events(self) -> Tuple[list, list]:
-        """The logs in arrival order, as ``(time, controller, lag or None)``
-        and ``(time, responders, offenders, timed_out)`` rows."""
-        controllers = [key if type(key) is str else key[0]
-                       for key in self._controllers]
-        shapes = [key[:3] for key in self._decision_shapes]
-        return ([*zip(self._response_at,
-                      map(controllers.__getitem__, self._response_controller),
-                      (None if lag != lag else lag
-                       for lag in self._response_lag))],
-                [(at, *shapes[shape]) for at, shape in
-                 zip(self._decision_at, self._decision_shape)])
+        """The log's events in arrival order, as ``(time, controller, lag
+        or None)`` and ``(time, responders, offenders, timed_out)`` rows."""
+        answered: list = []
+        decided: list = []
+        if self._log is not None:
+            for at, _, (stage, verdict, _, attrs), lag, facts, _ in \
+                    self._log.rows(self._start):
+                if stage == obs_trace.INGEST:
+                    answered.append((at, dict(attrs)["controller"],
+                                     None if lag != lag else lag))
+                elif stage == obs_trace.DECIDE and facts is not None:
+                    decided.append((at, *facts[:2], verdict == "timeout"))
+        return answered, decided
 
     def _window_stats(self, boundary, responses, decisions,
                       response_times, decision_times, first_seen, replicas):
@@ -283,17 +283,7 @@ class ReplicaHealthTracker:
             state.clear_streak = 0
 
 
-_NO_LAG = float("nan")  #: the response log's "no lag" (a lag is never NaN)
-
-
-class _Ordinals(dict):
-    """Ordinal of each distinct key, numbered in first-seen order."""
-
-    __slots__ = ()
-
-    def __missing__(self, key) -> int:
-        ordinal = self[key] = len(self)
-        return ordinal
+_KEY = ("health",)  #: the trigger id of a private log's rows
 
 
 def _ratio(numerator: float, denominator: float) -> float:

@@ -14,6 +14,15 @@ registry's lifetime. Families the instrumentation emits:
 * deployment-side (collected, not inlined — zero hot-path cost) — the
   fan-out, relay and byte counters :func:`collect_deployment` scrapes.
 
+Attached to the observer seam, the registry is a view of its event log
+(:mod:`repro.obs.trace`): every accessor and read first folds in the rows
+recorded since the last one, in log order, so the event-derived families
+(the ``validator_*`` ones, ``replicator_triggers_total`` and the
+``checkpoint_*`` ones) cost nothing until they are read. An instrument is
+created on the first row that updates it, so an export lists exactly the
+updated ones; ``replicator_copies_total`` and :func:`collect_deployment`'s
+families are updated directly.
+
 Histograms keep raw samples and defer quantiles to
 :func:`repro.harness.metrics.percentile` (imported lazily: the harness
 package pulls in the whole experiment stack, which must not load just
@@ -27,6 +36,8 @@ from __future__ import annotations
 
 import json
 from typing import Dict, List, Optional, Tuple
+
+from repro.obs import trace as obs_trace
 
 LabelSet = Tuple[Tuple[str, str], ...]
 
@@ -119,36 +130,77 @@ class MetricsRegistry:
         self._counters: Dict[Tuple[str, LabelSet], Counter] = {}
         self._gauges: Dict[Tuple[str, LabelSet], Gauge] = {}
         self._histograms: Dict[Tuple[str, LabelSet], Histogram] = {}
+        #: The event log read (see the module docstring), and the position
+        #: up to which its rows are folded in.
+        self._log, self._start = None, 0
+        self._bound = _Instruments(self)
 
     # ------------------------------------------------------------------
     # Instrument access
     # ------------------------------------------------------------------
     def counter(self, name: str, **labels: object) -> Counter:
-        key = (name, _labelset(labels))
-        instrument = self._counters.get(key)
-        if instrument is None:
-            instrument = self._counters[key] = Counter()
-        return instrument
+        return self._instrument(self._counters, Counter, name, labels)
 
     def gauge(self, name: str, **labels: object) -> Gauge:
-        key = (name, _labelset(labels))
-        instrument = self._gauges.get(key)
-        if instrument is None:
-            instrument = self._gauges[key] = Gauge()
-        return instrument
+        return self._instrument(self._gauges, Gauge, name, labels)
 
     def histogram(self, name: str, **labels: object) -> Histogram:
+        return self._instrument(self._histograms, Histogram, name, labels)
+
+    def _instrument(self, table, make, name: str, labels):
+        self._catch_up()
         key = (name, _labelset(labels))
-        instrument = self._histograms.get(key)
+        instrument = table.get(key)
         if instrument is None:
-            instrument = self._histograms[key] = Histogram()
+            instrument = table[key] = make()
         return instrument
+
+    def _catch_up(self) -> None:
+        """Fold in the log rows recorded since the last read, in order."""
+        log = self._log
+        if log is None or self._start == len(log._at):
+            return
+        start, self._start = self._start, len(log._at)  # before any lookup
+        bound = self._bound
+        for _, _, (stage, verdict, _, attrs), value, facts, _ in \
+                log.rows(start):
+            attrs = dict(attrs)
+            if stage == obs_trace.INGEST:
+                bound["validator_responses_total", "kind",
+                      attrs["kind"]].inc()
+            elif stage == obs_trace.DECIDE and facts is not None:
+                # (A decide row without facts is the flight ring's alone.)
+                bound["validator_decisions_total", "outcome",
+                      "alarmed" if facts[2] else "ok"].inc()
+                if verdict == "timeout":
+                    bound["validator_timeout_decisions_total"].inc()
+                bound["validator_detection_ms"].observe(value)
+                bound["validator_responses_per_trigger"].observe(
+                    attrs["n_responses"])
+            elif stage in _CHECKS:
+                check, failed = _CHECKS[stage]
+                bound["validator_checks_total", "check", check, "verdict",
+                      failed or verdict if verdict != obs_trace.VERDICT_OK
+                      else verdict].inc()
+            elif stage == obs_trace.ALARM:
+                bound["validator_alarms_total", "reason", verdict].inc()
+            elif stage == obs_trace.LATE_DROP:
+                bound["validator_late_responses_total"].inc()
+            elif stage == obs_trace.INTERCEPT:
+                bound["replicator_triggers_total", "source",
+                      attrs["source"]].inc()
+            elif stage == obs_trace.ENGINE_CHECKPOINT:
+                bound["checkpoint_snapshots_total"].inc()
+                self.gauge("checkpoint_body_bytes").set(attrs["body_bytes"])
+            elif stage == obs_trace.ENGINE_RESTORE:
+                bound["checkpoint_restores_total"].inc()
 
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
     def value(self, name: str, **labels: object) -> object:
         """The current value of a counter or gauge (0 if never touched)."""
+        self._catch_up()
         key = (name, _labelset(labels))
         if key in self._counters:
             return self._counters[key].value
@@ -158,6 +210,7 @@ class MetricsRegistry:
 
     def family_total(self, name: str) -> int:
         """Sum of a counter family across all label sets."""
+        self._catch_up()
         return sum(c.value for (n, _), c in self._counters.items()
                    if n == name)
 
@@ -168,6 +221,7 @@ class MetricsRegistry:
         ``counter`` / ``gauge`` / ``histogram``. This is the exporter
         surface (:mod:`repro.obs.export`).
         """
+        self._catch_up()
         tables = (("counter", self._counters), ("gauge", self._gauges),
                   ("histogram", self._histograms))
         for table_kind, table in tables:
@@ -183,6 +237,7 @@ class MetricsRegistry:
         Keys render as ``name{label=value,...}`` with labels sorted, so
         two registries fed the same events snapshot identically.
         """
+        self._catch_up()
         out: Dict[str, object] = {}
         for kind, table in (("counter", self._counters),
                             ("gauge", self._gauges),
@@ -203,6 +258,34 @@ class MetricsRegistry:
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
 
+
+
+#: Check stage -> (check label, counted verdict when not ok; None: as is).
+_CHECKS = {obs_trace.CHECK_CONSENSUS: ("consensus", None),
+           obs_trace.CHECK_SANITY: ("sanity", None),
+           obs_trace.CHECK_STALENESS: ("staleness", "stale"),
+           obs_trace.CHECK_POLICY: ("policy", "violation")}
+
+
+class _Instruments(dict):
+    """The fold's instrument handles by ``name`` or ``(name, label, value,
+    ...)``, each asked of the registry once, on its first update."""
+
+    #: Families bound as histograms; every other one is a counter.
+    HISTOGRAMS = {"validator_detection_ms", "validator_responses_per_trigger"}
+    __slots__ = ("registry",)
+
+    def __init__(self, registry) -> None:
+        super().__init__()
+        self.registry = registry
+
+    def __missing__(self, key):
+        name, *pairs = (key,) if isinstance(key, str) else key
+        labels = dict(zip(pairs[::2], pairs[1::2]))
+        make = (self.registry.histogram if name in self.HISTOGRAMS
+                else self.registry.counter)
+        instrument = self[key] = make(name, **labels)
+        return instrument
 
 
 def snapshot_rows(snapshot: Dict[str, Dict]) -> List[List[str]]:

@@ -1,33 +1,32 @@
-"""The flight recorder: a fixed-size ring of recent decision-path events.
+"""The flight recorder: the recent decision-path events, dumped on anomalies.
 
 Sampling (:mod:`repro.obs.sampling`) bounds the *steady-state* telemetry
 cost, but the events an operator actually needs — the ones leading up to
 an anomaly — are exactly the ones a sampler may have skipped. The flight
-recorder closes that gap the way an aircraft FDR does: it is **always
-on**, it costs one bounded-deque append per decision (near zero), and it
-only materialises output when something goes wrong.
+recorder closes that gap the way an aircraft FDR does: it hears every
+decision, sampled or not, and only materialises output when something
+goes wrong.
 
-* The ring holds the last ``capacity`` events: decision events (span-
-  shaped: stage, verdict, detail, attrs), alarms, checkpoints and
-  restores, SLO breaches, and metric deltas. Old events fall off the
-  back; memory is O(capacity) forever.
-* On an anomaly trigger — alarm raised, engine restore, SLO breach, fuzz
-  invariant failure — :meth:`trigger` freezes a copy of the ring into a
-  **dump**: a JSON-able payload stamped with the simulated
-  time and the reason. Dumps are kept in a bounded list (oldest evicted)
-  and exported with :meth:`FlightRecorder.payload` (the ``flight``
+* The ring is the last ``capacity`` flight events: decisions, alarms,
+  checkpoints and restores, and whatever :meth:`FlightRecorder.record`
+  adds (SLO breaches). They are rows of an event log
+  (:mod:`repro.obs.trace`): attached to the observer seam, its ``decide``,
+  ``alarm`` and ``engine:*`` rows, and :meth:`~FlightRecorder.record`
+  writes a row the trace skips (to a private log when on its own).
+* On an anomaly — alarm raised, engine restore, SLO breach, fuzz
+  invariant failure — :meth:`~FlightRecorder.trigger` marks a **dump**: a
+  ``(reason, simulated time, log position)`` point whose events are the last
+  ``capacity`` flight events before that position. The newest
+  ``max_dumps`` are kept, and rendered only when read (the ``flight``
   section of ``jury-repro report``).
-* Determinism: events carry only simulated time and decision facts (no
-  wall clock, no object ids), and the JSON rendering sorts keys — two
-  runs of the same scenario produce byte-identical dumps, which the test
-  suite asserts. The recorder is an observer under the purity contract:
-  it never mutates validator state, schedules events, or draws
-  randomness; decision code feeds it only through :meth:`record` and
-  :meth:`trigger`.
+* Determinism: events carry only simulated time and decision facts, and
+  the JSON rendering sorts keys, so two runs of the same scenario produce
+  byte-identical dumps. Like every observer, the recorder never mutates
+  validator state, schedules events, or draws randomness.
 
-A report carries the payload, and the fuzz oracle attaches it to its
-counterexample artifacts, so a surviving counterexample ships with the
-event window around its violation.
+The fuzz oracle attaches the payload to its counterexample artifacts, so
+a surviving counterexample ships with the event window around its
+violation.
 """
 
 from __future__ import annotations
@@ -36,13 +35,40 @@ import json
 from collections import deque
 from typing import Dict, List, Optional, Tuple
 
+from repro.obs import trace as obs_trace
+
 #: Flight-dump format marker / version (bump on incompatible change).
 FLIGHT_FORMAT = "jury-flight"
 FLIGHT_VERSION = 1
 
 
+def _event(row) -> Optional[Dict[str, object]]:
+    """A log row as a flight event, or None when the ring does not hear
+    it. ``key`` is the trigger id's ``repr``, so a dump reads the same from
+    a live tuple or a reloaded string key."""
+    at, key, (stage, verdict, detail, attrs), value, facts, hidden = row
+    attrs = dict(attrs)
+    if stage == obs_trace.DECIDE:
+        kind, detail, attrs = "decision", "", {
+            "external": attrs["external"], "timed_out": verdict == "timeout",
+            "n": attrs["n_responses"], "detection_ms": value}
+        verdict = "alarmed" if facts is not None and facts[2] else "ok"
+    elif stage == obs_trace.ENGINE_CHECKPOINT:
+        kind, verdict = "checkpoint", "taken"
+        attrs = {"body_bytes": attrs["body_bytes"]}
+    elif stage == obs_trace.ENGINE_RESTORE:
+        kind, verdict = "restore", "restored"
+    elif stage == obs_trace.ALARM or hidden:
+        kind = stage
+    else:
+        return None
+    return {"t": at, "kind": kind,
+            "key": key if isinstance(key, str) else repr(key),
+            "verdict": verdict, "detail": detail, "attrs": attrs}
+
+
 class FlightRecorder:
-    """Bounded ring buffer of recent events plus anomaly-triggered dumps."""
+    """A view of recent flight events plus anomaly-triggered dumps."""
 
     def __init__(self, capacity: int = 256, max_dumps: int = 8):
         if capacity < 1:
@@ -51,77 +77,80 @@ class FlightRecorder:
             raise ValueError(f"max_dumps must be >= 1: {max_dumps}")
         self.capacity = capacity
         self.max_dumps = max_dumps
-        self._ring: deque = deque(maxlen=capacity)
         self._dumps: deque = deque(maxlen=max_dumps)
-        self.events_recorded = 0
         self.dumps_triggered = 0
+        #: The event log read from position ``_start`` on, and how many
+        #: flight events it held up to position ``_counted``.
+        self._log, self._start = None, 0
+        self._counted = self._events = 0
 
     # ------------------------------------------------------------------
-    # Hot-path hook (append-only; called from the decision path)
+    # Events and anomaly triggers
     # ------------------------------------------------------------------
     def record(self, at: float, kind: str, key, verdict: str = "",
                detail: str = "", **attrs: object) -> None:
-        """Append one event to the ring. Near-zero cost, never fails.
+        """Add one event (``key``: a trigger id, or a tuple such as
+        ``("slo", rule)``) to the ring, as a log row the trace skips."""
+        if self._log is None:
+            self._log = obs_trace.Tracer()
+        self._log.record(at, key, ~self._log.shape(kind, verdict, detail,
+                                                   attrs))
 
-        ``key`` is the trigger id (or an ``("engine", stage)`` tuple for
-        checkpoint/restore events); it is serialised as its ``repr`` at
-        export time so dumps read identically whether the event came from
-        a live tuple or a reloaded string key. Serialisation work (repr,
-        canonical attr order) is deferred to export on purpose: this
-        method runs once per decision on the always-on path, so its cost
-        is one tuple construction and one bounded-deque append.
-        """
-        self.events_recorded += 1
-        self._ring.append((at, kind, key, verdict, detail, attrs))
-
-    # ------------------------------------------------------------------
-    # Anomaly triggers
-    # ------------------------------------------------------------------
     def trigger(self, reason: str, at: float) -> Tuple:
-        """Freeze the current ring into a dump; returns the frozen record.
+        """Mark a dump at the log's current end; returns the dump point.
 
         Consecutive triggers with the same reason at the same simulated
         instant coalesce into one dump (a burst of alarms from one decision
-        batch is one anomaly, not twenty). The freeze is a shallow tuple
-        copy of the ring — hot-path cost stays O(capacity) pointer copies;
-        the JSON-able event dicts are only materialised at export
-        (:attr:`dumps` / :meth:`payload`), and only for dumps that survive
-        the ``max_dumps`` eviction window.
+        batch is one anomaly, not twenty). The dump's events are rendered
+        only at export (:attr:`dumps` / :meth:`payload`), and only for
+        dumps that survive the ``max_dumps`` eviction window.
         """
         if self._dumps:
             last = self._dumps[-1]
             if last[0] == reason and last[1] == at:
                 return last
         self.dumps_triggered += 1
-        dump = (reason, at, tuple(self._ring))
+        dump = (reason, at, self._end())
         self._dumps.append(dump)
         return dump
 
-    @staticmethod
-    def _event_dict(event: Tuple) -> Dict[str, object]:
-        at, kind, key, verdict, detail, attrs = event
-        return {"t": at, "kind": kind,
-                "key": key if isinstance(key, str) else repr(key),
-                "verdict": verdict, "detail": detail, "attrs": dict(attrs)}
+    def _end(self) -> int:
+        return 0 if self._log is None else len(self._log._at)
 
-    @classmethod
-    def _dump_dict(cls, dump: Tuple) -> Dict[str, object]:
-        reason, at, events = dump
-        return {"reason": reason, "at": at,
-                "events": [cls._event_dict(event) for event in events]}
+    @property
+    def events_recorded(self) -> int:
+        """Flight events heard so far (the ring holds the last ones)."""
+        if self._log is not None:
+            self._events += sum(_event(row) is not None for row in
+                                self._log.rows(max(self._counted,
+                                                   self._start)))
+            self._counted = len(self._log._at)
+        return self._events
+
+    def _window(self, position: int) -> List[Dict[str, object]]:
+        """The last ``capacity`` flight events before log ``position``."""
+        events: List[Dict[str, object]] = []
+        for p in range(position - 1, self._start - 1, -1):
+            event = _event(self._log.row(p))
+            if event is not None:
+                events.append(event)
+                if len(events) == self.capacity:
+                    break
+        return events[::-1]
 
     # ------------------------------------------------------------------
     # Introspection / export
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._ring)
+        return min(self.capacity, self.events_recorded)
 
     @property
     def dumps(self) -> List[Dict[str, object]]:
-        return [self._dump_dict(dump) for dump in self._dumps]
+        return [{"reason": reason, "at": at, "events": self._window(end)}
+                for reason, at, end in self._dumps]
 
     def last_dump(self) -> Optional[Dict[str, object]]:
-        return self._dump_dict(self._dumps[-1]) if self._dumps else None
+        return self.dumps[-1] if self._dumps else None
 
     def payload(self, now: float = 0.0,
                 metrics=None) -> Dict[str, object]:
@@ -141,7 +170,7 @@ class FlightRecorder:
             "capacity": self.capacity,
             "events_recorded": self.events_recorded,
             "dumps_triggered": self.dumps_triggered,
-            "ring": [self._event_dict(event) for event in self._ring],
+            "ring": self._window(self._end()),
             "dumps": self.dumps,
         }
         if metrics is not None:

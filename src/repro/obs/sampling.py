@@ -1,12 +1,13 @@
 """Head sampling for the observability stack.
 
-Unsampled, the full stack still more than doubles the pipeline's time
-(``obs.overhead_pct`` ≈125% on ``stream-obs-full`` of ``python -m
-bench``); production telemetry must be *bounded*, not exhaustive. This
-module implements **head sampling**: the keep/skip decision is made once
-per trigger, up front, as a pure function of the trigger id — so every
-response, span, and metric sample of one trigger is either fully
-recorded or fully skipped, on every shard, in every replay.
+Unsampled, the full stack still adds about half the pipeline's time
+(``obs.overhead_pct`` ≈46% in a ``--trace 1`` run of ``stream-obs-full``
+of ``python -m bench`` on a 2-CPU x86-64 host); production telemetry must
+be *bounded*, not exhaustive. This module implements **head sampling**:
+the keep/skip decision is made once per trigger, up front, as a pure
+function of the trigger id — so every response, span, and metric sample
+of one trigger is either fully recorded or fully skipped, on every shard,
+in every replay.
 
 Two properties make this safe for the determinism contracts:
 

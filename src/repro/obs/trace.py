@@ -24,13 +24,20 @@ Design rules that keep tracing equivalence-safe:
   :func:`repro.core.alarms.canonical_alarm_stream`; equality of canonical
   traces is the trace-determinism contract asserted in the test suite.
 
-Every span is kept as three machine words in :mod:`array` columns: its
-simulated time, an ordinal into the distinct trigger ids, and an ordinal
-into the interned span shapes ``(stage, verdict, detail, attrs)``. So a
-kept span is no Python object and never advances CPython's garbage
-collector; a :class:`Span` is built only when read. Interning is
-type-exact: ``1``, ``True`` and ``1.0`` (or a ``str`` and a ``str``
-subclass) are equal but print differently, so they never share an entry.
+The tracer's columns are the observer stack's one **event log**: a row is
+four machine words in :mod:`array` columns — simulated time, an ordinal
+into the distinct trigger ids, a code, and a float value (an ingest's
+response lag, a decision's ``detection_ms``; NaN for none). The code is an
+ordinal into the interned span shapes ``(stage, verdict, detail, attrs)``;
+a decision row's high bits also hold an ordinal into its interned facts
+(:meth:`Tracer.facts`), and a row the trace must not show (an unsampled
+decision, a flight-recorder event) stores its code bit-inverted. The trace
+views skip those rows; the metrics, health and flight-recorder views read
+every row (:meth:`Tracer.rows`). So a kept row is no Python object and
+never advances CPython's garbage collector; a :class:`Span` is built only
+when read. Interning is type-exact: ``1``, ``True`` and ``1.0`` (or a
+``str`` and a ``str`` subclass) are equal but print differently, so they
+never share an entry.
 
 The tracer is one subscriber of the observer seam
 (:class:`~repro.obs.observer.Observer`): engines report events there and
@@ -155,18 +162,28 @@ def span_sort_key(span: Span) -> Tuple[float, str, int]:
             STAGE_RANK.get(span.stage, len(STAGE_RANK)))
 
 
+#: A row's code: shape ordinal in the low bits, decision-facts ordinal above.
+FACTS_SHIFT = 32
+_SHAPE_MASK = (1 << FACTS_SHIFT) - 1
+#: The value of a row that carries none (a value is never NaN).
+NO_VALUE = float("nan")
+
+
 class Tracer:
     """Keeps every lifecycle span of every trigger that crosses the system.
 
     One tracer is shared by the whole deployment (replicators, validator,
     alarm emission). It keeps (see the module docstring):
 
-    * ``_at``, ``_trigger``, ``_shape`` — one column entry each per span;
-    * ``_triggers``, ``_shapes`` — distinct trigger ids and shapes by
-      ordinal, keyed on values plus types; a value outside ``_INTERNABLE``
-      (a float, a nested tuple, an unhashable) gets an entry of its own;
-    * ``_by_trigger`` — span positions per trigger ``repr``, first-seen
-      order, built on first read and caught up from ``_indexed`` later.
+    * ``_at``, ``_trigger``, ``_code``, ``_value`` — one column entry each
+      per row;
+    * ``_triggers``, ``_shapes``, ``_facts`` — distinct trigger ids, shapes
+      and decision facts by ordinal, keyed on values plus types; a value
+      outside ``_INTERNABLE`` (a float, a nested tuple, an unhashable) gets
+      a shape or trigger entry of its own;
+    * ``_by_trigger`` — shown rows' positions per trigger ``repr``,
+      first-seen order, built on first read and caught up from ``_indexed``
+      later.
 
     :meth:`emit` records any span; a hot caller asks :meth:`shape` once
     per distinct shape and passes the ordinal to :meth:`record`.
@@ -177,15 +194,18 @@ class Tracer:
     enabled = True
 
     def __init__(self) -> None:
-        self._at, self._trigger, self._shape = (array("d"), array("q"),
-                                                array("q"))
+        self._at, self._trigger, self._code, self._value = (
+            array("d"), array("q"), array("q"), array("d"))
         self._triggers: List[object] = []
         self._trigger_ordinals: Dict[object, int] = {}
         self._variants: Dict[tuple, int] = {}
         self._trigger_reprs: List[str] = []
         self._shapes: List[tuple] = []
         self._shape_ordinals: Dict[tuple, int] = {}
-        self._last = (object(), -1)  #: last recorded (trigger id, ordinal)
+        self._facts: List[Optional[tuple]] = [None]  #: 0: a row without
+        self._fact_ordinals: Dict[tuple, int] = {}
+        #: The last recorded trigger id (the object) and its ordinal.
+        self._last_trigger, self._last_ordinal = object(), -1
         self._by_trigger: Dict[str, array] = {}
         self._indexed = 0
 
@@ -219,13 +239,36 @@ class Tracer:
             self._shapes.append(shape)
         return ordinal
 
-    def record(self, at: float, trigger_id, shape: int) -> None:
-        """Record one span of shape ordinal ``shape`` (see :meth:`shape`)."""
-        if trigger_id is not self._last[0]:
-            self._last = (trigger_id, self._trigger_ordinal(trigger_id))
+    def facts(self, responses, alarms) -> int:
+        """The ordinal of a decision's facts (its responders' ids and its
+        alarms' offenders, each sorted, and whether it alarmed), to shift
+        into a row code."""
+        facts = (tuple(sorted({r.controller_id for r in responses})),
+                 tuple(sorted({a.offending_controller for a in alarms
+                               if a.offending_controller})), bool(alarms))
+        key = (*facts, *map(type, facts[0] + facts[1]))
+        ordinal = self._fact_ordinals.get(key)
+        if ordinal is None:
+            ordinal = self._fact_ordinals[key] = len(self._facts)
+            self._facts.append(facts)
+        return ordinal
+
+    def record(self, at: float, trigger_id, code: int,
+               value: float = NO_VALUE) -> None:
+        """Record one row: a shape ordinal (see :meth:`shape`), with facts
+        shifted in on a decision, bit-inverted if the trace must skip it."""
+        if trigger_id is not self._last_trigger:
+            try:
+                ordinal = self._trigger_ordinals.get(trigger_id)
+            except TypeError:  # unhashable
+                ordinal = None
+            if ordinal is None or self._triggers[ordinal] is not trigger_id:
+                ordinal = self._trigger_ordinal(trigger_id)
+            self._last_trigger, self._last_ordinal = trigger_id, ordinal
         self._at.append(at)
-        self._trigger.append(self._last[1])
-        self._shape.append(shape)
+        self._trigger.append(self._last_ordinal)
+        self._code.append(code)
+        self._value.append(value)
 
     def _trigger_ordinal(self, trigger_id) -> int:
         triggers = self._triggers
@@ -248,20 +291,44 @@ class Tracer:
         return ordinal
 
     # ------------------------------------------------------------------
+    # The log, as its views read it
+    # ------------------------------------------------------------------
+    def row(self, position: int) -> tuple:
+        """One row: ``(at, trigger id, shape, value, facts, hidden)``, where
+        ``shape`` is ``(stage, verdict, detail, attrs)`` and ``facts`` a
+        decision's ``(responders, offenders, alarmed)`` or None."""
+        code = self._code[position]
+        hidden = code < 0
+        if hidden:
+            code = ~code
+        return (self._at[position],
+                self._triggers[self._trigger[position]],
+                self._shapes[code & _SHAPE_MASK], self._value[position],
+                self._facts[code >> FACTS_SHIFT], hidden)
+
+    def rows(self, start: int = 0):
+        """Every row from position ``start`` on, as :meth:`row` gives it."""
+        return map(self.row, range(start, len(self._at)))
+
+    def _shown(self) -> List[int]:
+        """Positions of the rows the trace shows."""
+        return [p for p, code in enumerate(self._code) if code >= 0]
+
+    # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def _span(self, position: int) -> Span:
         return Span(self._at[position],
                     self._triggers[self._trigger[position]],
-                    *self._shapes[self._shape[position]])
+                    *self._shapes[self._code[position] & _SHAPE_MASK])
 
     @property
     def spans(self) -> Tuple[Span, ...]:
         """Every span, in emission order (built on read)."""
-        return tuple(map(self._span, range(len(self._at))))
+        return tuple(map(self._span, self._shown()))
 
     def __len__(self) -> int:
-        return len(self._at)
+        return sum(code >= 0 for code in self._code)
 
     def _reprs(self) -> List[str]:
         """``repr`` of each distinct trigger id, by ordinal."""
@@ -271,11 +338,12 @@ class Tracer:
 
     def _index(self) -> Dict[str, array]:
         """The per-trigger index, caught up with every recorded span."""
-        by_trigger, reprs, column = (self._by_trigger, self._reprs(),
-                                     self._trigger)
+        by_trigger, reprs, column, code = (self._by_trigger, self._reprs(),
+                                           self._trigger, self._code)
         for position in range(self._indexed, len(column)):
-            by_trigger.setdefault(reprs[column[position]],
-                                  array("q")).append(position)
+            if code[position] >= 0:
+                by_trigger.setdefault(reprs[column[position]],
+                                      array("q")).append(position)
         self._indexed = len(column)
         return by_trigger
 
@@ -302,26 +370,28 @@ class Tracer:
     def stage_counts(self) -> Dict[str, int]:
         """Span count per stage — the conservation ledger."""
         counts: Dict[str, int] = {}
-        for shape, count in Counter(self._shape).items():
-            stage = self._shapes[shape][0]
-            counts[stage] = counts.get(stage, 0) + count
+        for code, count in Counter(self._code).items():
+            if code >= 0:
+                stage = self._shapes[code & _SHAPE_MASK][0]
+                counts[stage] = counts.get(stage, 0) + count
         return counts
 
     # ------------------------------------------------------------------
     # Canonical encoding and JSON export
     # ------------------------------------------------------------------
     def _ordered(self, engine: bool) -> List[int]:
-        """Span positions in canonical order (``engine:*`` ones if asked)."""
-        at, column, shape = self._at, self._trigger, self._shape
+        """Shown positions in canonical order (``engine:*`` ones if asked)."""
+        at, column, code = self._at, self._trigger, self._code
         reprs, ranks = self._reprs(), [STAGE_RANK.get(s[0], len(STAGE_RANK))
                                        for s in self._shapes]
-        positions = range(len(at))
+        positions = self._shown()
         if not engine:
             kept = [not stage.startswith("engine:")
                     for stage, *_ in self._shapes]
-            positions = [p for p in positions if kept[shape[p]]]
-        return sorted(positions, key=lambda p: (at[p], reprs[column[p]],
-                                                ranks[shape[p]]))
+            positions = [p for p in positions
+                         if kept[code[p] & _SHAPE_MASK]]
+        return sorted(positions, key=lambda p: (
+            at[p], reprs[column[p]], ranks[code[p] & _SHAPE_MASK]))
 
     def canonical(self) -> bytes:
         """Byte-exact canonical encoding of the whole trace.
@@ -332,19 +402,19 @@ class Tracer:
         construction and are filtered out here, the same way shard indices
         are kept out of spans entirely.
         """
-        at, column, shape = self._at, self._trigger, self._shape
+        at, column, code = self._at, self._trigger, self._code
         reprs, tails = self._reprs(), [_tail(*s) for s in self._shapes]
         return "\n".join(
-            f"{at[p]:.9f}|{reprs[column[p]]}|{tails[shape[p]]}"
+            f"{at[p]:.9f}|{reprs[column[p]]}|{tails[code[p] & _SHAPE_MASK]}"
             for p in self._ordered(engine=False)).encode("utf-8")
 
     def to_payload(self) -> Dict[str, object]:
         """JSON-able export (the ``trace`` section of ``jury-repro report``)."""
-        at, column, shape = self._at, self._trigger, self._shape
+        at, column, code = self._at, self._trigger, self._code
         reprs, shapes = self._reprs(), self._shapes
         spans = []
         for p in self._ordered(engine=True):
-            stage, verdict, detail, attrs = shapes[shape[p]]
+            stage, verdict, detail, attrs = shapes[code[p] & _SHAPE_MASK]
             spans.append({"t": at[p], "trigger": reprs[column[p]],
                           "stage": stage, "verdict": verdict,
                           "detail": detail, "attrs": dict(attrs)})
@@ -384,8 +454,19 @@ class NullTracer(Tracer):
              **attrs) -> None:  # type: ignore[override]
         return None
 
-    def record(self, at, trigger_id, shape) -> None:
+    def record(self, at, trigger_id, code, value=NO_VALUE) -> None:
         return None
+
+
+def attach(view, log: Tracer) -> None:
+    """Point a view (the metrics registry, the replica health tracker or the
+    flight recorder) at ``log``: it reads the rows recorded from now on. A
+    view reads one log; attaching it to another is an error."""
+    if view._log is None:
+        view._log, view._start = log, len(log._at)
+    elif view._log is not log:
+        raise ValueError(f"this {type(view).__name__} already reads "
+                         f"another event log")
 
 
 def active_tracer(tracer: Optional[Tracer]) -> Optional[Tracer]:

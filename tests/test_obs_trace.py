@@ -240,11 +240,30 @@ def test_attr_interning_keeps_each_value_type():
     assert [type(span.attr("x")) for span in spans] == [int, bool, float]
 
 
+def _tracked_growth(feed, warm: int, count: int):
+    """Objects the collector tracks that ``feed(count)`` leaves, once
+    ``feed(warm)`` has warmed it: counted with the collector off (born),
+    then after a collection (kept)."""
+    feed(warm)
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        feed(count)
+        born = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    gc.collect()
+    return born, len(gc.get_objects()) - before
+
+
 def test_retained_spans_and_health_events_add_no_tracked_objects():
     """Once its triggers and shapes are warm, a span or a health response
     leaves no object for the collector: none retained, and none born
     tracked either (with the collector off, a retained tuple per span would
-    count here until a collection untracked it)."""
+    count here until a collection untracked it). The same holds for the
+    observer seam with every view attached: 50 000 observed ingests plus
+    their decisions are rows of its one log."""
     triggers = [("ext", index) for index in range(64)]
     controllers = [f"c{index}" for index in range(7)]
     tracer, health = Tracer(), ReplicaHealthTracker()
@@ -257,18 +276,32 @@ def test_retained_spans_and_health_events_add_no_tracked_objects():
             health.record_response(float(index), cid,
                                    0.5 if index % 3 else None)
 
-    feed(64 * 7)
-    gc.collect()
-    gc.disable()
-    try:
-        before = len(gc.get_objects())
-        feed(50_000)
-        born = len(gc.get_objects()) - before
-    finally:
-        gc.enable()
-    gc.collect()
-    kept = len(gc.get_objects()) - before
+    born, kept = _tracked_growth(feed, 64 * 7, 50_000)
     assert len(tracer) == 64 * 7 + 50_000
+    assert born <= 16 and kept <= 16, (born, kept)
+
+    responses = [[SimpleNamespace(
+        trigger_id=tau, controller_id=cid,
+        kind=SimpleNamespace(_value_="cache_update"),
+        trigger_received_at=0.0) for cid in controllers] for tau in triggers]
+    results = [SimpleNamespace(
+        trigger_id=tau, alarms=[], external=True, timed_out=False,
+        n_responses=len(controllers), detection_ms=1.5) for tau in triggers]
+    checks = (SimpleNamespace(ok=True, reason=None, offending=""), None, [],
+              None)
+    seam = Observer(tracer=Tracer(), metrics=MetricsRegistry(),
+                    health=ReplicaHealthTracker(), recorder=FlightRecorder())
+
+    def observe(count):
+        for index in range(count):
+            slot, now = index % 64, float(index)
+            seam.ingest(now, responses[slot][index % 7])
+            if index % 7 == 6:
+                seam.decision(now, results[slot], responses[slot], checks)
+
+    born, kept = _tracked_growth(observe, 64 * 7, 50_000)
+    assert seam.metrics.family_total("validator_responses_total") == \
+        64 * 7 + 50_000
     assert born <= 16 and kept <= 16, (born, kept)
 
 

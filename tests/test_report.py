@@ -18,6 +18,9 @@ What is pinned:
   ``test_health_prom_format_lints_clean``).
 * **A ``--config`` file keeps its experiment** and gets ``observe``
   turned on over it; its checkpoints fill the ``checkpoint`` section.
+* **Reading a report changes nothing.** Once an SLO is breached,
+  ``JuryDeployment.report()`` twice, or ``prometheus_text()`` and then
+  ``report()``, at one simulated instant give equal payloads.
 """
 
 from __future__ import annotations
@@ -126,3 +129,30 @@ def test_config_file_gets_every_observer_and_its_checkpoint(tmp_path):
     assert len(checkpoint["sha256"]) == 64
     assert checkpoint["meta"]["triggers_decided"] > 0
     assert f"checkpoint: {checkpoint['sha256'][:12]}…" in text
+
+
+def _breached_deployment():
+    from repro import Jury, JuryConfig
+    from repro.faults.base import run_scenario
+    from repro.faults.synthetic import LinkFailureFault
+
+    reset_trigger_ids()
+    experiment = Jury.experiment(JuryConfig(
+        kind="onos", n=5, k=4, switches=6, seed=7, observe=True,
+        timeout_ms=20))
+    run_scenario(experiment, LinkFailureFault())
+    return experiment.jury
+
+
+@pytest.mark.parametrize("first", ["report", "prometheus_text"])
+def test_reading_a_breached_report_twice_changes_nothing(first):
+    # Each read evaluates the SLOs; a breach is fed to the flight recorder
+    # once per rule and evaluation time, so a second read at the same
+    # instant neither records it again nor dumps again.
+    jury = _breached_deployment()
+    baseline = _breached_deployment().report()
+    assert any(not status["ok"] for status in baseline["health"]["slo"])
+    assert baseline["flight"]["dumps"][-1]["reason"] == "slo-breach"
+    getattr(jury, first)()
+    assert json.dumps(jury.report(), sort_keys=True) == json.dumps(
+        baseline, sort_keys=True)
