@@ -23,12 +23,14 @@ the validator. Six paper-grounded rule families:
   contradictions (P601), shadowed clauses (P602), schema mismatches
   (P603), and trigger kinds no controller code emits (P604).
 
-Entry points: :func:`analyze_paths` (library), ``jury-repro analyze`` and
-``jury-repro analyze-policy`` (CLI). Suppressions are inline only:
-``# jury: ignore[D101]`` (comma-separated ids, or bare ``# jury: ignore``
-for all rules on that line). Interprocedural findings are anchored at the
-entry point that owns the violated contract, so that is where a suppression
-belongs. Every run is cold and serial; nothing is written to disk.
+Entry points: :func:`analyze_paths` (library) and ``jury-repro analyze``
+(CLI), which lints every ``.xml`` path it is given as a policy document
+(P604 only when Python code is analyzed in the same run). Suppressions
+are inline only: ``# jury: ignore[D101]`` (comma-separated ids, or bare
+``# jury: ignore`` for all rules on that line). Interprocedural findings
+are anchored at the entry point that owns the violated contract, so that
+is where a suppression belongs. Every run is cold and serial; nothing is
+written to disk.
 """
 
 from repro.analysis.engine import Analyzer, analyze_paths, discover_files

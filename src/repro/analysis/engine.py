@@ -10,7 +10,8 @@ and extract the :class:`~repro.analysis.project_index.ModuleFacts` the
 cross-module rules need. The **project phase** assembles the facts into a
 :class:`~repro.analysis.project_index.ProjectIndex` and runs the
 interprocedural X-rules over the whole graph. Policy XML files passed
-explicitly are linted with the P-rules against the same index.
+explicitly are linted with the P-rules against the same index (P604 only
+when Python code is analyzed too).
 """
 
 from __future__ import annotations
@@ -136,7 +137,10 @@ class Analyzer:
             from repro.policy.lint import lint_policy_file
             for raw in sorted(xml_paths):
                 report.files_scanned += 1
-                report.findings.extend(lint_policy_file(str(raw), index=index))
+                # P604 asks analyzed code which trigger kinds it emits: none
+                # analyzed, nothing to ask.
+                report.findings.extend(lint_policy_file(
+                    str(raw), index=index if facts else None))
         report.findings.sort(key=Finding.sort_key)
         return report
 

@@ -2,16 +2,15 @@
 
 Gives operators the paper's experiments without writing code:
 
-* ``validate`` — run a JURY-enhanced cluster under traffic and report
-  validation statistics (the quickstart as a command).
 * ``faults`` — inject a named fault (or the whole catalog) and report
   detection/attribution.
 * ``throughput`` — the Fig 4f/4g cluster-throughput sweep.
-* ``detection`` — the Fig 4a/4c detection-time distribution.
 * ``report`` — the operator artifact: one run with every observer on
   (``--fault NAME`` injects a catalog fault), saved as one
-  ``jury-report`` JSON file (``--output``) and rendered for humans —
-  cluster state, per-alarm forensics (failed Algorithm-1 check,
+  ``jury-report`` JSON file (``--output``) and rendered for humans — the
+  validation summary (triggers decided, alarms, false-alarm rate, the
+  window's PACKET_IN/FLOW_MOD rates and the Fig 4a/4c detection-time
+  distribution), cluster state, per-alarm forensics (failed Algorithm-1 check,
   dissenting replicas, field-level diffs, T1/T2/T3 fault class), replica
   health and SLOs, the flight ring, the metrics registry, and the traced
   triggers. A QUERY (``ext:42`` or ``A0001``) shows one trigger's
@@ -31,7 +30,8 @@ Gives operators the paper's experiments without writing code:
   (see ``docs/recovery.md``).
 * ``list-faults`` — show the fault catalog.
 * ``analyze`` — static determinism/taint-safety analysis of controller and
-  app code (the CI gate; see ``docs/static_analysis.md``).
+  app code, and the P-rule lint of every policy XML file it is given (the
+  CI gate; see ``docs/static_analysis.md``).
 
 Every subcommand builds its experiment through one
 :class:`~repro.config.JuryConfig` and returns a
@@ -54,6 +54,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.api import Jury
 from repro.config import JuryConfig
+from repro.errors import ValidationError
 from repro.faults import (
     CrashFault,
     StoreDesyncFault,
@@ -73,7 +74,6 @@ from repro.faults import (
     UndesirableFlowModFault,
 )
 from repro.faults.base import run_scenario
-from repro.harness.figures import ascii_cdf
 from repro.harness.reporting import CommandResult, format_table, render_result
 from repro.workloads.traffic import TrafficDriver
 
@@ -100,6 +100,13 @@ ODL_FAULTS = {"odl-flow-mod-drop", "odl-incorrect-flow-mod",
               "odl-flow-deletion-failure", "odl-flow-instantiation-failure"}
 
 
+def fault_kind(name: str) -> str:
+    """The controller kind catalog fault ``name`` runs on (``list-faults``'
+    controller column); ``faults`` and ``report --fault`` set it over
+    ``--controller`` and over a ``--config`` file's ``kind``."""
+    return "odl" if name in ODL_FAULTS else "onos"
+
+
 def _load_config_file(path: str) -> JuryConfig:
     """``--config file.json`` → a validated :class:`JuryConfig`.
 
@@ -107,7 +114,6 @@ def _load_config_file(path: str) -> JuryConfig:
     for every serialized config source; unknown keys fail with a
     did-you-mean hint and surface as usage errors (exit 2).
     """
-    from repro.errors import ValidationError
     try:
         with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
@@ -119,31 +125,31 @@ def _load_config_file(path: str) -> JuryConfig:
     return JuryConfig.from_dict(payload)
 
 
-def _config_from_args(args, kind: Optional[str] = None,
+def _config_from_args(args, fault: Optional[str] = None,
                       observe: bool = False) -> JuryConfig:
-    """One place where argparse namespaces become a :class:`JuryConfig`."""
-    if getattr(args, "config", None) is not None:
-        # The file defines the experiment; a subcommand that reads the
-        # observers (``report``) turns them on over it.
-        base = _load_config_file(args.config)
-        return base.replace(observe=True) if observe else base
-    kind = kind or args.controller
-    return JuryConfig(
-        kind=kind,
-        n=args.nodes,
-        k=args.replicas,
-        switches=args.switches,
-        seed=args.seed,
-        timeout_ms=args.timeout,  # None → the paper default for the kind
-        policies=("default",),
-        with_northbound=True,
-        observe=observe,
-    )
+    """One place where argparse namespaces become a :class:`JuryConfig`.
+
+    ``--config`` replaces the experiment flags. A catalog ``fault`` sets
+    the kind (:func:`fault_kind`) over either source, and a command that
+    reads the observers (``report``) turns them on over either source.
+    """
+    if args.config is not None:
+        config = _load_config_file(args.config)
+    else:
+        config = JuryConfig(
+            kind=args.controller, n=args.nodes, k=args.replicas,
+            switches=args.switches, seed=args.seed,
+            timeout_ms=args.timeout,  # None → the paper default for the kind
+            policies=("default",), with_northbound=True)
+    changes = {"observe": True} if observe else {}
+    if fault is not None:
+        changes["kind"] = fault_kind(fault)
+    return config.replace(**changes)
 
 
-def _build(args, kind: Optional[str] = None, observe: bool = False):
+def _build(args, fault: Optional[str] = None, observe: bool = False):
     experiment = Jury.experiment(
-        _config_from_args(args, kind=kind, observe=observe))
+        _config_from_args(args, fault=fault, observe=observe))
     experiment.warmup()
     return experiment
 
@@ -157,54 +163,15 @@ def _drive_traffic(experiment, args, settle_ms: float = 600.0) -> None:
     experiment.run(args.duration + settle_ms)
 
 
-def cmd_validate(args) -> CommandResult:
-    experiment = _build(args)
-    _drive_traffic(experiment, args)
-    validator = experiment.validator
-    stats = experiment.detection_stats()
-    throughput = experiment.throughput()
-    data = {
-        "command": "validate",
-        "config": experiment.jury.config.describe(),
-        "packet_in_rate_per_s": throughput.packet_in_rate_per_s,
-        "flow_mod_rate_per_s": throughput.flow_mod_rate_per_s,
-        "triggers_validated": validator.triggers_decided,
-        "alarms": validator.triggers_alarmed,
-        "false_positive_rate": validator.false_positive_rate(),
-        "detection_ms": {"median": stats.median, "p95": stats.p95,
-                         "count": stats.count},
-    }
-    human = format_table(
-        f"JURY validation — {args.controller} n={args.nodes} k={args.replicas}",
-        ["metric", "value"],
-        [
-            ["PACKET_IN rate", f"{throughput.packet_in_rate_per_s:.0f}/s"],
-            ["FLOW_MOD rate", f"{throughput.flow_mod_rate_per_s:.0f}/s"],
-            ["triggers validated", validator.triggers_decided],
-            ["alarms", validator.triggers_alarmed],
-            ["false-positive rate",
-             f"{100 * validator.false_positive_rate():.3f}%"],
-            ["median detection", f"{stats.median:.1f} ms"],
-            ["p95 detection", f"{stats.p95:.1f} ms"],
-        ])
-    return CommandResult.ok("validate", human=human, data=data)
-
-
 def cmd_faults(args) -> CommandResult:
     names: List[str] = args.names or sorted(FAULTS)
     unknown = [n for n in names if n not in FAULTS]
     if unknown:
         return CommandResult.usage_error(
             "faults", f"unknown fault(s): {', '.join(unknown)}")
-    rows = []
     entries = []
-    failures = 0
     for name in names:
-        kind = "odl" if name in ODL_FAULTS else "onos"
-        experiment = _build(args, kind=kind)
-        result = run_scenario(experiment, FAULTS[name]())
-        if not result.detected:
-            failures += 1
+        result = run_scenario(_build(args, fault=name), FAULTS[name]())
         alarm = result.matching_alarms[0] if result.matching_alarms else None
         entries.append({
             "fault": name,
@@ -213,13 +180,11 @@ def cmd_faults(args) -> CommandResult:
             "detection_ms": result.detection_ms,
             "blamed": alarm.offending_controller if alarm else None,
         })
-        rows.append([
-            name,
-            "YES" if result.detected else "NO",
-            alarm.reason.value if alarm else "-",
-            f"{result.detection_ms:.0f} ms" if result.detection_ms else "-",
-            alarm.offending_controller if alarm else "-",
-        ])
+    failures = sum(not entry["detected"] for entry in entries)
+    rows = [[entry["fault"], "YES" if entry["detected"] else "NO",
+             entry["mechanism"] or "-",
+             f"{entry['detection_ms']:.0f} ms" if entry["detection_ms"]
+             else "-", entry["blamed"] or "-"] for entry in entries]
     human = format_table("Fault detection",
                          ["fault", "detected", "mechanism", "latency",
                           "blamed"], rows)
@@ -254,24 +219,6 @@ def cmd_throughput(args) -> CommandResult:
                             data={"command": "throughput", "points": points})
 
 
-def cmd_detection(args) -> CommandResult:
-    experiment = _build(args)
-    _drive_traffic(experiment, args)
-    stats = experiment.detection_stats()
-    human = (f"{stats.count} detections  median={stats.median:.1f} ms  "
-             f"p95={stats.p95:.1f} ms  p99={stats.p99:.1f} ms\n\n"
-             + ascii_cdf({f"k={args.replicas}": stats.samples}))
-    data = {
-        "command": "detection",
-        "count": stats.count,
-        "median_ms": stats.median,
-        "p95_ms": stats.p95,
-        "p99_ms": stats.p99,
-        "samples_ms": stats.samples,
-    }
-    return CommandResult.ok("detection", human=human, data=data)
-
-
 def cmd_report(args) -> CommandResult:
     from repro.harness.inspect import (
         build_report,
@@ -299,8 +246,7 @@ def cmd_report(args) -> CommandResult:
             return CommandResult.usage_error(
                 "report", f"report: unknown fault {args.fault!r} "
                           f"(see list-faults)")
-        kind = "odl" if args.fault in ODL_FAULTS else None
-        experiment = _build(args, kind=kind, observe=True)
+        experiment = _build(args, fault=args.fault, observe=True)
         if args.fault is not None:
             run_scenario(experiment, FAULTS[args.fault]())
         else:
@@ -376,6 +322,10 @@ def cmd_analyze(args) -> CommandResult:
         report = analyze_paths(args.paths)
     except FileNotFoundError as exc:
         return CommandResult.usage_error("analyze", f"analyze: {exc}")
+    if not report.files_scanned:  # a policy gate must not pass vacuously
+        return CommandResult.usage_error(
+            "analyze", "analyze: no Python file under the paths and no "
+                       ".xml policy file named explicitly")
 
     failed = bool(report.count_at_least(fail_on))
     return CommandResult(
@@ -384,62 +334,8 @@ def cmd_analyze(args) -> CommandResult:
         data=json.loads(render_json(report, fail_on)))
 
 
-def cmd_analyze_policy(args) -> CommandResult:
-    """Statically verify policy XML (P-rules) before deployment."""
-    from repro.analysis import (
-        AnalysisReport,
-        Analyzer,
-        Severity,
-        render_human,
-        render_json,
-    )
-    from repro.policy.lint import lint_builtin_policies, lint_policy_file
-
-    if not args.paths and not args.builtin:
-        return CommandResult.usage_error(
-            "analyze-policy",
-            "analyze-policy: give at least one policy file (or --builtin)")
-    fail_on = Severity.parse(args.fail_on)
-
-    index = None
-    project = args.project
-    if project is None and os.path.isdir("src/repro"):
-        project = "src/repro"
-    if project and project != "none":
-        # The engine's own module loop with no per-file rules: P604 only
-        # needs the call graph, not the D/T/S/H findings.
-        try:
-            index = Analyzer(rules=[]).index_paths([project])
-        except FileNotFoundError as exc:
-            return CommandResult.usage_error(
-                "analyze-policy", f"analyze-policy: {exc}")
-
-    paths = []
-    for raw in args.paths:
-        if os.path.isdir(raw):
-            paths.extend(sorted(
-                os.path.join(raw, name) for name in os.listdir(raw)
-                if name.endswith(".xml")))
-        else:
-            paths.append(raw)
-    report = AnalysisReport()
-    for path in paths:
-        report.files_scanned += 1
-        report.findings.extend(lint_policy_file(path, index=index))
-    if args.builtin:
-        report.findings.extend(lint_builtin_policies(index=index))
-    report.findings.sort(key=lambda f: f.sort_key())
-
-    failed = bool(report.count_at_least(fail_on))
-    return CommandResult(
-        command="analyze-policy", exit_code=1 if failed else 0,
-        human=render_human(report, fail_on),
-        data=json.loads(render_json(report, fail_on)))
-
-
 def _fuzz_corpus_result(args) -> CommandResult:
     """``fuzz --replay``: re-run every saved corpus entry."""
-    from repro.errors import ValidationError
     from repro.fuzz import default_corpus_dir, load_corpus, replay_entry
 
     directory = args.corpus if args.corpus else default_corpus_dir()
@@ -613,8 +509,7 @@ def cmd_soak(args) -> CommandResult:
 
 
 def cmd_list_faults(args) -> CommandResult:
-    rows = [[name, FAULTS[name]().fault_class.value,
-             "odl" if name in ODL_FAULTS else "onos"]
+    rows = [[name, FAULTS[name]().fault_class.value, fault_kind(name)]
             for name in sorted(FAULTS)]
     human = format_table("Fault catalog", ["name", "class", "controller"],
                          rows)
@@ -654,11 +549,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="JURY (DSN 2016) reproduction command-line interface")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    validate = commands.add_parser(
-        "validate", help="validate live traffic on a JURY-enhanced cluster")
-    _add_common(validate)
-    validate.set_defaults(fn=cmd_validate)
-
     faults = commands.add_parser("faults", help="inject faults from the catalog")
     _add_common(faults)
     faults.add_argument("names", nargs="*",
@@ -672,15 +562,11 @@ def build_parser() -> argparse.ArgumentParser:
                             default=[1, 3, 7])
     throughput.set_defaults(fn=cmd_throughput)
 
-    detection = commands.add_parser(
-        "detection", help="detection-time distribution (Fig 4a/4c)")
-    _add_common(detection)
-    detection.set_defaults(fn=cmd_detection)
-
     report = commands.add_parser(
         "report",
-        help="one run, one artifact: cluster, alarms explained, replica "
-             "health and SLOs, flight ring, metrics and trace")
+        help="one run, one artifact: validation summary and detection "
+             "times, cluster, alarms explained, replica health and SLOs, "
+             "flight ring, metrics and trace")
     _add_common(report, format_extra=("prom",))
     report.add_argument("query", nargs="?", default=None, metavar="QUERY",
                         help="a trigger (ext:42, ('ext', 42), a substring) "
@@ -688,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "every explanation for it")
     report.add_argument("--fault", default=None, metavar="NAME",
                         help="inject this catalog fault instead of "
-                             "driving plain traffic")
+                             "driving plain traffic (on the fault's kind)")
     report.add_argument("--input", default=None, metavar="REPORT.json",
                         help="render a saved report instead of running")
     report.add_argument("--output", default=None, metavar="REPORT.json",
@@ -788,47 +674,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = commands.add_parser(
         "analyze",
-        help="static analysis: per-file D/T/S/H rules plus cross-module "
-             "X rules over the project call graph")
+        help="static analysis: per-file D/T/S/H rules, cross-module X rules "
+             "over the project call graph, and P rules over policy XML")
     analyze.add_argument("paths", nargs="*", metavar="PATH",
-                         help="files or directories to analyze (explicit "
-                              ".xml files are linted as policy documents)")
-    analyze.add_argument("--format", choices=("human", "json"),
-                         default="human", help="report format")
+                         help="files or directories to analyze; explicit "
+                              ".xml files are linted as policy documents "
+                              "(P604 only when Python code is analyzed too)")
+    _add_format(analyze)
     analyze.add_argument(
         "--fail-on", choices=("warning", "error"), default="error",
         help="exit non-zero when findings at/above this severity exist")
     analyze.add_argument("--list-rules", action="store_true",
                          help="print the rule catalog and exit")
     analyze.set_defaults(fn=cmd_analyze)
-
-    analyze_policy = commands.add_parser(
-        "analyze-policy",
-        help="statically verify policy XML before deployment "
-             "(P-rules: contradictions, shadowing, schema, provenance)")
-    analyze_policy.add_argument(
-        "paths", nargs="*", metavar="POLICY.xml",
-        help="policy files (or directories of .xml files) to verify")
-    analyze_policy.add_argument(
-        "--builtin", action="store_true",
-        help="also lint the built-in policy sets shipped with the repro")
-    analyze_policy.add_argument(
-        "--project", default=None, metavar="DIR",
-        help="project tree for the call-graph provenance checks "
-             "(default: src/repro when present; 'none' disables P604)")
-    analyze_policy.add_argument("--format", choices=("human", "json"),
-                                default="human", help="report format")
-    analyze_policy.add_argument(
-        "--fail-on", choices=("warning", "error"), default="warning",
-        help="exit non-zero at/above this severity (default: warning — "
-             "shadowed clauses should block deployment too)")
-    analyze_policy.set_defaults(fn=cmd_analyze_policy)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    from repro.errors import ValidationError
-
     args = build_parser().parse_args(argv)
     try:
         result = args.fn(args)

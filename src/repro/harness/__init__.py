@@ -1,4 +1,4 @@
-"""Experiment harness: builds clusters, drives workloads, reports figures."""
+"""Experiment harness: builds clusters, drives workloads, measures runs."""
 
 from repro.harness.experiment import (
     DetectionStats,
@@ -6,7 +6,6 @@ from repro.harness.experiment import (
     ThroughputPoint,
     build_experiment,
 )
-from repro.harness.figures import ascii_cdf, ascii_series
 from repro.harness.metrics import cdf_points, mbps, percentile
 from repro.harness.reporting import (
     CommandResult,
@@ -18,8 +17,6 @@ from repro.harness.reporting import (
 __all__ = [
     "CommandResult",
     "DetectionStats",
-    "ascii_cdf",
-    "ascii_series",
     "Experiment",
     "ThroughputPoint",
     "build_experiment",

@@ -149,6 +149,11 @@ class Experiment:
         """Advance the simulation by ``duration_ms``."""
         _advance(self.sim, self.sim.now + duration_ms)
 
+    @property
+    def window_open(self) -> bool:
+        """Has :meth:`begin_window` opened a window that time has run in?"""
+        return bool(self._snapshot) and self.sim.now > self._window_start
+
     # ------------------------------------------------------------------
     # Measurements
     # ------------------------------------------------------------------

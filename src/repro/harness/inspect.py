@@ -74,11 +74,16 @@ def store_convergence(experiment: Experiment) -> Dict:
 
 
 def jury_summary(experiment: Experiment) -> Dict:
-    """Validator and module health."""
+    """Validator and module health: the validation verdict (§VII).
+
+    Adds the measurement window's PACKET_IN/FLOW_MOD rates when the run
+    opened one, and the detection-time distribution of full-consensus
+    external triggers (Fig 4a/4c) when the validator kept its results.
+    """
     if experiment.jury is None:
         return {"deployed": False}
     validator = experiment.validator
-    return {
+    summary = {
         "deployed": True,
         "k": experiment.jury.k,
         "responses_received": validator.responses_received,
@@ -89,6 +94,16 @@ def jury_summary(experiment: Experiment) -> Dict:
         "shadow_triggers": experiment.jury.total_shadow_triggers(),
         "timeout_ms": round(validator.timeout.current(), 1),
     }
+    if experiment.window_open:
+        window = experiment.throughput()
+        summary["packet_in_rate_per_s"] = window.packet_in_rate_per_s
+        summary["flow_mod_rate_per_s"] = window.flow_mod_rate_per_s
+    if validator.keep_results:
+        stats = experiment.detection_stats()
+        summary["detection_ms"] = {"count": stats.count,
+                                   "median": stats.median,
+                                   "p95": stats.p95, "p99": stats.p99}
+    return summary
 
 
 def cluster_section(experiment: Experiment) -> Dict:
@@ -121,6 +136,16 @@ def render_report(cluster: Dict) -> str:
             f"{jury['triggers_alarmed']} alarmed, {jury['pending']} pending, "
             f"FP={100 * jury['false_positive_rate']:.3f}%, "
             f"timeout={jury['timeout_ms']} ms")
+        if "packet_in_rate_per_s" in jury:
+            sections[-1] += (
+                f"\nwindow: {jury['packet_in_rate_per_s']:.1f} PACKET_IN/s, "
+                f"{jury['flow_mod_rate_per_s']:.1f} FLOW_MOD/s")
+        if "detection_ms" in jury:
+            detection = jury["detection_ms"]
+            sections[-1] += (
+                f"\ndetection: {detection['count']} full-consensus triggers, "
+                + ", ".join(f"{q} {detection[q]:.2f} ms"
+                            for q in ("median", "p95", "p99")))
     else:
         sections.append("JURY: not deployed")
     return "\n\n".join(sections)

@@ -33,7 +33,6 @@ Wall-clock and process APIs are confined to this harness module
 from __future__ import annotations
 
 import contextlib
-import math
 import multiprocessing
 import os
 import resource
@@ -41,6 +40,7 @@ import signal
 from typing import Dict, List, Optional, Tuple
 from zlib import crc32
 
+from repro.config import JuryConfig
 from repro.core.alarms import canonical_alarm_stream
 from repro.core.checkpoint import (
     WAL_INGEST,
@@ -56,7 +56,7 @@ from repro.core.checkpoint import (
 )
 from repro.core.timeouts import StaticTimeout
 from repro.core.validator import Validator
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, ValidationError
 from repro.sim.simulator import Simulator
 from repro.workloads.synthetic import FLOW_VARIANTS, trigger_responses
 
@@ -195,9 +195,15 @@ def run_soak(duration_s: float = 60.0,
             f"--kill-at {kill_at_s} must fall inside (0, {duration_s}) "
             f"— killing before the first trigger or after the stream ends "
             f"soaks nothing")
-    if not (math.isfinite(timeout_ms) and timeout_ms > 0):
-        raise CheckpointError(
-            f"--timeout {timeout_ms} must be a finite number of ms > 0")
+    # JuryConfig owns the rules for these values; a refusal names the flag.
+    for flag, name, value in (("--replicas", "k", k),
+                              ("--timeout", "timeout_ms", timeout_ms),
+                              ("--checkpoint-every", "checkpoint_every",
+                               checkpoint_every)):
+        try:
+            JuryConfig(**{name: value})
+        except ValidationError as exc:
+            raise CheckpointError(f"{flag}: {exc}") from None
     triggers = int(duration_s * rate_per_s)
     if triggers < 1:
         raise CheckpointError(

@@ -14,14 +14,14 @@ and the external/internal classification — and records:
 * the inferred **T1/T2/T3 fault class** of the paper's taxonomy.
 
 Explanations are plain frozen data: deterministic, JSON-serializable, and
-held entirely inside the forensics object — look one up for a given alarm
-with :meth:`AlarmForensics.explanation_for`. Alarm objects themselves are
-never touched, so the byte-identical alarm-stream contract of the
-differential suite holds with forensics on or off by construction (the
-X501 cross-module rule enforces this: observers must not mutate engine
-state, even one attribute deep). The forensics object is a pure observer
-behind the same ``None`` fast path as the tracer and the metrics registry;
-it never schedules events, draws randomness, or mutates validator state.
+held entirely inside the forensics object, which keeps each alarmed
+decision's evidence and explains it on first read. Alarm objects themselves
+are never touched, so the byte-identical alarm-stream contract of the
+differential suite holds with forensics on or off by construction (the X501
+cross-module rule enforces this: observers must not mutate engine state,
+even one attribute deep). The forensics object is a pure observer behind
+the same ``None`` fast path as the tracer and the metrics registry; it
+never schedules events, draws randomness, or mutates validator state.
 
 Offline, explanations come back from the ``alarms`` section of a saved
 ``jury-repro report`` file through :meth:`AlarmExplanation.from_dict`, so
@@ -350,7 +350,12 @@ def _alarm_key(alarm: Alarm) -> Tuple:
 
 
 class AlarmForensics:
-    """Observer that builds an :class:`AlarmExplanation` for every alarm.
+    """Observer that explains every alarm when the explanations are read.
+
+    :meth:`observe_decision` keeps the evidence (the decision core drops its
+    response list once a trigger is decided, so none of it changes later);
+    each read explains what was kept since the last, in arrival order, which
+    gives what explaining at decision time would.
 
     Shared by the sequential validator and all pipeline shards the same way
     the tracer is; the per-trigger storage keeps shard interleavings out of
@@ -365,27 +370,37 @@ class AlarmForensics:
     """
 
     def __init__(self) -> None:
+        self._unexplained: List[Tuple] = []
         self._by_trigger: Dict[str, List[AlarmExplanation]] = {}
         self._by_alarm: Dict[Tuple, AlarmExplanation] = {}
 
     def observe_decision(self, tau: Tuple, responses: Sequence[Response],
                          outcome: ConsensusOutcome, result,
                          external: bool) -> None:
-        """Record one decided trigger's alarms (no-op when it was clean)."""
-        if not result.alarms:
-            return
-        bucket = self._by_trigger.setdefault(repr(tau), [])
-        for alarm in result.alarms:
-            explanation = explain_alarm(alarm, responses, outcome, external)
-            bucket.append(explanation)
-            self._by_alarm.setdefault(_alarm_key(alarm), explanation)
+        """Keep one decided trigger's evidence (no-op when it was clean)."""
+        if result.alarms:
+            self._unexplained.append(
+                (tau, result.alarms, responses, outcome, external))
+
+    def _explain(self) -> None:
+        """Explain the evidence kept since the last read."""
+        for tau, alarms, responses, outcome, external in self._unexplained:
+            bucket = self._by_trigger.setdefault(repr(tau), [])
+            for alarm in alarms:
+                explanation = explain_alarm(alarm, responses, outcome,
+                                            external)
+                bucket.append(explanation)
+                self._by_alarm.setdefault(_alarm_key(alarm), explanation)
+        self._unexplained.clear()
 
     def explanation_for(self, alarm: Alarm) -> Optional[AlarmExplanation]:
         """The explanation recorded for this alarm, or ``None``."""
+        self._explain()
         return self._by_alarm.get(_alarm_key(alarm))
 
     @property
     def alarm_count(self) -> int:
+        self._explain()
         return sum(len(bucket) for bucket in self._by_trigger.values())
 
     def explanations(self) -> List[AlarmExplanation]:
@@ -395,6 +410,7 @@ class AlarmForensics:
         the same total order the pipeline's merged alarm stream uses, so
         explanation ids line up with alarm positions across engines.
         """
+        self._explain()
         keyed = []
         for trigger, bucket in self._by_trigger.items():
             for index, explanation in enumerate(bucket):

@@ -14,8 +14,8 @@ unsampled decision the flight ring hears, an unsampled alarmed one — are
 hidden from the trace views. The metrics registry, the replica health
 tracker and the flight recorder are views attached to the log here: they
 compute what they report from its rows when they are read, and store
-nothing per event. Alarm forensics stays eager but hears alarmed
-decisions only, the flight recorder hears its dump points (alarm,
+nothing per event. Alarm forensics hears alarmed decisions only and
+explains them when read, the flight recorder hears its dump points (alarm,
 restore) as they happen, and ``replicator_copies_total``, which counts
 unsampled copies too, stays an instrument. docs/observability.md ("The
 observer seam") tables which event writes which rows and which view

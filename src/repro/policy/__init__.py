@@ -9,10 +9,11 @@ Policies follow first-match semantics: the first policy matching a cache
 write decides (``allow="Yes"`` whitelists, ``allow="No"`` raises an alarm);
 non-matching writes are implicitly allowed.
 
-Before deployment, verify a policy file statically with
-``jury-repro analyze-policy`` (library: :mod:`repro.policy.lint`) — it
-catches contradictions, shadowed clauses, schema mismatches, and trigger
-kinds no controller app emits, each anchored to the offending XML line.
+Before deployment, verify a policy file statically with ``jury-repro
+analyze --fail-on warning src/ POLICY.xml`` (library:
+:mod:`repro.policy.lint`) — it catches contradictions, shadowed clauses,
+schema mismatches, and trigger kinds no analyzed controller code emits,
+each anchored to the offending XML line.
 """
 
 from repro.policy.builtin import (

@@ -1,7 +1,7 @@
 """Policy linting: run the P-rules over policy XML or built-in policies.
 
-The deployment path for a policy file is ``jury-repro analyze-policy
-<file>``; this module is the library behind it. It parses leniently
+The deployment path for a policy file is ``jury-repro analyze <code paths>
+<file>.xml``; this module is the library behind it. It parses leniently
 (collecting *all* problems with positions, instead of dying on the first),
 wraps the clauses into the :class:`~repro.analysis.rules_policy
 .PolicyDocument` the P-rules consume, and returns plain
@@ -128,7 +128,8 @@ def lint_policies(policies: Sequence[Policy], path: str = "<builtin>",
 
 
 def builtin_policy_sets() -> Dict[str, List[Policy]]:
-    """The shipped policy sets, by name (the analyze-policy --builtin gate)."""
+    """The shipped policy sets, by name (linted in tier-1 against the
+    project's own index)."""
     from repro.policy.builtin import (
         match_hierarchy_policy,
         no_internal_cache_changes,

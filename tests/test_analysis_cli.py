@@ -136,6 +136,10 @@ def test_analyze_leaves_the_working_directory_untouched(tree, capsys):
 
 
 def test_gate_command_on_shipped_tree(monkeypatch):
-    # The exact invocation CI runs, executed from the repo root.
+    # The exact invocation CI runs, executed from the repo root: the code
+    # and, with P604 against it, the example policies.
     monkeypatch.chdir(REPO_ROOT)
-    assert main(["analyze", "--fail-on", "warning", "src/"]) == 0
+    policies = sorted(str(path.relative_to(REPO_ROOT)) for path in
+                      (REPO_ROOT / "examples" / "policies").glob("*.xml"))
+    assert policies
+    assert main(["analyze", "--fail-on", "warning", "src/", *policies]) == 0

@@ -708,6 +708,22 @@ def test_soak_cli_refuses_a_negative_timeout(tmp_path):
                  "--timeout", "-5", "--workdir", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--replicas", "-1"),
+    ("--checkpoint-every", "0"),
+    ("--checkpoint-every", "-3"),
+])
+def test_soak_cli_refuses_an_invalid_value_naming_its_flag(tmp_path, capsys,
+                                                          flag, value):
+    from repro.cli import main
+
+    workdir = tmp_path / "work"
+    assert main(["soak", "--duration", "2", "--kill-at", "1", flag, value,
+                 "--workdir", str(workdir)]) == 2
+    assert f"soak: {flag}: " in capsys.readouterr().err
+    assert not list(workdir.iterdir()), "refused before any worker ran"
+
+
 def test_soak_cli_round_trip(tmp_path):
     from repro.cli import main
 

@@ -1,7 +1,10 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
+from repro import cli
 from repro.cli import FAULTS, build_parser, main
 
 
@@ -14,18 +17,29 @@ def test_list_faults(capsys):
         assert name in out
 
 
-def test_validate_command(capsys):
-    code = main(["validate", "--nodes", "3", "-k", "2", "--switches", "4",
-                 "--rate", "500", "--duration", "400", "--seed", "3"])
-    out = capsys.readouterr().out
+def test_report_summarizes_the_validation_run(capsys):
+    argv = ["report", "--nodes", "3", "-k", "2", "--switches", "4",
+            "--rate", "500", "--duration", "400", "--seed", "3"]
+    code = main(argv + ["--format", "json"])
+    jury = json.loads(capsys.readouterr().out)["cluster"]["jury"]
     assert code == 0
-    assert "triggers validated" in out
-    assert "false-positive rate" in out
+    assert jury["triggers_decided"] > 0 and jury["triggers_alarmed"] == 0
+    assert jury["false_positive_rate"] == 0.0
+    assert jury["packet_in_rate_per_s"] > 0 < jury["flow_mod_rate_per_s"]
+    detection = jury["detection_ms"]
+    assert 0 < detection["count"] <= jury["triggers_decided"]
+    assert 0 < detection["median"] <= detection["p95"] <= detection["p99"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert f"{jury['triggers_decided']} decided, 0 alarmed" in out
+    assert f"FLOW_MOD/s\ndetection: {detection['count']} " in out
+    assert f"p99 {detection['p99']:.2f} ms" in out
 
 
 @pytest.mark.parametrize("timeout", ["-5", "0", "nan"])
 def test_validate_refuses_a_timeout_that_is_not_positive(timeout, capsys):
-    code = main(["validate", "--timeout", timeout, "--duration", "200"])
+    # The validation run is `report`'s; the refusal is JuryConfig's.
+    code = main(["report", "--timeout", timeout, "--duration", "200"])
     assert code == 2
     assert "timeout_ms" in capsys.readouterr().err
 
@@ -54,13 +68,42 @@ def test_throughput_command(capsys):
     assert "n=1" in out and "n=2" in out
 
 
-def test_detection_command_renders_cdf(capsys):
-    code = main(["detection", "--nodes", "3", "-k", "2", "--switches", "4",
-                 "--rate", "600", "--duration", "500", "--seed", "6"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "p95=" in out
-    assert "k=2" in out  # CDF legend
+class _Built(Exception):
+    """Stops a command right after it chose its experiment's config."""
+
+
+@pytest.mark.parametrize("argv,kind", [
+    (["faults", "--config", "{config}", "odl-flow-mod-drop"], "odl"),
+    (["faults", "--controller", "odl", "onos-pending-add"], "onos"),
+    (["report", "--controller", "odl", "--fault", "onos-pending-add"],
+     "onos"),
+    (["report", "--config", "{config}", "--fault", "odl-flow-mod-drop"],
+     "odl"),
+    (["report", "--controller", "odl"], "odl"),
+], ids=["faults-config", "faults-controller", "report-controller",
+        "report-config", "report-no-fault"])
+def test_a_catalog_fault_runs_on_its_catalog_kind(tmp_path, monkeypatch,
+                                                  argv, kind):
+    # The catalog's kind overrides --controller and the file's kind; the
+    # rest of a --config file still defines the experiment.
+    config = tmp_path / "onos.json"
+    config.write_text(json.dumps(
+        {"kind": "onos", "n": 5, "k": 2, "switches": 6, "seed": 7}))
+    built = []
+
+    class _Jury:
+        @staticmethod
+        def experiment(jury_config):
+            built.append(jury_config)
+            raise _Built
+
+    monkeypatch.setattr(cli, "Jury", _Jury)
+    with pytest.raises(_Built):
+        main([arg.format(config=config) for arg in argv])
+    (jury_config,) = built
+    assert jury_config.kind == kind
+    if "--config" in argv:
+        assert (jury_config.n, jury_config.k, jury_config.seed) == (5, 2, 7)
 
 
 def test_parser_requires_command():

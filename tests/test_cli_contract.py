@@ -54,20 +54,18 @@ def _commands(tmp_path: Path):
     clean = tmp_path / "clean.py"
     clean.write_text(CLEAN_PY)
     return {
-        "validate": ["validate"] + _SMALL,
         "faults": ["faults", "crash", "--nodes", "5", "-k", "4",
                    "--switches", "6", "--seed", "4"],
         "throughput": ["throughput", "--cluster-sizes", "1",
                        "--switches", "4", "--rate", "500",
                        "--duration", "300", "--seed", "5"],
-        "detection": ["detection"] + _SMALL,
         "report": ["report"] + _SMALL,
         "report-fault": ["report", "--fault", "link-failure", "--nodes", "5",
                          "-k", "4", "--switches", "6", "--seed", "4"],
         "fuzz": ["fuzz", "--seed", "8", "--runs", "1", "--no-shrink"],
         "list-faults": ["list-faults"],
         "analyze": ["analyze", str(clean)],
-        "analyze-policy": ["analyze-policy", POLICY_CLEAN],
+        "analyze-xml": ["analyze", "--fail-on", "warning", POLICY_CLEAN],
     }
 
 
@@ -141,19 +139,19 @@ def test_findings_exit_1(tmp_path, capsys):
 # ----------------------------------------------------------------------
 
 def _bad_config_missing(tmp_path):
-    return ["validate", "--config", str(tmp_path / "missing.json")]
+    return ["report", "--config", str(tmp_path / "missing.json")]
 
 
 def _bad_config_unknown_key(tmp_path):
     path = tmp_path / "typo.json"
     path.write_text(json.dumps({"k": 2, "swiches": 4}))
-    return ["validate", "--config", str(path)]
+    return ["report", "--config", str(path)]
 
 
 def _bad_config_invalid_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
-    return ["validate", "--config", str(path)]
+    return ["report", "--config", str(path)]
 
 
 def _report_input_not_a_report(tmp_path):
@@ -175,14 +173,16 @@ def _report_input_with_fault(tmp_path):
     (_report_input_not_a_report, "not a jury-report file"),
     (_report_input_with_fault, "cannot be combined with --fault"),
     (lambda _: ["analyze", "no_such_dir_zzz"], ""),
+    (lambda _: ["analyze", str(Path(POLICY_CLEAN).parent)],
+     "no Python file under the paths"),
     (_bad_config_missing, "--config"),
     (_bad_config_unknown_key, "did you mean 'switches'"),
     (_bad_config_invalid_json, "invalid JSON"),
-    (lambda _: ["validate", "--pipeline", "2"], "--pipeline"),
+    (lambda _: ["report", "--pipeline", "2"], "--pipeline"),
     (lambda _: ["soak", "--pipeline", "2"], "--pipeline"),
 ], ids=["unknown-fault", "unknown-report-fault", "report-missing-input",
         "report-non-report-input", "report-input-with-fault",
-        "missing-analyze-path",
+        "missing-analyze-path", "analyze-nothing-to-scan",
         "config-missing-file", "config-unknown-key", "config-invalid-json",
         "removed-validate-pipeline", "removed-soak-pipeline"])
 def test_usage_errors_exit_2_with_stderr_message(tmp_path, capsys,
@@ -206,9 +206,12 @@ def test_removed_bench_command_exits_2(capsys):
 
 
 @pytest.mark.parametrize("command", ["trace", "metrics", "diagnose",
-                                     "health"])
+                                     "health", "validate", "detection",
+                                     "analyze-policy"])
 def test_removed_observability_commands_exit_2(capsys, command):
-    # `report` replaced all four; there is no alias.
+    # `report` replaced the first six (it carries the validation summary
+    # and the detection times) and `analyze PATH... POLICY.xml` is the
+    # policy gate; there is no alias.
     with pytest.raises(SystemExit) as exc:
         main([command])
     assert exc.value.code == 2
@@ -216,7 +219,7 @@ def test_removed_observability_commands_exit_2(capsys, command):
 
 
 @pytest.mark.parametrize("argv", [
-    ["validate", "--backend", "processes"],
+    ["report", "--backend", "processes"],
     ["fuzz", "--runs", "1", "--backend", "processes"],
     ["soak", "--backend", "processes"],
 ], ids=["experiment", "fuzz", "soak"])

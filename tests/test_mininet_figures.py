@@ -1,9 +1,8 @@
-"""Tests for the Mininet-like builder and ASCII figure rendering."""
+"""Tests for the Mininet-like builder."""
 
 import pytest
 
 from repro.errors import TopologyError
-from repro.harness.figures import ascii_cdf, ascii_series
 from repro.net.mininet import MininetBuilder, single_topology, tree_topology
 from repro.sim.simulator import Simulator
 
@@ -85,31 +84,3 @@ def test_tree_topology_forwarding_end_to_end():
     sim.run(until=sim.now + 1000.0)
     assert hosts[-1].received_by_flow.get(flow_id) == 1
 
-
-# ----------------------------------------------------------------------
-# Figures
-# ----------------------------------------------------------------------
-
-def test_ascii_cdf_renders_series():
-    text = ascii_cdf({"a": [1, 2, 3, 4, 5], "b": [10, 20, 30]})
-    assert "1.0 |" in text
-    assert "o=a" in text
-    assert "x=b" in text
-    assert "30" in text  # x-axis max
-
-
-def test_ascii_cdf_empty():
-    assert ascii_cdf({}) == "(no samples)"
-    assert ascii_cdf({"a": []}) == "(no samples)"
-
-
-def test_ascii_series_renders():
-    text = ascii_series([(0, 0), (50, 100), (100, 50)],
-                        x_label="rate", y_label="fmods")
-    assert "o" in text
-    assert "rate" in text
-    assert "fmods" in text
-
-
-def test_ascii_series_empty():
-    assert ascii_series([]) == "(no points)"

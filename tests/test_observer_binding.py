@@ -6,7 +6,8 @@ bound below is a call count, not a clock, so it holds on any host. The
 registry contract the binding relies on (one handle per family and label
 set) is pinned here too, as is the observers-off path: an engine built
 with no subscriber holds no observer, so it pays one ``None`` branch per
-event and nothing else.
+event and nothing else. Alarm forensics keeps each alarmed decision's
+evidence and explains it when read, so an unread run explains nothing.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from repro.core.checkpoint import replay_stream
 from repro.core.pipeline import ValidationPipeline
 from repro.core.timeouts import StaticTimeout
 from repro.core.validator import Validator
-from repro.obs.diagnose import AlarmForensics
+from repro.obs import diagnose
+from repro.obs.diagnose import AlarmForensics, export_explanations
 from repro.obs.health import ReplicaHealthTracker
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.observer import Observer
@@ -112,3 +114,44 @@ def test_registry_is_asked_once_per_instrument(engine_label, rate):
     assert 0 < decided <= SOAK_TRIGGERS
     assert 0 < len(calls) <= len(registry.snapshot()), (
         f"{len(calls)} registry calls for {decided} counted decisions")
+
+
+# ----------------------------------------------------------------------
+# Alarm forensics explains on read
+# ----------------------------------------------------------------------
+
+def test_forensics_explains_when_read_and_as_it_would_have_eagerly(
+        monkeypatch):
+    explained = []
+    explain = diagnose.explain_alarm
+    monkeypatch.setattr(diagnose, "explain_alarm",
+                        lambda *evidence: explained.append(evidence)
+                        or explain(*evidence))
+
+    def run(read_on_every_alarm: bool):
+        forensics = AlarmForensics()
+
+        def make(sim):
+            engine = Validator(sim, SOAK_K, timeout=StaticTimeout(TIMEOUT_MS),
+                               forensics=forensics)
+            if read_on_every_alarm:
+                # on_alarm fires after the seam handed the evidence over.
+                engine.on_alarm = forensics.explanation_for
+            return engine
+
+        engine = replay_stream(_faulty_soak_stream(), make,
+                               settle_ms=4 * TIMEOUT_MS)
+        return engine, forensics
+
+    engine, lazy = run(read_on_every_alarm=False)
+    assert engine.alarms and explained == [], "nothing read, nothing explained"
+    lazy_export = export_explanations(lazy.explanations())
+    assert len(explained) == len(engine.alarms) == lazy.alarm_count
+    assert all(lazy.explanation_for(alarm) is not None
+               for alarm in engine.alarms)
+    assert len(explained) == len(engine.alarms), "explained once"
+
+    explained.clear()
+    _, eager = run(read_on_every_alarm=True)
+    assert len(explained) == len(engine.alarms)
+    assert export_explanations(eager.explanations()) == lazy_export

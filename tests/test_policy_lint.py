@@ -1,4 +1,4 @@
-"""P-rules: the policy static verifier and the analyze-policy CLI gate."""
+"""P-rules: the policy static verifier and its CLI gate, ``analyze``."""
 
 import ast
 import json
@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis import Analyzer
 from repro.analysis.project_index import (
     build_project_index,
     extract_module_facts,
@@ -136,7 +137,11 @@ def test_predicated_clauses_never_subsume():
 # ----------------------------------------------------------------------
 
 def test_builtin_policy_sets_lint_clean():
-    assert lint_builtin_policies() == []
+    # Against the project's own index, so P604 checks every trigger kind a
+    # built-in clause names is one the controller code emits.
+    index = Analyzer(rules=[]).index_paths([str(REPO_ROOT / "src" / "repro")])
+    assert index.emitted_trigger_kinds()
+    assert lint_builtin_policies(index=index) == []
 
 
 def test_shipped_example_policies_lint_clean():
@@ -147,7 +152,7 @@ def test_shipped_example_policies_lint_clean():
 
 
 # ----------------------------------------------------------------------
-# The analyze-policy CLI gate
+# The CLI gate: `analyze` lints every .xml path it is given
 # ----------------------------------------------------------------------
 
 @pytest.fixture()
@@ -157,36 +162,53 @@ def repo_cwd(monkeypatch):
 
 def test_cli_exits_nonzero_on_each_planted_fixture(repo_cwd, capsys):
     for name in ("contradiction.xml", "shadowed.xml", "unknown_field.xml"):
-        rc = main(["analyze-policy", f"tests/fixtures/policies/{name}",
-                   "--project", "none"])
+        rc = main(["analyze", "--fail-on", "warning",
+                   f"tests/fixtures/policies/{name}"])
         capsys.readouterr()
         assert rc == 1, name
 
 
 def test_cli_p604_uses_the_project_index(repo_cwd, capsys):
-    rc = main(["analyze-policy", "tests/fixtures/policies/unknown_trigger.xml",
-               "--project", "tests/fixtures/miniproj"])
+    # The index comes from the Python paths analyzed in the same run.
+    rc = main(["analyze", "tests/fixtures/miniproj",
+               "tests/fixtures/policies/unknown_trigger.xml"])
     out = capsys.readouterr().out
     assert rc == 1
     assert "unknown_trigger.xml:7:" in out and "P604" in out
 
 
 def test_cli_clean_fixture_and_builtins_exit_zero(repo_cwd, capsys):
-    assert main(["analyze-policy", "tests/fixtures/policies/clean.xml",
-                 "--builtin", "--project", "none"]) == 0
+    # The built-in sets have no XML: test_builtin_policy_sets_lint_clean
+    # lints them against src/repro's index.
+    assert main(["analyze", "--fail-on", "warning",
+                 "tests/fixtures/policies/clean.xml"]) == 0
     assert "OK" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("path", [
+    "tests/fixtures/policies/clean.xml",
+    "tests/fixtures/policies/unknown_trigger.xml",
+    "examples/policies/fig3_no_internal_edges.xml",
+])
+def test_cli_policy_alone_runs_no_p604(repo_cwd, capsys, path):
+    # With no Python analyzed there is no code to ask which trigger kinds
+    # it emits, so no clause is reported as unreachable.
+    rc = main(["analyze", "--fail-on", "warning", path])
+    out = capsys.readouterr().out
+    assert "P604" not in out
+    assert rc == 0
+
+
 def test_cli_fail_on_error_lets_warnings_pass(repo_cwd, capsys):
-    rc = main(["analyze-policy", "tests/fixtures/policies/shadowed.xml",
-               "--project", "none", "--fail-on", "error"])
+    rc = main(["analyze", "tests/fixtures/policies/shadowed.xml",
+               "--fail-on", "error"])
     capsys.readouterr()
     assert rc == 0  # P602 is warning-severity
 
 
 def test_cli_json_format_carries_line_and_column(repo_cwd, capsys):
-    rc = main(["analyze-policy", "tests/fixtures/policies/contradiction.xml",
-               "--project", "none", "--format", "json"])
+    rc = main(["analyze", "tests/fixtures/policies/contradiction.xml",
+               "--format", "json"])
     assert rc == 1
     payload = json.loads(capsys.readouterr().out)
     (finding,) = payload["findings"]

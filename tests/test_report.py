@@ -9,6 +9,10 @@ What is pinned:
   removed ``trace --output``, ``metrics``, ``health`` and ``diagnose``
   commands on the same arguments (``--format json`` payloads without
   their ``command`` key; each digest is sha-256 over sorted-key JSON).
+  The ``cluster.jury`` summary of the traffic run carries the numbers the
+  removed ``validate`` and ``detection`` commands printed for the same
+  arguments (rates, triggers, alarms, detection count and percentiles),
+  in the JSON and in the human text.
 * **Human output is a pure function of the payload.** ``report --input
   R.json`` prints byte-identical text to the live run that wrote
   ``R.json``, with and without a QUERY, and two live runs print
@@ -86,6 +90,27 @@ def test_report_sections_match_parent_commands(saved):
             for name in ("trace", "metrics", "health")} == {
         name: PARENT_DIGESTS[name] for name in ("trace", "metrics", "health")}
     assert _sha(fault["alarms"]) == PARENT_DIGESTS["alarms"]
+
+
+def test_cluster_summary_carries_the_validation_verdict(saved):
+    text, path, _ = saved["traffic"]
+    jury = json.loads(path.read_text(encoding="utf-8"))["cluster"]["jury"]
+    assert (jury["packet_in_rate_per_s"], jury["flow_mod_rate_per_s"]) == (
+        980.0, 599.375)
+    assert (jury["triggers_decided"], jury["triggers_alarmed"]) == (2628, 0)
+    detection = jury["detection_ms"]
+    assert detection["count"] == 965
+    assert [round(detection[q], 2) for q in ("median", "p95", "p99")] == [
+        19.01, 50.58, 76.11]
+    assert ("JURY: k=2, 2628 decided, 0 alarmed, 0 pending, FP=0.000%, "
+            "timeout=250.0 ms\n"
+            "window: 980.0 PACKET_IN/s, 599.4 FLOW_MOD/s\n"
+            "detection: 965 full-consensus triggers, median 19.01 ms, "
+            "p95 50.58 ms, p99 76.11 ms\n") in text
+    # A fault scenario opens no measurement window: no rates to report.
+    fault = json.loads(saved["fault"][1].read_text(encoding="utf-8"))
+    assert "packet_in_rate_per_s" not in fault["cluster"]["jury"]
+    assert fault["cluster"]["jury"]["detection_ms"]["count"] > 0
 
 
 @pytest.mark.parametrize("name", ["traffic", "fault", "fault-query"])
