@@ -8,40 +8,33 @@
 
 from conftest import run_once
 
-from repro.faults import (
-    FlowDeletionFailureFault,
-    FlowInstantiationFailureFault,
-    LinkDetectionInconsistencyFault,
-    PendingAddFault,
-)
+from repro.faults import CATALOG
 from repro.faults.base import run_scenario
 from repro.faults.injector import default_policy_engine
 from repro.api import Jury
 from repro.config import JuryConfig
 from repro.harness.reporting import format_table
 
-SCENARIOS = [
-    ("odl", lambda: FlowDeletionFailureFault("c1"), "Appendix 1 (T1)"),
-    ("onos", lambda: LinkDetectionInconsistencyFault(2, 3), "Appendix 2 (T1)"),
-    ("odl", lambda: FlowInstantiationFailureFault("c1"), "Appendix 3 (T2)"),
-    ("onos", lambda: PendingAddFault(4), "Appendix 4 (T2)"),
-]
+#: In Appendix order.
+SCENARIOS = ["odl-flow-deletion-failure", "onos-link-detection",
+             "odl-flow-instantiation-failure", "onos-pending-add"]
 
 
 def test_appendix_faults_detected(benchmark):
     def run():
         rows = []
         outcomes = []
-        for index, (kind, factory, reference) in enumerate(SCENARIOS):
+        for index, name in enumerate(SCENARIOS):
+            scenario = CATALOG[name]()
             experiment = Jury.experiment(JuryConfig(
-                kind=kind, n=7, k=6, switches=12, seed=120 + index,
-                timeout_ms=250.0 if kind == "onos" else 1200.0,
+                kind=scenario.kind, n=7, k=6, switches=12, seed=120 + index,
+                timeout_ms=None,
                 policy_engine=default_policy_engine(), with_northbound=True))
             experiment.warmup()
-            scenario = factory()
             result = run_scenario(experiment, scenario)
             outcomes.append(result)
-            rows.append([scenario.name, reference,
+            rows.append([name,
+                         f"Appendix {index + 1} ({scenario.fault_class.value})",
                          "YES" if result.detected else "NO",
                          result.matching_alarms[0].reason.value
                          if result.matching_alarms else "-",

@@ -13,14 +13,7 @@ asserts a 100% detection rate with detection inside the settle bound.
 
 from conftest import run_once
 
-from repro.faults import (
-    FaultyProactiveFault,
-    LinkFailureFault,
-    OdlFlowModDropFault,
-    OdlIncorrectFlowModFault,
-    OnosDatabaseLockFault,
-    UndesirableFlowModFault,
-)
+from repro.faults import CATALOG
 from repro.faults.injector import FaultDriver, default_policy_engine
 from repro.api import Jury
 from repro.config import JuryConfig
@@ -30,12 +23,10 @@ REPETITIONS = 3
 
 
 def factory_for(kind):
-    timeout = 250.0 if kind == "onos" else 1200.0
-
     def build(seed):
         experiment = Jury.experiment(JuryConfig(
             kind=kind, n=7, k=6, switches=12, seed=seed,
-            timeout_ms=timeout, policy_engine=default_policy_engine(),
+            timeout_ms=None, policy_engine=default_policy_engine(),
             with_northbound=True))
         # m=2: two degraded (timing-faulty) replicas alongside the injected
         # fault, per the paper's worst-case setup.
@@ -46,26 +37,21 @@ def factory_for(kind):
     return build
 
 
-SCENARIOS = [
-    ("onos", lambda: OnosDatabaseLockFault("c1")),
-    ("onos", lambda: LinkFailureFault(1, 2)),
-    ("onos", lambda: UndesirableFlowModFault("c2")),
-    ("onos", lambda: FaultyProactiveFault("c3")),
-    ("odl", lambda: OdlFlowModDropFault("c1")),
-    ("odl", lambda: OdlIncorrectFlowModFault("c1")),
-]
+SCENARIOS = ["onos-database-locking", "link-failure", "undesirable-flow-mod",
+             "faulty-proactive", "odl-flow-mod-drop", "odl-incorrect-flow-mod"]
 
 
 def test_detection_accuracy_worst_case(benchmark):
     def run():
         rows = []
         reports = []
-        for index, (kind, factory) in enumerate(SCENARIOS):
-            driver = FaultDriver(factory_for(kind))
-            report = driver.run(factory, repetitions=REPETITIONS,
+        for index, name in enumerate(SCENARIOS):
+            fault = CATALOG[name]
+            driver = FaultDriver(factory_for(fault.kind))
+            report = driver.run(fault, repetitions=REPETITIONS,
                                 base_seed=200 + 50 * index)
-            reports.append((kind, report))
-            rows.append([report.scenario, kind,
+            reports.append(report)
+            rows.append([report.scenario, fault.kind,
                          f"{report.detected}/{report.runs}",
                          f"{report.attribution_correct}/{report.runs}",
                          f"{report.max_detection_ms:.0f} ms"
@@ -79,6 +65,6 @@ def test_detection_accuracy_worst_case(benchmark):
         return reports
 
     reports = run_once(benchmark, run)
-    for kind, report in reports:
+    for report in reports:
         assert report.detection_rate == 1.0, report.scenario
         assert report.attribution_correct == report.runs, report.scenario

@@ -9,11 +9,7 @@ each class into an n=7, k=6 cluster and prints the validation matrix.
 
 from conftest import run_once
 
-from repro.faults import (
-    FaultyProactiveFault,
-    LinkFailureFault,
-    UndesirableFlowModFault,
-)
+from repro.faults import CATALOG
 from repro.faults.base import run_scenario
 from repro.faults.injector import default_policy_engine
 from repro.api import Jury
@@ -21,12 +17,9 @@ from repro.config import JuryConfig
 from repro.harness.reporting import format_table
 
 CLASSES = [
-    ("T1", "reactive", "either C, or N, or both",
-     lambda: LinkFailureFault(1, 2)),
-    ("T2", "proactive", "C or N, or both but C != N",
-     lambda: UndesirableFlowModFault("c2")),
-    ("T3", "proactive", "both C and N where C = N",
-     lambda: FaultyProactiveFault("c3")),
+    ("T1", "reactive", "either C, or N, or both", "link-failure"),
+    ("T2", "proactive", "C or N, or both but C != N", "undesirable-flow-mod"),
+    ("T3", "proactive", "both C and N where C = N", "faulty-proactive"),
 ]
 
 
@@ -43,8 +36,8 @@ def test_table1_fault_class_validation(benchmark):
     def run():
         rows = []
         outcomes = {}
-        for index, (klass, nature, action, factory) in enumerate(CLASSES):
-            result = run_scenario(build(seed=55 + index), factory())
+        for index, (klass, nature, action, name) in enumerate(CLASSES):
+            result = run_scenario(build(seed=55 + index), CATALOG[name]())
             detected = "yes" if result.detected else "NO"
             mechanism = (result.matching_alarms[0].reason.value
                          if result.matching_alarms else "-")
@@ -53,7 +46,7 @@ def test_table1_fault_class_validation(benchmark):
             outcomes[klass] = result.detected
         # The 3* footnote: T3 validation requires policies.
         no_policy = run_scenario(build(seed=58, with_policies=False),
-                                 FaultyProactiveFault("c3"))
+                                 CATALOG["faulty-proactive"]())
         outcomes["T3-without-policies"] = no_policy.detected
         print()
         print(format_table(

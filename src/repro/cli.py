@@ -50,61 +50,15 @@ import argparse
 import json
 import os
 import sys
-from typing import Callable, Dict, List, Optional
+from typing import List, Optional
 
 from repro.api import Jury
 from repro.config import JuryConfig
 from repro.errors import ValidationError
-from repro.faults import (
-    CrashFault,
-    StoreDesyncFault,
-    FaultyProactiveFault,
-    FlowDeletionFailureFault,
-    FlowInstantiationFailureFault,
-    LinkDetectionInconsistencyFault,
-    LinkFailureFault,
-    OdlFlowModDropFault,
-    OdlIncorrectFlowModFault,
-    OnosDatabaseLockFault,
-    OnosMasterElectionFault,
-    PendingAddFault,
-    ResponseCorruptionFault,
-    ResponseOmissionFault,
-    TimingFault,
-    UndesirableFlowModFault,
-)
+from repro.faults import CATALOG
 from repro.faults.base import run_scenario
 from repro.harness.reporting import CommandResult, format_table, render_result
 from repro.workloads.traffic import TrafficDriver
-
-FAULTS: Dict[str, Callable] = {
-    "onos-database-locking": lambda: OnosDatabaseLockFault("c1"),
-    "onos-master-election": lambda: OnosMasterElectionFault(1, 2),
-    "onos-link-detection": lambda: LinkDetectionInconsistencyFault(2, 3),
-    "onos-pending-add": lambda: PendingAddFault(4),
-    "odl-flow-mod-drop": lambda: OdlFlowModDropFault("c1"),
-    "odl-incorrect-flow-mod": lambda: OdlIncorrectFlowModFault("c1"),
-    "odl-flow-deletion-failure": lambda: FlowDeletionFailureFault("c1"),
-    "odl-flow-instantiation-failure": lambda: FlowInstantiationFailureFault("c1"),
-    "link-failure": lambda: LinkFailureFault(1, 2),
-    "undesirable-flow-mod": lambda: UndesirableFlowModFault("c2"),
-    "faulty-proactive": lambda: FaultyProactiveFault("c3"),
-    "crash": lambda: CrashFault("c1"),
-    "response-omission": lambda: ResponseOmissionFault("c2"),
-    "timing": lambda: TimingFault("c3"),
-    "response-corruption": lambda: ResponseCorruptionFault("c1"),
-    "store-desync": lambda: StoreDesyncFault("c2"),
-}
-
-ODL_FAULTS = {"odl-flow-mod-drop", "odl-incorrect-flow-mod",
-              "odl-flow-deletion-failure", "odl-flow-instantiation-failure"}
-
-
-def fault_kind(name: str) -> str:
-    """The controller kind catalog fault ``name`` runs on (``list-faults``'
-    controller column); ``faults`` and ``report --fault`` set it over
-    ``--controller`` and over a ``--config`` file's ``kind``."""
-    return "odl" if name in ODL_FAULTS else "onos"
 
 
 def _load_config_file(path: str) -> JuryConfig:
@@ -130,8 +84,9 @@ def _config_from_args(args, fault: Optional[str] = None,
     """One place where argparse namespaces become a :class:`JuryConfig`.
 
     ``--config`` replaces the experiment flags. A catalog ``fault`` sets
-    the kind (:func:`fault_kind`) over either source, and a command that
-    reads the observers (``report``) turns them on over either source.
+    the kind (the class's ``kind``, ``list-faults``' controller column)
+    over either source, and a command that reads the observers
+    (``report``) turns them on over either source.
     """
     if args.config is not None:
         config = _load_config_file(args.config)
@@ -143,7 +98,7 @@ def _config_from_args(args, fault: Optional[str] = None,
             policies=("default",), with_northbound=True)
     changes = {"observe": True} if observe else {}
     if fault is not None:
-        changes["kind"] = fault_kind(fault)
+        changes["kind"] = CATALOG[fault].kind
     return config.replace(**changes)
 
 
@@ -164,14 +119,14 @@ def _drive_traffic(experiment, args, settle_ms: float = 600.0) -> None:
 
 
 def cmd_faults(args) -> CommandResult:
-    names: List[str] = args.names or sorted(FAULTS)
-    unknown = [n for n in names if n not in FAULTS]
+    names: List[str] = args.names or sorted(CATALOG)
+    unknown = [n for n in names if n not in CATALOG]
     if unknown:
         return CommandResult.usage_error(
             "faults", f"unknown fault(s): {', '.join(unknown)}")
     entries = []
     for name in names:
-        result = run_scenario(_build(args, fault=name), FAULTS[name]())
+        result = run_scenario(_build(args, fault=name), CATALOG[name]())
         alarm = result.matching_alarms[0] if result.matching_alarms else None
         entries.append({
             "fault": name,
@@ -195,12 +150,13 @@ def cmd_faults(args) -> CommandResult:
 
 
 def cmd_throughput(args) -> CommandResult:
+    # A vanilla (k=None) cluster of each swept size n; kind, switches, seed
+    # and profile overrides come from the flags or the --config file.
+    base = _config_from_args(args).replace(k=None)
     rows = []
     points = []
     for n in args.cluster_sizes:
-        experiment = Jury.experiment(JuryConfig(
-            kind=args.controller, n=n, k=None, switches=args.switches,
-            seed=args.seed))
+        experiment = Jury.experiment(base.replace(n=n))
         experiment.warmup()
         _drive_traffic(experiment, args, settle_ms=0.0)
         point = experiment.throughput()
@@ -212,7 +168,7 @@ def cmd_throughput(args) -> CommandResult:
                      f"{point.flow_mod_rate_per_s:.0f}",
                      f"{point.packet_out_rate_per_s:.0f}"])
     human = format_table(
-        f"{args.controller} cluster throughput @ requested "
+        f"{base.kind} cluster throughput @ requested "
         f"{args.rate:.0f} PACKET_IN/s",
         ["cluster", "PACKET_IN/s", "FLOW_MOD/s", "PACKET_OUT/s"], rows)
     return CommandResult.ok("throughput", human=human,
@@ -242,13 +198,13 @@ def cmd_report(args) -> CommandResult:
         except (OSError, ValueError) as exc:
             return CommandResult.usage_error("report", f"report: {exc}")
     else:
-        if args.fault is not None and args.fault not in FAULTS:
+        if args.fault is not None and args.fault not in CATALOG:
             return CommandResult.usage_error(
                 "report", f"report: unknown fault {args.fault!r} "
                           f"(see list-faults)")
         experiment = _build(args, fault=args.fault, observe=True)
         if args.fault is not None:
-            run_scenario(experiment, FAULTS[args.fault]())
+            run_scenario(experiment, CATALOG[args.fault]())
         else:
             _drive_traffic(experiment, args)
         payload = build_report(experiment)
@@ -283,17 +239,9 @@ def cmd_trace_diff(args) -> CommandResult:
 
     data = {"command": "trace-diff", "left": args.left, "right": args.right,
             **diff.to_dict(limit=args.limit)}
+    human = diff.render(limit=args.limit)
     if diff.identical:
-        human = (f"traces are identical: {diff.common} aligned span(s), "
-                 f"no divergence")
         return CommandResult.ok("trace-diff", human=human, data=data)
-    human = "\n".join([
-        f"traces diverge: {len(diff.entries)} differing slot(s) over "
-        f"{diff.common} aligned span(s) "
-        f"({diff.left_spans} left / {diff.right_spans} right)",
-        first_divergence_detail(diff),
-        diff.render(limit=args.limit),
-    ])
     return CommandResult(command="trace-diff", exit_code=1, human=human,
                          data=data,
                          errors=[f"trace-diff: {first_divergence_detail(diff)}"])
@@ -509,8 +457,8 @@ def cmd_soak(args) -> CommandResult:
 
 
 def cmd_list_faults(args) -> CommandResult:
-    rows = [[name, FAULTS[name]().fault_class.value, fault_kind(name)]
-            for name in sorted(FAULTS)]
+    rows = [[name, cls.fault_class.value, cls.kind]
+            for name, cls in sorted(CATALOG.items())]
     human = format_table("Fault catalog", ["name", "class", "controller"],
                          rows)
     data = {"command": "list-faults",

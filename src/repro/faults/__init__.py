@@ -1,28 +1,21 @@
 """Fault injection: every fault the paper demonstrates, plus generic classes.
 
-Real faults (§III-B and §VII-A1):
+:data:`CATALOG` is the one fault table. It maps each fault's name to its
+:class:`~repro.faults.base.FaultScenario` class, and the class carries the
+rest: its Table 1 class (``fault_class``), the controller kind it runs on
+(``kind``), and, as constructor defaults, the arguments the catalog runs it
+with. ``jury-repro faults``, ``report --fault`` and ``list-faults`` read
+it, and the fuzzer builds its faults from it.
 
-* :class:`~repro.faults.onos_faults.OnosDatabaseLockFault` (T1)
-* :class:`~repro.faults.onos_faults.OnosMasterElectionFault` (T1)
-* :class:`~repro.faults.odl_faults.OdlFlowModDropFault` (T2)
-* :class:`~repro.faults.odl_faults.OdlIncorrectFlowModFault` (T3)
+The classes come from four modules:
 
-Synthetic faults (§VII-A1):
-
-* :class:`~repro.faults.synthetic.LinkFailureFault` (T1)
-* :class:`~repro.faults.synthetic.UndesirableFlowModFault` (T2)
-* :class:`~repro.faults.synthetic.FaultyProactiveFault` (T3)
-
-Appendix faults:
-
-* :class:`~repro.faults.odl_faults.FlowDeletionFailureFault` (T1)
-* :class:`~repro.faults.onos_faults.LinkDetectionInconsistencyFault` (T1)
-* :class:`~repro.faults.odl_faults.FlowInstantiationFailureFault` (T2)
-* :class:`~repro.faults.onos_faults.PendingAddFault` (T2)
-
-Generic distributed-system failure classes (§III-B):
-crash, response omission, timing, and response corruption —
-:mod:`repro.faults.generic`.
+* :mod:`~repro.faults.onos_faults` and :mod:`~repro.faults.odl_faults` —
+  the real faults of §III-B and §VII-A1, and the four Appendix faults;
+* :mod:`~repro.faults.synthetic` — §VII-A1's synthetic faults, one per
+  Table 1 class;
+* :mod:`~repro.faults.generic` — the generic distributed-system failure
+  classes of §III-B (crash, response omission, timing and response
+  corruption) and a store desync.
 """
 
 from repro.faults.base import FaultClass, FaultScenario, ScenarioResult, run_scenario
@@ -53,7 +46,29 @@ from repro.faults.synthetic import (
     UndesirableFlowModFault,
 )
 
+#: Every catalog fault by name, in paper order: §III-B's real faults,
+#: §VII-A1's synthetic ones, the Appendix faults, then the generic classes.
+CATALOG = {cls.name: cls for cls in (
+    OnosDatabaseLockFault,
+    OnosMasterElectionFault,
+    OdlFlowModDropFault,
+    OdlIncorrectFlowModFault,
+    LinkFailureFault,
+    UndesirableFlowModFault,
+    FaultyProactiveFault,
+    FlowDeletionFailureFault,
+    LinkDetectionInconsistencyFault,
+    FlowInstantiationFailureFault,
+    PendingAddFault,
+    CrashFault,
+    ResponseOmissionFault,
+    TimingFault,
+    ResponseCorruptionFault,
+    StoreDesyncFault,
+)}
+
 __all__ = [
+    "CATALOG",
     "CombinationScenario",
     "CrashFault",
     "FaultClass",

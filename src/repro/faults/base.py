@@ -30,10 +30,12 @@ class FaultClass(enum.Enum):
 class FaultScenario(ABC):
     """One injectable fault plus the stimulus that elicits it."""
 
-    #: Human-readable scenario name.
+    #: Catalog key (:data:`repro.faults.CATALOG`).
     name: str = "fault"
     #: Table 1 class.
     fault_class: FaultClass = FaultClass.T1
+    #: Controller kind the fault runs on (``"onos"`` or ``"odl"``).
+    kind: str = "onos"
     #: Alarm reasons that count as detection for this scenario.
     expected_reasons: Sequence[AlarmReason] = ()
     #: Controller that should be blamed (None = attribution not asserted).

@@ -34,7 +34,7 @@ class CrashFault(FaultScenario):
     all but crash failures, which would be reported as response omissions."
     """
 
-    name = "generic-crash"
+    name = "crash"
     fault_class = FaultClass.T1
     expected_reasons = (AlarmReason.PRIMARY_OMISSION,)
 
@@ -55,7 +55,7 @@ class CrashFault(FaultScenario):
 class ResponseOmissionFault(FaultScenario):
     """The controller silently drops (some) trigger processing."""
 
-    name = "generic-response-omission"
+    name = "response-omission"
     fault_class = FaultClass.T1
     expected_reasons = (AlarmReason.PRIMARY_OMISSION,)
 
@@ -87,7 +87,7 @@ class TimingFault(FaultScenario):
     timer with the primary's response absent.
     """
 
-    name = "generic-timing"
+    name = "timing"
     fault_class = FaultClass.T1
     # The slow primary's cache event still replicates through the store (the
     # peers relay it), so what the validator misses at the timeout is the
@@ -126,7 +126,7 @@ class StoreDesyncFault(FaultScenario):
     persistent lag and raises a STALE_REPLICA alarm.
     """
 
-    name = "generic-store-desync"
+    name = "store-desync"
     fault_class = FaultClass.T1
     expected_reasons = (AlarmReason.STALE_REPLICA,)
 
@@ -162,7 +162,7 @@ class ResponseCorruptionFault(FaultScenario):
     replicas write the correct one, and consensus flags the primary.
     """
 
-    name = "generic-response-corruption"
+    name = "response-corruption"
     fault_class = FaultClass.T1
     expected_reasons = (AlarmReason.CONSENSUS_MISMATCH,)
 

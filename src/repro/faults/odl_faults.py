@@ -25,6 +25,7 @@ class OdlFlowModDropFault(FaultScenario):
     """
 
     name = "odl-flow-mod-drop"
+    kind = "odl"
     fault_class = FaultClass.T2
     expected_reasons = (AlarmReason.SANITY_MISMATCH,)
 
@@ -74,6 +75,7 @@ class OdlIncorrectFlowModFault(FaultScenario):
     """
 
     name = "odl-incorrect-flow-mod"
+    kind = "odl"
     fault_class = FaultClass.T3
     expected_reasons = (AlarmReason.POLICY_VIOLATION,)
 
@@ -116,6 +118,7 @@ class FlowDeletionFailureFault(FaultScenario):
     """
 
     name = "odl-flow-deletion-failure"
+    kind = "odl"
     fault_class = FaultClass.T1
     expected_reasons = (AlarmReason.PRIMARY_OMISSION,)
 
@@ -162,6 +165,7 @@ class FlowInstantiationFailureFault(FaultScenario):
     """
 
     name = "odl-flow-instantiation-failure"
+    kind = "odl"
     fault_class = FaultClass.T2
     # The trigger is external (REST), so the shadow replicas captured the
     # FLOW_MOD the primary failed to emit: consensus catches the divergence

@@ -129,7 +129,7 @@ class LinkDetectionInconsistencyFault(FaultScenario):
     nothing while shadow replicas capture the edge write.
     """
 
-    name = "onos-link-detection-inconsistency"
+    name = "onos-link-detection"
     fault_class = FaultClass.T1
     expected_reasons = (AlarmReason.PRIMARY_OMISSION,
                         AlarmReason.CONSENSUS_MISMATCH)

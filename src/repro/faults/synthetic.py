@@ -23,7 +23,7 @@ class LinkFailureFault(FaultScenario):
     the primary's cache relay differs — consensus mismatch.
     """
 
-    name = "synthetic-link-failure"
+    name = "link-failure"
     fault_class = FaultClass.T1
     expected_reasons = (AlarmReason.CONSENSUS_MISMATCH,)
 
@@ -79,7 +79,7 @@ class UndesirableFlowModFault(FaultScenario):
     checking the network write against the cluster's cache updates flags it.
     """
 
-    name = "synthetic-undesirable-flow-mod"
+    name = "undesirable-flow-mod"
     fault_class = FaultClass.T2
     expected_reasons = (AlarmReason.SANITY_MISMATCH,)
 
@@ -125,7 +125,7 @@ class FaultyProactiveFault(FaultScenario):
     administrator policy prohibiting proactive topology changes detects it.
     """
 
-    name = "synthetic-faulty-proactive"
+    name = "faulty-proactive"
     fault_class = FaultClass.T3
     expected_reasons = (AlarmReason.POLICY_VIOLATION,)
 

@@ -178,18 +178,16 @@ class ScenarioSpec:
 # ----------------------------------------------------------------------
 # The fuzzable fault catalog
 # ----------------------------------------------------------------------
-# Each entry knows how to draw valid parameters for a draft spec and how
-# to build the live FaultScenario. Only faults whose detection is a
+# Each entry draws valid constructor arguments for one
+# :data:`repro.faults.CATALOG` fault. Only faults whose detection is a
 # published JURY guarantee inside the generator's envelope belong here —
 # the oracle treats a missed detection as a counterexample, not noise.
 
 @dataclass(frozen=True)
 class FuzzFault:
-    """Catalog entry: parameter drawer + scenario builder for one fault."""
+    """Fuzz entry: the parameter drawer for one catalog fault."""
 
-    name: str
     draw_params: Callable[[random.Random, "ScenarioSpec"], Tuple[Tuple[str, object], ...]]
-    build: Callable[[Dict[str, object]], object]
     #: Smallest k at which detection is guaranteed (generator floor).
     min_k: int = 0
 
@@ -227,81 +225,38 @@ def _clamp_fault_params(fault: FaultSpec, spec: ScenarioSpec) -> FaultSpec:
                      deadline_ms=fault.deadline_ms)
 
 
-def _build_link_failure(params):
-    from repro.faults.synthetic import LinkFailureFault
-    return LinkFailureFault(params.get("dpid_a", 1), params.get("dpid_b", 2))
-
-
-def _build_undesirable_flow_mod(params):
-    from repro.faults.synthetic import UndesirableFlowModFault
-    return UndesirableFlowModFault(params.get("faulty_controller", "c2"))
-
-
-def _build_faulty_proactive(params):
-    from repro.faults.synthetic import FaultyProactiveFault
-    return FaultyProactiveFault(params.get("faulty_controller", "c3"),
-                                params.get("dpid_a", 2),
-                                params.get("dpid_b", 3))
-
-
-def _build_response_corruption(params):
-    from repro.faults.generic import ResponseCorruptionFault
-    return ResponseCorruptionFault(params.get("faulty_controller", "c1"))
-
-
-def _build_response_omission(params):
-    from repro.faults.generic import ResponseOmissionFault
-    return ResponseOmissionFault(params.get("faulty_controller", "c2"))
-
-
-def _build_crash(params):
-    from repro.faults.generic import CrashFault
-    return CrashFault(params.get("faulty_controller", "c1"))
-
-
-FUZZ_FAULTS: Dict[str, FuzzFault] = {
+FUZZ_FAULTS = {
     "link-failure": FuzzFault(
-        name="link-failure",
         draw_params=lambda rng, spec: tuple(sorted(
             zip(("dpid_a", "dpid_b"), _draw_adjacent_dpids(rng, spec)))),
-        build=_build_link_failure,
         min_k=2),
     "undesirable-flow-mod": FuzzFault(
-        name="undesirable-flow-mod",
         draw_params=lambda rng, spec: (
-            ("faulty_controller", _draw_controller(rng, spec)),),
-        build=_build_undesirable_flow_mod),
+            ("faulty_controller", _draw_controller(rng, spec)),)),
     "faulty-proactive": FuzzFault(
-        name="faulty-proactive",
         draw_params=lambda rng, spec: tuple(sorted(
             (("faulty_controller", _draw_controller(rng, spec)),)
             + tuple(zip(("dpid_a", "dpid_b"),
-                        _draw_adjacent_dpids(rng, spec))))),
-        build=_build_faulty_proactive),
+                        _draw_adjacent_dpids(rng, spec)))))),
     "response-corruption": FuzzFault(
-        name="response-corruption",
         draw_params=lambda rng, spec: (
             ("faulty_controller", _draw_controller(rng, spec)),),
-        build=_build_response_corruption,
         min_k=2),
     "response-omission": FuzzFault(
-        name="response-omission",
         draw_params=lambda rng, spec: (
             ("faulty_controller", _draw_controller(rng, spec)),),
-        build=_build_response_omission,
         min_k=1),
     "crash": FuzzFault(
-        name="crash",
         draw_params=lambda rng, spec: (
             ("faulty_controller", _draw_controller(rng, spec)),),
-        build=_build_crash,
         min_k=1),
 }
 
 
 def build_fault_scenario(fault: FaultSpec):
     """Instantiate the live :class:`~repro.faults.base.FaultScenario`."""
-    return FUZZ_FAULTS[fault.name].build(fault.param_dict())
+    from repro.faults import CATALOG
+    return CATALOG[fault.name](**fault.param_dict())
 
 
 # ----------------------------------------------------------------------

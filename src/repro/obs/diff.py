@@ -28,9 +28,9 @@ used by the fuzz oracle to annotate ``ENGINE_DIVERGENCE`` /
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.obs.trace import STAGE_RANK, Span, Tracer, span_sort_key
+from repro.obs.trace import Span, Tracer, span_sort_key
 
 
 @dataclass(frozen=True)
@@ -107,11 +107,6 @@ class TraceDiff:
         return "\n".join(lines)
 
 
-def _align_key(span: Span) -> Tuple[float, str, int]:
-    return (span.at, repr(span.trigger_id),
-            STAGE_RANK.get(span.stage, len(STAGE_RANK)))
-
-
 def _canonical_spans(tracer: Tracer) -> List[Span]:
     return sorted((s for s in tracer.spans
                    if not s.stage.startswith("engine:")),
@@ -136,7 +131,7 @@ def diff_tracers(left: Tracer, right: Tracer) -> TraceDiff:
     diff = TraceDiff(left_spans=len(a), right_spans=len(b))
     i = j = 0
     while i < len(a) and j < len(b):
-        ka, kb = _align_key(a[i]), _align_key(b[j])
+        ka, kb = span_sort_key(a[i]), span_sort_key(b[j])
         if ka < kb:
             diff.entries.append(_entry("left-only", a[i],
                                        a[i].canonical_line(), None))

@@ -24,7 +24,6 @@ from repro.policy.builtin import (
 from repro.policy.engine import PolicyEngine
 from repro.policy.language import Policy, PolicyViolation, PolicyWrite
 from repro.policy.lint import (
-    builtin_policy_sets,
     lint_builtin_policies,
     lint_policies,
     lint_policy_file,
@@ -37,7 +36,6 @@ __all__ = [
     "PolicyEngine",
     "PolicyViolation",
     "PolicyWrite",
-    "builtin_policy_sets",
     "lint_builtin_policies",
     "lint_policies",
     "lint_policy_file",

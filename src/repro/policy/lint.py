@@ -127,25 +127,13 @@ def lint_policies(policies: Sequence[Policy], path: str = "<builtin>",
     return sorted(findings, key=Finding.sort_key)
 
 
-def builtin_policy_sets() -> Dict[str, List[Policy]]:
-    """The shipped policy sets, by name (linted in tier-1 against the
-    project's own index)."""
-    from repro.policy.builtin import (
-        match_hierarchy_policy,
-        no_internal_cache_changes,
-        stranded_flow_policy,
-    )
-
-    return {
-        "fig3-defaults": [no_internal_cache_changes()],
-        "flow-integrity": [match_hierarchy_policy(), stranded_flow_policy()],
-    }
-
-
 def lint_builtin_policies(index=None) -> List[Finding]:
-    """Lint every shipped policy set (self-application for policies)."""
+    """Lint every registered policy set (:data:`repro.config.POLICY_SETS`)
+    as one document: the grouping a deployment's engine runs."""
+    from repro.config import POLICY_SETS
+
     findings: List[Finding] = []
-    for name, policies in sorted(builtin_policy_sets().items()):
-        findings.extend(lint_policies(policies, path=f"<builtin:{name}>",
-                                      index=index))
+    for name, factory in sorted(POLICY_SETS.items()):
+        findings.extend(lint_policies(factory().policies,
+                                      path=f"<builtin:{name}>", index=index))
     return sorted(findings, key=Finding.sort_key)

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro import cli
-from repro.cli import FAULTS, build_parser, main
+from repro.cli import build_parser, main
+from repro.faults import CATALOG
 
 
 def test_list_faults(capsys):
@@ -13,8 +14,18 @@ def test_list_faults(capsys):
     out = capsys.readouterr().out
     assert "crash" in out
     assert "odl-flow-mod-drop" in out
-    for name in FAULTS:
+    for name in CATALOG:
         assert name in out
+
+
+def test_list_faults_lists_exactly_the_catalog(capsys):
+    assert main(["list-faults", "--format", "json"]) == 0
+    listed = json.loads(capsys.readouterr().out)["faults"]
+    assert [row["name"] for row in listed] == sorted(CATALOG)
+    for row in listed:
+        fault = CATALOG[row["name"]]
+        assert row["class"] == fault.fault_class.value
+        assert row["controller"] == fault.kind
 
 
 def test_report_summarizes_the_validation_run(capsys):
@@ -66,6 +77,30 @@ def test_throughput_command(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "n=1" in out and "n=2" in out
+
+
+def test_throughput_honours_a_config_file(tmp_path, monkeypatch, capsys):
+    # The file's kind, switches and seed hold; the sweep sets n, and the
+    # cluster runs without JURY (k=None).
+    config = tmp_path / "odl.json"
+    config.write_text(json.dumps(
+        {"kind": "odl", "n": 3, "k": 2, "switches": 4, "seed": 7}))
+    built = []
+    experiment = cli.Jury.experiment
+
+    class _Jury:
+        @staticmethod
+        def experiment(jury_config):
+            built.append(jury_config)
+            return experiment(jury_config)
+
+    monkeypatch.setattr(cli, "Jury", _Jury)
+    code = main(["throughput", "--config", str(config), "--cluster-sizes",
+                 "1", "--duration", "100", "--rate", "200"])
+    assert code == 0
+    assert capsys.readouterr().out.startswith("odl cluster throughput")
+    assert [(c.kind, c.n, c.k, c.switches, c.seed) for c in built] == [
+        ("odl", 1, None, 4, 7)]
 
 
 class _Built(Exception):

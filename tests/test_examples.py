@@ -33,7 +33,7 @@ def test_policy_enforcement_example(capsys):
 @pytest.mark.slow
 def test_fault_detection_demo_example(capsys):
     out = run_example("fault_detection_demo.py", capsys)
-    assert "15/15 faults detected" in out
+    assert "16/16 faults detected" in out
 
 
 @pytest.mark.slow

@@ -9,21 +9,12 @@ import pytest
 
 from repro.core.alarms import AlarmReason
 from repro.faults import (
-    CrashFault,
+    CATALOG,
     FaultClass,
     FaultyProactiveFault,
-    FlowDeletionFailureFault,
-    FlowInstantiationFailureFault,
-    LinkDetectionInconsistencyFault,
-    LinkFailureFault,
     OdlFlowModDropFault,
     OdlIncorrectFlowModFault,
     OnosDatabaseLockFault,
-    OnosMasterElectionFault,
-    PendingAddFault,
-    ResponseCorruptionFault,
-    ResponseOmissionFault,
-    TimingFault,
     UndesirableFlowModFault,
 )
 from repro.faults.base import run_scenario
@@ -35,14 +26,14 @@ from repro.config import JuryConfig
 def build(kind="onos", seed=50):
     exp = Jury.experiment(JuryConfig(
         kind=kind, n=7, k=6, switches=12, seed=seed,
-        timeout_ms=250.0 if kind == "onos" else 1200.0,
+        timeout_ms=None,  # the paper's θτ for the kind
         policy_engine=default_policy_engine(), with_northbound=True))
     exp.warmup()
     return exp
 
 
-def assert_detected(kind, scenario):
-    exp = build(kind)
+def assert_detected(scenario):
+    exp = build(scenario.kind)
     result = run_scenario(exp, scenario)
     assert result.detected, (
         f"{scenario.name} not detected; alarms={result.all_alarms}")
@@ -52,25 +43,40 @@ def assert_detected(kind, scenario):
     return result
 
 
-# --- Real faults (§III-B) ---------------------------------------------
+# --- The catalog: real (§III-B), synthetic (§VII-A1), Appendix and generic
+# (§III-B) faults, each on its own kind with its catalog arguments ---------
 
-def test_onos_database_locking_detected():
-    result = assert_detected("onos", OnosDatabaseLockFault("c1"))
-    assert result.matching_alarms[0].reason == AlarmReason.PRIMARY_OMISSION
+#: The mechanism that must raise the first matching alarm, where it is one.
+FIRST_REASON = {
+    "onos-database-locking": AlarmReason.PRIMARY_OMISSION,
+    "odl-flow-mod-drop": AlarmReason.SANITY_MISMATCH,
+    "odl-incorrect-flow-mod": AlarmReason.POLICY_VIOLATION,
+    "link-failure": AlarmReason.CONSENSUS_MISMATCH,
+    "faulty-proactive": AlarmReason.POLICY_VIOLATION,
+    "onos-pending-add": AlarmReason.POLICY_VIOLATION,
+    "crash": AlarmReason.PRIMARY_OMISSION,  # a crash reads as an omission
+    "response-corruption": AlarmReason.CONSENSUS_MISMATCH,
+    "store-desync": AlarmReason.STALE_REPLICA,  # the staleness monitor
+}
 
 
-def test_onos_master_election_detected():
-    assert_detected("onos", OnosMasterElectionFault(1, 2))
+def test_catalog_keys_are_class_names_and_kinds_are_known():
+    assert len(CATALOG) == 16
+    for name, fault in CATALOG.items():
+        assert fault.name == name
+        assert fault.kind in ("onos", "odl")
+        assert isinstance(fault.fault_class, FaultClass)
+    assert {name for name, fault in CATALOG.items()
+            if fault.kind == "odl"} == {
+        "odl-flow-mod-drop", "odl-incorrect-flow-mod",
+        "odl-flow-deletion-failure", "odl-flow-instantiation-failure"}
 
 
-def test_odl_flow_mod_drop_detected():
-    result = assert_detected("odl", OdlFlowModDropFault("c1"))
-    assert result.matching_alarms[0].reason == AlarmReason.SANITY_MISMATCH
-
-
-def test_odl_incorrect_flow_mod_detected_by_policy():
-    result = assert_detected("odl", OdlIncorrectFlowModFault("c1"))
-    assert result.matching_alarms[0].reason == AlarmReason.POLICY_VIOLATION
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_catalog_fault_detected(name):
+    result = assert_detected(CATALOG[name]())
+    if name in FIRST_REASON:
+        assert result.matching_alarms[0].reason == FIRST_REASON[name]
 
 
 def test_odl_incorrect_flow_mod_undetected_without_policy():
@@ -83,67 +89,12 @@ def test_odl_incorrect_flow_mod_undetected_without_policy():
     assert not result.detected
 
 
-# --- Synthetic faults (§VII-A1) ---------------------------------------
-
-def test_synthetic_link_failure_detected():
-    result = assert_detected("onos", LinkFailureFault(1, 2))
-    assert result.matching_alarms[0].reason == AlarmReason.CONSENSUS_MISMATCH
-
-
-def test_synthetic_undesirable_flow_mod_detected():
-    assert_detected("onos", UndesirableFlowModFault("c2"))
-
-
-def test_synthetic_faulty_proactive_detected():
-    result = assert_detected("onos", FaultyProactiveFault("c3"))
-    assert result.matching_alarms[0].reason == AlarmReason.POLICY_VIOLATION
-
-
 def test_synthetic_faulty_proactive_needs_policy():
     exp = Jury.experiment(JuryConfig(kind="onos", n=7, k=6, switches=12, seed=52,
                            timeout_ms=250.0, policy_engine=None))
     exp.warmup()
     result = run_scenario(exp, FaultyProactiveFault("c3"))
     assert not result.detected  # T3: consensus/sanity cannot see it
-
-
-# --- Appendix faults ---------------------------------------------------
-
-def test_flow_deletion_failure_detected():
-    assert_detected("odl", FlowDeletionFailureFault("c1"))
-
-
-def test_link_detection_inconsistency_detected():
-    assert_detected("onos", LinkDetectionInconsistencyFault(2, 3))
-
-
-def test_flow_instantiation_failure_detected():
-    assert_detected("odl", FlowInstantiationFailureFault("c1"))
-
-
-def test_pending_add_detected():
-    result = assert_detected("onos", PendingAddFault(4))
-    assert result.matching_alarms[0].reason == AlarmReason.POLICY_VIOLATION
-
-
-# --- Generic failure classes (§III-B) ----------------------------------
-
-def test_crash_reported_as_omission():
-    result = assert_detected("onos", CrashFault("c1"))
-    assert result.matching_alarms[0].reason == AlarmReason.PRIMARY_OMISSION
-
-
-def test_response_omission_detected():
-    assert_detected("onos", ResponseOmissionFault("c2"))
-
-
-def test_timing_fault_detected():
-    assert_detected("onos", TimingFault("c3"))
-
-
-def test_response_corruption_detected():
-    result = assert_detected("onos", ResponseCorruptionFault("c1"))
-    assert result.matching_alarms[0].reason == AlarmReason.CONSENSUS_MISMATCH
 
 
 # --- Detection latency bounds (§VII-A1) ---------------------------------
@@ -183,13 +134,6 @@ def test_fault_classes_assigned():
     assert OdlIncorrectFlowModFault().fault_class == FaultClass.T3
     assert UndesirableFlowModFault().fault_class == FaultClass.T2
     assert FaultyProactiveFault().fault_class == FaultClass.T3
-
-
-def test_store_desync_detected_by_staleness_monitor():
-    from repro.faults import StoreDesyncFault
-
-    result = assert_detected("onos", StoreDesyncFault("c2"))
-    assert result.matching_alarms[0].reason == AlarmReason.STALE_REPLICA
 
 
 def test_store_desync_invisible_to_per_trigger_consensus():

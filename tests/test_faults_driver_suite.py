@@ -24,7 +24,7 @@ def test_run_suite_reports_per_scenario():
         repetitions=2)
     assert len(reports) == 2
     assert {r.scenario for r in reports} == {
-        "synthetic-undesirable-flow-mod", "synthetic-faulty-proactive"}
+        "undesirable-flow-mod", "faulty-proactive"}
     for report in reports:
         assert report.runs == 2
         assert report.detection_rate == 1.0
@@ -53,7 +53,7 @@ def test_report_properties_empty():
 
 def test_default_policy_engine_contents():
     engine = default_policy_engine()
-    names = {policy.name for policy in engine.policies}
+    names = [policy.name for policy in engine.policies]
     assert "flow-match-hierarchy" in names
     assert "stranded-pending-add" in names
     assert any("no-internal" in name for name in names)

@@ -126,6 +126,23 @@ def test_every_catalog_fault_builds_a_scenario(scenario_gen):
         assert hasattr(scenario, "inject") and hasattr(scenario, "trigger")
 
 
+def test_fuzz_faults_build_catalog_instances_with_the_drawn_params():
+    import random
+
+    from repro.faults import CATALOG
+
+    spec = ScenarioSpec(seed=1, n=5, k=4, switches=8, timeout_ms=200.0)
+    rng = random.Random("catalog")
+    assert set(FUZZ_FAULTS) <= set(CATALOG)
+    for name, entry in sorted(FUZZ_FAULTS.items()):
+        fault = FaultSpec(name=name, params=entry.draw_params(rng, spec))
+        scenario = build_fault_scenario(fault)
+        assert type(scenario) is CATALOG[name]
+        assert fault.params
+        for key, value in fault.params:
+            assert getattr(scenario, key) == value
+
+
 def test_clamp_refits_dpids_after_topology_shrink():
     fault = FaultSpec(name="link-failure",
                       params=(("dpid_a", 7), ("dpid_b", 8)))

@@ -360,6 +360,18 @@ def test_cli_trace_diff_reports_first_divergence(trace_files, capsys):
     assert payload["divergent"] >= 1
 
 
+def test_cli_trace_diff_prints_its_verdict_once(trace_files, capsys):
+    from repro.cli import main
+    a, b = trace_files
+    assert main(["trace-diff", a, b]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.count("traces diverge") == 1
+    assert captured.out.count("first divergence") == 1
+    # One stderr line names the first divergence for scripts.
+    assert captured.err.startswith("trace-diff: first divergence at t=")
+    assert captured.err.count("\n") == 1
+
+
 def test_cli_trace_diff_unreadable_file_is_usage_error(tmp_path, capsys):
     from repro.cli import main
     missing = str(tmp_path / "nope.json")

@@ -137,11 +137,30 @@ def test_predicated_clauses_never_subsume():
 # ----------------------------------------------------------------------
 
 def test_builtin_policy_sets_lint_clean():
-    # Against the project's own index, so P604 checks every trigger kind a
-    # built-in clause names is one the controller code emits.
+    # Each registered set is linted as the one document a deployment runs
+    # (so P601/P602 compare all its clauses), against the project's own
+    # index, so P604 checks every trigger kind a built-in clause names is
+    # one the controller code emits.
     index = Analyzer(rules=[]).index_paths([str(REPO_ROOT / "src" / "repro")])
     assert index.emitted_trigger_kinds()
     assert lint_builtin_policies(index=index) == []
+
+
+def test_a_registered_policy_set_is_linted_as_one_document():
+    from repro.config import POLICY_SETS, register_policy_set
+    from repro.policy import Policy, PolicyEngine, no_internal_cache_changes
+
+    # The whitelist claims every EdgesDB write, so the deny clause after it
+    # can never fire: P601 only sees that when both are in one document.
+    register_policy_set("test-contradiction", lambda: PolicyEngine([
+        Policy(allow=True, cache="EdgesDB", name="allow-edges"),
+        no_internal_cache_changes("EdgesDB")]))
+    try:
+        findings = lint_builtin_policies()
+    finally:
+        POLICY_SETS.pop("test-contradiction")
+    assert [(f.rule_id, f.path) for f in findings] == [
+        ("P601", "<builtin:test-contradiction>")]
 
 
 def test_shipped_example_policies_lint_clean():
