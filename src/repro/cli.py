@@ -285,15 +285,19 @@ def cmd_analyze(args) -> CommandResult:
 def _fuzz_corpus_result(args) -> CommandResult:
     """``fuzz --replay``: re-run every saved corpus entry."""
     from repro.fuzz import default_corpus_dir, load_corpus, replay_entry
+    from repro.fuzz.corpus import DEFAULT_CORPUS
 
+    # The default corpus prints as a path from the repository root, so the
+    # output is the same in any checkout; an explicit one as given.
     directory = args.corpus if args.corpus else default_corpus_dir()
+    shown = args.corpus if args.corpus else DEFAULT_CORPUS.as_posix()
     try:
         entries = load_corpus(directory)
     except ValidationError as exc:
         return CommandResult.usage_error("fuzz", f"fuzz: {exc}")
     if not entries:
         return CommandResult.usage_error(
-            "fuzz", f"fuzz: no corpus entries under {directory}")
+            "fuzz", f"fuzz: no corpus entries under {shown}")
     rows, outcomes, mismatches = [], [], 0
     for entry in entries:
         outcome = replay_entry(entry)
@@ -309,14 +313,14 @@ def _fuzz_corpus_result(args) -> CommandResult:
                          "matched": outcome.matched,
                          "detail": outcome.detail,
                          "artifacts": sorted(outcome.report.artifacts)})
-    human = format_table(f"corpus replay — {directory}",
+    human = format_table(f"corpus replay — {shown}",
                          ["entry", "expect", "actual", "status"], rows)
     errors = [f"fuzz: {o['name']}: {o['detail']}"
               for o in outcomes if not o["matched"]]
     return CommandResult(
         command="fuzz", exit_code=2 if mismatches else 0, human=human,
         data={"command": "fuzz", "mode": "replay",
-              "corpus": str(directory), "entries": outcomes,
+              "corpus": shown, "entries": outcomes,
               "mismatches": mismatches},
         errors=errors)
 

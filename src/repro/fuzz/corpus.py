@@ -148,15 +148,20 @@ def replay_entry(entry: CorpusEntry,
                          matched=matched, detail=detail)
 
 
-def default_corpus_dir() -> Path:
-    """``tests/corpus`` relative to the repository root, if resolvable.
+#: The regression corpus, as a path from the repository root.
+DEFAULT_CORPUS = Path("tests", "corpus")
 
-    Falls back to ``tests/corpus`` under the current working directory —
-    callers that care pass an explicit path (the CLI exposes ``--corpus``).
+
+def default_corpus_dir() -> Path:
+    """:data:`DEFAULT_CORPUS` under the repository root, if resolvable.
+
+    Falls back to :data:`DEFAULT_CORPUS` under the current working
+    directory — callers that care pass an explicit path (the CLI exposes
+    ``--corpus``).
     """
     here = Path(__file__).resolve()
     for parent in here.parents:
-        candidate = parent / "tests" / "corpus"
+        candidate = parent / DEFAULT_CORPUS
         if candidate.is_dir():
             return candidate
-    return Path("tests") / "corpus"
+    return DEFAULT_CORPUS

@@ -239,9 +239,12 @@ def _trace_listing(tracer) -> str:
     shown = keys[:TRIGGERS_LISTED]
     rows = [[key, tracer.timeline(key).verdict, len(tracer.spans_for(key))]
             for key in shown]
-    return format_table(
-        f"traced triggers ({len(keys)} total, showing {len(shown)})",
-        ["trigger", "verdict", "spans"], rows)
+    retired = tracer.retirement()
+    kept = (f"{len(keys)} total" if retired is None else
+            f"{len(keys)} kept, {retired['triggers']} older retired with "
+            f"{retired['spans']} spans")
+    return format_table(f"traced triggers ({kept}, showing {len(shown)})",
+                        ["trigger", "verdict", "spans"], rows)
 
 
 def _trigger_text(tracer, explanations, query: str) -> str:
@@ -250,6 +253,14 @@ def _trigger_text(tracer, explanations, query: str) -> str:
     if key is None:
         match = find_explanation(explanations, query)
         key = match[1].trigger_id if match is not None else None
+    retired = tracer.retirement()
+    if key is None and retired is not None:
+        first, last = retired["window"] or ("-", "-")
+        raise LookupError(
+            f"no retained trigger or alarm matches {query!r}: the trace "
+            f"retired {retired['triggers']} older triggers "
+            f"({retired['spans']} spans) and keeps every alarmed one and "
+            f"the newest, {first} to {last}")
     if key is None:
         preview = ", ".join(tracer.trigger_keys()[:5]) or "<trace is empty>"
         raise LookupError(f"no traced trigger or alarm matches {query!r} "

@@ -19,8 +19,7 @@ sits beside it:
   dissenting replicas, cache/network diffs, T1/T2/T3 fault class).
 * :mod:`repro.obs.sampling` — deterministic 1-in-N head sampling keyed on
   the trigger id; :mod:`repro.obs.diff` — canonical trace diffing
-  (``jury-repro trace-diff``); :mod:`repro.obs.export` — Prometheus text
-  and its linter.
+  (``jury-repro trace-diff``); :mod:`repro.obs.export` — Prometheus text.
 
 All are strictly read-only observers of the validation path: enabling
 them cannot change a decision, and disabling them (``None``, the default)

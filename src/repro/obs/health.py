@@ -11,16 +11,15 @@ The tracker is an order-independent pure function of its events, which
 are rows of an event log (:mod:`repro.obs.trace`): a response is an
 ``ingest`` row (time, controller, lag) and a decision a ``decide`` row
 that carries facts (time, responders, offenders, timed out). Attached to
-the observer seam it reads the seam's log when it is evaluated; on its
-own, its hooks (:meth:`record_response`, :meth:`record_decision`) write
-those rows to a private log. Every derived number comes out of
-:meth:`evaluate`, which sorts the events and replays
-fixed window boundaries from t=0. Because sorting erases arrival-order
-differences, the sequential validator and the sharded pipeline produce
-identical health reports at any shard count — the same determinism contract
-the tracer keeps, tested by the differential suite. Like every observer in
-``repro.obs``, the tracker sits behind a ``None`` fast path and cannot
-perturb decisions.
+the observer seam it reads the seam's log; on its own, its hooks
+(:meth:`record_response`, :meth:`record_decision`) write those rows to a
+private log. Before the log retires rows, the tracker folds every window
+boundary they have passed and keeps only what later windows read.
+:meth:`evaluate` sorts the events and replays the remaining boundaries, so
+the sequential validator and the sharded pipeline produce identical
+health reports at any shard count — the same determinism contract the
+tracer keeps. Like every observer in ``repro.obs``, the tracker sits
+behind a ``None`` fast path and cannot perturb decisions.
 
 :class:`SloMonitor` evaluates a small catalog of threshold rules over a
 :class:`~repro.obs.metrics.MetricsRegistry` snapshot — detection-latency
@@ -29,9 +28,13 @@ p95 and late-drop rate — on simulated time.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
+from itertools import compress
+from math import isnan
+from operator import le, not_
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs import trace as obs_trace
@@ -78,6 +81,33 @@ class _HysteresisState:
     suspected_since: Optional[float] = None
 
 
+class _Events:
+    """What health reads of an event log's rows, as columns: responses with
+    a lag ``(time, code, lag)``, decisions and the timed-out ones ``(time,
+    code)``, plus first response times and per-replica totals."""
+
+    def __init__(self) -> None:
+        self.lagged = (array("d"), array("q"), array("d"))
+        self.decided, self.timed_out = (array("d"), array("q")), (
+            array("d"), array("q"))
+        self.first_seen: Dict[str, float] = {}
+        self.answered: Counter = Counter()
+        self.involved: Counter = Counter()
+
+    def add(self, other: "_Events") -> "_Events":
+        for mine, theirs in zip(self.columns(), other.columns()):
+            for column, more in zip(mine, theirs):
+                column.extend(more)
+        for cid, at in other.first_seen.items():
+            self.first_seen[cid] = min(at, self.first_seen.get(cid, at))
+        self.answered.update(other.answered)
+        self.involved.update(other.involved)
+        return self
+
+    def columns(self):
+        return self.lagged, self.decided, self.timed_out
+
+
 class ReplicaHealthTracker:
     """Rolling-window replica health scores with hysteresis flagging."""
 
@@ -102,13 +132,21 @@ class ReplicaHealthTracker:
         #: The event log, read from position ``_start`` on: the seam's, or
         #: a private one the hooks below write to.
         self._log, self._start = None, 0
+        #: What the rows before ``_start`` left (see :meth:`_retire`): the
+        #: next boundary to fold, the last one folded and how many, each
+        #: replica's hysteresis state after it, and the events a later
+        #: window reads; and what a row of each code means (:meth:`_plan`).
+        self._boundary, self._last, self._folds = interval_ms, None, 0
+        self._states: Dict[str, _HysteresisState] = {}
+        self._kept = _Events()
+        self._plans: Dict[int, Optional[tuple]] = {}
 
     # ------------------------------------------------------------------
     # Hooks for a tracker used on its own (rows of a private log)
     # ------------------------------------------------------------------
     def _own_log(self) -> obs_trace.Tracer:
         if self._log is None:
-            self._log = obs_trace.Tracer()
+            obs_trace.attach(self, obs_trace.Tracer())
         return self._log
 
     def record_response(self, now: float, controller_id: str,
@@ -133,60 +171,57 @@ class ReplicaHealthTracker:
     def evaluate(self, now: float) -> Dict[str, HealthReport]:
         """Replay window boundaries up to ``now`` and score every replica.
 
-        Deterministic: the event logs are sorted first, so any arrival-order
-        difference between engines (or shard interleavings at the same
-        simulated instant) evaluates identically.
+        Deterministic: the events are sorted by time first, so any
+        arrival-order difference between engines (or shard interleavings
+        at the same simulated instant) evaluates identically. Boundaries
+        folded before rows retired are not replayed, so ``now`` may not
+        precede the last of them.
         """
         from repro.harness.metrics import percentile
 
-        responses, decisions = self._events()
-        responses = sorted(responses, key=lambda e: (
-            e[0], e[1], -1.0 if e[2] is None else e[2]))
-        decisions = sorted(decisions)
-        response_times = [event[0] for event in responses]
-        decision_times = [event[0] for event in decisions]
-
-        first_seen: Dict[str, float] = {}
-        for at, cid, _ in responses:
-            if cid not in first_seen:
-                first_seen[cid] = at
-        replicas = sorted(set(first_seen)
-                          | {cid for _, responders, offenders, _ in decisions
-                             for cid in responders + offenders})
-        totals_responses = Counter(cid for _, cid, _ in responses)
-        totals_decisions = Counter(
-            cid for _, responders, offenders, _ in decisions
-            for cid in set(responders) | set(offenders))
-
-        hysteresis = {cid: _HysteresisState() for cid in replicas}
-        last_window: Dict[str, _ReplicaWindow] = {
-            cid: _ReplicaWindow() for cid in replicas}
-        boundary = self.interval_ms
+        if self._last is not None and now < self._last:
+            raise ValueError(f"replica health up to t={self._last:g} ms has "
+                             f"been folded; evaluate at a later time")
+        events = _Events().add(self._kept)
+        if self._log is not None:
+            events.add(self._read(self._start))
+        for columns in events.columns():  # (in time order)
+            order = sorted(range(len(columns[0])),
+                           key=columns[0].__getitem__)
+            for column in columns:
+                column[:] = array(column.typecode,
+                                  map(column.__getitem__, order))
+        plans = self._plans
+        replicas = sorted(set(self._states) | set(events.first_seen) | {
+            cid for _, responders, offenders, _ in sorted(
+                (at, *plans[code]) for at, code in zip(*events.decided))
+            for cid in responders + offenders})
+        hysteresis = {cid: replace(self._states[cid]) if cid in self._states
+                      else self._fresh_state() for cid in replicas}
+        last = (self._windows(events, self._last, replicas)
+                if self._last is not None
+                else {cid: _ReplicaWindow() for cid in replicas})
+        boundary = self._boundary
         while boundary <= now:
-            windows = self._window_stats(
-                boundary, responses, decisions,
-                response_times, decision_times, first_seen, replicas)
+            last = self._windows(events, boundary, replicas)
             for cid in replicas:
-                window = windows[cid]
-                last_window[cid] = window
-                score = self._score(window, percentile)
-                self._advance_hysteresis(hysteresis[cid], score, boundary)
+                self._advance_hysteresis(hysteresis[cid],
+                                         self._score(last[cid]), boundary)
             boundary += self.interval_ms
-
         reports: Dict[str, HealthReport] = {}
         for cid in replicas:
-            window = last_window[cid]
+            window = last[cid]
             lags = window.lags or []
             reports[cid] = HealthReport(
                 controller_id=cid,
-                score=self._score(window, percentile),
+                score=self._score(window),
                 disagreement_rate=_ratio(window.offender, window.involved),
                 timeout_miss_rate=_ratio(window.missed_timeouts,
                                          window.expected_timeouts),
                 lag_p50_ms=percentile(lags, 0.5) if lags else 0.0,
                 lag_p95_ms=percentile(lags, 0.95) if lags else 0.0,
-                responses=totals_responses.get(cid, 0),
-                decisions=totals_decisions.get(cid, 0),
+                responses=events.answered.get(cid, 0),
+                decisions=events.involved.get(cid, 0),
                 suspected=hysteresis[cid].suspected,
                 suspected_since=hysteresis[cid].suspected_since)
         return reports
@@ -207,53 +242,108 @@ class ReplicaHealthTracker:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _events(self) -> Tuple[list, list]:
-        """The log's events in arrival order, as ``(time, controller, lag
-        or None)`` and ``(time, responders, offenders, timed_out)`` rows."""
-        answered: list = []
-        decided: list = []
-        if self._log is not None:
-            for at, _, (stage, verdict, _, attrs), lag, facts, _ in \
-                    self._log.rows(self._start):
-                if stage == obs_trace.INGEST:
-                    answered.append((at, dict(attrs)["controller"],
-                                     None if lag != lag else lag))
-                elif stage == obs_trace.DECIDE and facts is not None:
-                    decided.append((at, *facts[:2], verdict == "timeout"))
-        return answered, decided
+    def _plan(self, code: int) -> Optional[tuple]:
+        """A row of ``code`` as health reads it: ``(controller,)`` for a
+        response, ``(responders, offenders, timed_out)`` for a decision
+        with facts, else None."""
+        plain = ~code if code < 0 else code
+        stage, verdict, _, attrs = self._log._shapes[
+            plain & obs_trace._SHAPE_MASK]
+        facts = self._log._facts[plain >> obs_trace.FACTS_SHIFT]
+        if stage == obs_trace.INGEST:
+            return (dict(attrs)["controller"],)
+        if stage == obs_trace.DECIDE and facts is not None:
+            return (*facts[:2], verdict == "timeout")
+        return None
 
-    def _window_stats(self, boundary, responses, decisions,
-                      response_times, decision_times, first_seen, replicas):
-        lo = bisect_left(response_times, boundary - self.window_ms)
-        hi = bisect_left(response_times, boundary)
+    def _read(self, start: int) -> _Events:
+        """The events of the log's rows from position ``start`` on."""
+        log, plans, events = self._log, self._plans, _Events()
+        first, fresh = start - log._base, set()
+        at, codes, values = (log._at[first:], log._code[first:],
+                             log._value[first:])
+        for code, count in log._tally(start).items():
+            if code not in plans:
+                plans[code] = self._plan(code)
+            plan = plans[code]
+            if plan is None:
+                continue
+            if len(plan) == _RESPONSE:
+                events.answered[plan[0]] += count
+                if plan[0] not in self._kept.first_seen:
+                    fresh.add(code)
+            else:
+                for cid in set(plan[0]) | set(plan[1]):
+                    events.involved[cid] += count
+        if fresh:  # first response times of replicas not seen before,
+            chosen = bytes(map(fresh.__contains__, codes))  # (by the first
+            rows, early = zip(compress(at, chosen),        # rows when the
+                              compress(codes, chosen),     # log is in time
+                              compress(values, chosen)), []  # order)
+            ordered = all(map(le, at, at[1:]))
+            for row in rows:
+                if ordered and not fresh and row[0] > early[-1][0]:
+                    break
+                early.append(row)
+                fresh.discard(row[1])
+            for seen, cid, _ in sorted(
+                    (seen, plans[code][0], -1.0 if lag != lag else lag)
+                    for seen, code, lag in early):
+                events.first_seen.setdefault(cid, seen)
+        kinds = log._kinds_from(start)
+        decided = obs_trace.positions(kinds.translate(obs_trace.DECISIONS))
+        timed_out = [index for index in decided if plans[codes[index]][2]]
+        for (times, kept), chosen in ((events.decided, decided),
+                                      (events.timed_out, timed_out)):
+            times.extend(map(at.__getitem__, chosen))
+            kept.extend(map(codes.__getitem__, chosen))
+        chosen = kinds.translate(obs_trace.RESPONSES)
+        lags = array("d", compress(values, chosen))
+        if lags.tobytes() != _NO_LAGS * len(lags):  # (NaN: no lag)
+            lagged = bytes(map(not_, map(isnan, lags)))
+            times, kept, values = events.lagged
+            times.extend(compress(compress(at, chosen), lagged))
+            kept.extend(compress(compress(codes, chosen), lagged))
+            values.extend(compress(lags, lagged))
+        return events
+
+    def _windows(self, events: _Events, boundary: float,
+                 replicas) -> Dict[str, _ReplicaWindow]:
+        """Each replica's window ending at ``boundary``."""
+        floor, plans = boundary - self.window_ms, self._plans
         windows = {cid: _ReplicaWindow() for cid in replicas}
-        for at, cid, lag in responses[lo:hi]:
-            window = windows[cid]
-            if lag is not None:
-                if window.lags is None:
-                    window.lags = []
-                window.lags.append(lag)
-        lo = bisect_left(decision_times, boundary - self.window_ms)
-        hi = bisect_left(decision_times, boundary)
-        for at, responders, offenders, timed_out in decisions[lo:hi]:
-            involved = set(responders) | set(offenders)
-            for cid in involved:
-                windows[cid].involved += 1
+        times, codes, lags = events.lagged
+        lo, hi = bisect_left(times, floor), bisect_left(times, boundary)
+        for code, lag in zip(codes[lo:hi], lags[lo:hi]):
+            window = windows[plans[code][0]]
+            if window.lags is None:
+                window.lags = []
+            window.lags.append(lag)
+        times, codes = events.decided
+        for code, count in Counter(codes[bisect_left(times, floor):
+                                         bisect_left(times, boundary)]
+                                   ).items():
+            responders, offenders, _ = plans[code]
+            for cid in set(responders) | set(offenders):
+                windows[cid].involved += count
             for cid in offenders:
-                windows[cid].offender += 1
-            if timed_out:
-                responder_set = set(responders)
-                for cid in replicas:
-                    if first_seen.get(cid, boundary) >= at:
-                        continue  # not yet known to respond at that time
-                    windows[cid].expected_timeouts += 1
-                    if cid not in responder_set:
-                        windows[cid].missed_timeouts += 1
+                windows[cid].offender += count
+        times, codes = events.timed_out
+        for position in range(bisect_left(times, floor),
+                              bisect_left(times, boundary)):
+            at, responders = times[position], set(plans[codes[position]][0])
+            for cid, window in windows.items():
+                if events.first_seen.get(cid, boundary) >= at:
+                    continue  # not yet known to respond at that time
+                window.expected_timeouts += 1
+                if cid not in responders:
+                    window.missed_timeouts += 1
         return windows
 
-    def _score(self, window: _ReplicaWindow, percentile) -> float:
-        lags = window.lags or []
-        lag_p95 = percentile(lags, 0.95) if lags else 0.0
+    def _score(self, window: _ReplicaWindow) -> float:
+        from repro.harness.metrics import percentile
+
+        lag_p95 = percentile(window.lags, 0.95) if window.lags else 0.0
         lag_term = min(1.0, lag_p95 / self.lag_budget_ms) \
             if self.lag_budget_ms > 0 else 0.0
         w_disagree, w_timeout, w_lag = self.weights
@@ -261,6 +351,43 @@ class ReplicaHealthTracker:
                 + w_timeout * _ratio(window.missed_timeouts,
                                      window.expected_timeouts)
                 + w_lag * lag_term)
+
+    def _fresh_state(self) -> _HysteresisState:
+        """The state of a replica first seen after the folded boundaries,
+        each of which scored it on an empty window."""
+        state, boundary = _HysteresisState(), self.interval_ms
+        for _ in range(self._folds):
+            self._advance_hysteresis(state, self._score(_ReplicaWindow()),
+                                     boundary)
+            boundary += self.interval_ms
+        return state
+
+    def _retire(self, cut: int) -> int:
+        """Fold every row in before rows retire (see
+        :func:`repro.obs.trace.attach`), then every boundary the rows have
+        passed (they arrive in simulated-time order), keeping only the
+        events later windows read; the log's rows are not needed again."""
+        log, kept = self._log, self._kept
+        if self._start < log._end():
+            kept.add(self._read(self._start))
+            self._start = log._end()
+            for cid in kept.first_seen.keys() | kept.involved.keys():
+                if cid not in self._states:
+                    self._states[cid] = self._fresh_state()
+            while self._boundary <= log._at[-1]:
+                windows = self._windows(kept, self._boundary, self._states)
+                for cid, state in self._states.items():
+                    self._advance_hysteresis(state, self._score(windows[cid]),
+                                             self._boundary)
+                self._last, self._folds = self._boundary, self._folds + 1
+                self._boundary += self.interval_ms
+            if self._last is not None:
+                for columns in kept.columns():
+                    drop = bisect_left(columns[0],
+                                       self._last - self.window_ms)
+                    for column in columns:
+                        del column[:drop]
+        return cut
 
     def _advance_hysteresis(self, state: _HysteresisState, score: float,
                             boundary: float) -> None:
@@ -284,6 +411,10 @@ class ReplicaHealthTracker:
 
 
 _KEY = ("health",)  #: the trigger id of a private log's rows
+#: The length of :meth:`ReplicaHealthTracker._plan`'s response plans.
+_RESPONSE = 1
+#: A lag column entry for a response without one.
+_NO_LAGS = array("d", [obs_trace.NO_VALUE]).tobytes()
 
 
 def _ratio(numerator: float, denominator: float) -> float:

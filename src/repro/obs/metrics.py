@@ -16,14 +16,16 @@ registry's lifetime. Families the instrumentation emits:
 
 Attached to the observer seam, the registry is a view of its event log
 (:mod:`repro.obs.trace`): every accessor and read first folds in the rows
-recorded since the last one, in log order, so the event-derived families
-(the ``validator_*`` ones, ``replicator_triggers_total`` and the
-``checkpoint_*`` ones) cost nothing until they are read. An instrument is
-created on the first row that updates it, so an export lists exactly the
-updated ones; ``replicator_copies_total`` and :func:`collect_deployment`'s
-families are updated directly.
+recorded since the last one, and so does the log before rows retire, so
+the event-derived families (the ``validator_*`` ones,
+``replicator_triggers_total`` and the ``checkpoint_*`` ones) cost nothing
+per event. A fold counts the rows of each code and updates each distinct
+code's instruments once; only the detection samples are read row by row,
+in log order. An instrument is created on the first row that updates it,
+so an export lists exactly the updated ones; ``replicator_copies_total``
+and :func:`collect_deployment`'s families are updated directly.
 
-Histograms keep raw samples and defer quantiles to
+Histograms keep raw samples, unboxed, and defer quantiles to
 :func:`repro.harness.metrics.percentile` (imported lazily: the harness
 package pulls in the whole experiment stack, which must not load just
 because a deployment created a registry).
@@ -35,6 +37,7 @@ validator state — metrics on/off cannot change a decision.
 from __future__ import annotations
 
 import json
+from array import array
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs import trace as obs_trace
@@ -84,42 +87,74 @@ class Gauge:
 class Histogram:
     """A sample distribution with percentile summaries.
 
-    Stores raw samples (simulation scales here are thousands of decisions,
-    not millions of requests); ``percentile`` interpolates through the
+    Stores raw samples, unboxed: floats in an ``array('d')`` in arrival
+    order, and every other value (the integer responses-per-trigger) as a
+    value -> count map, so a sample costs 8 bytes or nothing and keeps its
+    type (``14`` stays ``14``). ``percentile`` interpolates through the
     harness helper so CLI reports and figures agree on quantile math.
     """
 
-    __slots__ = ("samples", "total")
+    __slots__ = ("_floats", "_counts", "_float_total", "_exact_total")
 
     def __init__(self) -> None:
-        self.samples: List[float] = []
-        self.total = 0.0
+        self._floats = array("d")
+        self._counts: Dict[object, int] = {}
+        self._float_total, self._exact_total = 0.0, 0
 
     def observe(self, value: float) -> None:
-        self.samples.append(value)
-        self.total += value
+        if type(value) is float:
+            self._observe_floats((value,))
+        else:
+            self._observe_times(value, 1)
+
+    def _observe_floats(self, values) -> None:
+        """Observe each float of ``values``, in order."""
+        start = len(self._floats)
+        self._floats.extend(values)
+        for value in self._floats[start:]:
+            self._float_total += value
+
+    def _observe_times(self, value, times: int) -> None:
+        """Observe the exact (non-float) ``value`` ``times`` times."""
+        self._counts[value] = self._counts.get(value, 0) + times
+        self._exact_total += value * times
+
+    @property
+    def samples(self):
+        """Every sample: the floats in arrival order, then the others
+        sorted (a float-only histogram returns its array)."""
+        if not self._counts:
+            return self._floats
+        return [*self._floats, *(value for value, times in
+                                 sorted(self._counts.items())
+                                 for _ in range(times))]
+
+    @property
+    def total(self) -> float:
+        return self._float_total + self._exact_total
 
     @property
     def count(self) -> int:
-        return len(self.samples)
+        return len(self._floats) + sum(self._counts.values())
 
     def percentile(self, q: float) -> float:
-        if not self.samples:
+        if not self.count:
             return 0.0
         from repro.harness.metrics import percentile
         return percentile(self.samples, q)
 
     def snapshot(self) -> object:
-        if not self.samples:
+        samples = self.samples
+        if not samples:
             return {"count": 0}
         return {
-            "count": self.count,
+            "count": len(samples),
             "sum": round(self.total, 9),
-            "min": min(self.samples),
+            "min": min(samples),
             "p50": round(self.percentile(0.5), 9),
             "p95": round(self.percentile(0.95), 9),
             "p99": round(self.percentile(0.99), 9),
-            "max": max(self.samples),
+            "max": max(samples),
         }
 
 
@@ -134,6 +169,8 @@ class MetricsRegistry:
         #: up to which its rows are folded in.
         self._log, self._start = None, 0
         self._bound = _Instruments(self)
+        #: Per row code, what it updates (:meth:`_plan`).
+        self._plans: Dict[int, tuple] = {}
 
     # ------------------------------------------------------------------
     # Instrument access
@@ -156,44 +193,81 @@ class MetricsRegistry:
         return instrument
 
     def _catch_up(self) -> None:
-        """Fold in the log rows recorded since the last read, in order."""
+        """Fold in the log rows recorded since the last read: count each
+        code once, then update each distinct code's instruments."""
         log = self._log
-        if log is None or self._start == len(log._at):
+        if log is None or self._start >= log._end():
             return
-        start, self._start = self._start, len(log._at)  # before any lookup
-        bound = self._bound
-        for _, _, (stage, verdict, _, attrs), value, facts, _ in \
-                log.rows(start):
-            attrs = dict(attrs)
-            if stage == obs_trace.INGEST:
-                bound["validator_responses_total", "kind",
-                      attrs["kind"]].inc()
-            elif stage == obs_trace.DECIDE and facts is not None:
-                # (A decide row without facts is the flight ring's alone.)
-                bound["validator_decisions_total", "outcome",
-                      "alarmed" if facts[2] else "ok"].inc()
-                if verdict == "timeout":
-                    bound["validator_timeout_decisions_total"].inc()
-                bound["validator_detection_ms"].observe(value)
-                bound["validator_responses_per_trigger"].observe(
-                    attrs["n_responses"])
-            elif stage in _CHECKS:
-                check, failed = _CHECKS[stage]
-                bound["validator_checks_total", "check", check, "verdict",
-                      failed or verdict if verdict != obs_trace.VERDICT_OK
-                      else verdict].inc()
-            elif stage == obs_trace.ALARM:
-                bound["validator_alarms_total", "reason", verdict].inc()
-            elif stage == obs_trace.LATE_DROP:
-                bound["validator_late_responses_total"].inc()
-            elif stage == obs_trace.INTERCEPT:
-                bound["replicator_triggers_total", "source",
-                      attrs["source"]].inc()
-            elif stage == obs_trace.ENGINE_CHECKPOINT:
-                bound["checkpoint_snapshots_total"].inc()
-                self.gauge("checkpoint_body_bytes").set(attrs["body_bytes"])
-            elif stage == obs_trace.ENGINE_RESTORE:
-                bound["checkpoint_restores_total"].inc()
+        counts, kinds = log._tally(self._start), log._kinds_from(self._start)
+        first, self._start = self._start - log._base, log._end()  # before
+        codes = log._code[first:]                                 # lookups
+        plans, gauged = self._plans, []
+        for code, count in counts.items():
+            plan = plans.get(code)
+            if plan is None:
+                plan = plans[code] = self._plan(code)
+            counters, sized, gauge = plan
+            for counter in counters:
+                counter.inc(count)
+            if sized is not None:
+                sized[0]._observe_times(sized[1], count)
+            if gauge is not None:
+                gauged.append(code)
+        decided = obs_trace.positions(kinds.translate(obs_trace.DECISIONS))
+        if decided:  # a decision's row value is its detection_ms
+            self._bound["validator_detection_ms"]._observe_floats(
+                map(log._value[first:].__getitem__, decided))
+        if gauged:  # a gauge holds the last row's value
+            backwards = codes[::-1]
+            gauge, value = plans[min(gauged, key=backwards.index)][2]
+            gauge.set(value)
+
+    def _plan(self, code: int):
+        """What a row of ``code`` updates: ``(counters, (histogram, exact
+        sample) or None, (gauge, value) or None)``."""
+        log, bound = self._log, self._bound
+        plain = ~code if code < 0 else code
+        stage, verdict, _, attrs = log._shapes[plain & obs_trace._SHAPE_MASK]
+        facts = log._facts[plain >> obs_trace.FACTS_SHIFT]
+        attrs = dict(attrs)
+        counters, sized, gauge = [], None, None
+        if stage == obs_trace.INGEST:
+            counters.append(bound["validator_responses_total", "kind",
+                                  attrs["kind"]])
+        elif stage == obs_trace.DECIDE and facts is not None:
+            # (A decide row without facts is the flight ring's alone.)
+            counters.append(bound["validator_decisions_total", "outcome",
+                                  "alarmed" if facts[2] else "ok"])
+            if verdict == "timeout":
+                counters.append(bound["validator_timeout_decisions_total"])
+            sized = (bound["validator_responses_per_trigger"],
+                     attrs["n_responses"])
+        elif stage in _CHECKS:
+            check, failed = _CHECKS[stage]
+            counters.append(bound[
+                "validator_checks_total", "check", check, "verdict",
+                failed or verdict if verdict != obs_trace.VERDICT_OK
+                else verdict])
+        elif stage == obs_trace.ALARM:
+            counters.append(bound["validator_alarms_total", "reason",
+                                  verdict])
+        elif stage == obs_trace.LATE_DROP:
+            counters.append(bound["validator_late_responses_total"])
+        elif stage == obs_trace.INTERCEPT:
+            counters.append(bound["replicator_triggers_total", "source",
+                                  attrs["source"]])
+        elif stage == obs_trace.ENGINE_CHECKPOINT:
+            counters.append(bound["checkpoint_snapshots_total"])
+            gauge = (self.gauge("checkpoint_body_bytes"), attrs["body_bytes"])
+        elif stage == obs_trace.ENGINE_RESTORE:
+            counters.append(bound["checkpoint_restores_total"])
+        return tuple(counters), sized, gauge
+
+    def _retire(self, cut: int) -> int:
+        """Fold every row in before rows retire (see
+        :func:`repro.obs.trace.attach`)."""
+        self._catch_up()
+        return cut
 
     # ------------------------------------------------------------------
     # Reads

@@ -18,7 +18,9 @@ goes wrong.
   ``(reason, simulated time, log position)`` point whose events are the last
   ``capacity`` flight events before that position. The newest
   ``max_dumps`` are kept, and rendered only when read (the ``flight``
-  section of ``jury-repro report``).
+  section of ``jury-repro report``). Before the log retires rows, a kept
+  dump older than the ring's window copies its ``capacity`` rows; the ring
+  and the younger dumps keep theirs in the log.
 * Determinism: events carry only simulated time and decision facts, and
   the JSON rendering sorts keys, so two runs of the same scenario produce
   byte-identical dumps. Like every observer, the recorder never mutates
@@ -42,11 +44,15 @@ FLIGHT_FORMAT = "jury-flight"
 FLIGHT_VERSION = 1
 
 
-def _event(row) -> Optional[Dict[str, object]]:
-    """A log row as a flight event, or None when the ring does not hear
-    it. ``key`` is the trigger id's ``repr``, so a dump reads the same from
-    a live tuple or a reloaded string key."""
-    at, key, (stage, verdict, detail, attrs), value, facts, hidden = row
+def _event(log, at: float, key, code: int,
+           value: float) -> Dict[str, object]:
+    """A flight event from a row of ``log`` for trigger id ``key`` (keyed
+    by its ``repr``, so a dump reads the same from a live tuple or a
+    reloaded string key)."""
+    hidden = code < 0
+    plain = ~code if hidden else code
+    stage, verdict, detail, attrs = log._shapes[plain & obs_trace._SHAPE_MASK]
+    facts = log._facts[plain >> obs_trace.FACTS_SHIFT]
     attrs = dict(attrs)
     if stage == obs_trace.DECIDE:
         kind, detail, attrs = "decision", "", {
@@ -58,10 +64,8 @@ def _event(row) -> Optional[Dict[str, object]]:
         attrs = {"body_bytes": attrs["body_bytes"]}
     elif stage == obs_trace.ENGINE_RESTORE:
         kind, verdict = "restore", "restored"
-    elif stage == obs_trace.ALARM or hidden:
-        kind = stage
     else:
-        return None
+        kind = stage
     return {"t": at, "kind": kind,
             "key": key if isinstance(key, str) else repr(key),
             "verdict": verdict, "detail": detail, "attrs": attrs}
@@ -77,6 +81,9 @@ class FlightRecorder:
             raise ValueError(f"max_dumps must be >= 1: {max_dumps}")
         self.capacity = capacity
         self.max_dumps = max_dumps
+        #: ``(reason, at, end)``: ``end`` is the log position the dump's
+        #: window ends at, or, once rows before it have retired, the
+        #: window's events as ``(t, trigger id, code, value)`` rows.
         self._dumps: deque = deque(maxlen=max_dumps)
         self.dumps_triggered = 0
         #: The event log read from position ``_start`` on, and how many
@@ -92,7 +99,7 @@ class FlightRecorder:
         """Add one event (``key``: a trigger id, or a tuple such as
         ``("slo", rule)``) to the ring, as a log row the trace skips."""
         if self._log is None:
-            self._log = obs_trace.Tracer()
+            obs_trace.attach(self, obs_trace.Tracer())
         self._log.record(at, key, ~self._log.shape(kind, verdict, detail,
                                                    attrs))
 
@@ -115,28 +122,77 @@ class FlightRecorder:
         return dump
 
     def _end(self) -> int:
-        return 0 if self._log is None else len(self._log._at)
+        return 0 if self._log is None else self._log._end()
 
     @property
     def events_recorded(self) -> int:
         """Flight events heard so far (the ring holds the last ones)."""
-        if self._log is not None:
-            self._events += sum(_event(row) is not None for row in
-                                self._log.rows(max(self._counted,
-                                                   self._start)))
-            self._counted = len(self._log._at)
+        return self._count()
+
+    def _count(self) -> int:
+        log = self._log
+        if log is not None and self._counted < log._end():
+            self._events += sum(count for code, count in log._tally(
+                max(self._counted, self._start)).items()
+                if obs_trace.FLIGHT[log._kinds[code]])
+            self._counted = log._end()
         return self._events
 
-    def _window(self, position: int) -> List[Dict[str, object]]:
-        """The last ``capacity`` flight events before log ``position``."""
-        events: List[Dict[str, object]] = []
-        for p in range(position - 1, self._start - 1, -1):
-            event = _event(self._log.row(p))
-            if event is not None:
-                events.append(event)
-                if len(events) == self.capacity:
+    def _positions(self, position: int, events: int) -> List[int]:
+        """Log positions of the last ``events`` flight events before
+        ``position``, newest first (searched a block of rows at a time)."""
+        log, found = self._log, []
+        if log is None:
+            return found
+        floor = max(self._start, log._cut) - log._base
+        top, kinds = position - log._base, log._kinds_from(log._base)
+        while top > floor and len(found) < events:
+            low = max(floor, top - 16 * self.capacity)
+            heard = kinds[low:top].translate(obs_trace.FLIGHT)
+            index = len(heard)
+            while len(found) < events:
+                index = heard.rfind(1, 0, index)
+                if index < 0:
                     break
-        return events[::-1]
+                found.append(low + index + log._base)
+            top = low
+        return found
+
+    def _reach(self, position: int) -> int:
+        """Where the window of the ring ending at log ``position`` starts."""
+        found = self._positions(position, self.capacity)
+        return (found[-1] if len(found) == self.capacity
+                else max(self._start, self._log._cut))
+
+    def _rows(self, position: int) -> List[tuple]:
+        """The last ``capacity`` flight events before log ``position``, as
+        ``(t, trigger id, code, value)`` rows, oldest first."""
+        log, rows = self._log, []
+        for index in reversed(self._positions(position, self.capacity)):
+            index -= log._base
+            rows.append((log._at[index], log._triggers[log._trigger[index]],
+                         log._code[index], log._value[index]))
+        return rows
+
+    def _window(self, end) -> List[Dict[str, object]]:
+        """A window's events: of the rows before log position ``end``, or
+        the rows a dump kept."""
+        rows = self._rows(end) if isinstance(end, int) else end
+        return [_event(self._log, *row) for row in rows]
+
+    def _retire(self, cut: int) -> int:
+        """Count every row in, and let a kept dump older than the ring's
+        window copy its rows; return where the ring's window, or a younger
+        dump's, starts (if before ``cut``)."""
+        self._count()
+        keep = ring = self._reach(self._log._end())
+        for index, (reason, at, end) in enumerate(self._dumps):
+            if isinstance(end, int):
+                if end >= ring:  # (and so are the younger dumps)
+                    keep = min(keep, self._reach(end))
+                    break
+                self._dumps[index] = (reason, at, tuple(self._rows(end)))
+        return min(cut, keep)
 
     # ------------------------------------------------------------------
     # Introspection / export

@@ -33,11 +33,16 @@ a decision row's high bits also hold an ordinal into its interned facts
 (:meth:`Tracer.facts`), and a row the trace must not show (an unsampled
 decision, a flight-recorder event) stores its code bit-inverted. The trace
 views skip those rows; the metrics, health and flight-recorder views read
-every row (:meth:`Tracer.rows`). So a kept row is no Python object and
-never advances CPython's garbage collector; a :class:`Span` is built only
-when read. Interning is type-exact: ``1``, ``True`` and ``1.0`` (or a
-``str`` and a ``str`` subclass) are equal but print differently, so they
-never share an entry.
+every row, from the columns. So a kept row is no Python object and never
+advances CPython's garbage collector; a :class:`Span` is built only when
+read. Interning is type-exact: ``1``, ``True`` and ``1.0`` (or a ``str``
+and a ``str`` subclass) are equal but print differently, so they never
+share an entry.
+
+The log is bounded: the trace keeps every row of the newest
+:data:`RETAINED_TRIGGERS` traced triggers and of every trigger that
+alarmed, and the other rows retire in chunks once each view has folded
+them (:class:`Tracer` says how).
 
 The tracer is one subscriber of the observer seam
 (:class:`~repro.obs.observer.Observer`): engines report events there and
@@ -47,10 +52,14 @@ normalised to "no tracer" by :func:`active_tracer`.
 
 from __future__ import annotations
 
+import sys
 from array import array
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import chain, compress
+from operator import and_, or_
 from typing import Dict, List, Optional, Tuple
 
 # ----------------------------------------------------------------------
@@ -167,23 +176,71 @@ FACTS_SHIFT = 32
 _SHAPE_MASK = (1 << FACTS_SHIFT) - 1
 #: The value of a row that carries none (a value is never NaN).
 NO_VALUE = float("nan")
+#: A forgotten trigger's entry, until ordinals are renumbered.
+_HOLE = None
+#: ``bytes.translate`` tables picking, by their kind bytes (:class:`_Kinds`),
+#: the rows the trace shows, the shown ``alarm`` rows, ``ingest`` rows,
+#: decisions with facts and flight events (hidden, decide, alarm and
+#: ``engine:*`` rows); and picking the zero bytes of a flag column.
+SHOWN, ALARMS, RESPONSES, DECISIONS, FLIGHT = (
+    bytes(kind >> bit & 1 for kind in range(256)) for bit in range(5))
+_ZEROS = bytes(map((0).__eq__, range(256)))
+_FLIGHT_STAGES = {DECIDE, ALARM, ENGINE_CHECKPOINT, ENGINE_RESTORE}
+
+
+def positions(selector: bytes) -> List[int]:
+    """The indices of a sparse 0/1 ``selector``'s ones."""
+    found, index = [], selector.find(1)
+    while index >= 0:
+        found.append(index)
+        index = selector.find(1, index + 1)
+    return found
+
+
+class _Kinds(dict):
+    """Row kind by code, for one log."""
+
+    __slots__ = ("log",)
+
+    def __init__(self, log) -> None:
+        super().__init__()
+        self.log = log
+
+    def __missing__(self, code: int) -> int:
+        plain = ~code if code < 0 else code
+        stage = self.log._shapes[plain & _SHAPE_MASK][0]
+        self[code] = kind = (
+            (code >= 0) | (code >= 0 and plain in self.log._alarm_shapes) << 1
+            | (stage == INGEST) << 2
+            | (stage == DECIDE and plain >> FACTS_SHIFT > 0) << 3
+            | (code < 0 or stage in _FLIGHT_STAGES) << 4)
+        return kind
+
+
+#: How many traced triggers (whose first row the trace shows) the trace
+#: keeps every row of, newest first; an alarmed one is kept at any age.
+RETAINED_TRIGGERS = 4096
 
 
 class Tracer:
-    """Keeps every lifecycle span of every trigger that crosses the system.
+    """Keeps the lifecycle spans of the triggers that cross the system.
 
     One tracer is shared by the whole deployment (replicators, validator,
-    alarm emission). It keeps (see the module docstring):
+    alarm emission). It keeps (see the module docstring) ``_at``,
+    ``_trigger``, ``_code``, ``_value`` (one column entry each per row) and
+    ``_kind`` (per classified row); ``_triggers``, ``_shapes``, ``_facts``
+    (distinct trigger ids, shapes and decision facts by ordinal, keyed on
+    values plus types: a value outside ``_INTERNABLE`` gets an entry of its
+    own); and ``_by_trigger`` (shown rows per trigger ``repr``, on read).
 
-    * ``_at``, ``_trigger``, ``_code``, ``_value`` — one column entry each
-      per row;
-    * ``_triggers``, ``_shapes``, ``_facts`` — distinct trigger ids, shapes
-      and decision facts by ordinal, keyed on values plus types; a value
-      outside ``_INTERNABLE`` (a float, a nested tuple, an unhashable) gets
-      a shape or trigger entry of its own;
-    * ``_by_trigger`` — shown rows' positions per trigger ``repr``,
-      first-seen order, built on first read and caught up from ``_indexed``
-      later.
+    **Retention.** The trace shows every row of the newest
+    :data:`RETAINED_TRIGGERS` traced triggers (by first row) and of every
+    trigger with an ``alarm`` row. A row for a trigger that has left that
+    set, and is not among the newest that many interned, starts it afresh,
+    so what the trace shows depends on the recorded rows alone. Each time
+    that many triggers are interned, rows retire (:meth:`_retire`) once
+    every view attached to the log (:func:`attach`) has folded them. A
+    view's positions count every row ever recorded (:meth:`_end`).
 
     :meth:`emit` records any span; a hot caller asks :meth:`shape` once
     per distinct shape and passes the ordinal to :meth:`record`.
@@ -196,18 +253,37 @@ class Tracer:
     def __init__(self) -> None:
         self._at, self._trigger, self._code, self._value = (
             array("d"), array("q"), array("q"), array("d"))
+        self._kind, self._kinds, self._scanned = bytearray(), _Kinds(self), 0
+        #: Trigger id -> the ordinal of the object first interned for it,
+        #: ``(id, *types)`` -> that of an equal id that prints differently.
         self._triggers: List[object] = []
         self._trigger_ordinals: Dict[object, int] = {}
         self._variants: Dict[tuple, int] = {}
         self._trigger_reprs: List[str] = []
+        #: Per ordinal: traced, alarmed (as scanned), first row's position.
+        self._traced, self._alarmed, self._first = (
+            bytearray(), bytearray(), array("q"))
         self._shapes: List[tuple] = []
         self._shape_ordinals: Dict[tuple, int] = {}
+        self._alarm_shapes: set = set()
         self._facts: List[Optional[tuple]] = [None]  #: 0: a row without
         self._fact_ordinals: Dict[tuple, int] = {}
         #: The last recorded trigger id (the object) and its ordinal.
         self._last_trigger, self._last_ordinal = object(), -1
+        #: Retention (:meth:`_retire`): ordinals below ``_horizon`` may have
+        #: left the kept set; column entry 0 is at position ``_base`` (from
+        #: ``_cut`` on; before it, alarmed rows up to ``_archived``, then
+        #: ``[end, ordinal bound]`` segments); holes, how far forgotten.
+        self._window, self._views = RETAINED_TRIGGERS, []
+        self._horizon, self._compact_at = -self._window, self._window
+        self._base = self._cut = self._archived = 0
+        self._segments: List[List[int]] = []
+        self._holes = self._forgotten = self._forgotten_untraced = 0
+        self._dropped_spans = self._dropped_triggers = 0
+        self._loaded_retirement: Optional[Dict[str, object]] = None
+        self._tallied: tuple = (None, None)
         self._by_trigger: Dict[str, array] = {}
-        self._indexed = 0
+        self._indexed: Optional[int] = None
 
     # ------------------------------------------------------------------
     # Emission (the validator-side hot path when tracing is on)
@@ -237,6 +313,8 @@ class Tracer:
             self._shape_ordinals[key] = ordinal
         if ordinal == len(self._shapes):
             self._shapes.append(shape)
+            if stage == ALARM:
+                self._alarm_shapes.add(ordinal)
         return ordinal
 
     def facts(self, responses, alarms) -> int:
@@ -262,57 +340,250 @@ class Tracer:
                 ordinal = self._trigger_ordinals.get(trigger_id)
             except TypeError:  # unhashable
                 ordinal = None
-            if ordinal is None or self._triggers[ordinal] is not trigger_id:
-                ordinal = self._trigger_ordinal(trigger_id)
+            if (ordinal is None or ordinal < self._horizon
+                    or self._triggers[ordinal] is not trigger_id):
+                ordinal = self._trigger_ordinal(trigger_id, code)
             self._last_trigger, self._last_ordinal = trigger_id, ordinal
         self._at.append(at)
         self._trigger.append(self._last_ordinal)
         self._code.append(code)
         self._value.append(value)
 
-    def _trigger_ordinal(self, trigger_id) -> int:
-        triggers = self._triggers
+    def _trigger_ordinal(self, trigger_id, code: int) -> int:
+        """The live ordinal of ``trigger_id`` (a row of ``code`` is about to
+        be recorded for it), interning it afresh if it has none."""
+        triggers, hashable = self._triggers, True
         try:
-            ordinal = self._trigger_ordinals.setdefault(trigger_id,
-                                                        len(triggers))
+            primary = self._trigger_ordinals.get(trigger_id)
         except TypeError:  # unhashable: an entry of its own
-            ordinal = len(triggers)
-        if ordinal < len(triggers) and triggers[ordinal] is not trigger_id:
-            # Equal to an earlier id but another object: its entry only if
-            # both print alike (internable, same types).
+            primary, hashable = None, False
+        ordinal, key = primary, None
+        if primary is not None and triggers[primary] is not trigger_id:
+            # Another object equal to an interned id shares its entry only
+            # if both print alike (internable, same types).
             types = _types(trigger_id)
             if not _INTERNABLE.issuperset(types):
-                ordinal = len(triggers)
-            elif types != _types(triggers[ordinal]):
-                ordinal = self._variants.setdefault((trigger_id, *types),
-                                                    len(triggers))
-        if ordinal == len(triggers):
-            triggers.append(trigger_id)
+                ordinal = None
+            elif types != _types(triggers[primary]):
+                key = (trigger_id, *types)
+                ordinal = self._variants.get(key)
+        if ordinal is not None and self._live(ordinal):
+            return ordinal
+        if len(triggers) >= self._compact_at:
+            self._retire()
+            return self._trigger_ordinal(trigger_id, code)
+        ordinal = len(triggers)
+        triggers.append(trigger_id)
+        self._traced.append(code >= 0)
+        self._alarmed.append(0)
+        self._first.append(self._end())
+        self._horizon += 1
+        if key is not None:
+            self._variants[key] = ordinal
+        elif hashable and (primary is None or not self._live(primary)):
+            self._trigger_ordinals[trigger_id] = ordinal
         return ordinal
 
     # ------------------------------------------------------------------
-    # The log, as its views read it
+    # Retention
     # ------------------------------------------------------------------
-    def row(self, position: int) -> tuple:
-        """One row: ``(at, trigger id, shape, value, facts, hidden)``, where
-        ``shape`` is ``(stage, verdict, detail, attrs)`` and ``facts`` a
-        decision's ``(responders, offenders, alarmed)`` or None."""
-        code = self._code[position]
-        hidden = code < 0
-        if hidden:
-            code = ~code
-        return (self._at[position],
-                self._triggers[self._trigger[position]],
-                self._shapes[code & _SHAPE_MASK], self._value[position],
-                self._facts[code >> FACTS_SHIFT], hidden)
+    def _end(self) -> int:
+        """The position after the last row (positions count every row ever
+        recorded, retired or not)."""
+        return self._base + len(self._at)
 
-    def rows(self, start: int = 0):
-        """Every row from position ``start`` on, as :meth:`row` gives it."""
-        return map(self.row, range(start, len(self._at)))
+    def _kinds_from(self, start: int) -> bytes:
+        """The kinds of the rows from position ``start`` on, classifying
+        new rows and marking alarmed triggers first."""
+        if self._scanned < len(self._code):
+            kinds = bytes(map(self._kinds.__getitem__,
+                              self._code[self._scanned:]))
+            trigger = self._trigger[self._scanned:]
+            for index in positions(kinds.translate(ALARMS)):
+                self._alarmed[trigger[index]] = 1
+            self._kind += kinds
+            self._scanned = len(self._code)
+        return self._kind[start - self._base:]
+
+    def _tally(self, start: int) -> Counter:
+        """How many rows of each code were recorded from position ``start``
+        on (views folding the same rows share one count)."""
+        key = (start, self._end())
+        if self._tallied[0] != key:
+            self._tallied = (key, Counter(self._code[start - self._base:]))
+        return self._tallied[1]
+
+    def _live(self, ordinal: int) -> bool:
+        """Whether a row may still name ``ordinal``: one of the newest
+        ``_window`` interned, or a trigger the trace keeps."""
+        if ordinal >= self._horizon:
+            return True
+        self._kinds_from(self._end())
+        return bool(self._alarmed[ordinal] or self._traced[ordinal]
+                    and self._traced.count(1, ordinal + 1) < self._window)
+
+    def _floor(self, named: Optional[int] = None) -> int:
+        """The oldest of the newest ``_window`` traced ordinals among the
+        first ``named`` (all by default)."""
+        floor = len(self._traced) if named is None else named
+        for _ in range(min(self._window, floor)):
+            found = self._traced.rfind(1, 0, floor)
+            if found < 0:
+                break
+            floor = found
+        return floor
+
+    def _alive(self) -> bytearray:
+        """Per ordinal, whether the trace shows its rows."""
+        self._kinds_from(self._end())
+        alive, floor = bytearray(self._alarmed), self._floor()
+        alive[floor:] = bytes(map(or_, alive[floor:], self._traced[floor:]))
+        return alive
+
+    def _retire(self) -> None:
+        """Retire the rows before the oldest one a view still needs: they
+        become a segment of the shown rows from the oldest kept traced
+        trigger's first row on, and of the alarmed triggers' rows before
+        it; a segment whose triggers all left the kept set keeps only the
+        latter. A trigger no later row names leaves the tables, its ordinal
+        a hole until holes outnumber the rest (then :meth:`_renumber`)."""
+        cut = self._end()
+        for view in self._views:
+            cut = view._retire(cut)
+        cut = max(cut, self._cut)
+        floor = self._floor()
+        start, head = self._cut - self._base, cut - self._base
+        split = min(max(self._first[floor] if floor < len(self._first)
+                        else cut, self._cut), cut) - self._base
+        head = start + self._sift(start, split, head)
+        if head > start:
+            self._segments.append([head, len(self._triggers)])
+        self._base, self._cut = cut - head, cut
+        while self._segments and self._segments[0][1] <= floor:
+            end, start = self._segments.pop(0)[0], self._archived
+            removed = end - start - self._sift(start, end, end)
+            self._archived = end - removed
+            for segment in self._segments:
+                segment[0] -= removed
+            self._base += removed
+        # A row from the cut on names a trigger that was live when it was
+        # recorded: alarmed, or not older than the oldest of the newest
+        # traced or interned at the cut (both only rise).
+        named = bisect_left(self._first, cut)
+        self._forget(min(self._floor(named), named - self._window),
+                     named - self._window)
+        if self._holes >= 4 * max(self._window,
+                                  len(self._triggers) - self._holes):
+            self._renumber()
+        self._scanned = len(self._code)
+        self._last_trigger, self._indexed = object(), None
+        self._compact_at = len(self._triggers) + self._window
+
+    def _sift(self, start: int, split: int, end: int) -> int:
+        """Keep, of columns ``[start, end)``, the alarmed triggers' shown
+        rows and every shown row from ``split`` on; returns how many."""
+        shown = self._kinds_from(self._base)[start:end].translate(SHOWN)
+        alarmed = bytes(map(self._alarmed.__getitem__,
+                            self._trigger[start:split]))
+        chosen = [start + index for index in positions(
+            (int.from_bytes(shown[:split - start], "little")  # bytewise
+             & int.from_bytes(alarmed, "little")).to_bytes(split - start,
+                                                           "little"))]
+        whole = split  # (from here on, all shown: kept as they are)
+        if shown.find(0, split - start) >= 0:
+            chosen += [split + index
+                       for index in positions(shown[split - start:])]
+            whole = end
+        kept = len(chosen) + end - whole
+        self._dropped_spans += shown.count(1) - kept
+        if kept < end - start:
+            for column in (self._at, self._trigger, self._code, self._value):
+                column[start:whole] = array(column.typecode,
+                                            map(column.__getitem__, chosen))
+            self._kind[start:whole] = bytes(map(self._kind.__getitem__,
+                                                chosen))
+        return kept
+
+    def _forget(self, below: int, untraced: int) -> None:
+        """Drop every trigger below ordinal ``below`` that did not alarm,
+        and every untraced one below ``untraced``."""
+        start, loose = self._forgotten, max(below, self._forgotten_untraced)
+        self._forgotten = below = max(start, below)
+        self._forgotten_untraced = untraced = max(loose, untraced)
+        triggers, ordinals = self._triggers, self._trigger_ordinals
+        for ordinal in chain(range(start, below), (
+                loose + index for index in positions(
+                    self._traced[loose:untraced].translate(_ZEROS)))):
+            trigger_id = triggers[ordinal]
+            if trigger_id is _HOLE or self._alarmed[ordinal]:
+                continue
+            triggers[ordinal] = _HOLE
+            self._holes += 1
+            self._dropped_triggers += self._traced[ordinal]
+            self._traced[ordinal] = 0
+            try:
+                if ordinals.get(trigger_id) == ordinal:
+                    del ordinals[trigger_id]
+            except TypeError:  # unhashable: never interned by value
+                continue
+            if self._variants:
+                key = (trigger_id, *_types(trigger_id))
+                if self._variants.get(key) == ordinal:
+                    del self._variants[key]
+        self._trigger_reprs[start:] = []
+
+    def _renumber(self) -> None:
+        """Close the holes: renumber the named triggers densely, after a
+        new hole 0 that the rows of forgotten ones name."""
+        named = [ordinal for ordinal, trigger_id in enumerate(self._triggers)
+                 if trigger_id is not _HOLE]
+        remap = array("q", [0]) * len(self._triggers)
+        for new, old in enumerate(named, 1):
+            remap[old] = new
+        self._trigger = array("q", map(remap.__getitem__, self._trigger))
+        self._triggers = [_HOLE, *map(self._triggers.__getitem__, named)]
+        self._traced = bytearray(1) + bytes(map(self._traced.__getitem__,
+                                                named))
+        self._alarmed = bytearray(1) + bytes(map(self._alarmed.__getitem__,
+                                                 named))
+        self._first = array("q", [0, *map(self._first.__getitem__, named)])
+        self._trigger_reprs = []
+        self._trigger_ordinals = {trigger_id: remap[old] for trigger_id, old
+                                  in self._trigger_ordinals.items()}
+        self._variants = {key: remap[old]
+                          for key, old in self._variants.items()}
+        for segment in self._segments:
+            segment[1] = bisect_left(named, segment[1]) + 1
+        self._forgotten = bisect_left(named, self._forgotten) + 1
+        self._forgotten_untraced = bisect_left(
+            named, self._forgotten_untraced) + 1
+        self._horizon = len(self._triggers) - self._window
+        self._holes = 0
+
+    def retirement(self) -> Optional[Dict[str, object]]:
+        """What the trace no longer shows — retired spans and traced
+        triggers, and the first and last of the newest ones it keeps — or
+        None while it shows every span it was given."""
+        if self._loaded_retirement is not None:
+            return self._loaded_retirement
+        alive, shown = self._alive(), self._kind.translate(SHOWN)
+        spans = self._dropped_spans + shown.count(1) - len(self._shown())
+        triggers = self._dropped_triggers + self._traced.count(1) - sum(
+            map(and_, self._traced, alive))
+        if not spans and not triggers:
+            return None
+        floor, reprs = self._floor(), self._reprs()
+        newest = positions(self._traced[floor:])
+        return {"spans": spans, "triggers": triggers, "window": [
+            reprs[floor + newest[0]], reprs[floor + newest[-1]]]
+            if newest else []}
 
     def _shown(self) -> List[int]:
-        """Positions of the rows the trace shows."""
-        return [p for p, code in enumerate(self._code) if code >= 0]
+        """Column indices of the rows the trace shows."""
+        alive = self._alive()
+        return list(compress(range(len(self._code)), map(
+            and_, map(alive.__getitem__, self._trigger),
+            self._kind.translate(SHOWN))))
 
     # ------------------------------------------------------------------
     # Introspection
@@ -324,11 +595,11 @@ class Tracer:
 
     @property
     def spans(self) -> Tuple[Span, ...]:
-        """Every span, in emission order (built on read)."""
+        """Every span the trace shows, in emission order (built on read)."""
         return tuple(map(self._span, self._shown()))
 
     def __len__(self) -> int:
-        return sum(code >= 0 for code in self._code)
+        return len(self._shown())
 
     def _reprs(self) -> List[str]:
         """``repr`` of each distinct trigger id, by ordinal."""
@@ -337,15 +608,14 @@ class Tracer:
         return reprs
 
     def _index(self) -> Dict[str, array]:
-        """The per-trigger index, caught up with every recorded span."""
-        by_trigger, reprs, column, code = (self._by_trigger, self._reprs(),
-                                           self._trigger, self._code)
-        for position in range(self._indexed, len(column)):
-            if code[position] >= 0:
+        """The per-trigger index of the rows the trace shows."""
+        if self._indexed != len(self._code):
+            by_trigger, reprs, column = {}, self._reprs(), self._trigger
+            for position in self._shown():
                 by_trigger.setdefault(reprs[column[position]],
                                       array("q")).append(position)
-        self._indexed = len(column)
-        return by_trigger
+            self._by_trigger, self._indexed = by_trigger, len(self._code)
+        return self._by_trigger
 
     def trigger_keys(self) -> List[str]:
         """``repr`` keys of every traced trigger, in first-seen order."""
@@ -370,10 +640,10 @@ class Tracer:
     def stage_counts(self) -> Dict[str, int]:
         """Span count per stage — the conservation ledger."""
         counts: Dict[str, int] = {}
-        for code, count in Counter(self._code).items():
-            if code >= 0:
-                stage = self._shapes[code & _SHAPE_MASK][0]
-                counts[stage] = counts.get(stage, 0) + count
+        for code, count in Counter(map(self._code.__getitem__,
+                                       self._shown())).items():
+            stage = self._shapes[code & _SHAPE_MASK][0]
+            counts[stage] = counts.get(stage, 0) + count
         return counts
 
     # ------------------------------------------------------------------
@@ -409,7 +679,8 @@ class Tracer:
             for p in self._ordered(engine=False)).encode("utf-8")
 
     def to_payload(self) -> Dict[str, object]:
-        """JSON-able export (the ``trace`` section of ``jury-repro report``)."""
+        """JSON-able export (the ``trace`` section of ``jury-repro report``).
+        A ``retired`` field appears once a span has retired."""
         at, column, code = self._at, self._trigger, self._code
         reprs, shapes = self._reprs(), self._shapes
         spans = []
@@ -418,30 +689,38 @@ class Tracer:
             spans.append({"t": at[p], "trigger": reprs[column[p]],
                           "stage": stage, "verdict": verdict,
                           "detail": detail, "attrs": dict(attrs)})
-        return {
+        payload = {
             "format": "jury-trace",
             "version": 1,
             "span_count": len(spans),
             "trigger_count": len(self._index()),
             "spans": spans,
         }
+        retired = self.retirement()
+        if retired is not None:
+            payload["retired"] = retired
+        return payload
 
     @staticmethod
     def from_payload(payload: Dict[str, object]) -> "Tracer":
         """Rebuild a tracer from :meth:`to_payload` output.
 
         Trigger ids come back as their ``repr`` strings (tuples do not
-        survive JSON); every lookup API accepts that form.
+        survive JSON); every lookup API accepts that form. A reloaded trace
+        keeps every span it is given.
         """
         if payload.get("format") != "jury-trace":
             raise ValueError("not a jury-trace payload")
         tracer = Tracer()
+        tracer._window = tracer._compact_at = sys.maxsize
+        tracer._horizon = -sys.maxsize
         for entry in payload.get("spans", []):
             tracer.record(float(entry["t"]), _ReprKey(entry["trigger"]),
                           tracer.shape(str(entry["stage"]),
                                        entry.get("verdict"),
                                        str(entry.get("detail", "")),
                                        dict(entry.get("attrs") or {})))
+        tracer._loaded_retirement = payload.get("retired")
         return tracer
 
 
@@ -460,10 +739,13 @@ class NullTracer(Tracer):
 
 def attach(view, log: Tracer) -> None:
     """Point a view (the metrics registry, the replica health tracker or the
-    flight recorder) at ``log``: it reads the rows recorded from now on. A
+    flight recorder) at ``log``: it reads the rows recorded from now on,
+    and folds them before they retire (its ``_retire(cut)`` folds every row
+    and returns the oldest position it still needs, at most ``cut``). A
     view reads one log; attaching it to another is an error."""
     if view._log is None:
-        view._log, view._start = log, len(log._at)
+        view._log, view._start = log, log._end()
+        log._views.append(view)
     elif view._log is not log:
         raise ValueError(f"this {type(view).__name__} already reads "
                          f"another event log")

@@ -158,7 +158,7 @@ _FAULT = ["report", "--fault", "link-failure", "--nodes", "5", "-k", "4",
 
 
 def _assert_prom_lints_clean(out):
-    from repro.obs.export import lint_prometheus_text
+    from tests.prom_lint import lint_prometheus_text
     # Every registry family carries a HELP line right before its TYPE (the
     # health/SLO families, ``jury_*``, declare only their TYPE).
     lines = out.strip("\n").splitlines()

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro import cli
-from repro.fuzz import CorpusEntry, ScenarioSpec, save_entry
+from repro.fuzz import CorpusEntry, ScenarioSpec, default_corpus_dir, save_entry
 from repro.fuzz.scenario import FaultSpec
 
 
@@ -120,6 +120,20 @@ def test_fuzz_replay_of_the_repo_corpus_is_clean(capsys):
     assert code == 0
     assert "k0-response-corruption-evades" in out
     assert err == ""
+
+
+def test_fuzz_replay_prints_the_default_corpus_from_the_repo_root(capsys):
+    """Replay output is a function of the tree, not of the checkout path:
+    the default corpus prints as ``tests/corpus`` (table title and JSON),
+    an explicit ``--corpus`` as given."""
+    code, out, _ = run_cli(["fuzz", "--replay", "--format", "json"], capsys)
+    assert code == 0 and json.loads(out)["corpus"] == "tests/corpus"
+    code, out, _ = run_cli(["fuzz", "--replay"], capsys)
+    assert code == 0 and "corpus replay — tests/corpus\n" in out
+    given = str(default_corpus_dir())
+    code, out, _ = run_cli(["fuzz", "--replay", "--corpus", given,
+                            "--format", "json"], capsys)
+    assert code == 0 and json.loads(out)["corpus"] == given
 
 
 def test_fuzz_replay_empty_corpus_is_a_usage_error(tmp_path, capsys):

@@ -342,7 +342,12 @@ def _assert_same(observer: Observer, reference: _EagerObserver,
     assert tracer.trigger_keys() == expected.trigger_keys()
     for key in expected.trigger_keys():
         assert _typed(tracer.spans_for(key)) == _typed(expected.spans_for(key))
+    _assert_views_same(observer, reference, now, (now, 0.0, 1500.0))
 
+
+def _assert_views_same(observer: Observer, reference: _EagerObserver,
+                       now: float, health_times) -> None:
+    """Metrics, health (evaluated at ``health_times``) and flight."""
     metrics, eager = observer.metrics, reference.metrics
     assert _typed(metrics.snapshot()) == _typed(eager.snapshot())
     for name in ("validator_decisions_total", "validator_responses_total",
@@ -355,7 +360,7 @@ def _assert_same(observer: Observer, reference: _EagerObserver,
                   for registry in (metrics, eager)]
     assert histograms[0] == histograms[1]
 
-    for at in (now, 0.0, 1500.0):
+    for at in health_times:
         assert _typed({cid: report.to_dict() for cid, report
                        in observer.health.evaluate(at).items()}) == _typed(
             {cid: report.to_dict() for cid, report

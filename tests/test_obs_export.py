@@ -1,12 +1,9 @@
 """Unit tests for the Prometheus exporter and its linter."""
 
-from repro.obs.export import (
-    escape_label_value,
-    lint_prometheus_text,
-    prometheus_text,
-)
+from repro.obs.export import escape_label_value, prometheus_text
 from repro.obs.health import ReplicaHealthTracker, SloMonitor
 from repro.obs.metrics import MetricsRegistry
+from tests.prom_lint import lint_prometheus_text
 
 
 def _registry():

@@ -25,7 +25,12 @@ from repro.core.timeouts import StaticTimeout
 from repro.core.pipeline import ValidationPipeline
 from repro.core.validator import Validator
 from repro.obs.diagnose import AlarmForensics
-from repro.obs.health import ReplicaHealthTracker
+from repro.obs.health import (
+    HealthReport,
+    ReplicaHealthTracker,
+    _HysteresisState,
+    _ReplicaWindow,
+)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.observer import Observer
 from repro.obs.recorder import FlightRecorder
@@ -366,7 +371,9 @@ class _RowTracer:
 
 
 class _RowHealth(ReplicaHealthTracker):
-    """The reference health log: plain row lists, same evaluation."""
+    """The reference health tracker: plain row lists, evaluated by sorting
+    every event and replaying each window from scratch (the columnar
+    tracker's algorithm before it folded windows)."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -381,8 +388,58 @@ class _RowHealth(ReplicaHealthTracker):
             tuple(sorted({a.offending_controller for a in alarms
                           if a.offending_controller})), timed_out))
 
-    def _events(self):
-        return list(self.responses), list(self.decisions)
+    def evaluate(self, now):
+        from repro.harness.metrics import percentile
+
+        responses = sorted(self.responses, key=lambda e: (
+            e[0], e[1], -1.0 if e[2] is None else e[2]))
+        decisions = sorted(self.decisions)
+        first_seen = {}
+        for at, cid, _ in responses:
+            first_seen.setdefault(cid, at)
+        replicas = sorted(set(first_seen) | {
+            cid for _, responders, offenders, _ in decisions
+            for cid in responders + offenders})
+        states = {cid: _HysteresisState() for cid in replicas}
+        last = {cid: _ReplicaWindow() for cid in replicas}
+        boundary = self.interval_ms
+        while boundary <= now:
+            last = {cid: _ReplicaWindow() for cid in replicas}
+            for at, cid, lag in responses:
+                if boundary - self.window_ms <= at < boundary and (
+                        lag is not None):
+                    last[cid].lags = (last[cid].lags or []) + [lag]
+            for at, responders, offenders, timed_out in decisions:
+                if not boundary - self.window_ms <= at < boundary:
+                    continue
+                for cid in set(responders) | set(offenders):
+                    last[cid].involved += 1
+                for cid in offenders:
+                    last[cid].offender += 1
+                for cid in replicas if timed_out else ():
+                    if first_seen.get(cid, boundary) < at:
+                        last[cid].expected_timeouts += 1
+                        last[cid].missed_timeouts += cid not in responders
+            for cid in replicas:
+                self._advance_hysteresis(states[cid], self._score(last[cid]),
+                                         boundary)
+            boundary += self.interval_ms
+        totals = Counter(cid for _, cid, _ in responses)
+        involved = Counter(cid for _, responders, offenders, _ in decisions
+                           for cid in set(responders) | set(offenders))
+        reports = {}
+        for cid in replicas:
+            window, lags = last[cid], last[cid].lags or []
+            reports[cid] = HealthReport(
+                cid, self._score(window),
+                window.offender / window.involved if window.involved else 0.0,
+                window.missed_timeouts / window.expected_timeouts
+                if window.expected_timeouts else 0.0,
+                percentile(lags, 0.5) if lags else 0.0,
+                percentile(lags, 0.95) if lags else 0.0,
+                totals.get(cid, 0), involved.get(cid, 0),
+                states[cid].suspected, states[cid].suspected_since)
+        return reports
 
 
 def _typed(value):

@@ -299,7 +299,8 @@ def test_explanations_are_engine_and_shard_count_independent(workloads):
 def test_health_and_exports_are_shard_count_independent(workloads):
     """Health reports, SLO statuses, and the Prometheus document all match
     between the sequential validator and the pipeline at every N."""
-    from repro.obs.export import lint_prometheus_text, prometheus_text
+    from repro.obs.export import prometheus_text
+    from tests.prom_lint import lint_prometheus_text
     from repro.obs.health import SloMonitor
 
     for name in ("benign-11", "fault-t1"):
