@@ -13,13 +13,14 @@ are rows of an event log (:mod:`repro.obs.trace`): a response is an
 that carries facts (time, responders, offenders, timed out). Attached to
 the observer seam it reads the seam's log; on its own, its hooks
 (:meth:`record_response`, :meth:`record_decision`) write those rows to a
-private log. Before the log retires rows, the tracker folds every window
-boundary they have passed and keeps only what later windows read.
-:meth:`evaluate` sorts the events and replays the remaining boundaries, so
-the sequential validator and the sharded pipeline produce identical
-health reports at any shard count — the same determinism contract the
-tracer keeps. Like every observer in ``repro.obs``, the tracker sits
-behind a ``None`` fast path and cannot perturb decisions.
+private log. The log hands the tracker its rows before they retire, and
+it folds every window boundary they have passed, keeping only what later
+windows read. :meth:`evaluate` reads the rows not yet folded too, sorts
+the events and replays the remaining boundaries, so the sequential
+validator and the sharded pipeline produce identical health reports at
+any shard count — the same determinism contract the tracer keeps. Like
+every observer in ``repro.obs``, the tracker sits behind a ``None`` fast
+path and cannot perturb decisions.
 
 :class:`SloMonitor` evaluates a small catalog of threshold rules over a
 :class:`~repro.obs.metrics.MetricsRegistry` snapshot — detection-latency
@@ -33,8 +34,6 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, fields, replace
 from itertools import compress
-from math import isnan
-from operator import le, not_
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs import trace as obs_trace
@@ -129,13 +128,13 @@ class ReplicaHealthTracker:
         self.clear_after = max(1, clear_after)
         self.lag_budget_ms = lag_budget_ms
         self.weights = weights
-        #: The event log, read from position ``_start`` on: the seam's, or
-        #: a private one the hooks below write to.
-        self._log, self._start = None, 0
-        #: What the rows before ``_start`` left (see :meth:`_retire`): the
-        #: next boundary to fold, the last one folded and how many, each
-        #: replica's hysteresis state after it, and the events a later
-        #: window reads; and what a row of each code means (:meth:`_plan`).
+        #: The event log read: the seam's, or a private one the hooks below
+        #: write to.
+        self._log = None
+        #: What the folded rows left (see :meth:`fold`): the next boundary
+        #: to fold, the last one folded and how many, each replica's
+        #: hysteresis state after it, and the events a later window reads;
+        #: and what a row of each code means (:meth:`_plan`).
         self._boundary, self._last, self._folds = interval_ms, None, 0
         self._states: Dict[str, _HysteresisState] = {}
         self._kept = _Events()
@@ -163,7 +162,7 @@ class ReplicaHealthTracker:
         log = self._own_log()
         log.record(now, _KEY, log.shape(
             obs_trace.DECIDE, "timeout" if timed_out else "full-count", "",
-            {}) | log.facts(responses, alarms) << obs_trace.FACTS_SHIFT)
+            {}) + log.facts(responses, alarms))
 
     # ------------------------------------------------------------------
     # Pure evaluation
@@ -184,7 +183,7 @@ class ReplicaHealthTracker:
                              f"been folded; evaluate at a later time")
         events = _Events().add(self._kept)
         if self._log is not None:
-            events.add(self._read(self._start))
+            events.add(self._read(self._log.unread(self)))
         for columns in events.columns():  # (in time order)
             order = sorted(range(len(columns[0])),
                            key=columns[0].__getitem__)
@@ -242,29 +241,23 @@ class ReplicaHealthTracker:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _plan(self, code: int) -> Optional[tuple]:
-        """A row of ``code`` as health reads it: ``(controller,)`` for a
+    @staticmethod
+    def _plan(stage, verdict, detail, attrs, facts) -> Optional[tuple]:
+        """A row of this meaning as health reads it: ``(controller,)`` for a
         response, ``(responders, offenders, timed_out)`` for a decision
         with facts, else None."""
-        plain = ~code if code < 0 else code
-        stage, verdict, _, attrs = self._log._shapes[
-            plain & obs_trace._SHAPE_MASK]
-        facts = self._log._facts[plain >> obs_trace.FACTS_SHIFT]
         if stage == obs_trace.INGEST:
             return (dict(attrs)["controller"],)
         if stage == obs_trace.DECIDE and facts is not None:
             return (*facts[:2], verdict == "timeout")
         return None
 
-    def _read(self, start: int) -> _Events:
-        """The events of the log's rows from position ``start`` on."""
-        log, plans, events = self._log, self._plans, _Events()
-        first, fresh = start - log._base, set()
-        at, codes, values = (log._at[first:], log._code[first:],
-                             log._value[first:])
-        for code, count in log._tally(start).items():
+    def _read(self, rows) -> _Events:
+        """The events of ``rows`` (a :class:`repro.obs.trace.Rows`)."""
+        plans, events, fresh = self._plans, _Events(), set()
+        for code, count, meaning in rows.tally:
             if code not in plans:
-                plans[code] = self._plan(code)
+                plans[code] = self._plan(*meaning)
             plan = plans[code]
             if plan is None:
                 continue
@@ -275,36 +268,16 @@ class ReplicaHealthTracker:
             else:
                 for cid in set(plan[0]) | set(plan[1]):
                     events.involved[cid] += count
-        if fresh:  # first response times of replicas not seen before,
-            chosen = bytes(map(fresh.__contains__, codes))  # (by the first
-            rows, early = zip(compress(at, chosen),        # rows when the
-                              compress(codes, chosen),     # log is in time
-                              compress(values, chosen)), []  # order)
-            ordered = all(map(le, at, at[1:]))
-            for row in rows:
-                if ordered and not fresh and row[0] > early[-1][0]:
-                    break
-                early.append(row)
-                fresh.discard(row[1])
+        if fresh:  # first response times of replicas not seen before
             for seen, cid, _ in sorted(
                     (seen, plans[code][0], -1.0 if lag != lag else lag)
-                    for seen, code, lag in early):
+                    for seen, code, lag in rows.earliest(fresh)):
                 events.first_seen.setdefault(cid, seen)
-        kinds = log._kinds_from(start)
-        decided = obs_trace.positions(kinds.translate(obs_trace.DECISIONS))
-        timed_out = [index for index in decided if plans[codes[index]][2]]
-        for (times, kept), chosen in ((events.decided, decided),
-                                      (events.timed_out, timed_out)):
-            times.extend(map(at.__getitem__, chosen))
-            kept.extend(map(codes.__getitem__, chosen))
-        chosen = kinds.translate(obs_trace.RESPONSES)
-        lags = array("d", compress(values, chosen))
-        if lags.tobytes() != _NO_LAGS * len(lags):  # (NaN: no lag)
-            lagged = bytes(map(not_, map(isnan, lags)))
-            times, kept, values = events.lagged
-            times.extend(compress(compress(at, chosen), lagged))
-            kept.extend(compress(compress(codes, chosen), lagged))
-            values.extend(compress(lags, lagged))
+        events.decided, events.lagged = rows.decisions[:2], rows.lagged()
+        timed_out = bytes(plans[code][2] for code in events.decided[1])
+        events.timed_out = tuple(
+            array(column.typecode, compress(column, timed_out))
+            for column in events.decided)
         return events
 
     def _windows(self, events: _Events, boundary: float,
@@ -362,32 +335,26 @@ class ReplicaHealthTracker:
             boundary += self.interval_ms
         return state
 
-    def _retire(self, cut: int) -> int:
-        """Fold every row in before rows retire (see
-        :func:`repro.obs.trace.attach`), then every boundary the rows have
-        passed (they arrive in simulated-time order), keeping only the
-        events later windows read; the log's rows are not needed again."""
-        log, kept = self._log, self._kept
-        if self._start < log._end():
-            kept.add(self._read(self._start))
-            self._start = log._end()
-            for cid in kept.first_seen.keys() | kept.involved.keys():
-                if cid not in self._states:
-                    self._states[cid] = self._fresh_state()
-            while self._boundary <= log._at[-1]:
-                windows = self._windows(kept, self._boundary, self._states)
-                for cid, state in self._states.items():
-                    self._advance_hysteresis(state, self._score(windows[cid]),
-                                             self._boundary)
-                self._last, self._folds = self._boundary, self._folds + 1
-                self._boundary += self.interval_ms
-            if self._last is not None:
-                for columns in kept.columns():
-                    drop = bisect_left(columns[0],
-                                       self._last - self.window_ms)
-                    for column in columns:
-                        del column[:drop]
-        return cut
+    def fold(self, rows) -> None:
+        """Fold in rows before they retire (:func:`repro.obs.trace.attach`),
+        then every boundary they have passed (they arrive in simulated-time
+        order), keeping only the events later windows read."""
+        kept = self._kept.add(self._read(rows))
+        for cid in kept.first_seen.keys() | kept.involved.keys():
+            if cid not in self._states:
+                self._states[cid] = self._fresh_state()
+        while self._boundary <= rows.until:
+            windows = self._windows(kept, self._boundary, self._states)
+            for cid, state in self._states.items():
+                self._advance_hysteresis(state, self._score(windows[cid]),
+                                         self._boundary)
+            self._last, self._folds = self._boundary, self._folds + 1
+            self._boundary += self.interval_ms
+        if self._last is not None:
+            for columns in kept.columns():
+                drop = bisect_left(columns[0], self._last - self.window_ms)
+                for column in columns:
+                    del column[:drop]
 
     def _advance_hysteresis(self, state: _HysteresisState, score: float,
                             boundary: float) -> None:
@@ -413,8 +380,6 @@ class ReplicaHealthTracker:
 _KEY = ("health",)  #: the trigger id of a private log's rows
 #: The length of :meth:`ReplicaHealthTracker._plan`'s response plans.
 _RESPONSE = 1
-#: A lag column entry for a response without one.
-_NO_LAGS = array("d", [obs_trace.NO_VALUE]).tobytes()
 
 
 def _ratio(numerator: float, denominator: float) -> float:

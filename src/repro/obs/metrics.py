@@ -19,11 +19,11 @@ Attached to the observer seam, the registry is a view of its event log
 recorded since the last one, and so does the log before rows retire, so
 the event-derived families (the ``validator_*`` ones,
 ``replicator_triggers_total`` and the ``checkpoint_*`` ones) cost nothing
-per event. A fold counts the rows of each code and updates each distinct
-code's instruments once; only the detection samples are read row by row,
-in log order. An instrument is created on the first row that updates it,
-so an export lists exactly the updated ones; ``replicator_copies_total``
-and :func:`collect_deployment`'s families are updated directly.
+per event. A fold updates each distinct code's instruments once, by its
+count, and appends the detection samples in log order. An instrument is
+created on the first row that updates it, so an export lists exactly the
+updated ones; ``replicator_copies_total`` and
+:func:`collect_deployment`'s families are updated directly.
 
 Histograms keep raw samples, unboxed, and defer quantiles to
 :func:`repro.harness.metrics.percentile` (imported lazily: the harness
@@ -165,9 +165,8 @@ class MetricsRegistry:
         self._counters: Dict[Tuple[str, LabelSet], Counter] = {}
         self._gauges: Dict[Tuple[str, LabelSet], Gauge] = {}
         self._histograms: Dict[Tuple[str, LabelSet], Histogram] = {}
-        #: The event log read (see the module docstring), and the position
-        #: up to which its rows are folded in.
-        self._log, self._start = None, 0
+        #: The event log read (see the module docstring).
+        self._log = None
         self._bound = _Instruments(self)
         #: Per row code, what it updates (:meth:`_plan`).
         self._plans: Dict[int, tuple] = {}
@@ -193,43 +192,36 @@ class MetricsRegistry:
         return instrument
 
     def _catch_up(self) -> None:
-        """Fold in the log rows recorded since the last read: count each
-        code once, then update each distinct code's instruments."""
-        log = self._log
-        if log is None or self._start >= log._end():
-            return
-        counts, kinds = log._tally(self._start), log._kinds_from(self._start)
-        first, self._start = self._start - log._base, log._end()  # before
-        codes = log._code[first:]                                 # lookups
-        plans, gauged = self._plans, []
-        for code, count in counts.items():
+        """Fold in the log rows recorded since the last read."""
+        if self._log is not None:
+            self._log.fold(self)
+
+    def fold(self, rows) -> None:
+        """Fold in rows of the log (:func:`repro.obs.trace.attach`): update
+        each distinct code's instruments once, then add the detection
+        samples."""
+        plans, gauged = self._plans, None
+        for code, count, meaning in rows.tally:  # (by each code's last row)
             plan = plans.get(code)
             if plan is None:
-                plan = plans[code] = self._plan(code)
+                plan = plans[code] = self._plan(*meaning)
             counters, sized, gauge = plan
             for counter in counters:
                 counter.inc(count)
             if sized is not None:
                 sized[0]._observe_times(sized[1], count)
             if gauge is not None:
-                gauged.append(code)
-        decided = obs_trace.positions(kinds.translate(obs_trace.DECISIONS))
-        if decided:  # a decision's row value is its detection_ms
-            self._bound["validator_detection_ms"]._observe_floats(
-                map(log._value[first:].__getitem__, decided))
-        if gauged:  # a gauge holds the last row's value
-            backwards = codes[::-1]
-            gauge, value = plans[min(gauged, key=backwards.index)][2]
-            gauge.set(value)
+                gauged = gauge
+        detections = rows.decisions[2]
+        if detections:
+            self._bound["validator_detection_ms"]._observe_floats(detections)
+        if gauged is not None:  # a gauge holds the last row's value
+            gauged[0].set(gauged[1])
 
-    def _plan(self, code: int):
-        """What a row of ``code`` updates: ``(counters, (histogram, exact
-        sample) or None, (gauge, value) or None)``."""
-        log, bound = self._log, self._bound
-        plain = ~code if code < 0 else code
-        stage, verdict, _, attrs = log._shapes[plain & obs_trace._SHAPE_MASK]
-        facts = log._facts[plain >> obs_trace.FACTS_SHIFT]
-        attrs = dict(attrs)
+    def _plan(self, stage, verdict, detail, attrs, facts):
+        """What a row of this meaning updates: ``(counters, (histogram,
+        exact sample) or None, (gauge, value) or None)``."""
+        bound, attrs = self._bound, dict(attrs)
         counters, sized, gauge = [], None, None
         if stage == obs_trace.INGEST:
             counters.append(bound["validator_responses_total", "kind",
@@ -262,12 +254,6 @@ class MetricsRegistry:
         elif stage == obs_trace.ENGINE_RESTORE:
             counters.append(bound["checkpoint_restores_total"])
         return tuple(counters), sized, gauge
-
-    def _retire(self, cut: int) -> int:
-        """Fold every row in before rows retire (see
-        :func:`repro.obs.trace.attach`)."""
-        self._catch_up()
-        return cut
 
     # ------------------------------------------------------------------
     # Reads
@@ -311,22 +297,16 @@ class MetricsRegistry:
         Keys render as ``name{label=value,...}`` with labels sorted, so
         two registries fed the same events snapshot identically.
         """
-        self._catch_up()
         out: Dict[str, object] = {}
-        for kind, table in (("counter", self._counters),
-                            ("gauge", self._gauges),
-                            ("histogram", self._histograms)):
-            for (name, labels), instrument in sorted(
-                    table.items(), key=lambda item: item[0]):
-                rendered = name
-                if labels:
-                    # Labels are sorted at creation (_labelset), but the
-                    # render sorts again defensively so dumps stay stable
-                    # even for label sets constructed by hand.
-                    rendered += "{" + ",".join(
-                        f"{k}={v}" for k, v in sorted(labels)) + "}"
-                out[rendered] = {"type": kind,
-                                 "value": instrument.snapshot()}
+        for name, labels, instrument, kind in self.instruments():
+            rendered = name
+            if labels:
+                # Labels are sorted at creation (_labelset), but the render
+                # sorts again defensively so dumps stay stable even for
+                # label sets constructed by hand.
+                rendered += "{" + ",".join(
+                    f"{k}={v}" for k, v in sorted(labels)) + "}"
+            out[rendered] = {"type": kind, "value": instrument.snapshot()}
         return out
 
     def to_json(self, indent: int = 2) -> str:
@@ -388,10 +368,3 @@ def collect_deployment(registry: MetricsRegistry, deployment) -> None:
     registry.gauge("replication_bytes").set(
         deployment.replication_counter.bytes)
     registry.gauge("validator_bytes").set(deployment.validator_counter.bytes)
-
-
-def dump_metrics(registry: MetricsRegistry, path: str) -> None:
-    """Write a metrics snapshot as stable, diff-friendly JSON."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(registry.to_json())
-        handle.write("\n")

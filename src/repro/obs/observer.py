@@ -11,15 +11,16 @@ attached. An ``ingest`` row carries the response lag; a ``decide`` row
 carries ``detection_ms`` and the decision's interned facts (responders,
 alarm offenders, whether it alarmed). Rows the trace must not show — an
 unsampled decision the flight ring hears, an unsampled alarmed one — are
-hidden from the trace views. The metrics registry, the replica health
-tracker and the flight recorder are views attached to the log here: they
-compute what they report from its rows when they are read, and store
-nothing per event. Alarm forensics hears alarmed decisions only and
-explains them when read, the flight recorder hears its dump points (alarm,
-restore) as they happen, and ``replicator_copies_total``, which counts
-unsampled copies too, stays an instrument. docs/observability.md ("The
-observer seam") tables which event writes which rows and which view
-reads them. The sampler is applied here, once per event.
+written hidden. The metrics registry, the replica health tracker and the
+flight recorder are views attached to the log here: the log hands them
+its rows, decoded, and they fold what they report from them, storing
+nothing per event but the flight ring's last events. Alarm forensics
+hears alarmed decisions only and explains them when read, the flight
+recorder hears its dump points (alarm, restore) as they happen, and
+``replicator_copies_total``, which counts unsampled copies too, stays an
+instrument. docs/observability.md ("The observer seam") tables which
+event writes which rows and which view reads them. The sampler is
+applied here, once per event.
 
 The shapes of ``ingest``, ``decide``, ``check:*`` and ``accept`` rows are
 asked of the log once per distinct value set and kept, so a later row is
@@ -36,7 +37,7 @@ from typing import Optional, Tuple
 
 from repro.obs import trace as obs_trace
 from repro.obs.sampling import active_sampler
-from repro.obs.trace import FACTS_SHIFT, VERDICT_OK, Tracer, active_tracer
+from repro.obs.trace import VERDICT_OK, Tracer, active_tracer
 
 
 def _check_rows(checks):
@@ -195,8 +196,8 @@ class Observer:
                           "timeout" if result.timed_out else "full-count",
                           "", external, n, type(external), type(n)]
             if sampled or alarms:
-                code |= log.facts(responses, alarms) << FACTS_SHIFT
-            log.record(now, tau, code if sampled else ~code,
+                code += log.facts(responses, alarms)
+            log.record(now, tau, code if sampled else log.hidden(code),
                        result.detection_ms)
             if sampled:
                 for stage, verdict, detail in _check_rows(checks):

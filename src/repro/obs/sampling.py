@@ -50,7 +50,9 @@ class HeadSampler:
     #: keeps the sampled deployment inside the overhead gate. Overflow
     #: evicts the *oldest* half (FIFO over insertion order): triggers still
     #: in flight were inserted last and keep their decision. The decision
-    #: is a pure function either way — eviction only changes its cost.
+    #: is a pure function either way — eviction only changes its cost. The
+    #: memo is rebuilt from the kept half, so its table has one size at
+    #: every fill, whatever it held before.
     _MEMO_LIMIT = 8192
 
     def __init__(self, rate: int = 1):
@@ -68,9 +70,8 @@ class HeadSampler:
             if len(self._memo) >= self._MEMO_LIMIT:
                 # FIFO eviction of the oldest (= longest-completed) half;
                 # recent, possibly in-flight triggers stay memoised.
-                for stale in list(itertools.islice(iter(self._memo),
-                                                   self._MEMO_LIMIT // 2)):
-                    del self._memo[stale]
+                self._memo = dict(itertools.islice(
+                    self._memo.items(), self._MEMO_LIMIT // 2, None))
             kept = (zlib.crc32(repr(trigger_id).encode("utf-8"))
                     % self.rate == 0)
             self._memo[trigger_id] = kept

@@ -24,20 +24,22 @@ Design rules that keep tracing equivalence-safe:
   :func:`repro.core.alarms.canonical_alarm_stream`; equality of canonical
   traces is the trace-determinism contract asserted in the test suite.
 
-The tracer's columns are the observer stack's one **event log**: a row is
-four machine words in :mod:`array` columns — simulated time, an ordinal
-into the distinct trigger ids, a code, and a float value (an ingest's
-response lag, a decision's ``detection_ms``; NaN for none). The code is an
-ordinal into the interned span shapes ``(stage, verdict, detail, attrs)``;
-a decision row's high bits also hold an ordinal into its interned facts
-(:meth:`Tracer.facts`), and a row the trace must not show (an unsampled
-decision, a flight-recorder event) stores its code bit-inverted. The trace
-views skip those rows; the metrics, health and flight-recorder views read
-every row, from the columns. So a kept row is no Python object and never
-advances CPython's garbage collector; a :class:`Span` is built only when
-read. Interning is type-exact: ``1``, ``True`` and ``1.0`` (or a ``str``
-and a ``str`` subclass) are equal but print differently, so they never
-share an entry.
+The tracer's columns are the observer stack's one **event log**, and this
+module is the only one that knows what a row is: four machine words in
+:mod:`array` columns — simulated time, an ordinal into the distinct
+trigger ids, a code, and a float value (an ingest's response lag, a
+decision's ``detection_ms``; NaN for none). The code holds the row's kind
+in its low byte, an ordinal into the interned span shapes ``(stage,
+verdict, detail, attrs)`` above it, and, on a decision, one into its
+interned facts (:meth:`Tracer.facts`). The kind is decided when the row
+is written: whether the trace shows the row (an unsampled decision, a
+flight-recorder event is hidden) and which views read it. The trace
+views skip hidden rows; the metrics, health and flight-recorder views are
+handed every row, decoded (:class:`Rows`). So a kept row is no Python
+object and never advances CPython's garbage collector; a :class:`Span`
+is built only when read. Interning is
+type-exact: ``1``, ``True`` and ``1.0`` (or a ``str`` and a ``str``
+subclass) are equal but print differently, so they never share an entry.
 
 The log is bounded: the trace keeps every row of the newest
 :data:`RETAINED_TRIGGERS` traced triggers and of every trigger that
@@ -58,9 +60,11 @@ from bisect import bisect_left
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, compress
-from operator import and_, or_
-from typing import Dict, List, Optional, Tuple
+from math import isnan
+from operator import and_, le, not_, or_
+from typing import Dict, Iterator, List, Optional, Tuple
 
 # ----------------------------------------------------------------------
 # Stage vocabulary
@@ -171,21 +175,30 @@ def span_sort_key(span: Span) -> Tuple[float, str, int]:
             STAGE_RANK.get(span.stage, len(STAGE_RANK)))
 
 
-#: A row's code: shape ordinal in the low bits, decision-facts ordinal above.
-FACTS_SHIFT = 32
-_SHAPE_MASK = (1 << FACTS_SHIFT) - 1
+#: A row's code: its kind in the low byte, its shape's ordinal in the next
+#: 24 bits and its decision facts' ordinal above them.
+_SHAPE_SHIFT, FACTS_SHIFT = 8, 32
+_SHAPE_MASK = (1 << FACTS_SHIFT - _SHAPE_SHIFT) - 1
+#: Where the kind byte of a code column entry sits in its bytes.
+_KIND_BYTE = 0 if sys.byteorder == "little" else 7
 #: The value of a row that carries none (a value is never NaN).
 NO_VALUE = float("nan")
 #: A forgotten trigger's entry, until ordinals are renumbered.
 _HOLE = None
-#: ``bytes.translate`` tables picking, by their kind bytes (:class:`_Kinds`),
-#: the rows the trace shows, the shown ``alarm`` rows, ``ingest`` rows,
-#: decisions with facts and flight events (hidden, decide, alarm and
-#: ``engine:*`` rows); and picking the zero bytes of a flag column.
-SHOWN, ALARMS, RESPONSES, DECISIONS, FLIGHT = (
-    bytes(kind >> bit & 1 for kind in range(256)) for bit in range(5))
-_ZEROS = bytes(map((0).__eq__, range(256)))
+#: A row's kind, decided when it is written, has a bit each for: the trace
+#: shows it, an ``ingest``, a decision with facts, and a flight event (a
+#: hidden, ``decide``, ``alarm`` or ``engine:*`` row).
+_SHOWN, _RESPONSE, _DECISION, _FLIGHT = 1, 2, 4, 8
 _FLIGHT_STAGES = {DECIDE, ALARM, ENGINE_CHECKPOINT, ENGINE_RESTORE}
+#: The code bits a hidden row keeps (:meth:`Tracer.hidden`).
+_UNSHOWN = ~_SHOWN
+#: ``bytes.translate`` tables picking, by kind byte, the rows with one of
+#: those bits; and picking the zero bytes of a flag column.
+_PICK = {bit: bytes(kind & bit and 1 for kind in range(256))
+         for bit in (_SHOWN, _RESPONSE, _DECISION, _FLIGHT)}
+_ZEROS = bytes(map((0).__eq__, range(256)))
+#: A value column entry for a row without a value (an ``ingest`` row's lag).
+_NO_LAGS = array("d", [NO_VALUE]).tobytes()
 
 
 def positions(selector: bytes) -> List[int]:
@@ -195,26 +208,6 @@ def positions(selector: bytes) -> List[int]:
         found.append(index)
         index = selector.find(1, index + 1)
     return found
-
-
-class _Kinds(dict):
-    """Row kind by code, for one log."""
-
-    __slots__ = ("log",)
-
-    def __init__(self, log) -> None:
-        super().__init__()
-        self.log = log
-
-    def __missing__(self, code: int) -> int:
-        plain = ~code if code < 0 else code
-        stage = self.log._shapes[plain & _SHAPE_MASK][0]
-        self[code] = kind = (
-            (code >= 0) | (code >= 0 and plain in self.log._alarm_shapes) << 1
-            | (stage == INGEST) << 2
-            | (stage == DECIDE and plain >> FACTS_SHIFT > 0) << 3
-            | (code < 0 or stage in _FLIGHT_STAGES) << 4)
-        return kind
 
 
 #: How many traced triggers (whose first row the trace shows) the trace
@@ -227,20 +220,20 @@ class Tracer:
 
     One tracer is shared by the whole deployment (replicators, validator,
     alarm emission). It keeps (see the module docstring) ``_at``,
-    ``_trigger``, ``_code``, ``_value`` (one column entry each per row) and
-    ``_kind`` (per classified row); ``_triggers``, ``_shapes``, ``_facts``
-    (distinct trigger ids, shapes and decision facts by ordinal, keyed on
-    values plus types: a value outside ``_INTERNABLE`` gets an entry of its
-    own); and ``_by_trigger`` (shown rows per trigger ``repr``, on read).
+    ``_trigger``, ``_code`` and ``_value`` (one column entry each per
+    row); ``_triggers``, ``_shapes``, ``_facts`` (distinct trigger ids,
+    shapes and decision facts by ordinal, keyed on values plus types: a
+    value outside ``_INTERNABLE`` gets an entry of its own); and
+    ``_by_trigger`` (shown rows per trigger ``repr``, on read).
 
     **Retention.** The trace shows every row of the newest
     :data:`RETAINED_TRIGGERS` traced triggers (by first row) and of every
     trigger with an ``alarm`` row. A row for a trigger that has left that
     set, and is not among the newest that many interned, starts it afresh,
     so what the trace shows depends on the recorded rows alone. Each time
-    that many triggers are interned, rows retire (:meth:`_retire`) once
-    every view attached to the log (:func:`attach`) has folded them. A
-    view's positions count every row ever recorded (:meth:`_end`).
+    that many triggers are interned, every view attached to the log
+    (:func:`attach`) folds the rows it has not read (:meth:`fold`), and
+    then the rows retire (:meth:`_retire`).
 
     :meth:`emit` records any span; a hot caller asks :meth:`shape` once
     per distinct shape and passes the ordinal to :meth:`record`.
@@ -253,19 +246,17 @@ class Tracer:
     def __init__(self) -> None:
         self._at, self._trigger, self._code, self._value = (
             array("d"), array("q"), array("q"), array("d"))
-        self._kind, self._kinds, self._scanned = bytearray(), _Kinds(self), 0
         #: Trigger id -> the ordinal of the object first interned for it,
         #: ``(id, *types)`` -> that of an equal id that prints differently.
         self._triggers: List[object] = []
         self._trigger_ordinals: Dict[object, int] = {}
         self._variants: Dict[tuple, int] = {}
         self._trigger_reprs: List[str] = []
-        #: Per ordinal: traced, alarmed (as scanned), first row's position.
+        #: Per ordinal: traced, alarmed, first row's position.
         self._traced, self._alarmed, self._first = (
             bytearray(), bytearray(), array("q"))
         self._shapes: List[tuple] = []
         self._shape_ordinals: Dict[tuple, int] = {}
-        self._alarm_shapes: set = set()
         self._facts: List[Optional[tuple]] = [None]  #: 0: a row without
         self._fact_ordinals: Dict[tuple, int] = {}
         #: The last recorded trigger id (the object) and its ordinal.
@@ -274,14 +265,15 @@ class Tracer:
         #: left the kept set; column entry 0 is at position ``_base`` (from
         #: ``_cut`` on; before it, alarmed rows up to ``_archived``, then
         #: ``[end, ordinal bound]`` segments); holes, how far forgotten.
-        self._window, self._views = RETAINED_TRIGGERS, []
+        self._window = RETAINED_TRIGGERS
+        #: Each attached view, and the position it has folded up to.
+        self._views: Dict[object, int] = {}
         self._horizon, self._compact_at = -self._window, self._window
         self._base = self._cut = self._archived = 0
         self._segments: List[List[int]] = []
         self._holes = self._forgotten = self._forgotten_untraced = 0
         self._dropped_spans = self._dropped_triggers = 0
         self._loaded_retirement: Optional[Dict[str, object]] = None
-        self._tallied: tuple = (None, None)
         self._by_trigger: Dict[str, array] = {}
         self._indexed: Optional[int] = None
 
@@ -291,36 +283,43 @@ class Tracer:
     def emit(self, at: float, trigger_id: Tuple, stage: str,
              verdict: Optional[str] = None, detail: str = "",
              **attrs: object) -> None:
-        """Record one span."""
+        """Record one span; an ``alarm`` marks its trigger alarmed (the
+        trace keeps it)."""
         self.record(at, trigger_id, self.shape(stage, verdict, detail, attrs))
+        if stage == ALARM:
+            self._alarmed[self._last_ordinal] = 1
 
     def shape(self, stage: str, verdict: Optional[str], detail: str,
               attrs: Mapping[str, object]) -> int:
-        """The ordinal of a span shape, shared with every earlier span whose
-        shape has equal values of the same types."""
+        """The code of a span shape (its ordinal, and the kind of a shown
+        row of it), shared with every earlier span whose shape has equal
+        values of the same types."""
         key = (stage, verdict, detail, *attrs.items(), type(stage),
                type(verdict), type(detail), *map(type, attrs.values()))
         try:
             return self._shape_ordinals[key]
         except (KeyError, TypeError):  # a new shape, or an unhashable value
             shape = (stage, verdict, detail, tuple(sorted(attrs.items())))
-        types, ordinal = key[3 + len(attrs):], len(self._shapes)
+        types, code = key[3 + len(attrs):], (
+            len(self._shapes) << _SHAPE_SHIFT | _SHOWN
+            | (stage == INGEST) * _RESPONSE
+            | (stage in _FLIGHT_STAGES) * _FLIGHT)
         if _INTERNABLE.issuperset(types):
             # Every insertion order of one attribute set shares its entry.
-            ordinal = self._shape_ordinals.setdefault(
+            code = self._shape_ordinals.setdefault(
                 (*shape[:3], *shape[3], *types[:3],
-                 *(type(value) for _, value in shape[3])), ordinal)
-            self._shape_ordinals[key] = ordinal
-        if ordinal == len(self._shapes):
+                 *(type(value) for _, value in shape[3])), code)
+            self._shape_ordinals[key] = code
+        if code >> _SHAPE_SHIFT == len(self._shapes):
+            if code >> _SHAPE_SHIFT > _SHAPE_MASK:
+                raise OverflowError("more span shapes than a code can name")
             self._shapes.append(shape)
-            if stage == ALARM:
-                self._alarm_shapes.add(ordinal)
-        return ordinal
+        return code
 
     def facts(self, responses, alarms) -> int:
-        """The ordinal of a decision's facts (its responders' ids and its
-        alarms' offenders, each sorted, and whether it alarmed), to shift
-        into a row code."""
+        """The code of a decision's facts (its responders' ids and its
+        alarms' offenders, each sorted, and whether it alarmed): a
+        ``decide`` row's code is its shape's plus this."""
         facts = (tuple(sorted({r.controller_id for r in responses})),
                  tuple(sorted({a.offending_controller for a in alarms
                                if a.offending_controller})), bool(alarms))
@@ -329,12 +328,19 @@ class Tracer:
         if ordinal is None:
             ordinal = self._fact_ordinals[key] = len(self._facts)
             self._facts.append(facts)
-        return ordinal
+        return ordinal << FACTS_SHIFT | _DECISION
+
+    def hidden(self, code: int) -> int:
+        """The code of a row of ``code`` that the trace views skip (the
+        flight recorder hears it)."""
+        return code & _UNSHOWN | _FLIGHT
 
     def record(self, at: float, trigger_id, code: int,
                value: float = NO_VALUE) -> None:
-        """Record one row: a shape ordinal (see :meth:`shape`), with facts
-        shifted in on a decision, bit-inverted if the trace must skip it."""
+        """Record one row of ``code``: a shape's (see :meth:`shape`), plus
+        its facts' on a decision (:meth:`facts`), made :meth:`hidden` if the
+        trace must skip it. Its kind is written with it, in its code; an
+        ``alarm`` row is :meth:`emit`-ted."""
         if trigger_id is not self._last_trigger:
             try:
                 ordinal = self._trigger_ordinals.get(trigger_id)
@@ -342,16 +348,27 @@ class Tracer:
                 ordinal = None
             if (ordinal is None or ordinal < self._horizon
                     or self._triggers[ordinal] is not trigger_id):
-                ordinal = self._trigger_ordinal(trigger_id, code)
+                ordinal = self._trigger_ordinal(trigger_id, code & _SHOWN)
             self._last_trigger, self._last_ordinal = trigger_id, ordinal
         self._at.append(at)
         self._trigger.append(self._last_ordinal)
         self._code.append(code)
         self._value.append(value)
 
-    def _trigger_ordinal(self, trigger_id, code: int) -> int:
-        """The live ordinal of ``trigger_id`` (a row of ``code`` is about to
-        be recorded for it), interning it afresh if it has none."""
+    def decode(self, code: int) -> tuple:
+        """What a row of ``code`` means: ``(stage, verdict, detail, attrs,
+        facts)``, ``facts`` being ``(responders, offenders, alarmed)`` on a
+        decision that carries them, else None."""
+        return (*self._shapes[code >> _SHAPE_SHIFT & _SHAPE_MASK],
+                self._facts[code >> FACTS_SHIFT])
+
+    def _kinds(self, start: int = 0, end: Optional[int] = None) -> bytes:
+        """The kind bytes of column entries ``[start, end)``."""
+        return self._code[start:end].tobytes()[_KIND_BYTE::8]
+
+    def _trigger_ordinal(self, trigger_id, shown: int) -> int:
+        """The live ordinal of ``trigger_id`` (a row, ``shown`` or not, is
+        about to be recorded for it), interning it afresh if it has none."""
         triggers, hashable = self._triggers, True
         try:
             primary = self._trigger_ordinals.get(trigger_id)
@@ -371,10 +388,10 @@ class Tracer:
             return ordinal
         if len(triggers) >= self._compact_at:
             self._retire()
-            return self._trigger_ordinal(trigger_id, code)
+            return self._trigger_ordinal(trigger_id, shown)
         ordinal = len(triggers)
         triggers.append(trigger_id)
-        self._traced.append(code >= 0)
+        self._traced.append(shown)
         self._alarmed.append(0)
         self._first.append(self._end())
         self._horizon += 1
@@ -385,47 +402,43 @@ class Tracer:
         return ordinal
 
     # ------------------------------------------------------------------
-    # Retention
+    # Views and retention
     # ------------------------------------------------------------------
     def _end(self) -> int:
         """The position after the last row (positions count every row ever
         recorded, retired or not)."""
         return self._base + len(self._at)
 
-    def _kinds_from(self, start: int) -> bytes:
-        """The kinds of the rows from position ``start`` on, classifying
-        new rows and marking alarmed triggers first."""
-        if self._scanned < len(self._code):
-            kinds = bytes(map(self._kinds.__getitem__,
-                              self._code[self._scanned:]))
-            trigger = self._trigger[self._scanned:]
-            for index in positions(kinds.translate(ALARMS)):
-                self._alarmed[trigger[index]] = 1
-            self._kind += kinds
-            self._scanned = len(self._code)
-        return self._kind[start - self._base:]
+    def fold(self, view=None) -> None:
+        """Hand ``view`` (every attached one by default) the rows recorded
+        since it last folded, if any, as one :class:`Rows`:
+        ``view.fold(rows)``. Views that last folded at one position share
+        one, so its counts are taken once."""
+        end, shared = self._end(), {}
+        for reader in (self._views if view is None else (view,)):
+            start = self._views[reader]
+            if start < end:
+                self._views[reader] = end  # (before: a fold may read again)
+                rows = shared.get(start)
+                if rows is None:
+                    rows = shared[start] = Rows(self, start)
+                reader.fold(rows)
 
-    def _tally(self, start: int) -> Counter:
-        """How many rows of each code were recorded from position ``start``
-        on (views folding the same rows share one count)."""
-        key = (start, self._end())
-        if self._tallied[0] != key:
-            self._tallied = (key, Counter(self._code[start - self._base:]))
-        return self._tallied[1]
+    def unread(self, view) -> "Rows":
+        """The rows ``view`` has not folded, leaving them unfolded."""
+        return Rows(self, self._views[view])
 
     def _live(self, ordinal: int) -> bool:
         """Whether a row may still name ``ordinal``: one of the newest
         ``_window`` interned, or a trigger the trace keeps."""
         if ordinal >= self._horizon:
             return True
-        self._kinds_from(self._end())
         return bool(self._alarmed[ordinal] or self._traced[ordinal]
                     and self._traced.count(1, ordinal + 1) < self._window)
 
-    def _floor(self, named: Optional[int] = None) -> int:
-        """The oldest of the newest ``_window`` traced ordinals among the
-        first ``named`` (all by default)."""
-        floor = len(self._traced) if named is None else named
+    def _floor(self) -> int:
+        """The oldest of the newest ``_window`` traced ordinals."""
+        floor = len(self._traced)
         for _ in range(min(self._window, floor)):
             found = self._traced.rfind(1, 0, floor)
             if found < 0:
@@ -435,26 +448,23 @@ class Tracer:
 
     def _alive(self) -> bytearray:
         """Per ordinal, whether the trace shows its rows."""
-        self._kinds_from(self._end())
         alive, floor = bytearray(self._alarmed), self._floor()
         alive[floor:] = bytes(map(or_, alive[floor:], self._traced[floor:]))
         return alive
 
     def _retire(self) -> None:
-        """Retire the rows before the oldest one a view still needs: they
-        become a segment of the shown rows from the oldest kept traced
-        trigger's first row on, and of the alarmed triggers' rows before
-        it; a segment whose triggers all left the kept set keeps only the
+        """Let every view fold its rows, then retire them all: they become
+        a segment of the shown rows from the oldest kept traced trigger's
+        first row on, and of the alarmed triggers' rows before it; a
+        segment whose triggers all left the kept set keeps only the
         latter. A trigger no later row names leaves the tables, its ordinal
         a hole until holes outnumber the rest (then :meth:`_renumber`)."""
+        self.fold()
         cut = self._end()
-        for view in self._views:
-            cut = view._retire(cut)
-        cut = max(cut, self._cut)
         floor = self._floor()
         start, head = self._cut - self._base, cut - self._base
-        split = min(max(self._first[floor] if floor < len(self._first)
-                        else cut, self._cut), cut) - self._base
+        split = max(self._first[floor] if floor < len(self._first) else cut,
+                    self._cut) - self._base
         head = start + self._sift(start, split, head)
         if head > start:
             self._segments.append([head, len(self._triggers)])
@@ -466,23 +476,22 @@ class Tracer:
             for segment in self._segments:
                 segment[0] -= removed
             self._base += removed
-        # A row from the cut on names a trigger that was live when it was
-        # recorded: alarmed, or not older than the oldest of the newest
-        # traced or interned at the cut (both only rise).
-        named = bisect_left(self._first, cut)
-        self._forget(min(self._floor(named), named - self._window),
-                     named - self._window)
+        # Every row is before the cut, so a later row names a trigger live
+        # when it is recorded: alarmed, or not older than the oldest of the
+        # newest traced or interned now (both only rise).
+        interned = len(self._triggers)
+        self._forget(min(floor, interned - self._window),
+                     interned - self._window)
         if self._holes >= 4 * max(self._window,
                                   len(self._triggers) - self._holes):
             self._renumber()
-        self._scanned = len(self._code)
         self._last_trigger, self._indexed = object(), None
         self._compact_at = len(self._triggers) + self._window
 
     def _sift(self, start: int, split: int, end: int) -> int:
         """Keep, of columns ``[start, end)``, the alarmed triggers' shown
         rows and every shown row from ``split`` on; returns how many."""
-        shown = self._kinds_from(self._base)[start:end].translate(SHOWN)
+        shown = self._kinds(start, end).translate(_PICK[_SHOWN])
         alarmed = bytes(map(self._alarmed.__getitem__,
                             self._trigger[start:split]))
         chosen = [start + index for index in positions(
@@ -500,8 +509,6 @@ class Tracer:
             for column in (self._at, self._trigger, self._code, self._value):
                 column[start:whole] = array(column.typecode,
                                             map(column.__getitem__, chosen))
-            self._kind[start:whole] = bytes(map(self._kind.__getitem__,
-                                                chosen))
         return kept
 
     def _forget(self, below: int, untraced: int) -> None:
@@ -566,7 +573,7 @@ class Tracer:
         None while it shows every span it was given."""
         if self._loaded_retirement is not None:
             return self._loaded_retirement
-        alive, shown = self._alive(), self._kind.translate(SHOWN)
+        alive, shown = self._alive(), self._kinds().translate(_PICK[_SHOWN])
         spans = self._dropped_spans + shown.count(1) - len(self._shown())
         triggers = self._dropped_triggers + self._traced.count(1) - sum(
             map(and_, self._traced, alive))
@@ -583,7 +590,7 @@ class Tracer:
         alive = self._alive()
         return list(compress(range(len(self._code)), map(
             and_, map(alive.__getitem__, self._trigger),
-            self._kind.translate(SHOWN))))
+            self._kinds().translate(_PICK[_SHOWN]))))
 
     # ------------------------------------------------------------------
     # Introspection
@@ -591,7 +598,7 @@ class Tracer:
     def _span(self, position: int) -> Span:
         return Span(self._at[position],
                     self._triggers[self._trigger[position]],
-                    *self._shapes[self._code[position] & _SHAPE_MASK])
+                    *self.decode(self._code[position])[:4])
 
     @property
     def spans(self) -> Tuple[Span, ...]:
@@ -642,7 +649,7 @@ class Tracer:
         counts: Dict[str, int] = {}
         for code, count in Counter(map(self._code.__getitem__,
                                        self._shown())).items():
-            stage = self._shapes[code & _SHAPE_MASK][0]
+            stage = self.decode(code)[0]
             counts[stage] = counts.get(stage, 0) + count
         return counts
 
@@ -659,9 +666,10 @@ class Tracer:
             kept = [not stage.startswith("engine:")
                     for stage, *_ in self._shapes]
             positions = [p for p in positions
-                         if kept[code[p] & _SHAPE_MASK]]
+                         if kept[code[p] >> _SHAPE_SHIFT & _SHAPE_MASK]]
         return sorted(positions, key=lambda p: (
-            at[p], reprs[column[p]], ranks[code[p] & _SHAPE_MASK]))
+            at[p], reprs[column[p]],
+            ranks[code[p] >> _SHAPE_SHIFT & _SHAPE_MASK]))
 
     def canonical(self) -> bytes:
         """Byte-exact canonical encoding of the whole trace.
@@ -675,7 +683,8 @@ class Tracer:
         at, column, code = self._at, self._trigger, self._code
         reprs, tails = self._reprs(), [_tail(*s) for s in self._shapes]
         return "\n".join(
-            f"{at[p]:.9f}|{reprs[column[p]]}|{tails[code[p] & _SHAPE_MASK]}"
+            f"{at[p]:.9f}|{reprs[column[p]]}|"
+            f"{tails[code[p] >> _SHAPE_SHIFT & _SHAPE_MASK]}"
             for p in self._ordered(engine=False)).encode("utf-8")
 
     def to_payload(self) -> Dict[str, object]:
@@ -685,7 +694,8 @@ class Tracer:
         reprs, shapes = self._reprs(), self._shapes
         spans = []
         for p in self._ordered(engine=True):
-            stage, verdict, detail, attrs = shapes[code[p] & _SHAPE_MASK]
+            stage, verdict, detail, attrs = shapes[
+                code[p] >> _SHAPE_SHIFT & _SHAPE_MASK]
             spans.append({"t": at[p], "trigger": reprs[column[p]],
                           "stage": stage, "verdict": verdict,
                           "detail": detail, "attrs": dict(attrs)})
@@ -739,16 +749,85 @@ class NullTracer(Tracer):
 
 def attach(view, log: Tracer) -> None:
     """Point a view (the metrics registry, the replica health tracker or the
-    flight recorder) at ``log``: it reads the rows recorded from now on,
-    and folds them before they retire (its ``_retire(cut)`` folds every row
-    and returns the oldest position it still needs, at most ``cut``). A
-    view reads one log; attaching it to another is an error."""
+    flight recorder) at ``log``: it is handed the rows recorded from now on
+    (:meth:`Tracer.fold`), each once, when it asks and at the latest before
+    they retire. A view reads one log; attaching it to another is an
+    error."""
     if view._log is None:
-        view._log, view._start = log, log._end()
-        log._views.append(view)
+        view._log, log._views[view] = log, log._end()
     elif view._log is not log:
         raise ValueError(f"this {type(view).__name__} already reads "
                          f"another event log")
+
+
+class Rows:
+    """The rows of a log from one position to its end, as a view folds
+    them: each distinct code's count and meaning, and the columns of the
+    rows of one kind, in log order. Only :meth:`flight` (and
+    :meth:`earliest`, until every code has appeared) returns an object per
+    row."""
+
+    def __init__(self, log: Tracer, start: int) -> None:
+        self._log, self._first = log, start - log._base
+        self._at, self._codes, self._values = (
+            column[self._first:] for column in (log._at, log._code,
+                                                log._value))
+        self._kinds = self._codes.tobytes()[_KIND_BYTE::8]
+        self.until = self._at[-1] if self._at else None  #: last row's time
+
+    @cached_property
+    def tally(self) -> List[Tuple[int, int, tuple]]:
+        """``(code, count, meaning)`` per distinct code, in the order of
+        each code's last row (meaning: :meth:`Tracer.decode`)."""
+        return [(code, count, self._log.decode(code)) for code, count
+                in reversed(Counter(self._codes[::-1]).items())]
+
+    @cached_property
+    def decisions(self) -> Tuple[array, array, array]:
+        """Time, code and ``detection_ms`` of each decision with facts."""
+        chosen = positions(self._kinds.translate(_PICK[_DECISION]))
+        return tuple(array(column.typecode, map(column.__getitem__, chosen))
+                     for column in (self._at, self._codes, self._values))
+
+    def lagged(self) -> Tuple[array, array, array]:
+        """Time, code and lag of each ``ingest`` row that carries a lag."""
+        chosen = self._kinds.translate(_PICK[_RESPONSE])
+        lags = array("d", compress(self._values, chosen))
+        if lags.tobytes() == _NO_LAGS * len(lags):  # (NaN: no lag)
+            return array("d"), array("q"), array("d")
+        lagged = bytes(map(not_, map(isnan, lags)))
+        return (array("d", compress(compress(self._at, chosen), lagged)),
+                array("q", compress(compress(self._codes, chosen), lagged)),
+                array("d", compress(lags, lagged)))
+
+    def earliest(self, codes) -> List[Tuple[float, int, float]]:
+        """``(t, code, value)`` of the rows of ``codes`` in log order, up to
+        the time each has appeared by (all of them if the rows are not in
+        time order): every code's earliest rows are among them."""
+        wanted = set(codes)
+        chosen = bytes(map(wanted.__contains__, self._codes))
+        ordered, early = all(map(le, self._at, self._at[1:])), []
+        for row in zip(compress(self._at, chosen),
+                       compress(self._codes, chosen),
+                       compress(self._values, chosen)):
+            if ordered and not wanted and row[0] > early[-1][0]:
+                break
+            early.append(row)
+            wanted.discard(row[1])
+        return early
+
+    def flight(self, last: int) -> Tuple[int, Iterator[tuple]]:
+        """How many flight events (hidden, ``decide``, ``alarm`` and
+        ``engine:*`` rows) there are, and the last ``last`` of them as
+        ``(t, trigger id, value, code)``, oldest first."""
+        found = positions(self._kinds.translate(_PICK[_FLIGHT]))
+        chosen, ordinals = found[-last:], self._log._trigger[self._first:]
+        return len(found), zip(
+            map(self._at.__getitem__, chosen),
+            map(self._log._triggers.__getitem__,
+                map(ordinals.__getitem__, chosen)),
+            map(self._values.__getitem__, chosen),
+            map(self._codes.__getitem__, chosen))
 
 
 def active_tracer(tracer: Optional[Tracer]) -> Optional[Tracer]:

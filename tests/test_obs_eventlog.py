@@ -370,7 +370,7 @@ def _assert_views_same(observer: Observer, reference: _EagerObserver,
     assert (_typed(recorder.payload(now, metrics=metrics))
             == _typed(ring.payload(now, eager)))
     assert _typed(recorder.dumps) == _typed(ring.dumps)
-    assert _typed(recorder.last_dump()) == _typed(
+    assert _typed(recorder.dumps[-1] if recorder.dumps else None) == _typed(
         ring.dumps[-1] if ring.dumps else None)
     assert len(recorder) == len(ring)
     assert recorder.to_json(now, metrics=metrics) == json.dumps(

@@ -17,6 +17,7 @@ here:
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
@@ -114,6 +115,18 @@ def test_sampler_memo_eviction_is_bounded_and_keeps_recent_decisions():
         assert sampler.sampled(tau) is expected[tau]
 
 
+def test_sampler_memo_has_one_size_on_every_cycle():
+    """Eviction rebuilds the memo from its newer half, so a full memo's
+    table has one size on every eviction cycle, whatever it held before."""
+    sampler, limit = HeadSampler(8), HeadSampler._MEMO_LIMIT
+    sizes = set()
+    for i in range(12 * limit):
+        sampler.sampled(("ext", i))
+        if len(sampler._memo) == limit:
+            sizes.add(sys.getsizeof(sampler._memo))
+    assert len(sizes) == 1, sorted(sizes)
+
+
 # ----------------------------------------------------------------------
 # Flight recorder: ring discipline and byte-stable dumps
 # ----------------------------------------------------------------------
@@ -125,7 +138,7 @@ def test_recorder_ring_is_bounded_and_counts_everything():
     assert len(recorder) == 4
     assert recorder.events_recorded == 10
     recorder.trigger("alarm", 9.0)
-    dump = recorder.last_dump()
+    dump = recorder.dumps[-1]
     assert [e["key"] for e in dump["events"]] == \
         [repr(("ext", i)) for i in (6, 7, 8, 9)], "ring must keep the tail"
 

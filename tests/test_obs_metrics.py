@@ -16,7 +16,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    dump_metrics,
     snapshot_rows,
 )
 from repro.obs.trace import ACCEPT, ALARM, DECIDE, INGEST, LATE_DROP, Tracer
@@ -162,7 +161,7 @@ def test_detection_histogram_counts_decisions():
 
 
 # ----------------------------------------------------------------------
-# Stable export encoding (label-set ordering, dump_metrics round-trip)
+# Stable export encoding (label-set ordering, JSON dump)
 # ----------------------------------------------------------------------
 
 def test_snapshot_renders_label_sets_in_sorted_order():
@@ -176,7 +175,7 @@ def test_snapshot_renders_label_sets_in_sorted_order():
                     "checks_total{check=sanity,verdict=ok}"]
 
 
-def test_dump_metrics_is_stable_across_label_insertion_order(tmp_path):
+def test_metrics_json_is_stable_across_label_insertion_order():
     def build(flip):
         registry = MetricsRegistry()
         if flip:
@@ -187,11 +186,7 @@ def test_dump_metrics_is_stable_across_label_insertion_order(tmp_path):
             registry.gauge("g", rack="r", zone="x").set(5.0)
         return registry
 
-    first, second = tmp_path / "a.json", tmp_path / "b.json"
-    dump_metrics(build(False), str(first))
-    dump_metrics(build(True), str(second))
-    assert first.read_text(encoding="utf-8") \
-        == second.read_text(encoding="utf-8")
+    assert build(False).to_json() == build(True).to_json()
 
 
 def test_instruments_iterates_sorted_with_kind_filter():

@@ -74,8 +74,8 @@ def _kept_rows(log: Tracer, window: int):
     kept set, and is not among the newest ``window``, starts it afresh."""
     current, traced, alarmed, rows = {}, [], [], []
     for position in range(log._end()):
-        key, hidden = repr(log._triggers[log._trigger[position]]), (
-            log._code[position] < 0)
+        key, hidden = repr(log._triggers[log._trigger[position]]), not (
+            log._code[position] & obs_trace._SHOWN)
         live = current.get(key)
         if live is not None and not (
                 live >= len(traced) - window or alarmed[live] or traced[live]
@@ -256,8 +256,8 @@ def heap_growth_per_trigger(triggers: int, measured_from: int,
     """What every observer attached (sampled 1 in ``rate``) adds to the
     bare validator's heap growth per clean trigger (its late-drop window
     fills up to 20 000 entries). The sampler's memo, bounded at 8 192 ids,
-    is cycled to its steady size first (it evicts half of them every 4 096
-    new ones, and its table settles after a few evictions)."""
+    is cycled to its steady fill first (it evicts half of them every 4 096
+    new ones, so one cycle later it is back at the same fill and size)."""
     sampler = None
     if rate > 1:
         sampler = HeadSampler(rate)

@@ -51,7 +51,7 @@ from repro.faults.synthetic import LinkFailureFault
 from repro.obs.diagnose import AlarmForensics, export_explanations
 from repro.obs.export import prometheus_text
 from repro.obs.health import ReplicaHealthTracker
-from repro.obs.metrics import MetricsRegistry, dump_metrics
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import FlightRecorder
 from repro.obs.sampling import HeadSampler
 from repro.obs.trace import Tracer
@@ -201,20 +201,18 @@ def _json(payload) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-def _digests(tmp_path, now, tracer, metrics, forensics, health, recorder):
+def _digests(now, tracer, metrics, forensics, health, recorder):
     """One sha-256 per export, in an order that reads without mutating."""
     keys = sorted(tracer.trigger_keys())[::SPANS_STRIDE]
     keys += [key for key in tracer.trigger_keys() if "engine" in key]
     emission = "\n".join(
         f"{key}:" + "\n".join(s.canonical_line() for s in tracer.spans_for(key))
         for key in keys)
-    path = tmp_path / "metrics.json"
-    dump_metrics(metrics, str(path))
     return {
         "canonical": _sha(tracer.canonical()),
         "payload": _sha(_json(tracer.to_payload())),
         "spans_for": _sha(emission),
-        "metrics": _sha(path.read_bytes()),
+        "metrics": _sha(metrics.to_json() + "\n"),
         "prometheus": _sha(prometheus_text(
             registry=metrics, health_reports=health.evaluate(now))),
         "explanations": _sha(_json(export_explanations(
@@ -228,7 +226,7 @@ def _digests(tmp_path, now, tracer, metrics, forensics, health, recorder):
 # (a) Engines fed the faulty soak stream
 # ----------------------------------------------------------------------
 
-def _stream_run(tmp_path, engine_label, rate):
+def _stream_run(engine_label, rate):
     reset_trigger_ids()
     stack = dict(tracer=Tracer(), metrics=MetricsRegistry(),
                  forensics=AlarmForensics(), health=ReplicaHealthTracker(),
@@ -246,7 +244,7 @@ def _stream_run(tmp_path, engine_label, rate):
     engine = replay_stream(_faulty_soak_stream(), make,
                            settle_ms=4 * TIMEOUT_MS)
     assert engine.alarms and engine.triggers_decided
-    return _digests(tmp_path, engine.sim.now, **stack)
+    return _digests(engine.sim.now, **stack)
 
 
 STREAM_CASES = [("validator", 1), ("validator", 8),
@@ -254,8 +252,8 @@ STREAM_CASES = [("validator", 1), ("validator", 8),
 
 
 @pytest.mark.parametrize("engine_label,rate", STREAM_CASES)
-def test_stream_observer_exports_match_golden(tmp_path, engine_label, rate):
-    observed = _stream_run(tmp_path, engine_label, rate)
+def test_stream_observer_exports_match_golden(engine_label, rate):
+    observed = _stream_run(engine_label, rate)
     assert observed == GOLDEN[f"{engine_label}/{rate}"]
 
 
@@ -263,7 +261,7 @@ def test_stream_observer_exports_match_golden(tmp_path, engine_label, rate):
 # (b) ONOS deployment, traffic plus a planted fault
 # ----------------------------------------------------------------------
 
-def _deployment_run(tmp_path, rate):
+def _deployment_run(rate):
     reset_trigger_ids()
     experiment = Jury.experiment(JuryConfig(
         kind="onos", n=5, k=2, switches=6, topology="linear", seed=7,
@@ -277,7 +275,7 @@ def _deployment_run(tmp_path, rate):
     jury = experiment.jury
     assert jury.last_checkpoint is not None
     observer = jury.observer
-    return _digests(tmp_path, experiment.sim.now, observer.tracer,
+    return _digests(experiment.sim.now, observer.tracer,
                     observer.metrics, observer.forensics, observer.health,
                     observer.recorder)
 
@@ -289,6 +287,6 @@ DEPLOY_CASES = [pytest.param("deploy-seq", 1, id="deploy-seq-None-1"),
 
 
 @pytest.mark.parametrize("label,rate", DEPLOY_CASES)
-def test_deployment_observer_exports_match_golden(tmp_path, label, rate):
-    observed = _deployment_run(tmp_path, rate)
+def test_deployment_observer_exports_match_golden(label, rate):
+    observed = _deployment_run(rate)
     assert observed == GOLDEN[f"{label}/{rate}"]
