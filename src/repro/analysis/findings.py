@@ -51,11 +51,6 @@ class Finding:
         """The rule family letter (D, T, S, H, P)."""
         return self.rule_id[:1]
 
-    @property
-    def anchor(self) -> str:
-        """The clickable ``file:line`` anchor."""
-        return f"{self.path}:{self.line}"
-
     def fingerprint(self) -> str:
         """Stable identity across runs (line-shift tolerant)."""
         raw = "\x1f".join((self.rule_id, self.path, self.symbol,

@@ -37,11 +37,12 @@ class ReactiveForwarding(ControllerApp):
     #: Reconciliation retries before a rule is left stranded in PENDING_ADD.
     MAX_RECONCILE_ATTEMPTS = 3
 
-    def __init__(self, controller, flow_priority: int = 100,
-                 flow_idle_timeout_ms: float = 0.0):
+    #: Priority of the rules this app installs (and of a northbound request
+    #: that names none).
+    FLOW_PRIORITY = 100
+
+    def __init__(self, controller):
         super().__init__(controller)
-        self.flow_priority = flow_priority
-        self.flow_idle_timeout_ms = flow_idle_timeout_ms
         self.flows_installed = 0
         self.floods = 0
         self.no_path = 0
@@ -95,7 +96,7 @@ class ReactiveForwarding(ControllerApp):
                      buffer_id: Optional[int] = None, in_port: int = 0,
                      priority: Optional[int] = None) -> None:
         """Write the rule to FlowsDB and emit FLOW_MOD (+ PACKET_OUT) if master."""
-        priority = self.flow_priority if priority is None else priority
+        priority = self.FLOW_PRIORITY if priority is None else priority
         key = flow_key(dpid, match, priority)
         value = flow_value(dpid, match, actions, priority,
                            state=FlowState.PENDING_ADD)
@@ -104,8 +105,7 @@ class ReactiveForwarding(ControllerApp):
         if self.controller.is_master(dpid, ctx):
             self.controller.send_flow_mod(FlowMod(
                 dpid=dpid, command=FlowModCommand.ADD, match=match,
-                actions=actions, priority=priority,
-                idle_timeout=self.flow_idle_timeout_ms), ctx)
+                actions=actions, priority=priority), ctx)
             if buffer_id is not None:
                 self.controller.send_packet_out(PacketOut(
                     dpid=dpid, buffer_id=buffer_id, in_port=in_port,
@@ -183,7 +183,7 @@ class ReactiveForwarding(ControllerApp):
         if request.operation == "delete_flow":
             params = request.params
             self.delete_flow(params["dpid"], params["match"],
-                             params.get("priority", self.flow_priority), ctx)
+                             params.get("priority", self.FLOW_PRIORITY), ctx)
             return True
         return False
 

@@ -28,9 +28,11 @@ class ProactiveForwarding(ControllerApp):
 
     name = "proactive"
 
-    def __init__(self, controller, flow_priority: int = 50):
+    #: Priority of the destination rules this app installs.
+    FLOW_PRIORITY = 50
+
+    def __init__(self, controller):
         super().__init__(controller)
-        self.flow_priority = flow_priority
         self.hosts_provisioned = 0
 
     def handle_packet_in(self, message: PacketIn, ctx: TriggerContext) -> bool:
@@ -63,15 +65,15 @@ class ProactiveForwarding(ControllerApp):
             if out_port is None:
                 continue
             actions = (ActionOutput(out_port),)
-            flow_cache_key = flow_key(dpid, match, self.flow_priority)
+            flow_cache_key = flow_key(dpid, match, self.FLOW_PRIORITY)
             self.controller.cache_write(
                 FLOWSDB, flow_cache_key,
-                flow_value(dpid, match, actions, self.flow_priority,
+                flow_value(dpid, match, actions, self.FLOW_PRIORITY,
                            state=FlowState.PENDING_ADD),
                 ctx=ctx)
             self.controller.send_flow_mod(FlowMod(
                 dpid=dpid, command=FlowModCommand.ADD, match=match,
-                actions=actions, priority=self.flow_priority), ctx)
+                actions=actions, priority=self.FLOW_PRIORITY), ctx)
 
     def on_cache_event(self, event) -> None:
         """Provision this partition when a peer discovers a host.
@@ -106,13 +108,13 @@ class ProactiveForwarding(ControllerApp):
                 continue
             actions = (ActionOutput(out_port),)
             self.controller.cache_write(
-                FLOWSDB, flow_key(dpid, match, self.flow_priority),
-                flow_value(dpid, match, actions, self.flow_priority,
+                FLOWSDB, flow_key(dpid, match, self.FLOW_PRIORITY),
+                flow_value(dpid, match, actions, self.FLOW_PRIORITY,
                            state=FlowState.PENDING_ADD),
                 ctx=ctx)
             self.controller.send_flow_mod(FlowMod(
                 dpid=dpid, command=FlowModCommand.ADD, match=match,
-                actions=actions, priority=self.flow_priority), ctx)
+                actions=actions, priority=self.FLOW_PRIORITY), ctx)
 
     def _governed_switches(self, ctx: TriggerContext):
         """Switches the *acting* identity governs, from shared mastership.

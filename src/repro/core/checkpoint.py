@@ -57,11 +57,10 @@ from repro.errors import CheckpointError
 CHECKPOINT_FORMAT = "jury-checkpoint"
 CHECKPOINT_VERSION = 2
 
-#: WAL record tags. ``ingest`` records are the replay inputs; ``decision``
-#: records are a cheap cross-check trail (never replayed — decisions are
-#: recomputed deterministically); ``checkpoint`` markers anchor recovery.
+#: WAL record tags. ``ingest`` records are the replay inputs; ``checkpoint``
+#: markers anchor recovery. Readers skip any other tag (logs written by
+#: older builds also carry ``decision`` records).
 WAL_INGEST = "ingest"
-WAL_DECISION = "decision"
 WAL_CHECKPOINT = "checkpoint"
 
 _LEN = struct.Struct("<I")
@@ -156,7 +155,7 @@ class Checkpoint:
 
 
 class WriteAheadLog:
-    """Append-only log of post-checkpoint inputs (and a decision trail).
+    """Append-only log of ingested responses and checkpoint markers.
 
     File-backed (``path=...``) for real crash recovery or in-memory
     (``path=None``) for the differential/fuzz rigs. File records are
@@ -177,7 +176,7 @@ class WriteAheadLog:
             self._handle = open(path, "ab")
 
     # ------------------------------------------------------------------
-    # Append side (the engine's ingest/decision/checkpoint hooks)
+    # Append side (the engine's ingest/checkpoint hooks)
     # ------------------------------------------------------------------
     def append(self, record: Tuple) -> None:
         if self._records is not None:
@@ -190,10 +189,6 @@ class WriteAheadLog:
 
     def append_ingest(self, time_ms: float, response) -> None:
         self.append((WAL_INGEST, time_ms, response))
-
-    def append_decision(self, time_ms: float, trigger_id: Tuple,
-                        alarm_count: int) -> None:
-        self.append((WAL_DECISION, time_ms, trigger_id, alarm_count))
 
     def append_checkpoint(self, sha256: str) -> None:
         self.append((WAL_CHECKPOINT, sha256))

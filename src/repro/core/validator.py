@@ -337,7 +337,7 @@ class EngineSurface:
         self.triggers_decided = 0
         self.triggers_alarmed = 0
         #: Crash recovery (repro.core.checkpoint): optional write-ahead log
-        #: of ingests/decisions, plus an automatic snapshot every
+        #: of ingests, plus an automatic snapshot every
         #: ``checkpoint_every`` decided triggers handed to ``on_checkpoint``.
         self.wal = wal
         self.checkpoint_every = checkpoint_every
@@ -358,9 +358,6 @@ class EngineSurface:
                     self.on_alarm(alarm)
         if self.keep_results:
             self.results.append(result)
-        if self.wal is not None:
-            self.wal.append_decision(self.sim.now, result.trigger_id,
-                                     len(alarms))
         if self.checkpoint_every is not None:
             self._since_checkpoint += 1
             if (self._since_checkpoint >= self.checkpoint_every

@@ -65,11 +65,6 @@ class CacheEvent:
         return state
 
     @property
-    def action_id(self) -> Tuple[str, int]:
-        """Cluster-wide identity of the action that caused this event."""
-        return (self.origin, self.seq)
-
-    @property
     def trigger_id(self) -> Tuple:
         """The trigger this write is attributed to (``tau`` or action id)."""
         return self.tau if self.tau is not None else ("int", self.origin, self.seq)

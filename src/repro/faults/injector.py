@@ -11,7 +11,7 @@ successfully detected the fault."
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 from repro.faults.base import FaultScenario, run_scenario
 from repro.harness.experiment import Experiment
@@ -80,10 +80,3 @@ class FaultDriver:
                 if result.attribution_correct:
                     report.attribution_correct += 1
         return report
-
-    def run_suite(self, scenario_factories: Sequence[Callable[[], FaultScenario]],
-                  repetitions: int = 10, base_seed: int = 100) -> List[DriverReport]:
-        """Run a catalog of scenarios; one report per scenario."""
-        return [self.run(factory, repetitions=repetitions,
-                         base_seed=base_seed + 1000 * index)
-                for index, factory in enumerate(scenario_factories)]

@@ -298,7 +298,3 @@ class ScenarioGen:
                 name=name,
                 params=FUZZ_FAULTS[name].draw_params(rng, draft)),)
         return draft.replace(faults=faults)
-
-    def specs(self, base_seed: int, count: int):
-        """The ``count`` specs for seeds ``base_seed .. base_seed+count-1``."""
-        return [self.spec(base_seed + index) for index in range(count)]

@@ -47,10 +47,6 @@ class ShrinkResult:
     #: The oracle report for the minimized spec (the repro's evidence).
     report: Optional[OracleReport] = None
 
-    @property
-    def shrunk(self) -> bool:
-        return self.minimized.digest() != self.original.digest()
-
 
 class Shrinker:
     """Greedy structural minimizer for failing scenario specs."""

@@ -9,7 +9,6 @@ from repro.harness.experiment import (
 from repro.harness.metrics import cdf_points, mbps, percentile
 from repro.harness.reporting import (
     CommandResult,
-    format_series,
     format_table,
     render_result,
 )
@@ -21,7 +20,6 @@ __all__ = [
     "ThroughputPoint",
     "build_experiment",
     "cdf_points",
-    "format_series",
     "format_table",
     "mbps",
     "percentile",

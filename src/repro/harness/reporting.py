@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 
 @dataclass
@@ -80,13 +80,6 @@ def format_table(title: str, headers: Sequence[str],
         lines.append("  ".join(cell.ljust(widths[i])
                                for i, cell in enumerate(row)))
     return "\n".join(lines)
-
-
-def format_series(title: str, points: Iterable[Tuple], x_label: str = "x",
-                  y_label: str = "y") -> str:
-    """Two-column series (one figure line) as text."""
-    rows = [(x, y) for x, y in points]
-    return format_table(title, [x_label, y_label], rows)
 
 
 def _cell(value) -> str:

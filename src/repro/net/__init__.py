@@ -9,7 +9,6 @@ builders for the linear Mininet network and the three-tier hardware testbed.
 from repro.net.channel import ByteCounter, ControlChannel
 from repro.net.hosts import Host
 from repro.net.links import Link
-from repro.net.mininet import MininetBuilder, single_topology, tree_topology
 from repro.net.ovs import ReplicatingProxy
 from repro.net.packet import (
     ETH_BROADCAST,
@@ -33,7 +32,6 @@ __all__ = [
     "Host",
     "IpProto",
     "Link",
-    "MininetBuilder",
     "LldpPayload",
     "Packet",
     "ReplicatingProxy",
@@ -42,9 +40,7 @@ __all__ = [
     "arp_reply",
     "arp_request",
     "lldp_probe",
-    "single_topology",
     "linear_topology",
     "tcp_packet",
     "three_tier_topology",
-    "tree_topology",
 ]

@@ -34,10 +34,6 @@ class ByteCounter:
             return 0.0
         return self.bytes * 8.0 / (window_ms * 1000.0)
 
-    def reset(self) -> None:
-        self.bytes = 0
-        self.messages = 0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ByteCounter({self.name!r}, bytes={self.bytes})"
 

@@ -9,7 +9,7 @@ a packet (e.g. re-encapsulation) creates a new one via ``dataclasses.replace``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Optional
 
 ETH_BROADCAST = "ff:ff:ff:ff:ff:ff"
@@ -77,10 +77,6 @@ class Packet:
     @property
     def is_broadcast(self) -> bool:
         return self.dst_mac == ETH_BROADCAST
-
-    def with_payload(self, payload: Any, size: Optional[int] = None) -> "Packet":
-        """Return a copy carrying ``payload`` (and optionally a new size)."""
-        return replace(self, payload=payload, size=self.size if size is None else size)
 
     def summary(self) -> str:
         """Short human-readable description for alarms and logs."""

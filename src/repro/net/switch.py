@@ -109,7 +109,6 @@ class SoftSwitch:
             return
         entry.packets += 1
         entry.bytes += packet.size
-        entry.last_hit = self.sim.now
         self._apply_actions(entry.actions, packet, in_port=port)
 
     def _punt_to_controller(self, packet: Packet, in_port: int) -> None:
@@ -184,8 +183,6 @@ class SoftSwitch:
             actions=message.actions,
             priority=message.priority,
             cookie=message.cookie,
-            idle_timeout=message.idle_timeout,
-            installed_at=self.sim.now,
         ))
 
     def _handle_packet_out(self, message: PacketOut) -> None:

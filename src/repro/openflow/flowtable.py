@@ -19,11 +19,8 @@ class FlowEntry:
     actions: Tuple[Action, ...]
     priority: int = 100
     cookie: int = 0
-    idle_timeout: float = 0.0
     packets: int = 0
     bytes: int = 0
-    installed_at: float = 0.0
-    last_hit: float = 0.0
 
     def key(self) -> Tuple:
         """Identity for strict delete/modify: (match, priority)."""
@@ -140,15 +137,3 @@ class FlowTable:
             if entry.match.matches(packet, in_port):
                 return entry
         return exact
-
-    def expire_idle(self, now: float) -> int:
-        """Remove entries idle past their timeout; returns removals."""
-        def live(entry: FlowEntry) -> bool:
-            if entry.idle_timeout <= 0:
-                return True
-            return (now - max(entry.last_hit, entry.installed_at)) < entry.idle_timeout
-
-        before = len(self)
-        self._exact = {sig: e for sig, e in self._exact.items() if live(e)}
-        self._wildcards = [e for e in self._wildcards if live(e)]
-        return before - len(self)

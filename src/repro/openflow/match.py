@@ -108,10 +108,6 @@ class Match:
         )
         return all(want is None or want == got for want, got in checks)
 
-    def specificity(self) -> int:
-        """Number of non-wildcard fields (used for tie-breaking diagnostics)."""
-        return sum(1 for f in fields(self) if getattr(self, f.name) is not None)
-
     def canonical(self) -> Tuple:
         """A hashable canonical form used as a consensus/cache entry."""
         canonical = self._canonical

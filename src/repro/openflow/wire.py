@@ -3,8 +3,9 @@
 Serializes the message objects of :mod:`repro.openflow.messages` to a
 compact binary framing modeled on the OpenFlow 1.0 encoding (8-byte
 ``ofp_header`` with version/type/length/xid, big-endian fields), and parses
-them back. Used by the control-plane recorder for on-disk traces and by
-tests to keep the ``wire_size()`` estimates honest.
+them back. The round-trip tests use it to keep the ``wire_size()``
+estimates (the network-overhead reproduction's byte counts) honest, and
+``bench/kernels.py`` times it.
 
 The encoding is self-contained rather than byte-exact OpenFlow: match
 fields and packets carry a tagged TLV body (real OF 1.0 would need the full

@@ -54,10 +54,9 @@ def test_event_sequence_numbers_monotonic(cluster):
     assert len(set(seqs)) == 5
 
 
-def test_action_id_and_trigger_id(cluster):
+def test_trigger_id_is_tau_or_internal_origin_seq(cluster):
     node = cluster.create_node("c1")
     event = node.put("X", "k", 1, tau=("ext", 9)).event
-    assert event.action_id == ("c1", event.seq)
     assert event.trigger_id == ("ext", 9)
     untagged = node.put("X", "k2", 1).event
     assert untagged.trigger_id == ("int", "c1", untagged.seq)

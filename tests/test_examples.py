@@ -37,12 +37,6 @@ def test_fault_detection_demo_example(capsys):
 
 
 @pytest.mark.slow
-def test_record_replay_example(capsys):
-    out = run_example("record_replay.py", capsys)
-    assert "isolates the fault cleanly" in out
-
-
-@pytest.mark.slow
 def test_adaptive_timeouts_example(capsys):
     out = run_example("adaptive_timeouts.py", capsys)
     assert "adaptive timeouts quell" in out

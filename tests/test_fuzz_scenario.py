@@ -35,12 +35,6 @@ def test_different_seeds_differ(scenario_gen):
     assert len(digests) > 20
 
 
-def test_specs_batch_matches_individual_draws(scenario_gen):
-    batch = scenario_gen.specs(7, 5)
-    assert [s.seed for s in batch] == [7, 8, 9, 10, 11]
-    assert batch == [scenario_gen.spec(7 + i) for i in range(5)]
-
-
 def test_generator_stays_inside_the_guaranteed_envelope(scenario_gen):
     """Generated scenarios must only use configurations in which JURY's
     detection guarantees hold — k >= 2 and catalog faults with min_k <= k —

@@ -7,7 +7,7 @@ from repro.api import Jury
 from repro.config import JuryConfig
 from repro.harness.experiment import DetectionStats
 from repro.harness.metrics import cdf_points, mbps, percentile
-from repro.harness.reporting import format_series, format_table
+from repro.harness.reporting import format_table
 
 
 def test_percentile_basics():
@@ -88,12 +88,6 @@ def test_format_table_alignment():
     assert lines[0] == "Title"
     assert "a" in lines[2]
     assert "2.50" in lines[3]
-
-
-def test_format_series():
-    text = format_series("Fig", [(1, 2.0), (3, 4.0)], "x", "y")
-    assert "Fig" in text
-    assert "4.00" in text
 
 
 def test_detection_stats_properties():

@@ -71,14 +71,6 @@ def test_mbps_conversion():
     assert counter.mbps(0.0) == 0.0
 
 
-def test_counter_reset():
-    counter = ByteCounter()
-    counter.add(10)
-    counter.reset()
-    assert counter.bytes == 0
-    assert counter.messages == 0
-
-
 def test_failed_channel_drops_messages():
     sim = Simulator()
     a, b = Endpoint(), Endpoint()

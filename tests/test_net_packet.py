@@ -58,14 +58,6 @@ def test_packets_are_immutable():
     assert raised
 
 
-def test_with_payload_creates_copy():
-    packet = tcp_packet("aa", "bb", "1.1.1.1", "2.2.2.2", 1, 2)
-    wrapped = packet.with_payload("inner", size=128)
-    assert wrapped.payload == "inner"
-    assert wrapped.size == 128
-    assert packet.payload is None  # original untouched
-
-
 def test_summary_formats():
     assert "ARP" in arp_request("a", "1.1.1.1", "2.2.2.2").summary()
     assert "LLDP" in lldp_probe(1, 1).summary()

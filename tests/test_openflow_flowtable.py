@@ -120,18 +120,6 @@ def test_hit_statistics_updated_by_switch_usage():
     assert entry.packets == 1
 
 
-def test_expire_idle():
-    table = FlowTable()
-    packet = tcp()
-    entry = FlowEntry(match=Match.for_flow(packet, in_port=1),
-                      actions=(ActionOutput(1),), idle_timeout=10.0,
-                      installed_at=0.0, last_hit=0.0)
-    table.add(entry)
-    assert table.expire_idle(now=5.0) == 0
-    assert table.expire_idle(now=50.0) == 1
-    assert len(table) == 0
-
-
 def test_scaling_many_exact_entries_constant_lookup():
     table = FlowTable()
     for sport in range(2000):

@@ -15,7 +15,6 @@ def test_empty_match_matches_everything():
     match = Match()
     assert match.matches(tcp(), in_port=5)
     assert match.matches(arp_request("x", "1.1.1.1", "2.2.2.2"))
-    assert match.specificity() == 0
 
 
 def test_exact_flow_match():

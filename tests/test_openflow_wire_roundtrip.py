@@ -1,13 +1,14 @@
-"""Property-based encode/decode roundtrips for the OpenFlow wire format.
+"""Encode/decode roundtrips for the OpenFlow wire format.
 
-The fuzz PR's satellite contract: *any* message the repro can construct
-must survive ``wire.encode`` → ``wire.decode`` unchanged, and any Match
-must survive ``canonical()`` → ``from_canonical()``. Hypothesis drives the
+The contract: *any* message the repro can construct must survive
+``wire.encode`` → ``wire.decode`` unchanged, and any Match must survive
+``canonical()`` → ``from_canonical()``. Hypothesis drives the
 construction; explicit regression tests pin the framing bugs the sweep
 found (a header ``length`` shorter than the header itself used to slice
 already-consumed bytes back into the remainder, fabricating phantom
 messages in ``decode_all``; out-of-range xids used to be silently masked)
-and the deliberate canonical collapse of reserved-port outputs.
+and the deliberate canonical collapse of reserved-port outputs. Hand-built
+messages of every type pin the fields each one carries across the wire.
 """
 
 from __future__ import annotations
@@ -17,7 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import OpenFlowError
-from repro.net.packet import EtherType, IpProto, LldpPayload, Packet
+from repro.net.packet import (
+    EtherType,
+    IpProto,
+    LldpPayload,
+    Packet,
+    lldp_probe,
+    tcp_packet,
+)
 from repro.openflow import wire
 from repro.openflow.actions import (
     ActionController,
@@ -240,3 +248,96 @@ def test_reserved_port_outputs_collapse_to_dedicated_actions():
     assert decoded.actions == (ActionFlood(), ActionController())
     assert [a.canonical() for a in decoded.actions] \
         == [a.canonical() for a in message.actions]
+
+
+# ----------------------------------------------------------------------
+# Hand-built messages
+# ----------------------------------------------------------------------
+
+def roundtrip(message):
+    decoded, rest = wire.decode(wire.encode(message))
+    assert rest == b""
+    return decoded
+
+
+def test_header_only_messages_roundtrip():
+    for message in (Hello(), EchoRequest(), BarrierReply()):
+        decoded = roundtrip(message)
+        assert type(decoded) is type(message)
+        assert decoded.xid == message.xid
+
+
+def test_features_reply_roundtrip():
+    decoded = roundtrip(FeaturesReply(dpid=42, ports=(1, 2, 3)))
+    assert decoded.dpid == 42
+    assert decoded.ports == (1, 2, 3)
+
+
+def test_packet_in_roundtrip_with_tcp_packet():
+    packet = tcp_packet("aa", "bb", "10.0.0.1", "10.0.0.2", 5, 80,
+                        flow_id=9)
+    message = PacketIn(dpid=3, in_port=2, packet=packet, buffer_id=17)
+    decoded = roundtrip(message)
+    assert decoded.dpid == 3
+    assert decoded.buffer_id == 17
+    assert decoded.packet == packet
+
+
+def test_packet_in_roundtrip_with_lldp():
+    message = PacketIn(dpid=1, in_port=1,
+                       packet=lldp_probe(7, 2, controller_id="c3"))
+    decoded = roundtrip(message)
+    assert decoded.packet.payload.src_dpid == 7
+    assert decoded.packet.payload.controller_id == "c3"
+
+
+def test_flow_mod_roundtrip():
+    packet = tcp_packet("aa", "bb", "10.0.0.1", "10.0.0.2", 5, 80)
+    message = FlowMod(dpid=4, command=FlowModCommand.DELETE,
+                      match=Match.for_flow(packet, in_port=1),
+                      actions=(ActionOutput(3), ActionDrop(), ActionFlood()),
+                      priority=77, idle_timeout=5.0, cookie=99)
+    decoded = roundtrip(message)
+    assert decoded.command == FlowModCommand.DELETE
+    assert decoded.match == message.match
+    assert decoded.actions == message.actions
+    assert decoded.priority == 77
+    assert decoded.cookie == 99
+
+
+def test_packet_out_roundtrip():
+    message = PacketOut(dpid=2, in_port=4, buffer_id=None,
+                        actions=(ActionOutput(1),))
+    decoded = roundtrip(message)
+    assert decoded.buffer_id is None
+    assert decoded.actions == (ActionOutput(1),)
+
+
+def test_decode_all_stream():
+    stream = wire.encode(Hello()) + wire.encode(EchoRequest())
+    messages = wire.decode_all(stream)
+    assert [type(m) for m in messages] == [Hello, EchoRequest]
+
+
+def test_decode_rejects_garbage():
+    with pytest.raises(OpenFlowError):
+        wire.decode(b"\x00\x01")
+    with pytest.raises(OpenFlowError):
+        wire.decode(b"\x09" + wire.encode(Hello())[1:])  # bad version
+    truncated = wire.encode(FeaturesReply(dpid=1, ports=(1,)))[:-3]
+    with pytest.raises(OpenFlowError):
+        wire.decode(truncated)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_xid_preserved(xid):
+    decoded = roundtrip(Hello(xid=xid))
+    assert decoded.xid == xid
+
+
+@given(st.integers(min_value=1, max_value=2**32),
+       st.lists(st.integers(min_value=1, max_value=65535), max_size=16))
+def test_features_reply_roundtrip_property(dpid, ports):
+    decoded = roundtrip(FeaturesReply(dpid=dpid, ports=tuple(ports)))
+    assert decoded.dpid == dpid
+    assert decoded.ports == tuple(ports)

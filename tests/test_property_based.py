@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) for core data structures and invariants."""
 
+import dataclasses
 import random
 
 from hypothesis import given, settings
@@ -70,7 +71,9 @@ def test_strip_unsupported_fields_is_valid_and_idempotent(match):
 @given(matches())
 def test_strip_never_adds_fields(match):
     stripped = match.strip_unsupported_fields()
-    assert stripped.specificity() <= match.specificity()
+    for field in dataclasses.fields(Match):
+        if getattr(stripped, field.name) is not None:
+            assert getattr(match, field.name) is not None, field.name
 
 
 @given(matches(), packets(), st.none() | ports)

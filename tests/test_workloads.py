@@ -148,3 +148,54 @@ def test_trace_replay_generates_traffic():
     exp.begin_window()
     exp.run(600)
     assert exp.throughput().packet_ins > 0
+
+
+def corrupt_flow_writes(controller) -> None:
+    """Arm a response-corruption fault: every flow rule ``controller``
+    writes to the shared cache gets its actions flipped to drop-all."""
+    original = controller.cache_write
+
+    def corrupting(cache, key, value, ctx, op=None):
+        if (cache == "FlowsDB" and not ctx.shadow and isinstance(value, dict)
+                and value.get("state") == "pending_add"):
+            value = dict(value)
+            value["actions"] = (("drop",),)
+        original(cache, key, value, ctx, op=op)
+
+    controller.cache_write = corrupting
+
+
+def _seeded_traffic_run(faulty):
+    """One seeded run under the same driver; returns what the driver asked
+    the hosts to send, as ``(time, source host, destination)``, and the
+    validator."""
+    exp = Jury.experiment(JuryConfig(kind="onos", n=5, k=4, switches=8,
+                                     seed=300, timeout_ms=250.0))
+    exp.warmup()
+    if faulty:
+        corrupt_flow_writes(exp.cluster.controller("c1"))
+    asked = []
+    for host in exp.topology.host_list():
+        def arp(dst_ip, host=host, send=host.send_arp_request):
+            asked.append((exp.sim.now, host.name, dst_ip))
+            return send(dst_ip)
+
+        def connect(dst, dst_port=80, host=host, send=host.open_connection):
+            asked.append((exp.sim.now, host.name, dst.name))
+            return send(dst, dst_port)
+
+        host.send_arp_request, host.open_connection = arp, connect
+    TrafficDriver(exp.sim, exp.topology, packet_in_rate_per_s=1200.0,
+                  duration_ms=800.0).start()
+    exp.run(1400.0)
+    return asked, exp.validator
+
+
+def test_seeded_workload_does_not_depend_on_the_fault():
+    """Two runs with one seed get the same workload whatever the
+    controllers do, so every alarm of the faulty run is the fault's."""
+    healthy_asked, healthy = _seeded_traffic_run(faulty=False)
+    faulty_asked, faulty = _seeded_traffic_run(faulty=True)
+    assert healthy_asked and healthy_asked == faulty_asked
+    assert healthy.triggers_alarmed == 0
+    assert any(alarm.offending_controller == "c1" for alarm in faulty.alarms)
