@@ -54,7 +54,7 @@ _MUTATOR_METHODS = frozenset({
 _TRIGGER_MINTERS = {
     "internal_trigger": "internal",
     "external_trigger": "external",
-    "new_external_trigger_id": "external",
+    "external_trigger_id": "external",
 }
 
 

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 import networkx as nx
 
 from repro.controllers.base import ControllerApp
-from repro.controllers.context import TriggerContext
+from repro.controllers.context import TriggerContext, internal_trigger_id
 from repro.datastore.caches import EDGESDB, edge_key, edge_value
 from repro.net.packet import LldpPayload, lldp_probe
 from repro.openflow.actions import ActionOutput
@@ -68,7 +68,8 @@ class TopologyApp(ControllerApp):
         if not controller.alive:
             return
         ctx = TriggerContext.internal_trigger(
-            controller.id, received_at=controller.sim.now, description="lldp-probe")
+            internal_trigger_id(controller.sim, controller.id),
+            received_at=controller.sim.now, description="lldp-probe")
         for dpid in sorted(controller.connected_switches):
             if not controller.is_master(dpid):
                 continue

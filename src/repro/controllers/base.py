@@ -41,7 +41,11 @@ from repro.openflow.messages import (
     PacketOut,
     RestRequest,
 )
-from repro.controllers.context import TriggerContext
+from repro.controllers.context import (
+    TriggerContext,
+    external_trigger_id,
+    internal_trigger_id,
+)
 from repro.controllers.profile import ControllerProfile
 from repro.sim.simulator import Simulator
 from repro.sim.station import ServiceStation
@@ -221,9 +225,7 @@ class Controller:
             return  # duplicate reply (one per controller's FEATURES_REQUEST)
         self._switch_channels[dpid] = channel
         self._channel_dpid[channel.uid] = dpid
-        ctx = TriggerContext.external_trigger(
-            received_at=self.sim.now, description=f"switch-connect s{dpid}",
-            trigger_id=getattr(message, "jury_tau", None))
+        ctx = self._external_context(message, f"switch-connect s{dpid}")
         ctx.entry_digest = self.state_digest()
         if self.cluster is not None and self.cluster.master_of(dpid) != self.id:
             # Non-masters track the channel but the master owns the cache write.
@@ -280,10 +282,8 @@ class Controller:
         self.packet_ins_received += 1
         self._arrivals.append(self.sim.now)
         if ctx is None:
-            ctx = TriggerContext.external_trigger(
-                received_at=self.sim.now,
-                description=f"packet_in s{message.dpid}",
-                trigger_id=getattr(message, "jury_tau", None))
+            ctx = self._external_context(message,
+                                         f"packet_in s{message.dpid}")
         accepted = self.pipeline.submit(
             (message, ctx), self._pipeline_packet_in)
         if not accepted:
@@ -296,12 +296,19 @@ class Controller:
             return
         self.rest_requests += 1
         if ctx is None:
-            ctx = TriggerContext.external_trigger(
-                received_at=self.sim.now, description=f"rest {request.operation}",
-                trigger_id=getattr(request, "jury_tau", None))
+            ctx = self._external_context(request,
+                                         f"rest {request.operation}")
         accepted = self.pipeline.submit((request, ctx), self._pipeline_rest)
         if not accepted:
             self.packet_ins_dropped += 1
+
+    def _external_context(self, message, description: str) -> TriggerContext:
+        """Context for an external trigger: the τ JURY's replicator stamped
+        on ``message``, or a fresh one when no replicator saw it."""
+        tau = getattr(message, "jury_tau", None) or external_trigger_id(
+            self.sim)
+        return TriggerContext.external_trigger(
+            tau, received_at=self.sim.now, description=description)
 
     def run_internal(self, description: str,
                      action: Callable[[TriggerContext], None]) -> TriggerContext:
@@ -311,7 +318,8 @@ class Controller:
         modules (§II-A2) — and therefore for T2/T3 fault injection.
         """
         ctx = TriggerContext.internal_trigger(
-            self.id, received_at=self.sim.now, description=description)
+            internal_trigger_id(self.sim, self.id), received_at=self.sim.now,
+            description=description)
         ctx.entry_digest = self.state_digest()
         action(ctx)
         self._finish_trigger(ctx)

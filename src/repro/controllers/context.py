@@ -11,67 +11,29 @@ it propagates to every response the secondary elicits. Tainted processing is
 *shadow* processing — side-effects are captured for the validator and
 dropped (§IV-B "JURY does not induce any cache/network side-effects due to
 processing of triggers by secondary controllers").
+
+Trigger ids are numbered per experiment, by the simulator that runs it
+(:meth:`~repro.sim.simulator.Simulator.next_number`): external ids τ as
+``("ext", n)``, internal ones as ``("int", origin, n)``. Two runs of one
+experiment in one process get the same ids, and so the same juries.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 TriggerId = Tuple  # ("ext", n) for external triggers, ("int", origin, n) internal
 
-_external_ids = itertools.count(1)
-_internal_ids = itertools.count(1)
+
+def external_trigger_id(sim) -> TriggerId:
+    """A fresh external trigger id τ, numbered per simulator."""
+    return ("ext", sim.next_number("ext"))
 
 
-def new_external_trigger_id() -> TriggerId:
-    """Allocate a fresh external trigger id (used by JURY's replicator)."""
-    return ("ext", next(_external_ids))
-
-
-def snapshot_trigger_ids() -> Tuple[int, int]:
-    """Next (external, internal) trigger-id values, without consuming them.
-
-    ``itertools.count`` has no peek, so this burns one value from each
-    counter and re-creates it at the same position — safe because the
-    counters are only ever read through the ``new_*`` helpers, and callers
-    only snapshot at a quiescent point (checkpoint time).
-    """
-    global _external_ids, _internal_ids
-    ext = next(_external_ids)
-    internal = next(_internal_ids)
-    _external_ids = itertools.count(ext)
-    _internal_ids = itertools.count(internal)
-    return (ext, internal)
-
-
-def restore_trigger_ids(positions: Tuple[int, int]) -> None:
-    """Re-seed both process-global counters from a snapshot.
-
-    The recovery counterpart of :func:`snapshot_trigger_ids`: a restored
-    engine continues allocating trigger ids exactly where the checkpointed
-    process stopped, so replayed and fresh triggers never collide.
-    """
-    global _external_ids, _internal_ids
-    ext, internal = positions
-    _external_ids = itertools.count(int(ext))
-    _internal_ids = itertools.count(int(internal))
-
-
-def reset_trigger_ids() -> None:
-    """Restart both process-global trigger-id counters from 1.
-
-    Trigger ids are process-global so that concurrent experiments never
-    collide — but that also makes a scenario's alarm stream depend on how
-    many triggers earlier runs in the same process consumed. The fuzzer
-    (and any other rig that needs position-independent, byte-comparable
-    runs) calls this between *isolated* experiments; never call it while
-    an experiment is still live.
-    """
-    global _external_ids, _internal_ids
-    _external_ids = itertools.count(1)
-    _internal_ids = itertools.count(1)
+def internal_trigger_id(sim, origin: str) -> TriggerId:
+    """A fresh id for an internal trigger minted at controller ``origin``."""
+    return ("int", origin, sim.next_number("int"))
 
 
 def sort_canonicals(items) -> Tuple:
@@ -152,31 +114,18 @@ class TriggerContext:
         return self.taint is not None
 
     @classmethod
-    def external_trigger(cls, received_at: float = 0.0, description: str = "",
-                         trigger_id: Optional[TriggerId] = None) -> "TriggerContext":
-        """Context for an external (southbound/northbound) trigger.
-
-        ``trigger_id`` is supplied when JURY's replicator already assigned
-        τ at interception time; otherwise a fresh id is allocated.
-        """
-        return cls(
-            trigger_id=trigger_id if trigger_id is not None
-            else new_external_trigger_id(),
-            external=True,
-            received_at=received_at,
-            description=description,
-        )
+    def external_trigger(cls, trigger_id: TriggerId, received_at: float = 0.0,
+                         description: str = "") -> "TriggerContext":
+        """Context for an external (southbound/northbound) trigger τ."""
+        return cls(trigger_id=trigger_id, external=True,
+                   received_at=received_at, description=description)
 
     @classmethod
-    def internal_trigger(cls, controller_id: str, received_at: float = 0.0,
+    def internal_trigger(cls, trigger_id: TriggerId, received_at: float = 0.0,
                          description: str = "") -> "TriggerContext":
-        """Fresh context for an internal (proactive/administrative) trigger."""
-        return cls(
-            trigger_id=("int", controller_id, next(_internal_ids)),
-            external=False,
-            received_at=received_at,
-            description=description,
-        )
+        """Context for an internal (proactive/administrative) trigger."""
+        return cls(trigger_id=trigger_id, external=False,
+                   received_at=received_at, description=description)
 
     @classmethod
     def replica_of(cls, taint: Taint, received_at: float = 0.0,

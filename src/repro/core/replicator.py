@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.controllers.context import Taint, new_external_trigger_id
+from repro.controllers.context import Taint, external_trigger_id
 from repro.core.selection import designated_secondaries
 from repro.net.ovs import ReplicatingProxy
 from repro.openflow.encap import encapsulate_packet_in
@@ -70,7 +70,7 @@ class Replicator:
                         # duplicate replies to per-controller FEATURES_REQUESTs
             self._connects_seen.add(message.dpid)
         primary = self.proxy.primary_id
-        tau = new_external_trigger_id()
+        tau = external_trigger_id(self.sim)
         # Stamp τ so the primary's own context uses the same trigger id.
         message.jury_tau = tau
         self._replicate(tau, primary, message,
@@ -78,7 +78,7 @@ class Replicator:
 
     def intercept_rest(self, controller_id: str, request: RestRequest) -> None:
         """Northbound interception: stamp τ and replicate the request."""
-        tau = new_external_trigger_id()
+        tau = external_trigger_id(self.sim)
         request.jury_tau = tau
         self._replicate(tau, controller_id, request,
                         via_proxy=False, intercepted_at=self.sim.now)

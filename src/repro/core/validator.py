@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.controllers.context import restore_trigger_ids, snapshot_trigger_ids
 from repro.core.alarms import (
     Alarm,
     AlarmReason,
@@ -294,8 +293,7 @@ class ThetaWakeup:
 
 #: The top-level keys of every checkpoint body; an engine's
 #: ``_engine_keys`` name the ones its ``_engine_state`` adds.
-BODY_KEYS = ("psi", "alarms", "results", "counters", "trigger_ids",
-             "staleness")
+BODY_KEYS = ("psi", "alarms", "results", "counters", "staleness")
 
 
 class EngineSurface:
@@ -412,13 +410,11 @@ class EngineSurface:
     def checkpoint(self) -> Checkpoint:
         """Full crash-recovery snapshot of this engine.
 
-        Captures Ψid, the alarm and result history, the counters, the
-        process-global trigger-id counter positions, and the engine's own
-        decision state (``_engine_state``: one core payload for a
-        validator; per shard, the core payload plus queues and stats for a
-        pipeline). Appends
-        a marker to the attached WAL so recovery knows which log records
-        the snapshot subsumes.
+        Captures Ψid, the alarm and result history, the counters, and the
+        engine's own decision state (``_engine_state``: one core payload
+        for a validator; per shard, the core payload plus queues and stats
+        for a pipeline). Appends a marker to the attached WAL so recovery
+        knows which log records the snapshot subsumes.
         """
         state, meta = self._engine_state()
         state.update(
@@ -426,7 +422,6 @@ class EngineSurface:
             alarms=list(self.alarms), results=list(self.results),
             counters=(self.responses_received, self.triggers_decided,
                       self.triggers_alarmed),
-            trigger_ids=snapshot_trigger_ids(),
             staleness=(self.staleness_threshold, self.staleness_cooldown_ms))
         meta.update(
             self._engine_shape(), engine=self.kind,
@@ -446,12 +441,11 @@ class EngineSurface:
 
         The engine must have the kind and shape (``k``; shard count) of
         the one that produced the snapshot and must not have advanced past
-        its simulated time. Advances the
-        simulator to the checkpointed instant, rebuilds Ψid and the
-        decision state, re-arms the θτ wakeups at the original deadlines,
-        and re-seeds the trigger-id counters. After a WAL-tail replay the
-        alarm stream continues byte-identically to the uninterrupted
-        run's (``flush_interval_ms=0`` regime).
+        its simulated time. Advances the simulator to the checkpointed
+        instant, rebuilds Ψid and the decision state and re-arms the θτ
+        wakeups at the original deadlines. After a WAL-tail replay the
+        alarm stream continues byte-identically to the uninterrupted run's
+        (``flush_interval_ms=0`` regime).
         """
         meta = checkpoint.meta
         if meta.get("engine") != self.kind:
@@ -488,7 +482,6 @@ class EngineSurface:
         self.results = list(state["results"])
         (self.responses_received, self.triggers_decided,
          self.triggers_alarmed) = state["counters"]
-        restore_trigger_ids(state["trigger_ids"])
         self.staleness_threshold, self.staleness_cooldown_ms = \
             state["staleness"]
         if self.observer is not None:

@@ -1,10 +1,12 @@
 """Differential oracles: the invariants every fuzz scenario must satisfy.
 
 One :class:`DifferentialOracle` run executes a scenario **live** (fresh
-simulator, topology, controller cluster, JURY deployment), records the
-validator's exact input stream, then replays that identical stream through
-the independent :class:`~repro.fuzz.reference.ReferenceValidator`, the
-sequential :class:`~repro.core.validator.Validator` and the sharded
+simulator, topology, controller cluster, JURY deployment; the simulator
+numbers the trigger ids, so a scenario gets the same ids wherever in a
+process it runs), records the validator's exact input stream, then replays
+that identical stream through the independent
+:class:`~repro.fuzz.reference.ReferenceValidator`, the sequential
+:class:`~repro.core.validator.Validator` and the sharded
 :class:`~repro.core.pipeline.ValidationPipeline` at N ∈ {1, 2, 4, 8},
 with observability on and off, checking the invariant catalog:
 
@@ -194,13 +196,11 @@ class DifferentialOracle:
         """Execute ``spec`` live and capture the validator input stream."""
         from repro.api import Jury
         from repro.config import JuryConfig
-        from repro.controllers.context import reset_trigger_ids
         from repro.core.alarms import canonical_alarm_stream
         from repro.core.checkpoint import WriteAheadLog, wal_ingests
         from repro.faults.base import run_scenario
         from repro.workloads.traffic import TrafficDriver
 
-        reset_trigger_ids()
         experiment = Jury.experiment(JuryConfig(
             kind=spec.kind, n=spec.n, k=spec.k, switches=spec.switches,
             seed=spec.seed, timeout_ms=spec.timeout_ms,

@@ -439,27 +439,15 @@ def export_explanations(
 
 def find_explanation(explanations: Sequence[AlarmExplanation],
                      query: str) -> Optional[Tuple[str, AlarmExplanation]]:
-    """Resolve an alarm id (``A0001``) or trigger query to one explanation."""
-    if not query or not query.strip():
-        return None
-    query = query.strip()
+    """Resolve an alarm id (``A0001``, any case) to its explanation.
+
+    Trigger queries go through :func:`repro.obs.trace.match_trigger_key`:
+    the trace keeps every alarmed trigger.
+    """
+    query = query.strip().upper()
     for index, explanation in enumerate(explanations):
-        if explanation_id(index).lower() == query.lower():
-            return explanation_id(index), explanation
-    # Trigger-id style queries: exact repr, ext:5 shorthand, substring.
-    prefix, _, suffix = query.partition(":")
-    if suffix:
-        try:
-            shorthand = repr((prefix, int(suffix)))
-        except ValueError:
-            shorthand = None
-        if shorthand is not None:
-            for index, explanation in enumerate(explanations):
-                if explanation.trigger_id == shorthand:
-                    return explanation_id(index), explanation
-    for index, explanation in enumerate(explanations):
-        if query == explanation.trigger_id or query in explanation.trigger_id:
-            return explanation_id(index), explanation
+        if explanation_id(index) == query:
+            return query, explanation
     return None
 
 

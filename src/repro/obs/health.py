@@ -446,8 +446,6 @@ class SloMonitor:
     def __init__(self, rules: Optional[Sequence[SloRule]] = None):
         self.rules: Tuple[SloRule, ...] = tuple(
             rules if rules is not None else default_slo_rules())
-        #: (evaluated_at, statuses) per evaluate() call, oldest first.
-        self.history: List[Tuple[float, Tuple[SloStatus, ...]]] = []
 
     def evaluate(self, registry, now: float) -> List[SloStatus]:
         """Run every rule against ``registry`` at simulated time ``now``."""
@@ -471,7 +469,6 @@ class SloMonitor:
                 name=rule.name, description=rule.description,
                 value=value, threshold=rule.threshold,
                 ok=value <= rule.threshold, evaluated_at=now))
-        self.history.append((now, tuple(statuses)))
         return statuses
 
     def breached(self, registry, now: float) -> List[SloStatus]:

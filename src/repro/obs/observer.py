@@ -37,7 +37,7 @@ from typing import Optional, Tuple
 
 from repro.obs import trace as obs_trace
 from repro.obs.sampling import active_sampler
-from repro.obs.trace import VERDICT_OK, Tracer, active_tracer
+from repro.obs.trace import VERDICT_OK, Tracer
 
 
 def _check_rows(checks):
@@ -99,7 +99,7 @@ class Observer:
 
     def __init__(self, tracer=None, metrics=None, forensics=None, health=None,
                  sampler=None, recorder=None):
-        self.tracer = active_tracer(tracer)
+        self.tracer = tracer
         self.metrics = metrics
         self.forensics = forensics
         self.health = health

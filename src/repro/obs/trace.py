@@ -48,8 +48,7 @@ them (:class:`Tracer` says how).
 
 The tracer is one subscriber of the observer seam
 (:class:`~repro.obs.observer.Observer`): engines report events there and
-never call :meth:`Tracer.emit` themselves. A :class:`NullTracer` is
-normalised to "no tracer" by :func:`active_tracer`.
+never call :meth:`Tracer.emit` themselves.
 """
 
 from __future__ import annotations
@@ -238,10 +237,6 @@ class Tracer:
     :meth:`emit` records any span; a hot caller asks :meth:`shape` once
     per distinct shape and passes the ordinal to :meth:`record`.
     """
-
-    #: Instrumentation sites check this once at construction; a subclass
-    #: returning False (``NullTracer``) is normalised away entirely.
-    enabled = True
 
     def __init__(self) -> None:
         self._at, self._trigger, self._code, self._value = (
@@ -734,19 +729,6 @@ class Tracer:
         return tracer
 
 
-class NullTracer(Tracer):
-    """A tracer that records nothing (the explicit-object no-op path)."""
-
-    enabled = False
-
-    def emit(self, at, trigger_id, stage, verdict=None, detail="",
-             **attrs) -> None:  # type: ignore[override]
-        return None
-
-    def record(self, at, trigger_id, code, value=NO_VALUE) -> None:
-        return None
-
-
 def attach(view, log: Tracer) -> None:
     """Point a view (the metrics registry, the replica health tracker or the
     flight recorder) at ``log``: it is handed the rows recorded from now on
@@ -828,13 +810,6 @@ class Rows:
                 map(ordinals.__getitem__, chosen)),
             map(self._values.__getitem__, chosen),
             map(self._codes.__getitem__, chosen))
-
-
-def active_tracer(tracer: Optional[Tracer]) -> Optional[Tracer]:
-    """``None`` for "tracing off" (no tracer, or a ``NullTracer``)."""
-    if tracer is None or not tracer.enabled:
-        return None
-    return tracer
 
 
 # ----------------------------------------------------------------------

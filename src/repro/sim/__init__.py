@@ -20,7 +20,6 @@ from repro.sim.latency import (
     Fixed,
     LatencyModel,
     LogNormal,
-    Shifted,
     Uniform,
 )
 from repro.sim.simulator import Simulator
@@ -33,7 +32,6 @@ __all__ = [
     "LatencyModel",
     "LogNormal",
     "ServiceStation",
-    "Shifted",
     "Simulator",
     "StationStats",
     "Uniform",

@@ -112,25 +112,3 @@ class LogNormal(LatencyModel):
 
     def __repr__(self) -> str:
         return f"LogNormal(median={self.median}, sigma={self.sigma})"
-
-
-class Shifted(LatencyModel):
-    """A base model plus a constant offset: ``offset + base.sample()``.
-
-    Used for "propagation + jitter" style links.
-    """
-
-    def __init__(self, offset: float, base: LatencyModel):
-        if offset < 0:
-            raise SimulationError(f"negative latency offset: {offset}")
-        self.offset = float(offset)
-        self.base = base
-
-    def sample(self, rng: random.Random) -> float:
-        return self.offset + self.base.sample(rng)
-
-    def mean(self) -> float:
-        return self.offset + self.base.mean()
-
-    def __repr__(self) -> str:
-        return f"Shifted({self.offset} + {self.base!r})"

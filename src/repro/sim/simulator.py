@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import defaultdict
 from heapq import heappop, heappush
 from math import inf
 from typing import Callable, List, Optional, Tuple
@@ -51,6 +52,7 @@ class Simulator:
         self._events_fired = 0
         self.rng = random.Random(seed)
         self._seed = seed
+        self._numbering = defaultdict(lambda: itertools.count(1))
 
     # ------------------------------------------------------------------
     # Introspection
@@ -77,6 +79,15 @@ class Simulator:
         reproducible even when components are added or reordered.
         """
         return random.Random(f"{self._seed}/{label}")
+
+    def next_number(self, label: str) -> int:
+        """Next value of this simulator's ``label`` sequence, from 1.
+
+        Like :meth:`fork_rng`, a sequence belongs to one experiment: ids
+        numbered here (trigger ids τ) do not depend on what earlier runs
+        in the same process numbered.
+        """
+        return next(self._numbering[label])
 
     # ------------------------------------------------------------------
     # Scheduling

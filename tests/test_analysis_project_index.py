@@ -85,6 +85,12 @@ def test_emitted_trigger_kinds():
                 ctx.internal_trigger("timer")
     """))
     assert idx.emitted_trigger_kinds() == {"internal"}
+    # The replicator mints τ without building a context.
+    idx = index_for(("src/pkg/proxy.py", """
+        def intercept(self):
+            return external_trigger_id(self.sim)
+    """))
+    assert idx.emitted_trigger_kinds() == {"external"}
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.controllers.context import Taint, TriggerContext
+from repro.controllers.context import Taint, TriggerContext, external_trigger_id
 from repro.controllers.onos import OnosController
 from repro.datastore.caches import SWITCHESDB
 from repro.datastore.hazelcast import HazelcastCluster
@@ -20,15 +20,19 @@ def controller():
     return OnosController(sim, "c1", node)
 
 
+def _external(controller):
+    return TriggerContext.external_trigger(external_trigger_id(controller.sim))
+
+
 def test_cache_write_lands_in_store(controller):
-    ctx = TriggerContext.external_trigger()
+    ctx = _external(controller)
     controller.cache_write("X", "k", 1, ctx=ctx)
     assert controller.store.get("X", "k") == 1
     assert ctx.pending_cost > 0
 
 
 def test_cache_write_tags_trigger(controller):
-    ctx = TriggerContext.external_trigger()
+    ctx = _external(controller)
     events = []
     controller.store.add_listener(lambda n, e: events.append(e))
     controller.cache_write("X", "k", 1, ctx=ctx)
@@ -56,7 +60,7 @@ def test_shadow_network_write_is_captured_not_sent(controller):
 
 
 def test_cache_delete_shadow_aware(controller):
-    real_ctx = TriggerContext.external_trigger()
+    real_ctx = _external(controller)
     controller.cache_write("X", "k", 1, ctx=real_ctx)
     taint = Taint(trigger_id=("ext", 2), primary_id="c9")
     shadow = TriggerContext.replica_of(taint)
@@ -68,7 +72,7 @@ def test_cache_delete_shadow_aware(controller):
 
 def test_egress_drop_probability(controller):
     controller.egress_drop_prob = 1.0
-    ctx = TriggerContext.external_trigger()
+    ctx = _external(controller)
     controller.send_flow_mod(FlowMod(dpid=1, match=Match(), actions=()), ctx)
     controller.sim.run()
     assert controller.flow_mods_sent == 0
@@ -78,7 +82,7 @@ def test_egress_drop_probability(controller):
 def test_network_tap_sees_emissions(controller):
     records = []
     controller.network_tap = records.append
-    ctx = TriggerContext.external_trigger()
+    ctx = _external(controller)
     controller.send_packet_out(PacketOut(dpid=1), ctx)
     assert len(records) == 1
     assert records[0].tau == ctx.trigger_id
@@ -97,7 +101,7 @@ def test_run_internal_creates_internal_trigger(controller):
 def test_effective_id_impersonates_primary(controller):
     taint = Taint(trigger_id=("ext", 1), primary_id="c9")
     shadow = TriggerContext.replica_of(taint)
-    normal = TriggerContext.external_trigger()
+    normal = _external(controller)
     assert controller.effective_id(shadow) == "c9"
     assert controller.effective_id(normal) == "c1"
 

@@ -3,28 +3,34 @@
 from repro.controllers.context import (
     Taint,
     TriggerContext,
-    new_external_trigger_id,
+    external_trigger_id,
+    internal_trigger_id,
 )
+from repro.sim.simulator import Simulator
 
 
 def test_external_trigger_ids_unique():
-    a = TriggerContext.external_trigger()
-    b = TriggerContext.external_trigger()
-    assert a.trigger_id != b.trigger_id
-    assert a.trigger_id[0] == "ext"
+    sim = Simulator()
+    a = TriggerContext.external_trigger(external_trigger_id(sim))
+    b = TriggerContext.external_trigger(external_trigger_id(sim))
+    assert (a.trigger_id, b.trigger_id) == (("ext", 1), ("ext", 2))
     assert a.external and not a.shadow
+    # Each simulator numbers its own experiment's ids from 1.
+    assert external_trigger_id(Simulator()) == ("ext", 1)
 
 
 def test_external_trigger_honors_preassigned_id():
-    tau = new_external_trigger_id()
-    ctx = TriggerContext.external_trigger(trigger_id=tau)
-    assert ctx.trigger_id == tau
+    ctx = TriggerContext.external_trigger(("ext", 42))
+    assert ctx.trigger_id == ("ext", 42)
 
 
 def test_internal_trigger_carries_controller_id():
-    ctx = TriggerContext.internal_trigger("c3")
-    assert ctx.trigger_id[0] == "int"
-    assert ctx.trigger_id[1] == "c3"
+    sim = Simulator()
+    ctx = TriggerContext.internal_trigger(internal_trigger_id(sim, "c3"))
+    assert ctx.trigger_id == ("int", "c3", 1)
+    # One sequence for every controller's internal ids, apart from τ's.
+    assert internal_trigger_id(sim, "c1") == ("int", "c1", 2)
+    assert external_trigger_id(sim) == ("ext", 1)
     assert not ctx.external
 
 
@@ -67,7 +73,7 @@ def test_taint_is_hashable_and_printable():
 
 
 def test_pending_cost_accumulates():
-    ctx = TriggerContext.external_trigger()
+    ctx = TriggerContext.external_trigger(("ext", 1))
     assert ctx.pending_cost == 0.0
     ctx.pending_cost += 1.5
     ctx.pending_cost += 0.5

@@ -10,8 +10,8 @@ from repro.config import JuryConfig
 from repro.workloads.traffic import TrafficDriver
 
 
-def run_fingerprint(seed):
-    experiment = Jury.experiment(JuryConfig(kind="onos", n=5, k=4, switches=8,
+def run_fingerprint(seed, k=4):
+    experiment = Jury.experiment(JuryConfig(kind="onos", n=5, k=k, switches=8,
                                   seed=seed, timeout_ms=250.0))
     experiment.warmup()
     driver = TrafficDriver(experiment.sim, experiment.topology,
@@ -33,7 +33,10 @@ def run_fingerprint(seed):
 
 
 def test_same_seed_identical_run():
-    assert run_fingerprint(777) == run_fingerprint(777)
+    # At k=4 every replica sits on each jury; at k=2 the jury is drawn
+    # from τ, so the second run matches only if it numbers τ as the first.
+    for k in (4, 2):
+        assert run_fingerprint(777, k) == run_fingerprint(777, k), f"k={k}"
 
 
 def test_different_seed_different_run():

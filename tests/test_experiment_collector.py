@@ -17,7 +17,6 @@ import hashlib
 import pytest
 
 from repro import Jury, JuryConfig
-from repro.controllers.context import reset_trigger_ids
 from repro.core.alarms import canonical_alarm_stream
 from repro.core.checkpoint import WriteAheadLog, wal_ingests
 from repro.errors import WorkloadError
@@ -121,7 +120,6 @@ def _drive(monkeypatch, mode: str):
     the default thresholds. ``aggressive``: the same under
     ``gc.set_threshold(50, 1, 1)``.
     """
-    reset_trigger_ids()
     if mode != "experiment":
         monkeypatch.setattr(experiment_module, "_advance", _plain_advance)
     if mode == "aggressive":

@@ -76,8 +76,8 @@ def test_oracle_runs_are_reproducible(oracle):
     """Same spec, two fresh runs in one process → identical digests.
 
     This is the in-process half of the seed-stability satellite (the
-    cross-process half lives in test_fuzz_cli.py); it only holds because
-    the oracle resets the global trigger-id counters per run."""
+    cross-process half lives in test_fuzz_cli.py); it holds because each
+    run's simulator numbers its own trigger ids."""
     spec = ScenarioGen().spec(9)
     first = oracle.run(spec)
     second = oracle.run(spec)

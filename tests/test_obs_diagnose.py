@@ -1,5 +1,6 @@
 """Unit tests for alarm forensics: diffs, explanations, export, offline."""
 
+import ast
 import json
 
 import pytest
@@ -19,6 +20,7 @@ from repro.obs.diagnose import (
     render_explanations,
 )
 from repro.harness.inspect import load_report
+from repro.obs.trace import match_trigger_key
 from repro import Jury, JuryConfig
 
 
@@ -152,9 +154,16 @@ def test_export_ids_and_json_round_trip(fault_run):
 def test_find_explanation_by_id_shorthand_and_substring(fault_run):
     experiment = fault_run
     explanations = experiment.jury.observer.forensics.explanations()
-    assert find_explanation(explanations, "a0001")[0] == "A0001"
+    assert find_explanation(explanations, "a0001") == (
+        "A0001", explanations[0])
+    # Trigger queries (exact or ``ext:N`` shorthand) resolve through the
+    # trace, which keeps every alarmed trigger; not here.
     trigger = explanations[0].trigger_id
-    assert find_explanation(explanations, trigger)[1] is explanations[0]
+    assert find_explanation(explanations, trigger) is None
+    tracer = experiment.jury.observer.tracer
+    shorthand = ":".join(map(str, ast.literal_eval(trigger)))
+    assert match_trigger_key(tracer, shorthand) == trigger
+    assert match_trigger_key(tracer, trigger) == trigger
     assert find_explanation(explanations, "no-such-alarm") is None
     assert find_explanation(explanations, "") is None
 

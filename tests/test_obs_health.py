@@ -213,11 +213,3 @@ def test_slo_unknown_kind_raises():
         name="x", description="", kind="bogus", threshold=1.0),))
     with pytest.raises(ValueError):
         monitor.evaluate(MetricsRegistry(), 0.0)
-
-
-def test_slo_history_accumulates():
-    monitor = SloMonitor()
-    registry = MetricsRegistry()
-    monitor.evaluate(registry, 100.0)
-    monitor.evaluate(registry, 200.0)
-    assert [at for at, _ in monitor.history] == [100.0, 200.0]

@@ -42,11 +42,9 @@ from repro.obs.trace import (
     ENGINE_CHECKPOINT,
     INGEST,
     STAGE_RANK,
-    NullTracer,
     Span,
     Tracer,
     _ReprKey,
-    active_tracer,
     match_trigger_key,
     span_sort_key,
 )
@@ -90,14 +88,6 @@ def test_canonical_sort_orders_time_trigger_stage():
     tracer.emit(2.0, ("ext", 1), CHECK_CONSENSUS)
     ordered = sorted(tracer.spans, key=span_sort_key)
     assert [s.stage for s in ordered] == [INGEST, DECIDE, CHECK_CONSENSUS]
-
-
-def test_null_tracer_normalises_to_none():
-    assert active_tracer(None) is None
-    assert active_tracer(NullTracer()) is None
-    tracer = Tracer()
-    assert active_tracer(tracer) is tracer
-    assert NullTracer().emit(0.0, ("ext", 1), INGEST) is None
 
 
 def test_timeline_verdicts():
@@ -691,14 +681,9 @@ def test_lazy_index_matches_an_eager_one():
     assert reloaded.trigger_keys() == tracer.trigger_keys()
 
 
-def test_spans_are_read_only_and_null_tracer_records_nothing():
+def test_spans_are_read_only():
     tracer = Tracer()
     tracer.emit(0.0, ("ext", 1), INGEST)
     with pytest.raises(AttributeError):
         tracer.spans.append(tracer.spans[0])  # jury: ignore[H406] — must raise
     assert len(tracer) == 1
-
-    null = NullTracer()
-    assert null.emit(0.0, ("ext", 1), INGEST, kind="cache") is None
-    assert len(null) == 0
-    assert list(null.spans) == [] and null.trigger_keys() == []

@@ -28,8 +28,12 @@ the health tracker, and no other digest moved when it went. The
 digests of ``serial N=4/{1,8,64}`` (15 in all) were re-recorded when the pipeline checkpoint body stopped
 carrying per-shard Ψ views: those exports hold the
 checkpoint's ``body_bytes`` and 12-hex sha tag, and with both masked they
-were byte-equal before and after. A change that means to keep what
-observers record must leave every digest here alone.
+were byte-equal before and after. The same five digests of all seven
+cases (35 in all) were re-recorded when the checkpoint body dropped its
+trigger-id positions, once trigger ids were numbered per simulator; with
+the sha tag and body size masked they too were byte-equal before and
+after. A change that means to keep what observers record must leave
+every digest here alone.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ import json
 import pytest
 
 from repro import Jury, JuryConfig
-from repro.controllers.context import reset_trigger_ids
 from repro.core.checkpoint import replay_stream
 from repro.core.pipeline import ValidationPipeline
 from repro.core.timeouts import StaticTimeout
@@ -66,127 +69,127 @@ GOLDEN = {
         "canonical":
             "03261ac4c96a98b6cb7c2fd9f175461ad07e88c0eb76d7266c0fd525935698b5",
         "payload":
-            "d983d7ab62f615f95486e8e703ef4b8a206a9288b206e1bf0dd2cdd37adf76e9",
+            "478a73bc925002daed05633684a5bc8b289ae2da7221659cd947e0206b6e7065",
         "spans_for":
-            "8871a23d36ae888db1d5d9545b6cffc9f37c5eb8744ed7de7d6547c67444f147",
+            "f41ef50d679a5a1803646b67831b69e1c75fba6efb48408ad7c155569e4d3cac",
         "metrics":
-            "19019e5486e5ca154ae46af7d45cf3513cf54e04f9e9c3f22854efcec29f83c2",
+            "e2da509461f01a1d171ccfb59e9096c3230baff68de5218dcebc0e25ca27ef08",
         "prometheus":
-            "e430dcc59c970f1dd75b9d4e05242a453087c425d34d0542c2dfec30f004cffd",
+            "bd195387caa82003b07f68641a1ea40970d34028bde8770f8b3f8cf6455021c0",
         "explanations":
             "22c0a27d5331b7495f3c4226a0e27aa227951d1367d748f45e54219474ed76c8",
         "health":
             "d05285ce3232b3d28a0a9f0d2fb615f78dc919a5e73e163f5d5acfbe174c12fb",
         "flight":
-            "e61288f68be9c05cba77fec623abde659ad7b3530bfca3da674e85ae773253fc",
+            "573d8e28f5eb225c8dbab8bc33810506148ee295eb9678e08cdd997d95ac1acb",
     },
     "validator/8": {
         "canonical":
             "3a508d94c93313ab10fcdc125514f797b6486241ba6d9548926b39484ba83208",
         "payload":
-            "9baaf1300bbdcd81dfbfa1138c7fd364931482130f7b31a7f44251111e3f0020",
+            "dcde4694e45072ee3ffe28a97bbfcf7376c6c7fd93e3df6aeadaf5f1d86694ed",
         "spans_for":
-            "091dd12e0da3fccd8e181dc3832d4b38601b5e1f5021fc9e357d6eeae82397cf",
+            "68a33f9979148e612b5624b8c579de18b20ef559eb1ffc831b355a5e8b869e18",
         "metrics":
-            "bbe2f1a83d8d0898518e30d428068a0eea2ba75a7a27b682e22b7f16be3b8ad6",
+            "64e520cd620dce98ed6e9674bce34f99657a0e7c9d679793d3350e5eda4fc613",
         "prometheus":
-            "15a9987e10f6bce3e88bbbde468df7640c8ca816a3b2656cd0b832d60753186d",
+            "30931c0b443fe221faa1d30933ab7660c53a67724b5b477ae487b03460800338",
         "explanations":
             "22c0a27d5331b7495f3c4226a0e27aa227951d1367d748f45e54219474ed76c8",
         "health":
             "282b00ad163a0128c2e6bf18d85dce088084a368cecf35067e4e8472d7283742",
         "flight":
-            "b8e381a324981c055ced75f07759499ef8aa94c1515e3e2a376b8b9340f92994",
+            "a155baf4244b1c3203f69e174efed83bc535b79eaac97db93aaa5b5406454780",
     },
     "serial N=4/1": {
         "canonical":
             "03261ac4c96a98b6cb7c2fd9f175461ad07e88c0eb76d7266c0fd525935698b5",
         "payload":
-            "7c239c4f08e509f6983b31879931db02617a599a64d3d05e8b289558bddc559a",
+            "3e1ad2430233647b84025a05caaf5cf52566e9fa6982a62c5fffba2f2d854904",
         "spans_for":
-            "c0d8698be01e85fbfa6e592f33426d533e4fc8cdd615a39cc06863b4723322c3",
+            "7f395464a1a1354462a1adcc880078b59f03bdfb8300df50d6edddbfdb7ccc17",
         "metrics":
-            "19376b57ff7807c89c10f45cf9f5751d794cf65b53d9488110e7f2646ef74215",
+            "bacf13f4b8c940d8e53bc45efcb23002b29ac505553efe50902ea7761fedb887",
         "prometheus":
-            "c664fad6929467b0ac6fdf3006655747b005a8130e2c1fd55f0876787bacf527",
+            "eb6d67ecd912b2fb605309719435a5e889395913d94fd5c105c105dce067e4dd",
         "explanations":
             "22c0a27d5331b7495f3c4226a0e27aa227951d1367d748f45e54219474ed76c8",
         "health":
             "d05285ce3232b3d28a0a9f0d2fb615f78dc919a5e73e163f5d5acfbe174c12fb",
         "flight":
-            "a5879970f601467c87e40c243c8383ea7da9304a8e9a2e30e40b8c57bb02123c",
+            "b6c2361ca26d3eb8f9a315ed3d23fc88c96001353a6769d4b74c72f5515f8d5b",
     },
     "serial N=4/8": {
         "canonical":
             "3a508d94c93313ab10fcdc125514f797b6486241ba6d9548926b39484ba83208",
         "payload":
-            "9fa579f148886aaa8be925763b38495dd6d60962b521722813ffaacf157cf56e",
+            "2d6e64648ec575ceb065177b0451a96ffca49900aee9fb60586b9d61ee275ec3",
         "spans_for":
-            "b7848cb2e7ad9a046bb470c1d157e036939c26c4cbccefa6a7feedcf46266a86",
+            "de65bc9aa089e7596b479cf9624a5e33e7492cfda76b7cfdd953ab19802b95a3",
         "metrics":
-            "e58cf2e5fe99a25d41851f11c7f3dc687ef5d8e329d8d502cd8c64519c868bb3",
+            "0ec36780cbca2167c0a916e4b81190b626cbfa02f3a3ea875f8b06ae848a5b1a",
         "prometheus":
-            "d894745b80132b326b678c5ceacd0a0bc0cae10d5b5ce73703fc1628e4c896eb",
+            "78498ec2d18df5f4a5e5f7e693c21ed716a99fcbd4c7764566ec62d931a0f549",
         "explanations":
             "22c0a27d5331b7495f3c4226a0e27aa227951d1367d748f45e54219474ed76c8",
         "health":
             "282b00ad163a0128c2e6bf18d85dce088084a368cecf35067e4e8472d7283742",
         "flight":
-            "3114e972bdc04d21785e081ea3b1c9f1478ce1d86b484318622ebe7889636400",
+            "a2f41a02243219f3d943abd90515b89d6c31d4aaf0bec462c68cd179d3d10fee",
     },
     "serial N=4/64": {
         "canonical":
             "86daae46823a0b27132884ecdf16af8185a61450f3307104c68e82306465b37d",
         "payload":
-            "94839fa523459a96140b21868397219772892d7c6c1731cb3da81ca613023f07",
+            "b2b4a15d80e03eb7ecc69429ddba3c503c85b4df0c2c6fc6b5227215c5d9f965",
         "spans_for":
-            "a0e9afc19504a7b05a65a8ec28daaad36407281c202a8598cbf0634c9243bd55",
+            "0c50bda44911a80079c6822c0801c3f042259577d1f137acb9ec1778bdbc59fb",
         "metrics":
-            "3f564a78d3a57e9761c34b05c1ecaa0bae4dbad946743ef0327407f64603e4bb",
+            "7d3d96f6830d71bd22bd8dd1f097396a4338edd71f326ffdbb502d671800cf5d",
         "prometheus":
-            "41d9cb026559a10e1399d2a7eb7989586e5e9d964ec6c4d7b1283e0c83a05127",
+            "0623719da16ba7c572bcb9552f732199f1fecce9b85f8446877380b536dbb597",
         "explanations":
             "22c0a27d5331b7495f3c4226a0e27aa227951d1367d748f45e54219474ed76c8",
         "health":
             "4b9460d9eb711487467bc5f54673add9828ddae24b123d7aaa4304a2e9b6f5d1",
         "flight":
-            "373b49f878c89f767f847d182c8d1c7033a9422bbb6bde5dd958830b22a02baa",
+            "efe29712418a116abaa1f77d8e296bb41959eff12798b0d41db5521a42c1bfbc",
     },
     "deploy-seq/1": {
         "canonical":
             "d658286c6983405f298702642b9ec87afcb2cdb7d1498b8b70b9042c948fd87d",
         "payload":
-            "31c362f0d8eda275f2fd3ed73e80311c58527cf310f409f2dd9d771d2cfd6fd2",
+            "6603224270e835eaa73156ee80b363c7b7873dd538a98df5e6a717502917daca",
         "spans_for":
-            "ce677d1ac98e40cd7650cc44b0b966b4345d0dae7af778ef6ab99d3333ad8b0e",
+            "259acd97604e58c762da130a5eac7c3a4c5e036ce7be42c00f763ed6a17dc042",
         "metrics":
-            "af3a602207b9a45d270360f51e915133d0f0310120d97ba39bd7bf7fe2fcd3d3",
+            "b7d0b61ebc90e4f6cb524673ff6252e40af2cf8de3c1fd7061007671fbda5041",
         "prometheus":
-            "9dc6a7b8e4f5bda0c8fd184602cd5333e966d40a688dda5a81f44127ba0210fa",
+            "d422adcdd94030c098b69cc2a054519780f4dc1d3f960fec78dc620977411461",
         "explanations":
             "7febc258cb027d046f75325f4663f79a5e57f561182525331a344c1b4cb50f7a",
         "health":
             "5e7d483e9503c07c570f4b8cc200c31f6cb7dd40cdcd2e13bc593f771ec98ac2",
         "flight":
-            "8b324d9ddf2efd221352779aa1f8936029b1b5fe9b6a7ebd76ace99e4c68bace",
+            "e7c8fe2312bacc1d2ddcdeab895f8addefd0013e821ebc35b5cd30ac1ee05090",
     },
     "deploy-seq/8": {
         "canonical":
             "8c90467185d36c0bc5dc9740010585f8a2745c0fc715779ecd35c12aedf102c5",
         "payload":
-            "2f27f2790c69cf614fef6bc375afac67fad57aeee926f696259cd934521d24e8",
+            "5dea93c6bc0a8d11c5ef451ed79c2a64711ebcfbc596b17914d0dea795dd3cab",
         "spans_for":
-            "6ca7ef6b17fc6aefa0b8a7b969de8bf47c8a9ce452a302ca1cfdafa99089dc83",
+            "671809cd9b77afd218e73b4776922474ad99b4d8d0801163857128712fb6c8f4",
         "metrics":
-            "e7827e55fbaee45ae0571ce733341b8bbc0895149cb8934db4a05bdac3a3538f",
+            "54a9f938c231b0b89378af4100b72361a38ecd01fccda8879df689b29b894cc2",
         "prometheus":
-            "adf15570304edf5236f7e0e1f320f47845517aefbdcd5842d524068ad018e381",
+            "8fd182f0dd37a9637c5767eaa649d046ed49a907855100443dd525d5beb9d788",
         "explanations":
             "7febc258cb027d046f75325f4663f79a5e57f561182525331a344c1b4cb50f7a",
         "health":
             "219f04d72da5098fbecc9bb80c2ce689bf277071f4f71187a260aee6974faebd",
         "flight":
-            "233f290132e7f1ad9aa9a10f6a74a94c8cd59eaf2cf853eb01ee34abd0c4cacf",
+            "cfec6efae0b0fdff93dcb1ea57ad95ee19853c539fbf5827d2da161a408de65a",
     },
 }
 
@@ -227,7 +230,6 @@ def _digests(now, tracer, metrics, forensics, health, recorder):
 # ----------------------------------------------------------------------
 
 def _stream_run(engine_label, rate):
-    reset_trigger_ids()
     stack = dict(tracer=Tracer(), metrics=MetricsRegistry(),
                  forensics=AlarmForensics(), health=ReplicaHealthTracker(),
                  recorder=FlightRecorder(capacity=4096))
@@ -262,7 +264,6 @@ def test_stream_observer_exports_match_golden(engine_label, rate):
 # ----------------------------------------------------------------------
 
 def _deployment_run(rate):
-    reset_trigger_ids()
     experiment = Jury.experiment(JuryConfig(
         kind="onos", n=5, k=2, switches=6, topology="linear", seed=7,
         timeout_ms=250.0, policies=("default",), with_northbound=True,

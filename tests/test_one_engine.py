@@ -27,7 +27,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Jury, JuryConfig
-from repro.controllers.context import reset_trigger_ids
 from repro.core.alarms import canonical_alarm_stream
 from repro.core.checkpoint import (
     WAL_INGEST,
@@ -187,7 +186,6 @@ def test_pipeline_stats_snapshot_is_pinned(shards):
 # ----------------------------------------------------------------------
 
 def _record_deployment(kind, k, seed, rate):
-    reset_trigger_ids()
     experiment = Jury.experiment(JuryConfig(
         kind=kind, n=5, k=k, switches=8, topology="linear",
         timeout_ms=TIMEOUT_MS, seed=seed, policies=("default",)))

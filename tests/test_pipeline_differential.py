@@ -9,11 +9,10 @@ stream through the sequential :class:`Validator` and through
 :class:`ValidationPipeline` at N ∈ {1, 2, 4, 8}, asserting the canonical
 alarm streams compare equal byte for byte.
 
-Recording (not re-running) is load-bearing: trigger ids come from
-process-global counters, so two live runs never produce comparable ids —
-only replays of one recorded stream do. A live run is recorded by attaching
-a :class:`WriteAheadLog` to its validator after warm-up; the stream is the
-log's ingest records.
+Recording (not re-running) gives every engine one input: a deployment
+drives one engine, so a live run is recorded once, by attaching a
+:class:`WriteAheadLog` to its validator after warm-up, and the log's ingest
+records are replayed through each.
 """
 
 from __future__ import annotations

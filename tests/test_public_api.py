@@ -141,10 +141,11 @@ def _mentions(tree):
 
 
 def unreached_names(root=REPO):
-    """``{name: "path:line"}`` of each function or method defined under
-    ``src/repro/`` that no code in ``src/`` or :data:`READERS` mentions
-    outside its own body. Dunder methods are called implicitly and are
-    skipped."""
+    """``{name: "path:line"}`` of each function, method or undecorated
+    top-level class defined under ``src/repro/`` that no code in ``src/``
+    or :data:`READERS` mentions outside its own body. Dunder methods are
+    called implicitly and are skipped; a decorator registers its class, so
+    a decorated class counts as reached."""
     uses, defs = {}, []
     for tree_root in ("src/repro",) + READERS:
         for path in sorted((root / tree_root).rglob("*.py")):
@@ -160,6 +161,10 @@ def unreached_names(root=REPO):
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                 and not (node.name.startswith("__")
                          and node.name.endswith("__")))
+            defs.extend(
+                (node.name, where, node.lineno, node.end_lineno)
+                for node in tree.body
+                if isinstance(node, ast.ClassDef) and not node.decorator_list)
     return {
         name: f"{where}:{start}" for name, where, start, end in defs
         if all(path == where and start <= line <= end
@@ -176,10 +181,12 @@ def test_unreached_finder_sees_only_uses_outside_a_body(tmp_path):
         "def by_string():\n    pass\n"
         "class C:\n    def __len__(self):\n        return 0\n"
         "    def method(self):\n        return self.method\n"
+        "class Unused:\n    pass\n"
+        "@register\nclass Registered:\n    pass\n"
         "called()\ngetattr(C, 'by_string')\n")
     (tmp_path / "examples").mkdir()
     (tmp_path / "examples" / "e.py").write_text("C().method()\n")
-    assert set(unreached_names(tmp_path)) == {"exported"}
+    assert set(unreached_names(tmp_path)) == {"exported", "Unused"}
 
 
 def test_only_allow_listed_names_are_called_by_tests_alone():

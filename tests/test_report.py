@@ -36,7 +36,6 @@ import json
 import pytest
 
 from repro.cli import build_parser
-from repro.controllers.context import reset_trigger_ids
 from repro.harness.reporting import render_result
 
 PARENT_DIGESTS = {
@@ -59,7 +58,6 @@ def _sha(section) -> str:
 
 def _run(argv, fmt="human"):
     """Run ``report`` as a fresh process would; ``(exit code, stdout)``."""
-    reset_trigger_ids()  # trigger ids are numbered per process
     args = build_parser().parse_args(["report"] + argv + ["--format", fmt])
     out = io.StringIO()
     code = render_result(args.fn(args), "human" if fmt == "prom" else fmt,
@@ -161,7 +159,6 @@ def _breached_deployment():
     from repro.faults.base import run_scenario
     from repro.faults.synthetic import LinkFailureFault
 
-    reset_trigger_ids()
     experiment = Jury.experiment(JuryConfig(
         kind="onos", n=5, k=4, switches=6, seed=7, observe=True,
         timeout_ms=20))

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.latency import Exponential, Fixed, LogNormal, Shifted, Uniform
+from repro.sim.latency import Exponential, Fixed, LogNormal, Uniform
 
 
 @pytest.fixture
@@ -67,17 +67,6 @@ def test_lognormal_rejects_bad_params():
         LogNormal(median=0.0)
     with pytest.raises(SimulationError):
         LogNormal(median=1.0, sigma=0.0)
-
-
-def test_shifted_adds_offset(rng):
-    model = Shifted(5.0, Fixed(1.0))
-    assert model.sample(rng) == 6.0
-    assert model.mean() == 6.0
-
-
-def test_shifted_rejects_negative_offset():
-    with pytest.raises(SimulationError):
-        Shifted(-0.1, Fixed(1.0))
 
 
 def test_same_rng_state_same_samples():

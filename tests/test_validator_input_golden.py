@@ -24,8 +24,8 @@ input digest, hashes every constructor field of every response
 (``__reduce__``); it was added later, recorded on the commit before the WAL
 replaced the validator-stream tap, and is stable across ``PYTHONHASHSEED``.
 
-Each case resets the process-global trigger-id counters first, so the
-digests do not depend on which tests ran earlier.
+Each case's simulator numbers its own trigger ids, so the digests do not
+depend on which tests ran earlier.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ import hashlib
 import pytest
 
 from repro import Jury, JuryConfig
-from repro.controllers.context import reset_trigger_ids
 from repro.core.alarms import canonical_alarm_stream
 from repro.core.checkpoint import (
     WriteAheadLog,
@@ -80,7 +79,6 @@ GOLDEN = {
 
 def _live(kind: str, k: int, seed: int, rate: float, wal: WriteAheadLog):
     """Run one golden case live with ``wal`` recording its validator."""
-    reset_trigger_ids()
     experiment = Jury.experiment(JuryConfig(
         kind=kind, n=5, k=k, switches=8, topology="linear", timeout_ms=250.0,
         seed=seed, policies=("default",)))
